@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from repro.circuits.statespace import DescriptorSystem
 from repro.obs import metrics as obs_metrics
@@ -250,6 +251,84 @@ def _pencil_time_scales(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.exp2(exponent)
 
 
+# A model's pencils count as symmetric when every matrix of its affine
+# family is symmetric to within _SYMMETRY_TOL * q * eps of its largest
+# entry.  Congruence-reduced RC models measure 0.03-0.25 q*eps; RLC and
+# voltage-source MNA stamps are skew in their branch rows, orders of
+# magnitude above.
+_SYMMETRY_TOL = 4
+
+
+def _cholesky_inverses(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-instance ``R_k^{-1}`` with ``G_k = R_k R_k^T``, plus a mask.
+
+    ``definite[k]`` is ``False`` where LAPACK ``potrf`` meets a
+    non-positive (or NaN) pivot, i.e. ``G_k`` is not numerically
+    positive definite; those rows of the inverse stack stay zero.  Every
+    instance is factored on its own, so the mask and every row are the
+    same however the ensemble is chunked.  Precision follows ``g``.
+    """
+    potrf, trtri = get_lapack_funcs(("potrf", "trtri"), dtype=g.dtype)
+    r_inv = np.zeros_like(g)
+    definite = np.zeros(g.shape[0], dtype=bool)
+    for k in range(g.shape[0]):
+        r, info = potrf(g[k], lower=1)
+        if info == 0:
+            r_inv[k] = trtri(r, lower=1)[0]
+            definite[k] = True
+    return r_inv, definite
+
+
+def symmetric_definite(model) -> bool:
+    """True when ``model``'s instance pencils are symmetric-definite.
+
+    Paper Algorithm 1 reduces by congruence, ``G~ = V^T G V`` and
+    likewise for ``C`` and every sensitivity, so an RC net's symmetric
+    ``G``/``C`` stay symmetric and a positive definite ``G`` stays
+    positive definite: every instance pencil ``G_k + s C_k`` then has a
+    real spectrum and a ``G_k``-orthogonal eigenbasis.  The model
+    qualifies when ``G~0``, ``C~0`` and every ``G~_i``/``C~_i`` are
+    symmetric to ``_SYMMETRY_TOL * q * eps`` of their largest entry and
+    ``G~0`` is positive definite.  Memoized on the model (one check per
+    model); the planner reports the outcome as the ``/symmetric``
+    qualifier of the eig kernel label.
+    """
+    cache = _memo_cache(model)
+    if cache is not None and "symmetric_definite" in cache:
+        return cache["symmetric_definite"]
+    g0, c0 = _dense_nominal(model)
+    dg, dc = _sensitivity_stacks(model)
+    tol = _SYMMETRY_TOL * g0.shape[0] * np.finfo(float).eps
+    qualifies = all(
+        np.abs(a - a.T).max(initial=0.0) <= tol * np.abs(a).max(initial=0.0)
+        for a in (g0, c0, *dg, *dc)
+    ) and bool(_cholesky_inverses(g0[None])[1][0])
+    if cache is not None:
+        cache["symmetric_definite"] = qualifies
+    return qualifies
+
+
+def _symmetric_eig_factors(model, r_inv: np.ndarray, c: np.ndarray):
+    """Spectral factors of symmetric-definite pencils, in real arithmetic.
+
+    With ``G_k = R_k R_k^T`` and ``eigh(R_k^{-1} C_k R_k^{-T}) =
+    U_k diag(mu_k) U_k^T``, the basis ``X_k = R_k^{-T} U_k`` satisfies
+    ``X_k^T G_k X_k = I`` and ``X_k^T C_k X_k = diag(mu_k)``, so
+    ``X_k^{-1} = X_k^T G_k`` and the rational factors are
+    ``(mu_k, L^T X_k, X_k^T B)`` -- no nonsymmetric ``eig``, no complex
+    solve, no solve against the eigenvector matrix.  Cast to complex
+    once at the end, so the response contraction never re-casts.
+    """
+    complex_dtype = np.result_type(c.dtype, np.complex64)
+    b = _dense(model.nominal.B).astype(c.dtype, copy=False)
+    l_mat = _dense(model.nominal.L).astype(c.dtype, copy=False)
+    r_inv_t = r_inv.transpose(0, 2, 1)
+    eigenvalues, u = np.linalg.eigh(r_inv @ c @ r_inv_t)
+    lt_v = (r_inv @ l_mat).transpose(0, 2, 1) @ u
+    w = u.transpose(0, 2, 1) @ (r_inv @ b)
+    return tuple(x.astype(complex_dtype) for x in (eigenvalues, lt_v, w))
+
+
 def _eig_response_factors(model, g: np.ndarray, c: np.ndarray):
     """Per-instance spectral factors for rational transfer evaluation.
 
@@ -263,9 +342,48 @@ def _eig_response_factors(model, g: np.ndarray, c: np.ndarray):
     instead of once per (instance, frequency) pair.  Returns
     ``(eigenvalues, L^T V, V^{-1} G^{-1} B)``.
 
-    Precision follows the stacks: float64 input runs the historical
-    complex128 path bit-for-bit, float32 input stays in
-    float32/complex64 throughout (the screening tier's fast pass).
+    Two kernels, chosen by the input alone:
+
+    - **symmetric-definite** (:func:`_symmetric_eig_factors`) for
+      models that pass :func:`symmetric_definite` -- every
+      congruence-reduced RC net, since ``V^T (.) V`` keeps symmetric
+      ``G``/``C`` symmetric and a positive definite ``G`` positive
+      definite, so the spectrum is real.  Each instance whose ``G_k``
+      admits a Cholesky factorization takes the real ``potrf`` +
+      ``eigh`` route; an instance whose Cholesky fails (a sample that
+      drove ``G_k`` indefinite) goes through the general kernel
+      instead.  The choice is per instance, never per batch, so
+      chunked, resumed and work-stolen runs stay bit-identical to
+      one-shot evaluation.
+    - **general** (:func:`_general_eig_factors`) for everything else:
+      RLC and voltage-source MNA models, whose skew branch stamps make
+      the pencil nonsymmetric.
+
+    Precision follows the stacks: float64 input runs in
+    float64/complex128, float32 input stays in float32/complex64
+    throughout (the screening tier's fast pass).
+    """
+    if not symmetric_definite(model):
+        return _general_eig_factors(model, g, c)
+    r_inv, definite = _cholesky_inverses(g)
+    if definite.all():
+        return _symmetric_eig_factors(model, r_inv, c)
+    fast = _symmetric_eig_factors(model, r_inv[definite], c[definite])
+    general = _general_eig_factors(model, g[~definite], c[~definite])
+    factors = []
+    for x, y in zip(fast, general):
+        out = np.empty((g.shape[0],) + x.shape[1:], dtype=np.result_type(x, y))
+        out[definite], out[~definite] = x, y
+        factors.append(out)
+    return tuple(factors)
+
+
+def _general_eig_factors(model, g: np.ndarray, c: np.ndarray):
+    """:func:`_eig_response_factors` for arbitrary (nonsymmetric) pencils.
+
+    Real LU for ``G^{-1} C``, nonsymmetric ``eig``, a complex solve for
+    ``G^{-1} B`` and a solve against the eigenvector matrix.  The
+    reference the symmetric kernel is tested against.
     """
     complex_dtype = np.result_type(g.dtype, np.complex64)
     b = _dense(model.nominal.B).astype(complex_dtype)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -246,10 +247,16 @@ class ModelCache:
         The archive is written to a temporary sibling and atomically
         renamed into place, so concurrent readers (parallel CI jobs
         sharing a cache directory) never observe a half-written entry.
+        The scratch name carries the process *and* thread id: the study
+        server realizes concurrent submissions on threads of one
+        process, and two of them storing the same key must not write,
+        rename and unlink one shared scratch file.
         """
         path = self.path_for(key)
         # Must keep the .npz suffix: numpy appends it to other names.
-        scratch = path.with_name(f".{key}.{os.getpid()}.tmp.npz")
+        scratch = path.with_name(
+            f".{key}.{os.getpid()}.{threading.get_ident()}.tmp.npz"
+        )
         try:
             save_model(model, scratch)
             os.replace(scratch, path)

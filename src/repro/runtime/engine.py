@@ -76,6 +76,7 @@ from repro.runtime.batch import (
     batch_instantiate,
     batch_transfer_sensitivities,
     supports_batching,
+    symmetric_definite,
     systems_from_stacks,
 )
 from repro.runtime.cache import array_fingerprint, cached_target_fingerprint
@@ -993,11 +994,14 @@ class Study:
             elif kind == "sparse":
                 family = shared_pattern_family(target)
                 kernel = f"shared-pattern[{family.solver_kind}]"
-            elif self._precision == "screen":
-                kernel = "eig-rational[sweep-study/f32-screen]"
             else:
-                kernel = "eig-rational[sweep-study]"
-                solver = lowrank_solver(target)
+                tier = "sweep-study"
+                if self._precision == "screen":
+                    tier += "/f32-screen"
+                if symmetric_definite(target):
+                    tier += "/symmetric"
+                kernel = f"eig-rational[{tier}]"
+                solver = lowrank_solver(target) if self._precision == "full" else None
                 if solver is not None:
                     detected_rank = solver.rank
                     n_f = self._frequencies.size

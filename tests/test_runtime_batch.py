@@ -13,10 +13,19 @@ import pytest
 from repro.analysis.metrics import matched_pole_errors
 from repro.analysis.montecarlo import sample_parameters
 from repro.analysis.sensitivity import transfer_sensitivities
-from repro.circuits import rcnet_a
+from repro.circuits import coupled_rlc_bus, rc_tree, rcnet_a, with_random_variations
 from repro.core import LowRankReducer
-from repro.runtime.batch import _sweep_study
+from repro.runtime.batch import (
+    _cholesky_inverses,
+    _eig_response_factors,
+    _eig_responses,
+    _general_eig_factors,
+    _poles_from_eigenvalues,
+    _sweep_study,
+    symmetric_definite,
+)
 from repro.runtime import (
+    Study,
     batch_frequency_response,
     batch_instantiate,
     batch_poles,
@@ -42,6 +51,20 @@ def model(parametric):
 @pytest.fixture(scope="module")
 def samples():
     return sample_parameters(9, 3, seed=11)
+
+
+@pytest.fixture(scope="module")
+def tree_model():
+    """A 2000-node RC tree reduction (q=53): the symmetric kernel at scale."""
+    parametric = with_random_variations(rc_tree(2000, seed=1), 3, seed=3)
+    return LowRankReducer(num_moments=4).reduce(parametric)
+
+
+@pytest.fixture(scope="module")
+def rlc_model():
+    """A coupled RLC bus reduction: skew inductor stamps, nonsymmetric G."""
+    parametric = with_random_variations(coupled_rlc_bus(num_segments=20), 2, seed=1)
+    return LowRankReducer(num_moments=3).reduce(parametric)
 
 
 class TestBatchInstantiate:
@@ -140,6 +163,76 @@ class TestBatchSweepStudy:
         for k in range(samples.shape[0]):
             errors, _ = matched_pole_errors(separate[k], poles[k])
             assert errors.max() <= 1e-12
+
+
+def _factor_results(factors, freqs):
+    eigenvalues, lt_v, w = factors
+    return _eig_responses(eigenvalues, lt_v, w, freqs), _poles_from_eigenvalues(
+        eigenvalues, 5
+    )
+
+
+class TestSymmetricKernel:
+    """Cholesky + eigh factors vs the general eig kernel they replace."""
+
+    FREQS = np.logspace(7, 10, 40)
+
+    @pytest.mark.parametrize("name", ["model", "tree_model"])
+    def test_matches_general_kernel(self, name, request):
+        model = request.getfixturevalue(name)
+        assert symmetric_definite(model)
+        points = sample_parameters(24, model.num_parameters, seed=7)
+        g, c = batch_instantiate(model, points, exact=False)
+        assert _cholesky_inverses(g)[1].all()
+        responses, poles = _factor_results(
+            _eig_response_factors(model, g, c), self.FREQS
+        )
+        ref_responses, ref_poles = _factor_results(
+            _general_eig_factors(model, g, c), self.FREQS
+        )
+        scale = np.abs(ref_responses).max()
+        assert np.abs(responses - ref_responses).max() <= 1e-10 * scale
+        assert np.abs(poles - ref_poles).max() <= 1e-10 * np.abs(ref_poles).max()
+        # Symmetric-definite pencils have real spectra.
+        assert np.all(poles.imag == 0.0)
+
+    def test_nonsymmetric_model_is_general_bit_for_bit(self, rlc_model):
+        assert not symmetric_definite(rlc_model)
+        points = sample_parameters(12, rlc_model.num_parameters, seed=7)
+        g, c = batch_instantiate(rlc_model, points, exact=False)
+        for ours, reference in zip(
+            _eig_response_factors(rlc_model, g, c),
+            _general_eig_factors(rlc_model, g, c),
+        ):
+            np.testing.assert_array_equal(ours, reference)
+        plan = Study(rlc_model).scenarios(points).sweep(self.FREQS).plan()
+        assert plan.kernel == "eig-rational[sweep-study]"
+
+    def test_indefinite_instances_take_general_path(self, model):
+        # p_i <= -1 removes a whole width's conductance: G_k turns
+        # indefinite for exactly the rows that hold such a value.
+        points = sample_parameters(12, model.num_parameters, seed=5)
+        points[[2, 7], 0] = -2.0
+        points[9, 1] = -3.0
+        g, c = batch_instantiate(model, points, exact=False)
+        definite = _cholesky_inverses(g)[1]
+        np.testing.assert_array_equal(np.flatnonzero(~definite), [2, 7, 9])
+        mixed = _eig_response_factors(model, g, c)
+        general = _general_eig_factors(model, g[~definite], c[~definite])
+        symmetric = _eig_response_factors(model, g[definite], c[definite])
+        for ours, fallback, fast in zip(mixed, general, symmetric):
+            np.testing.assert_array_equal(ours[~definite], fallback)
+            np.testing.assert_array_equal(ours[definite], fast)
+
+        one_shot = Study(model).scenarios(points).sweep(
+            self.FREQS, keep_responses=True
+        ).poles(5).run()
+        for chunk in (1, 5):
+            chunked = Study(model).scenarios(points).sweep(
+                self.FREQS, keep_responses=True
+            ).poles(5).chunk(chunk).run()
+            np.testing.assert_array_equal(chunked.responses, one_shot.responses)
+            np.testing.assert_array_equal(chunked.poles, one_shot.poles)
 
 
 class TestBatchPoles:

@@ -1,5 +1,7 @@
 """Content-addressed model cache: keys, hits, round trips."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.circuits import rc_tree, rcnet_a, with_random_variations
 from repro.core import LowRankReducer
 from repro.core.io import roundtrip_equal
 from repro.runtime import ModelCache, reducer_fingerprint, system_fingerprint
+from repro.runtime import cache as cache_module
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +165,48 @@ class TestModelCache:
         cache.get_or_reduce(parametric, LowRankReducer(num_moments=2, rank=1))
         assert cache.clear() == 1
         assert len(cache) == 0
+
+    def test_threads_storing_one_key_do_not_collide(
+        self, parametric, tmp_path, monkeypatch
+    ):
+        """Two threads of one process hammer ``store`` on the same key.
+
+        The study server realizes concurrent submissions on threads of
+        one process.  A barrier after each scratch write makes both
+        threads hold a written scratch file before either renames, so a
+        scratch name shared between them fails on every round.
+        """
+        reducer = LowRankReducer(num_moments=2, rank=1)
+        model = reducer.reduce(parametric)
+        cache = ModelCache(tmp_path)
+        key = cache.key(parametric, reducer)
+        barrier = threading.Barrier(2, timeout=30)
+        save_model = cache_module.save_model
+
+        def save_then_meet(saved, path):
+            save_model(saved, path)
+            barrier.wait()
+
+        monkeypatch.setattr(cache_module, "save_model", save_then_meet)
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(5):
+                    cache.store(key, model)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=hammer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert roundtrip_equal(cache.load(key), model)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{key}.npz"]
 
 
 class TestCacheBounds:

@@ -110,7 +110,7 @@ class TestRouteSelection:
         execution = Study(model).scenarios(plan).sweep(FREQUENCIES).plan()
         assert isinstance(execution, ExecutionPlan)
         assert execution.route == "dense-batch"
-        assert execution.kernel == "eig-rational[sweep-study]"
+        assert execution.kernel == "eig-rational[sweep-study/symmetric]"
         assert execution.num_chunks == 1
         assert execution.num_samples == 13
         assert "dense-reduced" in execution.target

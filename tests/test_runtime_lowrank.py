@@ -191,7 +191,7 @@ class TestEngineRouting:
 
     def test_planner_keeps_eig_route_for_full_rank(self, dense_model, samples):
         plan = Study(dense_model).scenarios(samples).sweep(FREQUENCIES).plan()
-        assert plan.kernel == "eig-rational[sweep-study]"
+        assert plan.kernel == "eig-rational[sweep-study/symmetric]"
         assert plan.detected_rank is None
 
     def test_run_matches_eig_kernel(self, model, samples):
