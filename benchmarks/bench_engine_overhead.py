@@ -9,9 +9,10 @@ process-global plan cache (every repetition builds a fresh ``Study``,
 exactly the Monte Carlo driver pattern), so the planner's routing work
 is paid once and amortized to a fingerprint lookup.
 
-- direct:  the internal streaming driver the engine's dense-batch
-  sweep route delegates to, called with precomputed samples -- i.e.
-  exactly the work ``run()`` performs minus the engine;
+- direct:  the chunk loop the engine's dense-batch sweep route runs
+  (:func:`repro.runtime.stream._drive_chunks` over the sweep payload,
+  then the sweep result builder), called with precomputed samples --
+  i.e. exactly the work ``run()`` performs minus the engine;
 - engine:  ``Study(model).scenarios(samples).sweep(freqs).poles(k)``
   rebuilt and ``run()`` per repetition, so every repetition pays the
   full builder + planner + dispatch path.
@@ -21,6 +22,7 @@ Results are recorded to ``BENCH_engine_overhead.json`` via
 configuration with the timing assertion disabled.
 """
 
+import functools
 import os
 import time
 
@@ -32,7 +34,7 @@ from repro.analysis.montecarlo import sample_parameters
 from repro.circuits import rcnet_a
 from repro.core import LowRankReducer
 from repro.runtime import Study
-from repro.runtime.stream import _stream_sweep_study
+from repro.runtime.stream import _drive_chunks, _sweep_chunk_payload, _sweep_result
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 NUM_INSTANCES = 8 if SMOKE else 64
@@ -71,10 +73,12 @@ def test_engine_dispatch_overhead(report, rcneta):
     )
 
     def direct():
-        return _stream_sweep_study(
-            model, FREQUENCIES, samples,
-            chunk_size=NUM_INSTANCES, num_poles=NUM_POLES, keep_responses=True,
+        payload_fn = functools.partial(
+            _sweep_chunk_payload, model, None, FREQUENCIES,
+            num_poles=NUM_POLES, keep_poles=True, keep_responses=True,
         )
+        folded = _drive_chunks("sweep", samples, NUM_INSTANCES, payload_fn)
+        return _sweep_result(folded, None, samples, FREQUENCIES, NUM_INSTANCES)
 
     def engine():
         return (

@@ -7,9 +7,10 @@ check per *chunk*.  This benchmark enforces the contract on the
 runtime's acceptance workload, the 64-instance RCNetA Monte Carlo
 sweep:
 
-- direct:   the internal streaming driver, called with precomputed
-  samples -- the routed kernel minus the engine *and* minus any
-  instrumented dispatch;
+- direct:   the chunk loop (:func:`repro.runtime.stream._drive_chunks`
+  over the sweep payload, then the sweep result builder), called with
+  precomputed samples -- the routed kernel minus the engine *and*
+  minus any instrumented dispatch;
 - disabled: ``Study.run()`` with no trace sink -- the instrumented
   engine on its no-op observability path.  Must cost < 1% over
   ``direct`` (a budget that also absorbs the engine's own dispatch,
@@ -22,6 +23,7 @@ Results are recorded to ``BENCH_obs_overhead.json`` via
 configuration with the timing assertion disabled.
 """
 
+import functools
 import os
 import time
 
@@ -34,7 +36,7 @@ from repro.core import LowRankReducer
 from repro.obs import MemorySink
 from repro.obs import trace as obs_trace
 from repro.runtime import Study
-from repro.runtime.stream import _stream_sweep_study
+from repro.runtime.stream import _drive_chunks, _sweep_chunk_payload, _sweep_result
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 NUM_INSTANCES = 8 if SMOKE else 64
@@ -102,10 +104,12 @@ def test_observability_disabled_overhead(report, rcneta):
     )
 
     def direct():
-        return _stream_sweep_study(
-            model, FREQUENCIES, samples,
-            chunk_size=NUM_INSTANCES, num_poles=NUM_POLES, keep_responses=True,
+        payload_fn = functools.partial(
+            _sweep_chunk_payload, model, None, FREQUENCIES,
+            num_poles=NUM_POLES, keep_poles=True, keep_responses=True,
         )
+        folded = _drive_chunks("sweep", samples, NUM_INSTANCES, payload_fn)
+        return _sweep_result(folded, None, samples, FREQUENCIES, NUM_INSTANCES)
 
     def study():
         return (

@@ -1,11 +1,12 @@
 """Work-stealing workers draining one shared store (scheduler showcase).
 
-Sharding (see ``sharded_montecarlo.py``) splits a study *statically*;
-``Study.work()`` splits it *dynamically*: every worker pointed at the
-same on-disk store claims unfinished chunks one at a time through
-atomic lease files, so fast machines simply take more chunks and the
-study drains with no coordinator process.  This example plays out the
-full operational story on one small study:
+``Study.work()`` is how one study is split across processes or
+machines: every worker pointed at the same on-disk store (a shared
+directory) claims unfinished chunks one at a time through atomic lease
+files, computes each through the same chunk loop as ``Study.run()``,
+so fast machines simply take more chunks and the study drains with no
+coordinator process.  This example plays out the full operational
+story on one small study:
 
 1. a "laptop" worker computes a couple of chunks and stops early
    (``max_chunks`` -- a clean, lease-releasing exit),

@@ -99,11 +99,6 @@ from repro.runtime import (
     batch_poles,
     batch_simulate_transient,
     batch_transfer,
-    batch_transient_study,
-    run_frequency_scenarios,
-    sparse_batch_frequency_response,
-    stream_sweep_study,
-    stream_transient_study,
 )
 from repro.warehouse import Warehouse, WarehouseError
 
@@ -145,7 +140,6 @@ __all__ = [
     "batch_poles",
     "batch_simulate_transient",
     "batch_transfer",
-    "batch_transient_study",
     "clock_tree",
     "compare_frequency_responses",
     "coupled_rlc_bus",
@@ -166,15 +160,11 @@ __all__ = [
     "rc_tree",
     "rcnet_a",
     "rcnet_b",
-    "run_frequency_scenarios",
     "sample_parameters",
     "shifted_parametric_system",
     "simulate_step",
     "simulate_transient",
-    "sparse_batch_frequency_response",
     "standard_stack",
-    "stream_sweep_study",
-    "stream_transient_study",
     "sweep",
     "tbr",
     "with_random_variations",

@@ -105,7 +105,6 @@ def monte_carlo_pole_study(
     samples: Optional[Sequence[Sequence[float]]] = None,
     executor=None,
     store=None,
-    shard: Optional[tuple] = None,
     resume: bool = False,
     chunk_size: Optional[int] = None,
     trace=None,
@@ -127,10 +126,9 @@ def monte_carlo_pole_study(
     ``store`` (a directory or :class:`~repro.runtime.store.StudyStore`)
     makes the study durable: both pole studies checkpoint their chunks
     (``chunk_size`` instances per checkpoint unit) under one store, so
-    an interrupted sign-off resumes (``resume=True``) and a 0-based
-    ``shard=(i, n)`` split runs on ``n`` machines -- each shard's
-    result covers its own instances, and a final resumed run with no
-    shard merges everything bit-identically to a one-shot study.
+    an interrupted sign-off resumes (``resume=True``) bit-identically
+    to a one-shot study, and ``work=True`` splits it across any number
+    of processes or machines sharing the store.
 
     Parameters
     ----------
@@ -152,7 +150,7 @@ def monte_carlo_pole_study(
         Executor spec for the full-model solves (anything
         :func:`repro.runtime.executor.resolve_executor` accepts;
         default serial).
-    store, shard, resume, chunk_size:
+    store, resume, chunk_size:
         Durable-study pass-through (see above); default: not durable.
     trace:
         Optional trace sink -- a path (JSONL file), an object with an
@@ -165,8 +163,8 @@ def monte_carlo_pole_study(
         :meth:`Study.run`: any number of processes given the same
         declaration and store cooperate until the sign-off drains
         (``ttl``/``poll``/``worker`` pass through to the scheduler).
-        Requires ``store``; mutually exclusive with ``shard`` and
-        ``resume``.  Every participating worker blocks until both
+        Requires ``store``; mutually exclusive with ``resume``.
+        Every participating worker blocks until both
         sides drain and returns the same merged result, bit-identical
         to a one-shot run.
     precision:
@@ -181,9 +179,9 @@ def monte_carlo_pole_study(
     if work:
         if store is None:
             raise ValueError("work=True requires store=...")
-        if shard is not None or resume:
+        if resume:
             raise ValueError(
-                "work=True is mutually exclusive with shard/resume: workers "
+                "work=True is mutually exclusive with resume: workers "
                 "claim chunks dynamically"
             )
     if samples is None:
@@ -214,8 +212,6 @@ def monte_carlo_pole_study(
             study = study.store(store)
         if chunk_size is not None:
             study = study.chunk(chunk_size)
-        if shard is not None:
-            study = study.shard(*shard)
         if resume:
             study = study.resume()
         return study
@@ -260,10 +256,6 @@ def monte_carlo_pole_study(
     )
     full_results = full_study.pole_sets
     reduced_results = reduced_study.pole_sets
-    if shard is not None:
-        # Sharded sign-off: the result covers this shard's instances.
-        samples = full_study.samples
-
     pole_errors = np.empty((samples.shape[0], num_poles))
     full_poles = np.empty((samples.shape[0], num_poles), dtype=complex)
     reduced_poles = np.empty((samples.shape[0], num_poles), dtype=complex)

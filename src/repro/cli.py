@@ -10,7 +10,7 @@ python -m repro poles      netlist.sp --num 5
 python -m repro montecarlo netlist.sp --instances 200 --jobs 4
 python -m repro batch      netlist.sp --plan corners --points 30
 python -m repro transient  netlist.sp --plan corners --waveform ramp --rise-time 2e-10
-python -m repro batch      netlist.sp --chunk 8 --store run1 --shard 1/2
+python -m repro batch      netlist.sp --chunk 8 --store run1
 python -m repro batch      netlist.sp --chunk 8 --store run1 --resume
 python -m repro batch      netlist.sp --chunk 8 --trace run1.trace --progress
 python -m repro work batch netlist.sp --chunk 8 --store run1 --worker-id w1
@@ -35,16 +35,15 @@ manual chunk size (``--chunk N``), an automatic one derived from a
 peak-memory bound (``--memory-budget BYTES``), and an optional
 content-addressed model cache (``--cache DIR``).  All three study
 commands are durable on request: ``--store DIR`` checkpoints every
-chunk to a :class:`~repro.runtime.store.StudyStore`, ``--shard I/N``
-(1-based) runs one slice of the chunk grid, and ``--resume`` reuses
-and merges existing checkpoints -- bit-identically to a one-shot run.
-``work {batch,transient,montecarlo}`` is the dynamic counterpart of
-``--shard``: every worker process gets the identical study declaration
-plus the same ``--store DIR`` and claims chunks through lease files
-(:mod:`repro.runtime.scheduler`); dead workers' leases expire after
-``--ttl`` and are stolen, and each surviving worker prints the merged
-result once the store drains -- bit-identical to a one-shot run.
-Store misuse (invalid shard spec, bad worker id or ttl/poll value,
+chunk to a :class:`~repro.runtime.store.StudyStore`, and ``--resume``
+requires and reuses existing checkpoints -- bit-identically to a
+one-shot run.  ``work {batch,transient,montecarlo}`` splits one study
+across processes or machines: every worker gets the identical study
+declaration plus the same ``--store DIR`` and claims chunks through
+lease files (:mod:`repro.runtime.scheduler`); dead workers' leases
+expire after ``--ttl`` and are stolen, and each surviving worker
+prints the merged result once the store drains -- bit-identical to a
+one-shot run.  Store misuse (bad worker id or ttl/poll value,
 missing/corrupt manifest, unwritable store directory) exits with
 code 2 and a one-line diagnostic.
 All three study commands are observable on request: ``--trace FILE``
@@ -87,7 +86,7 @@ import numpy as np
 
 from repro import __version__
 from repro.analysis.passivity import passivity_report
-from repro.runtime.store import StoreError, parse_shard
+from repro.runtime.store import StoreError
 from repro.baselines.prima import prima
 from repro.baselines.rational_arnoldi import logspaced_shifts, rational_arnoldi
 from repro.baselines.tbr import tbr
@@ -237,7 +236,7 @@ def _print_montecarlo_study(args, parametric, model, study) -> int:
 def _cmd_montecarlo(args) -> int:
     from repro.analysis.montecarlo import monte_carlo_pole_study
 
-    shard = _shard_arg(args)
+    _require_store_for_resume(args)
     parametric = _load_parametric(args)
     model = _reduce_parametric(parametric, args)
     study = monte_carlo_pole_study(
@@ -249,7 +248,6 @@ def _cmd_montecarlo(args) -> int:
         seed=args.seed,
         executor=args.jobs,
         store=args.store or None,
-        shard=shard,
         resume=args.resume,
         chunk_size=args.chunk,
         trace=_obs_sinks(args, "montecarlo") or None,
@@ -283,20 +281,17 @@ def _apply_chunking(study, args):
     return study
 
 
-def _shard_arg(args):
-    """Validated 0-based ``(index, of)`` from ``--shard``, or ``None``."""
-    if (args.shard or args.resume) and not args.store:
-        raise StoreError("--shard and --resume require --store DIR")
-    return parse_shard(args.shard) if args.shard else None
+def _require_store_for_resume(args) -> None:
+    """``--resume`` without ``--store`` is a one-line exit-2 error."""
+    if args.resume and not args.store:
+        raise StoreError("--resume requires --store DIR")
 
 
 def _apply_store(study, args):
-    """Wire ``--store`` / ``--shard`` / ``--resume`` into a Study."""
-    shard = _shard_arg(args)
+    """Wire ``--store`` / ``--resume`` into a Study."""
+    _require_store_for_resume(args)
     if args.store:
         study = study.store(args.store)
-    if shard is not None:
-        study = study.shard(*shard)
     if args.resume:
         study = study.resume()
     return study
@@ -314,8 +309,6 @@ def _store_banner(args) -> Optional[str]:
     if not args.store:
         return None
     line = f"# store: {args.store}"
-    if args.shard:
-        line += f"  shard: {args.shard}"
     if args.resume:
         line += "  (resumed)"
     return line
@@ -326,7 +319,7 @@ def _build_batch_engine(args):
 
     The engine carries the study declaration plus chunking and
     observability, but not yet the store wiring -- ``batch`` applies
-    ``--store/--shard/--resume`` while ``work batch`` attaches the
+    ``--store/--resume`` while ``work batch`` attaches the
     (required) shared store for the drain.  Splitting here keeps the
     declared workload -- and therefore the study manifest key -- one
     definition for both commands.
@@ -407,7 +400,7 @@ def _build_transient_engine(args):
     """``(engine, model, plan, waveform)`` for the transient workload.
 
     Same store-free split as :func:`_build_batch_engine`: shared by
-    ``transient`` (which wires ``--store/--shard/--resume``) and
+    ``transient`` (which wires ``--store/--resume``) and
     ``work transient`` (which attaches the shared drain store).
     """
     from repro.runtime import Study
@@ -493,8 +486,8 @@ def _work_options(args):
     """Validated ``(ttl, poll, worker, max_chunks)`` for a work command.
 
     All four arrive as raw strings so malformed values take the
-    :class:`StoreError` exit-2 one-liner path (like ``--shard``), not
-    an argparse usage dump or a traceback.
+    :class:`StoreError` exit-2 one-liner path, not an argparse usage
+    dump or a traceback.
     """
     from repro.runtime import parse_worker_id
     from repro.runtime.store import parse_positive
@@ -763,12 +756,8 @@ def _add_store_arguments(subparser) -> None:
     """Durable-study options shared by montecarlo/batch/transient."""
     subparser.add_argument("--store", default=None, metavar="DIR",
                            help="durable study store: every chunk is "
-                                "checkpointed to DIR (npz shards + a JSON "
+                                "checkpointed to DIR (npz archives + a JSON "
                                 "manifest keyed by content fingerprints)")
-    subparser.add_argument("--shard", default=None, metavar="I/N",
-                           help="run shard I of N (1-based) of the chunk "
-                                "grid; shards share --store and a final "
-                                "--resume run merges them")
     subparser.add_argument("--resume", action="store_true",
                            help="require and reuse checkpoints from --store "
                                 "(skips completed chunks bit-identically; "
@@ -879,9 +868,9 @@ def _add_work_arguments(subparser, max_chunks: bool = True) -> None:
 
     Numeric values stay strings here; the handlers validate them with
     :func:`~repro.runtime.store.parse_positive` so misuse exits 2 with
-    a one-line diagnostic.  ``--shard``/``--resume`` do not exist in
-    work mode (chunks are claimed dynamically) but downstream helpers
-    read them, so they are pinned to their inert defaults.
+    a one-line diagnostic.  ``--resume`` does not exist in work mode
+    (chunks are claimed dynamically) but downstream helpers read it, so
+    it is pinned to its inert default.
     """
     subparser.add_argument("--store", required=True, metavar="DIR",
                            help="shared study store to drain; every worker "
@@ -901,7 +890,7 @@ def _add_work_arguments(subparser, max_chunks: bool = True) -> None:
                                help="exit after claiming N chunks, leaving "
                                     "the rest to other workers (no merged "
                                     "result unless the store drained)")
-    subparser.set_defaults(shard=None, resume=False)
+    subparser.set_defaults(resume=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1164,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="human report: phase time tree, solver tiers, throughput",
     )
     summarize_cmd.add_argument("trace_file", nargs="+",
-                               help="trace file(s); several shards' files "
+                               help="trace file(s); several workers' files "
                                     "are merged into one report")
     summarize_cmd.set_defaults(func=_cmd_trace_summarize)
 
@@ -1181,7 +1170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except StoreError as exc:
-        # Store misuse (bad shard spec, nothing to resume, corrupt
+        # Store misuse (bad worker id, nothing to resume, corrupt
         # manifest, unwritable directory): exit 2, one line, no trace.
         print(f"error: {exc}", file=sys.stderr)
         return 2

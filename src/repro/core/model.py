@@ -70,8 +70,7 @@ class ParametricReducedModel:
             nominal.C.toarray() if hasattr(nominal.C, "toarray") else nominal.C,
             dtype=float,
         )
-        self._dG_stack: Optional[np.ndarray] = None
-        self._dC_stack: Optional[np.ndarray] = None
+        self._stacks: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- basic properties ---------------------------------------------
 
@@ -105,18 +104,22 @@ class ParametricReducedModel:
         """Sensitivities stacked as ``(n_p, q, q)`` arrays (cached).
 
         The stacked layout is what the einsum-based batch kernels
-        contract against; it is built lazily on first use.  Callers
-        must treat the returned arrays as read-only.
+        contract against; it is built lazily on first use and published
+        as one tuple, so threads planning concurrently never see half of
+        it.  Callers must treat the returned arrays as read-only.
         """
-        if self._dG_stack is None:
+        stacks = self._stacks
+        if stacks is None:
             q = self.nominal.order
             if self.num_parameters:
-                self._dG_stack = np.stack([np.asarray(gi, dtype=float) for gi in self.dG])
-                self._dC_stack = np.stack([np.asarray(ci, dtype=float) for ci in self.dC])
+                stacks = (
+                    np.stack([np.asarray(gi, dtype=float) for gi in self.dG]),
+                    np.stack([np.asarray(ci, dtype=float) for ci in self.dC]),
+                )
             else:
-                self._dG_stack = np.zeros((0, q, q))
-                self._dC_stack = np.zeros((0, q, q))
-        return self._dG_stack, self._dC_stack
+                stacks = np.zeros((0, q, q)), np.zeros((0, q, q))
+            self._stacks = stacks
+        return stacks
 
     # -- evaluation -----------------------------------------------------
 

@@ -7,10 +7,10 @@ Three record types share the stream:
 - ``span``    -- one closed span (see :mod:`repro.obs.trace`);
 - ``metrics`` -- a metrics-registry delta, emitted once per study run.
 
-JSONL appends are line-atomic, so several shards may point at separate
+JSONL appends are line-atomic, so several workers may point at separate
 files and the files can simply be concatenated (or read together with
 :func:`read_trace`) -- span ids are unique across processes, which is
-what makes :func:`chunk_lineage` able to merge shard traces into one
+what makes :func:`chunk_lineage` able to merge workers' traces into one
 per-chunk report.
 """
 
@@ -176,7 +176,7 @@ def summarize_trace(records):
 
     ``records`` is the output of :func:`read_trace`; records from
     several trace files may be concatenated first to summarize a
-    sharded study as one run.
+    study drained by several workers as one run.
     """
     spans = _spans(records)
     lines = []

@@ -11,12 +11,9 @@ that reuse is made fast and declarative:
   inspects the target and workload and routes to the optimal kernel
   below -- dense batched, sparse shared-pattern, streamed under a
   memory budget, or executor-mapped full-order solves -- with an
-  inspectable :class:`ExecutionPlan` and a bit-identical-to-legacy
-  guarantee on every route.  The historical free functions
-  (``batch_sweep_study``, ``stream_sweep_study``,
-  ``batch_transient_study``, ``run_frequency_scenarios``, the sparse
-  kernels) remain importable as deprecated shims that emit one
-  ``FutureWarning`` per call.
+  inspectable :class:`ExecutionPlan`.  ``run()``, resume, and the
+  work-stealing ``work()`` all walk the same chunk loop, so a resumed
+  or work-stolen study is bit-identical to an uninterrupted one.
 - :mod:`repro.runtime.batch` -- vectorized instantiation
   ``G(P) = G0 + P . dG`` over whole sample matrices, with batched
   transfer-function, frequency-response, pole, and sensitivity kernels
@@ -25,10 +22,10 @@ that reuse is made fast and declarative:
   :func:`batch_simulate_transient` factors each instance's companion
   matrix once (one stacked LAPACK solve yields the closed-form
   discrete propagators) and advances the whole ensemble per timestep
-  as one ``(m, q)``-block matmul; :func:`batch_transient_study`
-  composes a scenario plan with an input waveform and attaches
-  vectorized delay/slew extraction; :func:`batch_step_responses` and
-  :func:`default_horizon` cover the step-response staple.
+  as one ``(m, q)``-block matmul, with vectorized delay/slew
+  extraction behind the ``Study`` transient route;
+  :func:`batch_step_responses` and :func:`default_horizon` cover the
+  step-response staple.
 - :mod:`repro.runtime.scenarios` -- declarative
   :class:`MonteCarloPlan` / :class:`CornerPlan` / :class:`GridPlan`
   objects that generate sample matrices, plus the input-waveform plans
@@ -49,10 +46,12 @@ that reuse is made fast and declarative:
   every pencil through a shared symbolic analysis (tridiagonal/banded
   LAPACK kernels in RCM order, SuperLU numeric refactorization as the
   general fallback).
-- :mod:`repro.runtime.stream` -- chunked streaming drivers
-  (:func:`stream_sweep_study` / :func:`stream_transient_study`) that
-  run any plan through the batch kernels under a documented peak-memory
-  bound, with incremental envelope reducers and progress callbacks.
+- :mod:`repro.runtime.stream` -- the one chunk loop under every
+  ``Study`` route: it walks the chunk grid under a documented
+  peak-memory bound (:func:`sweep_chunk_bytes` /
+  :func:`transient_chunk_bytes`), loads or computes-and-checkpoints
+  each chunk through a single checkpoint unit, and folds the results
+  with incremental envelope reducers and progress callbacks.
 - :mod:`repro.runtime.cache` -- a content-addressed
   :class:`ModelCache`: hash of (system, reducer config) -> reduced
   model persisted via :mod:`repro.core.io`, so repeated workloads skip
@@ -60,15 +59,16 @@ that reuse is made fast and declarative:
 - :mod:`repro.runtime.store` -- the durability layer: a
   :class:`StudyStore` persists every streamed chunk as an ``.npz``
   checkpoint unit plus a JSON manifest keyed by the same content
-  fingerprints the cache uses, so a crashed, killed, or sharded study
-  resumes (``Study.store/.shard/.resume``) and merges bit-identically
-  to an uninterrupted run -- with per-chunk checksums so persisted
-  results stay independently re-checkable.
+  fingerprints the cache uses, so a crashed or killed study resumes
+  (``Study.store/.resume``) bit-identically to an uninterrupted run --
+  with per-chunk checksums so persisted results stay independently
+  re-checkable.
 - :mod:`repro.runtime.scheduler` -- lease-based work-stealing over a
   shared store directory: atomic claim files, observer-side TTL expiry
   with heartbeats, and a drain loop (``Study.work``) that lets any
-  number of heterogeneous workers finish one study together, with
-  every chunk's SHA-256 verified before the fold.
+  number of heterogeneous workers -- processes or machines sharing the
+  directory -- finish one study together, with every chunk's SHA-256
+  verified before the fold.
 - :mod:`repro.runtime.executor` -- serial, thread, chunked
   multiprocessing, and shared-memory backends behind one
   ordered-``map`` interface for the embarrassingly-parallel full-model
@@ -84,7 +84,6 @@ from repro.runtime.batch import (
     batch_frequency_response,
     batch_instantiate,
     batch_poles,
-    batch_sweep_study,
     batch_transfer,
     batch_transfer_sensitivities,
     supports_batching,
@@ -130,21 +129,16 @@ from repro.runtime.store import (
     StoreError,
     StudyCheckpoint,
     StudyStore,
-    parse_shard,
     study_fingerprint,
 )
 from repro.runtime.sparse import (
     SparsePatternFamily,
     shared_pattern_family,
-    sparse_batch_frequency_response,
-    sparse_batch_transfer,
     supports_sparse_batching,
 )
 from repro.runtime.stream import (
     StreamedSweepStudy,
     StreamedTransientStudy,
-    stream_sweep_study,
-    stream_transient_study,
     sweep_chunk_bytes,
     transient_chunk_bytes,
 )
@@ -156,17 +150,14 @@ from repro.runtime.scenarios import (
     PWLInput,
     RampInput,
     ScenarioPlan,
-    ScenarioSweep,
     SineInput,
     StepInput,
-    run_frequency_scenarios,
 )
 from repro.runtime.transient import (
     BatchTransientResult,
     TransientStudy,
     batch_simulate_transient,
     batch_step_responses,
-    batch_transient_study,
     default_horizon,
 )
 
@@ -188,7 +179,6 @@ __all__ = [
     "ProcessExecutor",
     "RampInput",
     "ScenarioPlan",
-    "ScenarioSweep",
     "SensitivityStudy",
     "SerialExecutor",
     "SharedMemoryExecutor",
@@ -209,27 +199,19 @@ __all__ = [
     "batch_poles",
     "batch_simulate_transient",
     "batch_step_responses",
-    "batch_sweep_study",
     "batch_transfer",
     "batch_transfer_sensitivities",
-    "batch_transient_study",
     "default_horizon",
     "default_worker_id",
     "detect_lowrank_structure",
     "drain_chunks",
     "executor_map_array",
     "lowrank_solver",
-    "parse_shard",
     "parse_worker_id",
     "reducer_fingerprint",
     "resolve_executor",
     "resolve_owned_executor",
-    "run_frequency_scenarios",
     "shared_pattern_family",
-    "sparse_batch_frequency_response",
-    "sparse_batch_transfer",
-    "stream_sweep_study",
-    "stream_transient_study",
     "study_fingerprint",
     "supports_batching",
     "supports_sparse_batching",

@@ -606,8 +606,7 @@ def _sweep_study(
     ``runtime.batch.eig_fallbacks`` counter.
 
     This is the engine-internal kernel behind the dense sweep routes of
-    :class:`repro.runtime.engine.Study`; the historical public name
-    :func:`batch_sweep_study` is a deprecated shim over it.
+    :class:`repro.runtime.engine.Study`.
     """
     freqs = np.asarray(frequencies, dtype=float)
     g, c = batch_instantiate(model, samples, exact=False)
@@ -690,30 +689,6 @@ def _screen_sweep_study(
                 poles = grown
             poles[flags] = sub
     return responses, poles, flags.copy()
-
-
-def batch_sweep_study(
-    model,
-    frequencies: Sequence[float],
-    samples,
-    num_poles: Optional[int] = 5,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Deprecated shim: responses + poles of a sampled ensemble.
-
-    Delegates to the identical internal kernel the engine uses, so
-    results are bit-for-bit what they always were; emits one
-    :class:`FutureWarning` per call.  Use
-    ``Study(model).scenarios(samples).sweep(frequencies,
-    keep_responses=True).poles(num_poles).run()`` instead.
-    """
-    from repro.runtime._deprecation import warn_legacy
-
-    warn_legacy(
-        "batch_sweep_study",
-        "Study(model).scenarios(samples).sweep(frequencies, "
-        "keep_responses=True).poles(num_poles).run()",
-    )
-    return _sweep_study(model, frequencies, samples, num_poles=num_poles)
 
 
 def batch_transfer_sensitivities(model, s: complex, samples) -> np.ndarray:

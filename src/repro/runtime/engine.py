@@ -15,16 +15,18 @@ automatically:
 ...     .memory_budget(256 * 2**20)
 ... )
 >>> print(study.plan())          # inspect before paying for anything
->>> result = study.run()         # bit-identical to the legacy kernels
+>>> result = study.run()         # execute the planned route
 
 ``Study`` is a builder: ``scenarios`` + one workload (``sweep`` /
 ``transient`` / ``poles`` / ``sensitivities``) plus optional execution
 directives (``executor``, ``chunk`` or ``memory_budget``, ``cached`` +
-``reduced``, ``progress``, and the durability trio ``store`` /
-``shard`` / ``resume``).  :meth:`Study.plan` inspects the target and
-workload and returns an :class:`ExecutionPlan` naming the chosen route,
-kernel tier, chunk count, and estimated peak bytes; :meth:`Study.run`
-executes that plan.
+``reduced``, ``progress``, and the durability pair ``store`` /
+``resume``).  :meth:`Study.plan` inspects the target and workload and
+returns an :class:`ExecutionPlan` naming the chosen route, kernel tier,
+chunk count, and estimated peak bytes; :meth:`Study.run` executes that
+plan.  Every route except sensitivities runs through the one chunk loop
+of :mod:`repro.runtime.stream`, and :meth:`Study.work` drains the same
+chunks through the same checkpoint unit across any number of workers.
 
 Routes
 ------
@@ -45,14 +47,14 @@ Routes
 Determinism contract
 --------------------
 
-Every route delegates to the same internal implementation the
-historical free functions wrapped, so each result is **bit-identical**
-to its legacy path: sweeps to ``batch_sweep_study`` /
-``stream_sweep_study``, transients to ``batch_transient_study`` /
-``stream_transient_study``, pole studies to the Monte Carlo protocol
-of :func:`repro.analysis.montecarlo.monte_carlo_pole_study`, and
-sensitivities to
-:func:`repro.analysis.sensitivity.transfer_sensitivities`.
+Every route evaluates instances independently through the same kernels
+whichever way the samples are chunked, so results are **bit-identical**
+across chunk sizes (up to the documented chunk-summed envelope mean),
+across fresh, resumed, and work-stolen runs, and across executors:
+sweeps match the eig-amortized sweep kernel, transients the batched
+propagator kernel, pole studies the Monte Carlo protocol of
+:func:`repro.analysis.montecarlo.monte_carlo_pole_study`, and
+sensitivities :func:`repro.analysis.sensitivity.transfer_sensitivities`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -97,13 +98,13 @@ from repro.runtime.lowrank import eig_sweep_flops, lowrank_solver
 from repro.runtime.sparse import shared_pattern_family, supports_sparse_batching
 from repro.runtime.store import StudyStore, study_fingerprint
 from repro.runtime.stream import (
-    _chunk_telemetry,
-    _observe_chunk,
-    _owned_chunks,
-    _stream_sweep_study,
-    _stream_transient_study,
+    _chunk_grid,
+    _chunk_unit,
+    _drive_chunks,
     _sweep_chunk_payload,
+    _sweep_result,
     _transient_chunk_payload,
+    _transient_result,
     sweep_chunk_bytes,
     transient_chunk_bytes,
 )
@@ -167,7 +168,50 @@ def _sensitivity_task(model, s: complex, point: np.ndarray):
         return _scalar_sensitivities(model, s, point)
 
 
-def _screen_pole_block(model, block, num_poles):
+def _map_traced(executor, task, block) -> List:
+    """``task`` over the rows of ``block`` on ``executor``, spans kept.
+
+    ``wrap_task``/``unwrap_results`` ship worker-raised spans back with
+    each result and re-parent them onto the span active here; with
+    tracing off both are identity.
+    """
+    return obs_trace.unwrap_results(
+        executor_map_array(executor, obs_trace.wrap_task(task), block)
+    )
+
+
+def _entered_executor(spec):
+    """``(executor, close)`` for one run's per-sample solves.
+
+    An executor the engine builds from a spec is entered here -- one
+    persistent pool then serves every chunk of the run, including a
+    work-stealing worker's stolen ones -- and ``close()`` joins it.
+    Already-constructed executors pass through; ``close()`` leaves them
+    to their owner.
+    """
+    executor, owned = resolve_owned_executor(spec)
+    if owned and hasattr(executor, "__enter__"):
+        executor.__enter__()
+        return executor, executor.close
+    return executor, _no_close
+
+
+def _no_close() -> None:
+    """The close hook of runs that hold no engine-owned pool."""
+
+
+def _stacked_pole_payload(model, num_poles: int, block) -> dict:
+    """Pole payload of the stacked dense route (exact instantiation)."""
+    from repro.analysis.poles import dominant_poles
+
+    g, c = batch_instantiate(model, block, exact=True)
+    return _pack_pole_sets(
+        dominant_poles(system, num_poles)
+        for system in systems_from_stacks(model, g, c)
+    )
+
+
+def _screen_pole_payload(model, num_poles: int, block) -> dict:
     """Float32 screening tier of the stacked dense pole route.
 
     Every instance's pencil is time-scale normalized (see
@@ -175,9 +219,9 @@ def _screen_pole_block(model, block, num_poles):
     the reference :func:`~repro.analysis.poles.dominant_poles`
     protocol.  Instances whose float32 ``G`` is too ill-conditioned
     (``cond > _SCREEN_POLE_COND``) or whose screened poles come back
-    non-finite are re-solved in float64.  Returns ``(pole_sets,
-    verified)``: ``verified[k]`` is True for re-verified float64 rows,
-    False for float32 rows the screen accepted.
+    non-finite are re-solved in float64.  The payload's ``verified``
+    column is True for re-verified float64 rows, False for float32 rows
+    the screen accepted.
     """
     from repro.analysis.poles import dominant_poles
 
@@ -204,7 +248,9 @@ def _screen_pole_block(model, block, num_poles):
         sets.append(np.asarray(dominant_poles(full, num_poles), dtype=complex))
     if verified.any():
         _SCREEN_FALLBACKS.inc(int(verified.sum()))
-    return sets, verified
+    payload = _pack_pole_sets(sets)
+    payload["verified"] = verified
+    return payload
 
 
 # -- results for the non-sweep workloads --------------------------------
@@ -227,12 +273,9 @@ def _pack_pole_sets(pole_sets) -> dict:
     return {"poles_padded": padded, "poles_lengths": lengths}
 
 
-def _unpack_pole_sets(payload: dict) -> List[np.ndarray]:
+def _unpack_pole_sets(padded: np.ndarray, lengths: np.ndarray) -> List[np.ndarray]:
     """Inverse of :func:`_pack_pole_sets`."""
-    padded = payload["poles_padded"]
-    return [
-        np.array(padded[k, : int(n)]) for k, n in enumerate(payload["poles_lengths"])
-    ]
+    return [np.array(padded[k, : int(n)]) for k, n in enumerate(lengths)]
 
 
 @dataclass
@@ -242,9 +285,7 @@ class PoleStudy:
     ``pole_sets[k]`` holds instance ``k``'s dominant poles in dominance
     order -- ragged, because residue filtering and coincidence merging
     can retain fewer than ``num_poles`` entries.  :attr:`poles` stacks
-    them into a ``nan``-padded ``(m, num_poles)`` array.  Sharded runs
-    cover only their own chunk rows: ``samples`` is then the covered
-    subset and ``instance_indices`` maps it back to plan rows.
+    them into a ``nan``-padded ``(m, num_poles)`` array.
 
     ``verified`` is the float32-screening provenance column: under
     ``Study.precision("screen")`` it marks per instance whether the row
@@ -255,8 +296,6 @@ class PoleStudy:
     samples: np.ndarray
     num_poles: int
     pole_sets: List[np.ndarray] = field(default_factory=list)
-    shard: Optional[Tuple[int, int]] = None
-    instance_indices: Optional[np.ndarray] = None
     verified: Optional[np.ndarray] = None
 
     @property
@@ -305,7 +344,7 @@ class ExecutionPlan:
     ``"sparse-family"``, ``"executor-full"``; ``kernel`` names the
     numeric kernel tier inside the route (e.g. the shared-pattern
     solver chosen by RCM bandwidth).  ``estimated_peak_bytes`` is the
-    documented working-set estimate of the chunked drivers (constant
+    documented working-set estimate of the chunk loop (constant
     factor ~2); for executor routes it is a rough per-worker figure.
 
     ``precision`` echoes the study's numeric tier (``"full"`` or
@@ -327,7 +366,6 @@ class ExecutionPlan:
     executor: str
     notes: Tuple[str, ...] = ()
     store: Optional[str] = None
-    shard: Optional[Tuple[int, int]] = None
     precision: str = "full"
     detected_rank: Optional[int] = None
     estimated_flops: Optional[int] = None
@@ -352,8 +390,6 @@ class ExecutionPlan:
             lines.append(f"flops:     ~{self.estimated_flops:.3g} (chosen kernel)")
         if self.store is not None:
             lines.append(f"store:     {self.store}")
-        if self.shard is not None:
-            lines.append(f"shard:     {self.shard[0] + 1}/{self.shard[1]}")
         for note in self.notes:
             lines.append(f"note:      {note}")
         return "\n".join(lines)
@@ -387,11 +423,10 @@ class Study:
         self._chunk_size: Optional[int] = None
         self._memory_budget: Optional[int] = None
         self._store: Optional[StudyStore] = None
-        self._shard: Optional[Tuple[int, int]] = None
         self._resume = False
-        # (worker_id, lenient) context for _open_checkpoint; work() sets
-        # it around the drain and merge phases, run() alone leaves the
-        # strict no-worker default.
+        # (worker_id, lenient) checkpoint context of run(): work() sets
+        # it around its merge phase, run() alone leaves the strict
+        # no-worker default.
         self._worker_ctx: Tuple[Optional[str], bool] = (None, False)
         self._warehouse: Optional[Tuple[object, object]] = None
         self._last_warehouse = None
@@ -596,28 +631,6 @@ class Study:
         the first)."""
         return self._last_warehouse
 
-    def shard(self, index: int, of: int) -> "Study":
-        """Restrict this run to its slice of the global chunk grid.
-
-        ``index`` is 0-based in ``[0, of)``; chunk ``j`` belongs to
-        shard ``index`` when ``j % of == index``, so ``of`` machines
-        running the same declaration with different indices split the
-        study without coordination.  The shard's result covers only its
-        own instances (``instance_indices`` maps them back); combine
-        with :meth:`store` and a final :meth:`resume` run to merge all
-        shards into the one full result set.  (The CLI's ``--shard
-        I/N`` spec is 1-based; :func:`repro.runtime.store.parse_shard`
-        converts.)
-        """
-        of = int(of)
-        index = int(index)
-        if of < 1 or not 0 <= index < of:
-            raise ValueError(
-                f"shard index must satisfy 0 <= index < of, got index={index} of={of}"
-            )
-        self._shard = (index, of)
-        return self._invalidate()
-
     def resume(self, flag: bool = True) -> "Study":
         """Require (and reuse) persisted checkpoints from :meth:`store`.
 
@@ -627,8 +640,9 @@ class Study:
         :class:`~repro.runtime.store.StoreError` when the store holds
         no manifest for this study's fingerprint (or a corrupt or
         layout-incompatible one), instead of silently starting over.
-        A resumed run with no shard declared merges every shard's
-        chunks into the one full result set.
+        Every manifest for the study's fingerprint is merged -- a
+        previous run's, each :meth:`work` worker's, and the shard-named
+        manifests of static shard runs from older releases.
         """
         self._resume = bool(flag)
         return self._invalidate()
@@ -665,7 +679,7 @@ class Study:
         :class:`~repro.obs.export.JsonlSink` (then caller-owned, left
         open), or :class:`~repro.obs.progress.ProgressReporter`.  Sinks
         accumulate: several may observe the same run.  While at least
-        one sink is installed the engine, the streaming drivers, the
+        one sink is installed the engine, the chunk loop, the
         store, and the sparse solvers emit spans (``study.run`` >
         ``study.chunk`` > ``store.save`` / ``sparse.refactor`` / ...);
         spans raised inside executor workers are captured there and
@@ -823,19 +837,6 @@ class Study:
         num_chunks = -(-num_samples // chunk) if num_samples else 0
         return chunk, num_chunks, int(chunk * per_instance + fixed)
 
-    def _validate_shard(self, num_chunks: int) -> None:
-        """Refuse a shard split wider than the chunk grid at plan time.
-
-        (:func:`repro.runtime.stream._owned_chunks` guards the same
-        invariant at driver level for direct kernel callers.)
-        """
-        if self._shard is not None and self._shard[1] > num_chunks:
-            raise ValueError(
-                f"shard {self._shard[0] + 1}/{self._shard[1]} owns no chunks: "
-                f"the study has only {num_chunks} chunk(s); lower the shard "
-                "count or the chunk size"
-            )
-
     def _executor_workers(self) -> int:
         backend = resolve_executor(self._executor_spec)
         if isinstance(backend, SerialExecutor):
@@ -927,7 +928,6 @@ class Study:
             self._memory_budget,
             repr(self._executor_spec),
             None if self._store is None else str(self._store.directory),
-            self._shard,
             self._resume,
         )
 
@@ -938,8 +938,6 @@ class Study:
         notes: List[str] = []
         if self._resume and self._store is None:
             raise ValueError("resume() requires store(directory)")
-        if self._shard is not None and self._store is None:
-            notes.append("shard without store(...) computes but does not persist")
         store_path = None if self._store is None else str(self._store.directory)
         if self._precision != "full":
             if workload not in ("sweep", "sweep+poles", "poles"):
@@ -984,7 +982,6 @@ class Study:
                 )
             num_samples = self._samples().shape[0]
             chunk, num_chunks, peak = self._chunk_plan(workload, kind, num_samples)
-            self._validate_shard(num_chunks)
             if workload == "transient":
                 kernel = "transient-propagator[gesv]"
                 if self._transient_options["keep_outputs"]:
@@ -1051,7 +1048,6 @@ class Study:
                 executor="SerialExecutor()",
                 notes=tuple(notes),
                 store=store_path,
-                shard=self._shard,
                 precision=self._precision,
                 detected_rank=detected_rank,
                 estimated_flops=estimated_flops,
@@ -1059,20 +1055,16 @@ class Study:
 
         # Per-sample workloads: poles / sensitivities.
         num_samples = self._samples().shape[0]
-        if workload == "sensitivities" and (
-            self._store is not None or self._shard is not None
-        ):
+        if workload == "sensitivities" and self._store is not None:
             raise ValueError(
-                "sensitivity studies do not support store()/shard(); "
-                "durable checkpointing covers sweep, transient, and pole studies"
+                "sensitivity studies do not support store(); durable "
+                "checkpointing covers sweep, transient, and pole studies"
             )
         chunk_size = num_samples
         num_chunks = 1 if num_samples else 0
-        if workload == "poles" and (
-            self._store is not None or self._shard is not None
-        ):
-            # With a store (or shard) attached, pole studies process
-            # their samples in checkpoint units of chunk(...) instances.
+        if workload == "poles" and self._store is not None:
+            # With a store attached, pole studies process their samples
+            # in checkpoint units of chunk(...) instances.
             if self._chunk_size is not None:
                 chunk_size = min(self._chunk_size, max(num_samples, 1))
                 num_chunks = -(-num_samples // chunk_size) if num_samples else 0
@@ -1081,7 +1073,6 @@ class Study:
             )
             if self._memory_budget is not None:
                 notes.append("memory_budget is unused on per-sample routes")
-            self._validate_shard(num_chunks)
         elif self._chunk_size is not None or self._memory_budget is not None:
             notes.append("chunking directives are unused on per-sample routes")
         workers = self._executor_workers()
@@ -1137,7 +1128,6 @@ class Study:
             executor=executor_repr,
             notes=tuple(notes),
             store=store_path,
-            shard=self._shard,
             precision=self._precision,
             detected_rank=detected_rank,
             estimated_flops=estimated_flops,
@@ -1170,8 +1160,10 @@ class Study:
         :class:`~repro.runtime.stream.StreamedSweepStudy` for sweeps,
         :class:`~repro.runtime.stream.StreamedTransientStudy` for
         transients, :class:`PoleStudy` for pole studies,
-        :class:`SensitivityStudy` for sensitivities -- each bit-identical
-        to the legacy kernel the route wraps.
+        :class:`SensitivityStudy` for sensitivities.  Every route but
+        sensitivities walks the chunk grid through
+        :func:`repro.runtime.stream._drive_chunks`, loading each
+        checkpointed chunk and computing (and checkpointing) the rest.
 
         Observability: the run executes under a ``study.run`` root span
         (emitted to any :meth:`trace` sinks plus globally installed
@@ -1213,7 +1205,6 @@ class Study:
                     num_chunks=plan.num_chunks,
                     executor=plan.executor,
                     store=plan.store,
-                    shard=None if plan.shard is None else list(plan.shard),
                 )
                 result = self._execute(plan)
             if lineage_sink is not None:
@@ -1243,16 +1234,17 @@ class Study:
     ):
         """Work-steal this study's chunks from a shared store, then merge.
 
-        The dynamic counterpart of :meth:`shard`: instead of owning a
-        static slice of the chunk grid, this process claims unfinished
-        chunks one at a time through lease files in the store directory
+        This is how one study is split across processes or machines:
+        this process claims unfinished chunks one at a time through
+        lease files in the store directory
         (:mod:`repro.runtime.scheduler`), so any number of
         heterogeneous workers running the same declaration against the
         same store finish the study together -- a dead worker's leases
         expire and are stolen, a slow one simply takes fewer chunks.
-        Checkpoints go to this worker's own manifest and
-        worker-suffixed chunk files, so racing workers never write the
-        same file.
+        Each claimed chunk is computed by the same payload function and
+        checkpointed through the same checkpoint unit as a :meth:`run`
+        chunk, to this worker's own manifest and worker-suffixed chunk
+        files, so racing workers never write the same file.
 
         When the drain finds every chunk checkpointed it merges through
         the ordinary :meth:`run` path -- each chunk's SHA-256 verified
@@ -1290,11 +1282,6 @@ class Study:
             raise ValueError(
                 "work() requires a store: pass a directory or call .store(...)"
             )
-        if self._shard is not None:
-            raise ValueError(
-                "work() and shard() are mutually exclusive: workers claim "
-                "chunks dynamically instead of owning a static slice"
-            )
         worker_id = (
             parse_worker_id(worker) if worker is not None else default_worker_id()
         )
@@ -1306,44 +1293,34 @@ class Study:
                 plan = self.plan()
                 target = self._resolve_target()
                 samples = self._samples()
-                config = self._workload_config(plan.workload, target)
-                fingerprint = study_fingerprint(
-                    target, plan.workload, samples, config
-                )
                 root.set(
                     route=plan.route,
                     workload=plan.workload,
                     num_chunks=plan.num_chunks,
-                    study_key=fingerprint["key"],
                     store=plan.store,
                 )
-                checkpoint = self._store.checkpoint(
-                    fingerprint,
-                    chunk_size=plan.chunk_size,
-                    num_chunks=plan.num_chunks,
-                    num_samples=plan.num_samples,
-                    worker=worker_id,
-                    context={
-                        "route": plan.route,
-                        "kernel": plan.kernel,
-                        "workload": plan.workload,
-                        "executor": plan.executor,
-                        "worker": worker_id,
-                    },
+                checkpoint = self._open_checkpoint(
+                    plan, target, samples, worker=worker_id
                 )
                 lease_board = board if board is not None else LeaseBoard(
-                    self._store, fingerprint["key"], worker=worker_id, ttl=ttl
+                    self._store, checkpoint.key, worker=worker_id, ttl=ttl
                 )
-                compute, cleanup = self._chunk_compute(
-                    plan, target, samples, checkpoint
-                )
+                grid = _chunk_grid(plan.num_samples, plan.chunk_size)
+                payload_fn, _, close = self._chunk_workload(plan, target)
+
+                def compute(index: int) -> None:
+                    lo, hi = grid[index]
+                    _chunk_unit(
+                        checkpoint, index, lo, hi, payload_fn, samples[lo:hi]
+                    )
+
                 try:
                     report = drain_chunks(
                         checkpoint, compute, lease_board,
                         poll=poll, max_chunks=max_chunks,
                     )
                 finally:
-                    cleanup()
+                    close()
                 self._last_drain = report
                 root.set(
                     drained=report.drained,
@@ -1361,8 +1338,8 @@ class Study:
         # Merge through the ordinary run() path: every chunk is loaded
         # with its recorded SHA-256 verified and folded in global chunk
         # order.  Lenient mode turns a chunk whose every copy fails
-        # verification into an inline recompute (the drivers' own
-        # payload-is-None branch) instead of a fatal StoreError.
+        # verification into an inline recompute (the chunk unit's
+        # nothing-loaded branch) instead of a fatal StoreError.
         self._worker_ctx = (worker_id, True)
         try:
             return self.run()
@@ -1424,97 +1401,90 @@ class Study:
         )
         return self._last_warehouse
 
-    def _chunk_compute(self, plan: ExecutionPlan, target, samples, checkpoint):
-        """``(compute, cleanup)`` for the work-stealing drain loop.
+    def _chunk_workload(self, plan: ExecutionPlan, target):
+        """``(payload_fn, build, close)`` for the plan's chunked workload.
 
-        ``compute(index)`` evaluates chunk ``index`` through the same
-        payload definition the streaming drivers use and checkpoints it
-        under this worker's manifest; ``cleanup()`` releases any owned
-        executor held across the drain.
+        The one factory behind both chunk loops -- :meth:`run` and the
+        compute :meth:`work` hands to the drain: ``payload_fn(block)``
+        computes one chunk's persistable payload, ``build(samples,
+        folded)`` turns the folded chunks into the route's result
+        object, and ``close()`` joins the executor pool the engine
+        entered for per-sample routes (see :func:`_entered_executor`).
         """
-        workload = plan.workload
-        chunk = plan.chunk_size
-        total = plan.num_samples
-
-        def bounds(index: int) -> Tuple[int, int]:
-            lo = index * chunk
-            return lo, min(lo + chunk, total)
-
-        def no_cleanup():
-            return None
-
-        cleanup = no_cleanup
-        if workload in ("sweep", "sweep+poles"):
+        close = _no_close
+        if plan.workload in ("sweep", "sweep+poles"):
             dense = supports_batching(target)
-            family = None if dense else shared_pattern_family(target)
-            solver = (
-                lowrank_solver(target)
-                if plan.kernel.startswith("lowrank-")
-                else None
+            payload_fn = functools.partial(
+                _sweep_chunk_payload,
+                target,
+                None if dense else shared_pattern_family(target),
+                self._frequencies,
+                num_poles=self._num_poles,
+                keep_poles=dense and self._num_poles is not None,
+                keep_responses=self._keep_responses,
+                precision=self._precision,
+                solver=(
+                    lowrank_solver(target)
+                    if plan.kernel.startswith("lowrank-")
+                    else None
+                ),
             )
 
-            def payload_fn(block):
-                return _sweep_chunk_payload(
-                    target, family, self._frequencies, block,
-                    num_poles=self._num_poles,
-                    keep_poles=dense and self._num_poles is not None,
-                    keep_responses=self._keep_responses,
-                    precision=self._precision,
-                    solver=solver,
+            def build(samples, folded):
+                return _sweep_result(
+                    folded, self._scenario_plan(), samples,
+                    self._frequencies, plan.chunk_size,
                 )
 
-        elif workload == "transient":
+        elif plan.workload == "transient":
             options = self._resolved_transient_options(target)
+            payload_fn = functools.partial(
+                _transient_chunk_payload, target, **options
+            )
 
-            def payload_fn(block):
-                return _transient_chunk_payload(
-                    target, block,
-                    waveform=options["waveform"],
-                    t_final=options["t_final"],
-                    num_steps=options["num_steps"],
-                    method=options["method"],
-                    delay_threshold=options["delay_threshold"],
-                    slew_bounds=options["slew_bounds"],
-                    output_index=options["output_index"],
-                    reference=options["reference"],
-                    keep_outputs=options["keep_outputs"],
+            def build(samples, folded):
+                return _transient_result(
+                    folded, self._scenario_plan(), samples, plan.chunk_size,
+                    options["waveform"], options["t_final"],
+                    options["num_steps"], options["method"],
                 )
 
-        elif workload == "poles":
-            eval_block, backend, owned = self._pole_eval_block(plan.route, target)
-            # One owned pool serves every chunk this worker claims
-            # (including stolen ones) and is joined by cleanup().
-            entered = owned and hasattr(backend, "__enter__")
-            if entered:
-                backend.__enter__()
+        else:  # poles
+            num_poles = self._num_poles
+            if plan.route == "dense-batch":
+                kernel = (
+                    _screen_pole_payload
+                    if self._precision == "screen"
+                    else _stacked_pole_payload
+                )
+                payload_fn = functools.partial(kernel, target, num_poles)
+            else:
+                if supports_sparse_batching(target):
+                    task = functools.partial(
+                        _pole_task_family, shared_pattern_family(target),
+                        num_poles,
+                    )
+                else:
+                    task = functools.partial(_pole_task_model, target, num_poles)
+                executor, close = _entered_executor(self._executor_spec)
 
-            def payload_fn(block):
-                pole_sets, verified = eval_block(block)
-                payload = _pack_pole_sets(pole_sets)
-                if verified is not None:
-                    payload["verified"] = verified
-                return payload
+                def payload_fn(block):
+                    return _pack_pole_sets(_map_traced(executor, task, block))
 
-            def cleanup():
-                if entered:
-                    backend.close()
+            def build(samples, folded):
+                pole_sets: List[np.ndarray] = []
+                for padded, lengths in zip(
+                    folded.columns["poles_padded"], folded.columns["poles_lengths"]
+                ):
+                    pole_sets.extend(_unpack_pole_sets(padded, lengths))
+                return PoleStudy(
+                    samples=samples,
+                    num_poles=num_poles,
+                    pole_sets=pole_sets,
+                    verified=folded.stacked("verified"),
+                )
 
-        else:
-            raise ValueError(
-                f"work() does not support the {workload!r} workload"
-            )
-
-        def compute(index: int) -> None:
-            lo, hi = bounds(index)
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
-            checkpoint.save(
-                index, lo, hi, payload_fn(samples[lo:hi]),
-                telemetry=_chunk_telemetry(wall0, cpu0, hi - lo),
-            )
-            _observe_chunk(wall0, cpu0, hi - lo)
-
-        return compute, cleanup
+        return payload_fn, build, close
 
     def _resolved_transient_options(self, target) -> dict:
         """Transient options with the waveform/horizon defaults realized.
@@ -1568,217 +1538,62 @@ class Study:
         raise ValueError(f"workload {workload!r} has no durable config record")
 
     def _execute(self, plan: ExecutionPlan):
-        workload = plan.workload
         target = self._resolve_target()
         samples = self._samples()
+        if plan.workload == "sensitivities":
+            return self._run_sensitivities(plan, target, samples)
+        worker, lenient = self._worker_ctx
+        checkpoint = self._open_checkpoint(
+            plan, target, samples, worker=worker, lenient=lenient,
+            resume=self._resume,
+        )
+        payload_fn, build, close = self._chunk_workload(plan, target)
+        try:
+            folded = _drive_chunks(
+                "sweep" if plan.workload.startswith("sweep") else plan.workload,
+                samples, plan.chunk_size, payload_fn,
+                checkpoint=checkpoint, progress=self._progress,
+            )
+        finally:
+            close()
+        return build(samples, folded)
 
-        if workload in ("sweep", "sweep+poles"):
-            config = self._workload_config(workload, target)
-            solver = (
-                lowrank_solver(target)
-                if plan.kernel.startswith("lowrank-")
-                else None
-            )
-            result = _stream_sweep_study(
-                target,
-                self._frequencies,
-                samples,
-                chunk_size=plan.chunk_size,
-                num_poles=self._num_poles,
-                keep_responses=self._keep_responses,
-                progress=self._progress,
-                checkpoint=self._open_checkpoint(plan, target, samples, config),
-                shard=self._shard,
-                precision=self._precision,
-                solver=solver,
-            )
-            result.plan = self._scenario_plan()
-            return result
-        if workload == "transient":
-            options = self._resolved_transient_options(target)
-            config = self._workload_config(workload, target)
-            result = _stream_transient_study(
-                target,
-                samples,
-                waveform=options["waveform"],
-                t_final=options["t_final"],
-                num_steps=options["num_steps"],
-                method=options["method"],
-                chunk_size=plan.chunk_size,
-                delay_threshold=options["delay_threshold"],
-                slew_bounds=options["slew_bounds"],
-                output_index=options["output_index"],
-                reference=options["reference"],
-                keep_outputs=options["keep_outputs"],
-                progress=self._progress,
-                checkpoint=self._open_checkpoint(plan, target, samples, config),
-                shard=self._shard,
-            )
-            result.plan = self._scenario_plan()
-            return result
-        if workload == "poles":
-            return self._run_poles(plan, target, samples)
-        return self._run_sensitivities(plan, target, samples)
-
-    def _open_checkpoint(self, plan: ExecutionPlan, target, samples, config: dict):
-        """The run's :class:`StudyCheckpoint`, or ``None`` without a store."""
+    def _open_checkpoint(
+        self, plan: ExecutionPlan, target, samples,
+        worker: Optional[str] = None, lenient: bool = False,
+        resume: bool = False,
+    ):
+        """The chunk loop's :class:`StudyCheckpoint`, or ``None`` without
+        a store.  ``worker`` names a work-stealing worker's own manifest
+        and chunk files, ``lenient`` re-queues chunks whose every copy
+        fails verification (the merge after a drain), and ``resume``
+        requires existing history (see :meth:`resume`)."""
         if self._store is None:
             return None
-        fingerprint = study_fingerprint(target, plan.workload, samples, config)
-        # Stamp the durable identity onto the enclosing study.run span,
-        # so a trace line can be joined back to its manifest by key.
+        fingerprint = study_fingerprint(
+            target, plan.workload, samples,
+            self._workload_config(plan.workload, target),
+        )
+        # Stamp the durable identity onto the enclosing study.run (or
+        # study.work) span, so a trace line joins back to its manifest.
         obs_trace.annotate(study_key=fingerprint["key"])
-        worker, lenient = self._worker_ctx
+        context = {
+            "route": plan.route,
+            "kernel": plan.kernel,
+            "workload": plan.workload,
+            "executor": plan.executor,
+        }
+        if worker is not None:
+            context["worker"] = worker
         return self._store.checkpoint(
             fingerprint,
             chunk_size=plan.chunk_size,
             num_chunks=plan.num_chunks,
             num_samples=plan.num_samples,
-            shard=self._shard,
-            resume=self._resume,
+            resume=resume,
             worker=worker,
             lenient=lenient,
-            context={
-                "route": plan.route,
-                "kernel": plan.kernel,
-                "workload": plan.workload,
-                "executor": plan.executor,
-            },
-        )
-
-    def _owned_executor(self):
-        """``(executor, owned)``: engine-built executors get closed."""
-        return resolve_owned_executor(self._executor_spec)
-
-    def _pole_eval_block(self, route: str, target):
-        """``(eval_block, backend, owned)`` for a pole-study route.
-
-        One factory shared by :meth:`_run_poles` and the work-stealing
-        drain (:meth:`work`), so both compute a chunk's pole sets
-        through the identical kernel path.  ``eval_block(block)``
-        returns ``(pole_sets, verified)``; ``verified`` is the
-        screening provenance column (``None`` at full precision).
-        """
-        num_poles = self._num_poles
-        from repro.analysis.poles import dominant_poles
-
-        if route == "dense-batch":
-            if self._precision == "screen":
-                def eval_block(block):
-                    return _screen_pole_block(target, block, num_poles)
-            else:
-                def eval_block(block):
-                    g, c = batch_instantiate(target, block, exact=True)
-                    return [
-                        dominant_poles(system, num_poles)
-                        for system in systems_from_stacks(target, g, c)
-                    ], None
-
-            return eval_block, None, False
-        if supports_sparse_batching(target):
-            task = functools.partial(
-                _pole_task_family, shared_pattern_family(target), num_poles
-            )
-        else:
-            task = functools.partial(_pole_task_model, target, num_poles)
-        backend, owned = self._owned_executor()
-
-        def eval_block(block):
-            # wrap_task/unwrap_results ship worker-raised spans back
-            # with each result and re-parent them onto the chunk
-            # span active here; with tracing off both are identity.
-            return obs_trace.unwrap_results(
-                executor_map_array(backend, obs_trace.wrap_task(task), block)
-            ), None
-
-        return eval_block, backend, owned
-
-    def _run_poles(self, plan: ExecutionPlan, target, samples) -> PoleStudy:
-        num_poles = self._num_poles
-        eval_block, backend, owned = self._pole_eval_block(plan.route, target)
-        checkpoint = self._open_checkpoint(
-            plan, target, samples, self._workload_config("poles", target)
-        )
-        chunks = _owned_chunks(samples.shape[0], plan.chunk_size, self._shard)
-        shard_total = sum(hi - lo for _, lo, hi in chunks)
-        results: List[np.ndarray] = []
-        screen = self._precision == "screen" and plan.route == "dense-batch"
-        verified_rows: Optional[List[np.ndarray]] = [] if screen else None
-        done = 0
-        # Per-shard executor ownership: one engine-built pool serves
-        # every chunk of this shard's run and is joined when it ends;
-        # two shards of the same study never share pool state.
-        entered = owned and hasattr(backend, "__enter__")
-        if entered:
-            backend.__enter__()
-        num_owned = len(chunks)
-        chunks_done = 0
-        try:
-            for index, lo, hi in chunks:
-                with obs_trace.span(
-                    "study.chunk", workload="poles", index=index, lo=lo, hi=hi,
-                    instances=hi - lo,
-                    shard=None if self._shard is None else list(self._shard),
-                ) as chunk_span:
-                    wall0 = time.perf_counter()
-                    cpu0 = time.process_time()
-                    payload = (
-                        checkpoint.load(index) if checkpoint is not None else None
-                    )
-                    loaded = payload is not None
-                    if payload is None:
-                        pole_sets, verified = eval_block(samples[lo:hi])
-                        if checkpoint is not None:
-                            packed = _pack_pole_sets(pole_sets)
-                            telemetry = _chunk_telemetry(wall0, cpu0, hi - lo)
-                            if verified is not None:
-                                packed["verified"] = verified
-                                telemetry["verified_instances"] = int(
-                                    verified.sum()
-                                )
-                            checkpoint.save(
-                                index, lo, hi, packed, telemetry=telemetry
-                            )
-                    else:
-                        pole_sets = _unpack_pole_sets(payload)
-                        verified = payload.get("verified")
-                    results.extend(pole_sets)
-                    if verified_rows is not None:
-                        verified_rows.append(
-                            np.zeros(hi - lo, dtype=bool)
-                            if verified is None
-                            else np.asarray(verified, dtype=bool)
-                        )
-                    done += hi - lo
-                    chunks_done += 1
-                    _observe_chunk(wall0, cpu0, hi - lo)
-                    chunk_span.set(
-                        loaded=loaded, done=done, total=shard_total,
-                        chunks_done=chunks_done, num_chunks=num_owned,
-                    )
-                if self._progress is not None:
-                    self._progress(done, shard_total)
-        finally:
-            if entered:
-                backend.close()
-        if self._shard is None:
-            covered, indices = samples, None
-        else:
-            indices = np.concatenate([np.arange(lo, hi) for _, lo, hi in chunks])
-            covered = samples[indices]
-        return PoleStudy(
-            samples=covered,
-            num_poles=num_poles,
-            pole_sets=results,
-            shard=self._shard,
-            instance_indices=indices,
-            verified=(
-                None
-                if verified_rows is None
-                else np.concatenate(verified_rows)
-                if verified_rows
-                else np.zeros(0, dtype=bool)
-            ),
+            context=context,
         )
 
     def _run_sensitivities(
@@ -1789,23 +1604,14 @@ class Study:
             sensitivities = batch_transfer_sensitivities(target, s, samples)
         else:
             task = functools.partial(_sensitivity_task, target, s)
-            sensitivities = np.stack(self._map_with_owned_executor(task, samples))
+            executor, close = _entered_executor(self._executor_spec)
+            try:
+                sensitivities = np.stack(_map_traced(executor, task, samples))
+            finally:
+                close()
         if self._progress is not None:
             self._progress(samples.shape[0], samples.shape[0])
         return SensitivityStudy(samples=samples, s=s, sensitivities=sensitivities)
-
-    def _map_with_owned_executor(self, task, samples) -> List:
-        backend, owned = self._owned_executor()
-        # Capture-and-replay worker spans (identity with tracing off).
-        wrapped = obs_trace.wrap_task(task)
-        if owned and hasattr(backend, "__enter__"):
-            with backend:
-                return obs_trace.unwrap_results(
-                    executor_map_array(backend, wrapped, samples)
-                )
-        return obs_trace.unwrap_results(
-            executor_map_array(backend, wrapped, samples)
-        )
 
     def __repr__(self) -> str:
         directives = []

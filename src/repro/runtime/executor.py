@@ -393,8 +393,8 @@ def resolve_owned_executor(spec: ExecutorLike):
     worker count) are constructed here and are ``owned`` by the
     resolving scope, which must close them deterministically --
     :class:`~repro.runtime.engine.Study` holds its owned executor open
-    across every chunk of a (sharded) run and joins the workers when
-    that shard's run finishes, so two shards of one study never share
+    across every chunk of one run (or one worker's drain) and joins the
+    workers when it finishes, so two runs of one study never share
     pool state.  Already-constructed executor instances (anything with
     a ``map``) pass through with ``owned=False`` and stay the caller's
     responsibility, pool lifecycle included.

@@ -99,8 +99,8 @@ class LowRankEnsembleSolver:
     nominal eigensystem and the projected correction factors.  All
     per-call work is vectorized over the ``(instance, frequency)`` grid
     and every instance row is computed independently, so chunked
-    evaluation is bit-identical to one-shot evaluation (the streaming
-    drivers' determinism contract).
+    evaluation is bit-identical to one-shot evaluation (the chunk
+    loop's determinism contract).
     """
 
     def __init__(self, model, g_factors, c_factors):

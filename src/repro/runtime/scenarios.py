@@ -29,11 +29,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.runtime.batch import batch_frequency_response
 
 # Refuse to materialize absurd factorial expansions (2^n_p corners,
 # k^n_p grid points) instead of exhausting memory.
@@ -310,78 +308,3 @@ class SineInput(InputWaveform):
             2.0 * np.pi * self.frequency * (times - self.delay) + self.phase
         )
         return np.where(times >= self.delay, wave, self.offset)
-
-
-@dataclass
-class ScenarioSweep:
-    """Batched frequency responses over a plan's samples.
-
-    ``responses`` has shape ``(m, n_f, m_out, m_in)`` -- instance ``k``,
-    frequency ``j``.
-    """
-
-    plan: ScenarioPlan
-    samples: np.ndarray
-    frequencies: np.ndarray
-    responses: np.ndarray
-
-    @property
-    def num_samples(self) -> int:
-        """Number of evaluated parameter instances."""
-        return self.samples.shape[0]
-
-    def magnitude_envelope(
-        self, output_index: int = 0, input_index: int = 0
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-frequency ``(min, mean, max)`` of ``|H|`` across instances.
-
-        The scenario envelope is the quantity variability sign-off
-        cares about: the spread of the response over process instances.
-        """
-        magnitude = np.abs(self.responses[:, :, output_index, input_index])
-        return magnitude.min(axis=0), magnitude.mean(axis=0), magnitude.max(axis=0)
-
-
-def _frequency_scenarios(
-    model,
-    plan: ScenarioPlan,
-    frequencies: Sequence[float],
-    num_parameters: Optional[int] = None,
-) -> ScenarioSweep:
-    """Evaluate ``model`` over every (instance, frequency) pair of a plan.
-
-    ``num_parameters`` defaults to ``model.num_parameters``.  Uses the
-    batched pencil-solve kernel end to end; returns a
-    :class:`ScenarioSweep`.  The historical public name
-    :func:`run_frequency_scenarios` is a deprecated shim over this.
-    """
-    if num_parameters is None:
-        num_parameters = model.num_parameters
-    samples = plan.sample_matrix(num_parameters)
-    freqs = np.asarray(frequencies, dtype=float)
-    responses = batch_frequency_response(model, freqs, samples)
-    return ScenarioSweep(plan=plan, samples=samples, frequencies=freqs, responses=responses)
-
-
-def run_frequency_scenarios(
-    model,
-    plan: ScenarioPlan,
-    frequencies: Sequence[float],
-    num_parameters: Optional[int] = None,
-) -> ScenarioSweep:
-    """Deprecated shim: batched frequency responses over a plan.
-
-    Delegates to the identical internal implementation, so results are
-    bit-for-bit what they always were; emits one
-    :class:`FutureWarning` per call.  Use
-    ``Study(model).scenarios(plan).sweep(frequencies,
-    keep_responses=True).run()`` instead.
-    """
-    from repro.runtime._deprecation import warn_legacy
-
-    warn_legacy(
-        "run_frequency_scenarios",
-        "Study(model).scenarios(plan).sweep(frequencies, "
-        "keep_responses=True).run()",
-    )
-    return _frequency_scenarios(model, plan, frequencies, num_parameters=num_parameters)

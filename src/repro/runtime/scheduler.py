@@ -1,12 +1,13 @@
 """Lease-based work-stealing over a shared :class:`StudyStore` directory.
 
-PR 5's sharding is static -- chunk ``j`` belongs to shard ``j % n`` --
-so one slow or dead shard strands its chunks and the study never
-drains.  This module turns the store directory itself into the
-coordination substrate: any number of heterogeneous workers point at
-the same directory and **claim** chunks one at a time through atomic
-claim files, so a fast machine simply takes more chunks and a dead
-worker's claims expire and are stolen.  No daemon, no socket, no new
+Splitting one study across processes or machines must survive a slow
+or dead participant: a static assignment of chunks to machines would
+strand the dead one's chunks and the study would never drain.  This
+module turns the store directory itself into the coordination
+substrate: any number of heterogeneous workers point at the same
+directory and **claim** chunks one at a time through atomic claim
+files, so a fast machine simply takes more chunks and a dead worker's
+claims expire and are stolen.  No daemon, no socket, no new
 dependency -- the filesystem the store already requires is the whole
 control plane.
 
@@ -111,8 +112,8 @@ def parse_worker_id(text: str) -> str:
 
     Worker ids become path components (``manifest-*.worker-<id>.json``,
     ``chunk-*.w-<id>.npz``), so anything beyond ``[A-Za-z0-9._-]`` --
-    separators, whitespace, a leading dot -- is refused with the same
-    exit-2 one-line :class:`StoreError` contract as ``parse_shard``.
+    separators, whitespace, a leading dot -- is refused with the CLI's
+    exit-2 one-line :class:`StoreError` contract.
     """
     if not _WORKER_ID.fullmatch(text or ""):
         raise StoreError(
@@ -389,7 +390,8 @@ def drain_chunks(
 
     ``compute(index)`` must compute chunk ``index`` and checkpoint it
     (the engine's :meth:`~repro.runtime.engine.Study.work` passes a
-    closure over its streaming drivers).  The loop claims unfinished
+    closure over the chunk loop's checkpoint unit,
+    :func:`repro.runtime.stream._chunk_unit`).  The loop claims unfinished
     chunks through ``board``, sustains a heartbeat around each compute,
     and -- when every remaining chunk is claimed by someone else --
     polls every ``poll`` seconds for other workers' manifests to grow

@@ -486,42 +486,3 @@ class SparsePatternFamily:
             f"np={self.model.num_parameters}, solver={self.solver_kind!r}, "
             f"bandwidth={self.bandwidth})"
         )
-
-
-def sparse_batch_transfer(model, s: complex, samples) -> np.ndarray:
-    """Deprecated shim: stacked ``H(s, p_k)`` of a sparse full model.
-
-    Delegates to the identical shared-pattern family method the engine
-    routes to (:meth:`SparsePatternFamily.transfer`), so results are
-    bit-for-bit what they always were; emits one
-    :class:`FutureWarning` per call.  Use
-    ``shared_pattern_family(model).transfer(s, samples)`` directly, or
-    the ``Study`` engine for whole sweeps.
-    """
-    from repro.runtime._deprecation import warn_legacy
-
-    warn_legacy(
-        "sparse_batch_transfer",
-        "shared_pattern_family(model).transfer(s, samples)",
-    )
-    return shared_pattern_family(model).transfer(s, samples)
-
-
-def sparse_batch_frequency_response(model, frequencies: Sequence[float], samples) -> np.ndarray:
-    """Deprecated shim: ``H(j 2 pi f, p_k)`` of a sparse full model.
-
-    Delegates to the identical shared-pattern family method the engine
-    routes to (:meth:`SparsePatternFamily.frequency_response`), so
-    results are bit-for-bit what they always were; emits one
-    :class:`FutureWarning` per call.  Use
-    ``Study(model).scenarios(samples).sweep(frequencies,
-    keep_responses=True).run()`` instead.
-    """
-    from repro.runtime._deprecation import warn_legacy
-
-    warn_legacy(
-        "sparse_batch_frequency_response",
-        "Study(model).scenarios(samples).sweep(frequencies, "
-        "keep_responses=True).run()",
-    )
-    return shared_pattern_family(model).frequency_response(frequencies, samples)

@@ -3,20 +3,21 @@
 A 10^5-instance Monte Carlo study only pays off at production scale
 when it can survive a crash, be split across machines, and be
 re-verified against known-good numerics.  This module is that
-durability layer: the streaming drivers already advance chunk by
-chunk, so each chunk becomes a **checkpoint unit** -- its per-instance
-results and envelope contributions are persisted as one ``.npz`` shard
-and recorded in a JSON manifest the moment the chunk finishes.  A
-re-run of the same study (same target, samples, workload, chunk
-layout) loads completed chunks instead of recomputing them, folds them
-through the same incremental reducers in the same order, and is
-therefore **bit-identical** to an uninterrupted run.
+durability layer: the chunk loop (:mod:`repro.runtime.stream`) already
+advances chunk by chunk, so each chunk becomes a **checkpoint unit**
+-- its per-instance results and envelope contributions are persisted
+as one ``.npz`` archive and recorded in a JSON manifest the moment the
+chunk finishes.  A re-run of the same study (same target, samples,
+workload, chunk layout) loads completed chunks instead of recomputing
+them, folds them through the same incremental reducers in the same
+order, and is therefore **bit-identical** to an uninterrupted run.
 
 Layout of a store directory::
 
     store/
-      manifest-<key16>.json                 # unsharded run
-      manifest-<key16>.shard01of02.json     # shard 0 of a 2-way split
+      manifest-<key16>.json                 # a Study.run()
+      manifest-<key16>.worker-<id>.json     # one Study.work() worker
+      manifest-<key16>.shard01of02.json     # legacy static shard (read-only)
       chunks/<key16>/chunk-00007.npz        # one checkpoint unit
 
 ``<key16>`` is the leading 16 hex digits of the **study key**: a
@@ -35,25 +36,23 @@ chunk archive (what was produced).  :meth:`StudyCheckpoint.load`
 verifies the recorded checksum on every read, so a bit-rotted or
 hand-edited chunk can never silently flow into a merged result.
 
-Sharding assigns chunk index ``j`` to shard ``i`` of ``n`` when
-``j % n == i``; shards write disjoint chunk files and their own
-manifest, so ``n`` machines can share one directory (or their
-manifests can be copied together afterwards).  A resumed run with no
-shard declared merges every shard's records into the one result set.
-
-Work-stealing workers (:mod:`repro.runtime.scheduler`) relax the
-static ownership: each worker writes its *own* manifest
+Splitting a study across processes or machines means work-stealing
+workers (:mod:`repro.runtime.scheduler`) over one shared store
+directory: each worker writes its *own* manifest
 (``manifest-<key16>.worker-<id>.json``) and worker-suffixed chunk
 archives (``chunk-00007.w-<id>.npz``), so two workers that race on the
 same chunk never write the same file and every manifest stays
-single-writer.  Duplicate records for one chunk index are equivalent
-by construction (the kernels are deterministic), and readers keep
-every record as an alternate: a checksum-mismatched archive falls back
-to another worker's copy, and -- in the scheduler's *lenient* mode --
-a chunk whose every copy fails verification is simply re-queued
-(recomputed) instead of raising a fatal :class:`StoreError`.  Both
-manifest flavors share one schema, so pre-scheduler readers merge
-worker manifests transparently.
+single-writer.  Stores written by the static shard runs of older
+releases (``manifest-<key16>.shardNNofMM.json``, one per shard) stay
+readable: every manifest for a study key is merged, so such a store
+resumes and warehouses like any other.  Duplicate records for one
+chunk index are equivalent by construction (the kernels are
+deterministic), and readers keep every record as an alternate: a
+checksum-mismatched archive falls back to another worker's copy, and
+-- in the scheduler's *lenient* mode -- a chunk whose every copy fails
+verification is simply re-queued (recomputed) instead of raising a
+fatal :class:`StoreError`.  Every manifest flavor shares one schema,
+so pre-scheduler readers merge worker manifests transparently.
 
 Atomic writes are crash-durable: scratch files are flushed and
 ``fsync``\\ ed before the ``os.replace`` rename, and the containing
@@ -71,9 +70,9 @@ import hashlib
 import io
 import json
 import os
-import re
+import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -94,7 +93,7 @@ _KEY_PREFIX = 16
 
 class StoreError(RuntimeError):
     """A study-store operation failed (unwritable directory, missing or
-    corrupt manifest, checksum mismatch, invalid shard spec).
+    corrupt manifest, checksum mismatch, invalid CLI value).
 
     Deliberately *not* a :class:`ValueError`/:class:`OSError` subclass:
     the CLI catches it separately and exits with code 2 and a one-line
@@ -113,37 +112,12 @@ class NothingToResumeError(StoreError):
     """
 
 
-def parse_shard(text: str) -> Tuple[int, int]:
-    """Parse a CLI shard spec ``"I/N"`` (1-based) into ``(index, of)``.
-
-    Returns the 0-based ``(index, of)`` pair the engine's
-    :meth:`~repro.runtime.engine.Study.shard` expects; raises
-    :class:`StoreError` for malformed or out-of-range specs -- the
-    classic ``3/2``, but also ``0/2``, ``1/0``, signed forms like
-    ``+1/2``, and non-ASCII digits -- so the CLI always exits with its
-    one-line diagnostic, never a traceback.  Surrounding whitespace is
-    tolerated (shell quoting artifacts), whitespace *inside* a number
-    is not.
-    """
-    match = re.fullmatch(r"\s*(\d+)\s*/\s*(\d+)\s*", text or "", flags=re.ASCII)
-    if match is None:
-        raise StoreError(
-            f"invalid shard spec {text!r}: expected I/N (e.g. --shard 1/2)"
-        )
-    index, of = int(match.group(1)), int(match.group(2))
-    if of < 1 or not 1 <= index <= of:
-        raise StoreError(
-            f"invalid shard spec {text!r}: need 1 <= I <= N, got I={index} N={of}"
-        )
-    return index - 1, of
-
-
 def parse_positive(text, flag: str, kind=float):
     """Parse a strictly positive CLI number (``--ttl``, ``--poll``, ...).
 
-    Same contract as :func:`parse_shard`: malformed or out-of-range
-    values raise :class:`StoreError`, which the CLI maps to exit code 2
-    with a one-line diagnostic instead of a traceback.
+    Malformed or out-of-range values raise :class:`StoreError`, which
+    the CLI maps to exit code 2 with a one-line diagnostic instead of a
+    traceback.
     """
     try:
         value = kind(str(text).strip())
@@ -242,23 +216,30 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def _durable_replace(scratch: Path, path: Path, data: bytes) -> None:
-    """Write ``data`` to ``scratch``, fsync it, rename over ``path``.
+def _durable_replace(path: Path, data: bytes) -> None:
+    """Atomically and crash-durably replace ``path`` with ``data``.
 
-    The fsync *before* the rename is the load-bearing half of the
-    atomic-write idiom ``os.replace`` alone does not provide: without
-    it, a crash shortly after the rename can surface a fully named but
-    truncated (even empty) file -- it passed the rename "atomicity" yet
-    fails its checksum on resume with a confusing corruption error.
-    The directory sync afterwards makes the rename itself survive a
-    power cut.  Callers hold responsibility for cleaning up ``scratch``
-    on failure (the rename consumes it on success).
+    The bytes go to a scratch sibling named for this process *and
+    thread*, so concurrent writers of one path -- two worker processes,
+    or two serve pool threads finishing identical jobs -- never share a
+    scratch file.  The scratch is fsync'ed before the ``os.replace``
+    rename: without that, a crash shortly after the rename can surface
+    a fully named but truncated (even empty) file that fails its
+    checksum on resume.  The directory sync afterwards makes the rename
+    itself survive a power cut.  The scratch never outlives the call;
+    ``OSError`` propagates for the caller to wrap.
     """
-    with open(scratch, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(scratch, path)
+    scratch = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(scratch, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(scratch, path)
+    finally:
+        scratch.unlink(missing_ok=True)
     _fsync_directory(path.parent)
 
 
@@ -296,31 +277,21 @@ class StudyStore:
     def _key_prefix(self, key: str) -> str:
         return key[:_KEY_PREFIX]
 
-    def manifest_path(
-        self,
-        key: str,
-        shard: Optional[Tuple[int, int]] = None,
-        worker: Optional[str] = None,
-    ) -> Path:
-        """Manifest location for ``key`` (and shard or worker, if any).
+    def manifest_path(self, key: str, worker: Optional[str] = None) -> Path:
+        """Manifest location for ``key`` (and worker, if any).
 
         A work-stealing worker writes ``manifest-<key16>.worker-<id>.json``
-        so every manifest file has exactly one writer; ``shard`` and
-        ``worker`` are mutually exclusive by construction (the scheduler
-        forbids combining them).
+        so every manifest file has exactly one writer.
         """
         stem = f"manifest-{self._key_prefix(key)}"
-        if shard is not None:
-            index, of = shard
-            stem += f".shard{index + 1:02d}of{of:02d}"
         if worker is not None:
             stem += f".worker-{worker}"
         return self.directory / f"{stem}.json"
 
     def manifest_paths(self, key: str):
-        """Every existing manifest file for ``key`` (all shards and
-        workers), sorted -- the glob predates the scheduler, so readers
-        from before worker manifests existed merge them transparently."""
+        """Every existing manifest file for ``key`` (workers' and legacy
+        shard-named ones included), sorted -- one glob, so every flavor
+        merges transparently."""
         return sorted(self.directory.glob(f"manifest-{self._key_prefix(key)}*.json"))
 
     def chunk_path(self, key: str, index: int, worker: Optional[str] = None) -> Path:
@@ -385,7 +356,7 @@ class StudyStore:
     def study_keys(self) -> List[str]:
         """Every full study key with a manifest in this store.
 
-        Scans all manifest files (every shard and worker flavor) in
+        Scans all manifest files (every worker and legacy shard flavor) in
         sorted filename order and returns the unique ``study_key``
         values, order-preserving -- the enumeration the warehouse
         ingest layer walks when no explicit key is given.
@@ -413,7 +384,7 @@ class StudyStore:
         return records
 
     def completed_chunks(self, key: str) -> Dict[int, dict]:
-        """Merged ``{chunk_index: record}`` across every shard manifest."""
+        """Merged ``{chunk_index: record}`` across every manifest."""
         return {
             index: alternates[0]
             for index, alternates in self.chunk_records(key).items()
@@ -423,7 +394,7 @@ class StudyStore:
         """Whether every chunk of study ``key`` is checkpointed here.
 
         The content-addressed result lookup the serving layer leans on:
-        a study whose manifests (across all shards and workers) cover
+        a study whose manifests (across all workers) cover
         the full chunk grid can be merged without recomputing anything,
         so an identical re-submission is answerable from the store.
         ``False`` when no manifest exists yet.
@@ -463,7 +434,8 @@ class StudyStore:
 
         Each yielded record is an annotated *copy* of the winning
         manifest record: ``"index"`` (int), the originating manifest's
-        ``"shard"`` (``None`` or ``[index, of]``) and ``"worker"`` are
+        ``"shard"`` (``[index, of]`` for a legacy shard manifest, else
+        ``None``) and ``"worker"`` are
         attached so consumers (warehouse ingest) know where a chunk
         came from without re-walking manifests.  Every payload is
         verified against its recorded SHA-256 before being yielded;
@@ -504,7 +476,6 @@ class StudyStore:
         chunk_size: int,
         num_chunks: int,
         num_samples: int,
-        shard: Optional[Tuple[int, int]] = None,
         resume: bool = False,
         context: Optional[dict] = None,
         worker: Optional[str] = None,
@@ -554,7 +525,7 @@ class StudyStore:
                     "re-run with the original chunk size or use a fresh store"
                 )
         return StudyCheckpoint(
-            self, key, fingerprint, layout, shard=shard, context=context,
+            self, key, fingerprint, layout, context=context,
             worker=worker, lenient=lenient,
         )
 
@@ -566,21 +537,20 @@ class StudyStore:
 class StudyCheckpoint:
     """One run's view of a store: load completed chunks, record new ones.
 
-    ``completed`` merges the chunk records of *every* shard manifest
-    for the study key, so a merge run sees all shards' work;
-    :meth:`save` appends to this run's own manifest only (the one named
-    by its shard), keeping concurrent shard writers independent.
+    ``completed`` merges the chunk records of *every* manifest for the
+    study key, so a merge run sees every worker's work; :meth:`save`
+    appends to this run's own manifest only (the one named by its
+    worker), keeping concurrent workers independent.
     """
 
     def __init__(
-        self, store, key, fingerprint, layout, shard=None, context=None,
+        self, store, key, fingerprint, layout, context=None,
         worker=None, lenient=False,
     ):
         self.store = store
         self.key = key
         self.fingerprint = fingerprint
         self.layout = layout
-        self.shard = shard
         self.context = context
         self.worker = worker
         self.lenient = lenient
@@ -588,7 +558,7 @@ class StudyCheckpoint:
         self.completed = {
             index: records[0] for index, records in self._alternates.items()
         }
-        own = store.manifest_path(key, shard, worker)
+        own = store.manifest_path(key, worker)
         self._own_records: Dict[int, dict] = {}
         if own.exists():
             manifest = store._read_manifest(own)
@@ -602,7 +572,7 @@ class StudyCheckpoint:
 
     @property
     def num_completed(self) -> int:
-        """How many chunk checkpoints exist across all shards."""
+        """How many chunk checkpoints exist across all manifests."""
         return len(self.completed)
 
     def refresh(self) -> set:
@@ -695,11 +665,7 @@ class StudyCheckpoint:
             path = self.store.chunk_path(self.key, index, self.worker)
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                scratch = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
-                try:
-                    _durable_replace(scratch, path, data)
-                finally:
-                    scratch.unlink(missing_ok=True)
+                _durable_replace(path, data)
             except OSError as exc:
                 raise StoreError(
                     f"cannot write chunk {index} of study {self.key[:12]}...: {exc}"
@@ -736,7 +702,9 @@ class StudyCheckpoint:
             "study_key": self.key,
             "fingerprint": self.fingerprint,
             "layout": self.layout,
-            "shard": None if self.shard is None else list(self.shard),
+            # Always null: only static shard runs of older releases
+            # wrote "shard": [index, of] (see the module docstring).
+            "shard": None,
             "worker": self.worker,
             "chunks": records,
             # Run telemetry (see README, "Store layout and manifest
@@ -759,16 +727,11 @@ class StudyCheckpoint:
                 ),
             },
         }
-        path = self.store.manifest_path(self.key, self.shard, self.worker)
-        scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        path = self.store.manifest_path(self.key, self.worker)
         try:
-            try:
-                _durable_replace(
-                    scratch, path,
-                    json.dumps(manifest, indent=1, sort_keys=True).encode(),
-                )
-            finally:
-                scratch.unlink(missing_ok=True)
+            _durable_replace(
+                path, json.dumps(manifest, indent=1, sort_keys=True).encode()
+            )
         except OSError as exc:
             raise StoreError(
                 f"cannot write manifest {str(path)!r}: {exc}"
@@ -778,5 +741,5 @@ class StudyCheckpoint:
         total = self.layout["num_chunks"]
         return (
             f"StudyCheckpoint(study={self.key[:12]}..., "
-            f"completed={self.num_completed}/{total}, shard={self.shard})"
+            f"completed={self.num_completed}/{total}, worker={self.worker})"
         )

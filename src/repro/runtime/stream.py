@@ -1,4 +1,4 @@
-"""Chunked streaming studies: million-sample plans in bounded memory.
+"""The chunk loop: million-sample plans in bounded memory.
 
 The one-shot batch kernels materialize every intermediate for the whole
 ensemble at once -- ``(m, q, q)`` system stacks, ``(m, nt + 1, m_out)``
@@ -7,23 +7,25 @@ laptop-scale reduced model that caps ``m`` at a few tens of thousands;
 the paper's protocol (and the ROADMAP's million-user north star) wants
 ensembles far beyond that.
 
-This module runs any scenario plan through the existing batch kernels
-in **fixed-size chunks** with incremental reducers:
-
-- :func:`stream_sweep_study` -- frequency-domain: chunked
-  :func:`~repro.runtime.batch.batch_sweep_study` for dense-batchable
-  models, chunked
-  :meth:`~repro.runtime.sparse.SparsePatternFamily.frequency_response`
-  for sparse full-order models;
-- :func:`stream_transient_study` -- time-domain: chunked
-  :func:`~repro.runtime.transient.batch_transient_study` with the
-  delay/slew metrics extracted per chunk.
+This module is the single loop every chunked route of
+:class:`~repro.runtime.engine.Study` runs through.
+:func:`_drive_chunks` walks the plan's chunk grid in order; per chunk
+it obtains one **payload** -- a dict of arrays computed by a
+workload-specific payload function (:func:`_sweep_chunk_payload`,
+:func:`_transient_chunk_payload`, or the engine's pole payloads) --
+folds the ``env_*`` entries into a running envelope and appends every
+other column.  Three small builders (:func:`_sweep_result`,
+:func:`_transient_result`, and the engine's pole builder) turn the
+folded chunks into :class:`StreamedSweepStudy`,
+:class:`StreamedTransientStudy`, and
+:class:`~repro.runtime.engine.PoleStudy`.
 
 Peak-memory bound
 -----------------
 
 Per chunk of ``c`` instances (order ``q``, ``n_f`` frequencies,
-``n_t`` timesteps, ``m_out``/``m_in`` ports), the drivers hold
+``n_t`` timesteps, ``m_out``/``m_in`` ports), the payload functions
+hold
 
 - sweep:      ``16 c (2 q^2 + q (q + m_in) + n_f m_out m_in)`` bytes
   (system stacks + eigenfactors + the chunk's response grid),
@@ -43,25 +45,25 @@ Checkpoint units
 ----------------
 
 Each chunk is also the **checkpoint unit** of the durable-study layer
-(:mod:`repro.runtime.store`): the drivers accept a
-:class:`~repro.runtime.store.StudyCheckpoint` and, per chunk, either
-load the persisted payload (envelope contributions + per-instance
-blocks) or compute it and persist it before folding.  Because the
-folded arrays round-trip ``.npz`` bit-exactly and are folded in the
-same chunk order, a resumed or sharded-then-merged study is
-bit-identical to an uninterrupted one.  ``shard=(i, n)`` restricts a
-driver to the chunks with ``index % n == i``; the result then covers
-only those instances (``instance_indices`` maps them back to plan
-rows).
+(:mod:`repro.runtime.store`).  :func:`_chunk_unit` is the one place a
+chunk is loaded from or saved to a
+:class:`~repro.runtime.store.StudyCheckpoint`: the loop behind
+``Study.run()`` calls it for every chunk, and the work-stealing compute
+behind ``Study.work()`` calls it for every chunk it claims, so both
+paths persist identical records.  A loaded payload has passed its
+recorded SHA-256 before it is folded; because the folded arrays
+round-trip ``.npz`` bit-exactly and are folded in the same chunk
+order, a resumed or work-stolen study is bit-identical to an
+uninterrupted one.
 
 Determinism contract
 --------------------
 
 Every per-instance quantity (responses, poles, trajectories, delays,
 slews, steady states) and the envelope ``min``/``max`` are
-**bit-identical** to the one-shot batched path: the batch kernels
-process instances independently, so slicing the sample matrix into
-chunks cannot change any row's arithmetic.  The envelope ``mean`` is
+**bit-identical** to one-shot evaluation: the batch kernels process
+instances independently, so slicing the sample matrix into chunks
+cannot change any row's arithmetic.  The envelope ``mean`` is
 accumulated as a running chunk sum and may differ from the one-shot
 ``numpy.mean`` (pairwise summation) in the last bits -- the only
 deliberate deviation, and it is documented here.  Progress callbacks
@@ -72,70 +74,35 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.batch import (
-    _screen_sweep_study,
-    _sweep_study,
-    as_sample_matrix,
-    supports_batching,
-)
-from repro.runtime.scenarios import ScenarioPlan, StepInput
-from repro.runtime.sparse import shared_pattern_family, supports_sparse_batching
-from repro.runtime.transient import _transient_study, default_horizon
+from repro.runtime.batch import _screen_sweep_study, _sweep_study
+from repro.runtime.scenarios import ScenarioPlan
+from repro.runtime.transient import _transient_study
 
 ProgressCallback = Callable[[int, int], None]
 
-# Per-chunk instruments, shared by the sweep/transient drivers and the
-# engine's pole loop.  Counters/histograms are always live (a handful of
-# attribute updates per *chunk*); spans additionally fire only while a
-# trace sink is installed.
+# Per-chunk instruments of the chunk loop.  Counters/histograms are
+# always live (a handful of attribute updates per *chunk*); spans
+# additionally fire only while a trace sink is installed.
 _CHUNKS_COMPLETED = obs_metrics.counter("study.chunks_completed")
 _INSTANCES_EVALUATED = obs_metrics.counter("study.instances_evaluated")
 _CHUNK_WALL = obs_metrics.histogram("study.chunk_wall_seconds")
 _CHUNK_CPU = obs_metrics.histogram("study.chunk_cpu_seconds")
 
 
-def _realize_samples(model, scenarios) -> Tuple[Optional[ScenarioPlan], np.ndarray]:
-    if isinstance(scenarios, ScenarioPlan) or hasattr(scenarios, "sample_matrix"):
-        return scenarios, scenarios.sample_matrix(model.num_parameters)
-    return None, as_sample_matrix(model, scenarios)
-
-
-def _chunk_slices(num_items: int, chunk_size: Optional[int]):
-    if chunk_size is None:
-        chunk_size = num_items
+def _chunk_grid(num_items: int, chunk_size: int) -> List[Tuple[int, int]]:
+    """``(lo, hi)`` of every chunk, in order -- the plan's chunk grid."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    for lo in range(0, num_items, chunk_size):
-        yield lo, min(lo + chunk_size, num_items)
-
-
-def _owned_chunks(num_items: int, chunk_size: Optional[int], shard):
-    """``(index, lo, hi)`` for the chunks this run executes.
-
-    ``shard=(i, n)`` keeps the chunks with ``index % n == i`` (the
-    global chunk grid is identical for every shard, so shards own
-    disjoint checkpoint units and a merge sees no gaps or overlaps).
-    """
-    chunks = [
-        (index, lo, hi)
-        for index, (lo, hi) in enumerate(_chunk_slices(num_items, chunk_size))
+    return [
+        (lo, min(lo + chunk_size, num_items))
+        for lo in range(0, num_items, chunk_size)
     ]
-    if shard is None:
-        return chunks
-    index, of = shard
-    owned = [chunk for chunk in chunks if chunk[0] % of == index]
-    if not owned:
-        raise ValueError(
-            f"shard {index + 1}/{of} owns no chunks: the study has only "
-            f"{len(chunks)} chunk(s); lower the shard count or the chunk size"
-        )
-    return owned
 
 
 def sweep_chunk_bytes(
@@ -204,8 +171,8 @@ def _sweep_chunk_payload(
 ) -> dict:
     """One sweep chunk's persistable payload (the checkpoint unit).
 
-    The single definition of what a sweep chunk *is*, shared by the
-    streaming driver and the work-stealing drain loop
+    The single definition of what a sweep chunk *is*, shared by
+    ``Study.run()`` and the work-stealing drain loop
     (:meth:`repro.runtime.engine.Study.work`) -- both paths therefore
     checkpoint byte-identical arrays for the same chunk.  ``family`` is
     the shared sparsity pattern for sparse targets, ``None`` for dense.
@@ -266,7 +233,12 @@ def _transient_chunk_payload(
     """One transient chunk's persistable payload (the checkpoint unit).
 
     Counterpart of :func:`_sweep_chunk_payload` for the time-domain
-    driver; same sharing contract.
+    workload: each chunk is simulated through the batched propagator
+    kernel and the delay/slew/steady-state metrics are extracted
+    immediately (with the ``delay_threshold`` / ``slew_bounds`` /
+    ``reference`` semantics of
+    :class:`~repro.runtime.transient.TransientStudy`), so only ``O(m)``
+    metrics plus the ``O(n_t)`` envelope survive the chunk.
     """
     study = _transient_study(
         model, block,
@@ -304,12 +276,6 @@ class _EnvelopeAccumulator:
         self.total: Optional[np.ndarray] = None
         self.count = 0
 
-    def update(self, block: np.ndarray) -> None:
-        """Fold in a ``(chunk, ...)`` block of per-instance values."""
-        self.merge(
-            block.min(axis=0), block.max(axis=0), block.sum(axis=0), block.shape[0]
-        )
-
     def merge(
         self,
         chunk_min: np.ndarray,
@@ -319,12 +285,11 @@ class _EnvelopeAccumulator:
     ) -> None:
         """Fold in one chunk's already-reduced ``(min, max, sum, count)``.
 
-        This is the seam the durable-study checkpoints use: the same
-        three arrays :meth:`update` reduces from a live block are
-        persisted per chunk and folded back through this method on
-        resume, in the same order, so the accumulated state (including
-        the chunk-ordered ``total`` behind :attr:`mean`) is
-        bit-identical either way.
+        The chunk payloads persist exactly these three arrays, and a
+        loaded chunk folds through the same method in the same order as
+        a computed one, so the accumulated state (including the
+        chunk-ordered ``total`` behind :attr:`mean`) is bit-identical
+        either way.
         """
         if self.minimum is None:
             self.minimum = chunk_min
@@ -343,13 +308,103 @@ class _EnvelopeAccumulator:
 
 
 @dataclass
+class _Folded:
+    """What the chunk loop keeps: the envelope plus every other column."""
+
+    envelope: _EnvelopeAccumulator
+    columns: Dict[str, List[np.ndarray]]
+    num_chunks: int
+
+    def stacked(self, name: str) -> Optional[np.ndarray]:
+        """Column ``name`` concatenated over the chunks (``None`` if absent)."""
+        blocks = self.columns.get(name)
+        return None if blocks is None else np.concatenate(blocks, axis=0)
+
+
+def _chunk_unit(checkpoint, index: int, lo: int, hi: int, payload_fn, block):
+    """``(payload, loaded)`` for chunk ``index`` -- the checkpoint unit.
+
+    Loads the chunk from ``checkpoint`` when it holds a verified copy;
+    otherwise computes ``payload_fn(block)`` and, with a checkpoint
+    attached, saves it with its per-chunk telemetry (plus
+    ``verified_instances`` whenever the payload carries a screening
+    ``verified`` column).  This is the runtime's only checkpoint load
+    and save site: :func:`_drive_chunks` calls it for every chunk of a
+    run, and ``Study.work()`` for every chunk a worker claims.
+    """
+    wall0 = time.perf_counter()
+    cpu0 = time.process_time()
+    payload = checkpoint.load(index) if checkpoint is not None else None
+    loaded = payload is not None
+    if not loaded:
+        payload = payload_fn(block)
+        if checkpoint is not None:
+            telemetry = _chunk_telemetry(wall0, cpu0, hi - lo)
+            if "verified" in payload:
+                telemetry["verified_instances"] = int(payload["verified"].sum())
+            checkpoint.save(index, lo, hi, payload, telemetry=telemetry)
+    _observe_chunk(wall0, cpu0, hi - lo)
+    return payload, loaded
+
+
+def _drive_chunks(
+    workload: str,
+    samples: np.ndarray,
+    chunk_size: int,
+    payload_fn: Callable[[np.ndarray], dict],
+    checkpoint=None,
+    progress: Optional[ProgressCallback] = None,
+) -> _Folded:
+    """Walk the chunk grid of ``samples`` in order and fold the payloads.
+
+    Each chunk runs under one ``study.chunk`` span: its payload comes
+    from :func:`_chunk_unit` (loaded from ``checkpoint`` or computed by
+    ``payload_fn`` and saved), ``env_min`` / ``env_max`` / ``env_sum``
+    fold into an :class:`_EnvelopeAccumulator`, every other column is
+    appended, and ``progress(done, total)`` fires afterwards.
+    Computed payloads fold straight from memory; nothing is re-read.
+    """
+    total = samples.shape[0]
+    if total == 0:
+        raise ValueError("scenario plan produced no samples")
+    grid = _chunk_grid(total, chunk_size)
+    envelope = _EnvelopeAccumulator()
+    columns: Dict[str, List[np.ndarray]] = {}
+    done = 0
+    for index, (lo, hi) in enumerate(grid):
+        with obs_trace.span(
+            "study.chunk", workload=workload, index=index, lo=lo, hi=hi,
+            instances=hi - lo,
+        ) as chunk_span:
+            payload, loaded = _chunk_unit(
+                checkpoint, index, lo, hi, payload_fn, samples[lo:hi]
+            )
+            if "env_min" in payload:
+                envelope.merge(
+                    payload["env_min"], payload["env_max"], payload["env_sum"],
+                    hi - lo,
+                )
+            for name, column in payload.items():
+                if not name.startswith("env_"):
+                    columns.setdefault(name, []).append(column)
+            done += hi - lo
+            chunk_span.set(
+                loaded=loaded, done=done, total=total,
+                chunks_done=index + 1, num_chunks=len(grid),
+            )
+        if progress is not None:
+            progress(done, total)
+    return _Folded(envelope, columns, len(grid))
+
+
+@dataclass
 class StreamedSweepStudy:
     """Incremental result of a chunked frequency-domain study.
 
     ``envelope_*`` hold the per-(frequency, output, input) magnitude
     statistics over all instances; ``poles`` is the stacked
     ``(m, num_poles)`` array (dense-batchable models only);
-    ``responses`` is kept only when the driver was asked to retain the
+    ``responses`` is kept only when the study was asked to retain the
     full grid (small studies / regression tests).  ``verified`` is the
     per-instance provenance column of float32-screened runs: ``True``
     where the instance was re-verified in float64, ``False`` where the
@@ -367,8 +422,6 @@ class StreamedSweepStudy:
     chunk_size: int
     poles: Optional[np.ndarray] = None
     responses: Optional[np.ndarray] = None
-    shard: Optional[Tuple[int, int]] = None
-    instance_indices: Optional[np.ndarray] = None
     verified: Optional[np.ndarray] = None
 
     @property
@@ -381,8 +434,8 @@ class StreamedSweepStudy:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-frequency ``(min, mean, max)`` of ``|H|`` across instances.
 
-        Signature-compatible with
-        :meth:`~repro.runtime.scenarios.ScenarioSweep.magnitude_envelope`.
+        The scenario envelope is the quantity variability sign-off
+        cares about: the spread of the response over process instances.
         """
         index = (slice(None), output_index, input_index)
         return (
@@ -392,200 +445,22 @@ class StreamedSweepStudy:
         )
 
 
-def _stream_sweep_study(
-    model,
-    frequencies: Sequence[float],
-    scenarios,
-    chunk_size: Optional[int] = None,
-    num_poles: Optional[int] = 5,
-    keep_responses: bool = False,
-    progress: Optional[ProgressCallback] = None,
-    checkpoint=None,
-    shard: Optional[Tuple[int, int]] = None,
-    precision: str = "full",
-    solver=None,
+def _sweep_result(
+    folded: _Folded, plan, samples: np.ndarray, frequencies, chunk_size: int
 ) -> StreamedSweepStudy:
-    """Run a scenario plan's frequency study in fixed-size chunks.
-
-    This is the engine-internal driver behind every sweep route of
-    :class:`repro.runtime.engine.Study`; the historical public name
-    :func:`stream_sweep_study` is a deprecated shim over it.
-    ``checkpoint`` (a :class:`~repro.runtime.store.StudyCheckpoint`)
-    turns every chunk into a persisted checkpoint unit; ``shard=(i,
-    n)`` restricts the run to its slice of the global chunk grid --
-    see the module notes on checkpoint units.
-
-    Parameters
-    ----------
-    model:
-        A dense-batchable reduced model (chunked through
-        :func:`~repro.runtime.batch.batch_sweep_study`: responses *and*
-        dominant poles from one eigendecomposition per instance) or a
-        sparse full-order parametric system (chunked through the
-        shared-pattern solver kernels; set ``num_poles=None`` --
-        full-order dense eigendecompositions are not a streaming
-        quantity).
-    frequencies:
-        Frequency axis in hertz.
-    scenarios:
-        A :class:`~repro.runtime.scenarios.ScenarioPlan` or a raw
-        ``(m, n_p)`` sample matrix.
-    chunk_size:
-        Instances per chunk (default: everything in one chunk).  Peak
-        memory scales with this -- see :func:`sweep_chunk_bytes`.
-    num_poles:
-        Dominant poles retained per instance (dense models); ``None``
-        skips pole extraction.
-    keep_responses:
-        Retain the full ``(m, n_f, m_out, m_in)`` grid.  Defeats the
-        memory bound; for small studies and regression tests.
-    progress:
-        ``progress(instances_done, total_instances)`` after each chunk.
-    precision:
-        ``"full"`` (default) or ``"screen"`` -- the float32 screening
-        tier with per-instance float64 re-verification; chunk payloads
-        then carry a ``verified`` column and per-chunk telemetry
-        records ``verified_instances``.
-    solver:
-        An optional :class:`~repro.runtime.lowrank.LowRankEnsembleSolver`
-        routing the dense chunks through the low-rank correction kernel.
-    """
-    dense = supports_batching(model)
-    if not dense and not supports_sparse_batching(model):
-        raise ValueError(
-            f"{model!r} supports neither dense nor sparse batching; "
-            "see repro.runtime.batch.supports_batching"
-        )
-    plan, samples = _realize_samples(model, scenarios)
-    freqs = np.asarray(frequencies, dtype=float)
-    if not dense and num_poles is not None:
-        raise ValueError(
-            "full-order sparse streaming computes responses only; "
-            "pass num_poles=None (dense eigendecompositions of the full "
-            "model are not a streaming quantity)"
-        )
-    family = None if dense else shared_pattern_family(model)
-
-    total = samples.shape[0]
-    if total == 0:
-        raise ValueError("scenario plan produced no samples")
-    envelope = _EnvelopeAccumulator()
-    pole_blocks = [] if (dense and num_poles is not None) else None
-    response_blocks = [] if keep_responses else None
-    verified_blocks = [] if (dense and precision == "screen") else None
-    num_chunks = 0
-    effective_chunk = chunk_size if chunk_size is not None else max(total, 1)
-    owned = _owned_chunks(total, chunk_size, shard)
-    shard_total = sum(hi - lo for _, lo, hi in owned)
-    done = 0
-    num_owned = len(owned)
-    for index, lo, hi in owned:
-        with obs_trace.span(
-            "study.chunk", workload="sweep", index=index, lo=lo, hi=hi,
-            instances=hi - lo, shard=None if shard is None else list(shard),
-        ) as chunk_span:
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
-            payload = checkpoint.load(index) if checkpoint is not None else None
-            loaded = payload is not None
-            if payload is None:
-                payload = _sweep_chunk_payload(
-                    model, family, freqs, samples[lo:hi],
-                    num_poles=num_poles,
-                    keep_poles=pole_blocks is not None,
-                    keep_responses=response_blocks is not None,
-                    precision=precision,
-                    solver=solver,
-                )
-                if checkpoint is not None:
-                    telemetry = _chunk_telemetry(wall0, cpu0, hi - lo)
-                    if "verified" in payload:
-                        telemetry["verified_instances"] = int(
-                            payload["verified"].sum()
-                        )
-                    checkpoint.save(index, lo, hi, payload, telemetry=telemetry)
-            envelope.merge(
-                payload["env_min"], payload["env_max"], payload["env_sum"], hi - lo
-            )
-            if pole_blocks is not None:
-                pole_blocks.append(payload["poles"])
-            if response_blocks is not None:
-                response_blocks.append(payload["responses"])
-            if verified_blocks is not None:
-                verified_blocks.append(
-                    np.asarray(
-                        payload.get("verified", np.zeros(hi - lo, dtype=bool))
-                    ).astype(bool)
-                )
-            num_chunks += 1
-            done += hi - lo
-            _observe_chunk(wall0, cpu0, hi - lo)
-            chunk_span.set(
-                loaded=loaded, done=done, total=shard_total,
-                chunks_done=num_chunks, num_chunks=num_owned,
-            )
-        if progress is not None:
-            progress(done, shard_total)
-    if shard is None:
-        covered, indices = samples, None
-    else:
-        indices = np.concatenate([np.arange(lo, hi) for _, lo, hi in owned])
-        covered = samples[indices]
+    """Build the sweep result from the folded chunks."""
     return StreamedSweepStudy(
         plan=plan,
-        samples=covered,
-        frequencies=freqs,
-        envelope_min=envelope.minimum,
-        envelope_mean=envelope.mean,
-        envelope_max=envelope.maximum,
-        num_chunks=num_chunks,
-        chunk_size=effective_chunk,
-        poles=None if pole_blocks is None else np.concatenate(pole_blocks, axis=0),
-        responses=None
-        if response_blocks is None
-        else np.concatenate(response_blocks, axis=0),
-        shard=shard,
-        instance_indices=indices,
-        verified=None
-        if verified_blocks is None
-        else np.concatenate(verified_blocks, axis=0),
-    )
-
-
-def stream_sweep_study(
-    model,
-    frequencies: Sequence[float],
-    scenarios,
-    chunk_size: Optional[int] = None,
-    num_poles: Optional[int] = 5,
-    keep_responses: bool = False,
-    progress: Optional[ProgressCallback] = None,
-) -> StreamedSweepStudy:
-    """Deprecated shim: chunked frequency-domain scenario study.
-
-    Delegates to the identical internal driver the engine uses, so
-    results are bit-for-bit what they always were; emits one
-    :class:`FutureWarning` per call.  Use
-    ``Study(model).scenarios(scenarios).sweep(frequencies)
-    .poles(num_poles).chunk(chunk_size).run()`` instead (the engine
-    skips pole extraction unless ``.poles(...)`` is declared, where
-    this shim defaulted to ``num_poles=5``).
-    """
-    from repro.runtime._deprecation import warn_legacy
-
-    warn_legacy(
-        "stream_sweep_study",
-        "Study(model).scenarios(scenarios).sweep(frequencies)"
-        ".poles(num_poles).chunk(chunk_size).run()",
-    )
-    return _stream_sweep_study(
-        model,
-        frequencies,
-        scenarios,
+        samples=samples,
+        frequencies=np.asarray(frequencies, dtype=float),
+        envelope_min=folded.envelope.minimum,
+        envelope_mean=folded.envelope.mean,
+        envelope_max=folded.envelope.maximum,
+        num_chunks=folded.num_chunks,
         chunk_size=chunk_size,
-        num_poles=num_poles,
-        keep_responses=keep_responses,
-        progress=progress,
+        poles=folded.stacked("poles"),
+        responses=folded.stacked("responses"),
+        verified=folded.stacked("verified"),
     )
 
 
@@ -614,8 +489,6 @@ class StreamedTransientStudy:
     num_chunks: int
     chunk_size: int
     outputs: Optional[np.ndarray] = None
-    shard: Optional[Tuple[int, int]] = None
-    instance_indices: Optional[np.ndarray] = None
 
     @property
     def num_samples(self) -> int:
@@ -634,178 +507,34 @@ class StreamedTransientStudy:
         )
 
 
-def _stream_transient_study(
-    model,
-    scenarios,
-    waveform=None,
-    t_final: Optional[float] = None,
-    num_steps: int = 500,
-    method: str = "trapezoidal",
-    chunk_size: Optional[int] = None,
-    delay_threshold: float = 0.5,
-    slew_bounds: Tuple[float, float] = (0.1, 0.9),
-    output_index: int = 0,
-    reference: str = "steady",
-    keep_outputs: bool = False,
-    progress: Optional[ProgressCallback] = None,
-    checkpoint=None,
-    shard: Optional[Tuple[int, int]] = None,
+def _transient_result(
+    folded: _Folded,
+    plan,
+    samples: np.ndarray,
+    chunk_size: int,
+    waveform,
+    t_final: float,
+    num_steps: int,
+    method: str,
 ) -> StreamedTransientStudy:
-    """Run a scenario plan's transient ensemble in fixed-size chunks.
+    """Build the transient result from the folded chunks.
 
-    The streaming face of the batched propagator kernel: each chunk
-    is simulated through it, the delay/slew/steady-state metrics are
-    extracted immediately (with the given ``delay_threshold`` /
-    ``slew_bounds`` / ``reference`` semantics of
-    :class:`~repro.runtime.transient.TransientStudy`), and only
-    ``O(m)`` metrics plus the ``O(n_t)`` envelope survive the chunk.
-    Peak memory: :func:`transient_chunk_bytes`.  ``checkpoint`` /
-    ``shard`` have the checkpoint-unit semantics described in the
-    module notes.
-
-    ``t_final`` defaults to the nominal settling horizon, computed once
-    and shared across all chunks.
-
-    This is the engine-internal driver behind every transient route of
-    :class:`repro.runtime.engine.Study`; the historical public name
-    :func:`stream_transient_study` is a deprecated shim over it.
+    The time axis is reconstructed, not captured from a simulated
+    chunk: a fully resumed run loads every chunk and simulates none.
     """
-    if not supports_batching(model):
-        raise ValueError(
-            "stream_transient_study requires a dense-batchable model "
-            "(reduce the system first; full-order sparse ensembles are "
-            "frequency-domain only)"
-        )
-    plan, samples = _realize_samples(model, scenarios)
-    if waveform is None:
-        waveform = StepInput()
-    if t_final is None:
-        t_final = default_horizon(model)
-
-    total = samples.shape[0]
-    if total == 0:
-        raise ValueError("scenario plan produced no samples")
-    envelope = _EnvelopeAccumulator()
-    delay_blocks = []
-    slew_blocks = []
-    steady_blocks = []
-    output_blocks = [] if keep_outputs else None
-    # Reconstructed, not captured from a simulated chunk: a fully
-    # resumed run loads every chunk from the store and simulates none.
-    time_axis = np.linspace(0.0, t_final, num_steps + 1)
-    num_chunks = 0
-    effective_chunk = chunk_size if chunk_size is not None else max(total, 1)
-    owned = _owned_chunks(total, chunk_size, shard)
-    shard_total = sum(hi - lo for _, lo, hi in owned)
-    done = 0
-    num_owned = len(owned)
-    for index, lo, hi in owned:
-        with obs_trace.span(
-            "study.chunk", workload="transient", index=index, lo=lo, hi=hi,
-            instances=hi - lo, shard=None if shard is None else list(shard),
-        ) as chunk_span:
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
-            payload = checkpoint.load(index) if checkpoint is not None else None
-            loaded = payload is not None
-            if payload is None:
-                payload = _transient_chunk_payload(
-                    model, samples[lo:hi],
-                    waveform=waveform, t_final=t_final,
-                    num_steps=num_steps, method=method,
-                    delay_threshold=delay_threshold, slew_bounds=slew_bounds,
-                    output_index=output_index, reference=reference,
-                    keep_outputs=output_blocks is not None,
-                )
-                if checkpoint is not None:
-                    checkpoint.save(
-                        index, lo, hi, payload,
-                        telemetry=_chunk_telemetry(wall0, cpu0, hi - lo),
-                    )
-            envelope.merge(
-                payload["env_min"], payload["env_max"], payload["env_sum"], hi - lo
-            )
-            delay_blocks.append(payload["delays"])
-            slew_blocks.append(payload["slews"])
-            steady_blocks.append(payload["steady_states"])
-            if output_blocks is not None:
-                output_blocks.append(payload["outputs"])
-            num_chunks += 1
-            done += hi - lo
-            _observe_chunk(wall0, cpu0, hi - lo)
-            chunk_span.set(
-                loaded=loaded, done=done, total=shard_total,
-                chunks_done=num_chunks, num_chunks=num_owned,
-            )
-        if progress is not None:
-            progress(done, shard_total)
-    if shard is None:
-        covered, indices = samples, None
-    else:
-        indices = np.concatenate([np.arange(lo, hi) for _, lo, hi in owned])
-        covered = samples[indices]
     return StreamedTransientStudy(
         plan=plan,
         waveform=waveform,
-        samples=covered,
-        time=time_axis,
+        samples=samples,
+        time=np.linspace(0.0, t_final, num_steps + 1),
         method=method,
-        envelope_min=envelope.minimum,
-        envelope_mean=envelope.mean,
-        envelope_max=envelope.maximum,
-        delays=np.concatenate(delay_blocks),
-        slews=np.concatenate(slew_blocks),
-        steady_states=np.concatenate(steady_blocks, axis=0),
-        num_chunks=num_chunks,
-        chunk_size=effective_chunk,
-        outputs=None if output_blocks is None else np.concatenate(output_blocks, axis=0),
-        shard=shard,
-        instance_indices=indices,
-    )
-
-
-def stream_transient_study(
-    model,
-    scenarios,
-    waveform=None,
-    t_final: Optional[float] = None,
-    num_steps: int = 500,
-    method: str = "trapezoidal",
-    chunk_size: Optional[int] = None,
-    delay_threshold: float = 0.5,
-    slew_bounds: Tuple[float, float] = (0.1, 0.9),
-    output_index: int = 0,
-    reference: str = "steady",
-    keep_outputs: bool = False,
-    progress: Optional[ProgressCallback] = None,
-) -> StreamedTransientStudy:
-    """Deprecated shim: chunked time-domain scenario study.
-
-    Delegates to the identical internal driver the engine uses, so
-    results are bit-for-bit what they always were; emits one
-    :class:`FutureWarning` per call.  Use
-    ``Study(model).scenarios(scenarios).transient(waveform, t_final,
-    num_steps).chunk(chunk_size).run()`` instead.
-    """
-    from repro.runtime._deprecation import warn_legacy
-
-    warn_legacy(
-        "stream_transient_study",
-        "Study(model).scenarios(scenarios).transient(waveform, t_final, "
-        "num_steps).chunk(chunk_size).run()",
-    )
-    return _stream_transient_study(
-        model,
-        scenarios,
-        waveform=waveform,
-        t_final=t_final,
-        num_steps=num_steps,
-        method=method,
+        envelope_min=folded.envelope.minimum,
+        envelope_mean=folded.envelope.mean,
+        envelope_max=folded.envelope.maximum,
+        delays=folded.stacked("delays"),
+        slews=folded.stacked("slews"),
+        steady_states=folded.stacked("steady_states"),
+        num_chunks=folded.num_chunks,
         chunk_size=chunk_size,
-        delay_threshold=delay_threshold,
-        slew_bounds=slew_bounds,
-        output_index=output_index,
-        reference=reference,
-        keep_outputs=keep_outputs,
-        progress=progress,
+        outputs=folded.stacked("outputs"),
     )

@@ -70,7 +70,7 @@ class BatchTransientResult:
         """Per-timestep ``(min, mean, max)`` of one output across instances.
 
         The time-domain analogue of
-        :meth:`~repro.runtime.scenarios.ScenarioSweep.magnitude_envelope`:
+        :meth:`~repro.runtime.stream.StreamedSweepStudy.magnitude_envelope`:
         the waveform spread process variation induces.
         """
         waveforms = self.outputs[:, :, output_index]
@@ -202,7 +202,7 @@ def _simulate_from_stacks(
 ) -> BatchTransientResult:
     """The integration core, over already-instantiated ``(G, C)`` stacks.
 
-    Split out so :func:`batch_transient_study` can reuse one
+    Split out so :func:`_transient_study` can reuse one
     instantiation pass for both the simulation and the DC gains.
     """
     if num_steps < 1:
@@ -232,7 +232,7 @@ def _simulate_from_stacks(
     # The output projection contracts over q with the ensemble size as a
     # free GEMM dimension; einsum's fixed per-element reduction keeps the
     # result independent of the batch (= streaming chunk) size, which the
-    # chunked drivers in runtime.stream rely on for bit-identity.
+    # chunk loop in runtime.stream relies on for bit-identity.
     outputs[:, 0] = np.einsum("kq,qo->ko", x, l_mat)
     states = np.empty((num_samples, num_steps + 1, q)) if keep_states else None
     if keep_states:
@@ -423,8 +423,7 @@ def _transient_study(
     batched delay/slew extraction attached.
 
     This is the engine-internal kernel behind the transient routes of
-    :class:`repro.runtime.engine.Study`; the historical public name
-    :func:`batch_transient_study` is a deprecated shim over it.
+    :class:`repro.runtime.engine.Study`.
     """
     if isinstance(scenarios, ScenarioPlan) or hasattr(scenarios, "sample_matrix"):
         plan: Optional[ScenarioPlan] = scenarios
@@ -454,41 +453,4 @@ def _transient_study(
         result=result,
         dc_gains=dc_gains,
         steady_states=steady_states,
-    )
-
-
-def batch_transient_study(
-    model,
-    scenarios,
-    waveform=None,
-    t_final: Optional[float] = None,
-    num_steps: int = 500,
-    method: str = "trapezoidal",
-    keep_states: bool = False,
-    x0: Union[np.ndarray, None] = None,
-) -> TransientStudy:
-    """Deprecated shim: one-shot batched transient ensemble study.
-
-    Delegates to the identical internal kernel the engine uses, so
-    results are bit-for-bit what they always were; emits one
-    :class:`FutureWarning` per call.  Use
-    ``Study(model).scenarios(scenarios).transient(waveform, t_final,
-    num_steps).run()`` instead.
-    """
-    from repro.runtime._deprecation import warn_legacy
-
-    warn_legacy(
-        "batch_transient_study",
-        "Study(model).scenarios(scenarios).transient(waveform, t_final, "
-        "num_steps).run()",
-    )
-    return _transient_study(
-        model,
-        scenarios,
-        waveform=waveform,
-        t_final=t_final,
-        num_steps=num_steps,
-        method=method,
-        keep_states=keep_states,
-        x0=x0,
     )

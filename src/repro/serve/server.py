@@ -116,7 +116,19 @@ class StudyServer:
                 pass
 
     async def _read_request(self, reader, writer):
-        header_bytes = await reader.readuntil(b"\r\n\r\n")
+        """``(method, path, body)``, or ``None`` once a 4xx is answered.
+
+        Malformed framing -- a header block past the stream limit, a
+        ``Content-Length`` that is not a plain decimal count -- gets a
+        one-line 400, never the catch-all 500.
+        """
+        try:
+            header_bytes = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            await self._send_json(
+                writer, 400, {"error": "request header block too large"}
+            )
+            return None
         request_line, *header_lines = header_bytes.decode(
             "latin-1"
         ).split("\r\n")
@@ -130,7 +142,14 @@ class StudyServer:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            await self._send_json(
+                writer, 400,
+                {"error": f"invalid Content-Length {raw_length[:32]!r}"},
+            )
+            return None
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             await self._send_json(
                 writer, 413,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import queue
 import threading
 from pathlib import Path
@@ -418,18 +417,13 @@ class StudySupervisor:
     def _store_result(self, key: str, data: bytes) -> None:
         """Persist one rendered result document, durably and race-safely.
 
-        Two hazards the old plain-write version had:
-
-        - the scratch name was pid-only, so two *worker threads* of one
-          supervisor finishing identical jobs concurrently could write
-          the same scratch file and race the replace -- the thread id
-          joins the scratch name so every writer owns its scratch;
-        - no fsync before the rename, so a crash right after could
-          surface a truncated index entry that poisons every future
-          identical submission (the index is trusted byte-for-byte).
-
-        The write goes through the store's ``_durable_replace`` idiom
-        and is then read back and parsed: a torn or unparsable index
+        The write goes through the store's ``_durable_replace``, whose
+        per-process-and-thread scratch name lets two pool threads
+        finishing identical jobs write concurrently, and whose fsync
+        before the rename keeps a crash from surfacing a truncated
+        index entry that would poison every future identical
+        submission (the index is trusted byte-for-byte).  The entry is
+        then read back and parsed: a torn or unparsable index
         entry raises :class:`~repro.runtime.store.StoreError`
         immediately (failing this job loudly) instead of being served
         to the next client.  A well-formed file with *different* bytes
@@ -439,14 +433,8 @@ class StudySupervisor:
         from repro.runtime.store import StoreError, _durable_replace
 
         path = self.result_path(key)
-        scratch = path.with_name(
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
         try:
-            try:
-                _durable_replace(scratch, path, data)
-            finally:
-                scratch.unlink(missing_ok=True)
+            _durable_replace(path, data)
             written = path.read_bytes()
             json.loads(written.decode())
         except (OSError, ValueError) as exc:

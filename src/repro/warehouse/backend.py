@@ -80,14 +80,8 @@ def have_polars() -> bool:
 
 
 def _write_durable(path: Path, data: bytes) -> None:
-    import os
-
-    scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        try:
-            _durable_replace(scratch, path, data)
-        finally:
-            scratch.unlink(missing_ok=True)
+        _durable_replace(path, data)
     except OSError as exc:
         raise WarehouseError(
             f"cannot write warehouse file {str(path)!r}: {exc}"

@@ -7,7 +7,7 @@ checkpoints::
     warehouse/
       key16=<study key16>/
         _study.json                          # fingerprint + layout record
-        shard=<origin>/                      # 01of02, w-<worker>, or all
+        shard=<origin>/                      # all, w-<worker>, or 01of02 (legacy)
           chunk=00007/
             instances-<sha16>.parquet        # (or .npz: native backend)
             poles-<sha16>.parquet
@@ -103,7 +103,11 @@ class IngestReport:
 
 
 def _shard_label(record: dict) -> str:
-    """Partition label for the manifest a chunk record came from."""
+    """Partition label for the manifest a chunk record came from.
+
+    ``NNofMM`` labels come only from the shard-named manifests of older
+    releases' static shard runs, which stay readable.
+    """
     worker = record.get("worker")
     if worker:
         return f"w-{worker}"
@@ -186,15 +190,10 @@ class Warehouse:
         if path.exists():
             return  # deterministic content; first writer wins
         path.parent.mkdir(parents=True, exist_ok=True)
-        scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            try:
-                _durable_replace(
-                    scratch, path,
-                    json.dumps(record, indent=1, sort_keys=True).encode(),
-                )
-            finally:
-                scratch.unlink(missing_ok=True)
+            _durable_replace(
+                path, json.dumps(record, indent=1, sort_keys=True).encode()
+            )
         except OSError as exc:
             raise WarehouseError(
                 f"cannot write study record {str(path)!r}: {exc}"

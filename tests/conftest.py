@@ -8,6 +8,9 @@ build, since the circuits and models are immutable.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,3 +90,31 @@ def frequencies():
 def rng():
     """Deterministic RNG for per-test randomness."""
     return np.random.default_rng(12345)
+
+
+def _split_into_legacy_shards(directory, of: int) -> None:
+    """Rewrite a finished store as ``of`` static shard runs had left it.
+
+    Older releases split a study statically: shard ``i`` of ``n`` owned
+    the chunks with ``index % n == i`` and wrote them to its own
+    ``manifest-<key16>.shardNNofMM.json`` carrying ``"shard": [i, n]``.
+    """
+    (path,) = Path(directory).glob("manifest-*.json")
+    manifest = json.loads(path.read_text())
+    for index in range(of):
+        chunks = {
+            key: record for key, record in manifest["chunks"].items()
+            if int(key) % of == index
+        }
+        legacy = dict(manifest, shard=[index, of], chunks=chunks)
+        suffix = f".shard{index + 1:02d}of{of:02d}.json"
+        path.with_name(path.name.replace(".json", suffix)).write_text(
+            json.dumps(legacy, indent=1)
+        )
+    path.unlink()
+
+
+@pytest.fixture(scope="session")
+def legacy_shard_split():
+    """``split(store_dir, of)``: turn a store into a legacy sharded one."""
+    return _split_into_legacy_shards

@@ -441,7 +441,7 @@ class TestVersion:
 
 
 class TestDurableStore:
-    """``--store`` / ``--shard`` / ``--resume`` on the study commands.
+    """``--store`` / ``--resume`` on the study commands.
 
     The failure contract: store misuse exits with code 2 and a
     one-line ``error:`` diagnostic on stderr -- never a traceback.
@@ -454,22 +454,20 @@ class TestDurableStore:
     def _csv(text):
         return [line for line in text.splitlines() if not line.startswith("#")]
 
-    def test_sharded_runs_merge_into_one_shot_csv(self, netlist_file, tmp_path, capsys):
+    def test_batch_resume_matches_one_shot_csv(self, netlist_file, tmp_path, capsys):
         argv = ["batch", netlist_file, *self.BATCH]
         assert main(argv) == 0
         one_shot = capsys.readouterr().out
         store = str(tmp_path / "store")
-        assert main(argv + ["--store", store, "--shard", "1/2"]) == 0
+        assert main(argv + ["--store", store]) == 0
         first = capsys.readouterr().out
-        assert "# store:" in first and "shard: 1/2" in first
-        assert "# instances: 4" in first
-        assert main(argv + ["--store", store, "--shard", "2/2"]) == 0
-        capsys.readouterr()
+        assert "# store:" in first and "(resumed)" not in first
+        assert "# instances: 8" in first
         assert main(argv + ["--store", store, "--resume"]) == 0
-        merged = capsys.readouterr().out
-        assert "(resumed)" in merged
-        # The merged envelope CSV is bit-identical to the one-shot run.
-        assert self._csv(merged) == self._csv(one_shot)
+        resumed = capsys.readouterr().out
+        assert "(resumed)" in resumed
+        # The resumed envelope CSV is bit-identical to the one-shot run.
+        assert self._csv(resumed) == self._csv(one_shot)
 
     def test_transient_resume_matches_one_shot_csv(self, netlist_file, tmp_path, capsys):
         argv = ["transient", netlist_file, "--plan", "montecarlo", "--instances",
@@ -494,15 +492,6 @@ class TestDurableStore:
         assert main(argv + ["--store", store, "--chunk", "2", "--resume"]) == 0
         resumed = capsys.readouterr().out
         assert self._csv(resumed) == self._csv(one_shot)
-
-    def test_invalid_shard_spec_exits_2_with_one_line(self, netlist_file, tmp_path, capsys):
-        code = main(["batch", netlist_file, *self.BATCH,
-                     "--store", str(tmp_path), "--shard", "3/2"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: invalid shard spec '3/2'")
-        assert len(captured.err.strip().splitlines()) == 1
-        assert "Traceback" not in captured.err
 
     def test_resume_with_missing_manifest_exits_2(self, netlist_file, tmp_path, capsys):
         code = main(["batch", netlist_file, *self.BATCH,
@@ -542,20 +531,20 @@ class TestDurableStore:
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
 
-    def test_shard_without_store_exits_2(self, netlist_file, capsys):
-        code = main(["batch", netlist_file, *self.BATCH, "--shard", "1/2"])
+    def test_resume_without_store_exits_2(self, netlist_file, capsys):
+        code = main(["batch", netlist_file, *self.BATCH, "--resume"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "error: --shard and --resume require --store" in captured.err
+        assert "error: --resume requires --store" in captured.err
 
     @pytest.mark.parametrize("command", ["montecarlo", "batch", "transient"])
     def test_store_flags_registered_on_all_study_commands(self, command):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            [command, "net.sp", "--store", "d", "--shard", "1/2", "--resume"]
+            [command, "net.sp", "--store", "d", "--resume"]
         )
-        assert args.store == "d" and args.shard == "1/2" and args.resume
+        assert args.store == "d" and args.resume
 
 
 class TestWorkCommand:

@@ -1,5 +1,7 @@
 """Tests for the reduced parametric model object and the nominal reducer."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,32 @@ class TestParametricReducedModel:
 
     def test_repr(self, model):
         assert f"size={model.size}" in repr(model)
+
+    def test_concurrent_first_sensitivity_stacks_are_whole(self, model):
+        """A caller arriving while another builds the stacks never sees
+        half of them (serve pool threads plan one model concurrently)."""
+        fresh = ParametricReducedModel(model.nominal, model.dG, model.dC)
+        entered, release = threading.Event(), threading.Event()
+
+        class StalledOnce(list):
+            def __iter__(self):
+                if not entered.is_set():
+                    entered.set()
+                    release.wait(10)
+                return super().__iter__()
+
+        fresh.dC = StalledOnce(fresh.dC)
+        builder = threading.Thread(target=fresh.sensitivity_stacks)
+        builder.start()
+        try:
+            assert entered.wait(10)
+            dg, dc = fresh.sensitivity_stacks()  # the builder is mid-build
+        finally:
+            release.set()
+            builder.join(10)
+        assert not builder.is_alive()
+        assert dg is not None and dc is not None
+        np.testing.assert_array_equal(dc, np.stack(model.dC))
 
 
 class TestNominalReducer:

@@ -5,8 +5,9 @@ store-backed study after *any* number of completed chunk checkpoints
 ``k in [0, n_chunks]``, resume it, and every result field is
 **bit-identical** to an uninterrupted run without a store.  Hypothesis
 drives the ensemble, the chunk size, and the interruption point; the
-same property is checked for sweep and transient studies, and for
-arbitrary 2-way shard splits merged back into one result set.
+same property is checked for sweep, transient, and pole studies (the
+last at both precision tiers), and for stores written by the static
+shard runs of older releases merged back into one result set.
 """
 
 import tempfile
@@ -163,15 +164,57 @@ class TestInterruptResumeTransient:
         np.testing.assert_array_equal(resumed.time, reference.time)
 
 
-class TestShardMerge:
+class TestInterruptResumePoles:
     @RELAXED
-    @given(dense_ensembles(), st.integers(min_value=1, max_value=3))
-    def test_two_way_shards_merge_bit_identical(self, ensemble, chunk):
+    @given(
+        dense_ensembles(),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=100),
+        st.sampled_from(["full", "screen"]),
+    )
+    def test_resume_bit_identical_for_any_interruption_point(
+        self, ensemble, chunk, k_raw, precision
+    ):
         model, samples = ensemble
         num_samples = samples.shape[0]
         num_chunks = -(-num_samples // chunk)
-        if num_chunks < 2:
-            chunk = max(1, num_samples // 2)  # guarantee both shards own work
+        k = k_raw % (num_chunks + 1)
+
+        def build():
+            # The stacked dense route; a store makes chunk(...) the
+            # checkpoint unit, the store-free reference is one chunk.
+            return (
+                Study(model)
+                .scenarios(samples)
+                .poles(3)
+                .precision(precision)
+                .chunk(chunk)
+            )
+
+        reference = build().run()
+        assert build().plan().route == "dense-batch"
+        resumed = _run_interrupted_then_resumed(build, k, chunk, num_samples)
+        assert len(resumed.pole_sets) == len(reference.pole_sets)
+        for got, expected in zip(resumed.pole_sets, reference.pole_sets):
+            np.testing.assert_array_equal(got, expected)
+        if precision == "full":
+            assert resumed.verified is None and reference.verified is None
+        else:
+            np.testing.assert_array_equal(resumed.verified, reference.verified)
+        np.testing.assert_array_equal(resumed.samples, reference.samples)
+
+
+class TestLegacyShardMerge:
+    @RELAXED
+    @given(
+        dense_ensembles(),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=2, max_value=3),
+    )
+    def test_shard_named_manifests_merge_bit_identical(
+        self, legacy_shard_split, ensemble, chunk, of
+    ):
+        model, samples = ensemble
 
         def build():
             return (
@@ -184,10 +227,11 @@ class TestShardMerge:
 
         reference = build().run()
         with tempfile.TemporaryDirectory() as store_dir:
-            parts = [build().store(store_dir).shard(i, 2).run() for i in range(2)]
-            merged = build().store(store_dir).resume().run()
-        covered = np.concatenate([part.instance_indices for part in parts])
-        assert sorted(covered.tolist()) == list(range(num_samples))
+            build().store(store_dir).run()
+            legacy_shard_split(store_dir, of)
+            study = build().store(store_dir).resume()
+            merged = study.run()
+        assert study.metrics()["counters"].get("store.chunks_saved", 0) == 0
         np.testing.assert_array_equal(merged.responses, reference.responses)
         np.testing.assert_array_equal(merged.poles, reference.poles)
         np.testing.assert_array_equal(merged.envelope_min, reference.envelope_min)

@@ -75,17 +75,16 @@ ROOT_ALL_SNAPSHOT = [
     "StudyStore", "ThreadExecutor", "Warehouse", "WarehouseError",
     "__version__", "assemble", "batch_frequency_response",
     "batch_instantiate", "batch_poles", "batch_simulate_transient",
-    "batch_transfer", "batch_transient_study", "clock_tree",
+    "batch_transfer", "clock_tree",
     "compare_frequency_responses", "coupled_rlc_bus", "dominant_poles",
     "factorial_grid", "finite_difference_sensitivities",
     "fit_projection_model", "match_poles", "monte_carlo_pole_study",
     "parse_netlist", "passivity_report", "pole_error_grid",
     "power_grid_mesh", "prima", "prima_projection", "rc_ladder",
     "rc_network_767", "rc_tree", "rcnet_a", "rcnet_b",
-    "run_frequency_scenarios", "sample_parameters",
+    "sample_parameters",
     "shifted_parametric_system", "simulate_step", "simulate_transient",
-    "sparse_batch_frequency_response", "standard_stack",
-    "stream_sweep_study", "stream_transient_study", "sweep", "tbr",
+    "standard_stack", "sweep", "tbr",
     "with_random_variations",
 ]
 
@@ -96,24 +95,21 @@ RUNTIME_ALL_SNAPSHOT = [
     "ModelCache", "MonteCarloPlan",
     "NothingToResumeError", "PWLInput",
     "PoleStudy", "ProcessExecutor", "RampInput", "ScenarioPlan",
-    "ScenarioSweep", "SensitivityStudy", "SerialExecutor",
+    "SensitivityStudy", "SerialExecutor",
     "SharedMemoryExecutor", "SineInput", "SparsePatternFamily",
     "StepInput", "StoreError", "StreamedSweepStudy",
     "StreamedTransientStudy", "Study", "StudyCheckpoint", "StudyStore",
     "ThreadExecutor", "TransientStudy", "array_fingerprint",
     "batch_frequency_response",
     "batch_instantiate", "batch_poles", "batch_simulate_transient",
-    "batch_step_responses", "batch_sweep_study", "batch_transfer",
-    "batch_transfer_sensitivities", "batch_transient_study",
+    "batch_step_responses", "batch_transfer",
+    "batch_transfer_sensitivities",
     "default_horizon", "default_worker_id", "detect_lowrank_structure",
     "drain_chunks",
-    "executor_map_array", "lowrank_solver", "parse_shard",
+    "executor_map_array", "lowrank_solver",
     "parse_worker_id", "reducer_fingerprint",
     "resolve_executor", "resolve_owned_executor",
-    "run_frequency_scenarios",
-    "shared_pattern_family", "sparse_batch_frequency_response",
-    "sparse_batch_transfer", "stream_sweep_study",
-    "stream_transient_study", "study_fingerprint", "supports_batching",
+    "shared_pattern_family", "study_fingerprint", "supports_batching",
     "supports_sparse_batching", "sweep_chunk_bytes", "system_fingerprint",
     "systems_from_stacks", "target_fingerprint", "transient_chunk_bytes",
 ]
@@ -151,17 +147,6 @@ class TestApiSnapshot:
         ]
         for method in study_methods:
             assert callable(getattr(engine.Study, method)), f"Study.{method} missing"
-
-    def test_legacy_entry_points_still_exported(self):
-        """The deprecated shims stay importable until a major release."""
-        runtime = importlib.import_module("repro.runtime")
-        for name in (
-            "batch_sweep_study", "stream_sweep_study",
-            "stream_transient_study", "batch_transient_study",
-            "run_frequency_scenarios", "sparse_batch_transfer",
-            "sparse_batch_frequency_response",
-        ):
-            assert name in runtime.__all__
 
 
 class TestCliModule:

@@ -1,15 +1,18 @@
-"""The durable-study store: persistence, resume, sharding, provenance.
+"""The durable-study store: persistence, resume, provenance.
 
 Complementing the hypothesis round-trip suite
 (tests/test_properties_store.py), these tests pin the store's
 *contracts*: manifest/chunk layout on disk, fingerprint keying,
-checksum verification, shard ownership, the builder validation rules,
-and -- the one that matters operationally -- that a resumed run loads
+checksum verification, read compatibility with legacy shard-named
+manifests, concurrent writers, the builder validation rules, and --
+the one that matters operationally -- that a resumed run loads
 checkpoints instead of recomputing (verified by making recomputation
 impossible).
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from repro.runtime import (
     StoreError,
     Study,
     StudyStore,
-    parse_shard,
     study_fingerprint,
     system_fingerprint,
     target_fingerprint,
@@ -51,30 +53,6 @@ def _sweep(model, plan):
         .poles(3)
         .chunk(4)
     )
-
-
-class TestParseShard:
-    @pytest.mark.parametrize("text,expected", [("1/2", (0, 2)), ("2/2", (1, 2)),
-                                               (" 3 / 4 ", (2, 4)), ("1/1", (0, 1))])
-    def test_valid(self, text, expected):
-        assert parse_shard(text) == expected
-
-    @pytest.mark.parametrize("text", [
-        "3/2", "0/2", "2", "a/b", "", "1/0", "-1/2",
-        # Every malformed spec must be the one-line StoreError, never a
-        # traceback: signs, embedded whitespace, non-ASCII digits,
-        # partial numbers -- the full CLI exit-2 contract.
-        "+1/2", "1/+2", "1.0/2", "1/2.0", "1 2/3", "1/2 3", "1//2",
-        "/2", "1/", "/", "١/٢", "1/٢", "0x1/2", "1e0/2", None,
-    ])
-    def test_invalid(self, text):
-        with pytest.raises(StoreError, match="invalid shard spec"):
-            parse_shard(text)
-
-    @pytest.mark.parametrize("text", ["9/2", "100/4"])
-    def test_index_beyond_count_is_invalid(self, text):
-        with pytest.raises(StoreError, match="invalid shard spec"):
-            parse_shard(text)
 
 
 class TestParsePositive:
@@ -237,63 +215,95 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match="requires store"):
             _sweep(model, plan).resume().plan()
 
-    def test_shard_index_bounds(self, model, plan):
-        with pytest.raises(ValueError, match="shard index"):
-            _sweep(model, plan).shard(2, 2)
-        with pytest.raises(ValueError, match="shard index"):
-            _sweep(model, plan).shard(-1, 2)
-
-    def test_shard_owning_no_chunks_is_refused(self, model, plan, tmp_path):
-        study = _sweep(model, plan).store(tmp_path).shard(4, 5)
-        with pytest.raises(ValueError, match="owns no chunks"):
-            study.plan()
-
     def test_sensitivities_reject_store(self, model, plan, tmp_path):
         study = Study(model).scenarios(plan).sensitivities(1e9j).store(tmp_path)
         with pytest.raises(ValueError, match="do not support store"):
             study.plan()
 
-    def test_plan_reports_store_and_shard(self, model, plan, tmp_path):
-        execution = _sweep(model, plan).store(tmp_path).shard(1, 2).plan()
+    def test_plan_reports_store(self, model, plan, tmp_path):
+        execution = _sweep(model, plan).store(tmp_path).plan()
         assert execution.store == str(tmp_path)
-        assert execution.shard == (1, 2)
-        text = execution.describe()
-        assert "store:" in text and "shard:     2/2" in text
+        assert f"store:     {tmp_path}" in execution.describe()
 
 
-class TestSharding:
-    def test_shard_results_cover_disjoint_instances(self, model, plan, tmp_path):
+class TestLegacyShardManifests:
+    """Stores written by static shard runs of older releases still merge."""
+
+    def test_shard_manifests_resume_without_recompute_and_ingest(
+        self, model, plan, tmp_path, legacy_shard_split
+    ):
+        from repro.warehouse import Warehouse
+
         full = _sweep(model, plan).run()
-        parts = [
-            _sweep(model, plan).store(tmp_path).shard(i, 2).run() for i in range(2)
-        ]
-        indices = np.concatenate([part.instance_indices for part in parts])
-        assert sorted(indices.tolist()) == list(range(13))
-        for part in parts:
-            np.testing.assert_array_equal(
-                part.samples, full.samples[part.instance_indices]
-            )
-            np.testing.assert_array_equal(
-                part.responses, full.responses[part.instance_indices]
-            )
-
-    def test_merge_after_shards_is_bit_identical(self, model, plan, tmp_path):
-        full = _sweep(model, plan).run()
-        for i in range(2):
-            _sweep(model, plan).store(tmp_path).shard(i, 2).run()
-        merged = _sweep(model, plan).store(tmp_path).resume().run()
-        assert merged.shard is None and merged.instance_indices is None
+        store_dir = tmp_path / "store"
+        _sweep(model, plan).store(store_dir).run()
+        legacy_shard_split(store_dir, 2)
+        study = _sweep(model, plan).store(store_dir).resume()
+        merged = study.run()
+        counters = study.metrics()["counters"]
+        assert counters.get("store.chunks_saved", 0) == 0
+        assert counters["store.chunks_loaded"] == 4
         np.testing.assert_array_equal(merged.responses, full.responses)
         np.testing.assert_array_equal(merged.poles, full.poles)
         np.testing.assert_array_equal(merged.envelope_min, full.envelope_min)
         np.testing.assert_array_equal(merged.envelope_mean, full.envelope_mean)
         np.testing.assert_array_equal(merged.envelope_max, full.envelope_max)
 
-    def test_shard_manifests_are_separate_files(self, model, plan, tmp_path):
-        for i in range(2):
-            _sweep(model, plan).store(tmp_path).shard(i, 2).run()
-        names = sorted(path.name for path in tmp_path.glob("manifest-*.json"))
-        assert [n.split(".")[-2] for n in names] == ["shard01of02", "shard02of02"]
+        warehouse = Warehouse(tmp_path / "wh")
+        report = warehouse.ingest_store(StudyStore(store_dir))
+        assert report.chunks == 4
+        dataset = warehouse.dataset_dir(report.studies[0])
+        partitions = {
+            path.name: sorted(chunk.name for chunk in path.glob("chunk=*"))
+            for path in dataset.glob("shard=*")
+        }
+        assert partitions == {
+            "shard=01of02": ["chunk=00000", "chunk=00002"],
+            "shard=02of02": ["chunk=00001", "chunk=00003"],
+        }
+
+
+class TestConcurrentWriters:
+    def test_two_threads_running_one_study_share_a_store(self, model, tmp_path):
+        """Identical submissions in flight write the same store paths.
+
+        Each writer owns its scratch file (pid + thread id), so both
+        runs finish and return the one-shot result bit for bit.
+        """
+        wide = MonteCarloPlan(num_instances=64, seed=11)
+        reference = _sweep(model, wide).run()
+        barrier = threading.Barrier(2)
+        results, errors = [None, None], []
+
+        def runner(slot):
+            study = _sweep(model, wide).store(tmp_path)
+            barrier.wait()
+            try:
+                results[slot] = study.run()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=runner, args=(slot,)) for slot in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the writers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for result in results:
+            np.testing.assert_array_equal(result.responses, reference.responses)
+            np.testing.assert_array_equal(result.poles, reference.poles)
+            np.testing.assert_array_equal(
+                result.envelope_mean, reference.envelope_mean
+            )
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestPoleCheckpoints:
@@ -486,11 +496,27 @@ class TestWorkerCheckpoints:
         np.testing.assert_array_equal(merged.responses, reference.responses)
         np.testing.assert_array_equal(merged.envelope_mean, reference.envelope_mean)
 
-    def test_work_refuses_a_sharded_declaration(self, tmp_path, model, plan):
-        study = _sweep(model, plan).store(tmp_path).shard(0, 2)
-        with pytest.raises(ValueError, match="shard"):
-            study.work()
-
     def test_work_requires_a_store(self, model, plan):
         with pytest.raises(ValueError, match="store"):
             _sweep(model, plan).work()
+
+
+class TestScreenTelemetry:
+    @pytest.mark.parametrize("mode", ["run", "work"])
+    @pytest.mark.parametrize("workload", ["sweep", "poles"])
+    def test_every_chunk_record_counts_verified_instances(
+        self, model, plan, tmp_path, workload, mode
+    ):
+        """Both chunk loops record ``verified_instances`` per chunk."""
+        study = Study(model).scenarios(plan).precision("screen").poles(3)
+        if workload == "sweep":
+            study = study.sweep(FREQUENCIES)
+        study = study.chunk(4).store(tmp_path)
+        result = study.run() if mode == "run" else study.work(worker="w1")
+        store = StudyStore(tmp_path)
+        (key,) = store.study_keys()
+        records = store.completed_chunks(key)
+        assert sorted(records) == [0, 1, 2, 3]
+        for record in records.values():
+            expected = int(result.verified[record["lo"]:record["hi"]].sum())
+            assert record["telemetry"]["verified_instances"] == expected

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -185,6 +186,24 @@ class TestErrors:
         with pytest.raises(ServeClientError) as info:
             client._json("DELETE", "/jobs")
         assert info.value.status == 405
+
+    @pytest.mark.parametrize("header", [
+        b"Content-Length: abc\r\n",
+        b"Content-Length: -5\r\n",
+        b"X-Padding: " + b"a" * 70_000 + b"\r\n",
+    ], ids=["non-numeric-length", "negative-length", "oversized-header"])
+    def test_malformed_headers_are_one_line_400(self, service, header):
+        client, _ = service
+        request = b"POST /jobs HTTP/1.1\r\nHost: x\r\n" + header + b"\r\n"
+        with socket.create_connection((client.host, client.port), 10) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head[:80]
+        assert len(body.splitlines()) == 1
+        assert json.loads(body)["error"]
 
 
 class _Blocker:
