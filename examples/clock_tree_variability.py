@@ -33,7 +33,7 @@ def main():
     # Monte Carlo over +-30% (3 sigma) width variation: one declarative
     # plan drives the full-vs-reduced pole-accuracy study.  (The full
     # model's reference solves route through the engine's executor-full
-    # shared-pattern path; pass `executor="process"` to parallelize.)
+    # shared-pattern path; pass `executor="thread"` to parallelize.)
     instances = 60
     plan = MonteCarloPlan(num_instances=instances, three_sigma=0.3, seed=7)
     study = plan.study(parametric, model, num_poles=5)

@@ -10,9 +10,8 @@ the aggregates against the in-RAM study result exactly, re-ingests
 the store to demonstrate structural idempotency (zero new rows), and
 re-verifies every row's ``chunk_sha256`` against the store manifest.
 
-Works with or without the optional ``pyarrow``/``duckdb`` extras: the
-dataset is Parquet when pyarrow is installed, dependency-free columnar
-``.npz`` otherwise, and the aggregations are exact either way.
+The dataset is columnar ``.npz`` tables and the aggregations stream
+them one partition file at a time, with nothing beyond numpy.
 
 Run:  python examples/warehouse_query.py
 """

@@ -2,7 +2,7 @@
 """CI warehouse drill: kill a worker mid-drain, ingest, aggregate exactly.
 
 The warehouse's operational contract is not "one tidy run converts to
-Parquet" (the unit and property tests cover that in-process) but "a
+column tables" (the unit and property tests cover that in-process) but "a
 store assembled the ugly way -- two work-stealing workers, one of them
 SIGKILLed mid-drain, the study finished by theft and later resumed --
 still ingests into one coherent dataset whose aggregates equal the
@@ -23,14 +23,14 @@ in-RAM result bit for bit".  This script drills exactly that:
 5. resume the same study in-process with the ``warehouse`` directive
    attached: the completion ingest must skip every chunk and add zero
    rows (structural idempotency across CLI and directive ingests),
-6. aggregate with duckdb when installed (the stream engine otherwise):
-   yield fraction, p99, and the full metric column must equal the
+6. aggregate through the query engine: yield fraction, p99, and the
+   full metric column must equal the
    in-RAM merged result exactly -- float64 bit equality, no tolerance
    -- and the ``repro query`` CLI must print the same numbers,
 7. re-verify every provenance row's ``chunk_sha256`` against the store
    manifests and require both workers in the row attribution.
 
-Exit code 0 means the drill passed.  CI uploads the Parquet dataset,
+Exit code 0 means the drill passed.  CI uploads the ``.npz`` dataset,
 worker manifests, and logs as artifacts so a failure can be debugged
 from the provenance records.
 
@@ -176,7 +176,7 @@ def run_driver(workdir: pathlib.Path) -> int:
     import numpy as np
 
     from repro import StudyStore
-    from repro.warehouse import QueryEngine, have_duckdb, have_pyarrow
+    from repro.warehouse import QueryEngine
 
     if workdir.exists():
         shutil.rmtree(workdir)
@@ -257,14 +257,13 @@ def run_driver(workdir: pathlib.Path) -> int:
     print(f"resume re-ingest: 0 chunks converted, {report.skipped} skipped")
 
     # -- 6: exact aggregation against the in-RAM result ----------------
-    engine_name = "duckdb" if have_duckdb() else "stream"
-    engine = QueryEngine(wh, engine=engine_name)
+    engine = QueryEngine(wh)
     # Dataset order follows the shard partitions (the victim's chunks
     # sort before the survivor's), so compare the column as a multiset
     # and then pin every value to its instance via the outlier rows.
     values = engine.metric_values("delay")
     if not np.array_equal(np.sort(values), np.sort(result.delays)):
-        fail(f"{engine_name} metric column differs from the in-RAM delays")
+        fail("warehouse metric column differs from the in-RAM delays")
     for row in engine.outliers("delay", k=INSTANCES):
         if row["delay"] != result.delays[row["instance"]]:
             fail(f"instance {row['instance']} delay differs from the "
@@ -280,13 +279,13 @@ def run_driver(workdir: pathlib.Path) -> int:
     reference = float(np.percentile(result.delays, 99.0))
     if p99["value"] != reference:  # bitwise, not a tolerance
         fail(f"p99 mismatch: {p99['value']!r} != {reference!r}")
-    print(f"{engine_name} aggregates match in-RAM result exactly "
+    print(f"warehouse aggregates match in-RAM result exactly "
           f"(yield {yielded['passed']}/{yielded['total']}, "
           f"p99 {p99['value']:.6e}s)")
 
     cli_yield = run_cli(
         ["query", "yield", str(wh), "--metric", "delay",
-         "--limit", repr(limit), "--engine", engine_name],
+         "--limit", repr(limit)],
         capture_output=True,
     )
     if cli_yield.returncode != 0:
@@ -315,9 +314,7 @@ def run_driver(workdir: pathlib.Path) -> int:
     print(f"provenance verified: {len(rows)} chunks match the store "
           f"manifests, workers {sorted(workers)}")
 
-    backend = "parquet" if have_pyarrow() else "native (.npz)"
-    print(f"PASS: warehouse drill complete "
-          f"(backend: {backend}, engine: {engine_name})")
+    print("PASS: warehouse drill complete")
     return 0
 
 

@@ -82,11 +82,9 @@ from repro.runtime import (
     GridPlan,
     ModelCache,
     MonteCarloPlan,
-    ProcessExecutor,
     PWLInput,
     RampInput,
     SerialExecutor,
-    SharedMemoryExecutor,
     SineInput,
     SparsePatternFamily,
     StepInput,
@@ -119,10 +117,8 @@ __all__ = [
     "PWLInput",
     "ParametricReducedModel",
     "ParametricSystem",
-    "ProcessExecutor",
     "RampInput",
     "SerialExecutor",
-    "SharedMemoryExecutor",
     "SineInput",
     "SinglePointReducer",
     "SparsePatternFamily",

@@ -12,8 +12,9 @@ pole study per model routes the reduced side through the batched
 stacked-instantiation kernels (bit-identical to the scalar path) and
 the per-instance full-model reference solves through the
 ``executor-full`` route (serial by default, parallel via
-``executor="process"`` etc.; executors built from a spec are shut down
-deterministically by the engine).
+``executor="thread"``, a thread count, or a caller-supplied pool such
+as a :class:`concurrent.futures.ProcessPoolExecutor`; executors built
+from a spec are shut down deterministically by the engine).
 """
 
 from __future__ import annotations

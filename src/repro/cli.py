@@ -54,8 +54,8 @@ variable traces any command process-wide).  ``trace summarize``
 renders one or more trace files as a human report.
 ``montecarlo``
 additionally parallelizes its full-model reference solves (``--jobs``:
-a worker count, ``thread``, ``process``, or ``shared``) and routes
-sparse full models through the shared-pattern runtime.  ``transient``
+``serial``, ``thread``, or a thread count) and routes sparse full
+models through the shared-pattern runtime.  ``transient``
 simulates the whole scenario ensemble through the batched time-domain
 kernels and prints the waveform envelope plus a threshold-delay
 summary.
@@ -69,11 +69,10 @@ content-addressed result index without recomputation.
 ``query ingest`` converts a store's chunk checkpoints into a
 partitioned dataset (idempotently -- re-ingest adds zero rows), and
 ``query studies`` / ``yield`` / ``percentile`` / ``outliers`` run
-exact out-of-core aggregations over it (duckdb or polars when the
-optional extras are installed, a streamed numpy engine always).
-Warehouse misuse (missing optional dependency, unreadable dataset,
-over-budget partition) exits 2 with a one-line diagnostic, like any
-store error.
+exact out-of-core aggregations over its ``.npz`` tables, one partition
+file at a time.  Warehouse misuse (unreadable dataset, over-budget
+partition, a legacy ``.parquet`` partition, negative ``-k``) exits 2
+with a one-line diagnostic, like any store error.
 """
 
 from __future__ import annotations
@@ -660,18 +659,14 @@ def _cmd_jobs(args) -> int:
 def _query_engine(args):
     from repro.warehouse import QueryEngine
 
-    return QueryEngine(
-        args.warehouse, engine=args.engine,
-        memory_budget=args.memory_budget,
-    )
+    return QueryEngine(args.warehouse, memory_budget=args.memory_budget)
 
 
 def _cmd_query_ingest(args) -> int:
     from repro.warehouse import Warehouse
 
-    warehouse = Warehouse(args.warehouse, backend=args.backend)
-    report = warehouse.ingest_store(args.store, key=args.key)
-    print(f"# warehouse: {args.warehouse}  backend: {warehouse.backend.name}")
+    report = Warehouse(args.warehouse).ingest_store(args.store, key=args.key)
+    print(f"# warehouse: {args.warehouse}")
     print(f"studies: {', '.join(report.studies) if report.studies else '-'}")
     print(f"chunks:  {report.chunks} ingested, {report.skipped} skipped "
           f"(already warehoused)")
@@ -725,7 +720,7 @@ def _cmd_query_outliers(args) -> int:
 
 
 def _executor_spec(value: str):
-    """argparse type for ``--jobs``: worker count or backend name."""
+    """argparse type for ``--jobs``: thread count or executor name."""
     return int(value) if value.isdigit() else value
 
 
@@ -807,9 +802,8 @@ def _add_montecarlo_arguments(subparser) -> None:
     subparser.add_argument("--seed", type=int, default=0, help="sampling seed")
     subparser.add_argument("--bins", type=int, default=10, help="histogram bins")
     subparser.add_argument("--jobs", type=_executor_spec, default=None,
-                           help="full-solve backend: a worker count, 'serial', "
-                                "'thread', 'process', or 'shared' "
-                                "(shared-memory sample channel)")
+                           help="full-solve executor: 'serial', 'thread', or "
+                                "a thread count (1 means serial)")
     subparser.add_argument("--tolerance", type=float, default=1e-2,
                            help="exit nonzero if the worst pole error exceeds this")
     subparser.add_argument("--precision", choices=("full", "screen"),
@@ -1063,10 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "into RAM. Ingest is idempotent (re-ingest adds zero "
                     "rows) and every row carries provenance columns "
                     "(chunk SHA-256, worker, computed/resumed/stolen "
-                    "source) verifiable against the store manifests. "
-                    "Parquet + duckdb/polars are optional extras; without "
-                    "them a native .npz backend and a streamed numpy "
-                    "engine keep everything working.",
+                    "source) verifiable against the store manifests.",
     )
     query_actions = query_cmd.add_subparsers(dest="query_command",
                                              required=True)
@@ -1074,16 +1065,10 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_query_common(sub, metric: bool) -> None:
         sub.add_argument("warehouse", metavar="DIR",
                          help="warehouse dataset directory")
-        sub.add_argument("--engine",
-                         choices=("auto", "stream", "duckdb", "polars"),
-                         default="auto",
-                         help="aggregation engine (auto prefers duckdb, "
-                              "then polars, then the streamed numpy "
-                              "engine)")
         sub.add_argument("--memory-budget", type=int, default=None,
                          help="bound in bytes on the column bytes "
                               "materialized from any single partition "
-                              "file (stream engine)")
+                              "file")
         sub.add_argument("--study", default=None, metavar="KEY16",
                          help="restrict to one study (key16 prefix)")
         if metric:
@@ -1103,12 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_ingest.add_argument("--key", default=None,
                               help="one study key (full or prefix; "
                                    "default: every study in the store)")
-    query_ingest.add_argument("--backend",
-                              choices=("auto", "parquet", "native"),
-                              default="auto",
-                              help="table format (auto: parquet when "
-                                   "pyarrow is installed, else native "
-                                   ".npz)")
     query_ingest.set_defaults(func=_cmd_query_ingest)
 
     query_studies = query_actions.add_parser(
@@ -1138,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_query_common(query_outliers, metric=True)
     query_outliers.add_argument("-k", type=int, default=10,
-                                help="how many rows")
+                                help="how many rows (>= 0)")
     query_outliers.add_argument("--smallest", action="store_true",
                                 help="rank smallest-first instead of "
                                      "largest-first")

@@ -5,7 +5,7 @@ imports from the runtime stack) that the rest of the runtime emits
 into:
 
 - :mod:`repro.obs.trace`    -- spans with ambient context, worker-side
-  capture, and re-parenting across thread/process/shared executors;
+  capture, and re-parenting across thread and process pools;
 - :mod:`repro.obs.metrics`  -- get-or-create counters, gauges, and
   histograms on a process-global registry;
 - :mod:`repro.obs.export`   -- JSONL trace files, ``repro trace

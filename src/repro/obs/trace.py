@@ -18,7 +18,7 @@ Design constraints, in priority order:
    call is far below measurement noise (enforced by
    ``benchmarks/bench_obs_overhead.py``).
 2. **Workers capture, callers re-parent.**  Spans raised inside
-   thread/process/shared-memory workers cannot reach the caller's sinks
+   thread or process-pool workers cannot reach the caller's sinks
    (other process) or its context (fresh thread).  :func:`wrap_task`
    wraps a per-item task so every span it raises is captured into a
    list and shipped back with the result; :func:`unwrap_results`

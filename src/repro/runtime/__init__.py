@@ -69,10 +69,10 @@ that reuse is made fast and declarative:
   number of heterogeneous workers -- processes or machines sharing the
   directory -- finish one study together, with every chunk's SHA-256
   verified before the fold.
-- :mod:`repro.runtime.executor` -- serial, thread, chunked
-  multiprocessing, and shared-memory backends behind one
-  ordered-``map`` interface for the embarrassingly-parallel full-model
-  reference solves.
+- :mod:`repro.runtime.executor` -- serial and thread-pool backends
+  (or any caller-supplied pool with an ordered ``map``) behind one
+  interface for the embarrassingly-parallel full-model reference
+  solves.
 
 :mod:`repro.analysis.montecarlo`, :mod:`repro.analysis.sensitivity`,
 and :mod:`repro.analysis.delay` are wired onto these kernels; the
@@ -108,11 +108,8 @@ from repro.runtime.lowrank import (
     lowrank_solver,
 )
 from repro.runtime.executor import (
-    ProcessExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
     ThreadExecutor,
-    executor_map_array,
     resolve_executor,
     resolve_owned_executor,
 )
@@ -176,12 +173,10 @@ __all__ = [
     "NothingToResumeError",
     "PWLInput",
     "PoleStudy",
-    "ProcessExecutor",
     "RampInput",
     "ScenarioPlan",
     "SensitivityStudy",
     "SerialExecutor",
-    "SharedMemoryExecutor",
     "SineInput",
     "SparsePatternFamily",
     "StepInput",
@@ -205,7 +200,6 @@ __all__ = [
     "default_worker_id",
     "detect_lowrank_structure",
     "drain_chunks",
-    "executor_map_array",
     "lowrank_solver",
     "parse_worker_id",
     "reducer_fingerprint",

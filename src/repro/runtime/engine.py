@@ -83,7 +83,6 @@ from repro.runtime.batch import (
 from repro.runtime.cache import array_fingerprint, cached_target_fingerprint
 from repro.runtime.executor import (
     SerialExecutor,
-    executor_map_array,
     resolve_executor,
     resolve_owned_executor,
 )
@@ -176,7 +175,7 @@ def _map_traced(executor, task, block) -> List:
     tracing off both are identity.
     """
     return obs_trace.unwrap_results(
-        executor_map_array(executor, obs_trace.wrap_task(task), block)
+        executor.map(obs_trace.wrap_task(task), list(np.asarray(block)))
     )
 
 
@@ -428,7 +427,7 @@ class Study:
         # it around its merge phase, run() alone leaves the strict
         # no-worker default.
         self._worker_ctx: Tuple[Optional[str], bool] = (None, False)
-        self._warehouse: Optional[Tuple[object, object]] = None
+        self._warehouse = None
         self._last_warehouse = None
         self._last_drain = None
         self._progress: Optional[ProgressCallback] = None
@@ -550,10 +549,12 @@ class Study:
         """Executor for the per-sample full-order routes.
 
         Accepts anything :func:`~repro.runtime.executor.resolve_executor`
-        does.  Specs (``"thread"``, ``"process"``, a worker count) are
-        constructed *and deterministically shut down* by the engine;
-        already-constructed executor instances pass through untouched
-        and stay owned by the caller.
+        does.  Specs (``"thread"``, a worker count) are constructed *and
+        deterministically shut down* by the engine; already-constructed
+        executor instances -- a caller's
+        :class:`concurrent.futures.ProcessPoolExecutor`, say -- pass
+        through untouched and stay owned by the caller.  :meth:`plan`
+        refuses any other spec with a one-line :class:`ValueError`.
         """
         self._executor_spec = spec
         return self._invalidate()
@@ -602,7 +603,7 @@ class Study:
         self._store = store if isinstance(store, StudyStore) else StudyStore(store)
         return self._invalidate()
 
-    def warehouse(self, directory, backend: str = "auto") -> "Study":
+    def warehouse(self, directory) -> "Study":
         """Ingest this study's checkpoints into a columnar warehouse.
 
         After each successful :meth:`run` (including the merge phase of
@@ -619,10 +620,9 @@ class Study:
         Requires :meth:`store`; like :meth:`trace`, the directive
         observes the run without affecting any numeric result.
         ``directory`` may also be an existing
-        :class:`~repro.warehouse.Warehouse` (then ``backend`` is
-        ignored).
+        :class:`~repro.warehouse.Warehouse`.
         """
-        self._warehouse = (directory, backend)
+        self._warehouse = directory
         return self
 
     def warehouse_report(self):
@@ -837,12 +837,6 @@ class Study:
         num_chunks = -(-num_samples // chunk) if num_samples else 0
         return chunk, num_chunks, int(chunk * per_instance + fixed)
 
-    def _executor_workers(self) -> int:
-        backend = resolve_executor(self._executor_spec)
-        if isinstance(backend, SerialExecutor):
-            return 1
-        return getattr(backend, "max_workers", None) or os.cpu_count() or 1
-
     def _describe_target(self, kind: str) -> str:
         target = self._resolve_target()
         if kind == "dense":
@@ -935,6 +929,9 @@ class Study:
         workload = self._workload()
         kind = self._target_kind()
         target = self._resolve_target()
+        # Every route validates the spec, even the batched ones that
+        # never map over it.
+        executor = resolve_executor(self._executor_spec)
         notes: List[str] = []
         if self._resume and self._store is None:
             raise ValueError("resume() requires store(directory)")
@@ -1075,8 +1072,9 @@ class Study:
                 notes.append("memory_budget is unused on per-sample routes")
         elif self._chunk_size is not None or self._memory_budget is not None:
             notes.append("chunking directives are unused on per-sample routes")
-        workers = self._executor_workers()
-        executor_repr = repr(resolve_executor(self._executor_spec))
+        workers = 1 if isinstance(executor, SerialExecutor) else (
+            getattr(executor, "max_workers", None) or os.cpu_count() or 1
+        )
         # Order is only needed for the (rough) peak estimate; duck-typed
         # targets that expose just instantiate/num_parameters still run.
         q_or_n = getattr(getattr(target, "nominal", None), "order", 0)
@@ -1125,7 +1123,7 @@ class Study:
             chunk_size=chunk_size,
             num_chunks=num_chunks,
             estimated_peak_bytes=int(peak),
-            executor=executor_repr,
+            executor=repr(executor),
             notes=tuple(notes),
             store=store_path,
             precision=self._precision,
@@ -1383,14 +1381,14 @@ class Study:
         from repro.obs.export import chunk_lineage, lineage_sources
         from repro.warehouse import Warehouse
 
-        directory, backend = self._warehouse
+        directory = self._warehouse
         target = self._resolve_target()
         samples = self._samples()
         config = self._workload_config(plan.workload, target)
         fingerprint = study_fingerprint(target, plan.workload, samples, config)
         warehouse = (
             directory if isinstance(directory, Warehouse)
-            else Warehouse(directory, backend=backend)
+            else Warehouse(directory)
         )
         self._last_warehouse = warehouse.ingest_store(
             self._store,

@@ -216,6 +216,20 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def _probe_writable(directory: Path) -> None:
+    """Create ``directory`` if missing and prove it writable.
+
+    The probe is one empty file, created and removed, named for this
+    process *and thread* like :func:`_durable_replace`'s scratch, so two
+    threads opening one directory never unlink each other's probe.
+    ``OSError`` propagates for the caller to wrap.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    probe = directory / f".write-probe-{os.getpid()}.{threading.get_ident()}"
+    probe.write_bytes(b"")
+    probe.unlink()
+
+
 def _durable_replace(path: Path, data: bytes) -> None:
     """Atomically and crash-durably replace ``path`` with ``data``.
 
@@ -263,10 +277,7 @@ class StudyStore:
     def __init__(self, directory):
         self.directory = Path(directory)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            probe = self.directory / f".write-probe-{os.getpid()}"
-            probe.write_bytes(b"")
-            probe.unlink()
+            _probe_writable(self.directory)
         except OSError as exc:
             raise StoreError(
                 f"store directory {str(self.directory)!r} is not writable: {exc}"

@@ -31,6 +31,7 @@ to HTTP 400 and the CLI maps to its usual exit-1 one-liner.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -249,6 +250,9 @@ def parse_job(payload) -> JobSpec:
         )
         workload_options["waveform"]["kind"] = waveform["kind"]
 
+    if workload_kind == "montecarlo":
+        _check_jobs(workload_options["jobs"])
+
     chunk = payload.get("chunk")
     if chunk is not None and (
         not isinstance(chunk, int) or isinstance(chunk, bool) or chunk < 1
@@ -273,6 +277,25 @@ def parse_job(payload) -> JobSpec:
         chunk=chunk,
         precision=precision,
         workers=_int("workers", 1),
+    )
+
+
+def _check_jobs(jobs) -> None:
+    """Refuse a montecarlo ``jobs`` spec the server should not realize.
+
+    The value crosses a trust boundary straight into the executor of
+    the full-order solves, so only the serial and thread forms are
+    accepted, and a thread count may not exceed this machine's CPUs.
+    """
+    limit = os.cpu_count() or 1
+    if jobs is None or jobs in ("serial", "thread"):
+        return
+    if isinstance(jobs, int) and not isinstance(jobs, bool) \
+            and 1 <= jobs <= limit:
+        return
+    raise ProtocolError(
+        "'jobs' must be null, 'serial', 'thread', or an integer in "
+        f"1..{limit}"
     )
 
 

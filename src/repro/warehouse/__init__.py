@@ -9,9 +9,9 @@ chunk is a structural no-op), every row carries provenance columns
 aggregations are exact -- bitwise equal to the same reduction of the
 in-RAM study arrays.
 
-Parquet output and the duckdb/polars query engines are optional
-extras; without them the dependency-free native ``.npz`` backend and
-the streamed numpy query engine keep every feature working.
+Tables are ``.npz`` archives (one numpy array per column) and queries
+stream them one partition file at a time, so the tier needs nothing
+beyond numpy.
 
 Entry points: :class:`Warehouse` (ingest), :class:`QueryEngine`
 (aggregation), ``repro query`` (CLI), and the
@@ -19,31 +19,15 @@ Entry points: :class:`Warehouse` (ingest), :class:`QueryEngine`
 directive (ingest on run completion with live lineage attribution).
 """
 
-from repro.warehouse.backend import (
-    NativeBackend,
-    ParquetBackend,
-    WarehouseError,
-    backend_for_file,
-    have_duckdb,
-    have_polars,
-    have_pyarrow,
-    resolve_backend,
-)
+from repro.warehouse.backend import WarehouseError
 from repro.warehouse.ingest import IngestReport, Warehouse
 from repro.warehouse.query import QueryEngine
 from repro.warehouse.schema import chunk_tables
 
 __all__ = [
     "IngestReport",
-    "NativeBackend",
-    "ParquetBackend",
     "QueryEngine",
     "Warehouse",
     "WarehouseError",
-    "backend_for_file",
     "chunk_tables",
-    "have_duckdb",
-    "have_polars",
-    "have_pyarrow",
-    "resolve_backend",
 ]

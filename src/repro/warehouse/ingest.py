@@ -9,9 +9,9 @@ checkpoints::
         _study.json                          # fingerprint + layout record
         shard=<origin>/                      # all, w-<worker>, or 01of02 (legacy)
           chunk=00007/
-            instances-<sha16>.parquet        # (or .npz: native backend)
-            poles-<sha16>.parquet
-            envelope-<sha16>.parquet
+            instances-<sha16>.npz
+            poles-<sha16>.npz
+            envelope-<sha16>.npz
 
 The partition keys mirror how the data was produced (study fingerprint
 / shard or worker origin / chunk index), and every file name embeds the
@@ -29,6 +29,10 @@ supervisor: the duplicate-suppression unit is the atomic
 ``os.replace`` of a content-named file, and alternate copies of one
 chunk (two workers racing on the same index produce equivalent payloads
 by the deterministic-kernel contract) resolve first-ingested-wins.
+A study whose partitions still hold ``.parquet`` tables from an older
+release is refused (:func:`~repro.warehouse.backend.refuse_parquet`):
+their ``instances`` markers would otherwise count as ingested chunks
+nobody can read.
 
 Provenance stays verifiable end to end: ``_study.json`` records the
 full study fingerprint (target / samples / workload / config hashes),
@@ -40,7 +44,6 @@ manifest records.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -50,8 +53,9 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import array_fingerprint
-from repro.runtime.store import StudyStore, _durable_replace
-from repro.warehouse.backend import WarehouseError, resolve_backend
+from repro.runtime.store import StudyStore, _durable_replace, _probe_writable
+from repro.warehouse import backend
+from repro.warehouse.backend import WarehouseError
 from repro.warehouse.schema import chunk_tables
 
 __all__ = ["IngestReport", "Warehouse"]
@@ -126,22 +130,12 @@ class Warehouse:
     directory:
         Dataset root; created if missing (writability probed up front,
         mirroring :class:`~repro.runtime.store.StudyStore`).
-    backend:
-        ``"auto"`` (Parquet when pyarrow is installed, else the
-        dependency-free native ``.npz`` backend), ``"parquet"``,
-        ``"native"``, or a backend object.  The backend governs what
-        ingest *writes*; reads always dispatch per file, so mixed
-        datasets stay queryable.
     """
 
-    def __init__(self, directory, backend="auto"):
+    def __init__(self, directory):
         self.directory = Path(directory)
-        self.backend = resolve_backend(backend)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            probe = self.directory / f".write-probe-{os.getpid()}"
-            probe.write_bytes(b"")
-            probe.unlink()
+            _probe_writable(self.directory)
         except OSError as exc:
             raise WarehouseError(
                 f"warehouse directory {str(self.directory)!r} is not "
@@ -174,6 +168,9 @@ class Warehouse:
 
     def studies(self) -> List[dict]:
         """Every study record (``_study.json``) in the dataset."""
+        backend.refuse_parquet(self.directory, self.directory.glob(
+            "key16=*/shard=*/chunk=*/*.parquet"
+        ))
         records = []
         for path in sorted(self.directory.glob(f"key16=*/{_STUDY_RECORD}")):
             try:
@@ -288,10 +285,11 @@ class Warehouse:
                     f"manifest records samples {declared[:12]}..., got "
                     f"{actual[:12]}... (wrong study or altered samples)"
                 )
+        backend.refuse_parquet(self.directory, self.dataset_dir(key16).glob(
+            "shard=*/chunk=*/*.parquet"
+        ))
         report = IngestReport(studies=[key16])
-        with obs_trace.span(
-            "warehouse.ingest", study=key16, backend=self.backend.name
-        ) as span:
+        with obs_trace.span("warehouse.ingest", study=key16) as span:
             self._write_study_record(key16, {
                 "key16": key16,
                 "study_key": study_key,
@@ -342,8 +340,8 @@ class Warehouse:
         names = sorted(tables, key=lambda name: name == _MARKER_TABLE)
         for name in names:
             columns = tables[name]
-            path = directory / f"{name}-{sha16}{self.backend.extension}"
-            size = self.backend.write(path, columns)
+            path = directory / f"{name}-{sha16}{backend.EXTENSION}"
+            size = backend.write(path, columns)
             rows = int(next(iter(columns.values())).shape[0])
             report.rows[name] = report.rows.get(name, 0) + rows
             report.files.append(str(path.relative_to(self.directory)))
@@ -353,7 +351,4 @@ class Warehouse:
 
     def __repr__(self) -> str:
         datasets = len(list(self.directory.glob("key16=*")))
-        return (
-            f"Warehouse({str(self.directory)!r}, studies={datasets}, "
-            f"backend={self.backend.name!r})"
-        )
+        return f"Warehouse({str(self.directory)!r}, studies={datasets})"

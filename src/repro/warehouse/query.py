@@ -1,20 +1,8 @@
 """Out-of-core aggregation over warehouse datasets.
 
-Three interchangeable engines compute the same aggregates:
-
-- ``"stream"`` -- numpy, one partition file at a time, reading *only*
-  the requested columns (both backends support column projection).  No
-  dependency beyond numpy; honors an optional per-file memory budget.
-- ``"duckdb"`` -- SQL over ``read_parquet`` file lists (all-Parquet
-  datasets only).  Column values are pulled through SQL projection and
-  reduced with the same numpy code as the stream engine, so results
-  are exactly equal, not merely statistically close.
-- ``"polars"`` -- lazy ``scan_parquet`` column projection, same final
-  numpy reduction.
-
-``"auto"`` prefers duckdb, then polars, then the stream engine -- and
-silently uses the stream engine whenever the dataset contains native
-``.npz`` partitions the external engines cannot read.
+One engine computes every aggregate: numpy, one partition file at a
+time, reading *only* the requested columns of each ``.npz`` table, with
+no dependency beyond numpy and an optional per-file memory budget.
 
 Exactness is the contract: ``percentile`` is a true percentile over the
 gathered finite values (``np.percentile``), never a sketch; ``yield``
@@ -32,17 +20,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.warehouse.backend import (
-    WarehouseError,
-    backend_for_file,
-    have_duckdb,
-    have_polars,
-)
+from repro.warehouse import backend
+from repro.warehouse.backend import WarehouseError
 from repro.warehouse.ingest import Warehouse
 
 __all__ = ["QueryEngine"]
-
-_TABLE_EXTENSIONS = (".parquet", ".npz")
 
 
 class QueryEngine:
@@ -52,31 +34,19 @@ class QueryEngine:
     ----------
     warehouse:
         Dataset directory or :class:`Warehouse`.
-    engine:
-        ``"auto"``, ``"stream"``, ``"duckdb"``, or ``"polars"``.
-        Explicitly requesting an engine that is unavailable (module not
-        installed, or a non-Parquet dataset) raises a one-line
-        :class:`~repro.warehouse.WarehouseError`.
     memory_budget:
         Optional bound in bytes on the column bytes materialized from
-        any single partition file (the stream engine's working set).
+        any single partition file (the engine's working set).
         Files that would exceed it raise with the measured size, so an
         aggregation's memory footprint is a declared contract rather
         than an accident of dataset growth.
     """
 
-    def __init__(self, warehouse, engine: str = "auto",
-                 memory_budget: Optional[int] = None):
+    def __init__(self, warehouse, memory_budget: Optional[int] = None):
         self.warehouse = (
             warehouse if isinstance(warehouse, Warehouse)
-            else Warehouse(warehouse, backend="auto")
+            else Warehouse(warehouse)
         )
-        if engine not in ("auto", "stream", "duckdb", "polars"):
-            raise WarehouseError(
-                f"unknown query engine {engine!r}: use 'auto', 'stream', "
-                "'duckdb', or 'polars'"
-            )
-        self.engine_spec = engine
         self.memory_budget = (
             None if memory_budget is None else int(memory_budget)
         )
@@ -98,56 +68,19 @@ class QueryEngine:
         """Sorted partition files of ``table`` (optionally one study)."""
         root = self.warehouse.directory
         prefix = f"key16={study[:16]}" if study else "key16=*"
-        found: List[Path] = []
-        for extension in _TABLE_EXTENSIONS:
-            found.extend(
-                root.glob(f"{prefix}/shard=*/chunk=*/{table}-*{extension}")
-            )
-        return sorted(found)
+        found = sorted(root.glob(f"{prefix}/shard=*/chunk=*/{table}-*"))
+        backend.refuse_parquet(root, found)
+        return [path for path in found if path.suffix == backend.EXTENSION]
 
-    def _resolve_engine(self, files: Sequence[Path]) -> str:
-        all_parquet = bool(files) and all(
-            path.suffix == ".parquet" for path in files
-        )
-        if self.engine_spec == "auto":
-            if all_parquet and have_duckdb():
-                return "duckdb"
-            if all_parquet and have_polars():
-                return "polars"
-            return "stream"
-        if self.engine_spec == "duckdb":
-            if not have_duckdb():
-                raise WarehouseError(
-                    "the duckdb query engine needs the optional 'duckdb' "
-                    "extra (pip install duckdb), or use --engine stream"
-                )
-            if not all_parquet:
-                raise WarehouseError(
-                    "the duckdb engine reads Parquet only, but this dataset "
-                    "holds native .npz partitions; use --engine stream"
-                )
-        if self.engine_spec == "polars":
-            if not have_polars():
-                raise WarehouseError(
-                    "the polars query engine needs the optional 'polars' "
-                    "extra (pip install polars), or use --engine stream"
-                )
-            if not all_parquet:
-                raise WarehouseError(
-                    "the polars engine reads Parquet only, but this dataset "
-                    "holds native .npz partitions; use --engine stream"
-                )
-        return self.engine_spec
-
-    # -- column gathering (the per-engine part) ------------------------
+    # -- column gathering ----------------------------------------------
 
     def _gather(self, table: str, columns: Sequence[str],
                 study: Optional[str] = None) -> Dict[str, np.ndarray]:
         """Concatenated columns of ``table`` across every partition.
 
-        Only the requested columns are materialized, whichever engine
-        runs -- that is the out-of-core story: the dataset may be far
-        larger than RAM as long as the projected columns fit.
+        Only the requested columns are materialized, one file at a time
+        -- that is the out-of-core story: the dataset may be far larger
+        than RAM as long as the projected columns fit.
         """
         files = self.files(table, study)
         if not files:
@@ -156,23 +89,11 @@ class QueryEngine:
                 + (f" for study {study!r}" if study else "")
                 + f" in {str(self.warehouse.directory)!r}"
             )
-        engine = self._resolve_engine(files)
         self.last_peak_file_bytes = 0
         self.last_total_bytes = 0
-        if engine == "duckdb":
-            gathered = self._gather_duckdb(files, columns)
-        elif engine == "polars":
-            gathered = self._gather_polars(files, columns)
-        else:
-            gathered = self._gather_stream(files, columns)
-        for name, values in gathered.items():
-            self.last_total_bytes += int(np.asarray(values).nbytes)
-        return gathered
-
-    def _gather_stream(self, files, columns) -> Dict[str, np.ndarray]:
         parts: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
         for path in files:
-            loaded = backend_for_file(path).read(path, columns=columns)
+            loaded = backend.read(path, columns=columns)
             file_bytes = sum(
                 int(np.asarray(values).nbytes) for values in loaded.values()
             )
@@ -189,34 +110,11 @@ class QueryEngine:
                 )
             for name in columns:
                 parts[name].append(np.asarray(loaded[name]))
-        return {name: np.concatenate(parts[name]) for name in columns}
-
-    def _gather_duckdb(self, files, columns) -> Dict[str, np.ndarray]:
-        import duckdb
-
-        projection = ", ".join(f'"{name}"' for name in columns)
-        connection = duckdb.connect()
-        try:
-            relation = connection.execute(
-                f"SELECT {projection} FROM read_parquet(?, union_by_name=true)",
-                [[str(path) for path in files]],
-            )
-            fetched = relation.fetchnumpy()
-        finally:
-            connection.close()
-        return {
-            name: np.asarray(fetched[name]) for name in columns
-        }
-
-    def _gather_polars(self, files, columns) -> Dict[str, np.ndarray]:
-        import polars as pl
-
-        frame = (
-            pl.scan_parquet([str(path) for path in files])
-            .select(list(columns))
-            .collect()
+        gathered = {name: np.concatenate(parts[name]) for name in columns}
+        self.last_total_bytes = sum(
+            int(values.nbytes) for values in gathered.values()
         )
-        return {name: frame[name].to_numpy() for name in columns}
+        return gathered
 
     # -- aggregations --------------------------------------------------
 
@@ -281,8 +179,11 @@ class QueryEngine:
         Returns row dicts carrying the instance index and the
         provenance columns (chunk, chunk SHA-256, worker, source), so a
         suspicious corner can be traced to -- and re-verified against
-        -- the exact checkpoint bytes that produced it.
+        -- the exact checkpoint bytes that produced it.  ``k = 0``
+        returns no rows; a negative ``k`` raises.
         """
+        if k < 0:
+            raise WarehouseError(f"outliers: k must be >= 0, got {k}")
         columns = [
             metric, "study", "instance",
             "chunk", "chunk_sha256", "worker", "source",

@@ -9,6 +9,8 @@ build, since the circuits and models are immutable.
 from __future__ import annotations
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,20 @@ def frequencies():
 def rng():
     """Deterministic RNG for per-test randomness."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def process_pool():
+    """A caller-owned stdlib process pool (two spawned workers).
+
+    Process execution is not built into :mod:`repro.runtime.executor`;
+    a caller passes a pool like this one straight through
+    ``resolve_executor`` / ``Study.executor``.  Session scope keeps the
+    worker start-up cost to one spawn for the whole suite.
+    """
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        yield pool
 
 
 def _split_into_legacy_shards(directory, of: int) -> None:

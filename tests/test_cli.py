@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ class TestReduce:
         assert "full order:    4" in out
         assert "worst relative response error" in out
         assert "structurally passive: True" in out
+
+    def test_jobs_process_and_shared_refused_in_one_line(self, netlist_file,
+                                                         capsys):
+        for spec in ("process", "shared"):
+            code = main(
+                ["montecarlo", netlist_file, "--instances", "3", "--poles",
+                 "2", "--moments", "3", "--jobs", spec]
+            )
+            err = capsys.readouterr().err
+            assert code != 0
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "'thread'" in err
 
     def test_impossible_tolerance_fails(self, netlist_file, capsys):
         code = main(
@@ -177,6 +191,18 @@ class TestMonteCarlo:
         serial_out = capsys.readouterr().out
         assert main(argv + ["--jobs", "thread"]) == 0
         assert capsys.readouterr().out == serial_out
+
+    def test_jobs_process_and_shared_refused_in_one_line(self, netlist_file,
+                                                         capsys):
+        for spec in ("process", "shared"):
+            code = main(
+                ["montecarlo", netlist_file, "--instances", "3", "--poles",
+                 "2", "--moments", "3", "--jobs", spec]
+            )
+            err = capsys.readouterr().err
+            assert code != 0
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "'thread'" in err
 
     def test_impossible_tolerance_fails(self, netlist_file, capsys):
         code = main(
@@ -654,6 +680,26 @@ class TestWorkCommand:
     def test_work_requires_store_flag(self, netlist_file, capsys):
         with pytest.raises(SystemExit):
             main(["work", "batch", netlist_file, *self.BATCH])
+
+
+class TestQuery:
+    def test_outliers_k_zero_is_empty_and_negative_exits_2(
+            self, netlist_file, tmp_path, capsys):
+        store, wh = str(tmp_path / "store"), str(tmp_path / "wh")
+        assert main(["transient", netlist_file, "--moments", "3",
+                     "--instances", "6", "--steps", "12", "--chunk", "3",
+                     "--store", store]) == 0
+        assert main(["query", "ingest", wh, store]) == 0
+        capsys.readouterr()
+        outliers = ["query", "outliers", wh, "--metric", "delay", "-k"]
+        assert main(outliers + ["0"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+        for k in ("-1", "-5"):
+            assert main(outliers + [k]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert captured.err.count("\n") == 1
 
 
 class TestParser:

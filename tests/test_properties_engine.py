@@ -2,11 +2,14 @@
 
 The engine's core promise: routing is an *optimization detail*.  For
 any study, every applicable route -- one-shot dense batch, streaming
-with any chunk size, the sparse shared-pattern family, thread/process
-executors -- must produce bit-identical results, and the
-:class:`~repro.runtime.engine.ExecutionPlan` peak-byte accounting must
-track the allocations the route actually materializes.
+with any chunk size, the sparse shared-pattern family, serial, thread
+and caller-supplied pool executors -- must produce bit-identical
+results, and the :class:`~repro.runtime.engine.ExecutionPlan`
+peak-byte accounting must track the allocations the route actually
+materializes.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -203,18 +206,20 @@ class TestEveryRouteOneStudy:
                 result.envelope_min, reference.envelope_min, err_msg=label
             )
 
-    def test_pole_study_every_executor_identical(self, circuit):
+    def test_pole_study_every_executor_identical(self, circuit, process_pool):
         parametric, _, samples = circuit
         routes = {}
-        for label, spec in (
-            ("serial", None),
-            ("thread", "thread"),
-            ("process", 2),
-            ("shared", "shared"),
-        ):
-            study = Study(parametric).scenarios(samples).poles(3).executor(spec)
-            assert study.plan().route == "executor-full"
-            routes[label] = study.run().pole_sets
+        with ThreadPoolExecutor(max_workers=2) as stdlib_threads:
+            for label, spec in (
+                ("serial", None),
+                ("thread", "thread"),
+                ("two-threads", 2),
+                ("stdlib-threads", stdlib_threads),
+                ("stdlib-processes", process_pool),
+            ):
+                study = Study(parametric).scenarios(samples).poles(3).executor(spec)
+                assert study.plan().route == "executor-full"
+                routes[label] = study.run().pole_sets
         for label, pole_sets in routes.items():
             for a, b in zip(routes["serial"], pole_sets):
                 np.testing.assert_array_equal(a, b, err_msg=label)

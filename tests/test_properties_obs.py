@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for trace completeness.
 
 The observability contract the exporters rely on: whatever route the
-engine picks and wherever the work runs (in-process, thread pool,
-process pool, shared-memory channel), the merged trace of a run holds
+engine picks and wherever the work runs (in-process, thread pool, or a
+caller-supplied process pool), the merged trace of a run holds
 *exactly one* ``study.chunk`` span per owned chunk, every chunk span is
 parented to that run's ``study.run`` root, and every worker-side span
 is re-parented onto a chunk span.  ``chunk_lineage`` and the progress
@@ -25,7 +25,7 @@ PARAMETRIC = rcnet_a()
 MODEL = LowRankReducer(num_moments=3, rank=1).reduce(PARAMETRIC)
 FREQUENCIES = np.logspace(7, 10, 4)
 
-# Executor spawn (process/shared) dominates the runtime per example;
+# Pickling tasks to the process pool dominates the runtime per example;
 # keep the example budget small and the deadline off.
 RELAXED = settings(
     deadline=None,
@@ -49,7 +49,7 @@ def traced_configs(draw):
     else:
         chunk_size = draw(st.integers(min_value=1, max_value=num_samples))
     executor = (
-        draw(st.sampled_from(("thread", "process", "shared")))
+        draw(st.sampled_from(("serial", "thread", 2, "process-pool")))
         if route == "executor-full"
         else None
     )
@@ -79,8 +79,10 @@ def _build_study(route, executor, samples, chunk_size, store_dir):
 
 @given(config=traced_configs())
 @RELAXED
-def test_one_chunk_span_per_chunk_with_correct_parentage(config):
+def test_one_chunk_span_per_chunk_with_correct_parentage(config, process_pool):
     route, executor, num_samples, chunk_size, seed = config
+    if executor == "process-pool":
+        executor = process_pool
     rng = np.random.default_rng(seed)
     samples = rng.normal(0.0, 0.1, size=(num_samples, PARAMETRIC.num_parameters))
     sink = MemorySink()

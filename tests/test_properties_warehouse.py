@@ -21,7 +21,7 @@ from repro.circuits.statespace import DescriptorSystem
 from repro.circuits.variational import ParametricSystem
 from repro.core.model import ParametricReducedModel
 from repro.runtime import Study, StudyStore
-from repro.warehouse import Warehouse, backend_for_file
+from repro.warehouse import Warehouse, backend
 
 RELAXED = settings(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=15
@@ -78,7 +78,7 @@ def _read_table(warehouse, key16, index, table):
     pattern = f"shard=*/chunk={index:05d}/{table}-*"
     files = sorted(warehouse.dataset_dir(key16).glob(pattern))
     assert len(files) == 1, f"expected one {table} file, found {files}"
-    return backend_for_file(files[0]).read(files[0])
+    return backend.read(files[0])
 
 
 def _assert_rows_match_payloads(store, key, warehouse):

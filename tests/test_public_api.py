@@ -69,8 +69,7 @@ ROOT_ALL_SNAPSHOT = [
     "ExecutionPlan", "GridPlan", "LowRankReducer", "ModelCache",
     "MonteCarloPlan", "MultiPointReducer", "Netlist", "NominalReducer",
     "PWLInput", "ParametricReducedModel", "ParametricSystem",
-    "ProcessExecutor", "RampInput", "SerialExecutor",
-    "SharedMemoryExecutor", "SineInput", "SinglePointReducer",
+    "RampInput", "SerialExecutor", "SineInput", "SinglePointReducer",
     "SparsePatternFamily", "StepInput", "StoreError", "Study",
     "StudyStore", "ThreadExecutor", "Warehouse", "WarehouseError",
     "__version__", "assemble", "batch_frequency_response",
@@ -94,9 +93,8 @@ RUNTIME_ALL_SNAPSHOT = [
     "InputWaveform", "Lease", "LeaseBoard", "LowRankEnsembleSolver",
     "ModelCache", "MonteCarloPlan",
     "NothingToResumeError", "PWLInput",
-    "PoleStudy", "ProcessExecutor", "RampInput", "ScenarioPlan",
-    "SensitivityStudy", "SerialExecutor",
-    "SharedMemoryExecutor", "SineInput", "SparsePatternFamily",
+    "PoleStudy", "RampInput", "ScenarioPlan",
+    "SensitivityStudy", "SerialExecutor", "SineInput", "SparsePatternFamily",
     "StepInput", "StoreError", "StreamedSweepStudy",
     "StreamedTransientStudy", "Study", "StudyCheckpoint", "StudyStore",
     "ThreadExecutor", "TransientStudy", "array_fingerprint",
@@ -106,7 +104,7 @@ RUNTIME_ALL_SNAPSHOT = [
     "batch_transfer_sensitivities",
     "default_horizon", "default_worker_id", "detect_lowrank_structure",
     "drain_chunks",
-    "executor_map_array", "lowrank_solver",
+    "lowrank_solver",
     "parse_worker_id", "reducer_fingerprint",
     "resolve_executor", "resolve_owned_executor",
     "shared_pattern_family", "study_fingerprint", "supports_batching",

@@ -1,6 +1,14 @@
-"""Execution backends: ordering, resolution, and cross-backend parity."""
+"""Execution backends: ordering, resolution, and cross-backend parity.
+
+Process execution is not built in: a caller-supplied
+``concurrent.futures.ProcessPoolExecutor`` (the ``process_pool``
+fixture) passes through ``resolve_executor``, so the process cases
+below drive one through the engine's row-mapping helper.
+"""
 
 import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,12 +17,11 @@ from repro.analysis.montecarlo import monte_carlo_pole_study, sample_parameters
 from repro.circuits import rcnet_a
 from repro.core import LowRankReducer
 from repro.runtime.batch import _sweep_study
+from repro.runtime.engine import _map_traced
 from repro.runtime import (
-    ProcessExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
+    Study,
     ThreadExecutor,
-    executor_map_array,
     resolve_executor,
 )
 
@@ -22,12 +29,12 @@ FREQUENCIES = np.logspace(7, 10, 5)
 
 
 def _square(x):
-    """Module-level so the process backend can pickle it."""
+    """Module-level so a process pool can pickle it."""
     return x * x
 
 
 def _row_norm(row):
-    """Module-level row task for map_array tests."""
+    """Module-level row task for the row-mapping tests."""
     return float(np.linalg.norm(row))
 
 
@@ -50,9 +57,10 @@ class TestSerialExecutor:
         assert SerialExecutor().map(_square, []) == []
 
     def test_map_array_rows(self):
+        """The engine maps a task over the rows of a sample matrix."""
         matrix = np.arange(6.0).reshape(3, 2)
         expected = [_row_norm(row) for row in matrix]
-        assert SerialExecutor().map_array(_row_norm, matrix) == expected
+        assert _map_traced(SerialExecutor(), _row_norm, matrix) == expected
 
 
 class TestThreadExecutor:
@@ -68,7 +76,7 @@ class TestThreadExecutor:
     def test_map_array(self):
         matrix = np.random.default_rng(0).standard_normal((9, 3))
         expected = [_row_norm(row) for row in matrix]
-        assert ThreadExecutor(max_workers=3).map_array(_row_norm, matrix) == expected
+        assert _map_traced(ThreadExecutor(max_workers=3), _row_norm, matrix) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -76,94 +84,38 @@ class TestThreadExecutor:
 
 
 class TestProcessExecutor:
-    def test_matches_serial(self):
+    """A caller-supplied stdlib process pool, passed straight through."""
+
+    def test_matches_serial(self, process_pool):
         items = list(range(17))
-        serial = SerialExecutor().map(_square, items)
-        parallel = ProcessExecutor(max_workers=2).map(_square, items)
-        assert parallel == serial
+        executor = resolve_executor(process_pool)
+        assert executor is process_pool
+        assert list(executor.map(_square, items)) == SerialExecutor().map(_square, items)
 
-    def test_empty(self):
-        assert ProcessExecutor(max_workers=1).map(_square, []) == []
+    def test_empty(self, process_pool):
+        assert _map_traced(process_pool, _row_norm, np.empty((0, 3))) == []
 
-    def test_chunksize_override(self):
-        executor = ProcessExecutor(max_workers=1, chunksize=5)
-        assert executor.map(_square, list(range(7))) == [x * x for x in range(7)]
+    def test_ordering_one_worker_vs_many(self, process_pool):
+        matrix = np.arange(62.0, 0.0, -1.0).reshape(31, 2)  # order must survive
+        expected = [_row_norm(row) for row in matrix]
+        assert _map_traced(process_pool, _row_norm, matrix) == expected
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as single:
+            assert _map_traced(single, _row_norm, matrix) == expected
 
-    def test_chunksize_larger_than_workload(self):
-        # A chunksize exceeding the item count must degrade to one chunk,
-        # not drop or duplicate items.
-        executor = ProcessExecutor(max_workers=2, chunksize=1000)
-        items = list(range(11))
-        assert executor.map(_square, items) == [x * x for x in items]
-
-    def test_ordering_one_worker_vs_many(self):
-        items = list(range(31, 0, -1))  # descending input, order must survive
-        expected = [x * x for x in items]
-        assert ProcessExecutor(max_workers=1).map(_square, items) == expected
-        assert ProcessExecutor(max_workers=4, chunksize=3).map(_square, items) == expected
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(chunksize=0)
-
-    def test_deterministic_on_real_sweep_study_task(self, reduced_model):
-        """Bit-identical sweep-study results, serial vs process."""
+    def test_deterministic_on_real_sweep_study_task(self, reduced_model, process_pool):
+        """Bit-identical sweep-study results, serial vs a process pool."""
         points = sample_parameters(6, 3, seed=17)
         task = functools.partial(_sweep_task, reduced_model)
-        serial = SerialExecutor().map(task, list(points))
-        parallel = ProcessExecutor(max_workers=2, chunksize=2).map(task, list(points))
+        serial = _map_traced(SerialExecutor(), task, points)
+        parallel = _map_traced(process_pool, task, points)
         for (h_serial, p_serial), (h_parallel, p_parallel) in zip(serial, parallel):
             np.testing.assert_array_equal(h_serial, h_parallel)
             np.testing.assert_array_equal(p_serial, p_parallel)
 
 
-class TestSharedMemoryExecutor:
-    def test_map_array_matches_serial(self):
-        matrix = np.random.default_rng(1).standard_normal((25, 4))
-        serial = SerialExecutor().map_array(_row_norm, matrix)
-        shared = SharedMemoryExecutor(max_workers=2, chunksize=7).map_array(
-            _row_norm, matrix
-        )
-        assert shared == serial
-
-    def test_map_array_empty(self):
-        assert SharedMemoryExecutor(max_workers=1).map_array(
-            _row_norm, np.empty((0, 3))
-        ) == []
-
-    def test_map_array_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            SharedMemoryExecutor().map_array(_row_norm, np.zeros(4))
-
-    def test_plain_map_still_works(self):
-        items = list(range(9))
-        assert SharedMemoryExecutor(max_workers=2).map(_square, items) == [
-            x * x for x in items
-        ]
-
-    def test_unsafe_platform_falls_back_to_pickling(self, monkeypatch):
-        """Spawn-based start methods (pre-3.13) must use the map fallback."""
-        import repro.runtime.executor as executor_module
-
-        monkeypatch.setattr(executor_module, "_shared_memory_channel_safe", lambda: False)
-        matrix = np.random.default_rng(3).standard_normal((7, 2))
-        result = SharedMemoryExecutor(max_workers=2).map_array(_row_norm, matrix)
-        assert result == SerialExecutor().map_array(_row_norm, matrix)
-
-    def test_real_study_task_matches_serial(self, reduced_model):
-        points = sample_parameters(4, 3, seed=19)
-        task = functools.partial(_sweep_task, reduced_model)
-        serial = SerialExecutor().map_array(task, points)
-        shared = SharedMemoryExecutor(max_workers=2, chunksize=2).map_array(task, points)
-        for (h_serial, p_serial), (h_shared, p_shared) in zip(serial, shared):
-            np.testing.assert_array_equal(h_serial, h_shared)
-            np.testing.assert_array_equal(p_serial, p_shared)
-
-
 class TestContextManagement:
-    """All executors are context managers with deterministic shutdown."""
+    """Our executors are context managers with deterministic shutdown."""
 
     def test_serial_context_is_noop(self):
         executor = SerialExecutor()
@@ -182,22 +134,26 @@ class TestContextManagement:
             assert executor._pool is first_pool  # reused, not respawned
         assert executor._pool is None  # deterministically shut down
 
-    def test_process_pool_persists_inside_context(self):
-        executor = ProcessExecutor(max_workers=1, chunksize=2)
+    def test_process_pool_persists_inside_context(self, process_pool):
+        """A caller's process pool serves two runs and stays open."""
+        for seed in (5, 6):
+            result = (
+                Study(rcnet_a())
+                .scenarios(sample_parameters(2, 3, seed=seed))
+                .poles(2)
+                .executor(process_pool)
+                .run()
+            )
+            assert len(result.pole_sets) == 2
+        assert process_pool.submit(_square, 3).result() == 9
+
+    def test_nested_contexts_keep_one_pool(self):
+        executor = ThreadExecutor(max_workers=2)
         with executor:
             pool = executor._pool
-            assert pool is not None
-            assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
-            assert executor._pool is pool
-        assert executor._pool is None
-
-    def test_shared_memory_pool_persists_inside_context(self):
-        matrix = np.arange(8.0).reshape(4, 2)
-        expected = [_row_norm(row) for row in matrix]
-        executor = SharedMemoryExecutor(max_workers=1, chunksize=2)
-        with executor:
-            assert executor.map_array(_row_norm, matrix) == expected
-            assert executor._pool is not None
+            with executor:
+                assert executor._pool is pool
+            assert executor._pool is pool  # inner exit keeps the pool
         assert executor._pool is None
 
     def test_outside_context_no_pool_survives_a_call(self):
@@ -206,7 +162,7 @@ class TestContextManagement:
         assert executor._pool is None
 
     def test_close_is_idempotent(self):
-        executor = ProcessExecutor(max_workers=1)
+        executor = ThreadExecutor(max_workers=1)
         executor.__enter__()
         executor.close()
         executor.close()
@@ -214,7 +170,7 @@ class TestContextManagement:
 
     def test_results_identical_inside_and_outside_context(self):
         items = list(range(13))
-        executor = ProcessExecutor(max_workers=2, chunksize=3)
+        executor = ThreadExecutor(max_workers=2)
         outside = executor.map(_square, items)
         with executor:
             inside = executor.map(_square, items)
@@ -222,9 +178,6 @@ class TestContextManagement:
 
     def test_engine_closes_executors_it_builds(self, reduced_model):
         """A Study given a spec string shuts the pool down after run()."""
-        from repro.circuits import rcnet_a
-        from repro.runtime import Study
-
         study = (
             Study(rcnet_a())
             .scenarios(sample_parameters(3, 3, seed=5))
@@ -236,9 +189,6 @@ class TestContextManagement:
 
     def test_engine_leaves_user_instances_open(self):
         """A pass-through executor instance stays owned by the caller."""
-        from repro.circuits import rcnet_a
-        from repro.runtime import Study
-
         with ThreadExecutor(max_workers=2) as executor:
             study = (
                 Study(rcnet_a())
@@ -261,14 +211,32 @@ class TestResolveExecutor:
         assert isinstance(resolve_executor("threads"), ThreadExecutor)
 
     def test_process_specs(self):
-        assert isinstance(resolve_executor("process"), ProcessExecutor)
+        """A worker count is a thread pool; process names are refused."""
         resolved = resolve_executor(3)
-        assert isinstance(resolved, ProcessExecutor)
+        assert isinstance(resolved, ThreadExecutor)
         assert resolved.max_workers == 3
+        for spec in ("process", "processes"):
+            with pytest.raises(ValueError, match="ProcessPoolExecutor"):
+                resolve_executor(spec)
 
     def test_shared_specs(self):
-        assert isinstance(resolve_executor("shared"), SharedMemoryExecutor)
-        assert isinstance(resolve_executor("sharedmem"), SharedMemoryExecutor)
+        for spec in ("shared", "sharedmem", "shared-memory"):
+            with pytest.raises(ValueError, match="unknown executor spec"):
+                resolve_executor(spec)
+
+    def test_study_plan_refuses_process_and_shared(self, reduced_model):
+        """One line naming every accepted spec, on every route."""
+        samples = sample_parameters(2, 3, seed=5)
+        for target in (rcnet_a(), reduced_model):
+            for spec in ("process", "shared"):
+                study = Study(target).scenarios(samples).poles(2).executor(spec)
+                with pytest.raises(ValueError) as caught:
+                    study.plan()
+                message = str(caught.value)
+                assert "\n" not in message
+                for accepted in ("'serial'", "'thread'", "worker count",
+                                 "ProcessPoolExecutor"):
+                    assert accepted in message
 
     def test_one_worker_is_serial(self):
         assert isinstance(resolve_executor(1), SerialExecutor)
@@ -277,14 +245,15 @@ class TestResolveExecutor:
         executor = SerialExecutor()
         assert resolve_executor(executor) is executor
 
-    def test_passthrough_constructed_instances(self):
+    def test_passthrough_constructed_instances(self, process_pool):
         """Already-built executors pass through with their pool state."""
-        for executor in (
-            ThreadExecutor(max_workers=3),
-            ProcessExecutor(max_workers=2, chunksize=7),
-            SharedMemoryExecutor(max_workers=2),
-        ):
-            assert resolve_executor(executor) is executor
+        with ThreadPoolExecutor(max_workers=2) as stdlib_threads:
+            for executor in (
+                ThreadExecutor(max_workers=3),
+                stdlib_threads,
+                process_pool,
+            ):
+                assert resolve_executor(executor) is executor
         with ThreadExecutor(max_workers=1) as entered:
             assert resolve_executor(entered) is entered
             assert entered._pool is not None
@@ -299,19 +268,23 @@ class TestResolveExecutor:
         with pytest.raises(ValueError):
             resolve_executor(3.5)
 
-    def test_map_array_adapter_falls_back_to_map(self):
+    def test_map_only_object_maps_rows(self):
         class MapOnly:
             def map(self, fn, items):
                 return [fn(item) for item in items]
 
         matrix = np.arange(8.0).reshape(4, 2)
         expected = [_row_norm(row) for row in matrix]
-        assert executor_map_array(MapOnly(), _row_norm, matrix) == expected
+        assert _map_traced(resolve_executor(MapOnly()), _row_norm, matrix) == expected
 
 
 class TestStudyParity:
-    @pytest.mark.parametrize("executor", [2, "thread", "shared"])
-    def test_study_bitwise_matches_serial(self, executor):
+    @pytest.mark.parametrize("spec", [2, "thread", "process-pool"])
+    def test_study_bitwise_matches_serial(self, spec, request):
+        executor = (
+            request.getfixturevalue("process_pool")
+            if spec == "process-pool" else spec
+        )
         parametric = rcnet_a()
         model = LowRankReducer(num_moments=2, rank=1).reduce(parametric)
         serial = monte_carlo_pole_study(

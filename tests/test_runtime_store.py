@@ -306,6 +306,39 @@ class TestConcurrentWriters:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+    def test_concurrent_opens_of_one_directory(self, tmp_path):
+        """Threads opening one store or warehouse directory at once each
+        probe writability with their own file, so none fails on another
+        thread's unlinked probe."""
+        from repro.warehouse import Warehouse
+
+        errors = []
+
+        def opener(kind):
+            try:
+                for _ in range(50):
+                    kind(tmp_path)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=opener, args=(kind,))
+            for kind in (StudyStore, StudyStore, Warehouse, Warehouse)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert not list(tmp_path.glob(".write-probe-*"))
+
+
 class TestPoleCheckpoints:
     def test_pole_study_resumes_without_recomputing(
         self, small_parametric, tmp_path, monkeypatch

@@ -1,5 +1,7 @@
 """Tests for the repro.serve job declaration schema."""
 
+import os
+
 import pytest
 
 from repro.serve.protocol import (
@@ -126,6 +128,38 @@ class TestParseJob:
     def test_malformed_documents_rejected(self, document, match):
         with pytest.raises(ProtocolError, match=match):
             parse_job(document)
+
+    @pytest.mark.parametrize("jobs", [
+        pytest.param(10 ** 5, id="huge-count"),
+        pytest.param((os.cpu_count() or 1) + 1, id="cpu-count-plus-one"),
+        pytest.param(0, id="zero"),
+        pytest.param(True, id="bool"),
+        pytest.param(2.0, id="float"),
+        pytest.param("process", id="process"),
+        pytest.param("shared", id="shared"),
+        pytest.param([2], id="list"),
+    ])
+    def test_montecarlo_jobs_out_of_bounds_rejected(self, jobs):
+        """``jobs`` sizes the executor of the full-order solves, so the
+        wire accepts only serial, thread, or a count up to the CPUs."""
+        with pytest.raises(ProtocolError) as caught:
+            parse_job(_job(workload={"kind": "montecarlo", "jobs": jobs}))
+        message = str(caught.value)
+        assert message == (
+            "'jobs' must be null, 'serial', 'thread', or an integer in "
+            f"1..{os.cpu_count() or 1}"
+        )
+
+    @pytest.mark.parametrize("jobs", [
+        pytest.param(None, id="null"),
+        pytest.param("serial", id="serial"),
+        pytest.param("thread", id="thread"),
+        pytest.param(1, id="one"),
+        pytest.param(os.cpu_count() or 1, id="cpu-count"),
+    ])
+    def test_montecarlo_jobs_in_bounds_accepted(self, jobs):
+        spec = parse_job(_job(workload={"kind": "montecarlo", "jobs": jobs}))
+        assert spec.workload_options["jobs"] == jobs
 
 
 class TestRealize:

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import os
 import socket
 import threading
 import time
@@ -137,6 +138,16 @@ class TestErrors:
             client.submit({"netlist": NETLIST})
         assert info.value.status == 400
         assert "plan" in str(info.value)
+
+    def test_jobs_beyond_cpu_count_is_one_line_400(self, service):
+        client, _ = service
+        too_many = (os.cpu_count() or 1) + 1
+        with pytest.raises(ServeClientError) as info:
+            client.submit(_job(workload={"kind": "montecarlo", "poles": 2,
+                                         "jobs": too_many}))
+        assert info.value.status == 400
+        assert "'jobs' must be" in str(info.value)
+        assert "\n" not in info.value.body["error"]
 
     def test_over_budget_is_413_with_estimate(self, service):
         client, supervisor = service

@@ -5,9 +5,8 @@ columnar datasets.  These tests pin its contracts: the partition
 layout, structural idempotency (re-ingest adds zero rows), provenance
 columns verifiable against the store manifests, exact agreement between
 warehouse aggregations and the in-RAM study results they summarize, and
-the out-of-core memory-budget property.  Everything here runs on the
-dependency-free native backend; the Parquet/duckdb/polars paths are
-exercised by the CI warehouse job where the extras are installed.
+the out-of-core memory-budget property, and the refusal of datasets
+that still hold ``.parquet`` partitions from older releases.
 """
 
 import json
@@ -17,15 +16,7 @@ import pytest
 
 from repro.core import LowRankReducer
 from repro.runtime import MonteCarloPlan, Study, StudyStore
-from repro.warehouse import (
-    NativeBackend,
-    QueryEngine,
-    Warehouse,
-    WarehouseError,
-    backend_for_file,
-    have_pyarrow,
-    resolve_backend,
-)
+from repro.warehouse import QueryEngine, Warehouse, WarehouseError, backend
 
 FREQUENCIES = np.logspace(7, 10, 6)
 
@@ -96,8 +87,7 @@ class TestIngestBasics:
         for record in store.lineage(key):
             sha16 = record["sha256"][:16]
             partition = dataset / "shard=all" / f"chunk={record['index']:05d}"
-            assert (partition / f"instances-{sha16}.npz").exists() or \
-                (partition / f"instances-{sha16}.parquet").exists()
+            assert (partition / f"instances-{sha16}.npz").exists()
 
     def test_reingest_is_a_noop(self, sweep_store, tmp_path):
         store, _, _ = sweep_store
@@ -182,24 +172,7 @@ class TestProvenance:
 
 
 class TestBackends:
-    def test_resolve_backend(self):
-        assert isinstance(resolve_backend("native"), NativeBackend)
-        assert resolve_backend("auto").name in ("native", "parquet")
-        with pytest.raises(WarehouseError, match="unknown warehouse backend"):
-            resolve_backend("feather")
-
-    @pytest.mark.skipif(have_pyarrow(), reason="pyarrow installed")
-    def test_parquet_without_pyarrow_is_one_line_error(self):
-        with pytest.raises(WarehouseError, match="pyarrow"):
-            resolve_backend("parquet")
-
-    def test_backend_for_file_dispatch(self, tmp_path):
-        assert backend_for_file(tmp_path / "t-abc.npz").name == "native"
-        with pytest.raises(WarehouseError, match="unrecognized"):
-            backend_for_file(tmp_path / "t-abc.csv")
-
     def test_native_round_trip_is_bitwise(self, tmp_path, rng):
-        backend = NativeBackend()
         columns = {
             "x": rng.standard_normal(64),
             "i": np.arange(64, dtype=np.int64),
@@ -216,6 +189,42 @@ class TestBackends:
         np.testing.assert_array_equal(subset["x"], columns["x"])
         assert set(backend.column_names(path)) == set(columns)
 
+    def test_parquet_partition_is_refused(self, sweep_store, tmp_path,
+                                          capsys):
+        """A chunk an older release wrote as Parquet is neither skipped
+        as already ingested nor left out of an aggregate: re-ingest of
+        its study, the queries reading it, and ``repro query`` refuse
+        it in one line."""
+        from repro.cli import main
+
+        store, key, _ = sweep_store
+        warehouse = Warehouse(tmp_path / "wh")
+        warehouse.ingest_store(store)
+        partition = warehouse.dataset_dir(key[:16]) / "shard=all/chunk=00002"
+        for table in partition.glob("*.npz"):
+            table.rename(table.with_suffix(".parquet"))
+        engine = QueryEngine(warehouse)
+        for call in (
+            lambda: warehouse.ingest_store(store),
+            engine.studies,
+            engine.provenance,
+            lambda: engine.percentile("num_poles", 50),
+        ):
+            with pytest.raises(WarehouseError,
+                               match="re-ingest from the store") as caught:
+                call()
+            assert "\n" not in str(caught.value)
+        for argv in (
+            ["query", "ingest", str(warehouse.directory), str(store.directory)],
+            ["query", "studies", str(warehouse.directory)],
+            ["query", "outliers", str(warehouse.directory), "--metric",
+             "num_poles"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert ".parquet" in err
+
 
 @pytest.fixture(scope="module")
 def transient_warehouse(model, plan, tmp_path_factory):
@@ -231,7 +240,7 @@ def transient_warehouse(model, plan, tmp_path_factory):
 class TestQueryEngine:
     def test_metric_values_bitwise_equal_in_ram(self, transient_warehouse):
         wh_dir, result, _ = transient_warehouse
-        engine = QueryEngine(wh_dir, engine="stream")
+        engine = QueryEngine(wh_dir)
         np.testing.assert_array_equal(
             engine.metric_values("delay"), result.delays
         )
@@ -265,32 +274,29 @@ class TestQueryEngine:
             assert len(row["chunk_sha256"]) == 64
             assert row["source"] == "computed"
 
+    def test_outliers_k_bounds(self, transient_warehouse):
+        """``k = 0`` selects nothing; a negative ``k`` is refused rather
+        than slicing from the end of the ranking."""
+        wh_dir, _, _ = transient_warehouse
+        engine = QueryEngine(wh_dir)
+        assert engine.outliers("delay", k=0) == []
+        for k in (-1, -5):
+            with pytest.raises(WarehouseError, match="k must be >= 0") \
+                    as caught:
+                engine.outliers("delay", k=k)
+            assert "\n" not in str(caught.value)
+
     def test_parameter_columns_present(self, transient_warehouse):
         wh_dir, _, _ = transient_warehouse
         engine = QueryEngine(wh_dir)
         files = engine.files("instances")
-        names = backend_for_file(files[0]).column_names(files[0])
+        names = backend.column_names(files[0])
         assert sum(name.startswith("p_") for name in names) == 2
 
     def test_missing_table_raises(self, transient_warehouse):
         wh_dir, _, _ = transient_warehouse
         with pytest.raises(WarehouseError, match="no 'nonesuch' partitions"):
             QueryEngine(wh_dir).metric_values("x", table="nonesuch")
-
-    def test_unknown_engine_rejected(self, transient_warehouse):
-        wh_dir, _, _ = transient_warehouse
-        with pytest.raises(WarehouseError, match="unknown query engine"):
-            QueryEngine(wh_dir, engine="sqlite")
-
-    def test_explicit_duckdb_without_extra_is_one_line_error(
-            self, transient_warehouse):
-        from repro.warehouse import have_duckdb
-
-        if have_duckdb():
-            pytest.skip("duckdb installed")
-        wh_dir, _, _ = transient_warehouse
-        with pytest.raises(WarehouseError, match="duckdb"):
-            QueryEngine(wh_dir, engine="duckdb").metric_values("delay")
 
 
 class TestOutOfCore:
