@@ -61,12 +61,6 @@ class MonteCarloResult:
     ``pole_errors`` has shape ``(num_instances, num_poles)``: relative
     error of each matched dominant pole per instance (the population
     behind the paper's histograms).
-
-    ``verified`` is the float32-screening provenance column of the
-    reduced-model study when it ran with ``precision="screen"``:
-    per instance, True means the row was re-verified in float64,
-    False means the float32 screen accepted it; ``None`` on
-    full-precision runs.
     """
 
     samples: np.ndarray
@@ -74,7 +68,6 @@ class MonteCarloResult:
     full_poles: np.ndarray
     reduced_poles: np.ndarray
     labels: dict = field(default_factory=dict)
-    verified: Optional[np.ndarray] = None
 
     @property
     def num_instances(self) -> int:
@@ -113,7 +106,6 @@ def monte_carlo_pole_study(
     ttl: float = 30.0,
     poll: float = 0.2,
     worker: Optional[str] = None,
-    precision: str = "full",
 ) -> Optional[MonteCarloResult]:
     """Run the Figs. 5-6 protocol.
 
@@ -168,14 +160,6 @@ def monte_carlo_pole_study(
         Every participating worker blocks until both
         sides drain and returns the same merged result, bit-identical
         to a one-shot run.
-    precision:
-        ``"full"`` (default) or ``"screen"``: the numeric tier of the
-        *reduced-model* pole study (:meth:`Study.precision`).  The
-        screen tier solves each reduced instance in float32 and
-        re-verifies only ill-conditioned or non-finite rows in
-        float64; the result's ``verified`` column records which rows
-        were re-verified.  The full-model reference solves always stay
-        float64.
     """
     if work:
         if store is None:
@@ -253,7 +237,6 @@ def monte_carlo_pole_study(
         Study(reduced_model)
         .scenarios(samples)
         .poles(2 * num_poles)
-        .precision(precision)
     )
     full_results = full_study.pole_sets
     reduced_results = reduced_study.pole_sets
@@ -271,5 +254,4 @@ def monte_carlo_pole_study(
         full_poles=full_poles,
         reduced_poles=reduced_poles,
         labels={"three_sigma": three_sigma, "num_poles": num_poles},
-        verified=getattr(reduced_study, "verified", None),
     )

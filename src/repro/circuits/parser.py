@@ -18,12 +18,14 @@ V<name> <node+> <node->            (voltage-source input)
 ```
 
 Values accept standard SPICE suffixes (``f p n u m k meg g t``) and
-plain scientific notation.  Parsing is case-insensitive for element
-keys and suffixes, and whitespace separated.
+plain scientific notation, and must be finite.  Parsing is
+case-insensitive for element keys and suffixes, and whitespace
+separated; every element and port line takes exactly the fields shown.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, Union
 
@@ -61,16 +63,19 @@ def parse_value(token: str) -> float:
     """Parse a SPICE value token like ``10k``, ``1.5p``, ``2e-12``.
 
     Trailing unit letters after the suffix are ignored (``10pF`` ==
-    ``10p``), as in SPICE.
+    ``10p``), as in SPICE.  A value that overflows to infinity
+    (``1e999``) is refused like the literals ``inf`` and ``nan``.
     """
     match = _VALUE_RE.match(token.strip())
     if not match:
         raise ValueError(f"cannot parse value {token!r}")
-    mantissa = float(match.group(1))
+    value = float(match.group(1))
     suffix = match.group(2)
-    if suffix is None:
-        return mantissa
-    return mantissa * _SUFFIXES[suffix.lower()]
+    if suffix is not None:
+        value *= _SUFFIXES[suffix.lower()]
+    if not math.isfinite(value):
+        raise ValueError(f"value {token!r} is not finite")
+    return value
 
 
 def parse_netlist(source: Union[str, Iterable[str]], title: str = "netlist") -> Netlist:
@@ -119,7 +124,7 @@ def parse_netlist(source: Union[str, Iterable[str]], title: str = "netlist") -> 
                 net.mutual(key, tokens[1], tokens[2], parse_value(tokens[3]))
             elif kind == "v":
                 _expect(tokens, 3, number, raw)
-                net.voltage_source(key, tokens[1], tokens[2] if len(tokens) > 2 else "0")
+                net.voltage_source(key, tokens[1], tokens[2])
             else:
                 raise NetlistSyntaxError(number, raw, f"unknown element type {key[0]!r}")
         except NetlistSyntaxError:
@@ -130,7 +135,13 @@ def parse_netlist(source: Union[str, Iterable[str]], title: str = "netlist") -> 
 
 
 def _expect(tokens, count: int, number: int, raw: str) -> None:
+    """Require exactly ``count`` fields on the line."""
     if len(tokens) < count:
         raise NetlistSyntaxError(
             number, raw, f"expected at least {count} fields, got {len(tokens)}"
+        )
+    if len(tokens) > count:
+        raise NetlistSyntaxError(
+            number, raw,
+            f"unexpected trailing field(s) {' '.join(tokens[count:])!r}",
         )

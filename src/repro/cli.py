@@ -220,9 +220,6 @@ def _print_montecarlo_study(args, parametric, model, study) -> int:
     print(f"parameters:     {parametric.num_parameters}")
     print(f"instances:      {study.num_instances}")
     print(f"pole compares:  {study.total_poles}")
-    if study.verified is not None:
-        print(f"screen tier:    {int(study.verified.sum())} of "
-              f"{study.verified.size} instances re-verified in float64")
     print(f"max pole error: {study.max_error:.6e}")
     print(f"mean pole error:{study.pole_errors.mean():.6e}")
     counts, edges = study.histogram(bins=args.bins)
@@ -250,7 +247,6 @@ def _cmd_montecarlo(args) -> int:
         resume=args.resume,
         chunk_size=args.chunk,
         trace=_obs_sinks(args, "montecarlo") or None,
-        precision=args.precision,
     )
     banner = _store_banner(args)
     if banner:
@@ -566,7 +562,6 @@ def _cmd_work_montecarlo(args) -> int:
         ttl=ttl,
         poll=poll,
         worker=worker,
-        precision=args.precision,
     )
     print(f"# store: {args.store}  worker: {worker or 'auto'}")
     return _print_montecarlo_study(args, parametric, model, study)
@@ -806,11 +801,6 @@ def _add_montecarlo_arguments(subparser) -> None:
                                 "a thread count (1 means serial)")
     subparser.add_argument("--tolerance", type=float, default=1e-2,
                            help="exit nonzero if the worst pole error exceeds this")
-    subparser.add_argument("--precision", choices=("full", "screen"),
-                           default="full",
-                           help="numeric tier of the reduced-model solves: "
-                                "'screen' runs float32 and re-verifies only "
-                                "flagged instances in float64")
 
 
 def _add_batch_arguments(subparser) -> None:

@@ -31,7 +31,7 @@ from repro.core.complexity import (
 from repro.core.adaptive import AdaptiveLowRankReducer, AdaptiveReport
 from repro.core.expansion import shifted_parametric_system
 from repro.core.io import load_model, save_model
-from repro.core.lowrank import LowRankReducer, sensitivity_rank_factors
+from repro.core.lowrank import LowRankReducer
 from repro.core.model import ParametricReducedModel
 from repro.core.moments import (
     GeneralizedParameterization,
@@ -62,7 +62,6 @@ __all__ = [
     "multi_point_size",
     "output_moments",
     "save_model",
-    "sensitivity_rank_factors",
     "shifted_parametric_system",
     "single_point_size",
     "single_point_size_first_order_example",

@@ -47,46 +47,6 @@ from repro.linalg.sparselu import SparseLU
 from repro.linalg.subspace_svd import truncated_svd
 
 
-def sensitivity_rank_factors(
-    matrices,
-    tol: float = 1e-9,
-    max_total_rank: Optional[int] = None,
-):
-    """Numerical-rank SVD splits ``M_i = X_i Y_i^T`` of dense sensitivities.
-
-    The runtime's low-rank ensemble solver
-    (:mod:`repro.runtime.lowrank`) needs the paper's structural premise
-    -- each ``dG_i`` / ``dC_i`` is a low-rank matrix -- as explicit
-    factors.  For every matrix this returns ``(X, Y)`` with
-    ``X = U diag(sigma)`` and ``Y = V`` truncated at the numerical rank
-    (singular values above ``tol`` relative to the largest), so
-    ``M = X @ Y.T`` to working precision.
-
-    ``max_total_rank`` is an early-abort budget: the accumulated rank
-    across all matrices is checked after each SVD and ``None`` is
-    returned as soon as it is exceeded -- detection on a densely
-    perturbed model then pays for one SVD, not ``2 n_p``.  An all-zero
-    matrix contributes rank 0 (empty factors).
-    """
-    factors = []
-    total = 0
-    for matrix in matrices:
-        matrix = np.asarray(
-            matrix.toarray() if hasattr(matrix, "toarray") else matrix, dtype=float
-        )
-        rows, cols = matrix.shape
-        if not matrix.any():
-            factors.append((np.zeros((rows, 0)), np.zeros((cols, 0))))
-            continue
-        u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
-        rank = int(np.count_nonzero(sigma > tol * sigma[0]))
-        total += rank
-        if max_total_rank is not None and total > max_total_rank:
-            return None
-        factors.append((u[:, :rank] * sigma[:rank], vt[:rank].T))
-    return factors
-
-
 class LowRankReducer:
     """Algorithm 1 of the paper.
 

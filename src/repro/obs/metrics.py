@@ -13,10 +13,9 @@ ad-hoc counters they replaced had.
 
 Counters the performance tiers move, beyond the store/cache/scheduler
 instruments: ``engine.plan_cache.hits`` / ``engine.plan_cache.misses``
-(process-global :meth:`Study.plan` memoization),
-``runtime.lowrank.ensembles`` (sweeps served by the low-rank update
-solver), and ``runtime.batch.eig_fallbacks`` (instances the response
-guard or float32 screen re-solved at full precision).
+(process-global :meth:`Study.plan` memoization) and
+``runtime.batch.eig_fallbacks`` (instances the eig kernel's response
+guard re-solved through exact pencil solves).
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ that reuse is made fast and declarative:
 - :mod:`repro.runtime.batch` -- vectorized instantiation
   ``G(P) = G0 + P . dG`` over whole sample matrices, with batched
   transfer-function, frequency-response, pole, and sensitivity kernels
-  that replace per-sample Python loops.
+  that replace per-sample Python loops.  Dense sweeps diagonalize each
+  instance once: Cholesky + ``eigh`` for symmetric-definite pencils
+  (congruence-reduced RC nets), general ``eig`` otherwise.
 - :mod:`repro.runtime.transient` -- batched *time-domain* kernels:
   :func:`batch_simulate_transient` factors each instance's companion
   matrix once (one stacked LAPACK solve yields the closed-form
@@ -32,13 +34,6 @@ that reuse is made fast and declarative:
   :class:`StepInput` / :class:`RampInput` / :class:`PWLInput` /
   :class:`SineInput` that drive both the batched kernels and the
   scalar reference loop from one object.
-- :mod:`repro.runtime.lowrank` -- the low-rank update fast path: when
-  a model's parameter sensitivities are genuinely low-rank
-  (:func:`detect_lowrank_structure`), one nominal eigendecomposition
-  plus small Woodbury correction blocks replaces the per-instance
-  dense eigensolves of the sweep kernel
-  (:class:`LowRankEnsembleSolver`); the :class:`Study` planner routes
-  to it automatically on a flop-count comparison.
 - :mod:`repro.runtime.sparse` -- the *full-order* counterpart: every
   matrix of a variational system shares one union sparsity pattern, so
   :class:`SparsePatternFamily` instantiates whole sample batches as
@@ -102,11 +97,6 @@ from repro.runtime.engine import (
     SensitivityStudy,
     Study,
 )
-from repro.runtime.lowrank import (
-    LowRankEnsembleSolver,
-    detect_lowrank_structure,
-    lowrank_solver,
-)
 from repro.runtime.executor import (
     SerialExecutor,
     ThreadExecutor,
@@ -167,7 +157,6 @@ __all__ = [
     "InputWaveform",
     "Lease",
     "LeaseBoard",
-    "LowRankEnsembleSolver",
     "ModelCache",
     "MonteCarloPlan",
     "NothingToResumeError",
@@ -198,9 +187,7 @@ __all__ = [
     "batch_transfer_sensitivities",
     "default_horizon",
     "default_worker_id",
-    "detect_lowrank_structure",
     "drain_chunks",
-    "lowrank_solver",
     "parse_worker_id",
     "reducer_fingerprint",
     "resolve_executor",

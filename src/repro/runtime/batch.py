@@ -229,28 +229,6 @@ def batch_transfer(model, s: complex, samples) -> np.ndarray:
     return _transfer_from_stacks(model, g, c, s)
 
 
-def _pencil_time_scales(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per-instance power-of-two ``alpha`` with ``|C|*alpha ~ |G|``.
-
-    SI-unit circuit pencils have ``|C|/|G| ~ RC ~ 1e-13``, which puts
-    ``G^{-1}C`` *below* single-precision LAPACK's safe-scaling
-    threshold (``sqrt(smallest normal)/eps ~ 9e-13``) -- float32
-    ``geev`` can silently mis-scale such matrices.  Substituting
-    ``C' = alpha*C`` moves the pencil's dynamic range to O(1);
-    eigenvalues of the scaled ``G^{-1}C'`` divided by ``alpha`` (and
-    poles of the scaled pencil times ``alpha``) recover the original
-    spectrum.  A power-of-two ``alpha`` makes both the scaling and the
-    un-scaling bit-lossless, so only the float32 screening paths use
-    it -- the float64 reference paths stay untouched.
-    """
-    g_norm = np.abs(g).max(axis=(1, 2))
-    c_norm = np.abs(c).max(axis=(1, 2))
-    with np.errstate(all="ignore"):
-        exponent = np.round(np.log2(g_norm / c_norm))
-    exponent = np.where(np.isfinite(exponent), exponent, 0.0)
-    return np.exp2(exponent)
-
-
 # A model's pencils count as symmetric when every matrix of its affine
 # family is symmetric to within _SYMMETRY_TOL * q * eps of its largest
 # entry.  Congruence-reduced RC models measure 0.03-0.25 q*eps; RLC and
@@ -266,7 +244,7 @@ def _cholesky_inverses(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     non-positive (or NaN) pivot, i.e. ``G_k`` is not numerically
     positive definite; those rows of the inverse stack stay zero.  Every
     instance is factored on its own, so the mask and every row are the
-    same however the ensemble is chunked.  Precision follows ``g``.
+    same however the ensemble is chunked.
     """
     potrf, trtri = get_lapack_funcs(("potrf", "trtri"), dtype=g.dtype)
     r_inv = np.zeros_like(g)
@@ -319,14 +297,13 @@ def _symmetric_eig_factors(model, r_inv: np.ndarray, c: np.ndarray):
     solve, no solve against the eigenvector matrix.  Cast to complex
     once at the end, so the response contraction never re-casts.
     """
-    complex_dtype = np.result_type(c.dtype, np.complex64)
-    b = _dense(model.nominal.B).astype(c.dtype, copy=False)
-    l_mat = _dense(model.nominal.L).astype(c.dtype, copy=False)
+    b = _dense(model.nominal.B).astype(float, copy=False)
+    l_mat = _dense(model.nominal.L).astype(float, copy=False)
     r_inv_t = r_inv.transpose(0, 2, 1)
     eigenvalues, u = np.linalg.eigh(r_inv @ c @ r_inv_t)
     lt_v = (r_inv @ l_mat).transpose(0, 2, 1) @ u
     w = u.transpose(0, 2, 1) @ (r_inv @ b)
-    return tuple(x.astype(complex_dtype) for x in (eigenvalues, lt_v, w))
+    return tuple(x.astype(complex) for x in (eigenvalues, lt_v, w))
 
 
 def _eig_response_factors(model, g: np.ndarray, c: np.ndarray):
@@ -358,10 +335,6 @@ def _eig_response_factors(model, g: np.ndarray, c: np.ndarray):
     - **general** (:func:`_general_eig_factors`) for everything else:
       RLC and voltage-source MNA models, whose skew branch stamps make
       the pencil nonsymmetric.
-
-    Precision follows the stacks: float64 input runs in
-    float64/complex128, float32 input stays in float32/complex64
-    throughout (the screening tier's fast pass).
     """
     if not symmetric_definite(model):
         return _general_eig_factors(model, g, c)
@@ -385,14 +358,13 @@ def _general_eig_factors(model, g: np.ndarray, c: np.ndarray):
     ``G^{-1} B`` and a solve against the eigenvector matrix.  The
     reference the symmetric kernel is tested against.
     """
-    complex_dtype = np.result_type(g.dtype, np.complex64)
-    b = _dense(model.nominal.B).astype(complex_dtype)
-    l_mat = _dense(model.nominal.L).astype(g.dtype, copy=False)
+    b = _dense(model.nominal.B).astype(complex)
+    l_mat = _dense(model.nominal.L).astype(float, copy=False)
     a = np.linalg.solve(g, c)
     eigenvalues, v = np.linalg.eig(a)
     lt_v = l_mat.T @ v
     g_inv_b = np.linalg.solve(
-        g.astype(complex_dtype), np.broadcast_to(b, (g.shape[0],) + b.shape)
+        g.astype(complex), np.broadcast_to(b, (g.shape[0],) + b.shape)
     )
     w = np.linalg.solve(v, g_inv_b)
     return eigenvalues, lt_v, w
@@ -428,17 +400,13 @@ def _eig_responses(eigenvalues, lt_v, w, freqs: np.ndarray) -> np.ndarray:
     num_samples, q = eigenvalues.shape
     num_outputs = lt_v.shape[1]
     num_inputs = w.shape[2]
-    # Stay in the factors' precision: complex128 factors keep the
-    # historical bit-identical arithmetic, complex64 factors (screening
-    # tier) must not be silently promoted by a complex128 grid.
-    complex_dtype = np.result_type(eigenvalues.dtype, np.complex64)
-    s = (2j * np.pi * freqs).astype(complex_dtype)
+    s = 2j * np.pi * freqs
     if num_samples <= _GRID_MAX_SAMPLES and freqs.size >= _GRID_MIN_FREQS:
         reciprocal = 1.0 / (1.0 + s[None, :, None] * eigenvalues[:, None, :])
         residues = lt_v.transpose(0, 2, 1)[:, :, :, None] * w[:, :, None, :]
         out = reciprocal @ residues.reshape(num_samples, q, num_outputs * num_inputs)
         return out.reshape(num_samples, freqs.size, num_outputs, num_inputs)
-    out = np.empty((num_samples, freqs.size, num_outputs, num_inputs), dtype=complex_dtype)
+    out = np.empty((num_samples, freqs.size, num_outputs, num_inputs), dtype=complex)
     for j in range(freqs.size):
         out[:, j] = lt_v @ (w / (1.0 + s[j] * eigenvalues)[:, :, None])
     return out
@@ -453,7 +421,6 @@ def _eig_responses(eigenvalues, lt_v, w, freqs: np.ndarray) -> np.ndarray:
 # per-instance -- no batch-global scale -- so chunked streaming flags
 # exactly what one-shot evaluation flags (the bit-determinism contract).
 _GUARD_RTOL = 1e-6
-_SCREEN_RTOL = 1e-4
 _EIG_FALLBACKS = obs_metrics.counter("runtime.batch.eig_fallbacks")
 
 
@@ -469,7 +436,7 @@ def _solve_responses(model, g: np.ndarray, c: np.ndarray, freqs: np.ndarray) -> 
 
 
 def _response_guard_flags(
-    model, g, c, responses: np.ndarray, freqs: np.ndarray, rtol: float
+    model, g, c, responses: np.ndarray, freqs: np.ndarray
 ) -> np.ndarray:
     """Per-instance accuracy flags for rational (eig-path) responses.
 
@@ -487,7 +454,7 @@ def _response_guard_flags(
     # and mask a bad probe (the ill-conditioned-basis failure mode).
     scale = np.abs(reference).max(axis=(1, 2))
     with np.errstate(invalid="ignore"):
-        flags = diff > rtol * scale
+        flags = diff > _GUARD_RTOL * scale
     flags |= ~np.isfinite(responses).all(axis=(1, 2, 3))
     return flags
 
@@ -563,19 +530,9 @@ def batch_poles(model, samples, num: Optional[int] = None) -> np.ndarray:
     is ``num`` (when given) or the largest finite-pole count; rows with
     fewer finite poles are padded with ``nan``.
 
-    ``num`` is passed all the way down: when the model's sensitivities
-    are detected as low rank, the per-instance ``G_k^{-1} C_k`` solves
-    are replaced by rank-``rho`` dominant-block corrections of the
-    nominal operator (:mod:`repro.runtime.lowrank`), and the truncated
-    result is by construction the leading block of the full-ordering
-    result -- pinned by a regression test.
+    ``num`` keeps each row's leading ``num`` poles, so a truncated
+    result is the leading block of the untruncated one.
     """
-    # Imported lazily: repro.runtime.lowrank builds on this module.
-    from repro.runtime.lowrank import lowrank_solver
-
-    solver = lowrank_solver(model) if supports_batching(model) else None
-    if solver is not None:
-        return _poles_from_eigenvalues(solver.instance_eigenvalues(samples), num)
     g, c = batch_instantiate(model, samples)
     a = np.linalg.solve(g, c)
     return _poles_from_eigenvalues(np.linalg.eigvals(a), num)
@@ -613,82 +570,13 @@ def _sweep_study(
     eigenvalues, lt_v, w = _eig_response_factors(model, g, c)
     responses = _eig_responses(eigenvalues, lt_v, w, freqs)
     if freqs.size:
-        flags = _response_guard_flags(model, g, c, responses, freqs, _GUARD_RTOL)
+        flags = _response_guard_flags(model, g, c, responses, freqs)
         if flags.any():
             _EIG_FALLBACKS.inc(int(flags.sum()))
             responses[flags] = _solve_responses(model, g[flags], c[flags], freqs)
     if not want_poles:
         return responses, None
     return responses, _poles_from_eigenvalues(eigenvalues, num_poles)
-
-
-def _screen_sweep_study(
-    model,
-    frequencies: Sequence[float],
-    samples,
-    num_poles: Optional[int] = 5,
-    want_poles: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Float32 screening sweep: fast single-precision pass + re-verify.
-
-    Runs the eig sweep kernel entirely in float32/complex64 (the
-    eigendecomposition, the dominant cost, runs roughly twice as fast
-    in single precision), then checks every instance against an exact
-    complex128 probe solve.  Instances whose single-precision responses
-    disagree beyond ``_SCREEN_RTOL`` -- or are non-finite -- are
-    recomputed in full float64 precision (responses through exact
-    per-frequency solves, poles through the float64
-    eigendecomposition).
-
-    Returns ``(responses, poles, verified)`` where ``verified[k]`` is
-    ``True`` exactly when instance ``k`` was re-verified in float64;
-    unflagged instances carry screened single-precision values and
-    ``verified[k] = False``.  Flags are per-instance only, so chunked
-    streaming screens identically to one-shot evaluation.
-    """
-    freqs = np.asarray(frequencies, dtype=float)
-    g, c = batch_instantiate(model, samples, exact=False)
-    alpha = _pencil_time_scales(g, c)
-    g32 = g.astype(np.float32)
-    c32 = (c * alpha[:, None, None]).astype(np.float32)
-    eigenvalues, lt_v, w = _eig_response_factors(model, g32, c32)
-    # Scaling C scaled the eigenvalues of G^{-1}C by alpha (eigenvectors
-    # and therefore lt_v/w are unchanged); undo it losslessly here so
-    # everything downstream sees the original spectrum.
-    eigenvalues = eigenvalues / alpha[:, None].astype(eigenvalues.real.dtype)
-    responses = _eig_responses(eigenvalues, lt_v, w, freqs).astype(np.complex128)
-    if freqs.size:
-        flags = _response_guard_flags(model, g, c, responses, freqs, _SCREEN_RTOL)
-    else:
-        flags = ~np.isfinite(eigenvalues).all(axis=1)
-    poles = None
-    if want_poles:
-        poles = _poles_from_eigenvalues(eigenvalues.astype(np.complex128), num_poles)
-        flags = flags | ~np.isfinite(poles).any(axis=1)
-    if flags.any():
-        _EIG_FALLBACKS.inc(int(flags.sum()))
-        if freqs.size:
-            responses[flags] = _solve_responses(model, g[flags], c[flags], freqs)
-        if want_poles:
-            a64 = np.linalg.solve(g[flags], c[flags])
-            sub = _poles_from_eigenvalues(np.linalg.eigvals(a64), num_poles)
-            if sub.shape[1] < poles.shape[1]:
-                pad = np.full(
-                    (sub.shape[0], poles.shape[1] - sub.shape[1]),
-                    np.nan + 1j * np.nan,
-                    dtype=complex,
-                )
-                sub = np.concatenate([sub, pad], axis=1)
-            elif sub.shape[1] > poles.shape[1]:
-                grown = np.full(
-                    (poles.shape[0], sub.shape[1]),
-                    np.nan + 1j * np.nan,
-                    dtype=complex,
-                )
-                grown[:, : poles.shape[1]] = poles
-                poles = grown
-            poles[flags] = sub
-    return responses, poles, flags.copy()
 
 
 def batch_transfer_sensitivities(model, s: complex, samples) -> np.ndarray:

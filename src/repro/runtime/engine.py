@@ -72,7 +72,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.export import JsonlSink
 from repro.runtime.batch import (
-    _pencil_time_scales,
     as_sample_matrix,
     batch_instantiate,
     batch_transfer_sensitivities,
@@ -93,7 +92,6 @@ from repro.runtime.scheduler import (
     drain_chunks,
     parse_worker_id,
 )
-from repro.runtime.lowrank import eig_sweep_flops, lowrank_solver
 from repro.runtime.sparse import shared_pattern_family, supports_sparse_batching
 from repro.runtime.store import StudyStore, study_fingerprint
 from repro.runtime.stream import (
@@ -127,12 +125,6 @@ _PLAN_CACHE_LOCK = threading.Lock()
 _PLAN_CACHE_LIMIT = 512
 _PLAN_CACHE_HITS = obs_metrics.counter("engine.plan_cache.hits")
 _PLAN_CACHE_MISSES = obs_metrics.counter("engine.plan_cache.misses")
-
-# float32 keeps ~2^-24 relative precision; a pencil whose conditioning
-# eats more than half that budget is re-verified in float64 on the
-# screening tier of the pole routes.
-_SCREEN_POLE_COND = 1e5
-_SCREEN_FALLBACKS = obs_metrics.counter("runtime.batch.eig_fallbacks")
 
 
 # -- executor-route task bodies (module level: picklable) --------------
@@ -210,48 +202,6 @@ def _stacked_pole_payload(model, num_poles: int, block) -> dict:
     )
 
 
-def _screen_pole_payload(model, num_poles: int, block) -> dict:
-    """Float32 screening tier of the stacked dense pole route.
-
-    Every instance's pencil is time-scale normalized (see
-    :func:`_pencil_time_scales`), cast to float32, and solved through
-    the reference :func:`~repro.analysis.poles.dominant_poles`
-    protocol.  Instances whose float32 ``G`` is too ill-conditioned
-    (``cond > _SCREEN_POLE_COND``) or whose screened poles come back
-    non-finite are re-solved in float64.  The payload's ``verified``
-    column is True for re-verified float64 rows, False for float32 rows
-    the screen accepted.
-    """
-    from repro.analysis.poles import dominant_poles
-
-    g, c = batch_instantiate(model, block, exact=True)
-    alpha = _pencil_time_scales(g, c)
-    g32 = g.astype(np.float32)
-    c32 = (c * alpha[:, None, None]).astype(np.float32)
-    with np.errstate(all="ignore"):
-        conds = np.linalg.cond(g32.astype(np.float64))
-    verified = ~np.isfinite(conds) | (conds > _SCREEN_POLE_COND)
-    sets: List[np.ndarray] = []
-    pairs = zip(
-        systems_from_stacks(model, g, c),
-        systems_from_stacks(model, g32, c32),
-    )
-    for k, (full, screen) in enumerate(pairs):
-        if not verified[k]:
-            poles = np.asarray(dominant_poles(screen, num_poles), dtype=complex)
-            poles = poles * alpha[k]
-            if np.all(np.isfinite(poles)):
-                sets.append(poles)
-                continue
-            verified[k] = True
-        sets.append(np.asarray(dominant_poles(full, num_poles), dtype=complex))
-    if verified.any():
-        _SCREEN_FALLBACKS.inc(int(verified.sum()))
-    payload = _pack_pole_sets(sets)
-    payload["verified"] = verified
-    return payload
-
-
 # -- results for the non-sweep workloads --------------------------------
 
 
@@ -285,17 +235,11 @@ class PoleStudy:
     order -- ragged, because residue filtering and coincidence merging
     can retain fewer than ``num_poles`` entries.  :attr:`poles` stacks
     them into a ``nan``-padded ``(m, num_poles)`` array.
-
-    ``verified`` is the float32-screening provenance column: under
-    ``Study.precision("screen")`` it marks per instance whether the row
-    was re-verified in float64 (True) or accepted from the float32
-    screen (False); ``None`` on full-precision runs.
     """
 
     samples: np.ndarray
     num_poles: int
     pole_sets: List[np.ndarray] = field(default_factory=list)
-    verified: Optional[np.ndarray] = None
 
     @property
     def num_samples(self) -> int:
@@ -346,12 +290,10 @@ class ExecutionPlan:
     documented working-set estimate of the chunk loop (constant
     factor ~2); for executor routes it is a rough per-worker figure.
 
-    ``precision`` echoes the study's numeric tier (``"full"`` or
-    ``"screen"``).  When the planner detects low-rank sensitivity
-    structure on a dense sweep, ``detected_rank`` reports the total
-    update rank and ``estimated_flops`` the flop estimate of the kernel
-    it chose (order-of-magnitude accounting; only the eig-vs-low-rank
-    comparison is meaningful), so the routing decision is inspectable.
+    Dense sweeps run one batched eig kernel, chosen from the model
+    alone: ``eig-rational[sweep-study/symmetric]`` (Cholesky + ``eigh``)
+    when the model's pencils are symmetric-definite, otherwise
+    ``eig-rational[sweep-study]`` (general ``eig``).
     """
 
     route: str
@@ -365,9 +307,6 @@ class ExecutionPlan:
     executor: str
     notes: Tuple[str, ...] = ()
     store: Optional[str] = None
-    precision: str = "full"
-    detected_rank: Optional[int] = None
-    estimated_flops: Optional[int] = None
 
     def describe(self) -> str:
         """Multi-line human-readable plan summary."""
@@ -381,12 +320,6 @@ class ExecutionPlan:
             f"peak:      ~{self.estimated_peak_bytes / 2**20:.1f} MiB",
             f"executor:  {self.executor}",
         ]
-        if self.precision != "full":
-            lines.append(f"precision: {self.precision} (float32 + float64 re-verify)")
-        if self.detected_rank is not None:
-            lines.append(f"lowrank:   detected rank {self.detected_rank}")
-        if self.estimated_flops is not None:
-            lines.append(f"flops:     ~{self.estimated_flops:.3g} (chosen kernel)")
         if self.store is not None:
             lines.append(f"store:     {self.store}")
         for note in self.notes:
@@ -416,7 +349,6 @@ class Study:
         self._keep_responses = False
         self._transient_options: Optional[dict] = None
         self._num_poles: Optional[int] = None
-        self._precision: str = "full"
         self._sensitivity_point: Optional[complex] = None
         self._executor_spec = None
         self._chunk_size: Optional[int] = None
@@ -519,30 +451,6 @@ class Study:
     def sensitivities(self, s: complex) -> "Study":
         """Request exact ``dH/dp_i`` at the complex frequency ``s``."""
         self._sensitivity_point = complex(s)
-        return self._invalidate()
-
-    def precision(self, tier: str) -> "Study":
-        """Numeric tier of the dense kernels: ``"full"`` or ``"screen"``.
-
-        ``"full"`` (the default) runs everything in float64.
-        ``"screen"`` runs the dense sweep/pole kernels in float32,
-        checks every instance's result against a float64 reference
-        probe (sweeps) or a conditioning bound (poles), and re-solves
-        only the flagged instances in float64.  The result carries a
-        per-instance ``verified`` column recording which rows were
-        re-verified (True) versus accepted from the screen (False);
-        the column persists through :meth:`store` checkpoints.  Screen
-        results are *approximate* (float32 rounding, typically ~1e-6
-        relative on healthy models) -- use the tier to triage large
-        ensembles, then re-run the interesting instances at full
-        precision.  Rejected at plan time for sparse targets and for
-        transient/sensitivity workloads, which stay float64-only.
-        """
-        if tier not in ("full", "screen"):
-            raise ValueError(
-                f"unknown precision tier {tier!r}: use 'full' or 'screen'"
-            )
-        self._precision = tier
         return self._invalidate()
 
     def executor(self, spec) -> "Study":
@@ -917,7 +825,6 @@ class Study:
             workload,
             array_fingerprint(samples),
             repr(sorted(config.items())),
-            self._precision,
             self._chunk_size,
             self._memory_budget,
             repr(self._executor_spec),
@@ -936,26 +843,6 @@ class Study:
         if self._resume and self._store is None:
             raise ValueError("resume() requires store(directory)")
         store_path = None if self._store is None else str(self._store.directory)
-        if self._precision != "full":
-            if workload not in ("sweep", "sweep+poles", "poles"):
-                raise ValueError(
-                    "precision('screen') covers frequency sweeps and pole "
-                    "studies; transient and sensitivity workloads are "
-                    "float64-only"
-                )
-            if kind != "dense":
-                raise ValueError(
-                    "precision('screen') requires a dense-batchable target "
-                    "(reduce the system first; sparse full-order solves stay "
-                    "float64)"
-                )
-            if workload == "poles" and self._executor_spec is not None:
-                raise ValueError(
-                    "precision('screen') on a pole study uses the stacked "
-                    "dense route; drop executor(...)"
-                )
-        detected_rank: Optional[int] = None
-        estimated_flops: Optional[int] = None
 
         if workload in ("sweep", "sweep+poles", "transient"):
             # Route validation first: it must not depend on sample
@@ -988,40 +875,10 @@ class Study:
             elif kind == "sparse":
                 family = shared_pattern_family(target)
                 kernel = f"shared-pattern[{family.solver_kind}]"
+            elif symmetric_definite(target):
+                kernel = "eig-rational[sweep-study/symmetric]"
             else:
-                tier = "sweep-study"
-                if self._precision == "screen":
-                    tier += "/f32-screen"
-                if symmetric_definite(target):
-                    tier += "/symmetric"
-                kernel = f"eig-rational[{tier}]"
-                solver = lowrank_solver(target) if self._precision == "full" else None
-                if solver is not None:
-                    detected_rank = solver.rank
-                    n_f = self._frequencies.size
-                    want_poles = workload == "sweep+poles"
-                    low_flops = solver.sweep_flops(
-                        num_samples, n_f, want_poles=want_poles
-                    )
-                    full_flops = eig_sweep_flops(
-                        solver.order, num_samples, n_f,
-                        ports=solver.num_ports, want_poles=want_poles,
-                    )
-                    if low_flops < full_flops:
-                        kernel = "lowrank-woodbury[sweep-study]"
-                        estimated_flops = int(low_flops)
-                        notes.append(
-                            f"low-rank update route: rank {solver.rank}, "
-                            f"~{low_flops:.2e} vs ~{full_flops:.2e} flops "
-                            "for per-instance eig"
-                        )
-                    else:
-                        estimated_flops = int(full_flops)
-                        notes.append(
-                            f"low-rank structure (rank {solver.rank}) detected "
-                            "but per-instance eig is cheaper at this ensemble "
-                            "size"
-                        )
+                kernel = "eig-rational[sweep-study]"
             if workload in ("sweep", "sweep+poles") and self._keep_responses:
                 m_out = target.nominal.L.shape[1]
                 m_in = target.nominal.B.shape[1]
@@ -1045,9 +902,6 @@ class Study:
                 executor="SerialExecutor()",
                 notes=tuple(notes),
                 store=store_path,
-                precision=self._precision,
-                detected_rank=detected_rank,
-                estimated_flops=estimated_flops,
             )
 
         # Per-sample workloads: poles / sensitivities.
@@ -1086,8 +940,6 @@ class Study:
                 # per-sample route below (bit-identical either way: exact
                 # batched instantiation reproduces the scalar accumulation).
                 route, kernel = "dense-batch", "dominant-poles[stacked-instantiate]"
-                if self._precision == "screen":
-                    kernel = "dominant-poles[stacked-instantiate/f32-screen]"
                 peak = 16 * num_samples * q_or_n * q_or_n
             elif kind == "dense":
                 route, kernel = "executor-full", "dominant-poles[instantiate]"
@@ -1126,9 +978,6 @@ class Study:
             executor=repr(executor),
             notes=tuple(notes),
             store=store_path,
-            precision=self._precision,
-            detected_rank=detected_rank,
-            estimated_flops=estimated_flops,
         )
 
     # -- execution -----------------------------------------------------
@@ -1420,12 +1269,6 @@ class Study:
                 num_poles=self._num_poles,
                 keep_poles=dense and self._num_poles is not None,
                 keep_responses=self._keep_responses,
-                precision=self._precision,
-                solver=(
-                    lowrank_solver(target)
-                    if plan.kernel.startswith("lowrank-")
-                    else None
-                ),
             )
 
             def build(samples, folded):
@@ -1450,12 +1293,9 @@ class Study:
         else:  # poles
             num_poles = self._num_poles
             if plan.route == "dense-batch":
-                kernel = (
-                    _screen_pole_payload
-                    if self._precision == "screen"
-                    else _stacked_pole_payload
+                payload_fn = functools.partial(
+                    _stacked_pole_payload, target, num_poles
                 )
-                payload_fn = functools.partial(kernel, target, num_poles)
             else:
                 if supports_sparse_batching(target):
                     task = functools.partial(
@@ -1479,7 +1319,6 @@ class Study:
                     samples=samples,
                     num_poles=num_poles,
                     pole_sets=pole_sets,
-                    verified=folded.stacked("verified"),
                 )
 
         return payload_fn, build, close
@@ -1504,17 +1343,11 @@ class Study:
         a one-shot run of the same declaration land on the same
         manifest key."""
         if workload in ("sweep", "sweep+poles"):
-            config = {
+            return {
                 "frequencies": array_fingerprint(self._frequencies),
                 "num_poles": self._num_poles,
                 "keep_responses": self._keep_responses,
             }
-            # Only non-default tiers enter the fingerprint: float64
-            # studies keep their historical manifest keys, while screen
-            # runs can never collide with full-precision checkpoints.
-            if self._precision != "full":
-                config["precision"] = self._precision
-            return config
         if workload == "transient":
             options = self._resolved_transient_options(target)
             return {
@@ -1529,10 +1362,7 @@ class Study:
                 "keep_outputs": bool(options["keep_outputs"]),
             }
         if workload == "poles":
-            config = {"num_poles": self._num_poles}
-            if self._precision != "full":
-                config["precision"] = self._precision
-            return config
+            return {"num_poles": self._num_poles}
         raise ValueError(f"workload {workload!r} has no durable config record")
 
     def _execute(self, plan: ExecutionPlan):

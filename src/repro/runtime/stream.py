@@ -80,7 +80,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.batch import _screen_sweep_study, _sweep_study
+from repro.runtime.batch import _sweep_study
 from repro.runtime.scenarios import ScenarioPlan
 from repro.runtime.transient import _transient_study
 
@@ -166,8 +166,6 @@ def _sweep_chunk_payload(
     num_poles: Optional[int] = None,
     keep_poles: bool = False,
     keep_responses: bool = False,
-    precision: str = "full",
-    solver=None,
 ) -> dict:
     """One sweep chunk's persistable payload (the checkpoint unit).
 
@@ -176,29 +174,13 @@ def _sweep_chunk_payload(
     (:meth:`repro.runtime.engine.Study.work`) -- both paths therefore
     checkpoint byte-identical arrays for the same chunk.  ``family`` is
     the shared sparsity pattern for sparse targets, ``None`` for dense.
-
-    ``precision="screen"`` runs the float32 screening kernel and adds a
-    per-instance ``verified`` column to the payload; ``solver`` (a
-    :class:`~repro.runtime.lowrank.LowRankEnsembleSolver`) switches the
-    dense kernel to the low-rank correction path.  Every kernel below
-    treats instances independently, so chunked payloads are
-    bit-identical to one-shot evaluation whichever route the planner
-    picked.
+    Both kernels treat instances independently, so chunked payloads are
+    bit-identical to one-shot evaluation.
     """
-    verified = None
     if family is None:
-        if precision == "screen":
-            responses, poles, verified = _screen_sweep_study(
-                model, freqs, block, num_poles=num_poles, want_poles=keep_poles
-            )
-        elif solver is not None:
-            responses, poles = solver.sweep(
-                block, freqs, num_poles=num_poles, want_poles=keep_poles
-            )
-        else:
-            responses, poles = _sweep_study(
-                model, freqs, block, num_poles=num_poles, want_poles=keep_poles
-            )
+        responses, poles = _sweep_study(
+            model, freqs, block, num_poles=num_poles, want_poles=keep_poles
+        )
     else:
         responses = family.frequency_response(freqs, block)
         poles = None
@@ -212,8 +194,6 @@ def _sweep_chunk_payload(
         payload["poles"] = poles
     if keep_responses:
         payload["responses"] = responses
-    if verified is not None:
-        payload["verified"] = verified
     return payload
 
 
@@ -326,11 +306,10 @@ def _chunk_unit(checkpoint, index: int, lo: int, hi: int, payload_fn, block):
 
     Loads the chunk from ``checkpoint`` when it holds a verified copy;
     otherwise computes ``payload_fn(block)`` and, with a checkpoint
-    attached, saves it with its per-chunk telemetry (plus
-    ``verified_instances`` whenever the payload carries a screening
-    ``verified`` column).  This is the runtime's only checkpoint load
-    and save site: :func:`_drive_chunks` calls it for every chunk of a
-    run, and ``Study.work()`` for every chunk a worker claims.
+    attached, saves it with its per-chunk telemetry.  This is the
+    runtime's only checkpoint load and save site: :func:`_drive_chunks`
+    calls it for every chunk of a run, and ``Study.work()`` for every
+    chunk a worker claims.
     """
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
@@ -339,10 +318,10 @@ def _chunk_unit(checkpoint, index: int, lo: int, hi: int, payload_fn, block):
     if not loaded:
         payload = payload_fn(block)
         if checkpoint is not None:
-            telemetry = _chunk_telemetry(wall0, cpu0, hi - lo)
-            if "verified" in payload:
-                telemetry["verified_instances"] = int(payload["verified"].sum())
-            checkpoint.save(index, lo, hi, payload, telemetry=telemetry)
+            checkpoint.save(
+                index, lo, hi, payload,
+                telemetry=_chunk_telemetry(wall0, cpu0, hi - lo),
+            )
     _observe_chunk(wall0, cpu0, hi - lo)
     return payload, loaded
 
@@ -405,11 +384,7 @@ class StreamedSweepStudy:
     statistics over all instances; ``poles`` is the stacked
     ``(m, num_poles)`` array (dense-batchable models only);
     ``responses`` is kept only when the study was asked to retain the
-    full grid (small studies / regression tests).  ``verified`` is the
-    per-instance provenance column of float32-screened runs: ``True``
-    where the instance was re-verified in float64, ``False`` where the
-    screened single-precision value was accepted, ``None`` for
-    full-precision runs.
+    full grid (small studies / regression tests).
     """
 
     plan: Optional[ScenarioPlan]
@@ -422,7 +397,6 @@ class StreamedSweepStudy:
     chunk_size: int
     poles: Optional[np.ndarray] = None
     responses: Optional[np.ndarray] = None
-    verified: Optional[np.ndarray] = None
 
     @property
     def num_samples(self) -> int:
@@ -460,7 +434,6 @@ def _sweep_result(
         chunk_size=chunk_size,
         poles=folded.stacked("poles"),
         responses=folded.stacked("responses"),
-        verified=folded.stacked("verified"),
     )
 
 

@@ -163,7 +163,6 @@ class JobSpec:
     workload_kind: str
     workload_options: dict
     chunk: Optional[int]
-    precision: str
     workers: int
 
     def canonical(self) -> dict:
@@ -178,7 +177,6 @@ class JobSpec:
             "plan": {"kind": self.plan_kind, **self.plan_options},
             "workload": {"kind": self.workload_kind, **self.workload_options},
             "chunk": self.chunk,
-            "precision": self.precision,
             "workers": self.workers,
         }
 
@@ -205,7 +203,7 @@ def parse_job(payload) -> JobSpec:
         raise ProtocolError("job is missing 'netlist' (the netlist text)")
 
     known = {"netlist", "parameters", "spread", "variation_seed", "moments",
-             "rank", "plan", "workload", "chunk", "precision", "workers"}
+             "rank", "plan", "workload", "chunk", "workers"}
     unknown = set(payload) - known
     if unknown:
         raise ProtocolError(
@@ -259,10 +257,6 @@ def parse_job(payload) -> JobSpec:
     ):
         raise ProtocolError("'chunk' must be a positive integer or null")
 
-    precision = payload.get("precision", "full")
-    if precision not in ("full", "screen"):
-        raise ProtocolError("'precision' must be 'full' or 'screen'")
-
     return JobSpec(
         netlist=netlist,
         parameters=_int("parameters", 2),
@@ -275,7 +269,6 @@ def parse_job(payload) -> JobSpec:
         workload_kind=workload_kind,
         workload_options=workload_options,
         chunk=chunk,
-        precision=precision,
         workers=_int("workers", 1),
     )
 
@@ -392,8 +385,7 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
                     .poles(num_poles).executor(executor)
                 ),
                 "reduced": lambda: _chunked(
-                    Study(model).scenarios(samples)
-                    .poles(2 * num_poles).precision(spec.precision)
+                    Study(model).scenarios(samples).poles(2 * num_poles)
                 ),
             }
         else:
@@ -407,7 +399,6 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
                 job.studies = {
                     "study": lambda: _chunked(
                         Study(model).scenarios(plan).sweep(frequencies)
-                        .precision(spec.precision)
                     ),
                 }
             elif spec.workload_kind == "transient":
@@ -435,7 +426,6 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
                 job.studies = {
                     "study": lambda: _chunked(
                         Study(model).scenarios(plan).poles(options["num"])
-                        .precision(spec.precision)
                     ),
                 }
         for factory in job.studies.values():

@@ -38,12 +38,16 @@ __all__ = ["StudyServer", "run"]
 #: Submission body bound: a netlist plus options is kilobytes; anything
 #: approaching this is a mistake or an attack, not a job.
 MAX_BODY_BYTES = 8 * 2**20
+#: Seconds a client has to deliver one whole request (header block and
+#: body).  Without a bound, a client that connects and then stalls
+#: holds a handler for ever; a full-size body needs ~280 KB/s.
+READ_DEADLINE_S = 30.0
 _REQUESTS = obs_metrics.counter("serve.http_requests")
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    500: "Internal Server Error",
+    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
+    413: "Payload Too Large", 500: "Internal Server Error",
 }
 
 
@@ -92,7 +96,18 @@ class StudyServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader, writer)
+            try:
+                request = await asyncio.wait_for(
+                    self._read_request(reader, writer), READ_DEADLINE_S
+                )
+            except asyncio.TimeoutError:
+                # Only the request read is bounded; responses, the
+                # /events stream included, take as long as they take.
+                await self._send_json(writer, 408, {
+                    "error": "request not received within "
+                             f"{READ_DEADLINE_S:g} s",
+                })
+                return
             if request is None:
                 return
             method, path, body = request

@@ -364,7 +364,6 @@ class StudySupervisor:
             store=self.store,
             chunk_size=realized.spec.chunk,
             trace=sinks,
-            precision=realized.spec.precision,
         )
         if job.workers <= 1:
             return monte_carlo_pole_study(
@@ -535,7 +534,6 @@ def _render_montecarlo(result, realized: RealizedJob) -> dict:
     counts, edges = result.histogram(
         bins=realized.spec.workload_options["bins"]
     )
-    verified = result.verified
     return {
         "workload": "montecarlo",
         "num_instances": int(result.num_instances),
@@ -546,5 +544,4 @@ def _render_montecarlo(result, realized: RealizedJob) -> dict:
             "bin_edges_pct": _finite_list(edges),
             "counts": [int(c) for c in counts],
         },
-        "verified": None if verified is None else int(verified.sum()),
     }

@@ -8,8 +8,7 @@ three tables, all carrying the same provenance columns:
     ``study`` (key16), ``instance`` (global index), optional parameter
     columns ``p_<name>``, per-instance workload metrics (``delay`` /
     ``slew`` / ``steady_<j>`` for transients, ``num_poles`` for pole
-    studies), and the ``verified`` precision-tier column (1 = float64
-    or re-verified, 0 = screen-accepted float32).
+    studies).
 
 ``poles`` (long; one row per pole)
     ``instance``, ``pole_index``, ``re``, ``im`` -- the exact float64
@@ -71,14 +70,6 @@ def _instance_base(
         for j, name in enumerate(names):
             columns[f"p_{name}"] = np.ascontiguousarray(block[:, j])
     return columns
-
-
-def _verified_column(payload: dict, n: int) -> np.ndarray:
-    verified = payload.get("verified")
-    if verified is None:
-        # Full-precision runs: every row is float64 by construction.
-        return np.ones(n, dtype=np.int8)
-    return np.asarray(verified, dtype=bool).astype(np.int8)
 
 
 def _envelope_table(payload: dict) -> Optional[Dict[str, np.ndarray]]:
@@ -176,7 +167,6 @@ def chunk_tables(
             **_provenance(instance.size, record, source),
         }
 
-    instances["verified"] = _verified_column(payload, n)
     instances.update(_provenance(n, record, source))
     envelope = _envelope_table(payload)
     if envelope is not None:

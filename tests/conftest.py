@@ -23,6 +23,7 @@ from repro.circuits import (
     rcnet_a,
     with_random_variations,
 )
+from repro.core import LowRankReducer
 
 
 def pytest_addoption(parser):
@@ -80,6 +81,19 @@ def big_tree_parametric():
 def rcneta_parametric():
     """The RCNetA clock-tree analogue (78 states, 3 width parameters)."""
     return rcnet_a()
+
+
+@pytest.fixture(scope="session")
+def rcneta_approximate_model(rcneta_parametric):
+    """RCNetA reduced in the Theorem 1 check mode.
+
+    ``approximate_sensitivities=True`` reduces the rank-1 SVD
+    approximations of the sensitivities instead of the originals, so
+    the reduced sensitivity blocks stay low-rank.
+    """
+    return LowRankReducer(
+        num_moments=4, rank=1, approximate_sensitivities=True
+    ).reduce(rcneta_parametric)
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,11 @@ class TestValues:
         with pytest.raises(ValueError):
             parse_value(token)
 
+    @pytest.mark.parametrize("token", ["1e999", "-1e999", "1e300t", "inf", "nan"])
+    def test_non_finite_values_refused(self, token):
+        with pytest.raises(ValueError):
+            parse_value(token)
+
 
 NETLIST = """
 * an RC divider
@@ -106,6 +111,23 @@ class TestErrors:
         with pytest.raises(NetlistSyntaxError) as excinfo:
             parse_netlist(["* comment", "R1 a b notanumber"])
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("line, reason", [
+        ("R1 a 0 1e999", "not finite"),
+        ("C1 a 0 1e999", "not finite"),
+        ("R1 a 0 5 extra junk", "trailing field(s) 'extra junk'"),
+        ("K1 L1 L2 0.4 0.5", "trailing field(s) '0.5'"),
+        ("V1 in 0 extra", "trailing field(s) 'extra'"),
+        (".port in a b c", "trailing field(s) 'b c'"),
+        (".observe out a b", "trailing field(s) 'b'"),
+    ])
+    def test_refusals_are_one_line_naming_the_line(self, line, reason):
+        with pytest.raises(NetlistSyntaxError) as excinfo:
+            parse_netlist(["* header", line])
+        message = str(excinfo.value)
+        assert excinfo.value.line_number == 2
+        assert reason in message and repr(line) in message
+        assert "\n" not in message
 
     def test_duplicate_name_propagates(self):
         with pytest.raises(NetlistSyntaxError, match="duplicate"):

@@ -151,15 +151,17 @@ class TestMonteCarlo:
         assert main(argv) == 0
         assert "# cache: hit" in capsys.readouterr().out
 
-    def test_screen_precision_reports_verified_count(self, netlist_file, capsys):
-        code = main(
-            ["montecarlo", netlist_file, "--instances", "3", "--poles", "2",
-             "--moments", "3", "--precision", "screen"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "screen tier:" in out
-        assert "re-verified in float64" in out
+    @pytest.mark.parametrize("command", [["montecarlo"], ["work", "montecarlo"]],
+                             ids=["montecarlo", "work-montecarlo"])
+    def test_precision_flag_is_refused(self, netlist_file, tmp_path, capsys, command):
+        argv = command + [netlist_file, "--instances", "3", "--moments", "3",
+                          "--precision", "screen"]
+        if command[0] == "work":
+            argv += ["--store", str(tmp_path / "store")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --precision screen" in capsys.readouterr().err
 
     def test_full_precision_omits_screen_line(self, netlist_file, capsys):
         code = main(

@@ -112,11 +112,6 @@ def _assert_rows_match_payloads(store, key, warehouse):
                 np.testing.assert_array_equal(
                     instances[f"steady_{j}"], steady[:, j]
                 )
-        if "verified" in payload:
-            np.testing.assert_array_equal(
-                instances["verified"],
-                np.asarray(payload["verified"], dtype=bool).astype(np.int8),
-            )
 
         if "env_min" in payload:
             envelope = _read_table(warehouse, key16, index, "envelope")

@@ -90,7 +90,7 @@ ROOT_ALL_SNAPSHOT = [
 RUNTIME_ALL_SNAPSHOT = [
     "BatchTransientResult", "CornerPlan", "DrainReport", "ExecutionPlan",
     "GridPlan",
-    "InputWaveform", "Lease", "LeaseBoard", "LowRankEnsembleSolver",
+    "InputWaveform", "Lease", "LeaseBoard",
     "ModelCache", "MonteCarloPlan",
     "NothingToResumeError", "PWLInput",
     "PoleStudy", "RampInput", "ScenarioPlan",
@@ -102,9 +102,8 @@ RUNTIME_ALL_SNAPSHOT = [
     "batch_instantiate", "batch_poles", "batch_simulate_transient",
     "batch_step_responses", "batch_transfer",
     "batch_transfer_sensitivities",
-    "default_horizon", "default_worker_id", "detect_lowrank_structure",
+    "default_horizon", "default_worker_id",
     "drain_chunks",
-    "lowrank_solver",
     "parse_worker_id", "reducer_fingerprint",
     "resolve_executor", "resolve_owned_executor",
     "shared_pattern_family", "study_fingerprint", "supports_batching",

@@ -14,13 +14,17 @@ from repro.analysis.metrics import matched_pole_errors
 from repro.analysis.montecarlo import sample_parameters
 from repro.analysis.sensitivity import transfer_sensitivities
 from repro.circuits import coupled_rlc_bus, rc_tree, rcnet_a, with_random_variations
+from repro.circuits.statespace import DescriptorSystem
 from repro.core import LowRankReducer
+from repro.core.model import ParametricReducedModel
+from repro.obs import metrics as obs_metrics
 from repro.runtime.batch import (
     _cholesky_inverses,
     _eig_response_factors,
     _eig_responses,
     _general_eig_factors,
     _poles_from_eigenvalues,
+    _solve_responses,
     _sweep_study,
     symmetric_definite,
 )
@@ -65,6 +69,17 @@ def rlc_model():
     """A coupled RLC bus reduction: skew inductor stamps, nonsymmetric G."""
     parametric = with_random_variations(coupled_rlc_bus(num_segments=20), 2, seed=1)
     return LowRankReducer(num_moments=3).reduce(parametric)
+
+
+@pytest.fixture(scope="module")
+def dense_model(parametric):
+    """Exact-sensitivity reduction: effectively full-rank sensitivity blocks."""
+    return LowRankReducer(num_moments=4, rank=1).reduce(parametric)
+
+
+@pytest.fixture(scope="module")
+def ensemble(parametric):
+    return sample_parameters(16, parametric.num_parameters, seed=7)
 
 
 class TestBatchInstantiate:
@@ -165,6 +180,50 @@ class TestBatchSweepStudy:
             assert errors.max() <= 1e-12
 
 
+class TestEigGuard:
+    """Ill-conditioned eigenvector bases must not return silently
+    inaccurate responses from the eig kernel."""
+
+    @pytest.fixture()
+    def jordan_model(self):
+        # A = G^{-1} C is a Jordan-like block: the eigenvector basis is
+        # catastrophically ill-conditioned, so rational-sum responses
+        # from the eigendecomposition are garbage.
+        q = 8
+        rng = np.random.default_rng(0)
+        nominal = DescriptorSystem(
+            np.eye(q),
+            1e-9 * (np.eye(q) + np.diag(np.full(q - 1, 1.0), k=1)),
+            rng.standard_normal((q, 1)),
+            rng.standard_normal((q, 1)),
+        )
+        return ParametricReducedModel(
+            nominal, [1e-3 * np.eye(q)], [np.zeros((q, q))]
+        )
+
+    def test_guard_falls_back_to_solve_path(self, jordan_model):
+        samples = np.array([[0.3], [-0.2], [0.1]])
+        freqs = np.logspace(7, 10, 9)
+        counter = obs_metrics.counter("runtime.batch.eig_fallbacks")
+        before = counter.value
+        responses, _ = _sweep_study(
+            jordan_model, freqs, samples, num_poles=None, want_poles=False
+        )
+        assert counter.value - before == 3
+        g, c = batch_instantiate(jordan_model, samples, exact=True)
+        reference = _solve_responses(jordan_model, g, c, freqs)
+        np.testing.assert_array_equal(responses, reference)
+
+    def test_healthy_model_pays_no_fallbacks(self, rcneta_approximate_model, ensemble):
+        counter = obs_metrics.counter("runtime.batch.eig_fallbacks")
+        before = counter.value
+        _sweep_study(
+            rcneta_approximate_model, np.logspace(7, 10, 12), ensemble,
+            num_poles=None, want_poles=False,
+        )
+        assert counter.value == before
+
+
 def _factor_results(factors, freqs):
     eigenvalues, lt_v, w = factors
     return _eig_responses(eigenvalues, lt_v, w, freqs), _poles_from_eigenvalues(
@@ -258,6 +317,11 @@ class TestBatchPoles:
         batched = batch_poles(model, samples)
         magnitudes = np.abs(batched)
         assert (np.diff(magnitudes, axis=1) >= 0).all()
+
+    def test_truncated_equals_leading_block(self, dense_model, ensemble):
+        full = batch_poles(dense_model, ensemble, num=None)
+        truncated = batch_poles(dense_model, ensemble, num=5)
+        np.testing.assert_array_equal(truncated, full[:, :5])
 
 
 class TestBatchSensitivities:

@@ -14,6 +14,7 @@ from repro.analysis.montecarlo import sample_parameters
 from repro.analysis.poles import dominant_poles
 from repro.circuits import rc_ladder, rc_tree, rcnet_a, with_random_variations
 from repro.core import LowRankReducer
+from repro.obs import metrics as obs_metrics
 from repro.runtime import (
     CornerPlan,
     ExecutionPlan,
@@ -174,6 +175,50 @@ class TestRouteSelection:
     def test_plan_is_stable_across_calls(self, model, plan):
         study = Study(model).scenarios(plan).sweep(FREQUENCIES).chunk(4)
         assert study.plan() == study.plan()
+
+    def test_approximate_sensitivity_model_runs_the_eig_kernel(
+        self, rcneta_approximate_model, parametric
+    ):
+        """Low-rank sensitivity blocks take the same eig kernel as any
+        other dense model, and it matches per-instance solves."""
+        model = rcneta_approximate_model
+        samples = sample_parameters(64, parametric.num_parameters, seed=3)
+        freqs = np.logspace(7, 10, 12)
+        study = (
+            Study(model).scenarios(samples)
+            .sweep(freqs, keep_responses=True).poles(5)
+        )
+        assert study.plan().kernel.startswith("eig-rational[")
+        result = study.run()
+        for k, point in enumerate(samples):
+            reference = model.frequency_response(freqs, point)
+            error = np.abs(result.responses[k] - reference).max()
+            assert error <= 1e-12 * np.abs(reference).max()
+
+
+class TestPlanCache:
+    def test_repeat_dispatch_hits_global_cache(self, rcneta_approximate_model, samples):
+        hits = obs_metrics.counter("engine.plan_cache.hits")
+        misses = obs_metrics.counter("engine.plan_cache.misses")
+        freqs = np.logspace(7, 10, 13)  # unique axis => fresh cache key
+        declaration = lambda: (
+            Study(rcneta_approximate_model).scenarios(samples).sweep(freqs)
+        )
+        h0, m0 = hits.value, misses.value
+        first = declaration().plan()
+        assert misses.value == m0 + 1
+        second = declaration().plan()
+        assert hits.value == h0 + 1
+        assert second is first  # frozen plan shared across studies
+
+    def test_builder_changes_miss(self, rcneta_approximate_model, samples):
+        declaration = lambda: (
+            Study(rcneta_approximate_model).scenarios(samples).sweep(FREQUENCIES)
+        )
+        plain = declaration().plan()
+        chunked = declaration().chunk(3).plan()
+        assert chunked is not plain
+        assert chunked.num_chunks > plain.num_chunks
 
 
 class TestPeakByteAccounting:

@@ -534,22 +534,26 @@ class TestWorkerCheckpoints:
             _sweep(model, plan).work()
 
 
-class TestScreenTelemetry:
+class TestChunkTelemetry:
     @pytest.mark.parametrize("mode", ["run", "work"])
     @pytest.mark.parametrize("workload", ["sweep", "poles"])
-    def test_every_chunk_record_counts_verified_instances(
+    def test_every_chunk_record_counts_its_instances(
         self, model, plan, tmp_path, workload, mode
     ):
-        """Both chunk loops record ``verified_instances`` per chunk."""
-        study = Study(model).scenarios(plan).precision("screen").poles(3)
+        """Both chunk loops record per-chunk telemetry in the manifest."""
+        study = Study(model).scenarios(plan).poles(3)
         if workload == "sweep":
             study = study.sweep(FREQUENCIES)
         study = study.chunk(4).store(tmp_path)
-        result = study.run() if mode == "run" else study.work(worker="w1")
+        if mode == "run":
+            study.run()
+        else:
+            study.work(worker="w1")
         store = StudyStore(tmp_path)
         (key,) = store.study_keys()
         records = store.completed_chunks(key)
         assert sorted(records) == [0, 1, 2, 3]
         for record in records.values():
-            expected = int(result.verified[record["lo"]:record["hi"]].sum())
-            assert record["telemetry"]["verified_instances"] == expected
+            telemetry = record["telemetry"]
+            assert telemetry["instances"] == record["hi"] - record["lo"]
+            assert "verified_instances" not in telemetry

@@ -72,7 +72,6 @@ class TestParseJob:
         assert spec.spread == 0.5
         assert spec.rank == 1
         assert spec.workers == 1
-        assert spec.precision == "full"
         assert spec.plan_options == {"instances": 4, "sigma": 0.3, "seed": 7}
         assert spec.workload_options["fmin"] == 1e7
         assert spec.workload_options["points"] == 5
@@ -90,7 +89,6 @@ class TestParseJob:
         implicit = parse_job(_job())
         explicit = parse_job(_job(
             parameters=2, spread=0.5, variation_seed=0, rank=1, workers=1,
-            precision="full",
         ))
         assert implicit.canonical() == explicit.canonical()
 
@@ -121,7 +119,7 @@ class TestParseJob:
         (_job(moments="four"), "'moments' must be an integer"),
         (_job(spread="wide"), "'spread' must be a number"),
         (_job(chunk=0), "'chunk' must be a positive integer"),
-        (_job(precision="half"), "'precision' must be"),
+        (_job(precision="full"), r"unknown job field\(s\): precision"),
         ("{not json", "not valid JSON"),
         ([1, 2], "must be a JSON object"),
     ])

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import repro.serve.server as server_module
 from repro.serve import ServeClient, ServeClientError, StudyServer
 from repro.serve.supervisor import StudySupervisor
 
@@ -215,6 +216,26 @@ class TestErrors:
         assert head.startswith(b"HTTP/1.1 400 "), head[:80]
         assert len(body.splitlines()) == 1
         assert json.loads(body)["error"]
+
+    @pytest.mark.parametrize("sent", [
+        b"",
+        b"POST /jobs HTTP/1.1\r\nHost: x\r\n",
+        b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"netlist\":",
+    ], ids=["idle", "half-header", "short-body"])
+    def test_stalled_request_is_408_then_closed(self, service, monkeypatch, sent):
+        monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.2)
+        client, _ = service
+        # The socket timeout makes a server without a deadline fail
+        # this test instead of hanging it.
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(sent)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), head[:80]
+        assert len(body.splitlines()) == 1
+        assert "not received within" in json.loads(body)["error"]
 
 
 class _Blocker:

@@ -136,7 +136,7 @@ class TestCaching:
             self, supervisor):
         first = _wait(supervisor.submit(_job()))
         second = _wait(supervisor.submit(_job(
-            parameters=2, spread=0.5, workers=1, precision="full",
+            parameters=2, spread=0.5, workers=1,
         )))
         assert second.cached
         assert second.key == first.key
