@@ -1,9 +1,11 @@
 """Executor choice for the full-order reference solves, measured.
 
 The paper's parametric reduced model replaces thousands of full-order
-solves, so the only per-sample parallel work left is the full-order
-reference side of a pole study (the engine's ``executor-full`` route).
-This benchmark times
+solves.  The reduced side's dense eig sweeps split their chunks over
+the process-wide row pool (:mod:`repro.runtime.executor`) with no
+executor to choose; the work a caller's executor still runs is the
+full-order reference side of a pole study (the engine's
+``executor-full`` route).  This benchmark times
 ``Study(parametric).scenarios(samples).poles(5).executor(spec).run()``
 on two nets with each remaining way to run it:
 

@@ -23,17 +23,29 @@ This module evaluates a whole ``(m, n_p)`` sample matrix at once:
 ``g += p_i * G_i`` (skipping zero coefficients) bit-for-bit, which is
 what lets :func:`repro.analysis.montecarlo.monte_carlo_pole_study`
 adopt these kernels without perturbing any published result.
+
+The eig sweep kernel (:func:`_sweep_study`, behind the ``Study`` dense
+sweep routes and ``batch_frequency_response(method="eig")``) is
+guarded -- every instance is probe-checked against an exact solve and
+recomputed by solves when its eigenvector basis fails -- and runs its
+rows as contiguous blocks on the process-wide row pool of
+:mod:`repro.runtime.executor`.  Every step is per instance, so the
+split never changes a row's arithmetic; the one batch-size-dependent
+choice, the response contraction (:func:`grid_contraction`), is made
+once per study.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import functools
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from repro.circuits.statespace import DescriptorSystem
 from repro.obs import metrics as obs_metrics
+from repro.runtime.executor import RowBlocks
 
 
 def supports_batching(model) -> bool:
@@ -373,40 +385,69 @@ def _general_eig_factors(model, g: np.ndarray, c: np.ndarray):
 # _eig_responses dispatch: the grid contraction wins when few instances
 # sweep a dense frequency axis (one big GEMM per instance); the batched
 # per-frequency kernel wins for wide Monte Carlo ensembles, where each
-# frequency already amortizes over all instances in one matmul.
+# frequency already amortizes over all instances in one matmul.  At
+# q=53 on a 2-CPU x86-64 VM with one BLAS thread: 1 row x 5000 f, grid
+# 3.1 ms vs per-frequency 39.9 ms; 128 rows x 100 f, per-frequency
+# 7.6 ms vs grid 15.5 ms.
 _GRID_MAX_SAMPLES = 16
 _GRID_MIN_FREQS = 32
 
 
-def _eig_responses(eigenvalues, lt_v, w, freqs: np.ndarray) -> np.ndarray:
+def grid_contraction(num_samples: int, num_frequencies: int) -> bool:
+    """Whether a study of ``num_samples`` instances takes the grid path.
+
+    The two contractions of :func:`_eig_responses` round differently,
+    so the choice is made once per study, from its total instance
+    count, and every chunk and row block follows it: slicing a study
+    never changes which path a row takes.
+    """
+    return num_samples <= _GRID_MAX_SAMPLES and num_frequencies >= _GRID_MIN_FREQS
+
+
+def _eig_responses(
+    eigenvalues, lt_v, w, freqs: np.ndarray,
+    grid: Optional[bool] = None, out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Rational-sum responses over the whole ``(m, n_freq, q)`` grid.
 
     Two equivalent vectorized contractions of
 
     ``H[k, j] = (L^T V_k) diag(1 / (1 + s_j lambda_k)) w_k``
 
-    are dispatched by ensemble shape.  Small ensembles over dense
-    frequency axes (corner plans, CLI sweeps) precompute the
-    frequency-independent residue tensor ``(L^T V_k) odot w_k`` and
-    collapse the whole grid into one ``(n_f, q) @ (q, m_out m_in)``
-    GEMM per instance -- no per-frequency Python iteration.  Wide
-    ensembles (Monte Carlo) keep the per-frequency batched matmul,
-    which amortizes each frequency over all ``m`` instances at once and
-    is bit-identical to the historical loop.  Both paths are pinned to
-    the reference loop by a regression test (grid path to rounding,
-    batched path bit-for-bit).
+    are available.  The grid path precomputes the frequency-independent
+    residue tensor ``(L^T V_k) odot w_k`` and collapses the whole grid
+    into one ``(n_f, q) @ (q, m_out m_in)`` GEMM per instance -- no
+    per-frequency Python iteration; it suits small ensembles over dense
+    frequency axes (corner plans, CLI sweeps).  The per-frequency path
+    keeps one batched matmul per frequency, which amortizes each
+    frequency over all ``m`` instances at once and is bit-identical to
+    the historical loop; it suits wide Monte Carlo ensembles.  Both are
+    pinned to the reference loop by a regression test (grid path to
+    rounding, per-frequency path bit-for-bit).
+
+    ``grid`` selects the path (default: :func:`grid_contraction` of
+    this call's own shape); sweeps pass their study's choice.  ``out``
+    is a C-contiguous ``(m, n_f, m_out, m_in)`` array to write into,
+    e.g. a row block's slice of its chunk's response array.
     """
     freqs = np.asarray(freqs, dtype=float)
     num_samples, q = eigenvalues.shape
     num_outputs = lt_v.shape[1]
     num_inputs = w.shape[2]
     s = 2j * np.pi * freqs
-    if num_samples <= _GRID_MAX_SAMPLES and freqs.size >= _GRID_MIN_FREQS:
+    if grid is None:
+        grid = grid_contraction(num_samples, freqs.size)
+    if out is None:
+        out = np.empty((num_samples, freqs.size, num_outputs, num_inputs), dtype=complex)
+    if grid:
         reciprocal = 1.0 / (1.0 + s[None, :, None] * eigenvalues[:, None, :])
         residues = lt_v.transpose(0, 2, 1)[:, :, :, None] * w[:, :, None, :]
-        out = reciprocal @ residues.reshape(num_samples, q, num_outputs * num_inputs)
-        return out.reshape(num_samples, freqs.size, num_outputs, num_inputs)
-    out = np.empty((num_samples, freqs.size, num_outputs, num_inputs), dtype=complex)
+        np.matmul(
+            reciprocal,
+            residues.reshape(num_samples, q, num_outputs * num_inputs),
+            out=out.reshape(num_samples, freqs.size, num_outputs * num_inputs),
+        )
+        return out
     for j in range(freqs.size):
         out[:, j] = lt_v @ (w / (1.0 + s[j] * eigenvalues)[:, :, None])
     return out
@@ -472,25 +513,21 @@ def batch_frequency_response(
     method:
         ``"solve"`` (default) performs one batched pencil solve per
         frequency -- bitwise-grade agreement with the per-sample path.
-        ``"eig"`` diagonalizes each instance once and evaluates all
-        frequencies as rational sums -- asymptotically ``n_f`` times
+        ``"eig"`` runs the sweep-study kernel (:func:`_sweep_study`):
+        each instance is diagonalized once and all frequencies are
+        evaluated as rational sums -- asymptotically ``n_f`` times
         cheaper for dense sweeps, accurate to rounding (~1e-15
-        relative) for well-conditioned eigenvector bases.
+        relative) for well-conditioned eigenvector bases, and guarded:
+        instances whose basis fails the probe check are recomputed by
+        pencil solves.
     """
     freqs = np.asarray(frequencies, dtype=float)
-    g, c = batch_instantiate(model, samples, exact=(method == "solve"))
-    if method == "solve":
-        out = np.empty(
-            (g.shape[0], freqs.size, model.nominal.L.shape[1], model.nominal.B.shape[1]),
-            dtype=complex,
-        )
-        for j, f in enumerate(freqs):
-            out[:, j] = _transfer_from_stacks(model, g, c, 2j * np.pi * f)
-        return out
-    if method != "eig":
+    if method == "eig":
+        return _sweep_study(model, freqs, samples, want_poles=False)[0]
+    if method != "solve":
         raise ValueError(f"unknown method {method!r} (use 'solve' or 'eig')")
-    eigenvalues, lt_v, w = _eig_response_factors(model, g, c)
-    return _eig_responses(eigenvalues, lt_v, w, freqs)
+    g, c = batch_instantiate(model, samples)
+    return _solve_responses(model, g, c, freqs)
 
 
 def _poles_from_eigenvalues(eigenvalues: np.ndarray, num: Optional[int]) -> np.ndarray:
@@ -544,6 +581,7 @@ def _sweep_study(
     samples,
     num_poles: Optional[int] = 5,
     want_poles: bool = True,
+    grid: Optional[bool] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Frequency responses *and* dominant poles from one factorization.
 
@@ -562,21 +600,95 @@ def _sweep_study(
     inaccurate responses; each fallback increments the
     ``runtime.batch.eig_fallbacks`` counter.
 
-    This is the engine-internal kernel behind the dense sweep routes of
+    The rows run as contiguous blocks on the row pool (see
+    :func:`_queue_sweep`); ``grid`` is the study's contraction choice
+    (default: :func:`grid_contraction` of these samples).  This is the
+    engine-internal kernel behind the dense sweep routes of
     :class:`repro.runtime.engine.Study`.
     """
+    return _queue_sweep(
+        model, frequencies, samples, num_poles, want_poles, grid
+    ).result()
+
+
+def _queue_sweep(
+    model,
+    frequencies: Sequence[float],
+    samples,
+    num_poles: Optional[int] = 5,
+    want_poles: bool = True,
+    grid: Optional[bool] = None,
+    finish: Optional[Callable] = None,
+) -> RowBlocks:
+    """Queue :func:`_sweep_study`'s row blocks; ``result()`` waits.
+
+    Each block instantiates, factors, guards and extracts poles for its
+    own rows and writes its responses into its slice of one
+    preallocated ``(m, n_f, m_out, m_in)`` array.  Every step is
+    per-instance, so the blocks reproduce the unsplit arithmetic bit
+    for bit.  ``result()`` returns ``(responses, poles)``, or
+    ``finish(responses, poles)`` when given.  The per-model memos are
+    built here, in the calling thread, so blocks only read them.
+    """
     freqs = np.asarray(frequencies, dtype=float)
-    g, c = batch_instantiate(model, samples, exact=False)
+    matrix = as_sample_matrix(model, samples)
+    num_samples = matrix.shape[0]
+    if grid is None:
+        grid = grid_contraction(num_samples, freqs.size)
+    symmetric_definite(model)
+    responses = np.empty(
+        (num_samples, freqs.size, model.nominal.L.shape[1], model.nominal.B.shape[1]),
+        dtype=complex,
+    )
+
+    def gather(outputs):
+        fallbacks = sum(flagged for flagged, _ in outputs)
+        if fallbacks:
+            _EIG_FALLBACKS.inc(fallbacks)
+        poles = _stack_pole_blocks(
+            [block for _, block in outputs], num_samples, num_poles
+        ) if want_poles else None
+        if finish is None:
+            return responses, poles
+        return finish(responses, poles)
+
+    run = functools.partial(
+        _sweep_rows, model, freqs, matrix, responses, grid, want_poles, num_poles
+    )
+    return RowBlocks(run, num_samples, gather)
+
+
+def _sweep_rows(model, freqs, samples, responses, grid, want_poles, num_poles, lo, hi):
+    """One row block of :func:`_queue_sweep`: ``(fallbacks, poles)``."""
+    g, c = batch_instantiate(model, samples[lo:hi], exact=False)
     eigenvalues, lt_v, w = _eig_response_factors(model, g, c)
-    responses = _eig_responses(eigenvalues, lt_v, w, freqs)
+    out = _eig_responses(eigenvalues, lt_v, w, freqs, grid, out=responses[lo:hi])
+    flagged = 0
     if freqs.size:
-        flags = _response_guard_flags(model, g, c, responses, freqs)
+        flags = _response_guard_flags(model, g, c, out, freqs)
         if flags.any():
-            _EIG_FALLBACKS.inc(int(flags.sum()))
-            responses[flags] = _solve_responses(model, g[flags], c[flags], freqs)
+            flagged = int(flags.sum())
+            out[flags] = _solve_responses(model, g[flags], c[flags], freqs)
     if not want_poles:
-        return responses, None
-    return responses, _poles_from_eigenvalues(eigenvalues, num_poles)
+        return flagged, None
+    return flagged, _poles_from_eigenvalues(eigenvalues, num_poles)
+
+
+def _stack_pole_blocks(blocks, num_samples: int, num_poles: Optional[int]) -> np.ndarray:
+    """The row blocks' pole arrays as one ``nan``-padded ``(m, k)`` array.
+
+    ``k`` is ``num_poles``, or with ``None`` the widest block -- the
+    width :func:`_poles_from_eigenvalues` gives the unsplit rows.
+    """
+    width = num_poles if num_poles is not None else max(
+        (block.shape[1] for block in blocks), default=0
+    )
+    poles = np.full((num_samples, width), np.nan + 1j * np.nan, dtype=complex)
+    lo = 0
+    for block in blocks:
+        poles[lo:lo + block.shape[0], : block.shape[1]] = block
+        lo += block.shape[0]
+    return poles
 
 
 def batch_transfer_sensitivities(model, s: complex, samples) -> np.ndarray:

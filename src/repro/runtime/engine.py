@@ -35,7 +35,10 @@ Routes
   one chunk: the eig-amortized sweep kernel, the propagator transient
   kernel, stacked instantiation for poles/sensitivities.
 - ``dense-stream`` -- the same kernels chunked under ``chunk`` /
-  ``memory_budget``, with incremental envelope reducers.
+  ``memory_budget``, with incremental envelope reducers.  On both
+  dense routes the eig sweep kernel splits each chunk's rows over the
+  process-wide row pool of :mod:`repro.runtime.executor`, streamed
+  sweeps one chunk ahead (see :class:`ExecutionPlan`).
 - ``sparse-family`` -- sparse full-order parametric systems: batched
   data-array instantiation on the shared union pattern, pencils through
   the tridiagonal / banded / SuperLU-refactorization tier.
@@ -71,10 +74,12 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.export import JsonlSink
+from repro.runtime import executor as executor_module
 from repro.runtime.batch import (
     as_sample_matrix,
     batch_instantiate,
     batch_transfer_sensitivities,
+    grid_contraction,
     supports_batching,
     symmetric_definite,
     systems_from_stacks,
@@ -98,11 +103,13 @@ from repro.runtime.stream import (
     _chunk_grid,
     _chunk_unit,
     _drive_chunks,
+    _queue_sweep_chunk,
     _sweep_chunk_payload,
     _sweep_result,
     _transient_chunk_payload,
     _transient_result,
     sweep_chunk_bytes,
+    sweep_lookahead_bytes,
     transient_chunk_bytes,
 )
 from repro.runtime.transient import default_horizon
@@ -288,12 +295,20 @@ class ExecutionPlan:
     numeric kernel tier inside the route (e.g. the shared-pattern
     solver chosen by RCM bandwidth).  ``estimated_peak_bytes`` is the
     documented working-set estimate of the chunk loop (constant
-    factor ~2); for executor routes it is a rough per-worker figure.
+    factor ~2), lookahead included; for executor routes it is a rough
+    per-worker figure.
 
     Dense sweeps run one batched eig kernel, chosen from the model
-    alone: ``eig-rational[sweep-study/symmetric]`` (Cholesky + ``eigh``)
-    when the model's pencils are symmetric-definite, otherwise
-    ``eig-rational[sweep-study]`` (general ``eig``).
+    alone: ``eig-rational[sweep-study/symmetric/...]`` (Cholesky +
+    ``eigh``) when the model's pencils are symmetric-definite,
+    otherwise ``eig-rational[sweep-study/...]`` (general ``eig``).  The
+    last qualifier is the response contraction, ``per-frequency`` or
+    ``grid``, chosen once from the study's total instance count (see
+    :func:`~repro.runtime.batch.grid_contraction`).  Their ``executor``
+    is the process-wide row pool, ``row-pool(width=N)``, and
+    ``lookahead`` is how many computed chunks the loop queues ahead of
+    the one it folds: 1 on a multi-CPU pool when the extra chunk fits
+    the memory budget, else 0.
     """
 
     route: str
@@ -307,6 +322,7 @@ class ExecutionPlan:
     executor: str
     notes: Tuple[str, ...] = ()
     store: Optional[str] = None
+    lookahead: int = 0
 
     def describe(self) -> str:
         """Multi-line human-readable plan summary."""
@@ -318,7 +334,8 @@ class ExecutionPlan:
             f"samples:   {self.num_samples}"
             f" ({self.num_chunks} chunk(s) of {self.chunk_size})",
             f"peak:      ~{self.estimated_peak_bytes / 2**20:.1f} MiB",
-            f"executor:  {self.executor}",
+            f"executor:  {self.executor}"
+            + (f", {self.lookahead} chunk lookahead" if self.lookahead else ""),
         ]
         if self.store is not None:
             lines.append(f"store:     {self.store}")
@@ -830,6 +847,7 @@ class Study:
             repr(self._executor_spec),
             None if self._store is None else str(self._store.directory),
             self._resume,
+            executor_module.row_pool_width(),
         )
 
     def _build_plan(self) -> ExecutionPlan:
@@ -866,6 +884,8 @@ class Study:
                 )
             num_samples = self._samples().shape[0]
             chunk, num_chunks, peak = self._chunk_plan(workload, kind, num_samples)
+            executor_label = "SerialExecutor()"
+            lookahead = 0
             if workload == "transient":
                 kernel = "transient-propagator[gesv]"
                 if self._transient_options["keep_outputs"]:
@@ -875,10 +895,25 @@ class Study:
             elif kind == "sparse":
                 family = shared_pattern_family(target)
                 kernel = f"shared-pattern[{family.solver_kind}]"
-            elif symmetric_definite(target):
-                kernel = "eig-rational[sweep-study/symmetric]"
             else:
-                kernel = "eig-rational[sweep-study]"
+                contraction = (
+                    "grid" if grid_contraction(num_samples, self._frequencies.size)
+                    else "per-frequency"
+                )
+                symmetric = "/symmetric" if symmetric_definite(target) else ""
+                kernel = f"eig-rational[sweep-study{symmetric}/{contraction}]"
+                width = executor_module.row_pool_width()
+                executor_label = f"row-pool(width={width})"
+                extra = sweep_lookahead_bytes(
+                    self._frequencies.size, chunk,
+                    target.nominal.L.shape[1], target.nominal.B.shape[1],
+                )
+                if width > 1 and num_chunks > 1 and (
+                    self._memory_budget is None
+                    or peak + extra <= self._memory_budget
+                ):
+                    lookahead = 1
+                    peak += extra
             if workload in ("sweep", "sweep+poles") and self._keep_responses:
                 m_out = target.nominal.L.shape[1]
                 m_in = target.nominal.B.shape[1]
@@ -899,9 +934,10 @@ class Study:
                 chunk_size=chunk,
                 num_chunks=num_chunks,
                 estimated_peak_bytes=peak,
-                executor="SerialExecutor()",
+                executor=executor_label,
                 notes=tuple(notes),
                 store=store_path,
+                lookahead=lookahead,
             )
 
         # Per-sample workloads: poles / sensitivities.
@@ -1051,6 +1087,7 @@ class Study:
                     chunk_size=plan.chunk_size,
                     num_chunks=plan.num_chunks,
                     executor=plan.executor,
+                    lookahead=plan.lookahead,
                     store=plan.store,
                 )
                 result = self._execute(plan)
@@ -1153,7 +1190,7 @@ class Study:
                     self._store, checkpoint.key, worker=worker_id, ttl=ttl
                 )
                 grid = _chunk_grid(plan.num_samples, plan.chunk_size)
-                payload_fn, _, close = self._chunk_workload(plan, target)
+                payload_fn, _, _, close = self._chunk_workload(plan, target)
 
                 def compute(index: int) -> None:
                     lo, hi = grid[index]
@@ -1249,27 +1286,40 @@ class Study:
         return self._last_warehouse
 
     def _chunk_workload(self, plan: ExecutionPlan, target):
-        """``(payload_fn, build, close)`` for the plan's chunked workload.
+        """``(payload_fn, queue, build, close)`` for the plan's workload.
 
         The one factory behind both chunk loops -- :meth:`run` and the
         compute :meth:`work` hands to the drain: ``payload_fn(block)``
-        computes one chunk's persistable payload, ``build(samples,
-        folded)`` turns the folded chunks into the route's result
-        object, and ``close()`` joins the executor pool the engine
-        entered for per-sample routes (see :func:`_entered_executor`).
+        computes one chunk's persistable payload, ``queue(block)``
+        queues the same payload on the row pool when the plan has a
+        chunk of lookahead (else ``None``), ``build(samples, folded)``
+        turns the folded chunks into the route's result object, and
+        ``close()`` joins the executor pool the engine entered for
+        per-sample routes (see :func:`_entered_executor`).
         """
         close = _no_close
+        queue = None
         if plan.workload in ("sweep", "sweep+poles"):
             dense = supports_batching(target)
+            options = dict(
+                num_poles=self._num_poles,
+                keep_poles=dense and self._num_poles is not None,
+                keep_responses=self._keep_responses,
+                grid=dense and grid_contraction(
+                    plan.num_samples, self._frequencies.size
+                ),
+            )
             payload_fn = functools.partial(
                 _sweep_chunk_payload,
                 target,
                 None if dense else shared_pattern_family(target),
                 self._frequencies,
-                num_poles=self._num_poles,
-                keep_poles=dense and self._num_poles is not None,
-                keep_responses=self._keep_responses,
+                **options,
             )
+            if plan.lookahead:
+                queue = functools.partial(
+                    _queue_sweep_chunk, target, self._frequencies, **options
+                )
 
             def build(samples, folded):
                 return _sweep_result(
@@ -1321,7 +1371,7 @@ class Study:
                     pole_sets=pole_sets,
                 )
 
-        return payload_fn, build, close
+        return payload_fn, queue, build, close
 
     def _resolved_transient_options(self, target) -> dict:
         """Transient options with the waveform/horizon defaults realized.
@@ -1375,12 +1425,12 @@ class Study:
             plan, target, samples, worker=worker, lenient=lenient,
             resume=self._resume,
         )
-        payload_fn, build, close = self._chunk_workload(plan, target)
+        payload_fn, queue, build, close = self._chunk_workload(plan, target)
         try:
             folded = _drive_chunks(
                 "sweep" if plan.workload.startswith("sweep") else plan.workload,
                 samples, plan.chunk_size, payload_fn,
-                checkpoint=checkpoint, progress=self._progress,
+                checkpoint=checkpoint, progress=self._progress, queue=queue,
             )
         finally:
             close()

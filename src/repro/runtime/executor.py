@@ -1,7 +1,9 @@
-"""Execution backends for the per-sample full-order reference solves.
+"""Execution backends: per-sample executors and the row pool.
 
 The batched kernels in :mod:`repro.runtime.batch` cover the *reduced*
-side of a study; the *full*-model reference solves (one sparse
+side of a study, and the dense eig sweep among them splits its chunks
+over the process-wide row pool described at the end of this
+docstring.  The *full*-model reference solves (one sparse
 factorization + eigendecomposition per instance) remain independent
 per-sample tasks.  This module puts them behind one ordered-``map``
 interface so analysis code can scale out without changing shape:
@@ -40,12 +42,36 @@ runs the executors it constructs:
 >>> with ThreadExecutor(max_workers=4) as executor:
 ...     first = executor.map(task, items)      # same pool ...
 ...     second = executor.map(task, more)      # ... reused
+
+The row pool
+------------
+
+The dense eig sweep kernel does not go through these executors.  Its
+chunks are split into contiguous row blocks (:class:`RowBlocks`), one
+per CPU this process may run on (:func:`row_pool_width`), and the
+blocks run on one process-wide thread pool built on first use.  Only
+that kernel uses it, because only it was measured to scale under
+threads (LAPACK ``potrf``/``eigh``/``eig`` release the GIL); the
+GIL-holding transient propagator and the SuperLU family got slower
+when split over threads (the README's Scaling guide has the numbers),
+so they stay serial.  Every caller in the process -- the concurrent
+jobs of ``repro serve`` included -- shares the one pool, so the
+process never runs more kernel threads than CPUs.  With one usable
+CPU there is no pool and the single block runs inline.  The pool is
+keyed by ``os.getpid()``: a forked child builds its own instead of
+waiting on threads it did not inherit.  ``Study.executor(...)`` keeps
+its per-sample meaning and is independent of the row pool.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Union
+from concurrent.futures import wait as wait_futures
+from typing import Callable, Iterable, List, Optional, Tuple, Union
+
+from repro.obs import trace as obs_trace
 
 _ACCEPTED_SPECS = (
     "None, 'serial', 'thread', a worker count, or an executor object "
@@ -196,3 +222,89 @@ def resolve_owned_executor(spec: ExecutorLike):
     """
     owned = not (spec is not None and hasattr(spec, "map"))
     return resolve_executor(spec), owned
+
+
+def row_pool_width() -> int:
+    """CPUs this process may run on: the row pool's thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _row_bounds(num_rows: int, width: int) -> List[Tuple[int, int]]:
+    """At most ``width`` contiguous ``(lo, hi)`` blocks covering the rows.
+
+    Block sizes differ by at most one row, larger blocks first.
+    """
+    count = min(width, num_rows)
+    bounds, lo = [], 0
+    for index in range(count):
+        hi = lo + num_rows // count + (index < num_rows % count)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+_ROW_POOL_LOCK = threading.Lock()
+# (pid, width, pool) of the process-wide row pool; see the module
+# docstring for why it is shared rather than owned by a caller.
+_row_pool: Tuple[int, int, Optional[ThreadPoolExecutor]] = (0, 0, None)
+
+
+def _shared_row_pool(width: int) -> ThreadPoolExecutor:
+    """The process's row pool of ``width`` threads, built on first use."""
+    global _row_pool
+    with _ROW_POOL_LOCK:
+        pid, built_width, pool = _row_pool
+        if pool is None or pid != os.getpid() or built_width != width:
+            pool = ThreadPoolExecutor(
+                max_workers=width, thread_name_prefix="repro-rows"
+            )
+            _row_pool = (os.getpid(), width, pool)
+        return pool
+
+
+class RowBlocks:
+    """One chunk's rows as contiguous blocks queued on the row pool.
+
+    ``run(lo, hi)`` computes rows ``lo:hi``; the blocks are submitted
+    on construction, one per usable CPU (:func:`row_pool_width`).
+    :meth:`result` waits for them and returns ``finish(outputs)``, the
+    block outputs in row order.  With one usable CPU nothing is
+    queued: the single block runs inline inside :meth:`result`.
+    """
+
+    def __init__(self, run: Callable[[int, int], object], num_rows: int,
+                 finish: Callable[[list], object]):
+        width = row_pool_width()
+        self.bounds = _row_bounds(num_rows, width)
+        self._run = run
+        self._finish = finish
+        self._futures = None
+        if width > 1:
+            pool = _shared_row_pool(width)
+            self._futures = [pool.submit(run, lo, hi) for lo, hi in self.bounds]
+
+    def result(self):
+        """``finish`` of every block's output; a block's error re-raised
+        once no block of this chunk is queued or running.
+
+        Stamps ``row_blocks`` onto the caller's active span.
+        """
+        obs_trace.annotate(row_blocks=len(self.bounds))
+        if self._futures is None:
+            return self._finish([self._run(lo, hi) for lo, hi in self.bounds])
+        try:
+            outputs = [future.result() for future in self._futures]
+        except BaseException:
+            self.cancel()
+            raise
+        return self._finish(outputs)
+
+    def cancel(self) -> None:
+        """Drop the blocks not yet started and wait for the running ones."""
+        if self._futures is not None:
+            for future in self._futures:
+                future.cancel()
+            wait_futures(self._futures)

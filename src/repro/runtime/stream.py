@@ -33,13 +33,29 @@ hold
   (system stacks + propagators + forcing table + trajectories),
 
 within a small constant factor -- see :func:`sweep_chunk_bytes` and
-:func:`transient_chunk_bytes`.  Everything retained across chunks is
-``O(m)`` scalars per instance (delays, poles, steady states) plus the
-``O(n_f)`` / ``O(n_t)`` envelope accumulators, so total memory is flat
-in the plan size for any fixed ``chunk_size``.  (The accumulator's
-three running arrays are part of the working set and are included in
-the engine's :class:`~repro.runtime.engine.ExecutionPlan` peak
-estimate as a fixed term.)
+:func:`transient_chunk_bytes`.  A dense sweep with one chunk of
+lookahead (see below) adds ``24 c n_f m_out m_in`` bytes
+(:func:`sweep_lookahead_bytes`): the folded chunk's response grid and
+magnitudes, still held while the next chunk computes.  Everything
+retained across chunks is ``O(m)`` scalars per instance (delays,
+poles, steady states) plus the ``O(n_f)`` / ``O(n_t)`` envelope
+accumulators, so total memory is flat in the plan size for any fixed
+``chunk_size``.  (The accumulator's three running arrays are part of
+the working set and are included in the engine's
+:class:`~repro.runtime.engine.ExecutionPlan` peak estimate as a fixed
+term, as is the lookahead.)
+
+Row blocks and lookahead
+------------------------
+
+A dense eig sweep chunk runs as contiguous row blocks, one per usable
+CPU, on the process-wide row pool of :mod:`repro.runtime.executor`;
+the blocks write into the chunk's own response array, and the
+envelope reductions run on the whole chunk afterwards.  On a
+multi-CPU pool the loop also queues the next computed chunk's blocks
+before it waits for, saves and folds the current one, so the pool
+never idles at a chunk boundary.  The chunk grid, the checkpoint unit
+and the order of loads, saves, folds and progress are unchanged.
 
 Checkpoint units
 ----------------
@@ -63,7 +79,12 @@ Every per-instance quantity (responses, poles, trajectories, delays,
 slews, steady states) and the envelope ``min``/``max`` are
 **bit-identical** to one-shot evaluation: the batch kernels process
 instances independently, so slicing the sample matrix into chunks
-cannot change any row's arithmetic.  The envelope ``mean`` is
+cannot change any row's arithmetic.  Row blocks are slices of a chunk
+in the same sense, so chunk payloads are byte-identical whatever the
+pool width, and the one choice that depends on a batch's size -- the
+response contraction of the eig kernel -- is made once per study from
+its total instance count and followed by every chunk and block.  The
+envelope ``mean`` is
 accumulated as a running chunk sum and may differ from the one-shot
 ``numpy.mean`` (pairwise summation) in the last bits -- the only
 deliberate deviation, and it is documented here.  Progress callbacks
@@ -72,6 +93,7 @@ deliberate deviation, and it is documented here.  Progress callbacks
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -80,7 +102,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.batch import _sweep_study
+from repro.runtime.batch import _queue_sweep, _sweep_study
 from repro.runtime.scenarios import ScenarioPlan
 from repro.runtime.transient import _transient_study
 
@@ -125,6 +147,22 @@ def sweep_chunk_bytes(
     return int(16 * chunk_size * per_instance)
 
 
+def sweep_lookahead_bytes(
+    num_frequencies: int,
+    chunk_size: int,
+    num_outputs: int = 1,
+    num_inputs: int = 1,
+) -> int:
+    """Extra peak bytes of one chunk of lookahead on a dense sweep.
+
+    ``24 c n_f m_out m_in``: while the row pool computes chunk ``i+1``
+    (its working set is :func:`sweep_chunk_bytes`), the loop still
+    holds chunk ``i``'s complex response grid and the magnitudes its
+    envelope is reduced from.
+    """
+    return int(24 * chunk_size * num_frequencies * num_outputs * num_inputs)
+
+
 def transient_chunk_bytes(
     order: int,
     num_steps: int,
@@ -166,6 +204,7 @@ def _sweep_chunk_payload(
     num_poles: Optional[int] = None,
     keep_poles: bool = False,
     keep_responses: bool = False,
+    grid: Optional[bool] = None,
 ) -> dict:
     """One sweep chunk's persistable payload (the checkpoint unit).
 
@@ -173,17 +212,53 @@ def _sweep_chunk_payload(
     ``Study.run()`` and the work-stealing drain loop
     (:meth:`repro.runtime.engine.Study.work`) -- both paths therefore
     checkpoint byte-identical arrays for the same chunk.  ``family`` is
-    the shared sparsity pattern for sparse targets, ``None`` for dense.
-    Both kernels treat instances independently, so chunked payloads are
-    bit-identical to one-shot evaluation.
+    the shared sparsity pattern for sparse targets, ``None`` for dense,
+    whose row blocks run on the row pool; ``grid`` is the study's
+    contraction choice.  Both kernels treat instances
+    independently, so chunked payloads are bit-identical to one-shot
+    evaluation.
     """
     if family is None:
         responses, poles = _sweep_study(
-            model, freqs, block, num_poles=num_poles, want_poles=keep_poles
+            model, freqs, block, num_poles=num_poles, want_poles=keep_poles,
+            grid=grid,
         )
     else:
         responses = family.frequency_response(freqs, block)
         poles = None
+    return _sweep_payload(responses, poles, keep_poles, keep_responses)
+
+
+def _queue_sweep_chunk(
+    model,
+    freqs: np.ndarray,
+    block: np.ndarray,
+    num_poles: Optional[int] = None,
+    keep_poles: bool = False,
+    keep_responses: bool = False,
+    grid: Optional[bool] = None,
+):
+    """Queue a dense sweep chunk's row blocks on the row pool.
+
+    Returns the queued :class:`~repro.runtime.executor.RowBlocks`;
+    its ``result()`` waits for them and returns the payload
+    :func:`_sweep_chunk_payload` computes for the same chunk.  The
+    envelope reductions run on the whole chunk in the waiting thread,
+    so they are the same whatever the split.
+    """
+    finish = functools.partial(
+        _sweep_payload, keep_poles=keep_poles, keep_responses=keep_responses
+    )
+    return _queue_sweep(
+        model, freqs, block, num_poles=num_poles, want_poles=keep_poles,
+        grid=grid, finish=finish,
+    )
+
+
+def _sweep_payload(
+    responses: np.ndarray, poles, keep_poles: bool, keep_responses: bool
+) -> dict:
+    """A sweep chunk's payload from its responses (and poles)."""
     magnitudes = np.abs(responses)
     payload = {
         "env_min": magnitudes.min(axis=0),
@@ -301,22 +376,28 @@ class _Folded:
         return None if blocks is None else np.concatenate(blocks, axis=0)
 
 
-def _chunk_unit(checkpoint, index: int, lo: int, hi: int, payload_fn, block):
+def _chunk_unit(
+    checkpoint, index: int, lo: int, hi: int, payload_fn, block, queued=None
+):
     """``(payload, loaded)`` for chunk ``index`` -- the checkpoint unit.
 
     Loads the chunk from ``checkpoint`` when it holds a verified copy;
-    otherwise computes ``payload_fn(block)`` and, with a checkpoint
-    attached, saves it with its per-chunk telemetry.  This is the
-    runtime's only checkpoint load and save site: :func:`_drive_chunks`
-    calls it for every chunk of a run, and ``Study.work()`` for every
-    chunk a worker claims.
+    otherwise computes ``payload_fn(block)`` -- or waits for ``queued``,
+    the chunk's kernel already queued on the row pool -- and, with a
+    checkpoint attached, saves it with its per-chunk telemetry.  Only
+    chunks the checkpoint does not hold are ever queued, so a queued
+    chunk skips the load.  This is the runtime's only checkpoint load
+    and save site: :func:`_drive_chunks` calls it for every chunk of a
+    run, and ``Study.work()`` for every chunk a worker claims.
     """
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    payload = checkpoint.load(index) if checkpoint is not None else None
+    payload = None
+    if queued is None and checkpoint is not None:
+        payload = checkpoint.load(index)
     loaded = payload is not None
     if not loaded:
-        payload = payload_fn(block)
+        payload = payload_fn(block) if queued is None else queued.result()
         if checkpoint is not None:
             checkpoint.save(
                 index, lo, hi, payload,
@@ -333,6 +414,7 @@ def _drive_chunks(
     payload_fn: Callable[[np.ndarray], dict],
     checkpoint=None,
     progress: Optional[ProgressCallback] = None,
+    queue: Optional[Callable] = None,
 ) -> _Folded:
     """Walk the chunk grid of ``samples`` in order and fold the payloads.
 
@@ -342,6 +424,15 @@ def _drive_chunks(
     fold into an :class:`_EnvelopeAccumulator`, every other column is
     appended, and ``progress(done, total)`` fires afterwards.
     Computed payloads fold straight from memory; nothing is re-read.
+
+    ``queue(block)`` (dense eig sweeps on a multi-CPU row pool) queues
+    a chunk's row blocks and returns the handle :func:`_chunk_unit`
+    waits on.  With it the loop keeps one chunk of lookahead: before
+    it waits for, saves and folds chunk ``i`` it queues chunk ``i+1``,
+    so the pool computes while this thread writes the checkpoint.
+    Loaded chunks are never queued, and loads, saves, folds and
+    progress stay in index order.  Whatever ends the loop early, no
+    queued block is left behind.
     """
     total = samples.shape[0]
     if total == 0:
@@ -349,30 +440,44 @@ def _drive_chunks(
     grid = _chunk_grid(total, chunk_size)
     envelope = _EnvelopeAccumulator()
     columns: Dict[str, List[np.ndarray]] = {}
+    # Chunks queued on the row pool and not yet waited for, by index.
+    queued: Dict[int, object] = {}
     done = 0
-    for index, (lo, hi) in enumerate(grid):
-        with obs_trace.span(
-            "study.chunk", workload=workload, index=index, lo=lo, hi=hi,
-            instances=hi - lo,
-        ) as chunk_span:
-            payload, loaded = _chunk_unit(
-                checkpoint, index, lo, hi, payload_fn, samples[lo:hi]
-            )
-            if "env_min" in payload:
-                envelope.merge(
-                    payload["env_min"], payload["env_max"], payload["env_sum"],
-                    hi - lo,
+    try:
+        for index, (lo, hi) in enumerate(grid):
+            with obs_trace.span(
+                "study.chunk", workload=workload, index=index, lo=lo, hi=hi,
+                instances=hi - lo, row_blocks=0, prefetched=index in queued,
+            ) as chunk_span:
+                if queue is not None:
+                    for ahead in (index, index + 1):
+                        if ahead < len(grid) and ahead not in queued and (
+                            checkpoint is None
+                            or ahead not in checkpoint.completed
+                        ):
+                            queued[ahead] = queue(samples[slice(*grid[ahead])])
+                payload, loaded = _chunk_unit(
+                    checkpoint, index, lo, hi, payload_fn, samples[lo:hi],
+                    queued.pop(index, None),
                 )
-            for name, column in payload.items():
-                if not name.startswith("env_"):
-                    columns.setdefault(name, []).append(column)
-            done += hi - lo
-            chunk_span.set(
-                loaded=loaded, done=done, total=total,
-                chunks_done=index + 1, num_chunks=len(grid),
-            )
-        if progress is not None:
-            progress(done, total)
+                if "env_min" in payload:
+                    envelope.merge(
+                        payload["env_min"], payload["env_max"],
+                        payload["env_sum"], hi - lo,
+                    )
+                for name, column in payload.items():
+                    if not name.startswith("env_"):
+                        columns.setdefault(name, []).append(column)
+                done += hi - lo
+                chunk_span.set(
+                    loaded=loaded, done=done, total=total,
+                    chunks_done=index + 1, num_chunks=len(grid),
+                )
+            if progress is not None:
+                progress(done, total)
+    finally:
+        for pending in queued.values():
+            pending.cancel()
     return _Folded(envelope, columns, len(grid))
 
 

@@ -109,11 +109,13 @@ class TestDenseRouteEquivalence:
         m_in = model.nominal.B.shape[1]
         effective = min(chunk, samples.shape[0])
         # Exactly the documented estimator: the chunk arrays plus the
-        # streaming reducer's three cross-chunk accumulator arrays.
+        # streaming reducer's three cross-chunk accumulator arrays, plus
+        # the folded chunk's grid and magnitudes under lookahead.
         accumulator = 24 * FREQUENCIES.size * m_out * m_in
+        lookahead = plan.lookahead * 24 * effective * FREQUENCIES.size * m_out * m_in
         assert plan.estimated_peak_bytes == sweep_chunk_bytes(
             q, FREQUENCIES.size, effective, m_out, m_in
-        ) + accumulator
+        ) + accumulator + lookahead
         # ... which bounds the measured per-chunk allocation shapes: the
         # instantiated (c, q, q) system stacks and the chunk's complex
         # (c, n_f, m_out, m_in) response grid.
@@ -183,28 +185,43 @@ class TestEveryRouteOneStudy:
         return parametric, model, samples
 
     def test_sweep_every_chunking_identical(self, circuit):
+        """Every chunking, on both response contractions.
+
+        The 40-point axis with more than 16 instances is the case where
+        a chunk of 16 or fewer rows would take the other contraction
+        than the whole study if each chunk chose its own.
+        """
         _, model, samples = circuit
-        results = {}
-        for label, directive in (
-            ("dense-batch", lambda s: s),
-            ("stream-1", lambda s: s.chunk(1)),
-            ("stream-2", lambda s: s.chunk(2)),
-            ("stream-4", lambda s: s.chunk(4)),
-        ):
-            study = directive(
-                Study(model).scenarios(samples).sweep(FREQUENCIES, keep_responses=True)
-            )
-            results[label] = (study.plan().route, study.run())
-        assert results["dense-batch"][0] == "dense-batch"
-        assert results["stream-2"][0] == "dense-stream"
-        reference = results["dense-batch"][1]
-        for label, (_, result) in results.items():
-            np.testing.assert_array_equal(
-                result.responses, reference.responses, err_msg=label
-            )
-            np.testing.assert_array_equal(
-                result.envelope_min, reference.envelope_min, err_msg=label
-            )
+        wide = 0.25 * np.random.default_rng(29).standard_normal((33, 3))
+        for plan_samples in (samples, wide):
+            for freqs in (FREQUENCIES, np.logspace(7, 10, 40)):
+                results = {}
+                for label, directive in (
+                    ("dense-batch", lambda s: s),
+                    ("stream-1", lambda s: s.chunk(1)),
+                    ("stream-2", lambda s: s.chunk(2)),
+                    ("stream-4", lambda s: s.chunk(4)),
+                    ("stream-16", lambda s: s.chunk(16)),
+                ):
+                    study = directive(
+                        Study(model).scenarios(plan_samples)
+                        .sweep(freqs, keep_responses=True)
+                    )
+                    results[label] = (study.plan().route, study.run())
+                assert results["dense-batch"][0] == "dense-batch"
+                assert results["stream-2"][0] == "dense-stream"
+                reference = results["dense-batch"][1]
+                for label, (_, result) in results.items():
+                    label = f"{label}, m={len(plan_samples)}, n_f={freqs.size}"
+                    np.testing.assert_array_equal(
+                        result.responses, reference.responses, err_msg=label
+                    )
+                    np.testing.assert_array_equal(
+                        result.envelope_min, reference.envelope_min, err_msg=label
+                    )
+                    np.testing.assert_array_equal(
+                        result.envelope_max, reference.envelope_max, err_msg=label
+                    )
 
     def test_pole_study_every_executor_identical(self, circuit, process_pool):
         parametric, _, samples = circuit

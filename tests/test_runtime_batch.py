@@ -214,6 +214,19 @@ class TestEigGuard:
         reference = _solve_responses(jordan_model, g, c, freqs)
         np.testing.assert_array_equal(responses, reference)
 
+    def test_public_eig_method_is_guarded(self, jordan_model):
+        """``batch_frequency_response(method="eig")`` runs the guarded kernel."""
+        samples = np.array([[0.3], [-0.2], [0.1]])
+        freqs = np.logspace(7, 10, 9)
+        counter = obs_metrics.counter("runtime.batch.eig_fallbacks")
+        before = counter.value
+        responses = batch_frequency_response(jordan_model, freqs, samples, method="eig")
+        assert counter.value - before == 3
+        g, c = batch_instantiate(jordan_model, samples, exact=True)
+        np.testing.assert_array_equal(
+            responses, _solve_responses(jordan_model, g, c, freqs)
+        )
+
     def test_healthy_model_pays_no_fallbacks(self, rcneta_approximate_model, ensemble):
         counter = obs_metrics.counter("runtime.batch.eig_fallbacks")
         before = counter.value
@@ -265,7 +278,7 @@ class TestSymmetricKernel:
         ):
             np.testing.assert_array_equal(ours, reference)
         plan = Study(rlc_model).scenarios(points).sweep(self.FREQS).plan()
-        assert plan.kernel == "eig-rational[sweep-study]"
+        assert plan.kernel == "eig-rational[sweep-study/grid]"
 
     def test_indefinite_instances_take_general_path(self, model):
         # p_i <= -1 removes a whole width's conductance: G_k turns

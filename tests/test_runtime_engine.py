@@ -111,7 +111,7 @@ class TestRouteSelection:
         execution = Study(model).scenarios(plan).sweep(FREQUENCIES).plan()
         assert isinstance(execution, ExecutionPlan)
         assert execution.route == "dense-batch"
-        assert execution.kernel == "eig-rational[sweep-study/symmetric]"
+        assert execution.kernel == "eig-rational[sweep-study/symmetric/per-frequency]"
         assert execution.num_chunks == 1
         assert execution.num_samples == 13
         assert "dense-reduced" in execution.target
@@ -228,11 +228,14 @@ class TestPeakByteAccounting:
         m_out = model.nominal.L.shape[1]
         m_in = model.nominal.B.shape[1]
         # Chunk arrays plus the envelope reducer's three cross-chunk
-        # accumulator arrays (running min / sum / max, float64).
+        # accumulator arrays (running min / sum / max, float64), plus the
+        # folded chunk's response grid and magnitudes while a chunk of
+        # lookahead computes.
         accumulator = 24 * FREQUENCIES.size * m_out * m_in
+        lookahead = execution.lookahead * 24 * 4 * FREQUENCIES.size * m_out * m_in
         assert execution.estimated_peak_bytes == sweep_chunk_bytes(
             q, FREQUENCIES.size, 4, m_out, m_in
-        ) + accumulator
+        ) + accumulator + lookahead
 
     def test_transient_estimate_uses_documented_formula(self, model, plan):
         execution = (
@@ -313,8 +316,11 @@ class TestPeakByteAccounting:
         m_out = reduced.nominal.L.shape[1]
         m_in = reduced.nominal.B.shape[1]
         chunk_arrays = sweep_chunk_bytes(q, FREQUENCIES.size, 2, m_out, m_in)
+        lookahead = execution.lookahead * 24 * 2 * FREQUENCIES.size * m_out * m_in
         assert accumulator_measured == 24 * FREQUENCIES.size * m_out * m_in
-        assert execution.estimated_peak_bytes == chunk_arrays + accumulator_measured
+        assert execution.estimated_peak_bytes == (
+            chunk_arrays + accumulator_measured + lookahead
+        )
         assert execution.estimated_peak_bytes >= accumulator_measured
 
 

@@ -146,6 +146,7 @@ class TestStudyStore:
             raise AssertionError("resumed run re-entered the sweep kernel")
 
         monkeypatch.setattr(stream_module, "_sweep_study", forbidden)
+        monkeypatch.setattr(stream_module, "_queue_sweep", forbidden)
         resumed = _sweep(model, plan).store(tmp_path).resume().run()
         np.testing.assert_array_equal(resumed.responses, reference.responses)
         np.testing.assert_array_equal(resumed.poles, reference.poles)
