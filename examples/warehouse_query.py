@@ -1,17 +1,18 @@
-"""Result warehouse walkthrough: ingest, query, verify provenance.
+"""Result warehouse walkthrough: register, query in place, verify provenance.
 
 A transient Monte Carlo study runs against a durable StudyStore with
-the ``warehouse`` directive attached, so every chunk checkpoint is
-converted into a partitioned columnar dataset the moment the study
-completes.  The script then answers the three questions the warehouse
-exists for -- parametric yield against a delay limit, a tail
-percentile, and the worst-corner outliers with provenance -- checks
-the aggregates against the in-RAM study result exactly, re-ingests
-the store to demonstrate structural idempotency (zero new rows), and
-re-verifies every row's ``chunk_sha256`` against the store manifest.
+the ``warehouse`` directive attached, so the study is registered in the
+warehouse catalog the moment it completes -- no rows are copied.  The
+script then answers the three questions the warehouse exists for --
+parametric yield against a delay limit, a tail percentile, and the
+worst-corner outliers with provenance -- straight from the store's
+chunk archives, checks the aggregates against the in-RAM study result
+exactly, registers the store again to show that a registration adding
+nothing writes nothing, and re-verifies every chunk's SHA-256 against
+the store manifest.
 
-The dataset is columnar ``.npz`` tables and the aggregations stream
-them one partition file at a time, with nothing beyond numpy.
+Every query hashes each chunk archive against its manifest record
+before loading the one member it needs, with nothing beyond numpy.
 
 Run:  python examples/warehouse_query.py
 """
@@ -45,7 +46,7 @@ def main() -> None:
         store_dir = Path(root) / "store"
         wh_dir = Path(root) / "wh"
 
-        # -- run: store checkpoints + ingest-on-completion -------------
+        # -- run: store checkpoints + register-on-completion -----------
         study = (
             Study(model)
             .scenarios(plan)
@@ -56,8 +57,9 @@ def main() -> None:
         )
         result = study.run()
         report = study.warehouse_report()
-        print(f"ingested {report.chunks} chunks, "
-              f"{report.rows_added} rows, {report.bytes_written} bytes")
+        print(f"registered {len(report.studies)} study with "
+              f"{report.chunks} chunks ({report.bytes_written} catalog "
+              "bytes, no rows copied)")
 
         # -- query: yield, tail percentile, worst corners --------------
         engine = QueryEngine(wh_dir, memory_budget=32 * 2 ** 20)
@@ -79,14 +81,14 @@ def main() -> None:
                   f"chunk {row['chunk']} ({row['source']}) "
                   f"sha {row['chunk_sha256'][:12]}...")
 
-        # -- idempotency: re-ingest adds exactly zero rows -------------
-        again = Warehouse(wh_dir).ingest_store(store_dir)
-        assert again.rows_added == 0 and again.chunks == 0, \
-            "re-ingest must be a structural no-op"
-        print(f"re-ingest: {again.chunks} converted, "
-              f"{again.skipped} skipped, {again.rows_added} rows added")
+        # -- a registration that adds nothing writes nothing -----------
+        again = Warehouse(wh_dir).register(store_dir)
+        assert again.written == [] and again.bytes_written == 0, \
+            "re-registration must write nothing"
+        print(f"re-registration: {again.chunks} chunks visible, "
+              f"{len(again.written)} catalog records written")
 
-        # -- provenance: every row checks out against the manifest -----
+        # -- provenance: every chunk checks out against the manifest ---
         store = StudyStore(store_dir)
         key = store.study_keys()[0]
         manifest_shas = {

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""CI warehouse drill: kill a worker mid-drain, ingest, aggregate exactly.
+"""CI warehouse drill: kill a worker mid-drain, register, query exactly.
 
-The warehouse's operational contract is not "one tidy run converts to
-column tables" (the unit and property tests cover that in-process) but "a
+The warehouse's operational contract is not "one tidy run answers
+queries" (the unit and property tests cover that in-process) but "a
 store assembled the ugly way -- two work-stealing workers, one of them
 SIGKILLed mid-drain, the study finished by theft and later resumed --
-still ingests into one coherent dataset whose aggregates equal the
-in-RAM result bit for bit".  This script drills exactly that:
+registers as one study whose in-place aggregates equal the in-RAM
+result bit for bit".  This script drills exactly that:
 
 1. start two worker processes draining one 60-instance transient
    Monte Carlo study (chunk 3, so 20 claim units) through a shared
@@ -17,22 +17,25 @@ in-RAM result bit for bit".  This script drills exactly that:
    the kill),
 3. wait for the survivor: it must steal the dead worker's work, drain
    the store, and exit 0 with the merged result,
-4. ingest the store through the ``repro query ingest`` CLI -- the
-   dataset must carry BOTH workers' shard partitions, the victim's
-   partial manifest included, with zero chunks skipped,
+4. register the store through the ``repro query ingest`` CLI -- one
+   catalog record, every chunk visible exactly once, the victim's
+   partial manifest included,
 5. resume the same study in-process with the ``warehouse`` directive
-   attached: the completion ingest must skip every chunk and add zero
-   rows (structural idempotency across CLI and directive ingests),
+   attached: it adds the sample block and keeps the CLI's chunk
+   attribution (first wins); registering again through the CLI and the
+   directive must then write nothing (catalog bytes unchanged),
 6. aggregate through the query engine: yield fraction, p99, and the
-   full metric column must equal the
+   full metric column (dataset order is instance order) must equal the
    in-RAM merged result exactly -- float64 bit equality, no tolerance
    -- and the ``repro query`` CLI must print the same numbers,
-7. re-verify every provenance row's ``chunk_sha256`` against the store
-   manifests and require both workers in the row attribution.
+7. re-verify every provenance entry's ``chunk_sha256`` against the
+   store manifests and require both workers in the attribution,
+8. flip one byte of a chunk archive: ``repro query percentile`` must
+   exit 2 with one line naming the chunk.
 
-Exit code 0 means the drill passed.  CI uploads the ``.npz`` dataset,
-worker manifests, and logs as artifacts so a failure can be debugged
-from the provenance records.
+Exit code 0 means the drill passed.  CI uploads the catalog, worker
+manifests, and logs as artifacts so a failure can be debugged from the
+provenance records.
 
 Usage:  python scripts/ci_warehouse.py [--workdir DIR]
 """
@@ -221,15 +224,17 @@ def run_driver(workdir: pathlib.Path) -> int:
     print(f"survivor drained: victim saved {len(victim_chunks)} chunk(s), "
           f"survivor {len(survivor_chunks)}")
 
-    # -- 4: CLI ingest -- both workers' shards, nothing skipped --------
+    # -- 4: CLI registration -- one record, every chunk once ----------
     ingest = run_cli(["query", "ingest", str(wh), str(store)],
                      capture_output=True)
     (workdir / "ingest.log").write_text(ingest.stdout + ingest.stderr)
     if ingest.returncode != 0:
         fail(f"repro query ingest exited {ingest.returncode}",
              workdir / "ingest.log")
-    if f"chunks:  {NUM_CHUNKS} ingested, 0 skipped" not in ingest.stdout:
-        fail(f"expected {NUM_CHUNKS} chunks ingested, got:\n{ingest.stdout}")
+    if f"chunks:  {NUM_CHUNKS} registered" not in ingest.stdout \
+            or "catalog: 1 written, 0 unchanged" not in ingest.stdout:
+        fail(f"expected one study with {NUM_CHUNKS} chunks registered, "
+             f"got:\n{ingest.stdout}")
     print(ingest.stdout.splitlines()[0])
 
     store_handle = StudyStore(store)
@@ -237,32 +242,52 @@ def run_driver(workdir: pathlib.Path) -> int:
     if len(keys) != 1:
         fail(f"expected one study in the store, found {keys}")
     key = keys[0]
-    shards = sorted(
-        path.name for path in (wh / f"key16={key[:16]}").glob("shard=*")
-    )
-    if shards != [f"shard=w-{VICTIM}", f"shard=w-{SURVIVOR}"]:
-        fail(f"dataset must carry both workers' partitions, got {shards}")
-    print(f"dataset partitions: {', '.join(shards)}")
+    catalog = sorted(path.name for path in (wh / "catalog").iterdir())
+    if catalog != [f"{key[:16]}.json"]:
+        fail(f"the catalog must hold exactly this study's record: {catalog}")
+    record_path = wh / "catalog" / catalog[0]
+    first = json.loads(record_path.read_text())
+    print(f"catalog: {', '.join(catalog)}")
 
-    # -- 5: resume with the directive -- idempotent re-ingest ----------
+    # -- 5: resume with the directive, then re-register both ways ------
+    # The directive adds the sample block; the CLI's chunk attribution
+    # stays (first wins).  After that, neither path writes anything.
     study = build_study().store(store).warehouse(wh)
     result = study.run()
     report = study.warehouse_report()
-    if report.chunks != 0 or report.rows_added != 0:
-        fail(f"resume re-ingest must be a no-op, got {report}")
-    if report.skipped != NUM_CHUNKS:
-        fail(f"resume must skip all {NUM_CHUNKS} chunks, got {report}")
+    record = json.loads(record_path.read_text())
+    if report.chunks != NUM_CHUNKS or record["samples"] is None \
+            or record["sources"] != first["sources"]:
+        fail(f"directive registration must add only the sample block, got "
+             f"{report}")
     if len(result.delays) != INSTANCES:
         fail(f"merged result has {len(result.delays)} instances")
-    print(f"resume re-ingest: 0 chunks converted, {report.skipped} skipped")
+    catalog_bytes = {path: path.read_bytes()
+                     for path in sorted(wh.rglob("*")) if path.is_file()}
+    again = run_cli(["query", "ingest", str(wh), str(store)],
+                    capture_output=True)
+    if again.returncode != 0 \
+            or "catalog: 0 written, 1 unchanged" not in again.stdout:
+        fail(f"CLI re-registration must write nothing, got:\n"
+             f"{again.stdout}{again.stderr}")
+    rerun = build_study().store(store).warehouse(wh)
+    rerun.run()
+    if rerun.warehouse_report().written:
+        fail(f"directive re-registration must write nothing, got "
+             f"{rerun.warehouse_report()}")
+    after = {path: path.read_bytes()
+             for path in sorted(wh.rglob("*")) if path.is_file()}
+    if after != catalog_bytes:
+        fail("re-registration changed the catalog bytes")
+    print(f"re-registration (CLI and directive): {report.chunks} chunks, "
+          "catalog bytes unchanged")
 
     # -- 6: exact aggregation against the in-RAM result ----------------
     engine = QueryEngine(wh)
-    # Dataset order follows the shard partitions (the victim's chunks
-    # sort before the survivor's), so compare the column as a multiset
-    # and then pin every value to its instance via the outlier rows.
+    # Dataset order is (study, chunk), so the column is in instance
+    # order; every outlier row is also pinned to its instance.
     values = engine.metric_values("delay")
-    if not np.array_equal(np.sort(values), np.sort(result.delays)):
+    if not np.array_equal(values, result.delays):
         fail("warehouse metric column differs from the in-RAM delays")
     for row in engine.outliers("delay", k=INSTANCES):
         if row["delay"] != result.delays[row["instance"]]:
@@ -297,14 +322,15 @@ def run_driver(workdir: pathlib.Path) -> int:
     print(f"repro query yield agrees: {document['passed']}/"
           f"{document['total']}")
 
-    # -- 7: provenance -- sha256 per row, both workers attributed ------
+    # -- 7: provenance -- sha256 per chunk, both workers attributed ----
     manifest_shas = {
         record["index"]: record["sha256"]
         for record in store_handle.lineage(key)
     }
     rows = engine.provenance()
-    if len(rows) != NUM_CHUNKS:
-        fail(f"expected {NUM_CHUNKS} provenance rows, got {len(rows)}")
+    if [row["chunk"] for row in rows] != list(range(NUM_CHUNKS)):
+        fail(f"every chunk must be visible exactly once, got "
+             f"{[row['chunk'] for row in rows]}")
     for row in rows:
         if row["chunk_sha256"] != manifest_shas[row["chunk"]]:
             fail(f"chunk {row['chunk']} provenance sha mismatch")
@@ -313,6 +339,25 @@ def run_driver(workdir: pathlib.Path) -> int:
         fail(f"provenance must attribute both workers, got {workers}")
     print(f"provenance verified: {len(rows)} chunks match the store "
           f"manifests, workers {sorted(workers)}")
+
+    # -- 8: a corrupt chunk stops the query in one line ----------------
+    record = store_handle.chunk_records(key)[NUM_CHUNKS // 2]
+    if len(record) != 1:
+        fail(f"chunk {NUM_CHUNKS // 2} has {len(record)} copies; the "
+             "corruption step needs exactly one")
+    archive = store / record[0]["file"]
+    data = bytearray(archive.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    archive.write_bytes(bytes(data))
+    corrupt = run_cli(["query", "percentile", str(wh), "--metric", "delay"],
+                      capture_output=True)
+    (workdir / "corrupt.log").write_text(corrupt.stdout + corrupt.stderr)
+    if corrupt.returncode != 2 or corrupt.stdout \
+            or corrupt.stderr.count("\n") != 1 \
+            or f"chunk {NUM_CHUNKS // 2} " not in corrupt.stderr:
+        fail("a corrupt chunk must fail repro query percentile with exit "
+             "2 and one line naming the chunk", workdir / "corrupt.log")
+    print(f"corrupt chunk refused: {corrupt.stderr.strip()}")
 
     print("PASS: warehouse drill complete")
     return 0

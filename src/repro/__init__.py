@@ -26,9 +26,9 @@ Package map
   engine (one front door routing to batched, sparse shared-pattern,
   streamed, and executor-parallel kernels), scenario plans, the
   content-addressed model cache, and parallel executors.
-- :mod:`repro.warehouse` -- the analytics tier: partitioned columnar
-  datasets ingested from StudyStore checkpoints (idempotent,
-  provenance-carrying) and exact out-of-core aggregation over them.
+- :mod:`repro.warehouse` -- the analytics tier: a catalog of
+  registered studies and exact out-of-core aggregation read in place
+  from their verified StudyStore checkpoints.
 - :mod:`repro.linalg` -- shared numerical kernels.
 
 See the repository-root ``README.md`` for installation, CLI usage, and

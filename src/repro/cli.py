@@ -65,14 +65,17 @@ the study commands, fully defaulted) and prints the canonical result
 bytes, and ``jobs`` lists a service's jobs.  An identical
 re-submission -- even from a different client -- is served from the
 content-addressed result index without recomputation.
-``query`` is the columnar warehouse tier (:mod:`repro.warehouse`):
-``query ingest`` converts a store's chunk checkpoints into a
-partitioned dataset (idempotently -- re-ingest adds zero rows), and
+``query`` is the warehouse tier (:mod:`repro.warehouse`): ``query
+ingest`` registers a store's studies in a warehouse catalog (copying
+no rows; a re-registration that adds nothing writes nothing, one from
+another store -- say the study's store moved -- re-points its record), and
 ``query studies`` / ``yield`` / ``percentile`` / ``outliers`` run
-exact out-of-core aggregations over its ``.npz`` tables, one partition
-file at a time.  Warehouse misuse (unreadable dataset, over-budget
-partition, a legacy ``.parquet`` partition, negative ``-k``) exits 2
-with a one-line diagnostic, like any store error.
+exact aggregations read in place from the registered stores, one
+SHA-256-verified chunk archive at a time, in dataset order (study
+key16, then chunk).  Queries never write.  Warehouse misuse (no
+catalog, a corrupt or missing chunk archive, an over-budget chunk, an
+older release's ``shard=*/chunk=*`` partitions, negative ``-k``) exits
+2 with a one-line diagnostic, like any store error.
 """
 
 from __future__ import annotations
@@ -660,14 +663,12 @@ def _query_engine(args):
 def _cmd_query_ingest(args) -> int:
     from repro.warehouse import Warehouse
 
-    report = Warehouse(args.warehouse).ingest_store(args.store, key=args.key)
+    report = Warehouse(args.warehouse).register(args.store, key=args.key)
     print(f"# warehouse: {args.warehouse}")
-    print(f"studies: {', '.join(report.studies) if report.studies else '-'}")
-    print(f"chunks:  {report.chunks} ingested, {report.skipped} skipped "
-          f"(already warehoused)")
-    for name in sorted(report.rows):
-        print(f"rows[{name}]: {report.rows[name]}")
-    print(f"bytes:   {report.bytes_written}")
+    print(f"studies: {', '.join(report.studies)}")
+    print(f"chunks:  {report.chunks} registered")
+    print(f"catalog: {len(report.written)} written, "
+          f"{len(report.studies) - len(report.written)} unchanged")
     return 0
 
 
@@ -1008,9 +1009,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--poll", type=float, default=0.05,
                            help="lease re-scan interval (seconds)")
     serve_cmd.add_argument("--warehouse", default=None, metavar="DIR",
-                           help="columnar warehouse: every completed job's "
-                                "chunk checkpoints are ingested into DIR "
-                                "(idempotent; query with 'repro query')")
+                           help="warehouse catalog: every completed job's "
+                                "studies are registered in DIR (query "
+                                "them in place with 'repro query')")
     serve_cmd.set_defaults(func=_cmd_serve)
 
     submit_cmd = commands.add_parser(
@@ -1040,25 +1041,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     query_cmd = commands.add_parser(
         "query",
-        help="columnar warehouse: ingest checkpoints, aggregate out-of-core",
-        description="Ingest StudyStore chunk checkpoints into a "
-                    "partitioned columnar dataset and run exact "
-                    "aggregations over it without loading whole studies "
-                    "into RAM. Ingest is idempotent (re-ingest adds zero "
-                    "rows) and every row carries provenance columns "
-                    "(chunk SHA-256, worker, computed/resumed/stolen "
-                    "source) verifiable against the store manifests.",
+        help="warehouse: register stores, aggregate their checkpoints "
+             "in place",
+        description="Register StudyStore studies in a warehouse catalog "
+                    "('ingest' copies no rows) and run exact aggregations "
+                    "read in place from their chunk archives, one "
+                    "SHA-256-verified chunk at a time, in dataset order "
+                    "(study key16, then chunk). Every row carries "
+                    "provenance (study, chunk SHA-256, worker, "
+                    "computed/resumed/stolen/stored source). Queries "
+                    "never write; a corrupt chunk, a missing catalog or "
+                    "an older release's shard=*/chunk=* partitions exit "
+                    "2 with one line.",
     )
     query_actions = query_cmd.add_subparsers(dest="query_command",
                                              required=True)
 
     def _add_query_common(sub, metric: bool) -> None:
         sub.add_argument("warehouse", metavar="DIR",
-                         help="warehouse dataset directory")
+                         help="warehouse directory (read only)")
         sub.add_argument("--memory-budget", type=int, default=None,
                          help="bound in bytes on the column bytes "
-                              "materialized from any single partition "
-                              "file")
+                              "materialized from any single chunk "
+                              "archive")
         sub.add_argument("--study", default=None, metavar="KEY16",
                          help="restrict to one study (key16 prefix)")
         if metric:
@@ -1069,19 +1074,21 @@ def build_parser() -> argparse.ArgumentParser:
                              help="table to aggregate (default: instances)")
 
     query_ingest = query_actions.add_parser(
-        "ingest", help="convert a store's checkpoints into the dataset"
+        "ingest", help="register a store's studies in the catalog "
+                       "(a study registered from another store is "
+                       "re-pointed to this one)"
     )
     query_ingest.add_argument("warehouse", metavar="DIR",
-                              help="warehouse dataset directory")
+                              help="warehouse directory")
     query_ingest.add_argument("store", metavar="STORE",
-                              help="study store to ingest from")
+                              help="study store to register (only read)")
     query_ingest.add_argument("--key", default=None,
                               help="one study key (full or prefix; "
                                    "default: every study in the store)")
     query_ingest.set_defaults(func=_cmd_query_ingest)
 
     query_studies = query_actions.add_parser(
-        "studies", help="list the dataset's studies"
+        "studies", help="list the registered studies"
     )
     _add_query_common(query_studies, metric=False)
     query_studies.set_defaults(func=_cmd_query_studies)

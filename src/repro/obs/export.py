@@ -319,8 +319,8 @@ def lineage_sources(lineage):
     computed, the subsequent merge fold as resumed) keeps the most
     informative attribution: stolen > computed > resumed > volatile --
     how the work actually got done beats how it was later folded.  This
-    is the shape the warehouse ingest layer consumes for its ``source``
-    provenance column.
+    is the shape warehouse registration records as each chunk's
+    ``source`` provenance.
     """
     rank = {"stolen": 3, "computed": 2, "resumed": 1, "volatile": 0}
     sources = {}

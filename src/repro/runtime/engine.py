@@ -529,18 +529,18 @@ class Study:
         return self._invalidate()
 
     def warehouse(self, directory) -> "Study":
-        """Ingest this study's checkpoints into a columnar warehouse.
+        """Register this study in a warehouse catalog after each run.
 
         After each successful :meth:`run` (including the merge phase of
-        :meth:`work`), every durable chunk the store holds for this
-        study is converted into partitioned column tables under
-        ``directory`` (see :class:`repro.warehouse.Warehouse`), with
-        per-instance parameter columns from the realized sample matrix
-        and ``source`` provenance (``computed`` / ``resumed`` /
-        ``stolen``) attributed from this run's own trace spans.  Ingest
-        is idempotent -- chunks already warehoused (by a previous run,
-        a concurrent drainer, or the serve supervisor) are skipped --
-        and :meth:`warehouse_report` tells what the last run added.
+        :meth:`work`), the study is registered in the catalog at
+        ``directory`` (see :class:`repro.warehouse.Warehouse`): where its
+        store lives, its realized sample matrix (checked against the
+        manifest, for ``p_<name>`` query columns) and per-chunk
+        ``source`` provenance (``computed`` / ``resumed`` / ``stolen``)
+        attributed from this run's own trace spans.  No rows are copied;
+        :class:`~repro.warehouse.QueryEngine` reads the store in place.
+        A registration that adds nothing writes nothing, and
+        :meth:`warehouse_report` tells what the last run registered.
 
         Requires :meth:`store`; like :meth:`trace`, the directive
         observes the run without affecting any numeric result.
@@ -551,9 +551,9 @@ class Study:
         return self
 
     def warehouse_report(self):
-        """The :class:`~repro.warehouse.IngestReport` of the most recent
-        :meth:`run` with a :meth:`warehouse` declared (``None`` before
-        the first)."""
+        """The :class:`~repro.warehouse.RegisterReport` of the most
+        recent :meth:`run` with a :meth:`warehouse` declared (``None``
+        before the first)."""
         return self._last_warehouse
 
     def resume(self, flag: bool = True) -> "Study":
@@ -1057,7 +1057,7 @@ class Study:
         lineage_sink = None
         if self._warehouse is not None:
             # A private in-memory sink captures this run's chunk spans so
-            # the post-run ingest can attribute each chunk's source
+            # the post-run registration can attribute each chunk's source
             # (computed / resumed / stolen) instead of the flat "stored"
             # a bare manifest walk would yield.
             lineage_sink = obs_trace.MemorySink()
@@ -1071,13 +1071,13 @@ class Study:
                 if self._warehouse is not None:
                     if plan.workload == "sensitivities":
                         raise ValueError(
-                            "warehouse(...) cannot ingest a sensitivities "
+                            "warehouse(...) cannot register a sensitivities "
                             "study: the workload has no durable checkpoints"
                         )
                     if self._store is None:
                         raise ValueError(
                             "warehouse(...) requires store(...): the "
-                            "warehouse ingests durable chunk checkpoints"
+                            "warehouse reads durable chunk checkpoints"
                         )
                 root.set(
                     route=plan.route,
@@ -1092,7 +1092,7 @@ class Study:
                 )
                 result = self._execute(plan)
             if lineage_sink is not None:
-                self._ingest_warehouse(plan, lineage_sink)
+                self._register_warehouse(plan, lineage_sink)
             self._last_metrics = obs_metrics.snapshot_delta(
                 before, obs_metrics.registry().snapshot()
             )
@@ -1253,16 +1253,16 @@ class Study:
         config = self._workload_config(plan.workload, target)
         return study_fingerprint(target, plan.workload, samples, config)
 
-    def _ingest_warehouse(self, plan: ExecutionPlan, lineage_sink):
+    def _register_warehouse(self, plan: ExecutionPlan, lineage_sink):
         """Post-run hook of the :meth:`warehouse` directive.
 
         Joins the run's captured chunk spans into per-chunk source
-        attribution, then ingests this study's checkpoints from the
-        store.  Errors propagate as the directive's failure -- the
-        study result is already computed by this point, but an
-        explicitly requested warehouse that cannot be written is not
-        something to swallow.  The warehouse package is imported lazily
-        so studies without the directive never touch it.
+        attribution, then registers this study in the catalog.  Errors
+        propagate as the directive's failure -- the study result is
+        already computed by this point, but an explicitly requested
+        warehouse that cannot be written is not something to swallow.
+        The warehouse package is imported lazily so studies without the
+        directive never touch it.
         """
         from repro.obs.export import chunk_lineage, lineage_sources
         from repro.warehouse import Warehouse
@@ -1276,7 +1276,7 @@ class Study:
             directory if isinstance(directory, Warehouse)
             else Warehouse(directory)
         )
-        self._last_warehouse = warehouse.ingest_store(
+        self._last_warehouse = warehouse.register(
             self._store,
             key=fingerprint["key"],
             samples=samples,

@@ -45,7 +45,7 @@ same chunk never write the same file and every manifest stays
 single-writer.  Stores written by the static shard runs of older
 releases (``manifest-<key16>.shardNNofMM.json``, one per shard) stay
 readable: every manifest for a study key is merged, so such a store
-resumes and warehouses like any other.  Duplicate records for one
+resumes and is queried like any other.  Duplicate records for one
 chunk index are equivalent by construction (the kernels are
 deterministic), and readers keep every record as an alternate: a
 checksum-mismatched archive falls back to another worker's copy, and
@@ -157,39 +157,100 @@ def study_fingerprint(target, workload: str, samples, config: dict) -> Dict[str,
     return {**record, "key": key}
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _verified_chunk_payload(directory: Path, key: str, index: int, record: dict):
+def _verified_chunk_payload(
+    directory: Path, key: str, index: int, record: dict, members=None
+):
     """Load one chunk record's archive, verifying its recorded SHA-256.
 
+    The archive is read once; its bytes are hashed against the manifest
+    record and only then deserialized -- from those same bytes, so what
+    is verified is exactly what is loaded.  ``members`` names the arrays
+    to materialize (default: all of them; names the archive lacks are
+    left out), so a reader that needs one column touches one member.
+
     Returns ``((payload, sha256, size), None)`` on success or
-    ``(None, StoreError)`` when the archive is missing or fails its
-    checksum -- shared by :meth:`StudyCheckpoint.load` (resume path)
-    and :meth:`StudyStore.iter_chunks` (warehouse ingest), so both
-    enforce the identical verify-before-deserialize contract.
+    ``(None, StoreError)`` when the archive is missing, unreadable, or
+    fails its checksum.  The one verify-before-deserialize helper:
+    :meth:`StudyCheckpoint.load` (resume), :meth:`StudyStore.iter_chunks`
+    and the warehouse's in-place queries all go through it.
     """
-    path = directory / record["file"]
-    if not path.exists():
+    try:
+        data = (directory / record["file"]).read_bytes()
+    except FileNotFoundError:
         return None, StoreError(
             f"chunk {index} of study {key[:12]}... is recorded in the "
             f"manifest but its archive {record['file']!r} is missing"
         )
-    actual = _sha256_file(path)
+    except OSError as exc:
+        return None, StoreError(
+            f"cannot read chunk {index} archive {record['file']!r}: {exc}"
+        )
+    actual = hashlib.sha256(data).hexdigest()
     if actual != record["sha256"]:
         return None, StoreError(
             f"chunk {index} archive {record['file']!r} fails its recorded "
             f"checksum (manifest {record['sha256'][:12]}..., file "
             f"{actual[:12]}...); the store is corrupt"
         )
-    with np.load(path) as archive:
-        payload = {name: archive[name] for name in archive.files}
-    return (payload, actual, path.stat().st_size), None
+    with np.load(io.BytesIO(data)) as archive:
+        names = archive.files if members is None else [
+            name for name in members if name in archive.files
+        ]
+        payload = {name: archive[name] for name in names}
+    return (payload, actual, len(data)), None
+
+
+def _check_records(path: Path, manifest: dict) -> None:
+    """Raise a one-line :class:`StoreError` unless every chunk record
+    fits the manifest's own layout.
+
+    Readers take a chunk's instance range straight from ``lo``/``hi``
+    and open ``file`` relative to the store, so each record must name a
+    chunk of the grid -- ``index < num_chunks`` and ``(lo, hi)`` that
+    chunk's bounds -- and an archive directly under ``chunks/<key16>/``.
+    """
+
+    def corrupt(problem: str) -> StoreError:
+        return StoreError(f"corrupt manifest {str(path)!r}: {problem} "
+                          "(delete it to start over)")
+
+    chunks = manifest.get("chunks", {})
+    if not isinstance(chunks, dict):
+        raise corrupt("'chunks' is not an object")
+    if not chunks:
+        return
+    layout, key = manifest.get("layout"), manifest.get("study_key")
+    grid = [layout.get(name) for name in ("chunk_size", "num_samples",
+                                          "num_chunks")] \
+        if isinstance(layout, dict) else [None] * 3
+    size, total, count = grid
+    if not (isinstance(key, str) and all(isinstance(v, int) for v in grid)
+            and size >= 1):
+        raise corrupt("chunk records without a study key and chunk layout")
+    prefix = f"chunks/{key[:_KEY_PREFIX]}/"
+    for index, record in chunks.items():
+        if not (isinstance(index, str) and index.isdigit()
+                and isinstance(record, dict)
+                and isinstance(record.get("file"), str)
+                and isinstance(record.get("sha256"), str)
+                and isinstance(record.get("lo"), int)
+                and isinstance(record.get("hi"), int)):
+            raise corrupt(f"malformed record for chunk {index!r}")
+        lo = int(index) * size
+        bounds = (lo, min(lo + size, total))
+        if int(index) >= count:
+            raise corrupt(f"chunk {index} lies outside the {count}-chunk "
+                          "layout")
+        if (record["lo"], record["hi"]) != bounds:
+            raise corrupt(f"chunk {index} records instances "
+                          f"{record['lo']}..{record['hi']} where the layout "
+                          f"grid has {bounds[0]}..{bounds[1]}")
+        name = record["file"].replace("\\", "/")
+        rest = name[len(prefix):]
+        if not name.startswith(prefix) or rest in ("", ".", "..") \
+                or "/" in rest:
+            raise corrupt(f"chunk {index} archive {record['file']!r} lies "
+                          f"outside {prefix}")
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -283,6 +344,19 @@ class StudyStore:
                 f"store directory {str(self.directory)!r} is not writable: {exc}"
             ) from None
 
+    @classmethod
+    def reader(cls, directory) -> "StudyStore":
+        """Open a store for reading only.
+
+        Unlike the constructor this creates, probes and writes nothing,
+        so a read-only (or missing) directory can be read -- a missing
+        one simply holds no manifests.  The warehouse's registration and
+        query side open the stores they read this way.
+        """
+        store = cls.__new__(cls)
+        store.directory = Path(directory)
+        return store
+
     # -- paths ---------------------------------------------------------
 
     def _key_prefix(self, key: str) -> str:
@@ -335,29 +409,11 @@ class StudyStore:
                 f"manifest {str(path)!r} has unsupported format "
                 f"{manifest.get('format')!r} (expected {MANIFEST_FORMAT!r})"
             )
-        # Schema-validate the chunk records: a JSON-valid but hand-edited
-        # or truncated manifest must still surface as a one-line
-        # StoreError, never a KeyError deep inside a resumed run.
-        chunks = manifest.get("chunks", {})
-        if not isinstance(chunks, dict):
-            raise StoreError(
-                f"corrupt manifest {str(path)!r}: 'chunks' is not an object "
-                "(delete it to start over)"
-            )
-        for index, record in chunks.items():
-            if not (
-                isinstance(index, str)
-                and index.isdigit()
-                and isinstance(record, dict)
-                and isinstance(record.get("file"), str)
-                and isinstance(record.get("sha256"), str)
-                and isinstance(record.get("lo"), int)
-                and isinstance(record.get("hi"), int)
-            ):
-                raise StoreError(
-                    f"corrupt manifest {str(path)!r}: malformed record for "
-                    f"chunk {index!r} (delete it to start over)"
-                )
+        # Validate every chunk record against the layout: a JSON-valid but
+        # hand-edited or truncated manifest must surface as a one-line
+        # StoreError, never a KeyError deep inside a resumed run or a
+        # phantom instance range in a warehouse query.
+        _check_records(path, manifest)
         return manifest
 
     def load_manifests(self, key: str):
@@ -369,8 +425,8 @@ class StudyStore:
 
         Scans all manifest files (every worker and legacy shard flavor) in
         sorted filename order and returns the unique ``study_key``
-        values, order-preserving -- the enumeration the warehouse
-        ingest layer walks when no explicit key is given.
+        values, order-preserving -- the enumeration warehouse
+        registration walks when no explicit key is given.
         """
         keys: List[str] = []
         for path in sorted(self.directory.glob("manifest-*.json")):
@@ -440,39 +496,36 @@ class StudyStore:
             for index, record in sorted(self.completed_chunks(key).items())
         ]
 
-    def iter_chunks(self, key: str):
+    def iter_chunks(self, key: str, members=None):
         """Yield ``(record, payload)`` per completed chunk, index order.
 
-        Each yielded record is an annotated *copy* of the winning
-        manifest record: ``"index"`` (int), the originating manifest's
-        ``"shard"`` (``[index, of]`` for a legacy shard manifest, else
-        ``None``) and ``"worker"`` are
-        attached so consumers (warehouse ingest) know where a chunk
-        came from without re-walking manifests.  Every payload is
-        verified against its recorded SHA-256 before being yielded;
-        when several workers recorded one chunk, a failing copy falls
-        back to the next alternate (same winning order as
-        :meth:`completed_chunks`), and a chunk whose every copy fails
-        raises the first :class:`StoreError`.
+        Each yielded record is an annotated *copy* of the manifest record
+        that verified: ``"index"`` (int), ``"worker"`` (from the record or
+        its manifest, ``None`` for a plain run) and ``"bytes"`` (archive
+        size) are attached so readers need not re-walk manifests.  Every
+        payload is verified against its recorded SHA-256 before it is
+        deserialized, and holds only ``members`` (default: every array;
+        see :func:`_verified_chunk_payload`).  When several workers
+        recorded one chunk, a failing copy falls back to the next
+        alternate (same winning order as :meth:`completed_chunks`), and a
+        chunk whose every copy fails raises the first :class:`StoreError`.
+        A study with no checkpoint here yields nothing.
         """
         alternates: Dict[int, List[dict]] = {}
         for manifest in self.load_manifests(key):
-            shard = manifest.get("shard")
-            worker = manifest.get("worker")
             for index, record in manifest.get("chunks", {}).items():
-                annotated = dict(record)
-                annotated["index"] = int(index)
-                annotated["shard"] = shard
-                annotated.setdefault("worker", worker)
+                annotated = dict(record, index=int(index))
+                annotated.setdefault("worker", manifest.get("worker"))
                 alternates.setdefault(int(index), []).append(annotated)
         for index in sorted(alternates):
             first_error = None
             for record in alternates[index]:
                 loaded, error = _verified_chunk_payload(
-                    self.directory, key, index, record
+                    self.directory, key, index, record, members
                 )
                 if error is None:
                     payload, _, size = loaded
+                    record["bytes"] = size
                     _CHUNKS_LOADED.inc()
                     _BYTES_READ.inc(size)
                     yield record, payload

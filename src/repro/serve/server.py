@@ -308,9 +308,9 @@ def run(store, host: str = "127.0.0.1", port: int = 8787,
     The blocking convenience entry the ``repro serve`` CLI command
     wraps; ``announce`` receives one line with the bound URL once the
     socket is listening (tests and scripts parse it to discover an
-    ephemeral port).  ``warehouse`` optionally names a columnar
-    warehouse directory every completed job's checkpoints are ingested
-    into (see :class:`~repro.serve.supervisor.StudySupervisor`).
+    ephemeral port).  ``warehouse`` optionally names a warehouse
+    directory every completed job's studies are registered in (see
+    :class:`~repro.serve.supervisor.StudySupervisor`).
     """
     supervisor = StudySupervisor(
         store, memory_budget=memory_budget, pool_size=pool_size,

@@ -88,14 +88,14 @@ class StudySupervisor:
         :meth:`~repro.runtime.engine.Study.work`).
     warehouse:
         Optional directory or :class:`~repro.warehouse.Warehouse`:
-        every completed job's chunk checkpoints are ingested into this
-        columnar dataset (idempotently -- a warehouse shared with
-        ``repro work`` drainers or a study's own
+        every completed job's studies are registered in this catalog
+        (a registration that adds nothing writes nothing, so a
+        warehouse shared with ``repro work`` drainers or a study's own
         :meth:`~repro.runtime.engine.Study.warehouse` directive never
-        duplicates rows), with source attribution from the job's own
-        spans.  An ingest failure is reported as a ``warehouse.error``
-        job event, never as a job failure -- the result document is
-        already durable by then.
+        duplicates a study), with source attribution from the job's own
+        spans.  A registration failure is reported as a
+        ``warehouse.error`` job event, never as a job failure -- the
+        result document is already durable by then.
     """
 
     def __init__(self, store, memory_budget: Optional[int] = None,
@@ -256,7 +256,7 @@ class StudySupervisor:
         job.mark_running()
         # The bridge streams span events to the job's NDJSON log; the
         # memory sink (warehouse mode only) keeps the raw span records
-        # the post-completion ingest joins into per-chunk source
+        # the post-completion registration joins into per-chunk source
         # attribution.
         sinks = [SpanEventBridge(job.add_event)]
         lineage_sink = None
@@ -288,27 +288,27 @@ class StudySupervisor:
             document, sort_keys=True, indent=1, default=_json_default
         ).encode()
         self._store_result(job.key, data)
-        self._ingest_job(job, realized, lineage_sink)
+        self._register_job(job, realized, lineage_sink)
         job.mark_done(data, cached=False)
         _COMPLETED.inc()
 
-    def _ingest_job(self, job: Job, realized: RealizedJob,
-                    lineage_sink) -> None:
-        """Warehouse hook: ingest a completed job's chunk checkpoints.
+    def _register_job(self, job: Job, realized: RealizedJob,
+                      lineage_sink) -> None:
+        """Warehouse hook: register a completed job's studies.
 
         Best-effort by design: the result document is already persisted
-        and served, so an ingest failure degrades to a
+        and served, so a registration failure degrades to a
         ``warehouse.error`` job event (and the next completed job -- or
-        a ``repro query ingest`` -- retries idempotently) instead of
-        failing a job whose numbers are done.
+        a ``repro query ingest`` -- registers again) instead of failing
+        a job whose numbers are done.
         """
         if self.warehouse is None:
             return
         try:
             lineage = lineage_sources(chunk_lineage(lineage_sink.records))
-            report = None
+            studies, chunks, written = [], 0, []
             for key in job.study_keys:
-                partial = self.warehouse.ingest_store(
+                report = self.warehouse.register(
                     self.store, key=key,
                     samples=realized.samples,
                     parameter_names=getattr(
@@ -316,13 +316,14 @@ class StudySupervisor:
                     ),
                     lineage=lineage,
                 )
-                report = partial if report is None else report.merge(partial)
+                studies += report.studies
+                chunks += report.chunks
+                written += report.written
             job.add_event({
-                "event": "warehouse.ingest",
-                "studies": list(report.studies),
-                "chunks": report.chunks,
-                "skipped": report.skipped,
-                "rows": report.rows_added,
+                "event": "warehouse.register",
+                "studies": studies,
+                "chunks": chunks,
+                "written": written,
             })
         except Exception as exc:  # noqa: BLE001 - never fail the job
             job.add_event({

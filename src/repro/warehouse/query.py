@@ -1,235 +1,281 @@
-"""Out-of-core aggregation over warehouse datasets.
+"""Exact aggregations read in place from the registered stores.
 
-One engine computes every aggregate: numpy, one partition file at a
-time, reading *only* the requested columns of each ``.npz`` table, with
-no dependency beyond numpy and an optional per-file memory budget.
-
-Exactness is the contract: ``percentile`` is a true percentile over the
-gathered finite values (``np.percentile``), never a sketch; ``yield``
-and ``outliers`` reduce the identical float64 values the solvers
-persisted.  Every aggregate can therefore be asserted equal --
-bitwise -- to the in-RAM result computed from the original study
-object, which is what the acceptance tests and the warehouse CI drill
-do.
+Every chunk archive a query reads is hashed against its manifest record
+by the store's one verify-before-deserialize helper, which then loads
+only the members the query needs; a chunk with no copy that verifies
+fails the aggregation in one line.  Tables are derived per chunk, in
+dataset order (study key16, then chunk), from the persisted float64
+values, so aggregates equal the in-RAM reductions bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.warehouse import backend
-from repro.warehouse.backend import WarehouseError
-from repro.warehouse.ingest import Warehouse
+from repro.obs import trace as obs_trace
+from repro.runtime.store import StudyStore
+from repro.warehouse.catalog import (WarehouseError, catalog_dir,
+                                     check_samples, read_record)
 
 __all__ = ["QueryEngine"]
 
+#: The archive members behind every column: the one table both the
+#: member subset a query loads (``_members``) and the per-chunk
+#: derivation (``_table_columns``) read.  Pole sets persist either as
+#: ``poles_padded`` + ``poles_lengths`` (ragged pole studies) or as a
+#: rectangular ``poles`` matrix (poles riding a sweep).
+_POLES = ("poles_padded", "poles_lengths", "poles")
+_ENVELOPE = ("env_min", "env_max", "env_sum")
+_TABLES = {"instances": (), "poles": _POLES, "envelope": _ENVELOPE}
+_COLUMNS = {"delay": ("delays",), "slew": ("slews",),
+            "steady_": ("steady_states",), "num_poles": _POLES}
+
+
+def _members(table: str, columns) -> tuple:
+    if table not in _TABLES:
+        raise WarehouseError(f"no {table!r} table: the tables are "
+                             "instances, poles and envelope")
+    return _TABLES[table] + tuple(dict.fromkeys(
+        member for name in columns for member in _COLUMNS.get(
+            "steady_" if name.startswith("steady_") else name, ())))
+
+
+def _table_columns(table: str, lo: int, hi: int, payload: dict,
+                   parameters: dict):
+    """One chunk's ``table`` rows as columns (``None``: it has none):
+    ``instances`` (``instance``, ``p_<name>``, ``delay``, ``slew``,
+    ``steady_<j>``, ``num_poles``), ``poles`` (``instance``,
+    ``pole_index``, ``re``, ``im``) or ``envelope`` (``pos``, ``out``,
+    ``inp`` -- ``-1`` for transients -- ``env_*`` and ``count``)."""
+    padded, lengths, rectangular = map(payload.get, _POLES)
+    if padded is None and rectangular is not None:
+        padded = np.atleast_2d(rectangular)
+        lengths = np.full(len(padded), padded.shape[1])
+    if padded is not None:
+        padded = np.asarray(padded, dtype=complex)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        rows, pole_index = np.nonzero(
+            np.arange(padded.shape[1]) < lengths[:, None])
+    if table == "instances":
+        columns = {"instance": np.arange(lo, hi, dtype=np.int64)}
+        for name in ("delay", "slew"):
+            (member,) = _COLUMNS[name]
+            if member in payload:
+                columns[name] = np.asarray(payload[member], dtype=float)
+        (member,) = _COLUMNS["steady_"]
+        if member in payload:
+            steady = np.atleast_2d(np.asarray(payload[member], dtype=float))
+            columns.update((f"steady_{j}", np.ascontiguousarray(steady[:, j]))
+                           for j in range(steady.shape[1]))
+        if padded is not None:
+            columns["num_poles"] = lengths
+        columns.update((name, np.ascontiguousarray(values[lo:hi]))
+                       for name, values in parameters.items())
+        return columns
+    if table == "poles":
+        if padded is None:
+            return None
+        values = padded[rows, pole_index]
+        return {"instance": (rows + lo).astype(np.int64),
+                "pole_index": pole_index.astype(np.int64),
+                "re": np.ascontiguousarray(values.real),
+                "im": np.ascontiguousarray(values.imag)}
+    if _ENVELOPE[0] not in payload:
+        return None
+    axes = [a.ravel().astype(np.int64)
+            for a in np.indices(payload[_ENVELOPE[0]].shape)]
+    if len(axes) == 2:  # transient (t, out); sweeps are (f, out, in)
+        axes.append(np.full(axes[0].size, -1, dtype=np.int64))
+    columns = dict(zip(("pos", "out", "inp"), axes),
+                   count=np.full(axes[0].size, hi - lo, dtype=np.int64))
+    columns.update((name, np.asarray(payload[name], dtype=float).ravel())
+                   for name in _ENVELOPE)
+    return columns
+
+
+def _unreachable(record: dict) -> WarehouseError:
+    return WarehouseError(
+        f"study {record['study_key'][:16]} is registered from store "
+        f"{record['store']!r}, which holds no checkpoint of it; re-register "
+        "it from the store that does: 'repro query ingest DIR STORE'")
+
+
+def _provenance(record: dict, chunk: dict) -> dict:
+    return {"study": record["study_key"][:16], "chunk": chunk["index"],
+            "chunk_sha256": chunk["sha256"], "worker": chunk["worker"] or "",
+            "source": record["sources"].get(str(chunk["index"]), "stored")}
+
 
 class QueryEngine:
-    """Aggregations over one :class:`~repro.warehouse.Warehouse`.
-
-    Parameters
-    ----------
-    warehouse:
-        Dataset directory or :class:`Warehouse`.
-    memory_budget:
-        Optional bound in bytes on the column bytes materialized from
-        any single partition file (the engine's working set).
-        Files that would exceed it raise with the measured size, so an
-        aggregation's memory footprint is a declared contract rather
-        than an accident of dataset growth.
-    """
+    """Aggregations over the studies a warehouse catalog (a directory
+    or :class:`~repro.warehouse.Warehouse`, only read) registers;
+    ``memory_budget`` bounds the column bytes read from one archive."""
 
     def __init__(self, warehouse, memory_budget: Optional[int] = None):
-        self.warehouse = (
-            warehouse if isinstance(warehouse, Warehouse)
-            else Warehouse(warehouse)
-        )
-        self.memory_budget = (
-            None if memory_budget is None else int(memory_budget)
-        )
-        if self.memory_budget is not None and self.memory_budget < 1:
+        self.directory = Path(getattr(warehouse, "directory", warehouse))
+        if memory_budget is not None and int(memory_budget) < 1:
             raise WarehouseError("memory budget must be >= 1 byte")
-        #: Column bytes materialized by the most recent aggregation
-        #: (peak per file, and total) -- how tests assert the
-        #: out-of-core property instead of trusting it.
-        self.last_peak_file_bytes = 0
-        self.last_total_bytes = 0
+        self.memory_budget = None if memory_budget is None else int(memory_budget)
+        catalog_dir(self.directory)
+        #: Column bytes the latest aggregation read: peak archive, total.
+        self.last_peak_file_bytes = self.last_total_bytes = 0
 
-    # -- dataset inventory ---------------------------------------------
+    def _registered(self, study: Optional[str]) -> List[dict]:
+        """Catalog records matching ``study``, stores opened read-only."""
+        paths = sorted(catalog_dir(self.directory).glob(
+            f"{(study or '')[:16]}*.json"))  # records are named by key16
+        records = [record for record in map(read_record, paths)
+                   if record["study_key"].startswith(study or "")]
+        for record in records:
+            record["_store"] = StudyStore.reader(record["store"])
+        return records
+
+    @staticmethod
+    def _manifests(record: dict) -> List[dict]:
+        manifests = record["_store"].load_manifests(record["study_key"])
+        if not manifests:
+            raise _unreachable(record)
+        return manifests
 
     def studies(self) -> List[dict]:
-        """Study records of the dataset (see :meth:`Warehouse.studies`)."""
-        return self.warehouse.studies()
+        """Registered studies from the catalog and manifests, key16 order."""
+        return [{"key16": r["study_key"][:16], "study_key": r["study_key"],
+                 "store": r["store"], "parameter_names": r.get("parameter_names"),
+                 "workload": m.get("fingerprint", {}).get("workload"),
+                 "layout": m.get("layout")}
+                for r in self._registered(None) for m in self._manifests(r)[:1]]
 
     def files(self, table: str, study: Optional[str] = None) -> List[Path]:
-        """Sorted partition files of ``table`` (optionally one study)."""
-        root = self.warehouse.directory
-        prefix = f"key16={study[:16]}" if study else "key16=*"
-        found = sorted(root.glob(f"{prefix}/shard=*/chunk=*/{table}-*"))
-        backend.refuse_parquet(root, found)
-        return [path for path in found if path.suffix == backend.EXTENSION]
+        """The chunk archives a query of ``table`` reads, dataset order:
+        one (first recorded) copy per chunk, listed without opening it."""
+        _members(table, ())
+        return [record["_store"].directory / chunk["file"]
+                for record in self._registered(study)
+                for chunk in record["_store"].lineage(record["study_key"])]
 
-    # -- column gathering ----------------------------------------------
+    def _parameters(self, record: dict) -> dict:
+        """``p_<name>`` columns from the fingerprint-checked sample block."""
+        if record.get("samples") is None:
+            return {}
+        try:
+            block = record["samples"]
+            samples = np.frombuffer(base64.b64decode(block["float64"]),
+                                    dtype="<f8").reshape(block["shape"]).astype(float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WarehouseError(f"corrupt sample block of study "
+                                 f"{record['study_key'][:16]}: {exc}") from None
+        check_samples(record["study_key"], samples, self._manifests(
+            record)[0].get("fingerprint", {}).get("samples"))
+        names = record.get("parameter_names") or range(samples.shape[1])
+        return {f"p_{name}": samples[:, j] for j, name in enumerate(names)}
 
-    def _gather(self, table: str, columns: Sequence[str],
-                study: Optional[str] = None) -> Dict[str, np.ndarray]:
-        """Concatenated columns of ``table`` across every partition.
-
-        Only the requested columns are materialized, one file at a time
-        -- that is the out-of-core story: the dataset may be far larger
-        than RAM as long as the projected columns fit.
-        """
-        files = self.files(table, study)
-        if not files:
-            raise WarehouseError(
-                f"no {table!r} partitions"
-                + (f" for study {study!r}" if study else "")
-                + f" in {str(self.warehouse.directory)!r}"
-            )
+    def _gather(self, table: str, columns, study: Optional[str] = None):
+        """``(columns, chunks)``: ``columns`` of ``table`` concatenated in
+        dataset order, and per chunk ``(catalog record, chunk record,
+        rows)``.  One ``warehouse.query`` span counts the chunks verified
+        and the archive bytes read."""
+        members, parts = _members(table, columns), {name: [] for name in columns}
+        chunks, verified, bytes_read = [], 0, 0
         self.last_peak_file_bytes = 0
-        self.last_total_bytes = 0
-        parts: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
-        for path in files:
-            loaded = backend.read(path, columns=columns)
-            file_bytes = sum(
-                int(np.asarray(values).nbytes) for values in loaded.values()
-            )
-            self.last_peak_file_bytes = max(
-                self.last_peak_file_bytes, file_bytes
-            )
-            if self.memory_budget is not None \
-                    and file_bytes > self.memory_budget:
-                raise WarehouseError(
-                    f"partition {path.name!r} materializes {file_bytes} "
-                    f"column bytes, over the {self.memory_budget}-byte "
-                    "memory budget; raise the budget or re-ingest with a "
-                    "smaller chunk size"
-                )
-            for name in columns:
-                parts[name].append(np.asarray(loaded[name]))
+        with obs_trace.span("warehouse.query", table=table,
+                            study=study or "*") as span:
+            for record in self._registered(study):
+                key = record["study_key"]
+                parameters = self._parameters(record) if any(
+                    name.startswith("p_") for name in columns) else {}
+                study_chunks = verified
+                for chunk, payload in record["_store"].iter_chunks(key, members):
+                    verified, bytes_read = verified + 1, bytes_read + chunk["bytes"]
+                    derived = _table_columns(table, chunk["lo"], chunk["hi"],
+                                             payload, parameters)
+                    if derived is None:
+                        continue
+                    for name in columns:
+                        if name not in derived:
+                            raise WarehouseError(
+                                f"table {table!r} has no column {name!r} "
+                                f"(study {key[:16]}, chunk {chunk['index']})")
+                        parts[name].append(derived[name])
+                    size = sum(derived[name].nbytes for name in columns)
+                    self.last_peak_file_bytes = max(self.last_peak_file_bytes,
+                                                    size)
+                    if self.memory_budget is not None \
+                            and size > self.memory_budget:
+                        raise WarehouseError(
+                            f"chunk {chunk['index']} of study {key[:16]} "
+                            f"materializes {size} column bytes, over the "
+                            f"{self.memory_budget}-byte memory budget")
+                    rows = len(derived.get("instance", derived.get("pos")))
+                    chunks.append((record, chunk, rows))
+                if verified == study_chunks:
+                    raise _unreachable(record)
+            span.set(chunks_verified=verified, bytes_read=bytes_read,
+                     rows=sum(rows for _, _, rows in chunks))
+        if not chunks:
+            raise WarehouseError(
+                f"no {table!r} rows" + (f" for study {study!r}" if study else "")
+                + f" in {str(self.directory)!r}")
         gathered = {name: np.concatenate(parts[name]) for name in columns}
-        self.last_total_bytes = sum(
-            int(values.nbytes) for values in gathered.values()
-        )
-        return gathered
-
-    # -- aggregations --------------------------------------------------
+        self.last_total_bytes = sum(v.nbytes for v in gathered.values())
+        return gathered, chunks
 
     def metric_values(self, metric: str, table: str = "instances",
                       study: Optional[str] = None) -> np.ndarray:
-        """All values of one metric column, dataset order."""
-        return np.asarray(
-            self._gather(table, [metric], study)[metric], dtype=float
-        )
+        """All values of one column, dataset order."""
+        return np.asarray(self._gather(table, [metric], study)[0][metric],
+                          dtype=float)
 
     def yield_fraction(self, metric: str, limit: float,
                        study: Optional[str] = None,
                        table: str = "instances") -> dict:
-        """Fraction of instances whose ``metric`` passes ``<= limit``.
-
-        Instances whose metric is NaN/Inf (e.g. a transient delay that
-        never crossed the threshold) count as failing -- a delay you
-        cannot measure is not a passing die.
-        """
+        """Fraction of rows with ``metric <= limit``; NaN/Inf rows fail."""
         values = self.metric_values(metric, table=table, study=study)
-        passed = int(np.count_nonzero(
-            np.isfinite(values) & (values <= limit)
-        ))
-        total = int(values.size)
-        return {
-            "metric": metric,
-            "limit": float(limit),
-            "passed": passed,
-            "total": total,
-            "fraction": passed / total if total else 0.0,
-        }
+        passed = int(np.count_nonzero(np.isfinite(values) & (values <= limit)))
+        return {"metric": metric, "limit": float(limit), "passed": passed,
+                "total": int(values.size),
+                "fraction": passed / values.size if values.size else 0.0}
 
     def percentile(self, metric: str, q: float,
                    study: Optional[str] = None,
                    table: str = "instances") -> dict:
-        """Exact percentile of the finite values of ``metric``.
-
-        Computed with :func:`np.percentile` over the gathered column,
-        so the result is bitwise equal to the same reduction of the
-        in-RAM study arrays -- no sketching, no approximation.
-        """
+        """Exact :func:`np.percentile` of the finite ``metric`` values."""
         values = self.metric_values(metric, table=table, study=study)
         finite = values[np.isfinite(values)]
         if finite.size == 0:
             raise WarehouseError(
-                f"percentile({metric!r}): no finite values in the dataset"
-            )
-        return {
-            "metric": metric,
-            "q": float(q),
-            "value": float(np.percentile(finite, q)),
-            "count": int(finite.size),
-            "of": int(values.size),
-        }
+                f"percentile({metric!r}): no finite values in the dataset")
+        return {"metric": metric, "q": float(q),
+                "value": float(np.percentile(finite, q)),
+                "count": int(finite.size), "of": int(values.size)}
 
     def outliers(self, metric: str, k: int = 10,
                  study: Optional[str] = None,
                  largest: bool = True,
                  table: str = "instances") -> List[dict]:
-        """The ``k`` most extreme instances with full provenance.
-
-        Returns row dicts carrying the instance index and the
-        provenance columns (chunk, chunk SHA-256, worker, source), so a
-        suspicious corner can be traced to -- and re-verified against
-        -- the exact checkpoint bytes that produced it.  ``k = 0``
-        returns no rows; a negative ``k`` raises.
-        """
+        """The ``k`` (>= 0) most extreme rows with their instance and
+        provenance (study, chunk, chunk SHA-256, worker, source)."""
         if k < 0:
             raise WarehouseError(f"outliers: k must be >= 0, got {k}")
-        columns = [
-            metric, "study", "instance",
-            "chunk", "chunk_sha256", "worker", "source",
-        ]
-        gathered = self._gather(table, columns, study)
+        gathered, chunks = self._gather(
+            table, list(dict.fromkeys([metric, "instance"])), study)
         values = np.asarray(gathered[metric], dtype=float)
         finite = np.flatnonzero(np.isfinite(values))
-        if finite.size == 0:
-            return []
         order = np.argsort(values[finite], kind="stable")
-        chosen = finite[order[::-1][:k] if largest else order[:k]]
-        return [
-            {
-                "study": str(gathered["study"][i]),
-                "instance": int(gathered["instance"][i]),
-                metric: float(values[i]),
-                "chunk": int(gathered["chunk"][i]),
-                "chunk_sha256": str(gathered["chunk_sha256"][i]),
-                "worker": str(gathered["worker"][i]),
-                "source": str(gathered["source"][i]),
-            }
-            for i in chosen
-        ]
+        ends = np.cumsum([rows for _, _, rows in chunks])
+        out = []
+        for i in finite[order[::-1][:k] if largest else order[:k]]:
+            record, chunk, _ = chunks[int(np.searchsorted(ends, i, "right"))]
+            out.append({**_provenance(record, chunk), metric: float(values[i]),
+                        "instance": int(gathered["instance"][i])})
+        return out
 
     def provenance(self, study: Optional[str] = None,
                    table: str = "instances") -> List[dict]:
-        """Unique chunk provenance rows of a dataset, chunk order.
-
-        Each entry is ``{"chunk", "chunk_sha256", "worker", "source",
-        "rows"}``.  Matching these SHA-256 values against
-        :meth:`StudyStore.lineage` proves the warehouse rows derive
-        from exactly the checkpoint bytes the store manifests record.
-        """
-        gathered = self._gather(
-            table, ["chunk", "chunk_sha256", "worker", "source"], study
-        )
-        chunks = np.asarray(gathered["chunk"], dtype=np.int64)
-        out = {}
-        for i in range(chunks.size):
-            index = int(chunks[i])
-            entry = out.setdefault(index, {
-                "chunk": index,
-                "chunk_sha256": str(gathered["chunk_sha256"][i]),
-                "worker": str(gathered["worker"][i]),
-                "source": str(gathered["source"][i]),
-                "rows": 0,
-            })
-            entry["rows"] += 1
-        return [out[index] for index in sorted(out)]
+        """One entry per ``(study, chunk)``, dataset order, with its
+        verified ``chunk_sha256``, ``worker``, ``source`` and ``rows``."""
+        return [{**_provenance(record, chunk), "rows": rows}
+                for record, chunk, rows in self._gather(table, [], study)[1]]

@@ -1,12 +1,13 @@
-"""Property tests: warehouse rows ARE the checkpoint payloads, bitwise.
+"""Property tests: warehouse queries ARE the checkpoint payloads, bitwise.
 
 The warehouse is a *view* of the store, never a reinterpretation: every
 float64 value a chunk archive persisted must come back from the
-warehouse partition files bit-identical (envelope cells, pole
-components, delay/slew/steady metrics), and re-ingesting a store must
-add exactly zero rows.  Hypothesis drives random ensembles and chunk
-sizes; a fixed four-way sweep pins the property on every engine route
-(dense-batch, dense-stream, sparse-family, executor-full).
+in-place queries bit-identical (envelope cells, pole components,
+delay/slew/steady metrics) and equal the in-RAM study result, and
+re-registering a study must write nothing.  Hypothesis drives random
+ensembles and chunk sizes; a fixed four-way sweep pins the property on
+every engine route (dense-batch, dense-stream, sparse-family,
+executor-full).
 """
 
 import tempfile
@@ -21,7 +22,7 @@ from repro.circuits.statespace import DescriptorSystem
 from repro.circuits.variational import ParametricSystem
 from repro.core.model import ParametricReducedModel
 from repro.runtime import Study, StudyStore
-from repro.warehouse import Warehouse, backend
+from repro.warehouse import QueryEngine, Warehouse
 
 RELAXED = settings(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=15
@@ -73,71 +74,108 @@ def _sparse_ensemble(seed=11, n=10, num_parameters=2, num_samples=6):
     return model, samples
 
 
-def _read_table(warehouse, key16, index, table):
-    """The one partition file of ``table`` for chunk ``index``."""
-    pattern = f"shard=*/chunk={index:05d}/{table}-*"
-    files = sorted(warehouse.dataset_dir(key16).glob(pattern))
-    assert len(files) == 1, f"expected one {table} file, found {files}"
-    return backend.read(files[0])
+def _files(directory):
+    return {str(p): p.read_bytes() for p in Path(directory).rglob("*")
+            if p.is_file()}
 
 
-def _assert_rows_match_payloads(store, key, warehouse):
-    """Every warehouse column equals its checkpoint payload, bitwise.
+def _assert_rows_match_payloads(store, key, engine):
+    """Every queried column equals its checkpoint payloads, bitwise.
 
-    The comparison deliberately reads the partition files back through
-    the backend (not through :func:`chunk_tables`, which produced them)
-    against the raw verified archive payloads, so it covers schema
-    conversion AND the backend round trip end to end.
+    The expectation is built from the raw verified archive payloads
+    (:meth:`StudyStore.iter_chunks`), independently of the engine's
+    per-chunk derivation, so the comparison covers the derivation and
+    the verified read end to end.
     """
-    key16 = key[:16]
-    for record, payload in store.iter_chunks(key):
-        index = int(record["index"])
-        lo, hi = int(record["lo"]), int(record["hi"])
+    chunks = list(store.iter_chunks(key))
+    expect = {}
 
-        instances = _read_table(warehouse, key16, index, "instances")
-        np.testing.assert_array_equal(
-            instances["instance"], np.arange(lo, hi)
-        )
-        assert list(instances["chunk_sha256"]) == [record["sha256"]] * (hi - lo)
-        for payload_key, column in (
-            ("delays", "delay"), ("slews", "slew"),
-        ):
+    def add(name, values):
+        expect.setdefault(name, []).append(np.asarray(values))
+
+    for record, payload in chunks:
+        lo, hi = int(record["lo"]), int(record["hi"])
+        add("instance", np.arange(lo, hi))
+        for payload_key, column in (("delays", "delay"), ("slews", "slew")):
             if payload_key in payload:
-                np.testing.assert_array_equal(
-                    instances[column], np.asarray(payload[payload_key])
-                )
+                add(column, payload[payload_key])
         if "steady_states" in payload:
             steady = np.atleast_2d(np.asarray(payload["steady_states"]))
             for j in range(steady.shape[1]):
-                np.testing.assert_array_equal(
-                    instances[f"steady_{j}"], steady[:, j]
-                )
-
-        if "env_min" in payload:
-            envelope = _read_table(warehouse, key16, index, "envelope")
-            for name in ("env_min", "env_max", "env_sum"):
-                np.testing.assert_array_equal(
-                    envelope[name], np.asarray(payload[name]).ravel()
-                )
-
+                add(f"steady_{j}", steady[:, j])
+        for name in ("env_min", "env_max", "env_sum"):
+            if name in payload:
+                add(name, np.asarray(payload[name]).ravel())
         padded = payload.get("poles_padded")
-        rect = payload.get("poles")
         if padded is not None:
             lengths = np.asarray(payload["poles_lengths"], dtype=np.int64)
             mask = np.arange(np.asarray(padded).shape[1]) < lengths[:, None]
-            values = np.asarray(padded, dtype=complex)[mask]
-        elif rect is not None:
-            values = np.atleast_2d(np.asarray(rect, dtype=complex)).ravel()
+            add("poles", np.asarray(padded, dtype=complex)[mask])
+            add("num_poles", lengths)
+        elif payload.get("poles") is not None:
+            poles = np.atleast_2d(np.asarray(payload["poles"], dtype=complex))
+            add("poles", poles.ravel())
+            add("num_poles", np.full(len(poles), poles.shape[1]))
+
+    rows = engine.provenance()
+    assert [(row["chunk"], row["chunk_sha256"]) for row in rows] == [
+        (record["index"], record["sha256"]) for record, _ in chunks
+    ]
+    for name, parts in expect.items():
+        values = np.concatenate(parts)
+        if name == "poles":
+            np.testing.assert_array_equal(
+                engine.metric_values("re", table="poles"), values.real)
+            np.testing.assert_array_equal(
+                engine.metric_values("im", table="poles"), values.imag)
+        elif name.startswith("env_"):
+            np.testing.assert_array_equal(
+                engine.metric_values(name, table="envelope"), values)
         else:
-            values = None
-        if values is not None:
-            poles = _read_table(warehouse, key16, index, "poles")
-            np.testing.assert_array_equal(poles["re"], values.real)
-            np.testing.assert_array_equal(poles["im"], values.imag)
+            np.testing.assert_array_equal(engine.metric_values(name), values)
+
+
+def _assert_member_subsets_lose_nothing(store, key, engine):
+    """Every column derived from a chunk's full payload is what the engine
+    serves from the member subset a query of that column loads."""
+    from repro.warehouse.query import _table_columns
+
+    chunks = list(store.iter_chunks(key))
+    for table in ("instances", "poles", "envelope"):
+        full = [_table_columns(table, record["lo"], record["hi"], payload, {})
+                for record, payload in chunks]
+        full = [columns for columns in full if columns is not None]
+        for name in (full[0] if full else ()):
+            np.testing.assert_array_equal(
+                engine.metric_values(name, table=table),
+                np.concatenate([columns[name] for columns in full]))
+
+
+def _assert_matches_result(engine, result):
+    """The queried columns equal the in-RAM study arrays, bitwise."""
+    delays = getattr(result, "delays", None)
+    if delays is not None:
+        np.testing.assert_array_equal(engine.metric_values("delay"), delays)
+        np.testing.assert_array_equal(engine.metric_values("slew"),
+                                      result.slews)
+    poles = getattr(result, "poles", None)
+    if poles is not None and not isinstance(poles, list):
+        np.testing.assert_array_equal(
+            engine.metric_values("re", table="poles"),
+            np.asarray(poles).real.ravel())
+    pole_sets = getattr(result, "pole_sets", None)
+    if pole_sets:
+        np.testing.assert_array_equal(engine.metric_values("num_poles"),
+                                      [len(poles) for poles in pole_sets])
+    samples = result.samples
+    for j in range(samples.shape[1]):
+        np.testing.assert_array_equal(
+            engine.metric_values(f"p_p{j + 1}"), samples[:, j])
 
 
 def _run_and_verify(build):
-    """Run a store+warehouse study, verify rows, verify idempotency."""
+    """Run a store+warehouse study, verify queries, verify that a second
+    registration writes nothing."""
     with tempfile.TemporaryDirectory() as root:
         store_dir = Path(root) / "store"
         wh_dir = Path(root) / "wh"
@@ -146,13 +184,16 @@ def _run_and_verify(build):
         report = study.warehouse_report()
         store = StudyStore(store_dir)
         key = store.study_keys()[0]
-        warehouse = Warehouse(wh_dir)
-        _assert_rows_match_payloads(store, key, warehouse)
-        # Double ingest: structurally idempotent, zero new rows.
-        again = warehouse.ingest_store(store)
-        assert again.chunks == 0
-        assert again.rows_added == 0
-        assert again.skipped == report.chunks
+        engine = QueryEngine(wh_dir)
+        _assert_rows_match_payloads(store, key, engine)
+        _assert_member_subsets_lose_nothing(store, key, engine)
+        _assert_matches_result(engine, result)
+        # Register again: nothing new, nothing written.
+        before = _files(wh_dir)
+        again = Warehouse(wh_dir).register(store)
+        assert again.written == []
+        assert again.chunks == report.chunks
+        assert _files(wh_dir) == before
         return study, result
 
 

@@ -12,7 +12,9 @@ impossible).
 
 import json
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +213,58 @@ class TestStudyStore:
         assert len(list(tmp_path.glob("manifest-*.json"))) == 2
 
 
+def _edit_first_record(store_dir, edit):
+    (path,) = Path(store_dir).glob("manifest-*.json")
+    manifest = json.loads(path.read_text())
+    first = manifest["chunks"].pop("0")
+    key, record = edit(dict(first), manifest["study_key"][:16])
+    manifest["chunks"][key] = record
+    path.write_text(json.dumps(manifest))
+
+
+MANIFEST_EDITS = {
+    "absolute-file-outside-store": lambda r, k: (
+        "0", dict(r, file=str(Path(tempfile.gettempdir()) / "evil.npz"))),
+    "parent-escape": lambda r, k: (
+        "0", dict(r, file=f"chunks/{k}/../../outside.npz")),
+    "other-study-directory": lambda r, k: (
+        "0", dict(r, file=r["file"].replace(k, "0" * 16))),
+    "lo-above-hi": lambda r, k: ("0", dict(r, lo=3, hi=1)),
+    "phantom-instances": lambda r, k: ("0", dict(r, lo=100, hi=104)),
+    "shifted-bounds": lambda r, k: ("0", dict(r, lo=1, hi=5)),
+    "index-past-layout": lambda r, k: ("4", dict(r, lo=16, hi=20)),
+}
+
+
+class TestManifestValidation:
+    """Readers take a chunk's instances from ``lo``/``hi`` and its
+    archive from ``file``, so a record must fit the manifest's own chunk
+    grid and name an archive under ``chunks/<key16>/``."""
+
+    @pytest.mark.parametrize("edit", sorted(MANIFEST_EDITS))
+    def test_record_outside_the_layout_is_a_one_line_store_error(
+        self, model, plan, tmp_path, edit, capsys
+    ):
+        from repro.cli import main
+
+        store_dir, wh = tmp_path / "store", tmp_path / "wh"
+        _sweep(model, plan).store(store_dir).run()
+        assert main(["query", "ingest", str(wh), str(store_dir)]) == 0
+        _edit_first_record(store_dir, MANIFEST_EDITS[edit])
+        with pytest.raises(StoreError, match="corrupt manifest") as caught:
+            _sweep(model, plan).store(store_dir).resume().run()
+        assert "\n" not in str(caught.value)
+        capsys.readouterr()
+        for argv in (
+            ["query", "ingest", str(tmp_path / "wh2"), str(store_dir)],
+            ["query", "percentile", str(wh), "--metric", "num_poles"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: corrupt manifest")
+            assert err.count("\n") == 1
+
+
 class TestBuilderValidation:
     def test_resume_requires_store(self, model, plan):
         with pytest.raises(ValueError, match="requires store"):
@@ -250,18 +304,23 @@ class TestLegacyShardManifests:
         np.testing.assert_array_equal(merged.envelope_mean, full.envelope_mean)
         np.testing.assert_array_equal(merged.envelope_max, full.envelope_max)
 
-        warehouse = Warehouse(tmp_path / "wh")
-        report = warehouse.ingest_store(StudyStore(store_dir))
+        # The merged shard manifests register and query like one store:
+        # every chunk once, in chunk order, bit-identical to the run.
+        from repro.warehouse import QueryEngine
+
+        store = StudyStore(store_dir)
+        report = Warehouse(tmp_path / "wh").register(store)
         assert report.chunks == 4
-        dataset = warehouse.dataset_dir(report.studies[0])
-        partitions = {
-            path.name: sorted(chunk.name for chunk in path.glob("chunk=*"))
-            for path in dataset.glob("shard=*")
-        }
-        assert partitions == {
-            "shard=01of02": ["chunk=00000", "chunk=00002"],
-            "shard=02of02": ["chunk=00001", "chunk=00003"],
-        }
+        engine = QueryEngine(tmp_path / "wh")
+        key = store.study_keys()[0]
+        assert [(row["chunk"], row["chunk_sha256"])
+                for row in engine.provenance()] == [
+            (record["index"], record["sha256"])
+            for record in store.lineage(key)
+        ]
+        np.testing.assert_array_equal(
+            engine.metric_values("re", table="poles"), full.poles.real.ravel()
+        )
 
 
 class TestConcurrentWriters:
