@@ -15,13 +15,14 @@ evaluated on an ``n_f``-point frequency grid.
 - sparse:  :class:`repro.runtime.sparse.SparsePatternFamily` -- the
   union pattern and index maps are built once, instantiation is a
   data-array update, and every pencil runs through the shared-pattern
-  kernel (tridiagonal / banded LAPACK in RCM order, or SuperLU numeric
-  refactorization).
+  kernel (tridiagonal / banded LAPACK in RCM order, the level-scheduled
+  LU for wide patterns, or SuperLU numeric refactorization where a
+  diagonal is structurally missing).
 
 Asserted: >= 5x speedup for the 2048-unknown ladder study (the
 acceptance bar for the sparse runtime), clear wins for the banded mesh
-and SuperLU-fallback tree rows, and agreement of both paths to 1e-9
-relative.
+and level-LU tree rows, that a voltage-source-driven tree still routes
+to SuperLU, and agreement of both paths to 1e-9 relative.
 
 Set ``BENCH_SMOKE=1`` to run a tiny configuration with the timing
 assertions disabled (CI keeps the script from bit-rotting without
@@ -37,6 +38,7 @@ from benchmarks._record import write_record
 from benchmarks.conftest import format_table
 from repro.analysis.montecarlo import sample_parameters
 from repro.circuits import power_grid_mesh, rc_ladder, rc_tree, with_random_variations
+from repro.circuits.netlist import Netlist
 from repro.runtime.sparse import SparsePatternFamily
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -46,7 +48,15 @@ SEED = 2005
 
 LADDER_SEGMENTS = 127 if SMOKE else 2047       # 2048 MNA unknowns
 MESH_SHAPE = (5, 24) if SMOKE else (10, 205)   # 2050 MNA unknowns, bandwidth 11
-TREE_NODES = 200 if SMOKE else 600             # wide RCM band: SuperLU fallback
+TREE_NODES = 200 if SMOKE else 600             # wide RCM band: level-scheduled LU
+
+
+def _voltage_driven_tree() -> Netlist:
+    """The tree row's net driven by ``V1 in 0``: a row with no diagonal."""
+    net = rc_tree(TREE_NODES, seed=7)
+    net.resistor("Rsrc", "in", "n0", 25.0)
+    net.voltage_source("V1", "in", "0")
+    return net
 
 
 def _looped_sweep(parametric, samples):
@@ -101,11 +111,13 @@ def test_runtime_sparse_speedup(report):
     ladder = with_random_variations(rc_ladder(LADDER_SEGMENTS), 2, seed=3)
     mesh = with_random_variations(power_grid_mesh(*MESH_SHAPE), 2, seed=3)
     tree = with_random_variations(rc_tree(TREE_NODES, seed=7), 2, seed=3)
+    source_tree = with_random_variations(_voltage_driven_tree(), 2, seed=3)
 
     results = {
         "ladder": _run_workload(ladder, NUM_SAMPLES),
         "mesh": _run_workload(mesh, max(NUM_SAMPLES // 4, 2)),
         "tree": _run_workload(tree, max(NUM_SAMPLES // 4, 2)),
+        "source_tree": _run_workload(source_tree, max(NUM_SAMPLES // 4, 2)),
     }
 
     rows = []
@@ -133,14 +145,15 @@ def test_runtime_sparse_speedup(report):
     # Both paths are exact solvers; they must agree to solver roundoff.
     for result in results.values():
         assert result["response_error"] <= 1e-9
-    # The three solver tiers must actually engage.
+    # The four solver tiers must actually engage.
     assert results["ladder"]["solver"] == "tridiagonal"
     assert results["mesh"]["solver"] == "banded"
-    assert results["tree"]["solver"] == "superlu"
+    assert results["tree"]["solver"] == "level-lu"
+    assert results["source_tree"]["solver"] == "superlu"
     if not SMOKE:
         # Acceptance bar: >= 5x on the >= 2000-unknown, >= 64-instance
-        # ladder study; the banded and SuperLU tiers ride along and must
-        # still beat the per-sample loop clearly.
+        # ladder study; the banded and level-LU tiers ride along and
+        # must still beat the per-sample loop clearly.
         assert results["ladder"]["speedup"] >= 5.0
         assert results["mesh"]["speedup"] >= 1.5
         assert results["tree"]["speedup"] >= 1.1

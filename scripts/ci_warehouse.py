@@ -8,15 +8,16 @@ SIGKILLed mid-drain, the study finished by theft and later resumed --
 registers as one study whose in-place aggregates equal the in-RAM
 result bit for bit".  This script drills exactly that:
 
-1. start two worker processes draining one 60-instance transient
-   Monte Carlo study (chunk 3, so 20 claim units) through a shared
-   ``StudyStore``,
-2. SIGKILL one worker after it has checkpointed at least one chunk
-   while the study is provably not drained (SIGSTOP first, re-check,
-   then SIGKILL -- so the drain cannot complete between the check and
-   the kill),
-3. wait for the survivor: it must steal the dead worker's work, drain
-   the store, and exit 0 with the merged result,
+1. start one worker process draining a 60-instance transient Monte
+   Carlo study (chunk 3, so 20 claim units) through a ``StudyStore``;
+   it pauses after every chunk it checkpoints, so it needs seconds to
+   drain alone,
+2. SIGKILL it after it has checkpointed at least one chunk while the
+   study is provably not drained (SIGSTOP first, re-check, then
+   SIGKILL -- so the drain cannot complete between the check and the
+   kill); the pause makes that window certain on any host,
+3. start the second worker only now: it must steal the dead worker's
+   work, drain the store, and exit 0 with the merged result,
 4. register the store through the ``repro query ingest`` CLI -- one
    catalog record, every chunk visible exactly once, the victim's
    partial manifest included,
@@ -61,6 +62,9 @@ NUM_CHUNKS = INSTANCES // CHUNK
 STEPS = 40
 VICTIM = "w1"
 SURVIVOR = "w2"
+# Seconds the victim pauses after each checkpointed chunk: alone, it
+# needs NUM_CHUNKS * VICTIM_PACE seconds to drain, against a 20 ms poll.
+VICTIM_PACE = 0.25
 
 
 def build_study():
@@ -88,7 +92,25 @@ def build_study():
     )
 
 
+def pause_after_each_chunk(seconds: float) -> None:
+    """Sleep ``seconds`` whenever this process finishes a claimed chunk.
+
+    A trace sink sees the ``scheduler.chunk`` span close right after
+    the chunk's checkpoint is saved; sleeping there paces the drain
+    without touching the study or its store.
+    """
+    from repro.obs import trace as obs_trace
+
+    def sink(record):
+        if record.get("name") == "scheduler.chunk":
+            time.sleep(seconds)
+
+    obs_trace.add_sink(sink)
+
+
 def run_worker(store: pathlib.Path, worker_id: str) -> int:
+    if worker_id == VICTIM:
+        pause_after_each_chunk(VICTIM_PACE)
     study = build_study().store(store)
     result = study.work(ttl=2.0, poll=0.05, worker=worker_id)
     report = study.drain_report()
@@ -155,19 +177,17 @@ def kill_mid_drain(store: pathlib.Path, process, log: pathlib.Path):
         if process.poll() is not None:
             fail("victim exited before the kill landed", log)
         victim = worker_chunks(store, VICTIM)
-        done = victim | worker_chunks(store, SURVIVOR)
-        if victim and len(done) < NUM_CHUNKS:
+        if victim and len(victim) < NUM_CHUNKS:
             # Freeze, re-check under the freeze, then kill: the study
             # cannot drain between the check and the SIGKILL.
             os.kill(process.pid, signal.SIGSTOP)
             victim = worker_chunks(store, VICTIM)
-            done = victim | worker_chunks(store, SURVIVOR)
-            if victim and len(done) < NUM_CHUNKS:
+            if victim and len(victim) < NUM_CHUNKS:
                 os.kill(process.pid, signal.SIGKILL)
                 process.wait(timeout=30.0)
                 print(
                     f"killed {VICTIM} with {len(victim)} chunk(s) saved, "
-                    f"{NUM_CHUNKS - len(done)} still pending"
+                    f"{NUM_CHUNKS - len(victim)} still pending"
                 )
                 return victim
             os.kill(process.pid, signal.SIGCONT)
@@ -191,17 +211,16 @@ def run_driver(workdir: pathlib.Path) -> int:
         for worker in (VICTIM, SURVIVOR)
     }
 
-    # -- 1/2: two workers, one SIGKILLed mid-drain ---------------------
-    processes = {
-        worker: spawn_worker(store, worker, logs[worker])
-        for worker in (VICTIM, SURVIVOR)
-    }
+    # -- 1/2: a paced worker, SIGKILLed mid-drain ----------------------
+    processes = {VICTIM: spawn_worker(store, VICTIM, logs[VICTIM])}
     try:
         victim_chunks = kill_mid_drain(
             store, processes[VICTIM], logs[VICTIM]
         )
         # -- 3: the survivor must steal the rest and drain -------------
-        survivor = processes[SURVIVOR]
+        survivor = processes[SURVIVOR] = spawn_worker(
+            store, SURVIVOR, logs[SURVIVOR]
+        )
         try:
             returncode = survivor.wait(timeout=600.0)
         except subprocess.TimeoutExpired:

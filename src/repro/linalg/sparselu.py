@@ -23,16 +23,19 @@ per sample point for the multi-point method).
 Pattern reuse
 -------------
 
-The runtime serving layer factors thousands of matrices that all share
-*one* sparsity pattern (every pencil ``G(p_k) + s C(p_k)`` of a
-variational system lives on the union pattern of the nominal and
-sensitivity matrices).  :meth:`SparseLU.refactor` exploits that: the
-symbolic analysis -- the CSC structure and the fill-reducing column
-ordering SuperLU selected for the first factorization -- is computed
-once and reused for every subsequent *numeric* factorization, which
-receives only a fresh data array.  Refactorizations are tallied by the
-separate :func:`refactorization_count` counter so the paper's headline
-metric (fresh symbolic factorizations) stays untouched.
+Every pencil ``G(p_k) + s C(p_k)`` of a variational system lives on the
+union pattern of the nominal and sensitivity matrices.
+:meth:`SparseLU.refactor` exploits that: the symbolic analysis -- the
+CSC structure and the fill-reducing column ordering SuperLU selected
+for the first factorization -- is computed once and reused for every
+subsequent *numeric* factorization, which receives only a fresh data
+array.  The sparse runtime (:mod:`repro.runtime.sparse`) refactors
+pencil by pencil only where its batched level-scheduled LU cannot run:
+patterns with a structurally missing diagonal (voltage-source rows)
+and the single pencils that LU's backward-error guard rejects.
+Refactorizations are tallied by the separate
+:func:`refactorization_count` counter so the paper's headline metric
+(fresh symbolic factorizations) stays untouched.
 """
 
 from __future__ import annotations

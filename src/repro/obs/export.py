@@ -199,13 +199,20 @@ def summarize_trace(records):
         if record["name"] != "sparse.refactor":
             continue
         kind = record["attrs"].get("solver", "unknown")
-        count, wall = tiers.get(kind, (0, 0.0))
-        tiers[kind] = (count + 1, wall + record["wall_seconds"])
+        count, wall, fallbacks = tiers.get(kind, (0, 0.0, 0))
+        tiers[kind] = (
+            count + 1,
+            wall + record["wall_seconds"],
+            fallbacks + record["attrs"].get("fallbacks", 0),
+        )
     if tiers:
         lines.append("")
         lines.append("solver tiers:")
-        for kind, (count, wall) in sorted(tiers.items()):
-            lines.append(f"  {kind}: {count} solve(s), {_format_seconds(wall)}")
+        for kind, (count, wall, fallbacks) in sorted(tiers.items()):
+            lines.append(
+                f"  {kind}: {count} solve(s), {_format_seconds(wall)}, "
+                f"{fallbacks} fallback(s)"
+            )
 
     chunk_spans = [s for s in spans if s["name"] == "study.chunk"]
     if chunk_spans:

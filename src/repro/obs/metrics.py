@@ -13,9 +13,11 @@ ad-hoc counters they replaced had.
 
 Counters the performance tiers move, beyond the store/cache/scheduler
 instruments: ``engine.plan_cache.hits`` / ``engine.plan_cache.misses``
-(process-global :meth:`Study.plan` memoization) and
+(process-global :meth:`Study.plan` memoization),
 ``runtime.batch.eig_fallbacks`` (instances the eig kernel's response
-guard re-solved through exact pencil solves).
+guard re-solved through exact pencil solves) and
+``runtime.sparse.pivot_fallbacks`` (pencils the level-scheduled LU's
+backward-error guard re-solved through SuperLU refactorization).
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ that reuse is made fast and declarative:
   :class:`SparsePatternFamily` instantiates whole sample batches as
   data-array updates (bit-identical to the scalar path) and factors
   every pencil through a shared symbolic analysis (tridiagonal/banded
-  LAPACK kernels in RCM order, SuperLU numeric refactorization as the
-  general fallback).
+  LAPACK kernels in RCM order, a level-scheduled LU that eliminates an
+  instance's whole frequency grid at once for wider patterns, SuperLU
+  numeric refactorization where a diagonal is structurally missing).
 - :mod:`repro.runtime.stream` -- the one chunk loop under every
   ``Study`` route: it walks the chunk grid under a documented
   peak-memory bound (:func:`sweep_chunk_bytes` /

@@ -40,8 +40,10 @@ Routes
   process-wide row pool of :mod:`repro.runtime.executor`, streamed
   sweeps one chunk ahead (see :class:`ExecutionPlan`).
 - ``sparse-family`` -- sparse full-order parametric systems: batched
-  data-array instantiation on the shared union pattern, pencils through
-  the tridiagonal / banded / SuperLU-refactorization tier.
+  data-array instantiation on the shared union pattern, each
+  instance's pencils through the tridiagonal / banded LAPACK tier, the
+  level-scheduled LU (wide patterns), or SuperLU refactorization
+  (patterns with a structurally missing diagonal).
 - ``executor-full`` -- per-sample full-order reference solves (poles,
   sensitivities) fanned out over the configured executor; executors the
   engine constructs from a spec are shut down deterministically when
@@ -716,7 +718,8 @@ class Study:
         ``fixed`` covers what lives across chunks: the streaming
         reducer's envelope accumulator (three float64 arrays shaped
         like one instance's statistic grid -- running min, sum, max)
-        and, on the sparse route, the per-sample pencil workspace.
+        and, on the sparse route, the workspace of one instance's
+        pencil solve (instances are solved one at a time).
         The accumulator was historically omitted, which understated
         the peak on every streamed route (most visibly the
         cached+reduced one, where the chunk arrays are smallest).
@@ -730,9 +733,9 @@ class Study:
             if kind == "sparse":
                 family = shared_pattern_family(target)
                 # Two (c, nnz) data stacks + the chunk's response grid,
-                # plus the per-sample (n_f, nnz) pencil workspace.
+                # plus one instance's pencil-solve workspace.
                 per = 16 * (2 * family.nnz + n_f * m_out * m_in)
-                return per, 16 * n_f * family.nnz + accumulator
+                return per, family.workspace_bytes(n_f) + accumulator
             per = sweep_chunk_bytes(target.nominal.order, n_f, 1, m_out, m_in)
             return per, accumulator
         num_steps = self._transient_options["num_steps"]

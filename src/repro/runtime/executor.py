@@ -52,9 +52,9 @@ per CPU this process may run on (:func:`row_pool_width`), and the
 blocks run on one process-wide thread pool built on first use.  Only
 that kernel uses it, because only it was measured to scale under
 threads (LAPACK ``potrf``/``eigh``/``eig`` release the GIL); the
-GIL-holding transient propagator and the SuperLU family got slower
-when split over threads (the README's Scaling guide has the numbers),
-so they stay serial.  Every caller in the process -- the concurrent
+GIL-holding transient propagator got slower when split over threads,
+and the sparse family has not been measured end to end on it (the
+README's Scaling guide has the numbers), so both stay serial.  Every caller in the process -- the concurrent
 jobs of ``repro serve`` included -- shares the one pool, so the
 process never runs more kernel threads than CPUs.  With one usable
 CPU there is no pool and the single block runs inline.  The pool is

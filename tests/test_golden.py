@@ -11,8 +11,8 @@ the current code still reproduces them --
   eig-rational sweep kernel, the propagator transient kernel are all
   deterministic closed-form LAPACK pipelines), and
 - to ``1e-12`` relative for the sparse shared-pattern tiers
-  (tridiagonal / banded / SuperLU factorizations may reorder
-  floating-point operations across library builds).
+  (tridiagonal / banded / level-LU / SuperLU factorizations may
+  reorder floating-point operations across library builds).
 
 In the Proof-Carrying-Numbers spirit, each fixture embeds its own
 provenance (generator description and, for the sparse case, the solver
@@ -33,6 +33,7 @@ import pytest
 
 from repro.analysis.montecarlo import sample_parameters
 from repro.circuits import rc_ladder, rc_tree, rcnet_a, with_random_variations
+from repro.circuits.netlist import Netlist
 from repro.core import LowRankReducer
 from repro.runtime import RampInput, Study, shared_pattern_family
 
@@ -103,19 +104,29 @@ def _case_ladder_transient():
     }
 
 
+def _voltage_driven_tree() -> Netlist:
+    """``rc_tree(200, seed=3)`` driven by ``V1 in 0`` through 25 ohm."""
+    net = rc_tree(200, seed=3)
+    net.resistor("Rsrc", "in", "n0", 25.0)
+    net.voltage_source("V1", "in", "0")
+    return net
+
+
 def _case_sparse_family_transfer():
-    """Full-order shared-pattern transfer through all three solver tiers."""
+    """Full-order shared-pattern transfer through all four solver tiers."""
     circuits = {
         "tridiagonal": with_random_variations(rc_ladder(12), 2, seed=3),
         "banded": with_random_variations(rc_tree(30, seed=5), 2, seed=7),
-        "superlu": with_random_variations(rc_tree(200, seed=3), 2, seed=5),
+        "level_lu": with_random_variations(rc_tree(200, seed=3), 2, seed=5),
+        "superlu": with_random_variations(_voltage_driven_tree(), 2, seed=5),
     }
     s = 2j * np.pi * 1e9
     arrays = {
         "provenance": np.array(
             "shared_pattern_family(...).transfer(2j*pi*1e9, "
             "sample_parameters(5, 2, seed=2)) over "
-            "rc_ladder(12)/rc_tree(30,seed=5)/rc_tree(200,seed=3) "
+            "rc_ladder(12)/rc_tree(30,seed=5)/rc_tree(200,seed=3)/"
+            "rc_tree(200,seed=3)+Rsrc(25)+V1 "
             "with 2 variational parameters each"
         ),
     }
@@ -123,7 +134,7 @@ def _case_sparse_family_transfer():
         family = shared_pattern_family(parametric)
         # The fixture pins the tier each circuit is meant to exercise;
         # a routing change (e.g. a new bandwidth threshold) fails loudly
-        # instead of silently testing one kernel three times.
+        # instead of silently testing one kernel four times.
         arrays[f"{tier}_solver_kind"] = np.array(family.solver_kind)
         samples = sample_parameters(5, parametric.num_parameters, seed=2)
         arrays[f"{tier}_samples"] = samples

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import coupled_rlc_bus, rc_ladder, rcnet_a, with_random_variations
@@ -22,8 +22,10 @@ from repro.circuits.statespace import DescriptorSystem
 from repro.circuits.variational import ParametricSystem
 from repro.core import LowRankReducer
 from repro.core.model import ParametricReducedModel
-from repro.runtime import Study, ThreadExecutor, sweep_chunk_bytes
+from repro.obs import metrics as obs_metrics
+from repro.runtime import SparsePatternFamily, Study, ThreadExecutor, sweep_chunk_bytes
 from repro.runtime.batch import batch_instantiate
+from repro.runtime.sparse import _FAMILY_ATTR, shared_pattern_family
 
 RELAXED = settings(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=20
@@ -78,6 +80,58 @@ def sparse_ensembles(draw):
     samples = 0.3 * rng.standard_normal((num_samples, num_parameters))
     samples[rng.random(samples.shape) < 0.25] = 0.0
     return model, samples
+
+
+@st.composite
+def wide_sparse_ensembles(draw):
+    """A sparse ensemble memoized onto the wide tier, maybe with branches.
+
+    With ``branches``, inductor-like rows join the system: each couples
+    to one node through +-1 entries of ``G`` and has only a ``C``
+    diagonal, so at f = 0 (added to the grid) its pivot is zero when it
+    is eliminated first and the pencil falls back to SuperLU.  ``G``
+    stays nonsingular at DC (a saddle-point block with an SPD corner).
+    """
+    model, samples = draw(sparse_ensembles())
+    seed = draw(st.integers(min_value=0, max_value=2 ** 31))
+    num_branches = draw(st.integers(min_value=0, max_value=2))
+    freqs = FREQUENCIES
+    if num_branches:
+        rng = np.random.default_rng(seed)
+        n = model.nominal.order
+        size = n + num_branches
+        nodes = rng.choice(n, num_branches, replace=False)
+        branch = sp.csr_matrix(
+            (
+                np.concatenate((np.ones(num_branches), -np.ones(num_branches))),
+                (
+                    np.concatenate((nodes, n + np.arange(num_branches))),
+                    np.concatenate((n + np.arange(num_branches), nodes)),
+                ),
+            ),
+            shape=(size, size),
+        )
+        inductance = sp.diags(
+            np.concatenate((np.zeros(n), rng.uniform(0.5, 2.0, num_branches)))
+        )
+
+        def grow(matrix):
+            return sp.csr_matrix(sp.block_diag((matrix, sp.csr_matrix((num_branches,) * 2))))
+
+        nominal = DescriptorSystem(
+            sp.csr_matrix(grow(model.nominal.G) + branch),
+            sp.csr_matrix(grow(model.nominal.C) + inductance),
+            np.eye(size, 1), np.eye(size, 1), title="hyp-wide",
+        )
+        model = ParametricSystem(
+            nominal, [grow(m) for m in model.dG], [grow(m) for m in model.dC]
+        )
+        freqs = np.concatenate(([0.0], FREQUENCIES))
+    family = SparsePatternFamily(model, max_bandwidth=0)
+    assume(family.solver_kind == "level-lu")  # not a diagonal-only draw
+    # Studies reach the family through this memo, so they run the wide tier.
+    setattr(model, _FAMILY_ATTR, family)
+    return model, samples, freqs
 
 
 class TestDenseRouteEquivalence:
@@ -160,6 +214,45 @@ class TestSparseRouteEquivalence:
         )
         np.testing.assert_array_equal(streamed.responses, one_shot.responses)
         np.testing.assert_array_equal(streamed.envelope_max, one_shot.envelope_max)
+
+    @RELAXED
+    @given(wide_sparse_ensembles(), CHUNK_SIZES)
+    def test_wide_tier_chunks_bit_identical(self, ensemble, chunk):
+        """The level-LU tier (and its fallbacks) is chunk-size invariant."""
+        model, samples, freqs = ensemble
+        assert shared_pattern_family(model).solver_kind == "level-lu"
+        one_shot = (
+            Study(model).scenarios(samples).sweep(freqs, keep_responses=True).run()
+        )
+        streamed = (
+            Study(model).scenarios(samples).sweep(freqs, keep_responses=True)
+            .chunk(chunk).run()
+        )
+        np.testing.assert_array_equal(streamed.responses, one_shot.responses)
+        np.testing.assert_array_equal(streamed.envelope_max, one_shot.envelope_max)
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_wide_tier_fallback_chunks_bit_identical(self, chunk):
+        """Chunking leaves the fallback pencils' answers bit-identical too.
+
+        The RLC bus's inductor rows have zero pivots at DC, so every
+        instance re-solves its f = 0 pencil through SuperLU.
+        """
+        model = with_random_variations(coupled_rlc_bus(), 2)
+        setattr(model, _FAMILY_ATTR, SparsePatternFamily(model, max_bandwidth=0))
+        samples = 0.2 * np.random.default_rng(3).standard_normal((3, 2))
+        freqs = np.concatenate(([0.0], FREQUENCIES))
+        fallbacks = obs_metrics.counter("runtime.sparse.pivot_fallbacks")
+        before = fallbacks.value
+        one_shot = (
+            Study(model).scenarios(samples).sweep(freqs, keep_responses=True).run()
+        )
+        assert fallbacks.value - before >= len(samples)
+        streamed = (
+            Study(model).scenarios(samples).sweep(freqs, keep_responses=True)
+            .chunk(chunk).run()
+        )
+        np.testing.assert_array_equal(streamed.responses, one_shot.responses)
 
     @RELAXED
     @given(sparse_ensembles())

@@ -7,12 +7,21 @@ wraps; (3) execution directives (chunking, memory budgets, executors,
 caches) compose without changing any numbers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import sample_parameters
 from repro.analysis.poles import dominant_poles
-from repro.circuits import rc_ladder, rc_tree, rcnet_a, with_random_variations
+from repro.circuits import (
+    power_grid_mesh,
+    rc_ladder,
+    rc_network_767,
+    rc_tree,
+    rcnet_a,
+    with_random_variations,
+)
 from repro.core import LowRankReducer
 from repro.obs import metrics as obs_metrics
 from repro.runtime import (
@@ -369,7 +378,10 @@ class TestMemoryBudget:
         m_out = parametric.nominal.L.shape[1]
         m_in = parametric.nominal.B.shape[1]
         per = 16 * (2 * family.nnz + FREQUENCIES.size * m_out * m_in)
-        fixed = 16 * FREQUENCIES.size * family.nnz + 24 * FREQUENCIES.size * m_out * m_in
+        fixed = (
+            family.workspace_bytes(FREQUENCIES.size)
+            + 24 * FREQUENCIES.size * m_out * m_in
+        )
         study = (
             Study(parametric)
             .scenarios(samples)
@@ -386,6 +398,34 @@ class TestMemoryBudget:
         )
         with pytest.raises(ValueError, match="cannot fit a single instance"):
             tiny.plan()
+
+    @pytest.mark.parametrize("net", ["signoff", "mesh"])
+    def test_sparse_estimate_bounds_measured_peak(self, net):
+        """The plan's peak bytes bound what a 4-instance-chunk run allocates.
+
+        The paper's 767-node net (zero fill) and a 40x40 power mesh,
+        whose bandwidth of 40 puts it on the wide tier with a filled
+        pattern about 5x its union pattern.
+        """
+        if net == "signoff":
+            parametric = rc_network_767()
+        else:
+            parametric = with_random_variations(power_grid_mesh(40, 40), 2, seed=3)
+        samples = 0.7 * np.random.default_rng(5).uniform(-1, 1, (8, 2))
+        study = Study(parametric).scenarios(samples).sweep(
+            np.logspace(7, 10, 40)
+        ).chunk(4)
+        tracemalloc.start()
+        try:
+            execution = study.plan()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            study.run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= execution.estimated_peak_bytes
+        assert execution.kernel == "shared-pattern[level-lu]"
 
     def test_transient_budget(self, model, plan):
         q = model.nominal.order
