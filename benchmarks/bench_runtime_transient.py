@@ -11,8 +11,9 @@ spread behind the delay/slew variability metrics.
   (instance, timestep) pair;
 - batched: :func:`repro.runtime.transient.batch_simulate_transient` --
   one stacked LAPACK solve yields every instance's discrete
-  propagators, after which each timestep advances the whole ensemble
-  as a single ``(m, q)``-block matmul.
+  propagators, after which the whole ensemble advances eight timesteps
+  per stacked matvec and every output comes from two stacked GEMMs
+  (the block-stepped kernel).
 
 Asserted: >= 5x speedup for the 128-instance ladder ensemble (the
 acceptance bar for the batched time-domain runtime) and agreement of

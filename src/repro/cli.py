@@ -416,8 +416,6 @@ def _build_transient_engine(args):
             f"--input {args.input} out of range (model has "
             f"{model.nominal.num_inputs} inputs)"
         )
-    if not 0.0 < args.threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
     waveform = _make_waveform(args)
     engine = _apply_obs(
         _apply_chunking(

@@ -23,9 +23,10 @@ that reuse is made fast and declarative:
 - :mod:`repro.runtime.transient` -- batched *time-domain* kernels:
   :func:`batch_simulate_transient` factors each instance's companion
   matrix once (one stacked LAPACK solve yields the closed-form
-  discrete propagators) and advances the whole ensemble per timestep
-  as one ``(m, q)``-block matmul, with vectorized delay/slew
-  extraction behind the ``Study`` transient route;
+  discrete propagators) and advances the whole ensemble eight
+  timesteps per stacked matvec, every output coming from two stacked
+  GEMMs (free and forced response of each block), with vectorized
+  delay/slew extraction behind the ``Study`` transient route;
   :func:`batch_step_responses` and :func:`default_horizon` cover the
   step-response staple.
 - :mod:`repro.runtime.scenarios` -- declarative

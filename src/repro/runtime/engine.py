@@ -65,6 +65,8 @@ sensitivities :func:`repro.analysis.sensitivity.transfer_sensitivities`.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import os
 import threading
 from collections import OrderedDict
@@ -102,6 +104,7 @@ from repro.runtime.scheduler import (
 from repro.runtime.sparse import shared_pattern_family, supports_sparse_batching
 from repro.runtime.store import StudyStore, study_fingerprint
 from repro.runtime.stream import (
+    _CHUNK_RECORD_BYTES,
     _chunk_grid,
     _chunk_unit,
     _drive_chunks,
@@ -110,11 +113,16 @@ from repro.runtime.stream import (
     _sweep_result,
     _transient_chunk_payload,
     _transient_result,
+    _transient_run_bytes,
     sweep_chunk_bytes,
     sweep_lookahead_bytes,
     transient_chunk_bytes,
 )
-from repro.runtime.transient import default_horizon
+from repro.runtime.transient import (
+    DELAY_REFERENCES,
+    TRANSIENT_METHODS,
+    default_horizon,
+)
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -134,6 +142,50 @@ _PLAN_CACHE_LOCK = threading.Lock()
 _PLAN_CACHE_LIMIT = 512
 _PLAN_CACHE_HITS = obs_metrics.counter("engine.plan_cache.hits")
 _PLAN_CACHE_MISSES = obs_metrics.counter("engine.plan_cache.misses")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_transient_options(options: dict) -> None:
+    """Refuse a malformed :meth:`Study.transient` declaration.
+
+    Runs at plan time, so a bad job document is refused in one line
+    naming the field before any chunk is queued, instead of failing
+    (or, for ``num_steps=True``, silently running one step) at run
+    time.
+    """
+    steps = options["num_steps"]
+    if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
+        raise ValueError(f"num_steps must be an integer >= 1, got {steps!r}")
+    t_final = options["t_final"]
+    if t_final is not None and not (
+        _is_real(t_final) and math.isfinite(t_final) and t_final > 0
+    ):
+        raise ValueError(f"t_final must be None or a finite number > 0, got {t_final!r}")
+    if options["method"] not in TRANSIENT_METHODS:
+        raise ValueError(
+            f"method must be one of {', '.join(TRANSIENT_METHODS)}, "
+            f"got {options['method']!r}"
+        )
+    threshold = options["delay_threshold"]
+    if not (_is_real(threshold) and 0 < threshold < 1):
+        raise ValueError(f"delay_threshold must be in (0, 1), got {threshold!r}")
+    bounds = options["slew_bounds"]
+    try:
+        low, high = bounds
+    except (TypeError, ValueError):
+        low = high = None
+    if not (_is_real(low) and _is_real(high) and 0 < low < high < 1):
+        raise ValueError(
+            f"slew_bounds must be (low, high) with 0 < low < high < 1, got {bounds!r}"
+        )
+    if options["reference"] not in DELAY_REFERENCES:
+        raise ValueError(
+            f"reference must be one of {', '.join(DELAY_REFERENCES)}, "
+            f"got {options['reference']!r}"
+        )
 
 
 # -- executor-route task bodies (module level: picklable) --------------
@@ -682,6 +734,10 @@ class Study:
                 )
             return "poles"
         workload = declared[0]
+        if workload == "transient":
+            # Before the plan-cache key: a non-integer step count must
+            # not alias the cached plan of its truncation.
+            _check_transient_options(self._transient_options)
         if self._num_poles is not None:
             if workload != "sweep":
                 raise ValueError(f"poles(...) cannot be combined with {workload}(...)")
@@ -712,8 +768,10 @@ class Study:
 
     # -- planning ------------------------------------------------------
 
-    def _per_instance_bytes(self, workload: str, kind: str) -> Tuple[int, int]:
-        """``(per_instance, fixed)`` bytes of one streamed chunk slot.
+    def _per_instance_bytes(
+        self, workload: str, kind: str, num_samples: int
+    ) -> Tuple[int, int, int]:
+        """``(per_instance, fixed, per_chunk)`` bytes of a streamed run.
 
         ``fixed`` covers what lives across chunks: the streaming
         reducer's envelope accumulator (three float64 arrays shaped
@@ -723,6 +781,10 @@ class Study:
         The accumulator was historically omitted, which understated
         the peak on every streamed route (most visibly the
         cached+reduced one, where the chunk arrays are smallest).
+        Transients also hold the per-run terms of
+        :func:`~repro.runtime.stream._transient_run_bytes` -- the
+        metrics (and kept outputs) retained across chunks among them
+        -- and ``per_chunk`` bytes of array headers for every chunk.
         """
         target = self._resolve_target()
         if workload in ("sweep", "sweep+poles"):
@@ -735,35 +797,50 @@ class Study:
                 # Two (c, nnz) data stacks + the chunk's response grid,
                 # plus one instance's pencil-solve workspace.
                 per = 16 * (2 * family.nnz + n_f * m_out * m_in)
-                return per, family.workspace_bytes(n_f) + accumulator
+                return per, family.workspace_bytes(n_f) + accumulator, 0
             per = sweep_chunk_bytes(target.nominal.order, n_f, 1, m_out, m_in)
-            return per, accumulator
-        num_steps = self._transient_options["num_steps"]
+            return per, accumulator, 0
+        options = self._transient_options
+        num_steps = options["num_steps"]
         m_out = target.nominal.L.shape[1]
-        accumulator = 24 * (num_steps + 1) * m_out
         per = transient_chunk_bytes(target.nominal.order, num_steps, 1, m_out)
-        return per, accumulator
+        fixed = _transient_run_bytes(
+            num_samples, num_steps, m_out, target.nominal.B.shape[1],
+            options["keep_outputs"],
+        )
+        return per, fixed, _CHUNK_RECORD_BYTES
 
     def _chunk_plan(self, workload: str, kind: str, num_samples: int):
         """``(chunk_size, num_chunks, estimated_peak_bytes)`` for streams."""
-        per_instance, fixed = self._per_instance_bytes(workload, kind)
+        per_instance, fixed, per_chunk = self._per_instance_bytes(
+            workload, kind, num_samples
+        )
+
+        def peak(chunk: int) -> int:
+            return chunk * per_instance + fixed + per_chunk * -(-num_samples // chunk)
+
         if self._chunk_size is not None:
             chunk = min(self._chunk_size, max(num_samples, 1))
         elif self._memory_budget is not None:
-            chunk = (self._memory_budget - fixed) // max(per_instance, 1)
+            chunk = (self._memory_budget - fixed - per_chunk) // max(per_instance, 1)
+            chunk = min(int(chunk), max(num_samples, 1))
+            # Smaller chunks keep more per-chunk records: step down to
+            # the largest chunk whose whole run fits.
+            while chunk >= 1 and peak(chunk) > self._memory_budget:
+                chunk -= 1
             if chunk < 1:
                 raise ValueError(
                     f"memory budget {self._memory_budget} bytes cannot fit a "
                     f"single instance: one instance of this workload needs "
-                    f"~{per_instance + fixed} bytes "
-                    f"({per_instance} per instance + {fixed} fixed); raise the "
-                    "budget or shrink the frequency/timestep axis"
+                    f"~{peak(1)} bytes "
+                    f"({per_instance} per instance + {peak(1) - per_instance} "
+                    "fixed); raise the budget or shrink the frequency/timestep "
+                    "axis"
                 )
-            chunk = min(int(chunk), max(num_samples, 1))
         else:
             chunk = max(num_samples, 1)
         num_chunks = -(-num_samples // chunk) if num_samples else 0
-        return chunk, num_chunks, int(chunk * per_instance + fixed)
+        return chunk, num_chunks, int(peak(chunk))
 
     def _describe_target(self, kind: str) -> str:
         target = self._resolve_target()
@@ -892,8 +969,6 @@ class Study:
             if workload == "transient":
                 kernel = "transient-propagator[gesv]"
                 if self._transient_options["keep_outputs"]:
-                    m_out = target.nominal.L.shape[1]
-                    peak += 8 * num_samples * (self._transient_options["num_steps"] + 1) * m_out
                     notes.append("keep_outputs retains the full trajectory grid")
             elif kind == "sparse":
                 family = shared_pattern_family(target)

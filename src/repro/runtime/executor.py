@@ -51,10 +51,12 @@ chunks are split into contiguous row blocks (:class:`RowBlocks`), one
 per CPU this process may run on (:func:`row_pool_width`), and the
 blocks run on one process-wide thread pool built on first use.  Only
 that kernel uses it, because only it was measured to scale under
-threads (LAPACK ``potrf``/``eigh``/``eig`` release the GIL); the
-GIL-holding transient propagator got slower when split over threads,
-and the sparse family has not been measured end to end on it (the
-README's Scaling guide has the numbers), so both stay serial.  Every caller in the process -- the concurrent
+threads (LAPACK ``potrf``/``eigh``/``eig`` release the GIL).  A
+transient chunk is a few dozen small numpy calls that hold the GIL
+(the block-stepped kernel): split over two threads, a 32-row chunk
+got slower, and the sparse family has not been measured end to end on
+the pool (the README's Scaling guide has the numbers), so both stay
+serial.  Every caller in the process -- the concurrent
 jobs of ``repro serve`` included -- shares the one pool, so the
 process never runs more kernel threads than CPUs.  With one usable
 CPU there is no pool and the single block runs inline.  The pool is

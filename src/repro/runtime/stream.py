@@ -29,8 +29,11 @@ hold
 
 - sweep:      ``16 c (2 q^2 + q (q + m_in) + n_f m_out m_in)`` bytes
   (system stacks + eigenfactors + the chunk's response grid),
-- transient:  ``8 c (4 q^2 + n_t q + (n_t + 1) m_out)`` bytes
-  (system stacks + propagators + forcing table + trajectories),
+- transient:  ``8 c (6 q^2 + 2 q (n_b + (s + 1) m_out) + 2 s^2 m_out
+  + 4 (n_t + s) m_out)`` bytes, ``s`` timesteps to a block and ``n_b``
+  blocks (system stacks + the propagator solve + block-start states +
+  the per-block powers and block-Toeplitz map + output products and
+  trajectories),
 
 within a small constant factor -- see :func:`sweep_chunk_bytes` and
 :func:`transient_chunk_bytes`.  A dense sweep with one chunk of
@@ -43,7 +46,10 @@ accumulators, so total memory is flat in the plan size for any fixed
 ``chunk_size``.  (The accumulator's three running arrays are part of
 the working set and are included in the engine's
 :class:`~repro.runtime.engine.ExecutionPlan` peak estimate as a fixed
-term, as is the lookahead.)
+term, as is the lookahead.  A transient run's estimate also counts the
+previous chunk's envelope partials, the drive tables, the retained
+per-instance metrics and kept outputs with their final concatenation,
+and every chunk's array headers -- :func:`_transient_run_bytes`.)
 
 Row blocks and lookahead
 ------------------------
@@ -104,7 +110,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.batch import _queue_sweep, _sweep_study
 from repro.runtime.scenarios import ScenarioPlan
-from repro.runtime.transient import _transient_study
+from repro.runtime.transient import BLOCK_STEPS, _transient_study
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -171,12 +177,64 @@ def transient_chunk_bytes(
 ) -> int:
     """Estimated peak bytes one transient chunk holds (constant factor ~2).
 
-    ``8 c (4 q^2 + n_t q + (n_t + 1) m_out)``: system + propagator
-    stacks plus the precomputed forcing table and output trajectories.
+    ``8 c (6 q^2 + 2 q (n_b + (s + 1) m_out) + 2 s^2 m_out
+    + 4 (n_t + s) m_out)`` with ``s = min(BLOCK_STEPS, n_t)`` and
+    ``n_b = ceil(n_t / s)``: the system stacks and the propagator
+    solve's operands, the block-start states and their forced terms,
+    the powers ``L^T M^i`` and their free-response map, the
+    block-Toeplitz matrix of Markov parameters, and the output products
+    and trajectories of the block-stepped kernel
+    (:mod:`repro.runtime.transient`).
     """
     q = order
-    per_instance = 4 * q * q + num_steps * q + (num_steps + 1) * num_outputs
+    s = min(BLOCK_STEPS, num_steps)
+    blocks = -(-num_steps // s)
+    per_instance = (
+        6 * q * q
+        + 2 * q * (blocks + (s + 1) * num_outputs)
+        + 2 * s * s * num_outputs
+        + 4 * (num_steps + s) * num_outputs
+    )
     return int(8 * chunk_size * per_instance)
+
+
+# Numpy array headers, beside the data the formulas count (CPython 3.11,
+# numpy 2.4).  A chunk's retained metric arrays (delays, slews, steady
+# states, kept outputs) and their list slots measured ~570 B per chunk
+# until the result concatenates them; the arrays and frames live while
+# one chunk computes measured up to 5.6 KB, a third of the peak of a
+# q = 9 model.
+_CHUNK_RECORD_BYTES = 640
+_KERNEL_HEADER_BYTES = 8192
+
+
+def _transient_run_bytes(
+    num_samples: int,
+    num_steps: int,
+    num_outputs: int,
+    num_inputs: int,
+    keep_outputs: bool,
+) -> int:
+    """Bytes a streamed transient run holds beside its chunk working set.
+
+    ``48 (n_t + 1) m_out``: the envelope accumulator and the previous
+    chunk's envelope partials, alive while the next chunk computes;
+    ``32 (n_t + s) (1 + m_in)``: the time axis and drive tables every
+    chunk tabulates; ``16 m (2 + m_out)``: the per-instance delays,
+    slews and steady states, retained across chunks and concatenated
+    once at the end; with ``keep_outputs``, ``16 m (n_t + 1) m_out``
+    more for the trajectories, likewise; plus the computing chunk's
+    array headers (``_KERNEL_HEADER_BYTES``).  Each chunk adds
+    ``_CHUNK_RECORD_BYTES`` of retained headers on top.
+    """
+    s = min(BLOCK_STEPS, num_steps)
+    retained = 2 + num_outputs + (num_steps + 1) * num_outputs * bool(keep_outputs)
+    return int(
+        48 * (num_steps + 1) * num_outputs
+        + 32 * (num_steps + s) * (1 + num_inputs)
+        + 16 * num_samples * retained
+        + _KERNEL_HEADER_BYTES
+    )
 
 
 def _chunk_telemetry(wall0: float, cpu0: float, instances: int) -> dict:

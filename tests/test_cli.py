@@ -428,10 +428,14 @@ class TestTransient:
                 "3", "--steps", "12"]
         assert main(argv) == 0
         one_shot = capsys.readouterr().out
-        from repro.runtime import transient_chunk_bytes
+        from repro.runtime import CornerPlan, Study
 
-        per = transient_chunk_bytes(_reduced_model(netlist_file).size, 12, 1)
-        assert main(argv + ["--memory-budget", str(2 * per)]) == 0
+        # The planned peak of two-instance chunks, run-level terms included.
+        budget = (
+            Study(_reduced_model(netlist_file)).scenarios(CornerPlan())
+            .transient(num_steps=12).chunk(2).plan().estimated_peak_bytes
+        )
+        assert main(argv + ["--memory-budget", str(budget)]) == 0
         tight = capsys.readouterr().out
         assert "# route: dense-stream" in tight
         csv = lambda text: [l for l in text.splitlines() if not l.startswith("#")]  # noqa: E731

@@ -8,8 +8,8 @@ transfer matrices of three canonical workloads, and the tests assert
 the current code still reproduces them --
 
 - **exact bits** for the dense routes (batched instantiation, the
-  eig-rational sweep kernel, the propagator transient kernel are all
-  deterministic closed-form LAPACK pipelines), and
+  eig-rational sweep kernel, the block-stepped propagator transient
+  kernel are all deterministic closed-form LAPACK/BLAS pipelines), and
 - to ``1e-12`` relative for the sparse shared-pattern tiers
   (tridiagonal / banded / level-LU / SuperLU factorizations may
   reorder floating-point operations across library builds).
@@ -23,7 +23,8 @@ After an *intentional* numeric change, regenerate with::
     pytest tests/test_golden.py --regen-goldens
 
 and commit the fixtures in the same PR -- the binary diff then
-documents the numeric change explicitly.
+documents the numeric change explicitly, and ``tests/golden/README.md``
+records the largest per-field change of every regeneration.
 """
 
 import pathlib

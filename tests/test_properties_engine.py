@@ -335,26 +335,29 @@ class TestEveryRouteOneStudy:
                 np.testing.assert_array_equal(a, b, err_msg=label)
 
     def test_rlc_transient_chunkings_identical(self):
+        """Step counts on both sides of the transient kernel's block
+        length (8): shorter, equal, one past, and not a multiple."""
         parametric = with_random_variations(coupled_rlc_bus(num_segments=12), 2, seed=3)
         model = LowRankReducer(num_moments=4, rank=1).reduce(parametric)
         samples = 0.2 * np.random.default_rng(7).standard_normal((6, 2))
-        reference = (
-            Study(model)
-            .scenarios(samples)
-            .transient(num_steps=20, keep_outputs=True)
-            .run()
-        )
-        for chunk in (1, 2, 5):
-            streamed = (
+        for num_steps in (1, 7, 8, 9, 20):
+            reference = (
                 Study(model)
                 .scenarios(samples)
-                .transient(num_steps=20, keep_outputs=True)
-                .chunk(chunk)
+                .transient(num_steps=num_steps, keep_outputs=True)
                 .run()
             )
-            np.testing.assert_array_equal(streamed.outputs, reference.outputs)
-            np.testing.assert_array_equal(streamed.delays, reference.delays)
-            np.testing.assert_array_equal(streamed.slews, reference.slews)
+            for chunk in (1, 2, 5):
+                streamed = (
+                    Study(model)
+                    .scenarios(samples)
+                    .transient(num_steps=num_steps, keep_outputs=True)
+                    .chunk(chunk)
+                    .run()
+                )
+                np.testing.assert_array_equal(streamed.outputs, reference.outputs)
+                np.testing.assert_array_equal(streamed.delays, reference.delays)
+                np.testing.assert_array_equal(streamed.slews, reference.slews)
 
     def test_sparse_full_ladder_routes(self):
         full = with_random_variations(rc_ladder(30), 2, seed=11)

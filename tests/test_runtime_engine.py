@@ -30,6 +30,7 @@ from repro.runtime import (
     ModelCache,
     MonteCarloPlan,
     PoleStudy,
+    RampInput,
     SensitivityStudy,
     StreamedSweepStudy,
     StreamedTransientStudy,
@@ -45,6 +46,7 @@ from repro.runtime.batch import (
     systems_from_stacks,
 )
 from repro.runtime.sparse import shared_pattern_family
+from repro.runtime.stream import _CHUNK_RECORD_BYTES, _transient_run_bytes
 
 FREQUENCIES = np.logspace(7, 10, 6)
 
@@ -67,6 +69,13 @@ def plan():
 @pytest.fixture(scope="module")
 def samples(parametric, plan):
     return plan.sample_matrix(parametric.num_parameters)
+
+
+@pytest.fixture(scope="module")
+def durable_model():
+    """The transient-durable benchmark's model shape (q = 28)."""
+    parametric = with_random_variations(rc_tree(1000, seed=9101), 2, seed=9101)
+    return LowRankReducer(num_moments=3).reduce(parametric)
 
 
 class TestBuilderValidation:
@@ -103,6 +112,36 @@ class TestBuilderValidation:
         )
         with pytest.raises(ValueError, match="requires reduced"):
             study.plan()
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"num_steps": 0}, "num_steps"),
+            ({"num_steps": -3}, "num_steps"),
+            ({"num_steps": 2.5}, "num_steps"),
+            ({"num_steps": True}, "num_steps"),
+            ({"num_steps": "9"}, "num_steps"),
+            ({"t_final": -1e-9}, "t_final"),
+            ({"t_final": float("inf")}, "t_final"),
+            ({"method": "euler"}, "method"),
+            ({"delay_threshold": 2.0}, "delay_threshold"),
+            ({"delay_threshold": 0.0}, "delay_threshold"),
+            ({"slew_bounds": (0.9, 0.1)}, "slew_bounds"),
+            ({"slew_bounds": (0.1, 1.0)}, "slew_bounds"),
+            ({"reference": "x"}, "reference"),
+        ],
+    )
+    def test_rejects_malformed_transient(self, model, plan, options, field):
+        study = Study(model).scenarios(plan).transient(**options)
+        with pytest.raises(ValueError, match=field) as info:
+            study.plan()
+        assert "\n" not in str(info.value)
+
+    def test_fractional_steps_never_reuse_a_cached_plan(self, model, plan):
+        """2.5 steps must not alias the cached plan of 2 steps."""
+        Study(model).scenarios(plan).transient(num_steps=2).plan()
+        with pytest.raises(ValueError, match="num_steps"):
+            Study(model).scenarios(plan).transient(num_steps=2.5).plan()
 
     def test_builder_chains_return_self(self, model, plan):
         study = Study(model)
@@ -252,10 +291,16 @@ class TestPeakByteAccounting:
         )
         q = model.nominal.order
         m_out = model.nominal.L.shape[1]
-        accumulator = 24 * (25 + 1) * m_out
+        m_in = model.nominal.B.shape[1]
+        # The chunk's working set, the run's fixed terms (envelope
+        # accumulator and partials, drive tables, the 13 instances'
+        # retained metrics) and every chunk's retained array headers.
+        fixed = _transient_run_bytes(13, 25, m_out, m_in, keep_outputs=False)
+        assert fixed >= 24 * (25 + 1) * m_out
+        assert execution.num_chunks == 3
         assert execution.estimated_peak_bytes == transient_chunk_bytes(
             q, 25, 5, m_out
-        ) + accumulator
+        ) + fixed + 3 * _CHUNK_RECORD_BYTES
 
     def test_keep_responses_adds_retained_grid(self, model, plan):
         base = Study(model).scenarios(plan).sweep(FREQUENCIES).chunk(4).plan()
@@ -431,16 +476,57 @@ class TestMemoryBudget:
         q = model.nominal.order
         m_out = model.nominal.L.shape[1]
         per = transient_chunk_bytes(q, 20, 1, m_out)
-        accumulator = 24 * (20 + 1) * m_out
+        fixed = _transient_run_bytes(
+            13, 20, m_out, model.nominal.B.shape[1], keep_outputs=False
+        )
+        records = 4 * _CHUNK_RECORD_BYTES  # ceil(13 / 4) chunks
         execution = (
             Study(model)
             .scenarios(plan)
             .transient(num_steps=20)
-            .memory_budget(4 * per + accumulator)
+            .memory_budget(4 * per + fixed + records)
             .plan()
         )
         assert execution.chunk_size == 4
         assert execution.route == "dense-stream"
+
+    @pytest.mark.parametrize("keep_outputs", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 4, 32])
+    def test_transient_estimate_bounds_measured_peak(
+        self, durable_model, chunk, keep_outputs
+    ):
+        """The transient plan's peak bytes bound what a run allocates.
+
+        A 1000-node RC tree reduced to q = 28, 200 steps, 64 instances.
+        Small chunks are where the per-run terms dominate: the metrics
+        retained across chunks and their array headers, the envelope
+        partials and the drive tables.  ``keep_outputs`` retains every
+        trajectory, then concatenates them.  The first run warms the
+        process (lazy imports, per-model memos), which no later run
+        pays again.
+        """
+        study = (
+            Study(durable_model)
+            .scenarios(MonteCarloPlan(num_instances=64, seed=5))
+            .transient(
+                RampInput(rise_time=1e-10), num_steps=200, output_index=1,
+                keep_outputs=keep_outputs,
+            )
+            .chunk(chunk)
+        )
+        execution = study.plan()
+        study.run()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            study.run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= execution.estimated_peak_bytes
+        # ... without being uselessly loose.
+        assert execution.estimated_peak_bytes <= 2 * peak
 
 
 class TestRunBitIdentity:

@@ -150,6 +150,33 @@ class TestErrors:
         assert "'jobs' must be" in str(info.value)
         assert "\n" not in info.value.body["error"]
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("steps", 0, "num_steps"),
+            ("steps", -3, "num_steps"),
+            ("steps", 2.5, "num_steps"),
+            ("steps", True, "num_steps"),
+            ("steps", "9", "num_steps"),
+            ("t_final", -1e-9, "t_final"),
+            ("threshold", 2.0, "delay_threshold"),
+            ("method", "euler", "method"),
+            ("delay_reference", "x", "reference"),
+        ],
+    )
+    def test_malformed_transient_is_400_and_never_queued(
+        self, service, field, value, named
+    ):
+        client, _ = service
+        workload = {"kind": "transient", "steps": 20, field: value}
+        with pytest.raises(ServeClientError) as info:
+            client.submit(_job(workload=workload))
+        assert info.value.status == 400
+        error = info.value.body["error"]
+        assert named in error
+        assert "\n" not in error
+        assert client.jobs() == []
+
     def test_over_budget_is_413_with_estimate(self, service):
         client, supervisor = service
         supervisor.memory_budget = 16
