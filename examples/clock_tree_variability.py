@@ -32,8 +32,8 @@ def main():
 
     # Monte Carlo over +-30% (3 sigma) width variation: one declarative
     # plan drives the full-vs-reduced pole-accuracy study.  (The full
-    # model's reference solves route through the engine's executor-full
-    # shared-pattern path; pass `executor="thread"` to parallelize.)
+    # model's reference solves take the engine's per-instance route,
+    # one shared-pattern instantiation per sample.)
     instances = 60
     plan = MonteCarloPlan(num_instances=instances, three_sigma=0.3, seed=7)
     study = plan.study(parametric, model, num_poles=5)

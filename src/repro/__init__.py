@@ -24,8 +24,8 @@ Package map
   transient simulation, Monte Carlo studies.
 - :mod:`repro.runtime` -- the serving layer: the declarative ``Study``
   engine (one front door routing to batched, sparse shared-pattern,
-  streamed, and executor-parallel kernels), scenario plans, the
-  content-addressed model cache, and parallel executors.
+  streamed, and per-instance kernels), scenario plans, the
+  content-addressed model cache, and the durable study store.
 - :mod:`repro.warehouse` -- the analytics tier: a catalog of
   registered studies and exact out-of-core aggregation read in place
   from their verified StudyStore checkpoints.
@@ -84,14 +84,12 @@ from repro.runtime import (
     MonteCarloPlan,
     PWLInput,
     RampInput,
-    SerialExecutor,
     SineInput,
     SparsePatternFamily,
     StepInput,
     StoreError,
     Study,
     StudyStore,
-    ThreadExecutor,
     batch_frequency_response,
     batch_instantiate,
     batch_poles,
@@ -118,7 +116,6 @@ __all__ = [
     "ParametricReducedModel",
     "ParametricSystem",
     "RampInput",
-    "SerialExecutor",
     "SineInput",
     "SinglePointReducer",
     "SparsePatternFamily",
@@ -126,7 +123,6 @@ __all__ = [
     "StoreError",
     "Study",
     "StudyStore",
-    "ThreadExecutor",
     "Warehouse",
     "WarehouseError",
     "__version__",

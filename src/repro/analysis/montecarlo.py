@@ -10,11 +10,8 @@ for any full/reduced model pair.
 Evaluation runs on the :class:`repro.runtime.engine.Study` engine: one
 pole study per model routes the reduced side through the batched
 stacked-instantiation kernels (bit-identical to the scalar path) and
-the per-instance full-model reference solves through the
-``executor-full`` route (serial by default, parallel via
-``executor="thread"``, a thread count, or a caller-supplied pool such
-as a :class:`concurrent.futures.ProcessPoolExecutor`; executors built
-from a spec are shut down deterministically by the engine).
+the full-model reference solves through the ``per-instance`` route,
+one instance at a time in the chunk loop's thread.
 """
 
 from __future__ import annotations
@@ -97,7 +94,6 @@ def monte_carlo_pole_study(
     three_sigma: float = 0.3,
     seed: int = 0,
     samples: Optional[Sequence[Sequence[float]]] = None,
-    executor=None,
     store=None,
     resume: bool = False,
     chunk_size: Optional[int] = None,
@@ -109,12 +105,11 @@ def monte_carlo_pole_study(
 ) -> Optional[MonteCarloResult]:
     """Run the Figs. 5-6 protocol.
 
-    The reduced model is instantiated for all instances in one batched
-    kernel call (when it supports batching), and the independent
-    full-model reference solves are dispatched through ``executor``.
-    Results are bit-identical to the historical per-sample loop for
-    every executor backend: each instance's computation is a pure
-    function of its sample point.
+    The reduced model is instantiated in one batched kernel call per
+    chunk (when it supports batching), and the full-model reference
+    solves run one instance at a time.  Results are
+    bit-identical to the per-sample loop for every chunking: each
+    instance's computation is a pure function of its sample point.
 
     ``store`` (a directory or :class:`~repro.runtime.store.StudyStore`)
     makes the study durable: both pole studies checkpoint their chunks
@@ -139,12 +134,10 @@ def monte_carlo_pole_study(
         Sampling seed.
     samples:
         Optional explicit parameter samples overriding the generator.
-    executor:
-        Executor spec for the full-model solves (anything
-        :func:`repro.runtime.executor.resolve_executor` accepts;
-        default serial).
     store, resume, chunk_size:
         Durable-study pass-through (see above); default: not durable.
+        ``chunk_size`` also bounds how many reduced instances one
+        stacked instantiation holds, with or without a store.
     trace:
         Optional trace sink -- a path (JSONL file), an object with an
         ``emit(record)`` method, or a sequence of either -- applied to
@@ -219,19 +212,13 @@ def monte_carlo_pole_study(
         except NothingToResumeError:
             return study.resume(False).run()
 
-    # One engine study per side.  The full model always declares an
-    # executor (default serial) so it takes the per-sample
-    # executor-full route -- shared-pattern instantiation for sparse
-    # systems, plain per-sample solves otherwise -- and never
-    # materializes (m, n, n) full-order stacks; the reduced model
-    # routes through the dense-batch stacked instantiation with a 2x
-    # pole budget for matching.  Both are bit-identical to the
-    # historical loops.
+    # One engine study per side: the full model takes the
+    # per-instance route (shared-pattern instantiation for sparse
+    # systems) and never materializes (m, n, n) full-order stacks; the
+    # reduced model routes through the dense-batch stacked
+    # instantiation with a 2x pole budget for matching.
     full_study = _run_durable(
-        Study(full_model)
-        .scenarios(samples)
-        .poles(num_poles)
-        .executor(executor if executor is not None else "serial")
+        Study(full_model).scenarios(samples).poles(num_poles)
     )
     reduced_study = _run_durable(
         Study(reduced_model)

@@ -22,7 +22,7 @@ for everything the MOR pipeline produces:
 Evaluation routes through the :class:`repro.runtime.engine.Study`
 engine: dense models hit the batched runtime kernel (a batch of one),
 sparse full systems the factored-solve scalar path the engine's
-executor route maps per sample.
+``per-instance`` route loops over the samples.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def _scalar_sensitivities(
     The reference implementation every engine route is pinned to: one
     (sparse LU or dense) factorization of the pencil, one forward and
     one adjoint block solve, then one contraction per parameter.  Used
-    directly for sparse full systems and mapped over samples by the
-    engine's ``executor-full`` sensitivity route.
+    directly for sparse full systems and looped over the samples by
+    the engine's ``per-instance`` sensitivity route.
     """
     system = parametric_model.instantiate(point)
     s = complex(s)

@@ -7,7 +7,7 @@ python -m repro info       netlist.sp
 python -m repro reduce     netlist.sp --method lowrank --moments 4
 python -m repro sweep      netlist.sp --fmin 1e7 --fmax 1e10 --points 30
 python -m repro poles      netlist.sp --num 5
-python -m repro montecarlo netlist.sp --instances 200 --jobs 4
+python -m repro montecarlo netlist.sp --instances 200 --poles 5
 python -m repro batch      netlist.sp --plan corners --points 30
 python -m repro transient  netlist.sp --plan corners --waveform ramp --rise-time 2e-10
 python -m repro batch      netlist.sp --chunk 8 --store run1
@@ -53,9 +53,8 @@ built on :mod:`repro.obs`; setting the ``REPRO_TRACE`` environment
 variable traces any command process-wide).  ``trace summarize``
 renders one or more trace files as a human report.
 ``montecarlo``
-additionally parallelizes its full-model reference solves (``--jobs``:
-``serial``, ``thread``, or a thread count) and routes sparse full
-models through the shared-pattern runtime.  ``transient``
+routes its sparse full models through the shared-pattern runtime, one
+reference solve per instance.  ``transient``
 simulates the whole scenario ensemble through the batched time-domain
 kernels and prints the waveform envelope plus a threshold-delay
 summary.
@@ -245,7 +244,6 @@ def _cmd_montecarlo(args) -> int:
         num_poles=args.poles,
         three_sigma=args.sigma,
         seed=args.seed,
-        executor=args.jobs,
         store=args.store or None,
         resume=args.resume,
         chunk_size=args.chunk,
@@ -555,7 +553,6 @@ def _cmd_work_montecarlo(args) -> int:
         num_poles=args.poles,
         three_sigma=args.sigma,
         seed=args.seed,
-        executor=args.jobs,
         store=args.store,
         chunk_size=args.chunk,
         trace=_obs_sinks(args, "montecarlo") or None,
@@ -713,11 +710,6 @@ def _cmd_query_outliers(args) -> int:
     return 0
 
 
-def _executor_spec(value: str):
-    """argparse type for ``--jobs``: thread count or executor name."""
-    return int(value) if value.isdigit() else value
-
-
 def _add_plan_arguments(subparser) -> None:
     """Shared scenario-plan options for the batched study commands."""
     subparser.add_argument("--plan", choices=("montecarlo", "corners", "grid"),
@@ -786,8 +778,9 @@ def _add_montecarlo_arguments(subparser) -> None:
     _add_parametric_arguments(subparser)
     _add_obs_arguments(subparser)
     subparser.add_argument("--chunk", type=int, default=None,
-                           help="checkpoint unit for --store: instances per "
-                                "persisted pole-study chunk")
+                           help="instances per pole-study chunk: bounds the "
+                                "stacked instantiation and is the "
+                                "checkpoint unit for --store")
     subparser.add_argument("--instances", type=int, default=200)
     subparser.add_argument("--poles", type=int, default=5,
                            help="dominant poles compared per instance")
@@ -795,9 +788,6 @@ def _add_montecarlo_arguments(subparser) -> None:
                            help="3-sigma range of the parameter distribution")
     subparser.add_argument("--seed", type=int, default=0, help="sampling seed")
     subparser.add_argument("--bins", type=int, default=10, help="histogram bins")
-    subparser.add_argument("--jobs", type=_executor_spec, default=None,
-                           help="full-solve executor: 'serial', 'thread', or "
-                                "a thread count (1 means serial)")
     subparser.add_argument("--tolerance", type=float, default=1e-2,
                            help="exit nonzero if the worst pole error exceeds this")
 

@@ -4,8 +4,8 @@
 imports from the runtime stack) that the rest of the runtime emits
 into:
 
-- :mod:`repro.obs.trace`    -- spans with ambient context, worker-side
-  capture, and re-parenting across thread and process pools;
+- :mod:`repro.obs.trace`    -- spans with ambient context and a
+  no-op disabled path;
 - :mod:`repro.obs.metrics`  -- get-or-create counters, gauges, and
   histograms on a process-global registry;
 - :mod:`repro.obs.export`   -- JSONL trace files, ``repro trace
@@ -56,8 +56,6 @@ from repro.obs.trace import (
     enabled,
     remove_sink,
     span,
-    unwrap_results,
-    wrap_task,
 )
 
 __all__ = [
@@ -85,8 +83,6 @@ __all__ = [
     "remove_sink",
     "span",
     "summarize_trace",
-    "unwrap_results",
-    "wrap_task",
 ]
 
 REPRO_TRACE_ENV = "REPRO_TRACE"

@@ -8,9 +8,10 @@ the bridge is an ordinary trace *sink* (the same contract
 via ``Study.trace(bridge)`` and every closing span it cares about
 becomes one flat, JSON-safe event dict handed to the callback.
 
-The bridge is thread-safe on the emitting side -- chunk spans can close
-on executor worker threads -- and never raises out of ``emit`` (a
-broken consumer must not kill the study it is watching).
+The bridge is thread-safe on the emitting side -- chunk spans close on
+whichever thread runs the study, co-draining workers included -- and
+never raises out of ``emit`` (a broken consumer must not kill the study
+it is watching).
 """
 
 from __future__ import annotations

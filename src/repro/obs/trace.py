@@ -1,4 +1,4 @@
-"""Span tracer with a no-op disabled path and cross-process capture.
+"""Span tracer with a no-op disabled path.
 
 A *span* is a named, timed region of work with arbitrary attributes and
 a parent link, emitted as a plain dict when it closes::
@@ -14,23 +14,16 @@ Design constraints, in priority order:
 1. **Disabled is free.**  With no sinks installed :func:`span` returns
    one shared no-op object without touching contextvars, clocks, or
    allocations beyond the ``**attrs`` dict at the call site.  The hot
-   loops that call it run per *chunk*, not per sample, so the guarded
-   call is far below measurement noise (enforced by
-   ``benchmarks/bench_obs_overhead.py``).
-2. **Workers capture, callers re-parent.**  Spans raised inside
-   thread or process-pool workers cannot reach the caller's sinks
-   (other process) or its context (fresh thread).  :func:`wrap_task`
-   wraps a per-item task so every span it raises is captured into a
-   list and shipped back with the result; :func:`unwrap_results`
-   replays those records into the caller's sinks, re-parenting each
-   worker-side root span onto the caller's active span.  Span ids are
-   unique across processes (pid-keyed prefix plus a random token), so
-   merged traces never collide.
-3. **Ambient context, explicit records.**  The active span lives in a
+   loops that call it run per *chunk* (or per instance of a
+   per-instance payload), so the guarded call is far below measurement
+   noise (enforced by ``benchmarks/bench_obs_overhead.py``).
+2. **Ambient context, explicit records.**  The active span lives in a
    :mod:`contextvars` variable; nesting works across ``with`` blocks
    and :func:`annotate` can decorate the innermost span from helper
    code (e.g. the store layer stamping a chunk's SHA-256) without
-   threading span objects through every signature.
+   threading span objects through every signature.  Span ids are
+   unique across processes (pid-keyed prefix plus a random token), so
+   several workers' traces merge without collisions.
 """
 
 from __future__ import annotations
@@ -51,16 +44,11 @@ __all__ = [
     "event",
     "remove_sink",
     "span",
-    "unwrap_results",
-    "wrap_task",
 ]
 
 # Innermost active Span (or None); per-context, so nested spans parent
 # correctly and concurrent contexts do not interfere.
 _ACTIVE = contextvars.ContextVar("repro_obs_active_span", default=None)
-# Worker-side capture list (or None); set by _TracedTask around the task
-# body so spans raised in a pool worker are recorded, not emitted.
-_CAPTURE = contextvars.ContextVar("repro_obs_capture", default=None)
 
 _SINKS = []
 
@@ -81,8 +69,8 @@ def _next_id():
 
 
 def enabled():
-    """Whether spans are being recorded in this context."""
-    return bool(_SINKS) or _CAPTURE.get() is not None
+    """Whether spans are being recorded (a sink is installed)."""
+    return bool(_SINKS)
 
 
 def add_sink(sink):
@@ -106,10 +94,6 @@ def remove_sink(sink):
 
 
 def _emit(record):
-    captured = _CAPTURE.get()
-    if captured is not None:
-        captured.append(record)
-        return
     for sink in _SINKS:
         emit = getattr(sink, "emit", None)
         if emit is not None:
@@ -119,12 +103,8 @@ def _emit(record):
 
 
 def emit_record(record):
-    """Emit a raw record dict (e.g. a metrics delta) to the sinks.
-
-    Follows the same routing as closing spans: a worker-side capture
-    context collects the record for later replay, otherwise every
-    installed sink receives it.
-    """
+    """Emit a raw record dict (e.g. a metrics delta) to every
+    installed sink, as closing spans do."""
     _emit(record)
 
 
@@ -198,11 +178,11 @@ _NOOP_SPAN = _NoopSpan()
 def span(name, **attrs):
     """Open a span named ``name``; use as a context manager.
 
-    Returns the shared no-op span unless a sink is installed (or this
-    context is under worker capture), so instrumented hot paths cost
-    one truthiness check when observability is off.
+    Returns the shared no-op span unless a sink is installed, so
+    instrumented hot paths cost one truthiness check when
+    observability is off.
     """
-    if not _SINKS and _CAPTURE.get() is None:
+    if not _SINKS:
         return _NOOP_SPAN
     return Span(name, attrs)
 
@@ -248,84 +228,6 @@ def annotate(**attrs):
     active = _ACTIVE.get()
     if active is not None:
         active.set(**attrs)
-
-
-class _TaskPayload:
-    """Result of a traced task plus the spans it raised (picklable)."""
-
-    __slots__ = ("result", "spans")
-
-    def __init__(self, result, spans):
-        self.result = result
-        self.spans = spans
-
-
-class _TracedTask:
-    """Picklable per-item wrapper: capture worker spans with the result.
-
-    The capture context is activated *inside* the worker call, so it
-    works identically for in-process threads (which must not inherit
-    the caller's context) and for separate processes (which have no
-    sinks installed at all).
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, item):
-        records = []
-        token = _CAPTURE.set(records)
-        active_token = _ACTIVE.set(None)
-        try:
-            result = self.fn(item)
-        finally:
-            _ACTIVE.reset(active_token)
-            _CAPTURE.reset(token)
-        return _TaskPayload(result, records)
-
-
-def wrap_task(fn):
-    """Wrap a per-item executor task for span capture when tracing is on.
-
-    Returns ``fn`` unchanged while tracing is disabled, so the executor
-    path is untouched by default.  When a sink is installed the task is
-    wrapped in :class:`_TracedTask`; pair with :func:`unwrap_results`
-    on the ordered result list.
-    """
-    if not enabled():
-        return fn
-    return _TracedTask(fn)
-
-
-def unwrap_results(results):
-    """Unwrap :func:`wrap_task` payloads, replaying captured spans.
-
-    Worker-side spans whose parent is not in the same payload (the
-    worker's root spans) are re-parented onto the caller's currently
-    active span, then every record is emitted to the installed sinks in
-    payload order.  Items that are not payloads pass through untouched,
-    so callers can apply this unconditionally.
-    """
-    unwrapped = []
-    for item in results:
-        if not isinstance(item, _TaskPayload):
-            unwrapped.append(item)
-            continue
-        _replay(item.spans)
-        unwrapped.append(item.result)
-    return unwrapped
-
-
-def _replay(records):
-    active = _ACTIVE.get()
-    parent_id = active.span_id if active is not None else None
-    local_ids = {record["span_id"] for record in records}
-    for record in records:
-        if record["parent_id"] not in local_ids:
-            record = dict(record, parent_id=parent_id, reparented=True)
-        _emit(record)
 
 
 class MemorySink:

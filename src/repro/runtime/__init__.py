@@ -1,4 +1,4 @@
-"""The serving layer for reduced macromodels (batch, cache, parallel).
+"""The serving layer for reduced macromodels (batch, cache, durability).
 
 Reduction produces a macromodel once; everything downstream -- Monte
 Carlo sign-off, corner sweeps, sensitivity studies, timing extraction
@@ -10,7 +10,7 @@ that reuse is made fast and declarative:
   (``Study(model).scenarios(plan).sweep(freqs).run()``) whose planner
   inspects the target and workload and routes to the optimal kernel
   below -- dense batched, sparse shared-pattern, streamed under a
-  memory budget, or executor-mapped full-order solves -- with an
+  memory budget, or per-instance full-order solves -- with an
   inspectable :class:`ExecutionPlan`.  ``run()``, resume, and the
   work-stealing ``work()`` all walk the same chunk loop, so a resumed
   or work-stolen study is bit-identical to an uninterrupted one.
@@ -66,10 +66,8 @@ that reuse is made fast and declarative:
   number of heterogeneous workers -- processes or machines sharing the
   directory -- finish one study together, with every chunk's SHA-256
   verified before the fold.
-- :mod:`repro.runtime.executor` -- serial and thread-pool backends
-  (or any caller-supplied pool with an ordered ``map``) behind one
-  interface for the embarrassingly-parallel full-model reference
-  solves.
+- :mod:`repro.runtime.executor` -- the row pool: one process-wide
+  thread pool the dense eig sweep splits each chunk's rows over.
 
 :mod:`repro.analysis.montecarlo`, :mod:`repro.analysis.sensitivity`,
 and :mod:`repro.analysis.delay` are wired onto these kernels; the
@@ -98,12 +96,6 @@ from repro.runtime.engine import (
     PoleStudy,
     SensitivityStudy,
     Study,
-)
-from repro.runtime.executor import (
-    SerialExecutor,
-    ThreadExecutor,
-    resolve_executor,
-    resolve_owned_executor,
 )
 from repro.runtime.scheduler import (
     DrainReport,
@@ -167,7 +159,6 @@ __all__ = [
     "RampInput",
     "ScenarioPlan",
     "SensitivityStudy",
-    "SerialExecutor",
     "SineInput",
     "SparsePatternFamily",
     "StepInput",
@@ -177,7 +168,6 @@ __all__ = [
     "Study",
     "StudyCheckpoint",
     "StudyStore",
-    "ThreadExecutor",
     "TransientStudy",
     "array_fingerprint",
     "batch_frequency_response",
@@ -192,8 +182,6 @@ __all__ = [
     "drain_chunks",
     "parse_worker_id",
     "reducer_fingerprint",
-    "resolve_executor",
-    "resolve_owned_executor",
     "shared_pattern_family",
     "study_fingerprint",
     "supports_batching",

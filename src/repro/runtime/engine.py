@@ -1,11 +1,8 @@
 """One front door: the declarative ``Study`` engine.
 
-PRs 1-3 built the fast kernels of the serving layer -- dense batched
-evaluation, the sparse shared-pattern family, chunked streaming
-drivers, parallel executors -- but shipped them as a menu of free
-functions the caller had to pick between by hand.  This module is the
-single declarative entry point that routes to the optimal kernel
-automatically:
+The runtime's kernels -- dense batched evaluation, the sparse
+shared-pattern family, the chunk loop -- sit behind one declarative
+entry point that routes to the right kernel automatically:
 
 >>> study = (
 ...     Study(model)
@@ -19,35 +16,38 @@ automatically:
 
 ``Study`` is a builder: ``scenarios`` + one workload (``sweep`` /
 ``transient`` / ``poles`` / ``sensitivities``) plus optional execution
-directives (``executor``, ``chunk`` or ``memory_budget``, ``cached`` +
-``reduced``, ``progress``, and the durability pair ``store`` /
-``resume``).  :meth:`Study.plan` inspects the target and workload and
-returns an :class:`ExecutionPlan` naming the chosen route, kernel tier,
-chunk count, and estimated peak bytes; :meth:`Study.run` executes that
-plan.  Every route except sensitivities runs through the one chunk loop
-of :mod:`repro.runtime.stream`, and :meth:`Study.work` drains the same
+directives (``chunk`` or ``memory_budget``, ``cached`` + ``reduced``,
+``progress``, and the durability pair ``store`` / ``resume``).
+:meth:`Study.plan` inspects the target and workload and returns an
+:class:`ExecutionPlan` naming the chosen route, kernel tier, chunk
+count, and estimated peak bytes; :meth:`Study.run` executes that plan.
+Every route except sensitivities runs through the one chunk loop of
+:mod:`repro.runtime.stream`, and :meth:`Study.work` drains the same
 chunks through the same checkpoint unit across any number of workers.
+Payloads run in the chunk loop's own thread; only the dense eig sweep
+splits its chunks over the process-wide row pool of
+:mod:`repro.runtime.executor`.
 
 Routes
 ------
 
 - ``dense-batch`` -- dense-batchable targets (reduced macromodels) in
   one chunk: the eig-amortized sweep kernel, the propagator transient
-  kernel, stacked instantiation for poles/sensitivities.
-- ``dense-stream`` -- the same kernels chunked under ``chunk`` /
-  ``memory_budget``, with incremental envelope reducers.  On both
-  dense routes the eig sweep kernel splits each chunk's rows over the
-  process-wide row pool of :mod:`repro.runtime.executor`, streamed
-  sweeps one chunk ahead (see :class:`ExecutionPlan`).
+  kernel, batched sensitivities; dense pole studies keep this label
+  however they are chunked.
+- ``dense-stream`` -- the sweep and transient kernels chunked under
+  ``chunk`` / ``memory_budget``, with incremental envelope reducers.
+  On both dense routes the eig sweep kernel splits each chunk's rows
+  over the row pool, streamed sweeps one chunk ahead (see
+  :class:`ExecutionPlan`).
 - ``sparse-family`` -- sparse full-order parametric systems: batched
   data-array instantiation on the shared union pattern, each
   instance's pencils through the tridiagonal / banded LAPACK tier, the
   level-scheduled LU (wide patterns), or SuperLU refactorization
   (patterns with a structurally missing diagonal).
-- ``executor-full`` -- per-sample full-order reference solves (poles,
-  sensitivities) fanned out over the configured executor; executors the
-  engine constructs from a spec are shut down deterministically when
-  the run finishes.
+- ``per-instance`` -- full-order reference solves, one instance at a
+  time: pole studies of sparse or duck-typed targets (chunked like any
+  other study) and sparse sensitivities.
 
 Determinism contract
 --------------------
@@ -55,9 +55,9 @@ Determinism contract
 Every route evaluates instances independently through the same kernels
 whichever way the samples are chunked, so results are **bit-identical**
 across chunk sizes (up to the documented chunk-summed envelope mean),
-across fresh, resumed, and work-stolen runs, and across executors:
-sweeps match the eig-amortized sweep kernel, transients the batched
-propagator kernel, pole studies the Monte Carlo protocol of
+across row-pool widths, and across fresh, resumed, and work-stolen
+runs: sweeps match the eig-amortized sweep kernel, transients the
+batched propagator kernel, pole studies the Monte Carlo protocol of
 :func:`repro.analysis.montecarlo.monte_carlo_pole_study`, and
 sensitivities :func:`repro.analysis.sensitivity.transfer_sensitivities`.
 """
@@ -89,11 +89,6 @@ from repro.runtime.batch import (
     systems_from_stacks,
 )
 from repro.runtime.cache import array_fingerprint, cached_target_fingerprint
-from repro.runtime.executor import (
-    SerialExecutor,
-    resolve_executor,
-    resolve_owned_executor,
-)
 from repro.runtime.scenarios import ScenarioPlan, StepInput
 from repro.runtime.scheduler import (
     LeaseBoard,
@@ -188,79 +183,67 @@ def _check_transient_options(options: dict) -> None:
         )
 
 
-# -- executor-route task bodies (module level: picklable) --------------
+# -- the pole payload ---------------------------------------------------
 
 
-def _pole_task_model(model, num_poles: int, point: np.ndarray):
-    """Reference solve for one instance: dominant poles of the model."""
-    from repro.analysis.poles import dominant_poles
+def _pole_chunk_payload(target, family, num_poles: int, block) -> dict:
+    """One pole chunk's persistable payload (the checkpoint unit).
 
-    with obs_trace.span("poles.instance", kernel="instantiate"):
-        return dominant_poles(model, num_poles, point)
-
-
-def _pole_task_family(family, num_poles: int, point: np.ndarray):
-    """Reference solve through the shared sparsity pattern.
-
-    :meth:`SparsePatternFamily.instantiate` is bit-identical to the
-    scalar instantiation, so the poles match :func:`_pole_task_model`
-    exactly while skipping the per-sample pattern merges.
+    Every row is instantiated and handed to
+    :func:`~repro.analysis.poles.dominant_poles` on its own, under one
+    ``poles.instance`` span, so each pole set is bit-identical to the
+    scalar protocol's.  Dense targets instantiate the chunk as one
+    exact stack (bit-identical to the scalar accumulation), sparse
+    ones row by row through their shared-pattern ``family``, and any
+    other target through its own ``instantiate``.
     """
     from repro.analysis.poles import dominant_poles
 
-    with obs_trace.span("poles.instance", kernel="shared-pattern"):
-        return dominant_poles(family.instantiate(point), num_poles)
+    if supports_batching(target):
+        g, c = batch_instantiate(target, block, exact=True)
+        systems = systems_from_stacks(target, g, c)
+        kernel = "stacked-instantiate"
+    else:
+        source = target if family is None else family
+        systems = map(source.instantiate, block)
+        kernel = "instantiate" if family is None else "shared-pattern"
+    pole_sets = []
+    for _ in range(len(block)):
+        # next() inside the span: a row's instantiation is its time too.
+        with obs_trace.span("poles.instance", kernel=kernel):
+            pole_sets.append(dominant_poles(next(systems), num_poles))
+    return _pack_pole_sets(pole_sets)
 
 
-def _sensitivity_task(model, s: complex, point: np.ndarray):
-    """Exact per-sample ``dH/dp`` through the factored-solve path."""
-    from repro.analysis.sensitivity import _scalar_sensitivities
-
-    with obs_trace.span("sensitivities.instance"):
-        return _scalar_sensitivities(model, s, point)
+# Beside the 32 bytes per pole a retained pole set costs (its padded
+# row, then its unpacked copy): the row's length and the unpacked
+# array's header and list slot.
+_POLE_SET_BYTES = 128
 
 
-def _map_traced(executor, task, block) -> List:
-    """``task`` over the rows of ``block`` on ``executor``, spans kept.
+def _pole_run_bytes(
+    target, kind: str, num_poles: int, num_samples: int
+) -> Tuple[int, int, int]:
+    """``(per_instance, fixed, per_chunk)`` bytes of a pole study.
 
-    ``wrap_task``/``unwrap_results`` ship worker-raised spans back with
-    each result and re-parent them onto the span active here; with
-    tracing off both are identity.
+    Rows are factored one at a time: ``64 n^2`` for the instance in
+    hand (its dense ``G``, ``C`` and the eigensolve workspace; measured
+    48-56 ``n^2`` on the paper's nets), plus, on sparse targets, the
+    shared pattern's ``16 nnz``.  A dense chunk also holds its exact
+    ``(c, q, q)`` instantiation -- two stacks and one accumulation
+    temporary, ``24 q^2`` per instance -- whose masked accumulation
+    runs through numpy's ufunc buffer.  Each instance's pole set is
+    retained across chunks: its padded row and its unpacked copy, 32
+    bytes per pole plus ``_POLE_SET_BYTES``.  A target with no
+    ``nominal`` prices its order as 0.
     """
-    return obs_trace.unwrap_results(
-        executor.map(obs_trace.wrap_task(task), list(np.asarray(block)))
-    )
-
-
-def _entered_executor(spec):
-    """``(executor, close)`` for one run's per-sample solves.
-
-    An executor the engine builds from a spec is entered here -- one
-    persistent pool then serves every chunk of the run, including a
-    work-stealing worker's stolen ones -- and ``close()`` joins it.
-    Already-constructed executors pass through; ``close()`` leaves them
-    to their owner.
-    """
-    executor, owned = resolve_owned_executor(spec)
-    if owned and hasattr(executor, "__enter__"):
-        executor.__enter__()
-        return executor, executor.close
-    return executor, _no_close
-
-
-def _no_close() -> None:
-    """The close hook of runs that hold no engine-owned pool."""
-
-
-def _stacked_pole_payload(model, num_poles: int, block) -> dict:
-    """Pole payload of the stacked dense route (exact instantiation)."""
-    from repro.analysis.poles import dominant_poles
-
-    g, c = batch_instantiate(model, block, exact=True)
-    return _pack_pole_sets(
-        dominant_poles(system, num_poles)
-        for system in systems_from_stacks(model, g, c)
-    )
+    order = getattr(getattr(target, "nominal", None), "order", 0)
+    fixed = 64 * order * order + num_samples * (32 * num_poles + _POLE_SET_BYTES)
+    if kind == "dense":
+        return 24 * order * order, fixed + 8 * np.getbufsize(), _CHUNK_RECORD_BYTES
+    if kind == "sparse":
+        fixed += 16 * shared_pattern_family(target).nnz
+    return 0, fixed, _CHUNK_RECORD_BYTES
 
 
 # -- results for the non-sweep workloads --------------------------------
@@ -345,12 +328,12 @@ class ExecutionPlan:
     """What :meth:`Study.run` will do, decided before anything runs.
 
     ``route`` is one of ``"dense-batch"``, ``"dense-stream"``,
-    ``"sparse-family"``, ``"executor-full"``; ``kernel`` names the
+    ``"sparse-family"``, ``"per-instance"``; ``kernel`` names the
     numeric kernel tier inside the route (e.g. the shared-pattern
     solver chosen by RCM bandwidth).  ``estimated_peak_bytes`` is the
     documented working-set estimate of the chunk loop (constant
-    factor ~2), lookahead included; for executor routes it is a rough
-    per-worker figure.
+    factor ~2), lookahead included; for sensitivities it is a rough
+    one-instance figure.
 
     Dense sweeps run one batched eig kernel, chosen from the model
     alone: ``eig-rational[sweep-study/symmetric/...]`` (Cholesky +
@@ -362,7 +345,8 @@ class ExecutionPlan:
     is the process-wide row pool, ``row-pool(width=N)``, and
     ``lookahead`` is how many computed chunks the loop queues ahead of
     the one it folds: 1 on a multi-CPU pool when the extra chunk fits
-    the memory budget, else 0.
+    the memory budget, else 0.  Every other plan's ``executor`` is
+    ``serial``: its payloads run in the chunk loop's own thread.
     """
 
     route: str
@@ -421,7 +405,6 @@ class Study:
         self._transient_options: Optional[dict] = None
         self._num_poles: Optional[int] = None
         self._sensitivity_point: Optional[complex] = None
-        self._executor_spec = None
         self._chunk_size: Optional[int] = None
         self._memory_budget: Optional[int] = None
         self._store: Optional[StudyStore] = None
@@ -508,34 +491,19 @@ class Study:
         ordering of the spectral kernel.  As a standalone workload the
         engine runs the residue-weighted
         :func:`~repro.analysis.poles.dominant_poles` protocol per
-        instance -- the Monte Carlo reference semantics.  Dense targets
-        with no declared executor use stacked batched instantiation;
-        declaring an executor (via :meth:`executor`) switches to the
-        per-sample executor route, which bounds memory to one instance
-        per worker and is bit-identical to the stacked path.
+        instance -- the Monte Carlo reference semantics -- chunked like
+        any other study, so :meth:`chunk` / :meth:`memory_budget` bound
+        the dense targets' stacked ``(c, q, q)`` instantiations.
+        ``num`` must be an integer >= 0.
         """
-        if num < 0:
-            raise ValueError("num must be >= 0")
+        if not isinstance(num, numbers.Integral) or isinstance(num, bool) or num < 0:
+            raise ValueError(f"num must be an integer >= 0, got {num!r}")
         self._num_poles = int(num)
         return self._invalidate()
 
     def sensitivities(self, s: complex) -> "Study":
         """Request exact ``dH/dp_i`` at the complex frequency ``s``."""
         self._sensitivity_point = complex(s)
-        return self._invalidate()
-
-    def executor(self, spec) -> "Study":
-        """Executor for the per-sample full-order routes.
-
-        Accepts anything :func:`~repro.runtime.executor.resolve_executor`
-        does.  Specs (``"thread"``, a worker count) are constructed *and
-        deterministically shut down* by the engine; already-constructed
-        executor instances -- a caller's
-        :class:`concurrent.futures.ProcessPoolExecutor`, say -- pass
-        through untouched and stay owned by the caller.  :meth:`plan`
-        refuses any other spec with a one-line :class:`ValueError`.
-        """
-        self._executor_spec = spec
         return self._invalidate()
 
     def memory_budget(self, num_bytes: int) -> "Study":
@@ -570,8 +538,7 @@ class Study:
         """Persist results and checkpoints under a durable study store.
 
         Accepts a directory path or an existing
-        :class:`~repro.runtime.store.StudyStore`.  Each streamed chunk
-        (and each checkpoint unit of a chunked pole study) is written
+        :class:`~repro.runtime.store.StudyStore`.  Each chunk is written
         to disk the moment it completes, keyed by the study's content
         fingerprint; a re-run of the same study loads completed chunks
         instead of recomputing them and is bit-identical to an
@@ -660,10 +627,9 @@ class Study:
         accumulate: several may observe the same run.  While at least
         one sink is installed the engine, the chunk loop, the
         store, and the sparse solvers emit spans (``study.run`` >
-        ``study.chunk`` > ``store.save`` / ``sparse.refactor`` / ...);
-        spans raised inside executor workers are captured there and
-        re-parented onto this run's chunk spans.  With no sink
-        attached every span site short-circuits to a shared no-op.
+        ``study.chunk`` > ``store.save`` / ``sparse.refactor`` /
+        ``poles.instance`` / ...).  With no sink attached every span
+        site short-circuits to a shared no-op.
         """
         self._trace_sinks.append(sink)
         return self
@@ -785,8 +751,12 @@ class Study:
         :func:`~repro.runtime.stream._transient_run_bytes` -- the
         metrics (and kept outputs) retained across chunks among them
         -- and ``per_chunk`` bytes of array headers for every chunk.
+        Pole studies factor one instance at a time: see
+        :func:`_pole_run_bytes`.
         """
         target = self._resolve_target()
+        if workload == "poles":
+            return _pole_run_bytes(target, kind, self._num_poles, num_samples)
         if workload in ("sweep", "sweep+poles"):
             n_f = self._frequencies.size
             m_out = target.nominal.L.shape[1]
@@ -849,7 +819,7 @@ class Study:
         if kind == "sparse":
             # Nominal pattern only -- describing a target must not pay
             # for the union-pattern family (sweep routes build it anyway,
-            # memoized; per-sample sensitivity routes never need it).
+            # memoized; the per-instance sensitivity route never needs it).
             nominal = target.nominal
             return f"sparse-full (n={nominal.order}, nnz={nominal.G.nnz})"
         return f"full ({type(target).__name__})"
@@ -924,7 +894,6 @@ class Study:
             repr(sorted(config.items())),
             self._chunk_size,
             self._memory_budget,
-            repr(self._executor_spec),
             None if self._store is None else str(self._store.directory),
             self._resume,
             executor_module.row_pool_width(),
@@ -934,163 +903,127 @@ class Study:
         workload = self._workload()
         kind = self._target_kind()
         target = self._resolve_target()
-        # Every route validates the spec, even the batched ones that
-        # never map over it.
-        executor = resolve_executor(self._executor_spec)
         notes: List[str] = []
         if self._resume and self._store is None:
             raise ValueError("resume() requires store(directory)")
         store_path = None if self._store is None else str(self._store.directory)
+        if workload == "sensitivities":
+            return self._sensitivity_plan(kind, target, store_path)
 
-        if workload in ("sweep", "sweep+poles", "transient"):
-            # Route validation first: it must not depend on sample
-            # realization (which needs a parametric target to begin with).
-            if kind == "other":
-                raise ValueError(
-                    f"{target!r} supports neither dense nor sparse batching; "
-                    "see repro.runtime.batch.supports_batching"
-                )
-            if workload == "transient" and kind == "sparse":
-                raise ValueError(
-                    "transient studies require a dense-batchable model "
-                    "(reduce the system first; full-order sparse ensembles are "
-                    "frequency-domain only)"
-                )
-            if workload == "sweep+poles" and kind == "sparse":
-                raise ValueError(
-                    "full-order sparse sweeps compute responses only; drop "
-                    ".poles(...) (dense eigendecompositions of the full model "
-                    "are not a streaming quantity)"
-                )
-            num_samples = self._samples().shape[0]
-            chunk, num_chunks, peak = self._chunk_plan(workload, kind, num_samples)
-            executor_label = "SerialExecutor()"
-            lookahead = 0
-            if workload == "transient":
-                kernel = "transient-propagator[gesv]"
-                if self._transient_options["keep_outputs"]:
-                    notes.append("keep_outputs retains the full trajectory grid")
-            elif kind == "sparse":
-                family = shared_pattern_family(target)
-                kernel = f"shared-pattern[{family.solver_kind}]"
-            else:
-                contraction = (
-                    "grid" if grid_contraction(num_samples, self._frequencies.size)
-                    else "per-frequency"
-                )
-                symmetric = "/symmetric" if symmetric_definite(target) else ""
-                kernel = f"eig-rational[sweep-study{symmetric}/{contraction}]"
-                width = executor_module.row_pool_width()
-                executor_label = f"row-pool(width={width})"
-                extra = sweep_lookahead_bytes(
-                    self._frequencies.size, chunk,
-                    target.nominal.L.shape[1], target.nominal.B.shape[1],
-                )
-                if width > 1 and num_chunks > 1 and (
-                    self._memory_budget is None
-                    or peak + extra <= self._memory_budget
-                ):
-                    lookahead = 1
-                    peak += extra
-            if workload in ("sweep", "sweep+poles") and self._keep_responses:
-                m_out = target.nominal.L.shape[1]
-                m_in = target.nominal.B.shape[1]
-                peak += 16 * num_samples * self._frequencies.size * m_out * m_in
-                notes.append("keep_responses retains the full response grid")
-            if kind == "sparse":
-                route = "sparse-family"
-            else:
-                route = "dense-batch" if num_chunks <= 1 else "dense-stream"
-            if self._executor_spec is not None:
-                notes.append("executor is unused on batched in-process routes")
-            return ExecutionPlan(
-                route=route,
-                kernel=kernel,
-                workload=workload,
-                target=self._describe_target(kind),
-                num_samples=num_samples,
-                chunk_size=chunk,
-                num_chunks=num_chunks,
-                estimated_peak_bytes=peak,
-                executor=executor_label,
-                notes=tuple(notes),
-                store=store_path,
-                lookahead=lookahead,
-            )
-
-        # Per-sample workloads: poles / sensitivities.
-        num_samples = self._samples().shape[0]
-        if workload == "sensitivities" and self._store is not None:
+        # Route validation first: it must not depend on sample
+        # realization (which needs a parametric target to begin with).
+        if kind == "other" and workload != "poles":
             raise ValueError(
-                "sensitivity studies do not support store(); durable "
-                "checkpointing covers sweep, transient, and pole studies"
+                f"{target!r} supports neither dense nor sparse batching; "
+                "see repro.runtime.batch.supports_batching"
             )
-        chunk_size = num_samples
-        num_chunks = 1 if num_samples else 0
-        if workload == "poles" and self._store is not None:
-            # With a store attached, pole studies process their samples
-            # in checkpoint units of chunk(...) instances.
-            if self._chunk_size is not None:
-                chunk_size = min(self._chunk_size, max(num_samples, 1))
-                num_chunks = -(-num_samples // chunk_size) if num_samples else 0
-            notes.append(
-                f"pole checkpoint unit: {chunk_size} instance(s) per chunk"
+        if workload == "transient" and kind == "sparse":
+            raise ValueError(
+                "transient studies require a dense-batchable model "
+                "(reduce the system first; full-order sparse ensembles are "
+                "frequency-domain only)"
             )
-            if self._memory_budget is not None:
-                notes.append("memory_budget is unused on per-sample routes")
-        elif self._chunk_size is not None or self._memory_budget is not None:
-            notes.append("chunking directives are unused on per-sample routes")
-        workers = 1 if isinstance(executor, SerialExecutor) else (
-            getattr(executor, "max_workers", None) or os.cpu_count() or 1
-        )
-        # Order is only needed for the (rough) peak estimate; duck-typed
-        # targets that expose just instantiate/num_parameters still run.
-        q_or_n = getattr(getattr(target, "nominal", None), "order", 0)
+        if workload == "sweep+poles" and kind == "sparse":
+            raise ValueError(
+                "full-order sparse sweeps compute responses only; drop "
+                ".poles(...) (dense eigendecompositions of the full model "
+                "are not a streaming quantity)"
+            )
+        num_samples = self._samples().shape[0]
+        chunk, num_chunks, peak = self._chunk_plan(workload, kind, num_samples)
+        executor_label = "serial"
+        lookahead = 0
         if workload == "poles":
-            if kind == "dense" and self._executor_spec is None:
-                # Stacked batched instantiation: fastest for reduced-scale
-                # models, but it materializes (m, q, q) stacks -- so an
-                # explicitly requested executor switches to the bounded
-                # per-sample route below (bit-identical either way: exact
-                # batched instantiation reproduces the scalar accumulation).
-                route, kernel = "dense-batch", "dominant-poles[stacked-instantiate]"
-                peak = 16 * num_samples * q_or_n * q_or_n
-            elif kind == "dense":
-                route, kernel = "executor-full", "dominant-poles[instantiate]"
-                peak = workers * 48 * q_or_n * q_or_n
+            if self._store is not None:
+                notes.append(f"pole checkpoint unit: {chunk} instance(s) per chunk")
+            if kind == "dense":
+                kernel = "dominant-poles[stacked-instantiate]"
             elif kind == "sparse":
                 family = shared_pattern_family(target)
-                route = "executor-full"
                 kernel = f"dominant-poles[shared-pattern/{family.solver_kind}]"
-                peak = workers * (16 * family.nnz + 48 * q_or_n * q_or_n)
             else:
-                route, kernel = "executor-full", "dominant-poles[instantiate]"
-                peak = workers * 48 * q_or_n * q_or_n
-        else:  # sensitivities
-            if kind == "dense":
-                route, kernel = "dense-batch", "batch-sensitivities[gesv]"
-                peak = 48 * num_samples * q_or_n * q_or_n
-                if self._executor_spec is not None:
-                    notes.append("dense sensitivities run in-process (batched solves)")
-            else:
-                route, kernel = "executor-full", "sensitivities[sparse-lu]"
-                # Estimate straight off the nominal pattern: the task
-                # factors per-sample instantiations, it never needs the
-                # shared-pattern family, so don't pay to build one here.
-                nominal_g = getattr(getattr(target, "nominal", None), "G", None)
-                nnz = getattr(nominal_g, "nnz", q_or_n * q_or_n)
-                peak = workers * 64 * nnz
+                kernel = "dominant-poles[instantiate]"
+        elif workload == "transient":
+            kernel = "transient-propagator[gesv]"
+            if self._transient_options["keep_outputs"]:
+                notes.append("keep_outputs retains the full trajectory grid")
+        elif kind == "sparse":
+            family = shared_pattern_family(target)
+            kernel = f"shared-pattern[{family.solver_kind}]"
+        else:
+            contraction = (
+                "grid" if grid_contraction(num_samples, self._frequencies.size)
+                else "per-frequency"
+            )
+            symmetric = "/symmetric" if symmetric_definite(target) else ""
+            kernel = f"eig-rational[sweep-study{symmetric}/{contraction}]"
+            width = executor_module.row_pool_width()
+            executor_label = f"row-pool(width={width})"
+            extra = sweep_lookahead_bytes(
+                self._frequencies.size, chunk,
+                target.nominal.L.shape[1], target.nominal.B.shape[1],
+            )
+            if width > 1 and num_chunks > 1 and (
+                self._memory_budget is None
+                or peak + extra <= self._memory_budget
+            ):
+                lookahead = 1
+                peak += extra
+        if workload in ("sweep", "sweep+poles") and self._keep_responses:
+            m_out = target.nominal.L.shape[1]
+            m_in = target.nominal.B.shape[1]
+            peak += 16 * num_samples * self._frequencies.size * m_out * m_in
+            notes.append("keep_responses retains the full response grid")
+        if kind != "dense":
+            route = "per-instance" if workload == "poles" else "sparse-family"
+        elif num_chunks <= 1 or workload == "poles":
+            route = "dense-batch"
+        else:
+            route = "dense-stream"
         return ExecutionPlan(
             route=route,
             kernel=kernel,
             workload=workload,
             target=self._describe_target(kind),
             num_samples=num_samples,
-            chunk_size=chunk_size,
+            chunk_size=chunk,
             num_chunks=num_chunks,
-            estimated_peak_bytes=int(peak),
-            executor=repr(executor),
+            estimated_peak_bytes=peak,
+            executor=executor_label,
             notes=tuple(notes),
+            store=store_path,
+            lookahead=lookahead,
+        )
+
+    def _sensitivity_plan(self, kind: str, target, store_path) -> ExecutionPlan:
+        """The one-unit plan of a sensitivity study (never chunked)."""
+        if self._store is not None:
+            raise ValueError(
+                "sensitivity studies do not support store(); durable "
+                "checkpointing covers sweep, transient, and pole studies"
+            )
+        num_samples = self._samples().shape[0]
+        order = getattr(getattr(target, "nominal", None), "order", 0)
+        if kind == "dense":
+            route, kernel = "dense-batch", "batch-sensitivities[gesv]"
+            peak = 48 * num_samples * order * order
+        else:
+            route, kernel = "per-instance", "sensitivities[sparse-lu]"
+            # Estimate straight off the nominal pattern: each sample
+            # factors its own instantiation and never needs the
+            # shared-pattern family, so don't pay to build one here.
+            nominal_g = getattr(getattr(target, "nominal", None), "G", None)
+            peak = 64 * getattr(nominal_g, "nnz", order * order)
+        return ExecutionPlan(
+            route=route,
+            kernel=kernel,
+            workload="sensitivities",
+            target=self._describe_target(kind),
+            num_samples=num_samples,
+            chunk_size=num_samples,
+            num_chunks=1 if num_samples else 0,
+            estimated_peak_bytes=int(peak),
+            executor="serial",
             store=store_path,
         )
 
@@ -1268,7 +1201,7 @@ class Study:
                     self._store, checkpoint.key, worker=worker_id, ttl=ttl
                 )
                 grid = _chunk_grid(plan.num_samples, plan.chunk_size)
-                payload_fn, _, _, close = self._chunk_workload(plan, target)
+                payload_fn, _, _ = self._chunk_workload(plan, target)
 
                 def compute(index: int) -> None:
                     lo, hi = grid[index]
@@ -1276,13 +1209,10 @@ class Study:
                         checkpoint, index, lo, hi, payload_fn, samples[lo:hi]
                     )
 
-                try:
-                    report = drain_chunks(
-                        checkpoint, compute, lease_board,
-                        poll=poll, max_chunks=max_chunks,
-                    )
-                finally:
-                    close()
+                report = drain_chunks(
+                    checkpoint, compute, lease_board,
+                    poll=poll, max_chunks=max_chunks,
+                )
                 self._last_drain = report
                 root.set(
                     drained=report.drained,
@@ -1364,18 +1294,16 @@ class Study:
         return self._last_warehouse
 
     def _chunk_workload(self, plan: ExecutionPlan, target):
-        """``(payload_fn, queue, build, close)`` for the plan's workload.
+        """``(payload_fn, queue, build)`` for the plan's workload.
 
         The one factory behind both chunk loops -- :meth:`run` and the
         compute :meth:`work` hands to the drain: ``payload_fn(block)``
         computes one chunk's persistable payload, ``queue(block)``
         queues the same payload on the row pool when the plan has a
-        chunk of lookahead (else ``None``), ``build(samples, folded)``
-        turns the folded chunks into the route's result object, and
-        ``close()`` joins the executor pool the engine entered for
-        per-sample routes (see :func:`_entered_executor`).
+        chunk of lookahead (else ``None``), and ``build(samples,
+        folded)`` turns the folded chunks into the route's result
+        object.
         """
-        close = _no_close
         queue = None
         if plan.workload in ("sweep", "sweep+poles"):
             dense = supports_batching(target)
@@ -1420,22 +1348,13 @@ class Study:
 
         else:  # poles
             num_poles = self._num_poles
-            if plan.route == "dense-batch":
-                payload_fn = functools.partial(
-                    _stacked_pole_payload, target, num_poles
-                )
-            else:
-                if supports_sparse_batching(target):
-                    task = functools.partial(
-                        _pole_task_family, shared_pattern_family(target),
-                        num_poles,
-                    )
-                else:
-                    task = functools.partial(_pole_task_model, target, num_poles)
-                executor, close = _entered_executor(self._executor_spec)
-
-                def payload_fn(block):
-                    return _pack_pole_sets(_map_traced(executor, task, block))
+            payload_fn = functools.partial(
+                _pole_chunk_payload,
+                target,
+                shared_pattern_family(target)
+                if supports_sparse_batching(target) else None,
+                num_poles,
+            )
 
             def build(samples, folded):
                 pole_sets: List[np.ndarray] = []
@@ -1449,7 +1368,7 @@ class Study:
                     pole_sets=pole_sets,
                 )
 
-        return payload_fn, queue, build, close
+        return payload_fn, queue, build
 
     def _resolved_transient_options(self, target) -> dict:
         """Transient options with the waveform/horizon defaults realized.
@@ -1503,15 +1422,12 @@ class Study:
             plan, target, samples, worker=worker, lenient=lenient,
             resume=self._resume,
         )
-        payload_fn, queue, build, close = self._chunk_workload(plan, target)
-        try:
-            folded = _drive_chunks(
-                "sweep" if plan.workload.startswith("sweep") else plan.workload,
-                samples, plan.chunk_size, payload_fn,
-                checkpoint=checkpoint, progress=self._progress, queue=queue,
-            )
-        finally:
-            close()
+        payload_fn, queue, build = self._chunk_workload(plan, target)
+        folded = _drive_chunks(
+            "sweep" if plan.workload.startswith("sweep") else plan.workload,
+            samples, plan.chunk_size, payload_fn,
+            checkpoint=checkpoint, progress=self._progress, queue=queue,
+        )
         return build(samples, folded)
 
     def _open_checkpoint(
@@ -1555,16 +1471,17 @@ class Study:
     def _run_sensitivities(
         self, plan: ExecutionPlan, target, samples
     ) -> SensitivityStudy:
+        from repro.analysis.sensitivity import _scalar_sensitivities
+
         s = self._sensitivity_point
         if plan.route == "dense-batch":
             sensitivities = batch_transfer_sensitivities(target, s, samples)
         else:
-            task = functools.partial(_sensitivity_task, target, s)
-            executor, close = _entered_executor(self._executor_spec)
-            try:
-                sensitivities = np.stack(_map_traced(executor, task, samples))
-            finally:
-                close()
+            rows = []
+            for point in samples:
+                with obs_trace.span("sensitivities.instance"):
+                    rows.append(_scalar_sensitivities(target, s, point))
+            sensitivities = np.stack(rows)
         if self._progress is not None:
             self._progress(samples.shape[0], samples.shape[0])
         return SensitivityStudy(samples=samples, s=s, sensitivities=sensitivities)

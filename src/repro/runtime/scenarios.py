@@ -49,14 +49,14 @@ class ScenarioPlan:
         """Number of rows :meth:`sample_matrix` will produce."""
         return self.sample_matrix(num_parameters).shape[0]
 
-    def study(self, full_model, reduced_model, num_poles: int = 5, executor=None):
+    def study(self, full_model, reduced_model, num_poles: int = 5):
         """Run the pole-accuracy study over this plan's samples.
 
         Composes the plan with any full/reduced model pair via
         :func:`repro.analysis.montecarlo.monte_carlo_pole_study`.
         """
         # Imported lazily: repro.analysis.montecarlo itself builds on
-        # the runtime batch/executor modules.
+        # the runtime engine.
         from repro.analysis.montecarlo import monte_carlo_pole_study
 
         samples = self.sample_matrix(full_model.num_parameters)
@@ -66,7 +66,6 @@ class ScenarioPlan:
             samples.shape[0],
             num_poles=num_poles,
             samples=samples,
-            executor=executor,
         )
 
 

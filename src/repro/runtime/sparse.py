@@ -570,9 +570,8 @@ class SparsePatternFamily:
         """The shared symbolic template, built lazily (and after unpickling).
 
         SuperLU factor objects are not picklable, so a pickled family
-        (``pickle.dumps``, or a caller-supplied process pool running
-        the per-sample pole route) leaves the template out and rebuilds
-        it on first use.  The template's numeric values (``G0 + C0``)
+        (``pickle.dumps``, say, to hand it to another process) leaves
+        the template out and rebuilds it on first use.  The template's numeric values (``G0 + C0``)
         are irrelevant -- only its pattern and the fill-reducing
         ordering are reused -- but the factorization must succeed, so a
         singular nominal combination retries with pseudo-random data on

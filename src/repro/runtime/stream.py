@@ -12,7 +12,7 @@ This module is the single loop every chunked route of
 :func:`_drive_chunks` walks the plan's chunk grid in order; per chunk
 it obtains one **payload** -- a dict of arrays computed by a
 workload-specific payload function (:func:`_sweep_chunk_payload`,
-:func:`_transient_chunk_payload`, or the engine's pole payloads) --
+:func:`_transient_chunk_payload`, or the engine's pole payload) --
 folds the ``env_*`` entries into a running envelope and appends every
 other column.  Three small builders (:func:`_sweep_result`,
 :func:`_transient_result`, and the engine's pole builder) turn the

@@ -31,7 +31,7 @@ to HTTP 400 and the CLI maps to its usual exit-1 one-liner.
 from __future__ import annotations
 
 import json
-import os
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,7 +59,7 @@ _WORKLOAD_DEFAULTS = {
                   "steps": 200, "method": "trapezoidal", "threshold": 0.5,
                   "delay_reference": "steady", "output": 0, "input": 0},
     "poles": {"num": 5},
-    "montecarlo": {"poles": 5, "jobs": None, "bins": 10},
+    "montecarlo": {"poles": 5, "bins": 10},
 }
 
 _WAVEFORM_DEFAULTS = {
@@ -121,6 +121,26 @@ def build_waveform(kind: str, *, amplitude: float = 1.0,
     )
 
 
+def _is_count(value, minimum: int) -> bool:
+    """Whether ``value`` is a JSON integer (not a bool) >= ``minimum``."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= minimum
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (a bool is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a JSON number with a finite float value;
+    ``json.loads`` parses ``NaN`` and ``Infinity``."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _require(mapping: dict, name: str, kinds, label: str) -> dict:
     section = mapping.get(name)
     if not isinstance(section, dict):
@@ -139,6 +159,9 @@ def _merged(section: dict, defaults: dict, label: str) -> dict:
         raise ProtocolError(
             f"unknown {label} option(s): {', '.join(sorted(unknown))}"
         )
+    for name, value in section.items():
+        if _is_number(value) and not _is_finite(value):
+            raise ProtocolError(f"'{name}' must be a finite number")
     return {**defaults, **{k: v for k, v in section.items() if k != "kind"}}
 
 
@@ -185,8 +208,9 @@ def parse_job(payload) -> JobSpec:
     """Parse a job document (dict, JSON text, or bytes) into a JobSpec.
 
     Every malformation -- wrong type, unknown kind, unknown option,
-    non-positive count -- raises :class:`ProtocolError` with a one-line
-    diagnostic naming the offending field.
+    non-positive count, non-finite number, an empty or inverted sweep
+    band -- raises :class:`ProtocolError` with a one-line diagnostic
+    naming the offending field.
     """
     if isinstance(payload, (bytes, bytearray)):
         payload = payload.decode("utf-8", errors="replace")
@@ -212,8 +236,7 @@ def parse_job(payload) -> JobSpec:
 
     def _int(name, default, minimum=1):
         value = payload.get(name, default)
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < minimum:
+        if not _is_count(value, minimum):
             raise ProtocolError(
                 f"'{name}' must be an integer >= {minimum}"
             )
@@ -221,8 +244,10 @@ def parse_job(payload) -> JobSpec:
 
     def _number(name, default):
         value = payload.get(name, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise ProtocolError(f"'{name}' must be a number")
+        if not _is_finite(value):
+            raise ProtocolError(f"'{name}' must be a finite number")
         return float(value)
 
     plan_section = _require(payload, "plan", PLAN_KINDS, "plan")
@@ -248,13 +273,19 @@ def parse_job(payload) -> JobSpec:
         )
         workload_options["waveform"]["kind"] = waveform["kind"]
 
+    if workload_kind == "sweep":
+        fmin, fmax = workload_options["fmin"], workload_options["fmax"]
+        if not (_is_finite(fmin) and fmin > 0):
+            raise ProtocolError("'fmin' must be a finite number > 0")
+        if not (_is_finite(fmax) and fmax >= fmin):
+            raise ProtocolError("'fmax' must be a finite number >= 'fmin'")
     if workload_kind == "montecarlo":
-        _check_jobs(workload_options["jobs"])
+        for name in ("poles", "bins"):
+            if not _is_count(workload_options[name], 1):
+                raise ProtocolError(f"'{name}' must be an integer >= 1")
 
     chunk = payload.get("chunk")
-    if chunk is not None and (
-        not isinstance(chunk, int) or isinstance(chunk, bool) or chunk < 1
-    ):
+    if chunk is not None and not _is_count(chunk, 1):
         raise ProtocolError("'chunk' must be a positive integer or null")
 
     return JobSpec(
@@ -270,25 +301,6 @@ def parse_job(payload) -> JobSpec:
         workload_options=workload_options,
         chunk=chunk,
         workers=_int("workers", 1),
-    )
-
-
-def _check_jobs(jobs) -> None:
-    """Refuse a montecarlo ``jobs`` spec the server should not realize.
-
-    The value crosses a trust boundary straight into the executor of
-    the full-order solves, so only the serial and thread forms are
-    accepted, and a thread count may not exceed this machine's CPUs.
-    """
-    limit = os.cpu_count() or 1
-    if jobs is None or jobs in ("serial", "thread"):
-        return
-    if isinstance(jobs, int) and not isinstance(jobs, bool) \
-            and 1 <= jobs <= limit:
-        return
-    raise ProtocolError(
-        "'jobs' must be null, 'serial', 'thread', or an integer in "
-        f"1..{limit}"
     )
 
 
@@ -377,12 +389,9 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
             )
             job.samples = samples
             num_poles = options["poles"]
-            executor = options["jobs"] if options["jobs"] is not None \
-                else "serial"
             job.studies = {
                 "full": lambda: _chunked(
-                    Study(parametric).scenarios(samples)
-                    .poles(num_poles).executor(executor)
+                    Study(parametric).scenarios(samples).poles(num_poles)
                 ),
                 "reduced": lambda: _chunked(
                     Study(model).scenarios(samples).poles(2 * num_poles)

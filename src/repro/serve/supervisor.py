@@ -361,7 +361,6 @@ class StudySupervisor:
             num_instances=realized.samples.shape[0],
             num_poles=options["poles"],
             samples=realized.samples,
-            executor=options["jobs"],
             store=self.store,
             chunk_size=realized.spec.chunk,
             trace=sinks,

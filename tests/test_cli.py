@@ -65,15 +65,16 @@ class TestReduce:
 
     def test_jobs_process_and_shared_refused_in_one_line(self, netlist_file,
                                                          capsys):
-        for spec in ("process", "shared"):
-            code = main(
-                ["montecarlo", netlist_file, "--instances", "3", "--poles",
-                 "2", "--moments", "3", "--jobs", spec]
-            )
-            err = capsys.readouterr().err
-            assert code != 0
-            assert err.startswith("error:") and err.count("\n") == 1
-            assert "'thread'" in err
+        """``work montecarlo`` has no ``--jobs`` either: argparse
+        refuses it (exit 2), one error line after its usage."""
+        for spec in ("process", "shared", "thread"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["work", "montecarlo", netlist_file, "--store", "s",
+                      "--jobs", spec])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err[0].startswith("usage:")
+            assert err[-1].endswith(f"error: unrecognized arguments: --jobs {spec}")
 
     def test_impossible_tolerance_fails(self, netlist_file, capsys):
         code = main(
@@ -172,39 +173,28 @@ class TestMonteCarlo:
         assert code == 0
         assert "screen tier:" not in out
 
-    def test_jobs_spec_accepts_worker_count(self, netlist_file, capsys):
-        code = main(
-            ["montecarlo", netlist_file, "--instances", "3", "--poles", "2",
-             "--moments", "3", "--jobs", "1"]
-        )
-        assert code == 0
-
-    def test_jobs_spec_accepts_thread_backend(self, netlist_file, capsys):
-        code = main(
-            ["montecarlo", netlist_file, "--instances", "3", "--poles", "2",
-             "--moments", "3", "--jobs", "thread"]
-        )
-        assert code == 0
-
-    def test_jobs_matches_serial_output(self, netlist_file, capsys):
-        argv = ["montecarlo", netlist_file, "--instances", "3", "--poles", "2",
+    def test_chunk_output_matches_one_shot(self, netlist_file, capsys):
+        """``--chunk`` bounds both pole studies without a store; the
+        report is byte-identical."""
+        argv = ["montecarlo", netlist_file, "--instances", "5", "--poles", "2",
                 "--moments", "3"]
         assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert main(argv + ["--jobs", "thread"]) == 0
-        assert capsys.readouterr().out == serial_out
+        one_shot = capsys.readouterr().out
+        assert main(argv + ["--chunk", "2"]) == 0
+        assert capsys.readouterr().out == one_shot
 
     def test_jobs_process_and_shared_refused_in_one_line(self, netlist_file,
                                                          capsys):
-        for spec in ("process", "shared"):
-            code = main(
-                ["montecarlo", netlist_file, "--instances", "3", "--poles",
-                 "2", "--moments", "3", "--jobs", spec]
-            )
-            err = capsys.readouterr().err
-            assert code != 0
-            assert err.startswith("error:") and err.count("\n") == 1
-            assert "'thread'" in err
+        """``--jobs`` is gone: argparse refuses every spec (exit 2),
+        one error line after its usage."""
+        for spec in ("process", "shared", "thread", "1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["montecarlo", netlist_file, "--instances", "3",
+                      "--jobs", spec])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err[0].startswith("usage:")
+            assert err[-1].endswith(f"error: unrecognized arguments: --jobs {spec}")
 
     def test_impossible_tolerance_fails(self, netlist_file, capsys):
         code = main(

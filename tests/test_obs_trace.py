@@ -88,33 +88,6 @@ class TestSpanBasics:
             obs_trace.remove_sink(sink)
         assert sink.records[0]["error"] == "RuntimeError"
 
-    def test_wrap_task_is_identity_when_disabled(self):
-        def fn(x):
-            return x + 1
-
-        assert obs_trace.wrap_task(fn) is fn
-        assert obs_trace.unwrap_results([1, 2]) == [1, 2]
-
-    def test_wrap_task_captures_and_reparents(self):
-        def fn(x):
-            with obs_trace.span("worker.step", item=x):
-                return x * 2
-
-        sink = obs_trace.add_sink(MemorySink())
-        try:
-            task = obs_trace.wrap_task(fn)
-            payloads = [task(3), task(4)]
-            with obs_trace.span("caller"):
-                results = obs_trace.unwrap_results(payloads)
-        finally:
-            obs_trace.remove_sink(sink)
-        assert results == [6, 8]
-        worker = _spans(sink.records, "worker.step")
-        caller = _spans(sink.records, "caller")[0]
-        assert len(worker) == 2
-        assert all(s["parent_id"] == caller["span_id"] for s in worker)
-        assert all(s["reparented"] for s in worker)
-
 
 class TestStudyTracing:
     def test_sweep_trace_has_run_plan_chunk_and_metrics(self, model, samples):
@@ -158,33 +131,6 @@ class TestStudyTracing:
             "created": records[0]["created"],
         }
         assert _spans(records, "study.run")
-
-    @pytest.mark.parametrize("spec", ["thread", "process"])
-    def test_executor_worker_spans_reparent_onto_chunks(
-        self, parametric, samples, spec, tmp_path, request
-    ):
-        # "process" is a caller-supplied stdlib pool: worker spans cross
-        # the process boundary inside the pickled task payloads.
-        executor = (
-            request.getfixturevalue("process_pool") if spec == "process"
-            else spec
-        )
-        # Pole studies chunk only when durable: attach a store so the
-        # run checkpoints in two units of four instances.
-        _, records = _traced_run(
-            Study(parametric)
-            .scenarios(samples)
-            .poles(2)
-            .executor(executor)
-            .chunk(4)
-            .store(tmp_path / "store")
-        )
-        chunks = _spans(records, "study.chunk")
-        workers = _spans(records, "poles.instance")
-        assert len(chunks) == 2
-        assert len(workers) == samples.shape[0]
-        chunk_ids = {c["span_id"] for c in chunks}
-        assert all(w["parent_id"] in chunk_ids for w in workers)
 
 
 class TestStoreTelemetry:

@@ -9,7 +9,7 @@ dead process, which it must steal -- and the merged result is
 the ensemble, the chunk size, the worker count, and every worker's kill
 point; the property is checked on all the engine's chunkable routes
 (dense sweep streaming, dense transient streaming, stacked pole
-studies, and the per-sample executor-full pole route).
+studies, and the per-instance full-order pole route).
 """
 
 import json
@@ -19,10 +19,12 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.statespace import DescriptorSystem
+from repro.circuits.variational import ParametricSystem
 from repro.core.model import ParametricReducedModel
 from repro.runtime import Study
 from repro.runtime.scheduler import CLAIM_FORMAT
@@ -185,19 +187,25 @@ class TestWorkStealPoles:
 
     @RELAXED
     @given(dense_ensembles(), st.integers(min_value=1, max_value=3), _WORKERS)
-    def test_executor_full_route_merges_bit_identical(
+    def test_per_instance_route_merges_bit_identical(
         self, ensemble, chunk, budgets
     ):
-        model, samples = ensemble
+        dense, samples = ensemble
+        # The same ensemble as a sparse full-order system.
+        nominal = dense.nominal
+        model = ParametricSystem(
+            DescriptorSystem(
+                sp.csr_matrix(nominal.G), sp.csr_matrix(nominal.C),
+                nominal.B, nominal.L,
+            ),
+            [sp.csr_matrix(m) for m in dense.dG],
+            [sp.csr_matrix(m) for m in dense.dC],
+        )
 
         def build():
-            return (
-                Study(model)
-                .scenarios(samples)
-                .poles(2)
-                .executor("serial")
-                .chunk(chunk)
-            )
+            return Study(model).scenarios(samples).poles(2).chunk(chunk)
+
+        assert build().plan().route == "per-instance"
 
         reference = build().run()
         merged = _work_through_killed_workers(build, budgets)

@@ -7,7 +7,7 @@ delay/slew/steady metrics) and equal the in-RAM study result, and
 re-registering a study must write nothing.  Hypothesis drives random
 ensembles and chunk sizes; a fixed four-way sweep pins the property on
 every engine route (dense-batch, dense-stream, sparse-family,
-executor-full).
+per-instance).
 """
 
 import tempfile
@@ -260,10 +260,9 @@ class TestEveryRoute:
         )
         assert study.plan().route == "sparse-family"
 
-    def test_executor_full(self):
-        model, samples = self._dense()
+    def test_per_instance(self):
+        model, samples = _sparse_ensemble()
         study, _ = _run_and_verify(
-            lambda: Study(model).scenarios(samples)
-            .poles(2).chunk(3).executor("thread")
+            lambda: Study(model).scenarios(samples).poles(2).chunk(3)
         )
-        assert study.plan().route == "executor-full"
+        assert study.plan().route == "per-instance"

@@ -69,9 +69,9 @@ ROOT_ALL_SNAPSHOT = [
     "ExecutionPlan", "GridPlan", "LowRankReducer", "ModelCache",
     "MonteCarloPlan", "MultiPointReducer", "Netlist", "NominalReducer",
     "PWLInput", "ParametricReducedModel", "ParametricSystem",
-    "RampInput", "SerialExecutor", "SineInput", "SinglePointReducer",
+    "RampInput", "SineInput", "SinglePointReducer",
     "SparsePatternFamily", "StepInput", "StoreError", "Study",
-    "StudyStore", "ThreadExecutor", "Warehouse", "WarehouseError",
+    "StudyStore", "Warehouse", "WarehouseError",
     "__version__", "assemble", "batch_frequency_response",
     "batch_instantiate", "batch_poles", "batch_simulate_transient",
     "batch_transfer", "clock_tree",
@@ -94,10 +94,10 @@ RUNTIME_ALL_SNAPSHOT = [
     "ModelCache", "MonteCarloPlan",
     "NothingToResumeError", "PWLInput",
     "PoleStudy", "RampInput", "ScenarioPlan",
-    "SensitivityStudy", "SerialExecutor", "SineInput", "SparsePatternFamily",
+    "SensitivityStudy", "SineInput", "SparsePatternFamily",
     "StepInput", "StoreError", "StreamedSweepStudy",
     "StreamedTransientStudy", "Study", "StudyCheckpoint", "StudyStore",
-    "ThreadExecutor", "TransientStudy", "array_fingerprint",
+    "TransientStudy", "array_fingerprint",
     "batch_frequency_response",
     "batch_instantiate", "batch_poles", "batch_simulate_transient",
     "batch_step_responses", "batch_transfer",
@@ -105,7 +105,6 @@ RUNTIME_ALL_SNAPSHOT = [
     "default_horizon", "default_worker_id",
     "drain_chunks",
     "parse_worker_id", "reducer_fingerprint",
-    "resolve_executor", "resolve_owned_executor",
     "shared_pattern_family", "study_fingerprint", "supports_batching",
     "supports_sparse_batching", "sweep_chunk_bytes", "system_fingerprint",
     "systems_from_stacks", "target_fingerprint", "transient_chunk_bytes",
@@ -138,12 +137,13 @@ class TestApiSnapshot:
         # Study is the front door: the builder surface itself is API.
         study_methods = [
             "scenarios", "sweep", "transient", "poles", "sensitivities",
-            "executor", "memory_budget", "chunk", "cached", "reduced",
+            "memory_budget", "chunk", "cached", "reduced",
             "progress", "trace", "metrics", "plan", "run", "work",
             "drain_report", "warehouse", "warehouse_report",
         ]
         for method in study_methods:
             assert callable(getattr(engine.Study, method)), f"Study.{method} missing"
+        assert not hasattr(engine.Study, "executor")
 
 
 class TestCliModule:

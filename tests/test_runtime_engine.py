@@ -35,7 +35,6 @@ from repro.runtime import (
     StreamedSweepStudy,
     StreamedTransientStudy,
     Study,
-    ThreadExecutor,
     sweep_chunk_bytes,
     transient_chunk_bytes,
 )
@@ -137,6 +136,13 @@ class TestBuilderValidation:
             study.plan()
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("num", [2.5, True, -1, "3", float("inf")])
+    def test_poles_rejects_non_integers(self, model, num):
+        """``poles(2.5)`` must not run 2 poles, nor ``poles(True)`` one."""
+        with pytest.raises(ValueError, match="num must be an integer") as info:
+            Study(model).poles(num)
+        assert "\n" not in str(info.value)
+
     def test_fractional_steps_never_reuse_a_cached_plan(self, model, plan):
         """2.5 steps must not alias the cached plan of 2 steps."""
         Study(model).scenarios(plan).transient(num_steps=2).plan()
@@ -177,35 +183,16 @@ class TestRouteSelection:
         assert execution.kernel == f"shared-pattern[{family.solver_kind}]"
         assert "sparse-full" in execution.target
 
-    def test_full_order_poles_route_executor_full(self, parametric, samples):
-        execution = (
-            Study(parametric).scenarios(samples).poles(3).executor("thread").plan()
-        )
-        assert execution.route == "executor-full"
+    def test_full_order_poles_route_per_instance(self, parametric, samples):
+        execution = Study(parametric).scenarios(samples).poles(3).plan()
+        assert execution.route == "per-instance"
         assert "shared-pattern" in execution.kernel
-        assert "ThreadExecutor" in execution.executor
+        assert execution.executor == "serial"
 
     def test_dense_pole_study_routes_dense_batch(self, model, samples):
         execution = Study(model).scenarios(samples).poles(3).plan()
         assert execution.route == "dense-batch"
         assert "dominant-poles" in execution.kernel
-
-    def test_dense_pole_study_with_executor_stays_per_sample(self, model, samples):
-        """A declared executor must be honored, not silently dropped.
-
-        The per-sample route also bounds memory to one instance per
-        worker instead of materializing (m, q, q) stacks -- the legacy
-        contract for executor-mapped full-model reference solves.
-        """
-        study = Study(model).scenarios(samples).poles(3).executor("thread")
-        execution = study.plan()
-        assert execution.route == "executor-full"
-        assert execution.kernel == "dominant-poles[instantiate]"
-        assert "ThreadExecutor" in execution.executor
-        # ... and bit-identical to the stacked in-process route.
-        stacked = Study(model).scenarios(samples).poles(3).run()
-        for a, b in zip(stacked.pole_sets, study.run().pole_sets):
-            np.testing.assert_array_equal(a, b)
 
     def test_transient_routes(self, model, plan):
         one_shot = Study(model).scenarios(plan).transient(num_steps=10).plan()
@@ -529,6 +516,44 @@ class TestMemoryBudget:
         assert execution.estimated_peak_bytes <= 2 * peak
 
 
+class TestPoleMemoryBudget:
+    """Pole studies are chunked like every other study: a budget bounds
+    the stacked instantiation of a dense model, with or without a
+    store."""
+
+    def test_dense_pole_study_stays_within_budget(self, durable_model):
+        budget = 1 << 20
+        study = (
+            Study(durable_model)
+            .scenarios(MonteCarloPlan(num_instances=256, seed=5))
+            .poles(5)
+            .memory_budget(budget)
+        )
+        execution = study.plan()
+        assert execution.num_chunks > 1
+        assert execution.estimated_peak_bytes <= budget
+        study.run()  # warm the per-model memos
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = study.run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+        one_shot = Study(durable_model).scenarios(
+            MonteCarloPlan(num_instances=256, seed=5)
+        ).poles(5).run()
+        for a, b in zip(result.pole_sets, one_shot.pole_sets):
+            np.testing.assert_array_equal(a, b)
+
+    def test_budget_too_small_for_one_instance(self, durable_model, plan):
+        study = Study(durable_model).scenarios(plan).poles(5).memory_budget(1024)
+        with pytest.raises(ValueError, match="cannot fit a single instance"):
+            study.plan()
+
+
 class TestRunBitIdentity:
     def test_sweep_result_type_and_identity(self, model, plan, samples):
         reference_h, reference_p = _sweep_study(model, FREQUENCIES, samples, num_poles=5)
@@ -572,16 +597,10 @@ class TestRunBitIdentity:
         for got, point in zip(result.pole_sets, samples[:4]):
             np.testing.assert_array_equal(got, dominant_poles(parametric, 3, point))
 
-    def test_pole_study_thread_executor_bit_identical(self, parametric, samples):
-        serial = Study(parametric).scenarios(samples[:4]).poles(3).run()
-        threaded = (
-            Study(parametric)
-            .scenarios(samples[:4])
-            .poles(3)
-            .executor(ThreadExecutor(max_workers=2))
-            .run()
-        )
-        for a, b in zip(serial.pole_sets, threaded.pole_sets):
+    def test_pole_study_chunked_bit_identical(self, parametric, samples):
+        one_shot = Study(parametric).scenarios(samples[:4]).poles(3).run()
+        chunked = Study(parametric).scenarios(samples[:4]).poles(3).chunk(3).run()
+        for a, b in zip(one_shot.pole_sets, chunked.pole_sets):
             np.testing.assert_array_equal(a, b)
 
     def test_dense_sensitivities_match_batch_kernel(self, model, samples):
@@ -620,7 +639,7 @@ class TestRunBitIdentity:
         )
         study = Study(mixed).scenarios(samples[:3, :2]).poles(2)
         execution = study.plan()
-        assert execution.route == "executor-full"
+        assert execution.route == "per-instance"
         assert execution.kernel == "dominant-poles[instantiate]"
         result = study.run()
         for got, point in zip(result.pole_sets, samples[:3, :2]):
@@ -643,7 +662,7 @@ class TestRunBitIdentity:
         duck = DuckModel()
         study = Study(duck).scenarios(samples[:3]).poles(2)
         execution = study.plan()
-        assert execution.route == "executor-full"
+        assert execution.route == "per-instance"
         assert execution.kernel == "dominant-poles[instantiate]"
         result = study.run()
         for got, point in zip(result.pole_sets, samples[:3]):
@@ -728,39 +747,3 @@ class TestReducedAndCached:
         assert "dense-reduced" in execution.target
         result = study.run()
         assert result.num_samples == 3
-
-
-class TestExecutorOwnership:
-    def test_spec_executors_are_closed_after_run(self, parametric, samples, monkeypatch):
-        """Engine-built pools must be shut down deterministically.
-
-        The engine resolves its owned executor through
-        ``resolve_owned_executor``, which looks the constructor up in
-        :mod:`repro.runtime.executor` -- that module is the seam to
-        instrument.
-        """
-        import repro.runtime.executor as executor_module
-
-        closed = []
-        real_resolve = executor_module.resolve_executor
-
-        def tracking_resolve(spec):
-            backend = real_resolve(spec)
-            original_close = backend.close
-
-            def close():
-                closed.append(True)
-                return original_close()
-
-            backend.close = close
-            return backend
-
-        monkeypatch.setattr(executor_module, "resolve_executor", tracking_resolve)
-        (
-            Study(parametric)
-            .scenarios(samples[:2])
-            .poles(2)
-            .executor("thread")
-            .run()
-        )
-        assert closed  # close() ran via the context manager

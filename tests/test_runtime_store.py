@@ -454,7 +454,6 @@ class TestPoleCheckpoints:
             Study(small_parametric)
             .scenarios(samples)
             .poles(2)
-            .executor("serial")
             .chunk(2)
             .store(tmp_path)
             .run()

@@ -1,11 +1,15 @@
 """Tests for the repro.serve job declaration schema."""
 
+import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     ProtocolError,
+    RealizedJob,
     build_plan,
     build_waveform,
     parse_job,
@@ -136,28 +140,64 @@ class TestParseJob:
         pytest.param("process", id="process"),
         pytest.param("shared", id="shared"),
         pytest.param([2], id="list"),
-    ])
-    def test_montecarlo_jobs_out_of_bounds_rejected(self, jobs):
-        """``jobs`` sizes the executor of the full-order solves, so the
-        wire accepts only serial, thread, or a count up to the CPUs."""
-        with pytest.raises(ProtocolError) as caught:
-            parse_job(_job(workload={"kind": "montecarlo", "jobs": jobs}))
-        message = str(caught.value)
-        assert message == (
-            "'jobs' must be null, 'serial', 'thread', or an integer in "
-            f"1..{os.cpu_count() or 1}"
-        )
-
-    @pytest.mark.parametrize("jobs", [
         pytest.param(None, id="null"),
-        pytest.param("serial", id="serial"),
         pytest.param("thread", id="thread"),
         pytest.param(1, id="one"),
-        pytest.param(os.cpu_count() or 1, id="cpu-count"),
     ])
-    def test_montecarlo_jobs_in_bounds_accepted(self, jobs):
-        spec = parse_job(_job(workload={"kind": "montecarlo", "jobs": jobs}))
-        assert spec.workload_options["jobs"] == jobs
+    def test_montecarlo_jobs_out_of_bounds_rejected(self, jobs):
+        """Every pole study runs in its chunk loop's thread: the
+        montecarlo workload has no ``jobs`` option, whatever its value."""
+        with pytest.raises(ProtocolError) as caught:
+            parse_job(_job(workload={"kind": "montecarlo", "jobs": jobs}))
+        assert str(caught.value) == "unknown workload option(s): jobs"
+
+    @pytest.mark.parametrize("document, field", [
+        pytest.param('{"spread": NaN}', "spread", id="spread-nan"),
+        pytest.param('{"spread": Infinity}', "spread", id="spread-inf"),
+        pytest.param('{"spread": -Infinity}', "spread", id="spread-neg-inf"),
+        pytest.param('{"spread": 1' + "0" * 400 + '}', "spread",
+                     id="spread-beyond-float"),
+        pytest.param('{"workload": {"kind": "sweep", "fmin": -1}}', "fmin",
+                     id="fmin-negative"),
+        pytest.param('{"workload": {"kind": "sweep", "fmin": 0}}', "fmin",
+                     id="fmin-zero"),
+        pytest.param('{"workload": {"kind": "sweep", "fmin": NaN}}', "fmin",
+                     id="fmin-nan"),
+        pytest.param('{"workload": {"kind": "sweep", "fmin": "1e7"}}', "fmin",
+                     id="fmin-string"),
+        pytest.param('{"workload": {"kind": "sweep", "fmax": Infinity}}',
+                     "fmax", id="fmax-inf"),
+        pytest.param('{"workload": {"kind": "sweep", "fmin": 1e9, '
+                     '"fmax": 1e8}}', "fmax", id="fmax-below-fmin"),
+        pytest.param('{"workload": {"kind": "sweep", "fmax": true}}', "fmax",
+                     id="fmax-bool"),
+        pytest.param('{"plan": {"kind": "montecarlo", "sigma": NaN}}', "sigma",
+                     id="plan-sigma-nan"),
+        pytest.param('{"plan": {"kind": "corners", "magnitude": Infinity}}',
+                     "magnitude", id="plan-magnitude-inf"),
+        pytest.param('{"plan": {"kind": "montecarlo", "sigma": 1'
+                     + "0" * 400 + '}}', "sigma", id="plan-sigma-beyond-float"),
+        pytest.param('{"workload": {"kind": "transient", "waveform": '
+                     '{"kind": "ramp", "rise_time": NaN}}}', "rise_time",
+                     id="waveform-rise-time-nan"),
+    ])
+    def test_non_finite_numbers_and_bad_bands_rejected(self, document, field):
+        """``json.loads`` parses ``NaN`` and ``Infinity``; neither may
+        reach the parametric system or the frequency grid."""
+        overrides = json.loads(document)
+        with pytest.raises(ProtocolError) as caught:
+            parse_job(json.dumps(_job(**overrides)))
+        message = str(caught.value)
+        assert f"'{field}'" in message and "\n" not in message
+
+    @pytest.mark.parametrize("field, value", [
+        ("bins", "x"), ("bins", 0), ("bins", True), ("bins", 2.5),
+        ("poles", 2.5), ("poles", True), ("poles", 0), ("poles", "5"),
+    ])
+    def test_montecarlo_counts_checked_at_parse(self, field, value):
+        """A bad ``bins``/``poles`` is a 400, not a run-time failure."""
+        with pytest.raises(ProtocolError, match=f"'{field}' must be an integer >= 1"):
+            parse_job(_job(workload={"kind": "montecarlo", field: value}))
 
 
 class TestRealize:
@@ -193,6 +233,24 @@ class TestRealize:
                 workload={"kind": "sweep", "output": 7},
             )))
 
+    @pytest.mark.parametrize("num, match", [
+        pytest.param("2.5", "declaration rejected: num must be an integer",
+                     id="fraction"),
+        pytest.param("true", "declaration rejected: num must be an integer",
+                     id="bool"),
+        pytest.param("Infinity", "'num' must be a finite number", id="infinity"),
+        pytest.param("NaN", "'num' must be a finite number", id="nan"),
+    ])
+    def test_pole_count_must_be_an_integer(self, num, match):
+        """``poles(2.5)`` used to run 2 poles and ``Infinity`` to
+        overflow into a 500; both are one-line 400s."""
+        document = json.dumps(_job()).replace(
+            '{"kind": "sweep", "points": 5}', f'{{"kind": "poles", "num": {num}}}'
+        )
+        with pytest.raises(ProtocolError, match=match) as caught:
+            realize(parse_job(document))
+        assert "\n" not in str(caught.value)
+
     def test_factories_return_fresh_engines(self):
         realized = realize(parse_job(_job(chunk=2)))
         factory = realized.studies["study"]
@@ -220,3 +278,86 @@ class TestRealize:
         plan = build_plan("montecarlo", instances=4, seed=7)
         study = Study(model).scenarios(plan).sweep(frequencies)
         assert study.fingerprint()["key"] == realized.fingerprints[0]["key"]
+
+
+# -- trust-boundary fuzz: parse_job + realize ------------------------------
+
+FUZZ_NETLIST = ".title fuzz\nRdrv n0 0 10\n" + "".join(
+    f"R{k} n{k - 1} n{k} 25\nC{k} n{k} 0 0.02p\n" for k in range(1, 12)
+) + ".port in n0\n"
+
+# Out-of-range, wrong-type and non-finite values a client may send.
+SPECIALS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 2.5, True, "x", -1, 0]
+)
+
+
+def _field(valid):
+    """Mostly a valid value, one draw in four a special one."""
+    return st.one_of(valid, valid, valid, SPECIALS)
+
+
+@st.composite
+def job_documents(draw):
+    """Job documents around the schema, sizes bounded (<= 6 instances)."""
+    plan_kind = draw(st.sampled_from(("montecarlo", "corners", "grid")))
+    plan = {"kind": plan_kind}
+    if plan_kind == "montecarlo":
+        plan["instances"] = draw(_field(st.integers(1, 6)))
+        plan["sigma"] = draw(_field(st.floats(0.0, 0.5)))
+        plan["seed"] = draw(_field(st.integers(0, 9)))
+    else:
+        plan["magnitude"] = draw(_field(st.floats(0.0, 0.5)))
+        if plan_kind == "grid":
+            plan["points"] = draw(_field(st.integers(1, 2)))
+    workload_kind = draw(
+        st.sampled_from(("sweep", "transient", "poles", "montecarlo"))
+    )
+    workload = {"kind": workload_kind}
+    if workload_kind == "sweep":
+        workload["fmin"] = draw(_field(st.floats(1e6, 1e8)))
+        workload["fmax"] = draw(_field(st.floats(1e9, 1e10)))
+        workload["points"] = draw(_field(st.integers(1, 8)))
+        workload["output"] = draw(_field(st.just(0)))
+    elif workload_kind == "transient":
+        workload["waveform"] = {
+            "kind": draw(st.sampled_from(("step", "ramp"))),
+            "amplitude": draw(_field(st.floats(0.5, 2.0))),
+        }
+        workload["t_final"] = draw(_field(st.none() | st.floats(1e-10, 1e-8)))
+        workload["steps"] = draw(_field(st.integers(1, 20)))
+        workload["threshold"] = draw(_field(st.floats(0.1, 0.9)))
+    elif workload_kind == "poles":
+        workload["num"] = draw(_field(st.integers(0, 5)))
+    else:
+        workload["poles"] = draw(_field(st.integers(1, 3)))
+        workload["bins"] = draw(_field(st.integers(1, 10)))
+    return {
+        "netlist": FUZZ_NETLIST,
+        "parameters": draw(_field(st.integers(1, 2))),
+        "spread": draw(_field(st.floats(0.1, 0.9))),
+        "variation_seed": draw(_field(st.integers(0, 5))),
+        "moments": draw(_field(st.integers(1, 3))),
+        "rank": draw(_field(st.integers(1, 2))),
+        "plan": plan,
+        "workload": workload,
+        "chunk": draw(_field(st.none() | st.integers(1, 6))),
+        "workers": draw(_field(st.integers(1, 2))),
+    }
+
+
+@settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(document=job_documents())
+def test_fuzzed_documents_realize_or_refuse(document):
+    """Every job document yields a RealizedJob or a one-line
+    ProtocolError (the server's 400) -- never another exception."""
+    text = json.dumps(document)  # NaN / Infinity travel as JSON literals
+    try:
+        realized = realize(parse_job(text))
+    except ProtocolError as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert isinstance(realized, RealizedJob)

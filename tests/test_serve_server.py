@@ -147,7 +147,7 @@ class TestErrors:
             client.submit(_job(workload={"kind": "montecarlo", "poles": 2,
                                          "jobs": too_many}))
         assert info.value.status == 400
-        assert "'jobs' must be" in str(info.value)
+        assert "unknown workload option(s): jobs" in str(info.value)
         assert "\n" not in info.value.body["error"]
 
     @pytest.mark.parametrize(
@@ -175,6 +175,27 @@ class TestErrors:
         error = info.value.body["error"]
         assert named in error
         assert "\n" not in error
+        assert client.jobs() == []
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"spread": float("nan")}, "'spread'"),
+        ({"spread": float("inf")}, "'spread'"),
+        ({"workload": {"kind": "sweep", "points": 5, "fmax": float("inf")}},
+         "'fmax'"),
+        ({"workload": {"kind": "poles", "num": float("inf")}}, "num"),
+        ({"workload": {"kind": "montecarlo", "bins": 0}}, "'bins'"),
+    ], ids=["spread-nan", "spread-inf", "fmax-inf", "poles-inf", "bins-zero"])
+    def test_non_finite_or_bad_count_is_400_not_500(
+        self, service, overrides, named
+    ):
+        """``NaN`` / ``Infinity`` travel as JSON literals; each is a
+        one-line 400 naming the field, and nothing is queued."""
+        client, _ = service
+        with pytest.raises(ServeClientError) as info:
+            client.submit(_job(**overrides))
+        assert info.value.status == 400
+        error = info.value.body["error"]
+        assert named in error and "\n" not in error
         assert client.jobs() == []
 
     def test_over_budget_is_413_with_estimate(self, service):

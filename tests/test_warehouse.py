@@ -405,16 +405,17 @@ class TestPoleStudies:
     ``poles_lengths`` (not a sweep's rectangular ``poles``); every pole
     route serves ``num_poles`` and the ``poles`` table from them."""
 
-    @pytest.mark.parametrize("executor,route", [
-        (None, "dense-batch"), ("thread", "executor-full")])
-    def test_num_poles_and_pole_rows(self, model, plan, tmp_path, capsys,
-                                     executor, route):
+    @pytest.mark.parametrize("full_order,route", [
+        (None, "dense-batch"), ("full-order", "per-instance")])
+    def test_num_poles_and_pole_rows(self, model, small_parametric, plan,
+                                     tmp_path, capsys, full_order, route):
+        """``full_order`` None studies the reduced model, else its
+        full-order parametric system."""
         from repro.cli import main
 
         store, wh = tmp_path / "store", tmp_path / "wh"
-        study = Study(model).scenarios(plan).poles(3).chunk(4).store(store)
-        if executor is not None:
-            study = study.executor(executor)
+        target = model if full_order is None else small_parametric
+        study = Study(target).scenarios(plan).poles(3).chunk(4).store(store)
         assert study.plan().route == route
         result = study.warehouse(wh).run()
         engine = QueryEngine(wh)
