@@ -154,6 +154,8 @@ def monte_carlo_pole_study(
         sides drain and returns the same merged result, bit-identical
         to a one-shot run.
     """
+    if num_poles < 1:
+        raise ValueError(f"num_poles must be >= 1, got {num_poles}")
     if work:
         if store is None:
             raise ValueError("work=True requires store=...")

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.extraction import MetalLayer, Wire, extract_wire, standard_stack
-from repro.circuits.mna import assemble, assemble_perturbation
+from repro.circuits.mna import _ElementArrays, assemble
 from repro.circuits.netlist import Netlist
 from repro.circuits.statespace import DescriptorSystem
 from repro.circuits.variational import ParametricSystem
@@ -134,9 +134,13 @@ def with_random_variations(
     ``"resistors"``, ``"capacitors"``, ``"inductors"`` or ``"all"``
     (default ``"all"`` for every parameter).
 
-    The sensitivity matrices are assembled with
-    :func:`repro.circuits.mna.assemble_perturbation`, which re-stamps
-    each element scaled by ``alpha_{e,i}``.
+    Each parameter draws one vector,
+    ``rng.uniform(0, relative_spread, size=len(pool))`` over its pool
+    (resistors, then capacitors, then inductors, in netlist order) --
+    the same sequence as one scalar draw per element.  The nominal
+    system and every sensitivity pair are stamped from one set of
+    element arrays (see :mod:`repro.circuits.mna`), each element
+    scaled by ``alpha_{e,i}``.
     """
     if num_parameters < 1:
         raise ValueError("need at least one variational parameter")
@@ -144,27 +148,30 @@ def with_random_variations(
         targets = ["all"] * num_parameters
     if len(targets) != num_parameters:
         raise ValueError("one target class per parameter required")
-    resistor_names = {r.name for r in netlist.resistors}
-    pools = {
-        "resistors": [r.name for r in netlist.resistors],
-        "capacitors": [c.name for c in netlist.capacitors],
-        "inductors": [l.name for l in netlist.inductors],
+    counts = {
+        "resistors": len(netlist.resistors),
+        "capacitors": len(netlist.capacitors),
+        "inductors": len(netlist.inductors),
     }
-    pools["all"] = pools["resistors"] + pools["capacitors"] + pools["inductors"]
+    pools = {kind: (kind,) for kind in counts}
+    pools["all"] = tuple(counts)
     rng = np.random.default_rng(seed)
-    nominal = assemble(netlist)
+    stamps = _ElementArrays(netlist)
+    nominal = stamps.assemble()
     dg, dc = [], []
     for target in targets:
         if target not in pools:
             raise ValueError(
                 f"unknown target class {target!r}; choose from {sorted(pools)}"
             )
-        scales = {}
-        for name in pools[target]:
-            alpha = float(rng.uniform(0.0, relative_spread))
+        kinds = pools[target]
+        sizes = [counts[kind] for kind in kinds]
+        alphas = rng.uniform(0.0, relative_spread, size=sum(sizes))
+        scales = dict(zip(kinds, np.split(alphas, np.cumsum(sizes)[:-1])))
+        if "resistors" in scales:
             # d(conductance)/d(relative R-value increase) = -g.
-            scales[name] = -alpha if name in resistor_names else alpha
-        gi, ci = assemble_perturbation(netlist, scales)
+            scales["resistors"] = -scales["resistors"]
+        gi, ci = stamps.perturbation(**scales)
         dg.append(gi)
         dc.append(ci)
     return ParametricSystem(nominal, dg, dc, parameter_names=parameter_names)
@@ -415,7 +422,8 @@ def clock_tree(
     net.observe("leaf_first", frontier[0])
     net.observe("leaf_last", frontier[-1])
 
-    nominal = assemble(net)
+    stamps = _ElementArrays(net)
+    nominal = stamps.assemble()
     used_layers = sorted(
         {name for _, name, _ in sensitivity_tags},
         key=lambda name: list(stack).index(name),
@@ -427,7 +435,7 @@ def clock_tree(
             for element, tagged_layer, scale in sensitivity_tags
             if tagged_layer == layer_name
         }
-        gi, ci = assemble_perturbation(net, scales)
+        gi, ci = stamps.perturbation_by_name(scales)
         dg.append(gi)
         dc.append(ci)
     return ParametricSystem(

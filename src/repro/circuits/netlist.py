@@ -17,6 +17,7 @@ convenience constructors so that circuit generators read naturally:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterator, List, Optional
 
 from repro.circuits.elements import (
@@ -28,7 +29,6 @@ from repro.circuits.elements import (
     Observation,
     Resistor,
     VoltageSource,
-    is_ground,
 )
 
 
@@ -127,23 +127,17 @@ class Netlist:
 
     def nodes(self) -> List[str]:
         """All non-ground node names, in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for element in self.elements():
-            if isinstance(element, MutualInductance):
-                continue
-            for node in (element.node_a, element.node_b):
-                if not is_ground(node) and node not in seen:
-                    seen[node] = None
-        for port in self.current_ports:
-            if port.node not in seen:
-                seen[port.node] = None
-        for source in self.voltage_sources:
-            for node in (source.node_plus, source.node_minus):
-                if not is_ground(node) and node not in seen:
-                    seen[node] = None
-        for obs in self.observations:
-            if obs.node not in seen:
-                seen[obs.node] = None
+        seen = dict.fromkeys(chain(
+            (node for group in (self.resistors, self.capacitors, self.inductors)
+             for element in group for node in (element.node_a, element.node_b)),
+            (port.node for port in self.current_ports),
+            (node for source in self.voltage_sources
+             for node in (source.node_plus, source.node_minus)),
+            (obs.node for obs in self.observations),
+        ))
+        # Dropping the ground names keeps the order of the others.
+        for ground in GROUND_NAMES:
+            seen.pop(ground, None)
         return list(seen)
 
     def node_count(self) -> int:

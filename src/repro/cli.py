@@ -231,9 +231,18 @@ def _print_montecarlo_study(args, parametric, model, study) -> int:
     return 0 if study.max_error < args.tolerance else 2
 
 
+def _require_counts(args) -> None:
+    """Refuse ``--poles`` or ``--bins`` < 1 in one exit-2 line, before any output."""
+    from repro.runtime.store import parse_positive
+
+    parse_positive(args.poles, "--poles", kind=int)
+    parse_positive(args.bins, "--bins", kind=int)
+
+
 def _cmd_montecarlo(args) -> int:
     from repro.analysis.montecarlo import monte_carlo_pole_study
 
+    _require_counts(args)
     _require_store_for_resume(args)
     parametric = _load_parametric(args)
     model = _reduce_parametric(parametric, args)
@@ -543,6 +552,7 @@ def _cmd_work_transient(args) -> int:
 def _cmd_work_montecarlo(args) -> int:
     from repro.analysis.montecarlo import monte_carlo_pole_study
 
+    _require_counts(args)
     ttl, poll, worker, _ = _work_options(args)
     parametric = _load_parametric(args)
     model = _reduce_parametric(parametric, args)

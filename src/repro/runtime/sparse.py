@@ -407,6 +407,8 @@ class SparsePatternFamily:
 
     Attributes
     ----------
+    nominal, num_parameters:
+        The model's nominal system and parameter count.
     indices, indptr:
         The unified CSR pattern shared by ``G0``, ``C0`` and every
         sensitivity matrix.
@@ -422,8 +424,12 @@ class SparsePatternFamily:
                 "model does not expose the sparse parametric shape contract "
                 "(nominal/dG/dC with scipy sparse matrices)"
             )
-        self.model = model
-        nominal = model.nominal
+        # The model memoizes this family on itself, so the family keeps
+        # what it reads (not the model): a back-reference would make a
+        # cycle that holds the whole full-order system until the cyclic
+        # GC happens to run.
+        self.nominal = nominal = model.nominal
+        self.num_parameters = model.num_parameters
         n = nominal.order
         self.order = n
         g0 = _canonical_csr(nominal.G)
@@ -636,13 +642,13 @@ class SparsePatternFamily:
         never touches appear as explicit zeros.
         """
         point = np.atleast_1d(np.asarray(p, dtype=float))
-        if point.shape != (self.model.num_parameters,):
+        if point.shape != (self.num_parameters,):
             raise ValueError(
                 f"parameter point has shape {point.shape}, expected "
-                f"({self.model.num_parameters},)"
+                f"({self.num_parameters},)"
             )
         g_data, c_data = self._point_data(point)
-        nominal = self.model.nominal
+        nominal = self.nominal
         label = title or f"{nominal.title}@shared-pattern"
         return DescriptorSystem(
             self.matrix_from_data(g_data),
@@ -664,7 +670,7 @@ class SparsePatternFamily:
         ``exact=False`` the update is one matmul contraction
         ``data = data0 + samples @ d_stack`` (equal to rounding).
         """
-        matrix = as_sample_matrix(self.model, samples)
+        matrix = as_sample_matrix(self, samples)
         if not exact:
             g = self._g0_data[None, :] + matrix @ self._dg_stack
             c = self._c0_data[None, :] + matrix @ self._dc_stack
@@ -853,6 +859,6 @@ class SparsePatternFamily:
     def __repr__(self) -> str:
         return (
             f"SparsePatternFamily(n={self.order}, nnz={self.nnz}, "
-            f"np={self.model.num_parameters}, solver={self.solver_kind!r}, "
+            f"np={self.num_parameters}, solver={self.solver_kind!r}, "
             f"bandwidth={self.bandwidth})"
         )

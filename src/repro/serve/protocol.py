@@ -283,6 +283,10 @@ def parse_job(payload) -> JobSpec:
         for name in ("poles", "bins"):
             if not _is_count(workload_options[name], 1):
                 raise ProtocolError(f"'{name}' must be an integer >= 1")
+    if workload_kind in ("sweep", "transient"):
+        for name, _, index in _port_indices(workload_options):
+            if not _is_count(index, 0):
+                raise ProtocolError(f"'{name}' must be an integer >= 0")
 
     chunk = payload.get("chunk")
     if chunk is not None and not _is_count(chunk, 1):
@@ -448,16 +452,19 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
     return job
 
 
+def _port_indices(options: dict):
+    """``(field, port kind, index)`` of each port a sweep or transient names."""
+    yield "output", "outputs", options["output"]
+    yield "input", "inputs", options["input"]
+    if "waveform" in options:
+        yield "waveform.input", "inputs", options["waveform"]["input"]
+
+
 def _check_ports(model, options: dict) -> None:
-    num_outputs = model.nominal.num_outputs
-    num_inputs = model.nominal.num_inputs
-    if not 0 <= options["output"] < num_outputs:
-        raise ProtocolError(
-            f"'output' {options['output']} out of range "
-            f"(model has {num_outputs} outputs)"
-        )
-    if not 0 <= options["input"] < num_inputs:
-        raise ProtocolError(
-            f"'input' {options['input']} out of range "
-            f"(model has {num_inputs} inputs)"
-        )
+    """Each port index (an integer >= 0 since ``parse_job``) is in range."""
+    counts = {"outputs": model.nominal.num_outputs, "inputs": model.nominal.num_inputs}
+    for name, kind, index in _port_indices(options):
+        if index >= counts[kind]:
+            raise ProtocolError(
+                f"'{name}' {index} out of range (model has {counts[kind]} {kind})"
+            )

@@ -86,6 +86,19 @@ class TestPoleStudy:
         assert counts.sum() == study.total_poles
         assert edges[0] >= 0.0
 
+    @pytest.mark.parametrize("num_poles", [0, -2])
+    def test_pole_count_below_one_refused(self, num_poles):
+        """``num_poles=0`` used to run and then fail in ``max_error``
+        on a zero-size reduction."""
+        from repro.circuits import rcnet_a
+
+        parametric = rcnet_a()
+        model = LowRankReducer(num_moments=3).reduce(parametric)
+        with pytest.raises(ValueError, match="num_poles must be >= 1") as caught:
+            monte_carlo_pole_study(parametric, model, num_instances=2,
+                                   num_poles=num_poles)
+        assert "\n" not in str(caught.value)
+
     def test_explicit_samples(self):
         from repro.circuits import rcnet_a
 

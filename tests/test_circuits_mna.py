@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.circuits import Netlist, assemble
-from repro.circuits.mna import MNAError, assemble_perturbation
+from repro.circuits import Netlist, assemble, with_random_variations
+from repro.circuits.elements import is_ground
+from repro.circuits.mna import MNAError, MNAIndex, assemble_perturbation
 
 
 def rc_divider():
@@ -188,3 +192,253 @@ class TestPerturbationStamps:
     def test_zero_scales_give_empty_matrices(self):
         dg, dc = assemble_perturbation(rc_divider(), {})
         assert dg.nnz == 0 and dc.nnz == 0
+
+
+# -- the array stamper against the per-element stamper it replaced ---------
+#
+# The oracle below is the one-element-at-a-time stamper, kept verbatim:
+# it appends Python tuples in netlist order, so the CSR conversion sums
+# duplicates in that order.  The array stamper must reproduce its CSR
+# arrays byte for byte -- study fingerprints, stores and result indexes
+# all hash them.
+
+
+def _oracle_nodes(netlist):
+    """``Netlist.nodes()`` as the element-by-element scan it replaced."""
+    seen = {}
+    for element in (*netlist.resistors, *netlist.capacitors, *netlist.inductors):
+        for node in (element.node_a, element.node_b):
+            if not is_ground(node) and node not in seen:
+                seen[node] = None
+    for port in netlist.current_ports:
+        seen.setdefault(port.node, None)
+    for source in netlist.voltage_sources:
+        for node in (source.node_plus, source.node_minus):
+            if not is_ground(node) and node not in seen:
+                seen[node] = None
+    for obs in netlist.observations:
+        seen.setdefault(obs.node, None)
+    return list(seen)
+
+
+def _oracle_conductance(triples, index, node_a, node_b, value):
+    a = None if is_ground(node_a) else index.node(node_a)
+    b = None if is_ground(node_b) else index.node(node_b)
+    if a is not None:
+        triples.append((a, a, value))
+    if b is not None:
+        triples.append((b, b, value))
+    if a is not None and b is not None:
+        triples.append((a, b, -value))
+        triples.append((b, a, -value))
+
+
+def _oracle_csr(triples, shape):
+    if not triples:
+        return sp.csr_matrix(shape)
+    rows, cols, vals = zip(*triples)
+    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+
+
+def _oracle_assemble(netlist):
+    """``(G, C, B, L)`` stamped one element at a time."""
+    index = MNAIndex(netlist)
+    n = index.n_states
+    g_triples, c_triples = [], []
+    for res in netlist.resistors:
+        _oracle_conductance(g_triples, index, res.node_a, res.node_b, 1.0 / res.value)
+    for cap in netlist.capacitors:
+        _oracle_conductance(c_triples, index, cap.node_a, cap.node_b, cap.value)
+    for ind in netlist.inductors:
+        k = index.inductor_index[ind.name]
+        a = None if is_ground(ind.node_a) else index.node(ind.node_a)
+        b = None if is_ground(ind.node_b) else index.node(ind.node_b)
+        if a is not None:
+            g_triples.append((a, k, 1.0))
+            g_triples.append((k, a, -1.0))
+        if b is not None:
+            g_triples.append((b, k, -1.0))
+            g_triples.append((k, b, 1.0))
+        c_triples.append((k, k, ind.value))
+    for mut in netlist.mutuals:
+        la = netlist.find_inductor(mut.inductor_a)
+        lb = netlist.find_inductor(mut.inductor_b)
+        m_value = mut.coupling * np.sqrt(la.value * lb.value)
+        ka = index.inductor_index[mut.inductor_a]
+        kb = index.inductor_index[mut.inductor_b]
+        c_triples.append((ka, kb, m_value))
+        c_triples.append((kb, ka, m_value))
+    b_triples, l_triples = [], []
+    for j, port in enumerate(netlist.current_ports):
+        node = index.node(port.node)
+        b_triples.append((node, j, 1.0))
+        l_triples.append((node, j, 1.0))
+    n_ports = len(netlist.current_ports)
+    for j, src in enumerate(netlist.voltage_sources):
+        k = index.source_index[src.name]
+        a = None if is_ground(src.node_plus) else index.node(src.node_plus)
+        b = None if is_ground(src.node_minus) else index.node(src.node_minus)
+        if a is not None:
+            g_triples.append((a, k, 1.0))
+            g_triples.append((k, a, -1.0))
+        if b is not None:
+            g_triples.append((b, k, -1.0))
+            g_triples.append((k, b, 1.0))
+        b_triples.append((k, n_ports + j, -1.0))
+    for j, obs in enumerate(netlist.observations):
+        l_triples.append((index.node(obs.node), n_ports + j, 1.0))
+    return (
+        _oracle_csr(g_triples, (n, n)),
+        _oracle_csr(c_triples, (n, n)),
+        _oracle_csr(b_triples, (n, len(index.input_names))),
+        _oracle_csr(l_triples, (n, len(index.output_names))),
+    )
+
+
+def _oracle_perturbation(netlist, scales):
+    """``(dG, dC)`` stamped one element at a time."""
+    index = MNAIndex(netlist)
+    n = index.n_states
+    g_triples, c_triples = [], []
+    for res in netlist.resistors:
+        scale = scales.get(res.name)
+        if scale:
+            _oracle_conductance(g_triples, index, res.node_a, res.node_b, scale / res.value)
+    for cap in netlist.capacitors:
+        scale = scales.get(cap.name)
+        if scale:
+            _oracle_conductance(c_triples, index, cap.node_a, cap.node_b, scale * cap.value)
+    for ind in netlist.inductors:
+        scale = scales.get(ind.name)
+        if scale:
+            k = index.inductor_index[ind.name]
+            c_triples.append((k, k, scale * ind.value))
+    return _oracle_csr(g_triples, (n, n)), _oracle_csr(c_triples, (n, n))
+
+
+def _oracle_variations(netlist, num_parameters, seed, relative_spread, targets):
+    """``with_random_variations`` with one scalar draw per element."""
+    pools = {
+        "resistors": [r.name for r in netlist.resistors],
+        "capacitors": [c.name for c in netlist.capacitors],
+        "inductors": [l.name for l in netlist.inductors],
+    }
+    pools["all"] = pools["resistors"] + pools["capacitors"] + pools["inductors"]
+    resistor_names = set(pools["resistors"])
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for target in targets:
+        scales = {}
+        for name in pools[target]:
+            alpha = float(rng.uniform(0.0, relative_spread))
+            scales[name] = -alpha if name in resistor_names else alpha
+        pairs.append(_oracle_perturbation(netlist, scales))
+    return pairs, rng.uniform()
+
+
+def _assert_same_bytes(actual, expected, label):
+    assert actual.shape == expected.shape, label
+    for part in ("data", "indices", "indptr"):
+        got, want = getattr(actual, part), getattr(expected, part)
+        assert got.dtype == want.dtype, f"{label}.{part}"
+        assert got.tobytes() == want.tobytes(), f"{label}.{part}"
+
+
+NODES = ["0", "n0", "n1", "n2", "n3", "n4"]
+VALUES = st.floats(min_value=1e-15, max_value=1e4, allow_nan=False, allow_infinity=False)
+# Inductances within two decades: with |k| <= 0.3 the branch block is
+# PD, and a narrow range keeps eigvalsh's rounding from reading it as
+# indefinite (the assembly check) when values span 19 decades.
+INDUCTANCES = st.floats(min_value=1e-10, max_value=1e-8)
+SCALES = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from([0.0, -0.0, float("nan"), 1, True, None]),
+)
+
+
+@st.composite
+def _terminals(draw):
+    a = draw(st.sampled_from(NODES))
+    return a, draw(st.sampled_from([node for node in NODES if node != a]))
+
+
+@st.composite
+def random_netlists(draw):
+    """Small R/C/L nets: grounded and floating terminals, parallel
+    elements (duplicate stamps), mutuals, a voltage source, ports."""
+    net = Netlist("prop")
+    for kind, prefix, values in (
+        (net.resistor, "R", VALUES), (net.capacitor, "C", VALUES),
+        (net.inductor, "L", INDUCTANCES),
+    ):
+        for j in range(draw(st.integers(0, 5))):
+            kind(f"{prefix}{j}", *draw(_terminals()), draw(values))
+    if len(net.inductors) >= 2:
+        names = [ind.name for ind in net.inductors]
+        # |k| <= 0.3 on at most two couplings keeps the branch block PD.
+        for j in range(draw(st.integers(0, 2))):
+            pair = draw(st.permutations(names))[:2]
+            net.mutual(f"K{j}", *pair, draw(st.floats(-0.3, 0.3)))
+    if draw(st.booleans()):
+        net.voltage_source("V1", *draw(_terminals()))
+    if draw(st.booleans()) or not net.voltage_sources:
+        net.current_port("P", draw(st.sampled_from(NODES[1:])))
+    if draw(st.booleans()):
+        net.observe("y", draw(st.sampled_from(NODES[1:])))
+    return net
+
+
+PROPERTY = settings(
+    deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=60
+)
+
+
+class TestArrayStamping:
+    @PROPERTY
+    @given(random_netlists(), st.data())
+    def test_matches_per_element_stamper_bytewise(self, net, data):
+        assert net.nodes() == _oracle_nodes(net)  # the state order
+        system = assemble(net)
+        for label, actual, expected in zip(
+            "GCBL", (system.G, system.C, system.B, system.L), _oracle_assemble(net)
+        ):
+            _assert_same_bytes(actual, expected, label)
+        names = [e.name for e in (*net.resistors, *net.capacitors, *net.inductors)]
+        chosen = data.draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+        scales = {name: data.draw(SCALES) for name in chosen}
+        dg, dc = assemble_perturbation(net, scales)
+        want_dg, want_dc = _oracle_perturbation(net, scales)
+        _assert_same_bytes(dg, want_dg, "dG")
+        _assert_same_bytes(dc, want_dc, "dC")
+
+    @PROPERTY
+    @given(
+        random_netlists(),
+        st.lists(
+            st.sampled_from(["all", "resistors", "capacitors", "inductors"]),
+            min_size=1, max_size=4,
+        ),
+        st.integers(0, 2 ** 32 - 1),
+        st.sampled_from([1.0, 0.5, 0.3, 2.0]),
+    )
+    def test_variations_match_scalar_draws_bytewise(self, net, targets, seed, spread):
+        parametric = with_random_variations(
+            net, len(targets), seed=seed, relative_spread=spread, targets=targets
+        )
+        pairs, _ = _oracle_variations(net, len(targets), seed, spread, targets)
+        for i, (want_dg, want_dc) in enumerate(pairs):
+            _assert_same_bytes(parametric.dG[i], want_dg, f"dG{i}")
+            _assert_same_bytes(parametric.dC[i], want_dc, f"dC{i}")
+
+    @pytest.mark.parametrize("spread", [1.0, 0.5, 0.3, 2.0])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_draw_vector_is_the_scalar_sequence(self, seed, spread):
+        """One ``uniform(size=n)`` draws what ``n`` scalar draws do, and
+        leaves the generator where they leave it."""
+        vector_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        for size in (0, 1, 7, 250):
+            vector = vector_rng.uniform(0.0, spread, size=size)
+            scalars = [float(scalar_rng.uniform(0.0, spread)) for _ in range(size)]
+            assert vector.tobytes() == np.array(scalars).tobytes()
+        assert vector_rng.uniform() == scalar_rng.uniform()

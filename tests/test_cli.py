@@ -154,6 +154,27 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("command", [["montecarlo"], ["work", "montecarlo"]],
                              ids=["montecarlo", "work-montecarlo"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--poles", "0"), ("--poles", "-1"), ("--bins", "0"),
+    ])
+    def test_counts_below_one_exit_2_before_any_output(
+        self, netlist_file, tmp_path, capsys, command, flag, value
+    ):
+        """``--poles 0`` used to print half the report, then exit 1 on a
+        zero-size reduction in ``max_error``; ``--bins 0`` the same in
+        the histogram."""
+        argv = command + [netlist_file, "--instances", "3", "--moments", "3",
+                          flag, value, "--store", str(tmp_path / "store")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("command", [["montecarlo"], ["work", "montecarlo"]],
+                             ids=["montecarlo", "work-montecarlo"])
     def test_precision_flag_is_refused(self, netlist_file, tmp_path, capsys, command):
         argv = command + [netlist_file, "--instances", "3", "--moments", "3",
                           "--precision", "screen"]

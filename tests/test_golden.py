@@ -4,12 +4,17 @@ Every other test in the suite checks *internal* consistency (route A
 equals route B, chunked equals one-shot).  This harness pins the
 kernels to **known-good numbers on disk**: committed ``.npz`` fixtures
 under ``tests/golden/`` hold the responses, poles, trajectories, and
-transfer matrices of three canonical workloads, and the tests assert
-the current code still reproduces them --
+transfer matrices of three canonical workloads, plus the MNA matrices
+they start from, and the tests assert the current code still
+reproduces them --
 
 - **exact bits** for the dense routes (batched instantiation, the
   eig-rational sweep kernel, the block-stepped propagator transient
-  kernel are all deterministic closed-form LAPACK/BLAS pipelines), and
+  kernel are all deterministic closed-form LAPACK/BLAS pipelines),
+- **exact bits**, dtypes included, for the assembled MNA matrices (the
+  CSR ``data``/``indices``/``indptr`` of ``G``, ``C``, ``B``, ``L`` and
+  every sensitivity pair: study fingerprints, stores and result
+  indexes all hash them), and
 - to ``1e-12`` relative for the sparse shared-pattern tiers
   (tridiagonal / banded / level-LU / SuperLU factorizations may
   reorder floating-point operations across library builds).
@@ -45,6 +50,7 @@ TOLERANCES = {
     "rcneta_sweep": None,
     "ladder_transient": None,
     "sparse_family_transfer": 1e-12,
+    "mna_stamps": None,
 }
 
 
@@ -143,7 +149,62 @@ def _case_sparse_family_transfer():
     return arrays
 
 
+def _rlc_ladder() -> Netlist:
+    """Six RLC segments with a mutual, a floating capacitor, both input kinds."""
+    net = Netlist("rlc-ladder")
+    net.resistor("Rsrc", "in", "n0", 25.0)
+    net.voltage_source("V1", "in", "0")
+    net.current_port("P", "n0")
+    for j in range(6):
+        net.resistor(f"R{j}", f"n{j}", f"m{j}", 2.0 + 0.5 * j)
+        net.inductor(f"L{j}", f"m{j}", f"n{j + 1}", 1e-10 * (1.0 + 0.1 * j))
+        net.capacitor(f"C{j}", f"n{j + 1}", "0", 1e-14 * (1.0 + 0.2 * j))
+    net.capacitor("Cx", "n1", "n3", 5e-15)
+    net.resistor("Rload", "n6", "0", 50.0)
+    net.mutual("K1", "L1", "L2", 0.3)
+    net.observe("far", "n6")
+    return net
+
+
+def _stamp_arrays(prefix, parametric):
+    """CSR ``data``/``indices``/``indptr`` of every matrix of a system."""
+    nominal = parametric.nominal
+    matrices = {"G": nominal.G, "C": nominal.C, "B": nominal.B, "L": nominal.L}
+    for i, (gi, ci) in enumerate(zip(parametric.dG, parametric.dC)):
+        matrices[f"dG{i}"] = gi
+        matrices[f"dC{i}"] = ci
+    arrays = {}
+    for label, matrix in matrices.items():
+        for part in ("data", "indices", "indptr"):
+            arrays[f"{prefix}_{label}_{part}"] = getattr(matrix, part)
+    return arrays
+
+
+def _case_mna_stamps():
+    """Assembled G, C, B, L and sensitivity pairs, CSR arrays bit for bit."""
+    arrays = {
+        "provenance": np.array(
+            "rc_tree(50, seed=4) + with_random_variations(3, seed=8) | "
+            "rcnet_a() (extraction scales through assemble_perturbation) | "
+            "6-segment RLC ladder with mutual K1, floating Cx, V1, P, far + "
+            "with_random_variations(4, seed=6, relative_spread=0.5, "
+            "targets=[all, resistors, capacitors, inductors]) | "
+            "CSR data/indices/indptr of G, C, B, L, dG_i, dC_i"
+        ),
+    }
+    arrays.update(_stamp_arrays(
+        "rctree", with_random_variations(rc_tree(50, seed=4), 3, seed=8)
+    ))
+    arrays.update(_stamp_arrays("rcneta", rcnet_a()))
+    arrays.update(_stamp_arrays("rlc", with_random_variations(
+        _rlc_ladder(), 4, seed=6, relative_spread=0.5,
+        targets=["all", "resistors", "capacitors", "inductors"],
+    )))
+    return arrays
+
+
 CASES = {
+    "mna_stamps": _case_mna_stamps,
     "rcneta_sweep": _case_rcneta_sweep,
     "ladder_transient": _case_ladder_transient,
     "sparse_family_transfer": _case_sparse_family_transfer,
@@ -177,6 +238,7 @@ def test_kernels_match_goldens(name, request):
             elif rtol is None or field.endswith("samples"):
                 # Dense kernels (and every input array) must reproduce
                 # the committed numerics to exact bits.
+                assert actual.dtype == golden.dtype, field
                 np.testing.assert_array_equal(actual, golden, err_msg=field)
             else:
                 scale = np.abs(golden).max()

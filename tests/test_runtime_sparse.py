@@ -383,6 +383,27 @@ class TestFamilyLifecycle:
         first = shared_pattern_family(model)
         assert shared_pattern_family(model) is first
 
+    def test_memoized_family_does_not_keep_its_model_alive(self):
+        """The family is memoized on the model; a back-reference made a
+        cycle that kept the full-order system (and the family) alive
+        until the cyclic GC ran, which held signoff's peak memory up."""
+        import gc
+        import weakref
+
+        model = ladder_parametric()
+        shared_pattern_family(model).frequency_response(
+            FREQUENCIES, samples_for(model, num=2)
+        )
+        alive = weakref.ref(model)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_pickle_roundtrip_superlu(self):
         model = voltage_driven_tree()
         family = SparsePatternFamily(model, max_bandwidth=0)

@@ -233,6 +233,38 @@ class TestRealize:
                 workload={"kind": "sweep", "output": 7},
             )))
 
+    @pytest.mark.parametrize("workload, match", [
+        pytest.param({"kind": "transient", "output": 0.5},
+                     "'output' must be an integer >= 0", id="transient-output-half"),
+        pytest.param({"kind": "transient", "waveform": {"kind": "step", "input": 3}},
+                     "'waveform.input' 3 out of range", id="waveform-input-3"),
+        pytest.param({"kind": "transient", "waveform": {"kind": "ramp", "input": 0.5}},
+                     "'waveform.input' must be an integer >= 0",
+                     id="waveform-input-half"),
+        pytest.param({"kind": "sweep", "input": 0.5},
+                     "'input' must be an integer >= 0", id="sweep-input-half"),
+        pytest.param({"kind": "sweep", "output": True},
+                     "'output' must be an integer >= 0", id="sweep-output-bool"),
+        pytest.param({"kind": "sweep", "input": -1},
+                     "'input' must be an integer >= 0", id="sweep-input-negative"),
+        pytest.param({"kind": "sweep", "input": 1},
+                     "'input' 1 out of range", id="sweep-input-1"),
+    ])
+    def test_port_indices_are_integers_in_range(self, workload, match):
+        """Fractional, boolean, negative and out-of-range port indices --
+        the waveform's own ``input`` included -- are one-line refusals;
+        they used to realize and then fail (or run) at run time."""
+        with pytest.raises(ProtocolError, match=match) as caught:
+            realize(parse_job(_job(workload=workload)))
+        assert "\n" not in str(caught.value)
+
+    def test_in_range_port_indices_realize(self):
+        realized = realize(parse_job(_job(workload={
+            "kind": "transient", "steps": 10, "output": 0, "input": 0,
+            "waveform": {"kind": "step", "input": 0},
+        })))
+        assert list(realized.studies) == ["study"]
+
     @pytest.mark.parametrize("num, match", [
         pytest.param("2.5", "declaration rejected: num must be an integer",
                      id="fraction"),

@@ -198,6 +198,28 @@ class TestErrors:
         assert named in error and "\n" not in error
         assert client.jobs() == []
 
+    @pytest.mark.parametrize("workload, named", [
+        ({"kind": "transient", "steps": 20, "output": 0.5}, "'output'"),
+        ({"kind": "transient", "steps": 20,
+          "waveform": {"kind": "step", "input": 3}}, "'waveform.input'"),
+        ({"kind": "transient", "steps": 20,
+          "waveform": {"kind": "step", "input": 0.5}}, "'waveform.input'"),
+        ({"kind": "sweep", "points": 5, "input": 0.5}, "'input'"),
+    ], ids=["output-half", "waveform-input-3", "waveform-input-half",
+            "sweep-input-half"])
+    def test_bad_port_index_is_400_and_never_queued(
+        self, service, workload, named
+    ):
+        """A port index that is not an integer in range is a one-line
+        400 naming the field; nothing is registered."""
+        client, _ = service
+        with pytest.raises(ServeClientError) as info:
+            client.submit(_job(workload=workload))
+        assert info.value.status == 400
+        error = info.value.body["error"]
+        assert named in error and "\n" not in error
+        assert client.jobs() == []
+
     def test_over_budget_is_413_with_estimate(self, service):
         client, supervisor = service
         supervisor.memory_budget = 16
