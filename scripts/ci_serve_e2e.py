@@ -23,7 +23,8 @@ This script drills both against the real server process:
 6. re-submit the identical document: the response must come back
    ``cached``, **byte-identical**, with **zero recompute** -- the
    ``study.instances_evaluated`` counter, read from ``/metrics``, must
-   not move,
+   not move -- and answered by the document index without being
+   realized: ``serve.document_hits`` must move by exactly 1,
 7. save the job's NDJSON event stream and the result document next to
    the trace for the artifact upload.
 
@@ -115,9 +116,8 @@ def victim_pending_claim(store: pathlib.Path):
     return None
 
 
-def instances_evaluated(client) -> int:
-    counters = client.metrics().get("counters", {})
-    return counters.get("study.instances_evaluated", 0)
+def counter(client, name: str) -> int:
+    return client.metrics().get("counters", {}).get(name, 0)
 
 
 def main() -> int:
@@ -217,7 +217,8 @@ def main() -> int:
                 stream.write(json.dumps(event, sort_keys=True) + "\n")
 
         # -- 6: identical re-submission: cached, byte-identical, free --
-        before = instances_evaluated(client)
+        before = counter(client, "study.instances_evaluated")
+        hits = counter(client, "serve.document_hits")
         again = client.submit(job_document)
         if not again["cached"] or again["state"] != "done":
             print(f"FAIL: re-submission not served from cache: {again}")
@@ -226,13 +227,20 @@ def main() -> int:
         if second_bytes != first_bytes:
             print("FAIL: cached response is not byte-identical")
             return 1
-        evaluated = instances_evaluated(client) - before
+        evaluated = counter(client, "study.instances_evaluated") - before
         if evaluated != 0:
             print(f"FAIL: cached re-submission evaluated {evaluated} "
                   "instances (expected zero recompute)")
             return 1
+        hits = counter(client, "serve.document_hits") - hits
+        if hits != 1:
+            print(f"FAIL: serve.document_hits moved by {hits} across the "
+                  "re-submission (expected exactly 1: answered without "
+                  "being realized)")
+            return 1
         print(f"re-submission served from cache: {len(second_bytes)} "
-              "byte-identical bytes, zero instances recomputed")
+              "byte-identical bytes, zero instances recomputed, one "
+              "document-index hit")
     finally:
         if victim is not None and victim.poll() is None:
             victim.kill()

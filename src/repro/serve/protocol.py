@@ -24,8 +24,15 @@ A job document looks like::
 Workload kinds: ``sweep``, ``transient``, ``poles`` (reduced-model
 studies driven straight through the Study engine) and ``montecarlo``
 (the full-vs-reduced pole-accuracy sign-off, two engine studies).
+A transient is driven by its waveform's ``input``; the workload's own
+``input`` defaults to it and must agree with it.
 Malformed documents raise :class:`ProtocolError`, which the server maps
-to HTTP 400 and the CLI maps to its usual exit-1 one-liner.
+to HTTP 400 and the CLI maps to its usual exit-1 one-liner.  Counts
+that size an allocation made before admission -- ``plan.instances``,
+``plan.points`` (a grid's total too) and ``workload.points`` -- are
+capped at :data:`~repro.runtime.scenarios.MAX_PLAN_SAMPLES`, and
+``workers`` (one drain thread each) at :data:`MAX_WORKERS`, so such a
+document is refused before anything is allocated or started.
 """
 
 from __future__ import annotations
@@ -37,10 +44,16 @@ from typing import Optional
 
 import numpy as np
 
+from repro.runtime.scenarios import MAX_PLAN_SAMPLES
+
 
 class ProtocolError(ValueError):
     """A job document that cannot be realized into a study."""
 
+
+#: Cooperating drains one job may declare: each is a thread the
+#: supervisor starts, so the count is bounded by the protocol itself.
+MAX_WORKERS = 64
 
 PLAN_KINDS = ("montecarlo", "corners", "grid")
 WORKLOAD_KINDS = ("sweep", "transient", "poles", "montecarlo")
@@ -272,6 +285,36 @@ def parse_job(payload) -> JobSpec:
             waveform, _WAVEFORM_DEFAULTS[waveform["kind"]], "waveform"
         )
         workload_options["waveform"]["kind"] = waveform["kind"]
+        # The waveform drives the study; the workload's 'input' only
+        # names the same port, so it may not say otherwise.
+        driven = workload_options["waveform"]["input"]
+        if "input" not in workload_section:
+            workload_options["input"] = driven
+        elif workload_section["input"] != driven:
+            raise ProtocolError(
+                "'input' differs from 'waveform.input': the waveform's "
+                "input drives a transient (omit 'input' or name the same "
+                "port)"
+            )
+
+    parameters = _int("parameters", 2)
+    for label, options in (("plan", plan_options),
+                           ("workload", workload_options)):
+        for name in ("instances", "points"):
+            value = options.get(name)
+            if _is_number(value) and value > MAX_PLAN_SAMPLES:
+                raise ProtocolError(
+                    f"'{label}.{name}' must be at most {MAX_PLAN_SAMPLES}"
+                )
+    # A grid is points ** parameters samples; with points >= 2, twenty
+    # parameters already pass the cap, so the power stays small.
+    points = plan_options.get("points")
+    if plan_kind == "grid" and _is_count(points, 2) \
+            and points ** min(parameters, 20) > MAX_PLAN_SAMPLES:
+        raise ProtocolError(
+            f"'plan.points' {points} per axis over {parameters} parameters "
+            f"exceeds {MAX_PLAN_SAMPLES} grid samples"
+        )
 
     if workload_kind == "sweep":
         fmin, fmax = workload_options["fmin"], workload_options["fmax"]
@@ -291,10 +334,13 @@ def parse_job(payload) -> JobSpec:
     chunk = payload.get("chunk")
     if chunk is not None and not _is_count(chunk, 1):
         raise ProtocolError("'chunk' must be a positive integer or null")
+    workers = _int("workers", 1)
+    if workers > MAX_WORKERS:
+        raise ProtocolError(f"'workers' must be at most {MAX_WORKERS}")
 
     return JobSpec(
         netlist=netlist,
-        parameters=_int("parameters", 2),
+        parameters=parameters,
         spread=_number("spread", 0.5),
         variation_seed=_int("variation_seed", 0, minimum=0),
         moments=_int("moments", 4),
@@ -304,7 +350,7 @@ def parse_job(payload) -> JobSpec:
         workload_kind=workload_kind,
         workload_options=workload_options,
         chunk=chunk,
-        workers=_int("workers", 1),
+        workers=workers,
     )
 
 
@@ -453,11 +499,15 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
 
 
 def _port_indices(options: dict):
-    """``(field, port kind, index)`` of each port a sweep or transient names."""
+    """``(field, port kind, index)`` of each port a sweep or transient names.
+
+    A transient's waveform comes before its ``input``, which equals it
+    (``parse_job``), so a bad port is reported by the field that drives.
+    """
     yield "output", "outputs", options["output"]
-    yield "input", "inputs", options["input"]
     if "waveform" in options:
         yield "waveform.input", "inputs", options["waveform"]["input"]
+    yield "input", "inputs", options["input"]
 
 
 def _check_ports(model, options: dict) -> None:

@@ -16,6 +16,22 @@ The supervisor is the synchronous core the asyncio front end
   re-submission -- same netlist, plan, workload, from any client -- is
   served byte-identically with zero recomputation, carrying the same
   study fingerprints and per-chunk SHA-256 lineage.
+
+In front of that content-addressed result index sits an in-memory
+*document index*: the SHA-256 of a job's canonical declaration
+(:meth:`StudySupervisor.document_key`) maps to the job that last
+answered it -- a fresh job once its result is in the result index, or
+a submission the result index answered.  A re-submitted document whose
+entry is there, and whose result file still holds that job's bytes, is
+answered ``cached`` without being realized (no parse, attach,
+model-cache load, plan or fingerprint): the new job shares the earlier
+one's content key, study keys, fingerprints, peak bytes, declaration
+and result bytes.  Everything else -- a new document, a failed or
+still-running first job, a deleted or rewritten result file, a
+restarted server -- takes the full path, so the result index stays the
+authority: the document index only remembers which answer a document
+already got.  It lives in memory; ``serve.document_hits`` counts its
+hits.
 """
 
 from __future__ import annotations
@@ -42,6 +58,7 @@ _CACHED = obs_metrics.counter("serve.jobs_cached")
 _REJECTED = obs_metrics.counter("serve.jobs_rejected")
 _COMPLETED = obs_metrics.counter("serve.jobs_completed")
 _FAILED = obs_metrics.counter("serve.jobs_failed")
+_DOCUMENT_HITS = obs_metrics.counter("serve.document_hits")
 
 
 class AdmissionError(RuntimeError):
@@ -128,6 +145,9 @@ class StudySupervisor:
         self._threads = []
         self._started = False
         self._lock = threading.Lock()
+        # document key -> (the job that last answered it, its bytes)
+        self._answers = {}
+        self._answers_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -180,6 +200,22 @@ class StudySupervisor:
             json.dumps(record, sort_keys=True, default=repr).encode()
         ).hexdigest()
 
+    def document_key(self, spec: dict) -> Optional[str]:
+        """Document-index key of a canonical declaration.
+
+        The SHA-256 of ``spec`` (a :meth:`JobSpec.canonical` document)
+        as sorted-key JSON: documents that differ only in key order,
+        whitespace or explicit defaults share it, and equal declarations
+        realize to equal content keys.  ``None`` when an in-process
+        payload holds a value JSON cannot encode; such a document is
+        never indexed.
+        """
+        try:
+            text = json.dumps(spec, sort_keys=True)
+        except (TypeError, ValueError):
+            return None
+        return hashlib.sha256(text.encode()).hexdigest()
+
     def result_path(self, key: str) -> Path:
         """Canonical result-index location for job content key ``key``."""
         return self.results_dir / f"result-{key[:16]}.json"
@@ -192,13 +228,29 @@ class StudySupervisor:
         (admitted and enqueued), or ``rejected`` (admission failure --
         the job's ``error`` carries the peak-bytes estimate).  Protocol
         errors raise :class:`~repro.serve.protocol.ProtocolError`
-        before any job is registered.
+        before any job is registered.  A document the document index
+        knows is answered from the earlier job without being realized.
         """
         spec = parse_job(payload)
+        canonical = spec.canonical()
+        answered = self._answered(canonical)
+        if answered is not None:
+            earlier, data = answered
+            job = Job(
+                self.registry.new_id(earlier.key), earlier.key, earlier.spec,
+                study_keys=earlier.study_keys,
+                fingerprints=earlier.fingerprints,
+                peak_bytes=earlier.peak_bytes,
+                workers=earlier.workers,
+            )
+            _SUBMITTED.inc()
+            _DOCUMENT_HITS.inc()
+            return self._answer_cached(job, data)
+
         realized = realize(spec, self.model_cache)
         key = self.job_key(realized)
         job = Job(
-            self.registry.new_id(key), key, spec.canonical(),
+            self.registry.new_id(key), key, canonical,
             study_keys=realized.study_keys,
             fingerprints=realized.fingerprints,
             peak_bytes=realized.peak_bytes,
@@ -217,10 +269,8 @@ class StudySupervisor:
 
         cached = self._load_result(key)
         if cached is not None:
-            self.registry.add(job)
-            job.mark_done(cached, cached=True)
-            _CACHED.inc()
-            return job
+            self._remember(job, cached)
+            return self._answer_cached(job, cached)
 
         job._realized = realized
         self.registry.add(job)
@@ -228,6 +278,45 @@ class StudySupervisor:
         self.start()
         self._queue.put(job)
         return job
+
+    def _answer_cached(self, job: Job, data: bytes) -> Job:
+        self.registry.add(job)
+        job.mark_done(data, cached=True)
+        _CACHED.inc()
+        return job
+
+    def _answered(self, spec: dict):
+        """``(job, bytes)`` that answered declaration ``spec``, if they
+        still may, else ``None``.
+
+        The result index stays the authority: the bytes must still be
+        what the job's entry holds (a read of one small file, then
+        dropped).  A deleted entry sends the document down the full
+        path, which re-renders it from the store.  So does an entry
+        rewritten since: identical jobs that run at once may render
+        different chunk lineage, and the last writer's file wins.  No
+        admission check: the document was admitted under this
+        supervisor's budget.
+        """
+        key = self.document_key(spec)
+        with self._answers_lock:
+            answered = self._answers.get(key)
+        if answered is None \
+                or self._load_result(answered[0].key) != answered[1]:
+            return None
+        return answered
+
+    def _remember(self, job: Job, data: bytes) -> None:
+        """Index ``job``, answered by result ``data``, under its
+        declaration.
+
+        Called once ``data`` is in the result index, before the job is
+        marked done, so a client that sees ``done`` finds the entry.
+        """
+        key = self.document_key(job.spec)
+        if key is not None:
+            with self._answers_lock:
+                self._answers[key] = (job, data)
 
     def _load_result(self, key: str) -> Optional[bytes]:
         path = self.result_path(key)
@@ -253,6 +342,9 @@ class StudySupervisor:
 
     def _run_job(self, job: Job) -> None:
         realized: RealizedJob = job._realized
+        # The registry keeps the job for ever; the models and study
+        # factories live only as long as this run.
+        job._realized = None
         job.mark_running()
         # The bridge streams span events to the job's NDJSON log; the
         # memory sink (warehouse mode only) keeps the raw span records
@@ -288,6 +380,7 @@ class StudySupervisor:
             document, sort_keys=True, indent=1, default=_json_default
         ).encode()
         self._store_result(job.key, data)
+        self._remember(job, data)
         self._register_job(job, realized, lineage_sink)
         job.mark_done(data, cached=False)
         _COMPLETED.inc()

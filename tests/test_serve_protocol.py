@@ -312,6 +312,124 @@ class TestRealize:
         assert study.fingerprint()["key"] == realized.fingerprints[0]["key"]
 
 
+class TestDeclarationBounds:
+    """A transient's two input fields, and the counts that size what
+    ``submit`` allocates or starts before admission."""
+
+    @pytest.mark.parametrize("workload", [
+        pytest.param({"kind": "transient", "input": 1}, id="waveform-default"),
+        pytest.param({"kind": "transient", "input": 0,
+                      "waveform": {"kind": "step", "input": 1}},
+                     id="waveform-1"),
+        pytest.param({"kind": "transient", "input": 0.5}, id="fraction"),
+    ])
+    def test_transient_input_must_agree_with_the_waveform(self, workload):
+        """A transient is driven by its waveform's ``input``; a top-level
+        ``input`` that names another port used to be accepted, ignored,
+        and hashed into a second job key for the same study."""
+        with pytest.raises(ProtocolError) as caught:
+            parse_job(_job(workload=workload))
+        message = str(caught.value)
+        assert "'input'" in message and "'waveform.input'" in message
+        assert "\n" not in message
+
+    def test_transient_input_defaults_to_the_waveform_input(self):
+        spec = parse_job(_job(workload={
+            "kind": "transient", "waveform": {"kind": "step", "input": 1},
+        }))
+        assert spec.workload_options["input"] == 1
+
+    @pytest.mark.parametrize("workload", [
+        {"kind": "transient"},
+        {"kind": "transient", "input": 0},
+        {"kind": "transient", "waveform": {"kind": "step", "input": 0}},
+        {"kind": "transient", "input": 0,
+         "waveform": {"kind": "step", "input": 0}},
+    ], ids=["omitted", "input-0", "waveform-0", "both-0"])
+    def test_agreeing_transients_keep_their_canonical_spec(self, workload):
+        """Documents the parent accepted whose two fields agree keep the
+        canonical spec (and so the job key) they had."""
+        canonical = parse_job(_job(workload=workload)).canonical()
+        assert canonical["workload"] == {
+            "kind": "transient", "t_final": None, "steps": 200,
+            "method": "trapezoidal", "threshold": 0.5,
+            "delay_reference": "steady", "output": 0, "input": 0,
+            "waveform": {"kind": "step", "amplitude": 1.0, "input": 0},
+        }
+
+    def test_one_job_key_per_driven_input(self, tmp_path):
+        from repro.serve.supervisor import StudySupervisor
+
+        netlist = NETLIST + ".port in2 n3\n"
+        supervisor = StudySupervisor(tmp_path / "store")
+        keys = {
+            supervisor.job_key(realize(parse_job(_job(
+                netlist=netlist, workload=workload,
+            ))))
+            for workload in (
+                {"kind": "transient", "steps": 10,
+                 "waveform": {"kind": "step", "input": 1}},
+                {"kind": "transient", "steps": 10, "input": 1,
+                 "waveform": {"kind": "step", "input": 1}},
+            )
+        }
+        assert len(keys) == 1
+
+    @pytest.mark.parametrize("overrides, named", [
+        pytest.param({"workload": {"kind": "sweep", "points": 4_000_000}},
+                     "'workload.points'", id="sweep-points"),
+        pytest.param({"workload": {"kind": "sweep", "points": 1_000_001}},
+                     "'workload.points'", id="sweep-points-cap+1"),
+        pytest.param({"workload": {"kind": "sweep", "points": 1e12}},
+                     "'workload.points'", id="sweep-points-float"),
+        pytest.param({"plan": {"kind": "montecarlo", "instances": 2_000_000}},
+                     "'plan.instances'", id="mc-instances"),
+        pytest.param({"plan": {"kind": "montecarlo", "instances": 2_000_000},
+                      "workload": {"kind": "montecarlo"}},
+                     "'plan.instances'", id="mc-instances-signoff"),
+        pytest.param({"plan": {"kind": "grid", "points": 1_000_001},
+                      "parameters": 1},
+                     "'plan.points'", id="grid-points"),
+        pytest.param({"plan": {"kind": "grid", "points": 1001}},
+                     "'plan.points' 1001 per axis over 2 parameters",
+                     id="grid-total"),
+        pytest.param({"plan": {"kind": "grid", "points": 2},
+                      "parameters": 10**9},
+                     "'plan.points' 2 per axis", id="grid-many-parameters"),
+        pytest.param({"workers": 65}, "'workers' must be at most 64",
+                     id="workers"),
+        pytest.param({"workers": 10**9}, "'workers'", id="workers-huge"),
+    ])
+    def test_counts_bounded_before_anything_is_allocated(
+            self, overrides, named):
+        """Counts that size an allocation ``realize`` makes before
+        admission (a frequency grid, a sample matrix, a grid axis) or
+        the drain threads a job starts are refused by ``parse_job``."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError) as caught:
+                parse_job(_job(**overrides))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = str(caught.value)
+        assert named in message and "\n" not in message
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("overrides", [
+        {"workload": {"kind": "sweep", "points": 1_000_000}},
+        {"plan": {"kind": "montecarlo", "instances": 1_000_000}},
+        {"plan": {"kind": "grid", "points": 1000}},
+        {"plan": {"kind": "grid", "points": 1}, "parameters": 10**9},
+        {"workers": 64},
+    ], ids=["sweep-cap", "instances-cap", "grid-total-cap", "grid-one-point",
+            "workers-cap"])
+    def test_counts_at_the_cap_parse(self, overrides):
+        parse_job(_job(**overrides))
+
+
 # -- trust-boundary fuzz: parse_job + realize ------------------------------
 
 FUZZ_NETLIST = ".title fuzz\nRdrv n0 0 10\n" + "".join(
@@ -330,51 +448,55 @@ def _field(valid):
 
 
 @st.composite
-def job_documents(draw):
-    """Job documents around the schema, sizes bounded (<= 6 instances)."""
+def job_documents(draw, field=_field):
+    """Job documents around the schema, sizes bounded (<= 6 instances).
+
+    ``field`` wraps each valid value strategy (``_field`` mixes in
+    special values).
+    """
     plan_kind = draw(st.sampled_from(("montecarlo", "corners", "grid")))
     plan = {"kind": plan_kind}
     if plan_kind == "montecarlo":
-        plan["instances"] = draw(_field(st.integers(1, 6)))
-        plan["sigma"] = draw(_field(st.floats(0.0, 0.5)))
-        plan["seed"] = draw(_field(st.integers(0, 9)))
+        plan["instances"] = draw(field(st.integers(1, 6)))
+        plan["sigma"] = draw(field(st.floats(0.0, 0.5)))
+        plan["seed"] = draw(field(st.integers(0, 9)))
     else:
-        plan["magnitude"] = draw(_field(st.floats(0.0, 0.5)))
+        plan["magnitude"] = draw(field(st.floats(0.0, 0.5)))
         if plan_kind == "grid":
-            plan["points"] = draw(_field(st.integers(1, 2)))
+            plan["points"] = draw(field(st.integers(1, 2)))
     workload_kind = draw(
         st.sampled_from(("sweep", "transient", "poles", "montecarlo"))
     )
     workload = {"kind": workload_kind}
     if workload_kind == "sweep":
-        workload["fmin"] = draw(_field(st.floats(1e6, 1e8)))
-        workload["fmax"] = draw(_field(st.floats(1e9, 1e10)))
-        workload["points"] = draw(_field(st.integers(1, 8)))
-        workload["output"] = draw(_field(st.just(0)))
+        workload["fmin"] = draw(field(st.floats(1e6, 1e8)))
+        workload["fmax"] = draw(field(st.floats(1e9, 1e10)))
+        workload["points"] = draw(field(st.integers(1, 8)))
+        workload["output"] = draw(field(st.just(0)))
     elif workload_kind == "transient":
         workload["waveform"] = {
             "kind": draw(st.sampled_from(("step", "ramp"))),
-            "amplitude": draw(_field(st.floats(0.5, 2.0))),
+            "amplitude": draw(field(st.floats(0.5, 2.0))),
         }
-        workload["t_final"] = draw(_field(st.none() | st.floats(1e-10, 1e-8)))
-        workload["steps"] = draw(_field(st.integers(1, 20)))
-        workload["threshold"] = draw(_field(st.floats(0.1, 0.9)))
+        workload["t_final"] = draw(field(st.none() | st.floats(1e-10, 1e-8)))
+        workload["steps"] = draw(field(st.integers(1, 20)))
+        workload["threshold"] = draw(field(st.floats(0.1, 0.9)))
     elif workload_kind == "poles":
-        workload["num"] = draw(_field(st.integers(0, 5)))
+        workload["num"] = draw(field(st.integers(0, 5)))
     else:
-        workload["poles"] = draw(_field(st.integers(1, 3)))
-        workload["bins"] = draw(_field(st.integers(1, 10)))
+        workload["poles"] = draw(field(st.integers(1, 3)))
+        workload["bins"] = draw(field(st.integers(1, 10)))
     return {
         "netlist": FUZZ_NETLIST,
-        "parameters": draw(_field(st.integers(1, 2))),
-        "spread": draw(_field(st.floats(0.1, 0.9))),
-        "variation_seed": draw(_field(st.integers(0, 5))),
-        "moments": draw(_field(st.integers(1, 3))),
-        "rank": draw(_field(st.integers(1, 2))),
+        "parameters": draw(field(st.integers(1, 2))),
+        "spread": draw(field(st.floats(0.1, 0.9))),
+        "variation_seed": draw(field(st.integers(0, 5))),
+        "moments": draw(field(st.integers(1, 3))),
+        "rank": draw(field(st.integers(1, 2))),
         "plan": plan,
         "workload": workload,
-        "chunk": draw(_field(st.none() | st.integers(1, 6))),
-        "workers": draw(_field(st.integers(1, 2))),
+        "chunk": draw(field(st.none() | st.integers(1, 6))),
+        "workers": draw(field(st.integers(1, 2))),
     }
 
 
@@ -393,3 +515,80 @@ def test_fuzzed_documents_realize_or_refuse(document):
         assert "\n" not in str(exc)
     else:
         assert isinstance(realized, RealizedJob)
+
+
+# -- the document index's premise -----------------------------------------
+
+_JOB_DEFAULTS = {"parameters": 2, "spread": 0.5, "variation_seed": 0,
+                 "moments": 4, "rank": 1, "chunk": None, "workers": 1}
+
+
+def _reordered(value):
+    """``value`` with every object's keys in reverse order."""
+    if isinstance(value, dict):
+        return {name: _reordered(value[name]) for name in reversed(value)}
+    if isinstance(value, list):
+        return [_reordered(item) for item in value]
+    return value
+
+
+def _rewrite(spec, how: str) -> str:
+    """JSON text of a document with the same canonical spec as ``spec``."""
+    canonical = spec.canonical()
+    if how == "explicit":  # every default spelled out
+        return json.dumps(canonical)
+    if how == "reordered":  # key order and whitespace
+        return json.dumps(_reordered(canonical), indent=3)
+    # sparse: top-level defaults and a transient's own 'input' omitted
+    sparse = {
+        name: value for name, value in canonical.items()
+        if name not in _JOB_DEFAULTS
+        or json.dumps(value) != json.dumps(_JOB_DEFAULTS[name])
+    }
+    if spec.workload_kind == "transient":
+        sparse["workload"] = {
+            name: value for name, value in canonical["workload"].items()
+            if name != "input"
+        }
+    return json.dumps(sparse, separators=(",", ":"))
+
+
+@pytest.fixture(scope="module")
+def index_keys(tmp_path_factory):
+    """A supervisor for its ``document_key`` and ``job_key``."""
+    from repro.serve.supervisor import StudySupervisor
+
+    return StudySupervisor(tmp_path_factory.mktemp("index") / "store")
+
+
+def _outcome(supervisor, spec):
+    try:
+        return supervisor.job_key(realize(spec))
+    except ProtocolError as exc:
+        return str(exc)
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    document=st.one_of(job_documents(),
+                       job_documents(field=lambda valid: valid)),
+    how=st.sampled_from(("explicit", "reordered", "sparse")),
+)
+def test_equal_document_keys_realize_to_equal_job_keys(
+        index_keys, document, how):
+    """The document index answers a document with the job that
+    answered an equal-keyed one, never realizing it: sound only if an
+    equal document key implies an equal content key (or the same
+    refusal).  Rewrites that keep the canonical spec must keep both."""
+    try:
+        spec = parse_job(json.dumps(document))
+    except ProtocolError:
+        return  # refused before the index is consulted
+    rewritten = parse_job(_rewrite(spec, how))
+    assert rewritten.canonical() == spec.canonical()
+    assert index_keys.document_key(rewritten.canonical()) == \
+        index_keys.document_key(spec.canonical())
+    assert _outcome(index_keys, rewritten) == _outcome(index_keys, spec)

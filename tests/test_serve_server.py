@@ -92,6 +92,22 @@ class TestLifecycle:
         assert second["cached"] is True
         assert client.result_bytes(second["id"]) == bytes_one
 
+    def test_document_hit_is_counted_in_metrics(self, service):
+        client, _ = service
+        first = client.wait(client.submit(_job())["id"], timeout=60.0)
+        bytes_one = client.result_bytes(first["id"])
+
+        def hits():
+            return client.metrics()["counters"].get("serve.document_hits", 0)
+
+        before = hits()
+        again = client.submit(json.dumps(_job(), indent=2).encode())
+        assert hits() == before + 1
+        assert again["state"] == "done" and again["cached"] is True
+        for field in ("key", "study_keys", "fingerprints", "peak_bytes"):
+            assert again[field] == first[field], field
+        assert client.result_bytes(again["id"]) == bytes_one
+
     def test_event_stream_replays_and_terminates(self, service):
         client, _ = service
         job = client.submit(_job())
@@ -215,6 +231,36 @@ class TestErrors:
         client, _ = service
         with pytest.raises(ServeClientError) as info:
             client.submit(_job(workload=workload))
+        assert info.value.status == 400
+        error = info.value.body["error"]
+        assert named in error and "\n" not in error
+        assert client.jobs() == []
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"workload": {"kind": "sweep", "points": 1_000_001}},
+         "'workload.points'"),
+        ({"plan": {"kind": "montecarlo", "instances": 1_000_001}},
+         "'plan.instances'"),
+        ({"plan": {"kind": "grid", "points": 1001}}, "'plan.points'"),
+        ({"workers": 65}, "'workers'"),
+        ({"workload": {"kind": "transient", "steps": 20, "input": 1}},
+         "'waveform.input'"),
+    ], ids=["sweep-points", "instances", "grid-total", "workers",
+            "transient-input"])
+    def test_unbounded_count_or_second_input_is_400(
+        self, service, overrides, named
+    ):
+        """Counts past their cap and a transient ``input`` that is not
+        its waveform's are one-line 400s; nothing is registered.  (The
+        tiny budget keeps a server without these checks from running
+        such a job: it would answer 413 instead.)"""
+        client, supervisor = service
+        supervisor.memory_budget = 16
+        try:
+            with pytest.raises(ServeClientError) as info:
+                client.submit(_job(**overrides))
+        finally:
+            supervisor.memory_budget = None
         assert info.value.status == 400
         error = info.value.body["error"]
         assert named in error and "\n" not in error

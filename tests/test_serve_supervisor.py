@@ -52,9 +52,37 @@ def supervisor(tmp_path):
     supervisor.shutdown(wait=True)
 
 
+def _counter(name):
+    return obs_metrics.registry().snapshot()["counters"].get(name, 0)
+
+
 def _evaluated():
-    snapshot = obs_metrics.registry().snapshot()
-    return snapshot["counters"].get("study.instances_evaluated", 0)
+    return _counter("study.instances_evaluated")
+
+
+def _forbid_realize(monkeypatch):
+    """From here on, a submission that reaches ``realize`` fails."""
+    import repro.serve.supervisor as supervisor_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("realize called for an indexed document")
+
+    monkeypatch.setattr(supervisor_module, "realize", refuse)
+
+
+def _count_realize(monkeypatch):
+    """Wrap ``realize``; returns the list of jobs it realizes."""
+    import repro.serve.supervisor as supervisor_module
+
+    realized = []
+    original = supervisor_module.realize
+
+    def counting(*args, **kwargs):
+        realized.append(original(*args, **kwargs))
+        return realized[-1]
+
+    monkeypatch.setattr(supervisor_module, "realize", counting)
+    return realized
 
 
 class TestSubmission:
@@ -165,6 +193,251 @@ class TestCaching:
         )))
         # ...while a different declaration gets its own key.
         assert bins.key != first.key
+
+
+class TestDocumentIndex:
+    """A document already answered is answered again without being
+    realized, from one shared copy of the earlier job's answer."""
+
+    def test_resubmission_never_realizes(self, supervisor, monkeypatch):
+        first = _wait(supervisor.submit(_job()))
+        assert first.state == "done" and not first.cached
+        _forbid_realize(monkeypatch)
+        hits, evaluated = _counter("serve.document_hits"), _evaluated()
+
+        second = supervisor.submit(_job())
+        assert second.state == "done" and second.cached
+        assert second.id != first.id
+        assert second.result_bytes == first.result_bytes
+        assert second.result_bytes is first.result_bytes  # shared
+        assert second.spec is first.spec
+        assert second.key == first.key
+        assert second.study_keys == first.study_keys
+        assert second.fingerprints == first.fingerprints
+        assert second.peak_bytes == first.peak_bytes
+        assert _counter("serve.document_hits") == hits + 1
+        assert _evaluated() == evaluated
+        assert supervisor.registry.get(second.id) is second
+
+    def test_canonical_rewrites_hit_the_same_entry(
+            self, supervisor, monkeypatch):
+        document = _job()
+        first = _wait(supervisor.submit(document))
+        _forbid_realize(monkeypatch)
+        hits = _counter("serve.document_hits")
+        rewrites = [
+            # explicit defaults
+            _job(parameters=2, spread=0.5, variation_seed=0, rank=1,
+                 workers=1, plan={"kind": "montecarlo", "instances": 4,
+                                  "sigma": 0.3, "seed": 7}),
+            # reordered keys, compact JSON text
+            json.dumps(dict(reversed(list(document.items()))),
+                       separators=(",", ":")),
+            # indented JSON bytes
+            json.dumps(document, indent=4).encode(),
+        ]
+        for rewrite in rewrites:
+            job = supervisor.submit(rewrite)
+            assert job.cached and job.result_bytes is first.result_bytes
+        assert _counter("serve.document_hits") == hits + len(rewrites)
+
+    def test_deleted_result_entry_falls_through(
+            self, supervisor, monkeypatch):
+        first = _wait(supervisor.submit(_job()))
+        supervisor.result_path(first.key).unlink()
+        realized = _count_realize(monkeypatch)
+        hits = _counter("serve.document_hits")
+        saved, loaded = _counter("store.chunks_saved"), \
+            _counter("store.chunks_loaded")
+
+        again = _wait(supervisor.submit(_job()))
+        assert len(realized) == 1
+        assert not again.cached and again.state == "done"
+        # Re-rendered from the store: both chunks loaded, none computed.
+        assert _counter("store.chunks_saved") == saved
+        assert _counter("store.chunks_loaded") == loaded + 2
+        assert _counter("serve.document_hits") == hits
+        assert again.result_bytes == first.result_bytes
+        assert supervisor.result_path(first.key).read_bytes() == \
+            first.result_bytes
+        # ...and the re-rendered answer is indexed again.
+        third = supervisor.submit(_job())
+        assert third.cached and third.result_bytes is again.result_bytes
+
+    def test_failed_job_document_runs_again(self, supervisor, monkeypatch):
+        original = supervisor._run_engine_sides
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("engine exploded")
+
+        monkeypatch.setattr(supervisor, "_run_engine_sides", explode)
+        failed = _wait(supervisor.submit(_job()))
+        assert failed.state == "failed"
+
+        monkeypatch.setattr(supervisor, "_run_engine_sides", original)
+        realized = _count_realize(monkeypatch)
+        again = _wait(supervisor.submit(_job()))
+        assert len(realized) == 1
+        assert again.state == "done" and not again.cached
+
+    def test_rejected_document_is_never_indexed(self, tmp_path, monkeypatch):
+        supervisor = StudySupervisor(tmp_path / "store", memory_budget=16)
+        try:
+            realized = _count_realize(monkeypatch)
+            for _ in range(2):
+                assert supervisor.submit(_job()).state == "rejected"
+            assert len(realized) == 2
+        finally:
+            supervisor.shutdown(wait=True)
+
+    def test_payload_beyond_json_is_served_unindexed(
+            self, supervisor, monkeypatch):
+        """An in-process payload may hold values JSON cannot encode
+        (a NumPy count): it still runs, and is simply never indexed."""
+        import numpy as np
+
+        document = _job(workload={"kind": "sweep", "points": np.int64(5)})
+        first = _wait(supervisor.submit(document))
+        assert first.state == "done", first.error
+        realized = _count_realize(monkeypatch)
+        again = supervisor.submit(document)
+        assert again.cached and len(realized) == 1
+
+    def test_running_document_enqueues_again(self, supervisor, monkeypatch):
+        gate = threading.Event()
+        original = supervisor._run_engine_sides
+
+        def held(*args, **kwargs):
+            gate.wait(30.0)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "_run_engine_sides", held)
+        try:
+            first = supervisor.submit(_job())
+            second = supervisor.submit(_job())
+            assert not second.cached and second.state in ("queued", "running")
+        finally:
+            gate.set()
+        assert _wait(first).state == _wait(second).state == "done"
+        assert second.key == first.key
+
+    def test_racing_identical_submissions_stay_consistent(self, supervisor):
+        import sys
+
+        document = json.dumps(_job()).encode()
+
+        def race(clients, rounds):
+            barrier = threading.Barrier(clients)
+            jobs, errors = [], []
+
+            def client():
+                try:
+                    barrier.wait(timeout=10.0)
+                    for _ in range(rounds):
+                        jobs.append(_wait(supervisor.submit(document)))
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=client)
+                       for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert [job.state for job in jobs] == ["done"] * len(jobs)
+            return jobs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            first = race(4, 1)  # all miss: none has answered yet
+            assert len({job.key for job in first}) == 1
+            stored = supervisor.result_path(first[0].key).read_bytes()
+            # Whichever racer the index remembers, a re-submission
+            # answers the result file's bytes and re-indexes it...
+            assert supervisor.submit(document).result_bytes == stored
+            hits = _counter("serve.document_hits")
+            # ...and racing re-submissions all hit, none lost.
+            again = race(4, 25)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(job.cached and job.result_bytes == stored
+                   for job in again)
+        assert _counter("serve.document_hits") == hits + len(again)
+        assert len({job.id for job in again}) == len(again) == 100
+        assert len(supervisor.registry) == 4 + 1 + 100
+
+    def test_rewritten_result_entry_is_answered_from_the_file(
+            self, supervisor):
+        first = _wait(supervisor.submit(_job()))
+        path = supervisor.result_path(first.key)
+        rewritten = json.dumps(json.loads(first.result_bytes)).encode()
+        path.write_bytes(rewritten)  # same document, other bytes
+        hits = _counter("serve.document_hits")
+        again = supervisor.submit(_job())
+        assert again.cached and again.result_bytes == rewritten
+        assert _counter("serve.document_hits") == hits
+        assert supervisor.submit(_job()).result_bytes is again.result_bytes
+        assert _counter("serve.document_hits") == hits + 1
+
+    def test_restart_realizes_once_then_indexes(
+            self, supervisor, tmp_path, monkeypatch):
+        first = _wait(supervisor.submit(_job()))
+        supervisor.shutdown(wait=True)
+        fresh = StudySupervisor(tmp_path / "store", pool_size=1)
+        try:
+            realized = _count_realize(monkeypatch)
+            after_restart = fresh.submit(_job())
+            assert len(realized) == 1  # the result index answers it
+            assert after_restart.cached
+            assert after_restart.result_bytes == first.result_bytes
+            again = fresh.submit(_job())
+            assert len(realized) == 1
+            assert again.result_bytes is after_restart.result_bytes
+        finally:
+            fresh.shutdown(wait=True)
+
+    def test_resubmissions_retain_little_memory(self, supervisor):
+        """The registry keeps every job: a cached one must not keep its
+        own copy of the result bytes and of the netlist text."""
+        import gc
+        import tracemalloc
+
+        document = json.dumps(_job(
+            netlist=NETLIST + "".join(f"* padding line {i:05d}\n"
+                                      for i in range(1000)),
+        )).encode()
+        first = _wait(supervisor.submit(document))
+        supervisor.submit(document)  # warm every lazy allocation once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                assert supervisor.submit(document).cached
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(first.result_bytes) + len(document) > 20_000
+        assert retained < 2**20, retained
+
+
+class TestRealizationRelease:
+    def test_finished_job_releases_its_realization(
+            self, supervisor, monkeypatch):
+        import gc
+        import weakref
+
+        realized = _count_realize(monkeypatch)
+        job = _wait(supervisor.submit(_job()))
+        assert job.state == "done"
+        parametric = weakref.ref(realized.pop().parametric)
+        supervisor.shutdown(wait=True)  # the worker has left _run_job
+        gc.collect()
+        assert parametric() is None
 
 
 class TestAdmission:
