@@ -12,10 +12,8 @@ attribute updates guarded by the GIL, which is the same contract the
 ad-hoc counters they replaced had.
 
 Counters the performance tiers move, beyond the store/cache/scheduler
-instruments: ``engine.plan_cache.hits`` / ``engine.plan_cache.misses``
-(process-global :meth:`Study.plan` memoization),
-``runtime.batch.eig_fallbacks`` (instances the eig kernel's response
-guard re-solved through exact pencil solves) and
+instruments: ``runtime.batch.eig_fallbacks`` (instances the eig
+kernel's response guard re-solved through exact pencil solves) and
 ``runtime.sparse.pivot_fallbacks`` (pencils the level-scheduled LU's
 backward-error guard re-solved through SuperLU refactorization).
 """

@@ -104,26 +104,6 @@ def target_fingerprint(target) -> str:
     return hashlib.sha256(repr(target).encode()).hexdigest()
 
 
-def cached_target_fingerprint(target) -> str:
-    """:func:`target_fingerprint`, memoized on the target object.
-
-    Hashing every matrix of a model is the dominant cost of building a
-    plan-cache key, and the matrices of a model object never change
-    (the engine treats targets as immutable inputs).  The digest is
-    therefore stored on the target itself; objects that reject new
-    attributes (``__slots__``) simply hash on every call.
-    """
-    cached = getattr(target, "_target_fingerprint", None)
-    if cached is not None:
-        return cached
-    fingerprint = target_fingerprint(target)
-    try:
-        target._target_fingerprint = fingerprint
-    except AttributeError:
-        pass
-    return fingerprint
-
-
 def _stable_config_value(value):
     if isinstance(value, np.ndarray):
         return ["ndarray", list(value.shape), hashlib.sha256(
@@ -186,8 +166,7 @@ class ModelCache:
     within one process recency is exact regardless of timestamp
     granularity (across processes the mtime remains the shared
     truth).  Evictions are tallied on the process-wide
-    ``cache.evictions`` / ``cache.evicted_bytes`` counters, mirroring
-    the ``engine.plan_cache.*`` pattern.
+    ``cache.evictions`` / ``cache.evicted_bytes`` counters.
 
     The ``hits``/``misses`` counters make cache behaviour observable in
     tests and CLI summaries.

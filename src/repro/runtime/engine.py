@@ -68,8 +68,6 @@ import functools
 import math
 import numbers
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -88,7 +86,7 @@ from repro.runtime.batch import (
     symmetric_definite,
     systems_from_stacks,
 )
-from repro.runtime.cache import array_fingerprint, cached_target_fingerprint
+from repro.runtime.cache import array_fingerprint
 from repro.runtime.scenarios import ScenarioPlan, StepInput
 from repro.runtime.scheduler import (
     LeaseBoard,
@@ -120,23 +118,6 @@ from repro.runtime.transient import (
 )
 
 ProgressCallback = Callable[[int, int], None]
-
-# Process-global memo of built plans, keyed by everything routing reads
-# (target content, workload config, sample matrix, directives).  Repeat
-# dispatch of an identical declaration -- the Monte Carlo driver pattern
-# of building a fresh Study per batch -- becomes a dict hit instead of
-# re-hashing and re-routing; the ``engine.plan_cache.*`` counters make
-# the behaviour observable.  ExecutionPlan is frozen, so sharing one
-# instance across studies is safe.  Server worker threads plan
-# concurrently, so every read-modify-write of the OrderedDict happens
-# under _PLAN_CACHE_LOCK; plan *construction* stays outside the lock
-# (it can run reductions), accepting an occasional duplicate build
-# over holding the lock through LAPACK calls.
-_PLAN_CACHE: "OrderedDict[tuple, ExecutionPlan]" = OrderedDict()
-_PLAN_CACHE_LOCK = threading.Lock()
-_PLAN_CACHE_LIMIT = 512
-_PLAN_CACHE_HITS = obs_metrics.counter("engine.plan_cache.hits")
-_PLAN_CACHE_MISSES = obs_metrics.counter("engine.plan_cache.misses")
 
 
 def _is_real(value) -> bool:
@@ -421,13 +402,16 @@ class Study:
         self._last_metrics: dict = {}
         self._resolved_target = None
         self._sample_matrix: Optional[np.ndarray] = None
-        self._plan_cache: Optional[ExecutionPlan] = None
+        # What this declaration derives once until it next changes (see
+        # _invalidate): its plan, resolved transient options and study
+        # fingerprint (the workload config record rides in it).
+        self._memo: dict = {}
 
     # -- builder -------------------------------------------------------
 
     def _invalidate(self) -> "Study":
         self._sample_matrix = None
-        self._plan_cache = None
+        self._memo = {}
         return self
 
     def scenarios(self, plan_or_samples) -> "Study":
@@ -701,8 +685,8 @@ class Study:
             return "poles"
         workload = declared[0]
         if workload == "transient":
-            # Before the plan-cache key: a non-integer step count must
-            # not alias the cached plan of its truncation.
+            # At plan time, before any horizon or fingerprint is
+            # derived from the options.
             _check_transient_options(self._transient_options)
         if self._num_poles is not None:
             if workload != "sweep":
@@ -829,75 +813,17 @@ class Study:
 
         Resolving the plan runs any :meth:`reduced` reduction (memoized
         across calls) because routing depends on the resolved target's
-        shape; everything else is pure accounting.  The plan itself is
-        memoized until the next builder call, so ``plan()`` followed by
-        ``run()`` (which replans internally) pays once.  Across Study
-        objects, built plans are additionally memoized in a
-        process-global cache keyed by the study-fingerprint components
-        (target content, workload config, samples, directives), so
-        repeat dispatch of an identical declaration -- a fresh Study
-        per Monte Carlo batch -- is a dict hit; the
-        ``engine.plan_cache.hits`` / ``engine.plan_cache.misses``
-        counters report the behaviour.
+        shape; everything else is pure accounting, tens of microseconds
+        to a tenth of a millisecond on the perfbench studies.  The plan
+        is memoized on this Study until its declaration next changes, so
+        ``plan()`` followed by ``run()`` pays once.
         """
-        if self._plan_cache is not None:
-            return self._plan_cache
-        key = self._plan_cache_key()
-        if key is not None:
-            with _PLAN_CACHE_LOCK:
-                cached = _PLAN_CACHE.get(key)
-                if cached is not None:
-                    _PLAN_CACHE_HITS.inc()
-                    _PLAN_CACHE.move_to_end(key)
-                    self._plan_cache = cached
-                    return cached
-                _PLAN_CACHE_MISSES.inc()
-        with obs_trace.span("study.plan") as plan_span:
-            self._plan_cache = self._build_plan()
-            plan_span.set(
-                route=self._plan_cache.route, kernel=self._plan_cache.kernel
-            )
-        if key is not None:
-            with _PLAN_CACHE_LOCK:
-                _PLAN_CACHE[key] = self._plan_cache
-                while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
-                    _PLAN_CACHE.popitem(last=False)
-        return self._plan_cache
-
-    def _plan_cache_key(self) -> Optional[tuple]:
-        """Global plan-cache key, or ``None`` when planning must re-run.
-
-        Built from the same components as the durable study
-        fingerprint (target content hash, workload config, sample
-        matrix hash) plus every directive routing reads.  A study whose
-        workload or samples cannot be resolved yet -- including every
-        invalid declaration -- keys to ``None`` so :meth:`_build_plan`
-        raises its diagnostic on every call instead of caching it.
-        """
-        try:
-            workload = self._workload()
-            target = self._resolve_target()
-            samples = self._samples()
-            if workload == "sensitivities":
-                config = {"s": repr(self._sensitivity_point)}
-            else:
-                config = self._workload_config(workload, target)
-        except (ValueError, TypeError, AttributeError):
-            # Anything unresolvable -- including every invalid
-            # declaration -- must fall through to _build_plan, whose
-            # route validation raises the canonical diagnostics.
-            return None
-        return (
-            cached_target_fingerprint(target),
-            workload,
-            array_fingerprint(samples),
-            repr(sorted(config.items())),
-            self._chunk_size,
-            self._memory_budget,
-            None if self._store is None else str(self._store.directory),
-            self._resume,
-            executor_module.row_pool_width(),
-        )
+        plan = self._memo.get("plan")
+        if plan is None:
+            with obs_trace.span("study.plan") as plan_span:
+                plan = self._memo["plan"] = self._build_plan()
+                plan_span.set(route=plan.route, kernel=plan.kernel)
+        return plan
 
     def _build_plan(self) -> ExecutionPlan:
         workload = self._workload()
@@ -1103,7 +1029,7 @@ class Study:
                 )
                 result = self._execute(plan)
             if lineage_sink is not None:
-                self._register_warehouse(plan, lineage_sink)
+                self._register_warehouse(lineage_sink)
             self._last_metrics = obs_metrics.snapshot_delta(
                 before, obs_metrics.registry().snapshot()
             )
@@ -1194,9 +1120,7 @@ class Study:
                     num_chunks=plan.num_chunks,
                     store=plan.store,
                 )
-                checkpoint = self._open_checkpoint(
-                    plan, target, samples, worker=worker_id
-                )
+                checkpoint = self._open_checkpoint(plan, worker=worker_id)
                 lease_board = board if board is not None else LeaseBoard(
                     self._store, checkpoint.key, worker=worker_id, ttl=ttl
                 )
@@ -1254,14 +1178,21 @@ class Study:
         a different client lands on the same key) and clients use it to
         re-verify what a server computed.  Only durable workloads have
         a fingerprint; ``sensitivities`` raises ``ValueError``.
-        """
-        plan = self.plan()
-        target = self._resolve_target()
-        samples = self._samples()
-        config = self._workload_config(plan.workload, target)
-        return study_fingerprint(target, plan.workload, samples, config)
 
-    def _register_warehouse(self, plan: ExecutionPlan, lineage_sink):
+        Derived once per declaration: the checkpoint, the
+        :meth:`warehouse` registration and every later call read the
+        same record, so treat it as read-only.
+        """
+        fingerprint = self._memo.get("fingerprint")
+        if fingerprint is None:
+            workload = self.plan().workload
+            fingerprint = self._memo["fingerprint"] = study_fingerprint(
+                self._resolve_target(), workload, self._samples(),
+                self._workload_config(workload),
+            )
+        return fingerprint
+
+    def _register_warehouse(self, lineage_sink):
         """Post-run hook of the :meth:`warehouse` directive.
 
         Joins the run's captured chunk spans into per-chunk source
@@ -1276,19 +1207,17 @@ class Study:
         from repro.warehouse import Warehouse
 
         directory = self._warehouse
-        target = self._resolve_target()
-        samples = self._samples()
-        config = self._workload_config(plan.workload, target)
-        fingerprint = study_fingerprint(target, plan.workload, samples, config)
         warehouse = (
             directory if isinstance(directory, Warehouse)
             else Warehouse(directory)
         )
         self._last_warehouse = warehouse.register(
             self._store,
-            key=fingerprint["key"],
-            samples=samples,
-            parameter_names=getattr(target, "parameter_names", None),
+            key=self.fingerprint()["key"],
+            samples=self._samples(),
+            parameter_names=getattr(
+                self._resolve_target(), "parameter_names", None
+            ),
             lineage=lineage_sources(chunk_lineage(lineage_sink.records)),
         )
         return self._last_warehouse
@@ -1334,7 +1263,7 @@ class Study:
                 )
 
         elif plan.workload == "transient":
-            options = self._resolved_transient_options(target)
+            options = self._resolved_transient_options()
             payload_fn = functools.partial(
                 _transient_chunk_payload, target, **options
             )
@@ -1370,25 +1299,29 @@ class Study:
 
         return payload_fn, queue, build
 
-    def _resolved_transient_options(self, target) -> dict:
-        """Transient options with the waveform/horizon defaults realized.
+    def _resolved_transient_options(self) -> dict:
+        """Transient options with the waveform/horizon defaults realized,
+        once per declaration (the horizon is an eigensolve).
 
         Resolved before fingerprinting so a resumed (or work-stolen)
         study keys on the waveform and horizon it actually ran with.
         """
-        options = dict(self._transient_options)
-        if options["waveform"] is None:
-            options["waveform"] = StepInput()
-        if options["t_final"] is None:
-            options["t_final"] = default_horizon(target)
+        options = self._memo.get("transient")
+        if options is None:
+            options = dict(self._transient_options)
+            if options["waveform"] is None:
+                options["waveform"] = StepInput()
+            if options["t_final"] is None:
+                options["t_final"] = default_horizon(self._resolve_target())
+            self._memo["transient"] = options
         return options
 
-    def _workload_config(self, workload: str, target) -> dict:
+    def _workload_config(self, workload: str) -> dict:
         """The workload's canonical option record -- the ``config``
-        component of the study fingerprint.  One definition shared by
-        :meth:`run` and :meth:`work`, so a worker draining a study and
-        a one-shot run of the same declaration land on the same
-        manifest key."""
+        component of the study fingerprint, memoized inside it (see
+        :meth:`fingerprint`).  One definition shared by :meth:`run` and
+        :meth:`work`, so a worker draining a study and a one-shot run of
+        the same declaration land on the same manifest key."""
         if workload in ("sweep", "sweep+poles"):
             return {
                 "frequencies": array_fingerprint(self._frequencies),
@@ -1396,7 +1329,7 @@ class Study:
                 "keep_responses": self._keep_responses,
             }
         if workload == "transient":
-            options = self._resolved_transient_options(target)
+            options = self._resolved_transient_options()
             return {
                 "waveform": repr(options["waveform"]),
                 "t_final": float(options["t_final"]),
@@ -1419,8 +1352,7 @@ class Study:
             return self._run_sensitivities(plan, target, samples)
         worker, lenient = self._worker_ctx
         checkpoint = self._open_checkpoint(
-            plan, target, samples, worker=worker, lenient=lenient,
-            resume=self._resume,
+            plan, worker=worker, lenient=lenient, resume=self._resume
         )
         payload_fn, queue, build = self._chunk_workload(plan, target)
         folded = _drive_chunks(
@@ -1431,9 +1363,8 @@ class Study:
         return build(samples, folded)
 
     def _open_checkpoint(
-        self, plan: ExecutionPlan, target, samples,
-        worker: Optional[str] = None, lenient: bool = False,
-        resume: bool = False,
+        self, plan: ExecutionPlan, worker: Optional[str] = None,
+        lenient: bool = False, resume: bool = False,
     ):
         """The chunk loop's :class:`StudyCheckpoint`, or ``None`` without
         a store.  ``worker`` names a work-stealing worker's own manifest
@@ -1442,10 +1373,7 @@ class Study:
         requires existing history (see :meth:`resume`)."""
         if self._store is None:
             return None
-        fingerprint = study_fingerprint(
-            target, plan.workload, samples,
-            self._workload_config(plan.workload, target),
-        )
+        fingerprint = self.fingerprint()
         # Stamp the durable identity onto the enclosing study.run (or
         # study.work) span, so a trace line joins back to its manifest.
         obs_trace.annotate(study_key=fingerprint["key"])

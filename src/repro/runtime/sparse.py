@@ -37,6 +37,7 @@ answers matching to solver roundoff.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -559,6 +560,11 @@ class SparsePatternFamily:
             self._schedule = _LevelSchedule(self.indices, self.indptr, self._b_dense)
         return self._schedule
 
+    @functools.cached_property
+    def _forest(self):
+        """:func:`_forest_sizes` of the pattern, priced once per family."""
+        return _forest_sizes(self.indices, self.indptr, self._b_dense.shape[1])
+
     def _level_sizes(self):
         """``(sizes, build)``: the level LU's sizes for a workspace estimate,
         and whether the next solve still builds its symbolic analysis.
@@ -566,10 +572,8 @@ class SparsePatternFamily:
         A forest's sizes need no analysis, so planning an RC tree leaves
         it to the first solve; any other pattern builds it here.
         """
-        if self._schedule is None:
-            sizes = _forest_sizes(self.indices, self.indptr, self._b_dense.shape[1])
-            if sizes is not None:
-                return sizes, True
+        if self._schedule is None and self._forest is not None:
+            return self._forest, True
         return self._level_schedule().sizes, False
 
     def _superlu_template(self) -> SparseLU:

@@ -200,41 +200,109 @@ def _verified_chunk_payload(
     return (payload, actual, len(data)), None
 
 
-def _check_records(path: Path, manifest: dict) -> None:
-    """Raise a one-line :class:`StoreError` unless every chunk record
-    fits the manifest's own layout.
+def _first_verified(directory: Path, key: str, index: int, records,
+                    members=None):
+    """``((record, payload, sha256, size), None)`` for the first of chunk
+    ``index``'s recorded copies that verifies, else ``(None, error)``
+    with the first copy's :class:`StoreError`.
 
+    The one try-the-next-copy loop: :meth:`StudyCheckpoint.load` and
+    :meth:`StudyStore.iter_chunks` keep only their own policy around it
+    (lenient re-queue and span attributes; annotated records).  A
+    verified load counts on ``store.chunks_loaded`` /
+    ``store.bytes_read``.
+    """
+    first_error = None
+    for record in records:
+        loaded, error = _verified_chunk_payload(
+            directory, key, index, record, members
+        )
+        if error is None:
+            payload, actual, size = loaded
+            _CHUNKS_LOADED.inc()
+            _BYTES_READ.inc(size)
+            return (record, payload, actual, size), None
+        first_error = first_error or error
+    return None, first_error
+
+
+def _chunk_alternates(manifests) -> Dict[int, List[dict]]:
+    """``{chunk_index: [record, ...]}`` across parsed ``manifests``, in
+    their order (see :meth:`StudyStore.chunk_records`)."""
+    records: Dict[int, List[dict]] = {}
+    for manifest in manifests:
+        for index, record in manifest.get("chunks", {}).items():
+            records.setdefault(int(index), []).append(record)
+    return records
+
+
+# What manifest readers index, by field: the type each must have when
+# present.  A plain run's manifest records ``"worker": null``.
+_MANIFEST_FIELDS = (
+    ("study_key", str, "a string"),
+    ("fingerprint", dict, "an object"),
+    ("layout", dict, "an object"),
+    ("chunks", dict, "an object"),
+    ("worker", (str, type(None)), "a string or null"),
+)
+
+
+def _check_manifest(path: Path, manifest) -> None:
+    """Raise a one-line :class:`StoreError` unless ``manifest`` has the
+    shape its readers index.
+
+    That is an object of this format whose fields
+    (:data:`_MANIFEST_FIELDS`, the fingerprint's ``samples`` digest)
+    have their types, and whose chunk records fit its own layout.
     Readers take a chunk's instance range straight from ``lo``/``hi``
     and open ``file`` relative to the store, so each record must name a
     chunk of the grid -- ``index < num_chunks`` and ``(lo, hi)`` that
-    chunk's bounds -- and an archive directly under ``chunks/<key16>/``.
+    chunk's bounds -- and an archive directly under ``chunks/<key16>/``;
+    its optional ``worker`` and ``telemetry`` must have the types the
+    lineage and the manifest rewrite read.
     """
 
     def corrupt(problem: str) -> StoreError:
         return StoreError(f"corrupt manifest {str(path)!r}: {problem} "
                           "(delete it to start over)")
 
+    if not isinstance(manifest, dict):
+        raise corrupt("not a JSON object")
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise StoreError(
+            f"manifest {str(path)!r} has unsupported format "
+            f"{manifest.get('format')!r} (expected {MANIFEST_FORMAT!r})"
+        )
+    for name, kind, label in _MANIFEST_FIELDS:
+        if name in manifest and not isinstance(manifest[name], kind):
+            raise corrupt(f"{name!r} is not {label}")
+    samples = manifest.get("fingerprint", {}).get("samples")
+    if samples is not None and not isinstance(samples, str):
+        raise corrupt("the fingerprint's 'samples' is not a string")
     chunks = manifest.get("chunks", {})
-    if not isinstance(chunks, dict):
-        raise corrupt("'chunks' is not an object")
     if not chunks:
         return
-    layout, key = manifest.get("layout"), manifest.get("study_key")
+    layout, key = manifest.get("layout", {}), manifest.get("study_key")
     grid = [layout.get(name) for name in ("chunk_size", "num_samples",
-                                          "num_chunks")] \
-        if isinstance(layout, dict) else [None] * 3
+                                          "num_chunks")]
     size, total, count = grid
     if not (isinstance(key, str) and all(isinstance(v, int) for v in grid)
             and size >= 1):
         raise corrupt("chunk records without a study key and chunk layout")
     prefix = f"chunks/{key[:_KEY_PREFIX]}/"
     for index, record in chunks.items():
-        if not (isinstance(index, str) and index.isdigit()
+        # An ASCII index of at most 18 digits: int() takes it without
+        # hitting the digit limit or reading a non-ASCII digit.
+        if not (index.isascii() and index.isdigit() and len(index) <= 18
                 and isinstance(record, dict)
                 and isinstance(record.get("file"), str)
                 and isinstance(record.get("sha256"), str)
                 and isinstance(record.get("lo"), int)
-                and isinstance(record.get("hi"), int)):
+                and isinstance(record.get("hi"), int)
+                and isinstance(record.get("worker"), (str, type(None)))
+                and isinstance(record.get("telemetry", {}), dict)
+                and isinstance(record.get("telemetry", {}).get(
+                    "wall_seconds", 0.0), (int, float))):
             raise corrupt(f"malformed record for chunk {index!r}")
         lo = int(index) * size
         bounds = (lo, min(lo + size, total))
@@ -400,20 +468,17 @@ class StudyStore:
                 manifest = json.load(handle)
         except OSError as exc:
             raise StoreError(f"cannot read manifest {str(path)!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Invalid JSON or UTF-8, an integer past the digit limit,
+            # or nesting past the recursion limit.
             raise StoreError(
                 f"corrupt manifest {str(path)!r}: {exc} (delete it to start over)"
             ) from None
-        if manifest.get("format") != MANIFEST_FORMAT:
-            raise StoreError(
-                f"manifest {str(path)!r} has unsupported format "
-                f"{manifest.get('format')!r} (expected {MANIFEST_FORMAT!r})"
-            )
-        # Validate every chunk record against the layout: a JSON-valid but
-        # hand-edited or truncated manifest must surface as a one-line
-        # StoreError, never a KeyError deep inside a resumed run or a
+        # Shape-check what readers index: a JSON-valid but hand-edited
+        # or truncated manifest must surface as a one-line StoreError,
+        # never an AttributeError deep inside a resumed run or a
         # phantom instance range in a warehouse query.
-        _check_records(path, manifest)
+        _check_manifest(path, manifest)
         return manifest
 
     def load_manifests(self, key: str):
@@ -444,11 +509,7 @@ class StudyStore:
         back to when the first archive fails verification.  Order is
         deterministic: sorted manifest filename, then manifest order.
         """
-        records: Dict[int, List[dict]] = {}
-        for manifest in self.load_manifests(key):
-            for index, record in manifest.get("chunks", {}).items():
-                records.setdefault(int(index), []).append(record)
-        return records
+        return _chunk_alternates(self.load_manifests(key))
 
     def completed_chunks(self, key: str) -> Dict[int, dict]:
         """Merged ``{chunk_index: record}`` across every manifest."""
@@ -456,23 +517,6 @@ class StudyStore:
             index: alternates[0]
             for index, alternates in self.chunk_records(key).items()
         }
-
-    def study_complete(self, key: str) -> bool:
-        """Whether every chunk of study ``key`` is checkpointed here.
-
-        The content-addressed result lookup the serving layer leans on:
-        a study whose manifests (across all workers) cover
-        the full chunk grid can be merged without recomputing anything,
-        so an identical re-submission is answerable from the store.
-        ``False`` when no manifest exists yet.
-        """
-        manifests = self.load_manifests(key)
-        if not manifests:
-            return False
-        num_chunks = manifests[0].get("layout", {}).get("num_chunks")
-        if not isinstance(num_chunks, int):
-            return False
-        return len(self.completed_chunks(key)) >= num_chunks
 
     def lineage(self, key: str) -> List[dict]:
         """Per-chunk provenance records for study ``key``, chunk order.
@@ -518,21 +562,14 @@ class StudyStore:
                 annotated.setdefault("worker", manifest.get("worker"))
                 alternates.setdefault(int(index), []).append(annotated)
         for index in sorted(alternates):
-            first_error = None
-            for record in alternates[index]:
-                loaded, error = _verified_chunk_payload(
-                    self.directory, key, index, record, members
-                )
-                if error is None:
-                    payload, _, size = loaded
-                    record["bytes"] = size
-                    _CHUNKS_LOADED.inc()
-                    _BYTES_READ.inc(size)
-                    yield record, payload
-                    break
-                first_error = first_error or error
-            else:
-                raise first_error
+            loaded, error = _first_verified(
+                self.directory, key, index, alternates[index], members
+            )
+            if error is not None:
+                raise error
+            record, payload, _, size = loaded
+            record["bytes"] = size
+            yield record, payload
 
     def checkpoint(
         self,
@@ -547,8 +584,10 @@ class StudyStore:
     ) -> "StudyCheckpoint":
         """Open the checkpoint for one study run, validating any history.
 
-        Every existing manifest for the study key is parsed (corruption
-        raises), and its recorded chunk layout must match the current
+        Every existing manifest for the study key is globbed and parsed
+        once (corruption raises), and the checkpoint's alternates,
+        completed set and own records come from that same parse.  Each
+        manifest's recorded chunk layout must match the current
         plan -- a resume with a different ``chunk_size`` would silently
         change the envelope-mean accumulation order, so it is refused
         instead.  ``resume=True`` additionally requires at least one
@@ -569,17 +608,19 @@ class StudyStore:
             "chunk_size": int(chunk_size),
             "num_chunks": int(num_chunks),
         }
-        manifests = self.load_manifests(key)
+        manifests = {
+            path: self._read_manifest(path) for path in self.manifest_paths(key)
+        }
         if resume and not manifests:
             raise NothingToResumeError(
                 f"nothing to resume: no manifest for study {key[:12]}... in "
                 f"{str(self.directory)!r} (was it stored with a different "
                 "target, sample plan, or workload?)"
             )
-        for manifest in manifests:
+        for path, manifest in manifests.items():
             if manifest.get("study_key") != key:
                 raise StoreError(
-                    f"manifest {str(self.manifest_path(key))!r} belongs to a "
+                    f"manifest {str(path)!r} belongs to a "
                     "different study (fingerprint mismatch)"
                 )
             if manifest.get("layout") != layout:
@@ -589,7 +630,7 @@ class StudyStore:
                     "re-run with the original chunk size or use a fresh store"
                 )
         return StudyCheckpoint(
-            self, key, fingerprint, layout, context=context,
+            self, key, fingerprint, layout, manifests, context=context,
             worker=worker, lenient=lenient,
         )
 
@@ -604,11 +645,12 @@ class StudyCheckpoint:
     ``completed`` merges the chunk records of *every* manifest for the
     study key, so a merge run sees every worker's work; :meth:`save`
     appends to this run's own manifest only (the one named by its
-    worker), keeping concurrent workers independent.
+    worker), keeping concurrent workers independent.  ``manifests`` is
+    ``{path: manifest}`` as :meth:`StudyStore.checkpoint` parsed them.
     """
 
     def __init__(
-        self, store, key, fingerprint, layout, context=None,
+        self, store, key, fingerprint, layout, manifests, context=None,
         worker=None, lenient=False,
     ):
         self.store = store
@@ -618,18 +660,14 @@ class StudyCheckpoint:
         self.context = context
         self.worker = worker
         self.lenient = lenient
-        self._alternates = store.chunk_records(key)
+        self._alternates = _chunk_alternates(manifests.values())
         self.completed = {
             index: records[0] for index, records in self._alternates.items()
         }
-        own = store.manifest_path(key, worker)
-        self._own_records: Dict[int, dict] = {}
-        if own.exists():
-            manifest = store._read_manifest(own)
-            self._own_records = {
-                int(index): record
-                for index, record in manifest.get("chunks", {}).items()
-            }
+        own = manifests.get(store.manifest_path(key, worker), {})
+        self._own_records: Dict[int, dict] = {
+            int(index): record for index, record in own.get("chunks", {}).items()
+        }
         self.loaded_chunks = 0
         self.saved_chunks = 0
         self.bytes_written = 0
@@ -650,12 +688,6 @@ class StudyCheckpoint:
         for index, records in self._alternates.items():
             self.completed.setdefault(index, records[0])
         return set(self.completed)
-
-    def _verified_payload(self, index: int, record: dict):
-        """Load and verify one record; return ``(payload, error)``."""
-        return _verified_chunk_payload(
-            self.store.directory, self.key, index, record
-        )
 
     def load(self, index: int) -> Optional[Dict[str, np.ndarray]]:
         """The persisted payload of chunk ``index``, or ``None``.
@@ -678,27 +710,22 @@ class StudyCheckpoint:
         with obs_trace.span(
             "store.load", index=index, file=records[0]["file"]
         ) as load_span:
-            first_error = None
-            for record in records:
-                loaded, error = self._verified_payload(index, record)
-                if error is None:
-                    payload, actual, size = loaded
-                    self.loaded_chunks += 1
-                    _CHUNKS_LOADED.inc()
-                    _BYTES_READ.inc(size)
-                    load_span.set(
-                        sha256=actual, bytes=size, file=record["file"]
-                    )
-                    return payload
-                first_error = first_error or error
+            loaded, error = _first_verified(
+                self.store.directory, self.key, index, records
+            )
+            if error is None:
+                record, payload, actual, size = loaded
+                self.loaded_chunks += 1
+                load_span.set(sha256=actual, bytes=size, file=record["file"])
+                return payload
             if not self.lenient:
-                raise first_error
+                raise error
             # Every copy is corrupt or missing: forget the chunk so the
             # drain loop claims and recomputes it.
             self.completed.pop(index, None)
             self._alternates.pop(index, None)
             _CHUNKS_REQUEUED.inc()
-            load_span.set(requeued=True, error=str(first_error))
+            load_span.set(requeued=True, error=str(error))
         return None
 
     def save(

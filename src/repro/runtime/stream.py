@@ -246,10 +246,11 @@ def _chunk_telemetry(wall0: float, cpu0: float, instances: int) -> dict:
     }
 
 
-def _observe_chunk(wall0: float, cpu0: float, instances: int) -> None:
-    """Fold one finished chunk into the global metrics registry."""
+def _observe_chunk(wall0: float, cpu0: float, computed: int) -> None:
+    """Fold one finished chunk into the global metrics registry;
+    ``computed`` instances were evaluated (0 for a loaded chunk)."""
     _CHUNKS_COMPLETED.inc()
-    _INSTANCES_EVALUATED.inc(instances)
+    _INSTANCES_EVALUATED.inc(computed)
     _CHUNK_WALL.observe(time.perf_counter() - wall0)
     _CHUNK_CPU.observe(time.process_time() - cpu0)
 
@@ -461,7 +462,7 @@ def _chunk_unit(
                 index, lo, hi, payload,
                 telemetry=_chunk_telemetry(wall0, cpu0, hi - lo),
             )
-    _observe_chunk(wall0, cpu0, hi - lo)
+    _observe_chunk(wall0, cpu0, 0 if loaded else hi - lo)
     return payload, loaded
 
 

@@ -230,7 +230,9 @@ def parse_job(payload) -> JobSpec:
     if isinstance(payload, str):
         try:
             payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Invalid JSON, an integer past the digit limit, or nesting
+            # past the recursion limit.
             raise ProtocolError(f"job body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("job body must be a JSON object")

@@ -40,6 +40,7 @@ import hashlib
 import json
 import queue
 import threading
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -145,6 +146,8 @@ class StudySupervisor:
         self._threads = []
         self._started = False
         self._lock = threading.Lock()
+        # study key -> the lock its plain runs take (see _plain_run)
+        self._study_locks = {}
         # document key -> (the job that last answered it, its bytes)
         self._answers = {}
         self._answers_lock = threading.Lock()
@@ -356,12 +359,13 @@ class StudySupervisor:
             lineage_sink = MemorySink()
             sinks.append(lineage_sink)
         try:
-            if realized.spec.workload_kind == "montecarlo":
-                result = self._run_montecarlo(job, realized, sinks)
-                payload = _render_montecarlo(result, realized)
-            else:
-                study = self._run_engine_sides(job, realized, sinks)
-                payload = _render_study(study, realized)
+            with self._plain_run(job):
+                if realized.spec.workload_kind == "montecarlo":
+                    result = self._run_montecarlo(job, realized, sinks)
+                    payload = _render_montecarlo(result, realized)
+                else:
+                    study = self._run_engine_sides(job, realized, sinks)
+                    payload = _render_study(study, realized)
         except Exception as exc:  # noqa: BLE001 - report, don't die
             job.mark_failed(f"{type(exc).__name__}: {exc}")
             _FAILED.inc()
@@ -384,6 +388,28 @@ class StudySupervisor:
         self._register_job(job, realized, lineage_sink)
         job.mark_done(data, cached=False)
         _COMPLETED.inc()
+
+    @contextmanager
+    def _plain_run(self, job: Job):
+        """Hold ``job``'s per-study-key locks if it is a plain run.
+
+        A plain (``workers`` 1) run rewrites its study's one manifest
+        from its own records, so two at once -- identical documents, or
+        documents differing only in rendering options -- could drop
+        each other's records just as one renders its lineage.  Inside
+        this supervisor they take turns, and the later one loads every
+        chunk the earlier one saved.  Keys are taken in sorted order (a
+        montecarlo job holds both of its).  Co-drains write
+        worker-suffixed files and take none.
+        """
+        keys = sorted(set(job.study_keys)) if job.workers <= 1 else []
+        with self._lock:
+            locks = [self._study_locks.setdefault(key, threading.Lock())
+                     for key in keys]
+        with ExitStack() as stack:
+            for lock in locks:
+                stack.enter_context(lock)
+            yield
 
     def _register_job(self, job: Job, realized: RealizedJob,
                       lineage_sink) -> None:

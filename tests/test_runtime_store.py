@@ -175,6 +175,17 @@ class TestStudyStore:
         with pytest.raises(StoreError, match="malformed record"):
             _sweep(model, plan).store(tmp_path).resume().run()
 
+    def test_reread_counts_loaded_chunks_but_no_evaluated_instances(
+        self, tmp_path, model, plan
+    ):
+        _sweep(model, plan).store(tmp_path).run()
+        reread = _sweep(model, plan).store(tmp_path)
+        reread.run()
+        counters = reread.metrics()["counters"]
+        assert counters.get("study.instances_evaluated", 0) == 0
+        assert counters["study.chunks_completed"] == 4
+        assert counters["store.chunks_loaded"] == 4
+
     def test_checksum_mismatch_raises_store_error(self, tmp_path, model, plan):
         _sweep(model, plan).store(tmp_path).run()
         chunk = sorted((tmp_path / "chunks").rglob("chunk-*.npz"))[1]
@@ -233,6 +244,10 @@ MANIFEST_EDITS = {
     "phantom-instances": lambda r, k: ("0", dict(r, lo=100, hi=104)),
     "shifted-bounds": lambda r, k: ("0", dict(r, lo=1, hi=5)),
     "index-past-layout": lambda r, k: ("4", dict(r, lo=16, hi=20)),
+    "non-ascii-digit-index": lambda r, k: ("\u00b2", r),
+    "index-past-digit-limit": lambda r, k: ("9" * 5000, r),
+    "retyped-telemetry": lambda r, k: ("0", dict(r, telemetry=[])),
+    "retyped-worker": lambda r, k: ("0", dict(r, worker=5)),
 }
 
 
@@ -263,6 +278,46 @@ class TestManifestValidation:
             err = capsys.readouterr().err
             assert err.startswith("error: corrupt manifest")
             assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[]", "not a JSON object"),
+        ("1", "not a JSON object"),
+        ('"x"', "not a JSON object"),
+        ("null", "not a JSON object"),
+        ("9" * 5000, "digits"),
+        ("[" * 100_000, "recursion"),
+        (b"\xff\xfe{", "corrupt manifest"),
+    ], ids=["list", "int", "str", "null", "long-int", "deep", "bad-utf8"])
+    def test_hand_edited_manifest_is_a_one_line_store_error(
+        self, model, plan, tmp_path, text, problem
+    ):
+        _sweep(model, plan).store(tmp_path).run()
+        (path,) = tmp_path.glob("manifest-*.json")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(StoreError, match=problem) as caught:
+            _sweep(model, plan).store(tmp_path).run()
+        assert "\n" not in str(caught.value)
+
+    def test_retyped_fingerprint_fails_ingest_in_one_line(
+        self, model, plan, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        store_dir = tmp_path / "store"
+        _sweep(model, plan).store(store_dir).run()
+        (path,) = store_dir.glob("manifest-*.json")
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(manifest, fingerprint=5)))
+        assert main(["query", "ingest", str(tmp_path / "wh"),
+                     str(store_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt manifest")
+        assert "'fingerprint' is not an object" in err
+        assert err.count("\n") == 1
 
 
 class TestBuilderValidation:

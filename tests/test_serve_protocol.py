@@ -131,6 +131,19 @@ class TestParseJob:
         with pytest.raises(ProtocolError, match=match):
             parse_job(document)
 
+    @pytest.mark.parametrize("body", [
+        pytest.param('{"netlist": "x", "parameters": ' + "9" * 5000 + "}",
+                     id="integer-past-digit-limit"),
+        pytest.param("[" * 200_000, id="nesting-past-recursion-limit"),
+    ])
+    def test_every_json_decoding_failure_is_one_line(self, body):
+        """Bodies the JSON decoder refuses with a ``ValueError`` or a
+        ``RecursionError`` (not a ``JSONDecodeError``) are one line."""
+        for payload in (body, body.encode()):
+            with pytest.raises(ProtocolError, match="not valid JSON") as info:
+                parse_job(payload)
+            assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("jobs", [
         pytest.param(10 ** 5, id="huge-count"),
         pytest.param((os.cpu_count() or 1) + 1, id="cpu-count-plus-one"),

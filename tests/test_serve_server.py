@@ -266,6 +266,19 @@ class TestErrors:
         assert named in error and "\n" not in error
         assert client.jobs() == []
 
+    @pytest.mark.parametrize("body", [
+        ('{"netlist": "x", "parameters": ' + "9" * 5000 + "}").encode(),
+        b"[" * 200_000,
+    ], ids=["integer-past-digit-limit", "nesting-past-recursion-limit"])
+    def test_undecodable_json_is_400_not_500(self, service, body):
+        client, _ = service
+        with pytest.raises(ServeClientError) as info:
+            client.submit(body)
+        assert info.value.status == 400
+        error = info.value.body["error"]
+        assert "not valid JSON" in error and "\n" not in error
+        assert client.jobs() == []
+
     def test_over_budget_is_413_with_estimate(self, service):
         client, supervisor = service
         supervisor.memory_budget = 16

@@ -264,6 +264,17 @@ class TestDocumentIndex:
         third = supervisor.submit(_job())
         assert third.cached and third.result_bytes is again.result_bytes
 
+    def test_rerender_from_the_store_evaluates_nothing(self, supervisor):
+        """Chunks loaded from the store count as completed, never as
+        evaluated instances."""
+        first = _wait(supervisor.submit(_job()))
+        supervisor.result_path(first.key).unlink()
+        evaluated, completed = _evaluated(), _counter("study.chunks_completed")
+        again = _wait(supervisor.submit(_job()))
+        assert again.result_bytes == first.result_bytes
+        assert _evaluated() == evaluated
+        assert _counter("study.chunks_completed") == completed + 2
+
     def test_failed_job_document_runs_again(self, supervisor, monkeypatch):
         original = supervisor._run_engine_sides
 
@@ -423,6 +434,67 @@ class TestDocumentIndex:
             tracemalloc.stop()
         assert len(first.result_bytes) + len(document) > 20_000
         assert retained < 2**20, retained
+
+
+# How long one plain run waits for the other to reach a save.  Only a
+# serialized run (which never saves: it loads every chunk) lets a wait
+# run out; unserialized runs reach each other in milliseconds.
+_RACE_WAIT = 1.5
+
+
+class TestPlainRunsOfOneStudy:
+    def test_concurrent_runs_render_every_chunk(self, supervisor,
+                                                monkeypatch):
+        """Two plain runs of one study: the second checkpoint to save
+        rewrites the manifest from its own records just after the first
+        run saved its last chunk and before it renders.  Every document
+        must still list every chunk, each ``sha256`` its archive's."""
+        import hashlib
+
+        from repro.runtime.store import StudyCheckpoint, StudyStore
+
+        open_checkpoint, save = StudyStore.checkpoint, StudyCheckpoint.save
+        roles, opened = {}, []
+        both_open, first_saved_all, second_saved = (
+            threading.Event(), threading.Event(), threading.Event())
+        guard = threading.Lock()
+
+        def opening(self, *args, **kwargs):
+            checkpoint = open_checkpoint(self, *args, **kwargs)
+            with guard:
+                opened.append(checkpoint)
+                if len(opened) == 2:
+                    both_open.set()
+            return checkpoint
+
+        def saving(self, index, *args, **kwargs):
+            with guard:
+                role = roles.setdefault(threading.get_ident(), len(roles))
+            if role == 0:
+                if index == 0:  # the other run opened with no record
+                    both_open.wait(_RACE_WAIT)
+                record = save(self, index, *args, **kwargs)
+                if index == self.layout["num_chunks"] - 1:
+                    first_saved_all.set()
+                    second_saved.wait(_RACE_WAIT)  # render after its save
+                return record
+            first_saved_all.wait(_RACE_WAIT)
+            record = save(self, index, *args, **kwargs)
+            second_saved.set()
+            return record
+
+        monkeypatch.setattr(StudyStore, "checkpoint", opening)
+        monkeypatch.setattr(StudyCheckpoint, "save", saving)
+        jobs = [supervisor.submit(_job()) for _ in range(2)]
+        for job in map(_wait, jobs):
+            assert job.state == "done", job.error
+            lineage = json.loads(job.result_bytes)["provenance"]["lineage"]
+            for key in job.study_keys:
+                assert [r["index"] for r in lineage[key]] == [0, 1]
+                for record in lineage[key]:
+                    archive = supervisor.store.directory / record["file"]
+                    assert hashlib.sha256(archive.read_bytes()).hexdigest() \
+                        == record["sha256"]
 
 
 class TestRealizationRelease:
