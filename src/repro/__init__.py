@@ -92,7 +92,6 @@ from repro.runtime import (
     StudyStore,
     batch_frequency_response,
     batch_instantiate,
-    batch_poles,
     batch_simulate_transient,
     batch_transfer,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "assemble",
     "batch_frequency_response",
     "batch_instantiate",
-    "batch_poles",
     "batch_simulate_transient",
     "batch_transfer",
     "clock_tree",

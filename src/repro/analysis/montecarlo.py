@@ -8,9 +8,9 @@ full model over all instances.  This module implements that protocol
 for any full/reduced model pair.
 
 Evaluation runs on the :class:`repro.runtime.engine.Study` engine: one
-pole study per model routes the reduced side through the batched
-stacked-instantiation kernels (bit-identical to the scalar path) and
-the full-model reference solves through the ``per-instance`` route,
+pole study per model routes the reduced side through the dense eig
+kernel (bit-identical to :func:`~repro.analysis.poles.dominant_poles`)
+and the full-model reference solves through the ``per-instance`` route,
 one instance at a time in the chunk loop's thread.
 """
 
@@ -105,10 +105,10 @@ def monte_carlo_pole_study(
 ) -> Optional[MonteCarloResult]:
     """Run the Figs. 5-6 protocol.
 
-    The reduced model is instantiated in one batched kernel call per
-    chunk (when it supports batching), and the full-model reference
-    solves run one instance at a time.  Results are
-    bit-identical to the per-sample loop for every chunking: each
+    The reduced model runs the dense eig kernel, one call per chunk
+    (when it supports batching), and the full-model reference solves
+    run one instance at a time.  Results are bit-identical to the
+    per-sample ``match_poles`` loop for every chunking: each
     instance's computation is a pure function of its sample point.
 
     ``store`` (a directory or :class:`~repro.runtime.store.StudyStore`)
@@ -137,7 +137,7 @@ def monte_carlo_pole_study(
     store, resume, chunk_size:
         Durable-study pass-through (see above); default: not durable.
         ``chunk_size`` also bounds how many reduced instances one
-        stacked instantiation holds, with or without a store.
+        dense kernel call holds, with or without a store.
     trace:
         Optional trace sink -- a path (JSONL file), an object with an
         ``emit(record)`` method, or a sequence of either -- applied to
@@ -217,8 +217,8 @@ def monte_carlo_pole_study(
     # One engine study per side: the full model takes the
     # per-instance route (shared-pattern instantiation for sparse
     # systems) and never materializes (m, n, n) full-order stacks; the
-    # reduced model routes through the dense-batch stacked
-    # instantiation with a 2x pole budget for matching.
+    # reduced model routes through the dense eig kernel with a 2x pole
+    # budget for matching.
     full_study = _run_durable(
         Study(full_model).scenarios(samples).poles(num_poles)
     )

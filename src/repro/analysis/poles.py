@@ -14,9 +14,24 @@ import numpy as np
 import scipy.linalg as dla
 
 from repro.analysis.metrics import matched_pole_errors
+from repro.runtime.batch import (
+    _sweep_study,
+    dominant_pole_rows,
+    finite_pole_mask,
+    supports_batching,
+)
 
-RESIDUE_FLOOR = 1e-9
-COINCIDENCE_TOL = 1e-7
+
+def _eigen_residues(system, output_index: int, input_index: int):
+    """Eigenvalues of ``G^{-1} C`` and their residues in ``H[o, i]``."""
+    g, c, b, l_mat = (
+        m.toarray() if hasattr(m, "toarray") else np.asarray(m)
+        for m in (system.G, system.C, system.B, system.L)
+    )
+    a = np.linalg.solve(g, c)
+    eigenvalues, v = dla.eig(a)
+    r = np.linalg.solve(g, b[:, input_index])
+    return eigenvalues, (l_mat[:, output_index] @ v) * np.linalg.solve(v, r)
 
 
 def pole_residues(
@@ -37,46 +52,15 @@ def pole_residues(
     Dense ``O(n^3)``: intended for full systems up to a few thousand
     states and for all reduced models.
     """
-    g = system.G.toarray() if hasattr(system.G, "toarray") else np.asarray(system.G)
-    c = system.C.toarray() if hasattr(system.C, "toarray") else np.asarray(system.C)
-    b = system.B.toarray() if hasattr(system.B, "toarray") else np.asarray(system.B)
-    l_mat = system.L.toarray() if hasattr(system.L, "toarray") else np.asarray(system.L)
-    a = np.linalg.solve(g, c)
-    eigenvalues, v = dla.eig(a)
-    r = np.linalg.solve(g, b[:, input_index])
-    coefficients = (l_mat[:, output_index] @ v) * np.linalg.solve(v, r)
-    magnitude = np.abs(eigenvalues)
-    scale = magnitude.max() if magnitude.size else 0.0
-    if scale == 0.0:
-        return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
-    finite = magnitude > 1e-12 * scale
+    eigenvalues, coefficients = _eigen_residues(system, output_index, input_index)
+    finite = finite_pole_mask(eigenvalues)
     return -1.0 / eigenvalues[finite], coefficients[finite]
-
-
-def _merge_coincident(poles: np.ndarray, residues: np.ndarray):
-    """Sum residues of (numerically) coincident poles.
-
-    Symmetric structures (balanced clock trees, identical bus lines)
-    produce degenerate eigenvalues whose individual eigenvectors are
-    arbitrary; only the *summed* port contribution is well defined.
-    """
-    order = np.argsort(np.abs(poles))
-    poles, residues = poles[order], residues[order]
-    merged_poles, merged_residues = [], []
-    for pole, residue in zip(poles, residues):
-        if merged_poles and abs(pole - merged_poles[-1]) <= COINCIDENCE_TOL * abs(pole):
-            merged_residues[-1] += residue
-        else:
-            merged_poles.append(pole)
-            merged_residues.append(residue)
-    return np.array(merged_poles), np.array(merged_residues)
 
 
 def dominant_poles(
     model,
     num: int,
     p: Optional[Sequence[float]] = None,
-    observable_only: bool = True,
     output_index: int = 0,
     input_index: int = 0,
 ) -> np.ndarray:
@@ -84,28 +68,27 @@ def dominant_poles(
 
     Dominance = smallest ``|s|`` (largest time constant) among the
     poles that actually appear in the selected transfer-function entry
-    (residue above ``RESIDUE_FLOOR`` relative to the largest; disable
-    with ``observable_only=False`` to rank raw eigenvalues instead).
-    Coincident poles from structural symmetry are merged.  ``p``
-    selects the parameter point for parametric (full or reduced)
-    models.
+    (residue above ``RESIDUE_FLOOR`` relative to the largest), with
+    coincident poles from structural symmetry merged: the one rule of
+    :func:`repro.runtime.batch.dominant_pole_rows`.  ``p`` selects the
+    parameter point for parametric (full or reduced) models.
+
+    A dense-batchable ``model`` at ``p`` runs the sweep kernel on a
+    one-row stack, bit-identical to any ``Study`` pole study of it; any
+    other system takes the general eigensolver of :func:`pole_residues`,
+    which agrees with the dense kernel to rounding only.
     """
-    if p is not None:
-        if hasattr(model, "instantiate"):
-            model = model.instantiate(p)
-        else:
-            raise TypeError(f"{model!r} is not parametric but p was given")
-    if not observable_only:
-        return model.poles(num=num)
-    poles, residues = pole_residues(model, output_index=output_index, input_index=input_index)
-    poles, residues = _merge_coincident(poles, residues)
-    strength = np.abs(residues)
-    if strength.size == 0:
-        return poles
-    keep = strength > RESIDUE_FLOOR * strength.max()
-    poles = poles[keep]
-    order = np.argsort(np.abs(poles))
-    return poles[order][:num]
+    if p is not None and not hasattr(model, "instantiate"):
+        raise TypeError(f"{model!r} is not parametric but p was given")
+    if p is not None and supports_batching(model):
+        row = _sweep_study(
+            model, (), [p], num_poles=num, port=(output_index, input_index)
+        )[1][0]
+    else:
+        system = model if p is None else model.instantiate(p)
+        eigenvalues, residues = _eigen_residues(system, output_index, input_index)
+        row = dominant_pole_rows(eigenvalues[None], residues[None], num)[0]
+    return row[~np.isnan(row)]
 
 
 def match_poles(

@@ -17,7 +17,8 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 import scipy.linalg as dla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+from repro.linalg.sparselu import checked_splu
 
 Matrix = Union[np.ndarray, sp.spmatrix]
 
@@ -111,7 +112,7 @@ class DescriptorSystem:
         if self.is_sparse:
             pencil = (self.G + s * self.C).tocsc().astype(np.complex128)
             rhs = _to_dense(self.B).astype(complex)
-            x = spla.splu(pencil).solve(rhs)
+            x = checked_splu(pencil).solve(rhs)
             return _to_dense(self.L).T @ x
         pencil = (_to_dense(self.G) + s * _to_dense(self.C)).astype(np.complex128)
         x = np.linalg.solve(pencil, _to_dense(self.B).astype(complex))
@@ -135,14 +136,14 @@ class DescriptorSystem:
     # -- poles ----------------------------------------------------------
 
     def poles(self, num: Optional[int] = None) -> np.ndarray:
-        """System poles, most dominant first.
+        """The pencil's finite poles, smallest ``|s|`` first.
 
         Poles are the values of ``s`` where ``G + s C`` is singular.
         Writing ``G + s C = G (I + s G^{-1} C)``, the finite poles are
         ``s = -1/lambda`` for the nonzero eigenvalues ``lambda`` of
-        ``G^{-1} C``.  Dominance is measured by ``|lambda|`` (largest
-        time constant / pole closest to the origin first), matching the
-        paper's "most dominant poles" metric in Figs. 5-6.
+        ``G^{-1} C``, listed by ``|s|``: the whole spectrum, not the
+        Figs. 5-6 dominant poles, which must also show in the port
+        response (see :func:`repro.analysis.poles.dominant_poles`).
 
         Parameters
         ----------
@@ -150,7 +151,7 @@ class DescriptorSystem:
             Return only the ``num`` most dominant poles.
         """
         if self.is_sparse:
-            lu = spla.splu(self.G.tocsc())
+            lu = checked_splu(self.G.tocsc())
             a = lu.solve(_to_dense(self.C))
         else:
             a = np.linalg.solve(_to_dense(self.G), _to_dense(self.C))

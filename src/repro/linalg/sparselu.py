@@ -85,6 +85,20 @@ def reset_refactorization_count() -> int:
     return _REFACTORIZATIONS.reset()
 
 
+def checked_splu(matrix: sp.csc_matrix):
+    """:func:`scipy.sparse.linalg.splu`, a singular matrix reported as a
+    one-line :class:`numpy.linalg.LinAlgError` that says what it means."""
+    try:
+        return spla.splu(matrix)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise np.linalg.LinAlgError(
+            f"matrix is singular ({exc}): if it is the conductance matrix "
+            "G, some node has no resistive (DC) path to ground"
+        ) from None
+
+
 class _PatternPlan:
     """Precomputed symbolic state shared by all refactorizations.
 
@@ -136,8 +150,8 @@ class SparseLU:
     ------
     ValueError
         If the matrix is not square.
-    RuntimeError
-        If the matrix is singular (propagated from SuperLU).
+    numpy.linalg.LinAlgError
+        If the matrix is singular (see :func:`checked_splu`).
     """
 
     def __init__(self, matrix: Matrix):
@@ -157,7 +171,7 @@ class SparseLU:
             raise ValueError(f"matrix must be square, got shape {csc.shape}")
         csc.sort_indices()
         self._shape = csc.shape
-        self._lu = spla.splu(csc)
+        self._lu = checked_splu(csc)
         # Symbolic state kept for refactor(): structure + chosen ordering.
         self._csc_indices = csc.indices
         self._csc_indptr = csc.indptr

@@ -16,10 +16,11 @@ that reuse is made fast and declarative:
   or work-stolen study is bit-identical to an uninterrupted one.
 - :mod:`repro.runtime.batch` -- vectorized instantiation
   ``G(P) = G0 + P . dG`` over whole sample matrices, with batched
-  transfer-function, frequency-response, pole, and sensitivity kernels
-  that replace per-sample Python loops.  Dense sweeps diagonalize each
+  transfer-function, frequency-response, and sensitivity kernels that
+  replace per-sample Python loops.  Dense sweeps diagonalize each
   instance once: Cholesky + ``eigh`` for symmetric-definite pencils
-  (congruence-reduced RC nets), general ``eig`` otherwise.
+  (congruence-reduced RC nets), general ``eig`` otherwise; the same
+  factors give dense pole studies their dominant poles.
 - :mod:`repro.runtime.transient` -- batched *time-domain* kernels:
   :func:`batch_simulate_transient` factors each instance's companion
   matrix once (one stacked LAPACK solve yields the closed-form
@@ -78,11 +79,9 @@ commands expose them from the shell.
 from repro.runtime.batch import (
     batch_frequency_response,
     batch_instantiate,
-    batch_poles,
     batch_transfer,
     batch_transfer_sensitivities,
     supports_batching,
-    systems_from_stacks,
 )
 from repro.runtime.cache import (
     ModelCache,
@@ -172,7 +171,6 @@ __all__ = [
     "array_fingerprint",
     "batch_frequency_response",
     "batch_instantiate",
-    "batch_poles",
     "batch_simulate_transient",
     "batch_step_responses",
     "batch_transfer",
@@ -188,7 +186,6 @@ __all__ = [
     "supports_sparse_batching",
     "sweep_chunk_bytes",
     "system_fingerprint",
-    "systems_from_stacks",
     "target_fingerprint",
     "transient_chunk_bytes",
 ]

@@ -15,8 +15,8 @@ This module evaluates a whole ``(m, n_p)`` sample matrix at once:
   or as a single einsum contraction;
 - :func:`batch_transfer` / :func:`batch_frequency_response` -- stacked
   complex solves ``H(s, p_k)`` via LAPACK's batched ``gesv`` dispatch;
-- :func:`batch_poles` -- stacked eigenvalue extraction with the same
-  dominance ordering as :meth:`DescriptorSystem.poles`;
+- :func:`dominant_pole_rows` -- the one dominant-pole definition,
+  vectorized over rows of eigen-factors;
 - :func:`batch_transfer_sensitivities` -- stacked exact ``dH/dp_i``.
 
 ``exact=True`` (the default) reproduces the per-sample accumulation
@@ -25,10 +25,10 @@ what lets :func:`repro.analysis.montecarlo.monte_carlo_pole_study`
 adopt these kernels without perturbing any published result.
 
 The eig sweep kernel (:func:`_sweep_study`, behind the ``Study`` dense
-sweep routes and ``batch_frequency_response(method="eig")``) is
-guarded -- every instance is probe-checked against an exact solve and
-recomputed by solves when its eigenvector basis fails -- and runs its
-rows as contiguous blocks on the process-wide row pool of
+sweep and pole routes and ``batch_frequency_response(method="eig")``)
+is guarded -- every instance is probe-checked against an exact solve
+and recomputed by solves when its eigenvector basis fails -- and runs
+its rows as contiguous blocks on the process-wide row pool of
 :mod:`repro.runtime.executor`.  Every step is per instance, so the
 split never changes a row's arithmetic; the one batch-size-dependent
 choice, the response contraction (:func:`grid_contraction`), is made
@@ -43,7 +43,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from repro.circuits.statespace import DescriptorSystem
 from repro.obs import metrics as obs_metrics
 from repro.runtime.executor import RowBlocks
 
@@ -201,24 +200,6 @@ def batch_instantiate(
         np.add(g, weights[:, None, None] * dg[i], out=g, where=nonzero)
         np.add(c, weights[:, None, None] * dc[i], out=c, where=nonzero)
     return g, c
-
-
-def systems_from_stacks(model, g: np.ndarray, c: np.ndarray):
-    """Iterate :class:`DescriptorSystem` views over stacked ``(G, C)``.
-
-    Bridges the batched kernels back to per-instance consumers (pole
-    residues, passivity checks) without re-instantiating from scratch.
-    """
-    for k in range(g.shape[0]):
-        yield DescriptorSystem(
-            g[k],
-            c[k],
-            model.nominal.B,
-            model.nominal.L,
-            input_names=list(model.nominal.input_names),
-            output_names=list(model.nominal.output_names),
-            title=f"{model.nominal.title}@batch[{k}]",
-        )
 
 
 def _transfer_from_stacks(model, g: np.ndarray, c: np.ndarray, s: complex) -> np.ndarray:
@@ -530,49 +511,65 @@ def batch_frequency_response(
     return _solve_responses(model, g, c, freqs)
 
 
-def _poles_from_eigenvalues(eigenvalues: np.ndarray, num: Optional[int]) -> np.ndarray:
-    """Row-wise pole extraction matching :meth:`DescriptorSystem.poles`.
+# The tolerances of the dominant-pole rule (see dominant_pole_rows).
+COINCIDENCE_TOL = 1e-7
+RESIDUE_FLOOR = 1e-9
 
-    ``eigenvalues`` is ``(m, q)`` from the stacked ``G^{-1} C``
-    matrices; returns ``(m, k)`` dominant poles, ``nan``-padded where an
-    instance has fewer finite poles.
+
+def finite_pole_mask(eigenvalues: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of ``G^{-1} C`` give finite poles (last axis):
+    ``|lambda| > 1e-12 max |lambda|``, "zero" measured against the
+    largest.  A row whose largest is 0 or ``nan`` has none."""
+    magnitude = np.abs(eigenvalues)
+    return magnitude > 1e-12 * magnitude.max(axis=-1, initial=0.0, keepdims=True)
+
+
+def dominant_pole_rows(
+    eigenvalues: np.ndarray, residues: np.ndarray, num: int
+) -> np.ndarray:
+    """Dominant poles of every row of eigen-factors: the one definition.
+
+    Row ``k`` holds the eigenvalues ``lambda_j`` of ``G_k^{-1} C_k`` and
+    the residues ``c_j = (L^T V_k)[o, j] (V_k^{-1} G_k^{-1} B)[j, i]`` of
+    ``H[o, i](s) = sum_j c_j / (1 + s lambda_j)``.  Per row: drop the
+    poles at infinity (:func:`finite_pole_mask`); stable-sort the poles
+    ``s_j = -1/lambda_j`` by ``|s|``; merge each pole within
+    ``COINCIDENCE_TOL |s|`` of its group's first, summing the residues
+    (symmetric structures give degenerate eigenvalues with arbitrary
+    eigenvectors); keep the poles whose ``|residue|`` exceeds
+    ``RESIDUE_FLOOR`` of the row's largest; return the first ``num``,
+    ``nan``-padded to ``num`` columns.  Rows are independent; only rows
+    with a near-coincident pair merge in a Python loop.
     """
-    per_sample = []
-    for row in eigenvalues:
-        magnitude = np.abs(row)
-        scale = magnitude.max() if magnitude.size else 0.0
-        if scale == 0.0:
-            per_sample.append(np.empty(0, dtype=complex))
-            continue
-        finite = row[magnitude > 1e-12 * scale]
-        poles = -1.0 / finite
-        poles = poles[np.argsort(np.abs(poles))]
-        per_sample.append(poles[:num] if num is not None else poles)
-    width = max((p.size for p in per_sample), default=0)
-    if num is not None:
-        width = num
-    out = np.full((len(per_sample), width), np.nan + 1j * np.nan, dtype=complex)
-    for k, poles in enumerate(per_sample):
-        out[k, : poles.size] = poles
+    finite = finite_pole_mask(eigenvalues)
+    poles = np.full(eigenvalues.shape, np.nan, dtype=complex)
+    poles[finite] = -1.0 / eigenvalues[finite]
+    size = np.abs(poles)  # nan for dropped poles, which sort last
+    order = np.argsort(size, axis=1, kind="stable")
+    poles, size, valid = (
+        np.take_along_axis(x, order, axis=1) for x in (poles, size, finite)
+    )
+    residues = np.take_along_axis(np.asarray(residues, dtype=complex), order, axis=1)
+    coincident = np.abs(np.diff(poles, axis=1)) <= COINCIDENCE_TOL * size[:, 1:]
+    for k in np.flatnonzero(coincident.any(axis=1)):
+        merged_poles, merged_residues = [], []
+        for pole, residue in zip(poles[k, valid[k]], residues[k, valid[k]]):
+            if merged_poles and abs(pole - merged_poles[-1]) <= COINCIDENCE_TOL * abs(pole):
+                merged_residues[-1] += residue
+            else:
+                merged_poles.append(pole)
+                merged_residues.append(residue)
+        count = len(merged_poles)
+        poles[k, :count], residues[k, :count] = merged_poles, merged_residues
+        valid[k, count:] = False
+    strength = np.where(valid, np.abs(residues), 0.0)
+    floor = RESIDUE_FLOOR * strength.max(axis=1, initial=0.0, keepdims=True)
+    keep = valid & (strength > floor)
+    rank = np.cumsum(keep, axis=1) - 1
+    out = np.full((poles.shape[0], num), np.nan + 1j * np.nan, dtype=complex)
+    rows, cols = np.nonzero(keep & (rank < num))
+    out[rows, rank[rows, cols]] = poles[rows, cols]
     return out
-
-
-def batch_poles(model, samples, num: Optional[int] = None) -> np.ndarray:
-    """Dominant poles of every sampled instance, stacked.
-
-    Same semantics per instance as :meth:`DescriptorSystem.poles`
-    (finite poles of the pencil ``G(p_k) + s C(p_k)``, most dominant
-    first), but computed through one batched ``solve`` + ``eigvals``
-    call pair.  Returns a complex array of shape ``(m, k)`` where ``k``
-    is ``num`` (when given) or the largest finite-pole count; rows with
-    fewer finite poles are padded with ``nan``.
-
-    ``num`` keeps each row's leading ``num`` poles, so a truncated
-    result is the leading block of the untruncated one.
-    """
-    g, c = batch_instantiate(model, samples)
-    a = np.linalg.solve(g, c)
-    return _poles_from_eigenvalues(np.linalg.eigvals(a), num)
 
 
 def _sweep_study(
@@ -582,17 +579,18 @@ def _sweep_study(
     num_poles: Optional[int] = 5,
     want_poles: bool = True,
     grid: Optional[bool] = None,
+    port: Tuple[int, int] = (0, 0),
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Frequency responses *and* dominant poles from one factorization.
 
     The canonical Monte Carlo workload evaluates both the response
     envelope and the pole distribution of every instance.  One batched
     eigendecomposition per instance serves both quantities: the
-    eigenvalues give the poles, the eigenvectors give the rational form
-    of ``H``.  Returns ``(responses, poles)`` with shapes
-    ``(m, n_f, m_out, m_in)`` and ``(m, num_poles)``; with
-    ``want_poles=False`` the pole extraction is skipped and ``poles``
-    is ``None``.
+    eigen-factors give the rational form of ``H`` and the dominant
+    poles (:func:`dominant_pole_rows`) of the ``port`` response.
+    Returns ``(responses, poles)`` with shapes ``(m, n_f, m_out, m_in)``
+    and ``(m, num_poles)``; with ``want_poles=False`` the pole
+    extraction is skipped and ``poles`` is ``None``.
 
     Instances whose eigenvector basis is too ill conditioned for the
     rational form (checked against an exact probe solve) are recomputed
@@ -607,7 +605,7 @@ def _sweep_study(
     :class:`repro.runtime.engine.Study`.
     """
     return _queue_sweep(
-        model, frequencies, samples, num_poles, want_poles, grid
+        model, frequencies, samples, num_poles, want_poles, grid, port=port
     ).result()
 
 
@@ -619,6 +617,7 @@ def _queue_sweep(
     want_poles: bool = True,
     grid: Optional[bool] = None,
     finish: Optional[Callable] = None,
+    port: Tuple[int, int] = (0, 0),
 ) -> RowBlocks:
     """Queue :func:`_sweep_study`'s row blocks; ``result()`` waits.
 
@@ -645,20 +644,23 @@ def _queue_sweep(
         fallbacks = sum(flagged for flagged, _ in outputs)
         if fallbacks:
             _EIG_FALLBACKS.inc(fallbacks)
-        poles = _stack_pole_blocks(
-            [block for _, block in outputs], num_samples, num_poles
+        poles = np.concatenate(
+            [block for _, block in outputs] or [np.empty((0, num_poles), complex)]
         ) if want_poles else None
         if finish is None:
             return responses, poles
         return finish(responses, poles)
 
     run = functools.partial(
-        _sweep_rows, model, freqs, matrix, responses, grid, want_poles, num_poles
+        _sweep_rows, model, freqs, matrix, responses, grid, want_poles,
+        num_poles, port,
     )
     return RowBlocks(run, num_samples, gather)
 
 
-def _sweep_rows(model, freqs, samples, responses, grid, want_poles, num_poles, lo, hi):
+def _sweep_rows(
+    model, freqs, samples, responses, grid, want_poles, num_poles, port, lo, hi
+):
     """One row block of :func:`_queue_sweep`: ``(fallbacks, poles)``."""
     g, c = batch_instantiate(model, samples[lo:hi], exact=False)
     eigenvalues, lt_v, w = _eig_response_factors(model, g, c)
@@ -671,24 +673,8 @@ def _sweep_rows(model, freqs, samples, responses, grid, want_poles, num_poles, l
             out[flags] = _solve_responses(model, g[flags], c[flags], freqs)
     if not want_poles:
         return flagged, None
-    return flagged, _poles_from_eigenvalues(eigenvalues, num_poles)
-
-
-def _stack_pole_blocks(blocks, num_samples: int, num_poles: Optional[int]) -> np.ndarray:
-    """The row blocks' pole arrays as one ``nan``-padded ``(m, k)`` array.
-
-    ``k`` is ``num_poles``, or with ``None`` the widest block -- the
-    width :func:`_poles_from_eigenvalues` gives the unsplit rows.
-    """
-    width = num_poles if num_poles is not None else max(
-        (block.shape[1] for block in blocks), default=0
-    )
-    poles = np.full((num_samples, width), np.nan + 1j * np.nan, dtype=complex)
-    lo = 0
-    for block in blocks:
-        poles[lo:lo + block.shape[0], : block.shape[1]] = block
-        lo += block.shape[0]
-    return poles
+    residues = lt_v[:, port[0], :] * w[:, :, port[1]]
+    return flagged, dominant_pole_rows(eigenvalues, residues, num_poles)
 
 
 def batch_transfer_sensitivities(model, s: complex, samples) -> np.ndarray:

@@ -25,16 +25,16 @@ Every route except sensitivities runs through the one chunk loop of
 :mod:`repro.runtime.stream`, and :meth:`Study.work` drains the same
 chunks through the same checkpoint unit across any number of workers.
 Payloads run in the chunk loop's own thread; only the dense eig sweep
-splits its chunks over the process-wide row pool of
-:mod:`repro.runtime.executor`.
+kernel (sweeps and dense pole studies) splits its chunks over the
+process-wide row pool of :mod:`repro.runtime.executor`.
 
 Routes
 ------
 
 - ``dense-batch`` -- dense-batchable targets (reduced macromodels) in
   one chunk: the eig-amortized sweep kernel, the propagator transient
-  kernel, batched sensitivities; dense pole studies keep this label
-  however they are chunked.
+  kernel, batched sensitivities; dense pole studies (the sweep kernel
+  with no frequencies) keep this label however they are chunked.
 - ``dense-stream`` -- the sweep and transient kernels chunked under
   ``chunk`` / ``memory_budget``, with incremental envelope reducers.
   On both dense routes the eig sweep kernel splits each chunk's rows
@@ -60,6 +60,8 @@ runs: sweeps match the eig-amortized sweep kernel, transients the
 batched propagator kernel, pole studies the Monte Carlo protocol of
 :func:`repro.analysis.montecarlo.monte_carlo_pole_study`, and
 sensitivities :func:`repro.analysis.sensitivity.transfer_sensitivities`.
+On a dense target ``.poles(k)``, ``.sweep(f).poles(k)`` and
+:func:`~repro.analysis.poles.dominant_poles` run one kernel: bit-identical.
 """
 
 from __future__ import annotations
@@ -78,13 +80,12 @@ from repro.obs import trace as obs_trace
 from repro.obs.export import JsonlSink
 from repro.runtime import executor as executor_module
 from repro.runtime.batch import (
+    _sweep_study,
     as_sample_matrix,
-    batch_instantiate,
     batch_transfer_sensitivities,
     grid_contraction,
     supports_batching,
     symmetric_definite,
-    systems_from_stacks,
 )
 from repro.runtime.cache import array_fingerprint
 from repro.runtime.scenarios import ScenarioPlan, StepInput
@@ -98,6 +99,7 @@ from repro.runtime.sparse import shared_pattern_family, supports_sparse_batching
 from repro.runtime.store import StudyStore, study_fingerprint
 from repro.runtime.stream import (
     _CHUNK_RECORD_BYTES,
+    _KERNEL_HEADER_BYTES,
     _chunk_grid,
     _chunk_unit,
     _drive_chunks,
@@ -170,29 +172,26 @@ def _check_transient_options(options: dict) -> None:
 def _pole_chunk_payload(target, family, num_poles: int, block) -> dict:
     """One pole chunk's persistable payload (the checkpoint unit).
 
-    Every row is instantiated and handed to
-    :func:`~repro.analysis.poles.dominant_poles` on its own, under one
-    ``poles.instance`` span, so each pole set is bit-identical to the
-    scalar protocol's.  Dense targets instantiate the chunk as one
-    exact stack (bit-identical to the scalar accumulation), sparse
-    ones row by row through their shared-pattern ``family``, and any
-    other target through its own ``instantiate``.
+    Dense targets run the sweep kernel's rows with no frequencies on
+    the row pool, bit-identical to a ``.sweep(f).poles(k)`` study and
+    to :func:`~repro.analysis.poles.dominant_poles` at each point.
+    Other targets instantiate row by row -- sparse ones through their
+    shared-pattern ``family``, any other through its own
+    ``instantiate`` -- and hand each system to ``dominant_poles`` under
+    one ``poles.instance`` span.
     """
     from repro.analysis.poles import dominant_poles
 
     if supports_batching(target):
-        g, c = batch_instantiate(target, block, exact=True)
-        systems = systems_from_stacks(target, g, c)
-        kernel = "stacked-instantiate"
-    else:
-        source = target if family is None else family
-        systems = map(source.instantiate, block)
-        kernel = "instantiate" if family is None else "shared-pattern"
+        poles = _sweep_study(target, (), block, num_poles=num_poles)[1]
+        return _pack_pole_sets([row[~np.isnan(row)] for row in poles])
+    source = target if family is None else family
+    kernel = "instantiate" if family is None else "shared-pattern"
     pole_sets = []
-    for _ in range(len(block)):
-        # next() inside the span: a row's instantiation is its time too.
+    for point in block:
+        # Instantiation inside the span: it is the row's time too.
         with obs_trace.span("poles.instance", kernel=kernel):
-            pole_sets.append(dominant_poles(next(systems), num_poles))
+            pole_sets.append(dominant_poles(source.instantiate(point), num_poles))
     return _pack_pole_sets(pole_sets)
 
 
@@ -207,21 +206,24 @@ def _pole_run_bytes(
 ) -> Tuple[int, int, int]:
     """``(per_instance, fixed, per_chunk)`` bytes of a pole study.
 
-    Rows are factored one at a time: ``64 n^2`` for the instance in
-    hand (its dense ``G``, ``C`` and the eigensolve workspace; measured
+    Dense chunks run the sweep kernel: per instance
+    :func:`~repro.runtime.stream.sweep_chunk_bytes` at ``n_f = 0``, plus
+    ``16 q^2`` on the general eig kernel (its solve against the
+    eigenvectors factors a copy; 60 ``q^2`` measured on an RLC bus).
+    Other targets factor one instance at a time: ``64 n^2`` (measured
     48-56 ``n^2`` on the paper's nets), plus, on sparse targets, the
-    shared pattern's ``16 nnz``.  A dense chunk also holds its exact
-    ``(c, q, q)`` instantiation -- two stacks and one accumulation
-    temporary, ``24 q^2`` per instance -- whose masked accumulation
-    runs through numpy's ufunc buffer.  Each instance's pole set is
-    retained across chunks: its padded row and its unpacked copy, 32
-    bytes per pole plus ``_POLE_SET_BYTES``.  A target with no
-    ``nominal`` prices its order as 0.
+    shared pattern's ``16 nnz``.  Each instance's pole set is retained:
+    its padded row and its unpacked copy, 32 bytes per pole plus
+    ``_POLE_SET_BYTES``.  A target with no ``nominal`` has order 0.
     """
     order = getattr(getattr(target, "nominal", None), "order", 0)
-    fixed = 64 * order * order + num_samples * (32 * num_poles + _POLE_SET_BYTES)
+    retained = num_samples * (32 * num_poles + _POLE_SET_BYTES)
     if kind == "dense":
-        return 24 * order * order, fixed + 8 * np.getbufsize(), _CHUNK_RECORD_BYTES
+        per_instance = sweep_chunk_bytes(
+            order, 0, 1, target.nominal.L.shape[1], target.nominal.B.shape[1]
+        ) + (0 if symmetric_definite(target) else 16 * order * order)
+        return per_instance, retained + _KERNEL_HEADER_BYTES, _CHUNK_RECORD_BYTES
+    fixed = 64 * order * order + retained
     if kind == "sparse":
         fixed += 16 * shared_pattern_family(target).nnz
     return 0, fixed, _CHUNK_RECORD_BYTES
@@ -322,11 +324,12 @@ class ExecutionPlan:
     otherwise ``eig-rational[sweep-study/...]`` (general ``eig``).  The
     last qualifier is the response contraction, ``per-frequency`` or
     ``grid``, chosen once from the study's total instance count (see
-    :func:`~repro.runtime.batch.grid_contraction`).  Their ``executor``
-    is the process-wide row pool, ``row-pool(width=N)``, and
-    ``lookahead`` is how many computed chunks the loop queues ahead of
-    the one it folds: 1 on a multi-CPU pool when the extra chunk fits
-    the memory budget, else 0.  Every other plan's ``executor`` is
+    :func:`~repro.runtime.batch.grid_contraction`).  Dense pole studies
+    run it with no frequencies: ``dominant-poles[eig-sweep(/symmetric)]``.
+    The ``executor`` of both is the row pool, ``row-pool(width=N)``; a
+    sweep's ``lookahead`` is how many computed chunks the loop queues
+    ahead of the one it folds: 1 on a multi-CPU pool when the extra
+    chunk fits the budget, else 0.  Every other plan's ``executor`` is
     ``serial``: its payloads run in the chunk loop's own thread.
     """
 
@@ -468,17 +471,16 @@ class Study:
         return self._invalidate()
 
     def poles(self, num: int = 5) -> "Study":
-        """Request dominant poles.
+        """Request dominant poles: those with a non-negligible residue
+        in the port response ``H[0, 0]``, ranked by ``|s|`` (the Figs.
+        5-6 quantity, :func:`~repro.runtime.batch.dominant_pole_rows`).
 
         Combined with :meth:`sweep` (dense targets) the poles ride the
-        sweep's eigendecomposition for free, with the raw-dominance
-        ordering of the spectral kernel.  As a standalone workload the
-        engine runs the residue-weighted
-        :func:`~repro.analysis.poles.dominant_poles` protocol per
-        instance -- the Monte Carlo reference semantics -- chunked like
-        any other study, so :meth:`chunk` / :meth:`memory_budget` bound
-        the dense targets' stacked ``(c, q, q)`` instantiations.
-        ``num`` must be an integer >= 0.
+        sweep's eigendecomposition for free; alone, dense targets run
+        the same kernel with no frequencies, bit-identical to it and to
+        :func:`~repro.analysis.poles.dominant_poles`, and other targets
+        run ``dominant_poles`` per instance.  Chunked like any other
+        study.  ``num`` must be an integer >= 0.
         """
         if not isinstance(num, numbers.Integral) or isinstance(num, bool) or num < 0:
             raise ValueError(f"num must be an integer >= 0, got {num!r}")
@@ -863,7 +865,9 @@ class Study:
             if self._store is not None:
                 notes.append(f"pole checkpoint unit: {chunk} instance(s) per chunk")
             if kind == "dense":
-                kernel = "dominant-poles[stacked-instantiate]"
+                symmetric = "/symmetric" if symmetric_definite(target) else ""
+                kernel = f"dominant-poles[eig-sweep{symmetric}]"
+                executor_label = f"row-pool(width={executor_module.row_pool_width()})"
             elif kind == "sparse":
                 family = shared_pattern_family(target)
                 kernel = f"dominant-poles[shared-pattern/{family.solver_kind}]"
@@ -1323,11 +1327,14 @@ class Study:
         :meth:`work`, so a worker draining a study and a one-shot run of
         the same declaration land on the same manifest key."""
         if workload in ("sweep", "sweep+poles"):
-            return {
+            config = {
                 "frequencies": array_fingerprint(self._frequencies),
                 "num_poles": self._num_poles,
                 "keep_responses": self._keep_responses,
             }
+            if workload == "sweep+poles":  # never fold in raw |s| ranks
+                config["poles"] = "residue"
+            return config
         if workload == "transient":
             options = self._resolved_transient_options()
             return {

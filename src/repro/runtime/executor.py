@@ -1,10 +1,10 @@
-"""The row pool: one process-wide thread pool for the dense eig sweep.
+"""The row pool: one process-wide thread pool for the dense eig kernel.
 
 Every study payload runs in its chunk loop's own thread.  The one
-exception is the dense eig sweep kernel: its chunks are split into
-contiguous row blocks (:class:`RowBlocks`), one per CPU this process
-may run on (:func:`row_pool_width`), and the blocks run on one
-process-wide thread pool built on first use.  Only that kernel uses
+exception is the dense eig kernel of sweeps and pole studies: its
+chunks are split into contiguous row blocks (:class:`RowBlocks`), one
+per CPU this process may run on (:func:`row_pool_width`), and the
+blocks run on one process-wide thread pool built on first use.  Only that kernel uses
 it, because only it was measured to scale under threads (LAPACK
 ``potrf``/``eigh``/``eig`` release the GIL).  Everything else was
 measured on the pool and stays serial (the README's Scaling guide has
@@ -14,9 +14,8 @@ the numbers):
   GIL (the block-stepped kernel): split over two threads, a 32-row
   chunk got slower;
 - full-order pole studies lost on the 78-unknown net and won 1.08x on
-  the 333-unknown one, and the dense poles-only payload lost on both
-  BLAS settings -- no benchmark workload runs either, so neither earns
-  a per-size fork;
+  the 333-unknown one -- no benchmark workload runs them, so they do
+  not earn a per-size fork;
 - the sparse family has not been measured end to end on the pool.
 
 Every caller in the process -- the concurrent jobs of ``repro serve``

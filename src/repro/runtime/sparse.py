@@ -599,7 +599,7 @@ class SparsePatternFamily:
                 try:
                     self._lu_template = SparseLU(template)
                     break
-                except RuntimeError:
+                except np.linalg.LinAlgError:
                     continue
             if self._lu_template is None:
                 raise RuntimeError(

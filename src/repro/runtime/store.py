@@ -257,7 +257,8 @@ def _check_manifest(path: Path, manifest) -> None:
     Readers take a chunk's instance range straight from ``lo``/``hi``
     and open ``file`` relative to the store, so each record must name a
     chunk of the grid -- ``index < num_chunks`` and ``(lo, hi)`` that
-    chunk's bounds -- and an archive directly under ``chunks/<key16>/``;
+    chunk's bounds -- and an archive directly under ``chunks/<key16>/``,
+    named for that index as :meth:`StudyStore.chunk_path` names it;
     its optional ``worker`` and ``telemetry`` must have the types the
     lineage and the manifest rewrite read.
     """
@@ -319,6 +320,13 @@ def _check_manifest(path: Path, manifest) -> None:
                 or "/" in rest:
             raise corrupt(f"chunk {index} archive {record['file']!r} lies "
                           f"outside {prefix}")
+        # An archive holds no index: one named for another chunk (two
+        # records' file and sha256 swapped) would fold in the wrong place.
+        own = f"chunk-{int(index):05d}"
+        if rest != f"{own}.npz" and not (
+                rest.startswith(f"{own}.w-") and rest.endswith(".npz")):
+            raise corrupt(f"chunk {index} archive {record['file']!r} is "
+                          f"not named {own}.npz or {own}.w-<worker>.npz")
 
 
 def _fsync_directory(directory: Path) -> None:

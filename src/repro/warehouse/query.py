@@ -53,8 +53,10 @@ def _table_columns(table: str, lo: int, hi: int, payload: dict,
     ``inp`` -- ``-1`` for transients -- ``env_*`` and ``count``)."""
     padded, lengths, rectangular = map(payload.get, _POLES)
     if padded is None and rectangular is not None:
+        # A sweep's poles are nan-padded to the declared count: a row's
+        # length is its leading run of non-nan entries.
         padded = np.atleast_2d(rectangular)
-        lengths = np.full(len(padded), padded.shape[1])
+        lengths = np.logical_and.accumulate(~np.isnan(padded), axis=1).sum(axis=1)
     if padded is not None:
         padded = np.asarray(padded, dtype=complex)
         lengths = np.asarray(lengths, dtype=np.int64)

@@ -730,6 +730,38 @@ class TestParser:
         assert main(["info", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "reduce", "poles", "batch", "transient", "montecarlo",
+    ])
+    @pytest.mark.parametrize("text", [
+        "C1 a 0 1p\n.port p a\n", ".port p a\n", "R1 a 0 1k\n.port p b\n",
+    ], ids=["capacitor-only", "port-only", "floating-port"])
+    def test_node_without_dc_path_is_one_error_line(
+            self, tmp_path, capsys, command, text):
+        """A node with no resistive path to ground makes G singular:
+        exit 1 with one ``error:`` line, not a SuperLU traceback."""
+        path = tmp_path / "floating.sp"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "no resistive (DC) path to ground" in captured.err
+
+    @pytest.mark.parametrize("text", [
+        ".port p a\n", "R1 a 0 1k\n.port p b\n",
+    ], ids=["port-only", "floating-port"])
+    def test_sweep_of_node_without_any_path_is_one_error_line(
+            self, tmp_path, capsys, text):
+        """``repro sweep`` solves ``G + sC`` directly: a node with neither
+        a resistor nor a capacitor makes every pencil singular."""
+        path = tmp_path / "floating.sp"
+        path.write_text(text)
+        assert main(["sweep", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_new_commands_registered(self):
         from repro.cli import build_parser
 

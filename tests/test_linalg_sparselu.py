@@ -20,6 +20,12 @@ def random_spd(n, seed=0):
 
 
 class TestSparseLU:
+    def test_singular_matrix_is_one_line_linalg_error(self):
+        singular = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="path to ground") as raised:
+            SparseLU(singular)
+        assert "\n" not in str(raised.value)
+
     def test_solve_vector(self):
         a = random_spd(8)
         lu = SparseLU(a)

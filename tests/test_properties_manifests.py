@@ -3,8 +3,9 @@
 A study manifest is a file on disk that anyone can edit, so it sits on
 a trust boundary.  This suite completes a small store-backed transient
 study, replaces its manifest with drawn JSON -- arbitrary values, and
-the real manifest with one field dropped, retyped or set out of range
--- and runs each reader against a fresh copy of the edited store:
+the real manifest with one field dropped, retyped or set out of range,
+or with two records' archives (``file`` and ``sha256``) swapped -- and
+runs each reader against a fresh copy of the edited store:
 
 - ``Study.run()`` and ``.resume().run()`` must return the original
   result bit for bit (loading what verifies, recomputing what the
@@ -103,10 +104,18 @@ def _get(value, path):
 def edited_manifests(draw, manifest):
     """``manifest`` (deep-copied) with one drawn edit applied."""
     edit = draw(st.sampled_from(("replace", "drop", "retype", "range",
-                                 "index")))
+                                 "index", "swap")))
     if edit == "replace":
         return draw(JSON_VALUES)
     edited = json.loads(json.dumps(manifest))
+    if edit == "swap":  # two records trade archives: file and sha256
+        first, second = draw(st.lists(
+            st.sampled_from(sorted(edited["chunks"])),
+            min_size=2, max_size=2, unique=True))
+        a, b = edited["chunks"][first], edited["chunks"][second]
+        for name in ("file", "sha256"):
+            a[name], b[name] = b[name], a[name]
+        return edited
     paths = list(_paths(edited))
     if edit == "index":  # rename one chunk record's index key
         old = draw(st.sampled_from(sorted(edited["chunks"])))

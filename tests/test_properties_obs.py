@@ -4,7 +4,8 @@ The observability contract the exporters rely on: whatever route the
 engine picks and however wide the row pool is, the trace of a run
 holds *exactly one* ``study.chunk`` span per owned chunk, every chunk
 span is parented to that run's ``study.run`` root, and every
-``poles.instance`` span is a plain child of its chunk span.
+``poles.instance`` span (one per instance of a per-instance pole
+study) is a plain child of its chunk span.
 ``chunk_lineage`` and the progress reporter are only as trustworthy as
 this invariant.
 """
@@ -110,11 +111,12 @@ def test_one_chunk_span_per_chunk_with_correct_parentage(config):
     assert all(c["parent_id"] == root["span_id"] for c in chunks)
     assert sum(c["attrs"]["instances"] for c in chunks) == num_samples
 
-    # One poles.instance span per instance, each a plain child of the
-    # chunk span whose rows it computed.
+    # On the per-instance route, one poles.instance span per instance,
+    # each a plain child of the chunk span whose rows it computed; dense
+    # pole studies run the sweep kernel's rows and emit none.
     chunk_by_id = {c["span_id"]: c for c in chunks}
     instances = [s for s in spans if s["name"] == "poles.instance"]
-    if kind in ("per-instance", "dense-poles"):
+    if kind == "per-instance":
         assert len(instances) == num_samples
         for record in instances:
             assert record["parent_id"] in chunk_by_id

@@ -73,7 +73,7 @@ ROOT_ALL_SNAPSHOT = [
     "SparsePatternFamily", "StepInput", "StoreError", "Study",
     "StudyStore", "Warehouse", "WarehouseError",
     "__version__", "assemble", "batch_frequency_response",
-    "batch_instantiate", "batch_poles", "batch_simulate_transient",
+    "batch_instantiate", "batch_simulate_transient",
     "batch_transfer", "clock_tree",
     "compare_frequency_responses", "coupled_rlc_bus", "dominant_poles",
     "factorial_grid", "finite_difference_sensitivities",
@@ -99,7 +99,7 @@ RUNTIME_ALL_SNAPSHOT = [
     "StreamedTransientStudy", "Study", "StudyCheckpoint", "StudyStore",
     "TransientStudy", "array_fingerprint",
     "batch_frequency_response",
-    "batch_instantiate", "batch_poles", "batch_simulate_transient",
+    "batch_instantiate", "batch_simulate_transient",
     "batch_step_responses", "batch_transfer",
     "batch_transfer_sensitivities",
     "default_horizon", "default_worker_id",
@@ -107,7 +107,7 @@ RUNTIME_ALL_SNAPSHOT = [
     "parse_worker_id", "reducer_fingerprint",
     "shared_pattern_family", "study_fingerprint", "supports_batching",
     "supports_sparse_batching", "sweep_chunk_bytes", "system_fingerprint",
-    "systems_from_stacks", "target_fingerprint", "transient_chunk_bytes",
+    "target_fingerprint", "transient_chunk_bytes",
 ]
 
 ENGINE_NAMES_SNAPSHOT = ["ExecutionPlan", "PoleStudy", "SensitivityStudy", "Study"]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.metrics import matched_pole_errors
 from repro.analysis.montecarlo import sample_parameters
+from repro.analysis.poles import dominant_poles
 from repro.analysis.sensitivity import transfer_sensitivities
 from repro.circuits import coupled_rlc_bus, rc_tree, rcnet_a, with_random_variations
 from repro.circuits.statespace import DescriptorSystem
@@ -23,20 +24,18 @@ from repro.runtime.batch import (
     _eig_response_factors,
     _eig_responses,
     _general_eig_factors,
-    _poles_from_eigenvalues,
     _solve_responses,
     _sweep_study,
+    dominant_pole_rows,
     symmetric_definite,
 )
 from repro.runtime import (
     Study,
     batch_frequency_response,
     batch_instantiate,
-    batch_poles,
     batch_transfer,
     batch_transfer_sensitivities,
     supports_batching,
-    systems_from_stacks,
 )
 
 S_POINT = 2j * np.pi * 1.3e9
@@ -120,14 +119,6 @@ class TestBatchInstantiate:
         assert supports_batching(model)
         assert not supports_batching(parametric)  # sparse full system
 
-    def test_systems_from_stacks_views(self, model, samples):
-        g, c = batch_instantiate(model, samples)
-        systems = list(systems_from_stacks(model, g, c))
-        assert len(systems) == samples.shape[0]
-        reference = model.instantiate(samples[3])
-        np.testing.assert_array_equal(systems[3].G, reference.G)
-        assert systems[3].num_inputs == reference.num_inputs
-
 
 class TestBatchTransfer:
     def test_matches_loop(self, model, samples):
@@ -174,10 +165,10 @@ class TestBatchSweepStudy:
         direct = batch_frequency_response(model, frequencies, samples)
         scale = np.abs(direct).max()
         assert np.abs(responses - direct).max() <= 1e-12 * scale
-        separate = batch_poles(model, samples, num=4)
-        for k in range(samples.shape[0]):
-            errors, _ = matched_pole_errors(separate[k], poles[k])
-            assert errors.max() <= 1e-12
+        for k, point in enumerate(samples):
+            separate = dominant_poles(model, 4, point)
+            np.testing.assert_array_equal(poles[k, : separate.size], separate)
+            assert np.isnan(poles[k, separate.size:]).all()
 
 
 class TestEigGuard:
@@ -239,8 +230,8 @@ class TestEigGuard:
 
 def _factor_results(factors, freqs):
     eigenvalues, lt_v, w = factors
-    return _eig_responses(eigenvalues, lt_v, w, freqs), _poles_from_eigenvalues(
-        eigenvalues, 5
+    return _eig_responses(eigenvalues, lt_v, w, freqs), dominant_pole_rows(
+        eigenvalues, lt_v[:, 0, :] * w[:, :, 0], 5
     )
 
 
@@ -264,9 +255,13 @@ class TestSymmetricKernel:
         )
         scale = np.abs(ref_responses).max()
         assert np.abs(responses - ref_responses).max() <= 1e-10 * scale
-        assert np.abs(poles - ref_poles).max() <= 1e-10 * np.abs(ref_poles).max()
+        kept = ~np.isnan(ref_poles)
+        np.testing.assert_array_equal(~np.isnan(poles), kept)
+        assert np.abs(poles - ref_poles)[kept].max() <= (
+            1e-10 * np.abs(ref_poles[kept]).max()
+        )
         # Symmetric-definite pencils have real spectra.
-        assert np.all(poles.imag == 0.0)
+        assert np.all(poles[kept].imag == 0.0)
 
     def test_nonsymmetric_model_is_general_bit_for_bit(self, rlc_model):
         assert not symmetric_definite(rlc_model)
@@ -307,34 +302,88 @@ class TestSymmetricKernel:
             np.testing.assert_array_equal(chunked.poles, one_shot.poles)
 
 
+def _pole_rows(model, samples, num):
+    """Dominant poles of every sample, from the sweep kernel's factors."""
+    g, c = batch_instantiate(model, samples, exact=False)
+    eigenvalues, lt_v, w = _eig_response_factors(model, g, c)
+    rows = dominant_pole_rows(eigenvalues, lt_v[:, 0, :] * w[:, :, 0], num)
+    # The sweep kernel's own extraction agrees.
+    np.testing.assert_array_equal(
+        _sweep_study(model, (), samples, num_poles=num)[1], rows)
+    return rows
+
+
 class TestBatchPoles:
+    """The one dominant-pole definition over stacked eigen-factors."""
+
     def test_matches_loop_to_1e12(self, model, samples):
-        batched = batch_poles(model, samples, num=5)
+        batched = _pole_rows(model, samples, 5)
         assert batched.shape == (samples.shape[0], 5)
         for k, point in enumerate(samples):
-            looped = model.poles(point, num=5)
+            # The bare-system route: general eigensolver, same ranking.
+            looped = dominant_poles(model.instantiate(point), 5)
+            assert (~np.isnan(batched[k])).sum() == looped.size
             errors, _ = matched_pole_errors(looped, batched[k])
             assert errors.max() <= 1e-12
 
     def test_all_poles_when_num_omitted(self, model, samples):
-        batched = batch_poles(model, samples)
-        # Width equals the largest finite-pole count (some eigenvalues
-        # may be filtered as poles at infinity).
-        assert 0 < batched.shape[1] <= model.size
-        finite_counts = (~np.isnan(batched.real)).sum(axis=1)
-        assert finite_counts.max() == batched.shape[1]
+        # A budget of q poles keeps every pole the rule keeps (poles at
+        # infinity and poles with no residue at the port are dropped).
+        batched = _pole_rows(model, samples, model.size)
+        kept_counts = (~np.isnan(batched.real)).sum(axis=1)
+        assert 0 < kept_counts.max() < model.size
         for k, point in enumerate(samples):
-            assert finite_counts[k] == model.poles(point).size
+            # Equal to the bare-system route's count.
+            assert kept_counts[k] == dominant_poles(
+                model.instantiate(point), model.size).size
 
     def test_dominance_ordering(self, model, samples):
-        batched = batch_poles(model, samples)
+        batched = _pole_rows(model, samples, model.size)
         magnitudes = np.abs(batched)
-        assert (np.diff(magnitudes, axis=1) >= 0).all()
+        kept = ~np.isnan(magnitudes)
+        # Kept poles lead each row, in |s| order.
+        assert (np.diff(kept.astype(int), axis=1) <= 0).all()
+        assert (np.diff(magnitudes, axis=1)[kept[:, 1:]] >= 0).all()
 
     def test_truncated_equals_leading_block(self, dense_model, ensemble):
-        full = batch_poles(dense_model, ensemble, num=None)
-        truncated = batch_poles(dense_model, ensemble, num=5)
+        full = _pole_rows(dense_model, ensemble, dense_model.size)
+        truncated = _pole_rows(dense_model, ensemble, 5)
         np.testing.assert_array_equal(truncated, full[:, :5])
+
+
+class TestDominantPoleRows:
+    """The rule itself, on hand-built eigen-factors."""
+
+    def test_residue_floor_drops_unobservable_poles(self):
+        # Eigenvalues lambda = -1/s for poles s = -1, -2, -3, -4; the
+        # pole at -2 has no residue at the port.
+        eigenvalues = np.array([[1.0, 0.5, 1 / 3, 0.25]], dtype=complex)
+        residues = np.array([[1.0, 1e-12, 0.5, 0.25]], dtype=complex)
+        np.testing.assert_array_equal(
+            dominant_pole_rows(eigenvalues, residues, 2)[0], [-1.0, -1 / (1 / 3)]
+        )
+
+    def test_coincident_poles_merge_their_residues(self):
+        # Two poles 1e-9 apart (relative) merge into the first; either
+        # residue alone is below the floor of the row, their sum is not
+        # (the infinite pole of lambda = 0 and its residue do not count).
+        lam = 0.5
+        eigenvalues = np.array([[1.0, lam, lam * (1 + 1e-9), 0.0]], dtype=complex)
+        residues = np.array([[1.0, 6e-10, 6e-10, 7.0]], dtype=complex)
+        row = dominant_pole_rows(eigenvalues, residues, 3)[0]
+        # The group keeps its first pole by |s|: the larger eigenvalue's.
+        np.testing.assert_array_equal(row[:2], [-1.0, -1.0 / eigenvalues[0, 2]])
+        assert np.isnan(row[2])
+        # The merge is per row: a stack gives every row its own answer.
+        stacked = dominant_pole_rows(
+            np.repeat(eigenvalues, 3, axis=0), np.repeat(residues, 3, axis=0), 3
+        )
+        for k in range(3):
+            np.testing.assert_array_equal(stacked[k], row)
+
+    def test_row_without_finite_poles_is_all_padding(self):
+        out = dominant_pole_rows(np.zeros((2, 3)), np.ones((2, 3)), 2)
+        assert out.shape == (2, 2) and np.isnan(out).all()
 
 
 class TestBatchSensitivities:

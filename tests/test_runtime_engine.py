@@ -41,7 +41,6 @@ from repro.runtime.batch import (
     _sweep_study,
     batch_instantiate,
     batch_transfer_sensitivities,
-    systems_from_stacks,
 )
 from repro.runtime.sparse import shared_pattern_family
 from repro.runtime.stream import _CHUNK_RECORD_BYTES, _transient_run_bytes
@@ -619,10 +618,7 @@ class TestRunBitIdentity:
     def test_dense_pole_study_matches_stacked_protocol(self, model, samples):
         result = Study(model).scenarios(samples).poles(4).run()
         assert isinstance(result, PoleStudy)
-        g, c = batch_instantiate(model, samples, exact=True)
-        reference = [
-            dominant_poles(system, 4) for system in systems_from_stacks(model, g, c)
-        ]
+        reference = [dominant_poles(model, 4, point) for point in samples]
         assert len(result.pole_sets) == len(reference)
         for got, expected in zip(result.pole_sets, reference):
             np.testing.assert_array_equal(got, expected)
@@ -703,7 +699,9 @@ class TestRunBitIdentity:
         assert execution.kernel == "dominant-poles[instantiate]"
         result = study.run()
         for got, point in zip(result.pole_sets, samples[:3]):
-            np.testing.assert_array_equal(got, dominant_poles(model, 2, point))
+            np.testing.assert_array_equal(
+                got, dominant_poles(model.instantiate(point), 2)
+            )
 
     def test_progress_fires_on_per_sample_routes(self, parametric, samples):
         seen = []

@@ -248,6 +248,8 @@ MANIFEST_EDITS = {
     "index-past-digit-limit": lambda r, k: ("9" * 5000, r),
     "retyped-telemetry": lambda r, k: ("0", dict(r, telemetry=[])),
     "retyped-worker": lambda r, k: ("0", dict(r, worker=5)),
+    "archive-of-another-chunk": lambda r, k: (
+        "0", dict(r, file=r["file"].replace("chunk-00000", "chunk-00001"))),
 }
 
 

@@ -156,6 +156,19 @@ class TestErrors:
         assert info.value.status == 400
         assert "plan" in str(info.value)
 
+    @pytest.mark.parametrize("netlist", [
+        "C1 a 0 1p\n.port p a\n", ".port p a\n", "R1 a 0 1k\n.port p b\n",
+    ], ids=["capacitor-only", "port-only", "floating-port"])
+    def test_node_without_dc_path_is_one_line_400(self, service, netlist):
+        """A singular G fails the reduction: a one-line 400, not a 500."""
+        client, _ = service
+        with pytest.raises(ServeClientError) as info:
+            client.submit(_job(netlist=netlist))
+        assert info.value.status == 400
+        error = info.value.body["error"]
+        assert "no resistive (DC) path to ground" in error and "\n" not in error
+        assert client.jobs() == []
+
     def test_jobs_beyond_cpu_count_is_one_line_400(self, service):
         client, _ = service
         too_many = (os.cpu_count() or 1) + 1

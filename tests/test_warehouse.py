@@ -432,6 +432,29 @@ class TestPoleStudies:
         report = json.loads(capsys.readouterr().out)
         assert report["count"] == 13 and report["value"] == 3.0
 
+    def test_sweep_pole_padding_reads_as_padding(self, model, plan, tmp_path):
+        """Asked for more poles than an instance has, ``.sweep(f).poles(k)``
+        nan-pads its rows; the warehouse reads the padding as padding,
+        so both declarations give the same ``num_poles`` and pole rows."""
+        num = model.size + 3
+        engines = []
+        for name, study in (
+            ("swept", Study(model).scenarios(plan).sweep(FREQUENCIES).poles(num)),
+            ("alone", Study(model).scenarios(plan).poles(num)),
+        ):
+            study.chunk(4).store(tmp_path / name).warehouse(
+                tmp_path / f"wh-{name}").run()
+            engines.append(QueryEngine(tmp_path / f"wh-{name}"))
+        swept, alone = engines
+        counts = alone.metric_values("num_poles")
+        assert counts.max() < num
+        np.testing.assert_array_equal(swept.metric_values("num_poles"), counts)
+        for column in ("instance", "pole_index", "re", "im"):
+            np.testing.assert_array_equal(
+                swept.metric_values(column, table="poles"),
+                alone.metric_values(column, table="poles"))
+        assert np.isfinite(swept.metric_values("re", table="poles")).all()
+
 
 class TestOutOfCore:
     """The acceptance property: aggregations over studies larger than
