@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg as dla
 
 from repro.analysis.metrics import matched_pole_errors
+from repro.linalg.sparselu import singular_matrix_error
 from repro.runtime.batch import (
     _sweep_study,
     dominant_pole_rows,
@@ -28,7 +29,10 @@ def _eigen_residues(system, output_index: int, input_index: int):
         m.toarray() if hasattr(m, "toarray") else np.asarray(m)
         for m in (system.G, system.C, system.B, system.L)
     )
-    a = np.linalg.solve(g, c)
+    try:
+        a = np.linalg.solve(g, c)
+    except np.linalg.LinAlgError as exc:
+        raise singular_matrix_error(exc) from None
     eigenvalues, v = dla.eig(a)
     r = np.linalg.solve(g, b[:, input_index])
     return eigenvalues, (l_mat[:, output_index] @ v) * np.linalg.solve(v, r)

@@ -158,8 +158,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_poles(args) -> int:
+    from repro.analysis.poles import dominant_poles
+
     _, system = _load_system(args.netlist)
-    poles = system.poles(num=args.num)
+    poles = dominant_poles(system, args.num)
     print("pole_real,pole_imag,frequency_hz")
     for pole in poles:
         print(f"{pole.real:.6e},{pole.imag:.6e},{abs(pole) / (2 * np.pi):.6e}")

@@ -85,6 +85,15 @@ def reset_refactorization_count() -> int:
     return _REFACTORIZATIONS.reset()
 
 
+def singular_matrix_error(exc: Exception) -> np.linalg.LinAlgError:
+    """The one-line :class:`numpy.linalg.LinAlgError` for a factorization
+    that found its matrix singular, saying what that means for ``G``."""
+    return np.linalg.LinAlgError(
+        f"matrix is singular ({exc}): if it is the conductance matrix "
+        "G, some node has no resistive (DC) path to ground"
+    )
+
+
 def checked_splu(matrix: sp.csc_matrix):
     """:func:`scipy.sparse.linalg.splu`, a singular matrix reported as a
     one-line :class:`numpy.linalg.LinAlgError` that says what it means."""
@@ -93,10 +102,7 @@ def checked_splu(matrix: sp.csc_matrix):
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
-        raise np.linalg.LinAlgError(
-            f"matrix is singular ({exc}): if it is the conductance matrix "
-            "G, some node has no resistive (DC) path to ground"
-        ) from None
+        raise singular_matrix_error(exc) from None
 
 
 class _PatternPlan:

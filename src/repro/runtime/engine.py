@@ -200,6 +200,30 @@ def _pole_chunk_payload(target, family, num_poles: int, block) -> dict:
 # array's header and list slot.
 _POLE_SET_BYTES = 128
 
+# Bytes per q^2 the general (nonsymmetric) eig kernel holds per
+# instance beyond sweep_chunk_bytes: its real G^{-1} C operand and the
+# complex copy of G its G^{-1} B solve takes.  Measured on the RLC bus
+# (q = 52, 4 ports, 4 frequencies, one row-pool thread): a run in
+# one-instance chunks peaked 21 q^2 above sweep_chunk_bytes, chunks of
+# 7 and 64 instances 10 q^2 per instance above it.
+_GENERAL_EIG_Q2_BYTES = 24
+
+
+def _dense_eig_bytes(target, num_frequencies: int) -> int:
+    """Per-instance bytes of the dense eig kernel, which dense sweeps
+    and dense pole studies (``num_frequencies = 0``) share:
+    :func:`~repro.runtime.stream.sweep_chunk_bytes`, plus
+    ``_GENERAL_EIG_Q2_BYTES q^2`` when the target takes the general
+    kernel rather than the symmetric-definite one."""
+    nominal = target.nominal
+    order = nominal.order
+    per_instance = sweep_chunk_bytes(
+        order, num_frequencies, 1, nominal.L.shape[1], nominal.B.shape[1]
+    )
+    if not symmetric_definite(target):
+        per_instance += _GENERAL_EIG_Q2_BYTES * order * order
+    return per_instance
+
 
 def _pole_run_bytes(
     target, kind: str, num_poles: int, num_samples: int
@@ -207,22 +231,18 @@ def _pole_run_bytes(
     """``(per_instance, fixed, per_chunk)`` bytes of a pole study.
 
     Dense chunks run the sweep kernel: per instance
-    :func:`~repro.runtime.stream.sweep_chunk_bytes` at ``n_f = 0``, plus
-    ``16 q^2`` on the general eig kernel (its solve against the
-    eigenvectors factors a copy; 60 ``q^2`` measured on an RLC bus).
-    Other targets factor one instance at a time: ``64 n^2`` (measured
-    48-56 ``n^2`` on the paper's nets), plus, on sparse targets, the
-    shared pattern's ``16 nnz``.  Each instance's pole set is retained:
-    its padded row and its unpacked copy, 32 bytes per pole plus
-    ``_POLE_SET_BYTES``.  A target with no ``nominal`` has order 0.
+    :func:`_dense_eig_bytes` at ``n_f = 0``.  Other targets factor one
+    instance at a time: ``64 n^2`` (measured 48-56 ``n^2`` on the
+    paper's nets), plus, on sparse targets, the shared pattern's
+    ``16 nnz``.  Each instance's pole set is retained: its padded row
+    and its unpacked copy, 32 bytes per pole plus ``_POLE_SET_BYTES``.
+    A target with no ``nominal`` has order 0.
     """
     order = getattr(getattr(target, "nominal", None), "order", 0)
     retained = num_samples * (32 * num_poles + _POLE_SET_BYTES)
     if kind == "dense":
-        per_instance = sweep_chunk_bytes(
-            order, 0, 1, target.nominal.L.shape[1], target.nominal.B.shape[1]
-        ) + (0 if symmetric_definite(target) else 16 * order * order)
-        return per_instance, retained + _KERNEL_HEADER_BYTES, _CHUNK_RECORD_BYTES
+        return (_dense_eig_bytes(target, 0), retained + _KERNEL_HEADER_BYTES,
+                _CHUNK_RECORD_BYTES)
     fixed = 64 * order * order + retained
     if kind == "sparse":
         fixed += 16 * shared_pattern_family(target).nnz
@@ -725,6 +745,8 @@ class Study:
     ) -> Tuple[int, int, int]:
         """``(per_instance, fixed, per_chunk)`` bytes of a streamed run.
 
+        A dense sweep's instance costs :func:`_dense_eig_bytes`, the
+        kernel it shares with dense pole studies.
         ``fixed`` covers what lives across chunks: the streaming
         reducer's envelope accumulator (three float64 arrays shaped
         like one instance's statistic grid -- running min, sum, max)
@@ -754,8 +776,7 @@ class Study:
                 # plus one instance's pencil-solve workspace.
                 per = 16 * (2 * family.nnz + n_f * m_out * m_in)
                 return per, family.workspace_bytes(n_f) + accumulator, 0
-            per = sweep_chunk_bytes(target.nominal.order, n_f, 1, m_out, m_in)
-            return per, accumulator, 0
+            return _dense_eig_bytes(target, n_f), accumulator, 0
         options = self._transient_options
         num_steps = options["num_steps"]
         m_out = target.nominal.L.shape[1]

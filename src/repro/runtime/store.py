@@ -201,19 +201,31 @@ def _verified_chunk_payload(
 
 
 def _first_verified(directory: Path, key: str, index: int, records,
-                    members=None):
-    """``((record, payload, sha256, size), None)`` for the first of chunk
-    ``index``'s recorded copies that verifies, else ``(None, error)``
-    with the first copy's :class:`StoreError`.
+                    members=None, memo=None):
+    """``((record, payload, sha256, size, reused), None)`` for the first
+    of chunk ``index``'s recorded copies that verifies, else
+    ``(None, error)`` with the first copy's :class:`StoreError`.
 
     The one try-the-next-copy loop: :meth:`StudyCheckpoint.load` and
     :meth:`StudyStore.iter_chunks` keep only their own policy around it
     (lenient re-queue and span attributes; annotated records).  A
     verified load counts on ``store.chunks_loaded`` /
     ``store.bytes_read``.
+
+    ``memo`` is the caller's dict of payloads it has already verified,
+    keyed by content: ``(directory, file, recorded sha256, members)``
+    (``members`` a tuple or ``None``).
+    Each copy is looked up there in its turn, so a copy the caller has
+    verified is taken without another read (``reused`` is true, nothing
+    is counted) and the winner is the copy a read without the memo
+    would pick.  A copy read here is stored with its arrays read-only.
     """
     first_error = None
     for record in records:
+        content = (directory, record["file"], record["sha256"], members)
+        if memo is not None and content in memo:
+            payload, size = memo[content]
+            return (record, payload, record["sha256"], size, True), None
         loaded, error = _verified_chunk_payload(
             directory, key, index, record, members
         )
@@ -221,7 +233,11 @@ def _first_verified(directory: Path, key: str, index: int, records,
             payload, actual, size = loaded
             _CHUNKS_LOADED.inc()
             _BYTES_READ.inc(size)
-            return (record, payload, actual, size), None
+            if memo is not None:
+                for array in payload.values():
+                    array.flags.writeable = False
+                memo[content] = (payload, size)
+            return (record, payload, actual, size, False), None
         first_error = first_error or error
     return None, first_error
 
@@ -548,20 +564,29 @@ class StudyStore:
             for index, record in sorted(self.completed_chunks(key).items())
         ]
 
-    def iter_chunks(self, key: str, members=None):
+    def iter_chunks(self, key: str, members=None, memo=None):
         """Yield ``(record, payload)`` per completed chunk, index order.
 
         Each yielded record is an annotated *copy* of the manifest record
         that verified: ``"index"`` (int), ``"worker"`` (from the record or
-        its manifest, ``None`` for a plain run) and ``"bytes"`` (archive
-        size) are attached so readers need not re-walk manifests.  Every
-        payload is verified against its recorded SHA-256 before it is
-        deserialized, and holds only ``members`` (default: every array;
-        see :func:`_verified_chunk_payload`).  When several workers
-        recorded one chunk, a failing copy falls back to the next
-        alternate (same winning order as :meth:`completed_chunks`), and a
-        chunk whose every copy fails raises the first :class:`StoreError`.
-        A study with no checkpoint here yields nothing.
+        its manifest, ``None`` for a plain run), ``"bytes"`` (archive
+        size) and ``"reused"`` (taken from ``memo``, not read) are
+        attached so readers need not re-walk manifests.  Every payload is
+        verified against its recorded SHA-256 before it is deserialized,
+        and holds only ``members`` (default: every array; see
+        :func:`_verified_chunk_payload`).  When several workers recorded
+        one chunk, a failing copy falls back to the next alternate (same
+        winning order as :meth:`completed_chunks`), and a chunk whose
+        every copy fails raises the first :class:`StoreError`.  A study
+        with no checkpoint here yields nothing.
+
+        The manifests are read on every call.  ``memo`` (see
+        :func:`_first_verified`) lets a caller that reads the same
+        archives again -- a :class:`~repro.warehouse.QueryEngine` --
+        take a copy it has verified without reading, hashing or
+        unzipping it again; a re-recorded chunk (a new ``sha256``) or a
+        copy in another directory is read afresh.  Payloads from a memo
+        are read-only and shared: the caller copies what it hands out.
         """
         alternates: Dict[int, List[dict]] = {}
         for manifest in self.load_manifests(key):
@@ -571,12 +596,12 @@ class StudyStore:
                 alternates.setdefault(int(index), []).append(annotated)
         for index in sorted(alternates):
             loaded, error = _first_verified(
-                self.directory, key, index, alternates[index], members
+                self.directory, key, index, alternates[index], members, memo
             )
             if error is not None:
                 raise error
-            record, payload, _, size = loaded
-            record["bytes"] = size
+            record, payload, _, size, reused = loaded
+            record.update(bytes=size, reused=reused)
             yield record, payload
 
     def checkpoint(
@@ -722,7 +747,7 @@ class StudyCheckpoint:
                 self.store.directory, self.key, index, records
             )
             if error is None:
-                record, payload, actual, size = loaded
+                record, payload, actual, size, _ = loaded
                 self.loaded_chunks += 1
                 load_span.set(sha256=actual, bytes=size, file=record["file"])
                 return payload

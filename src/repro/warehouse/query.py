@@ -3,9 +3,14 @@
 Every chunk archive a query reads is hashed against its manifest record
 by the store's one verify-before-deserialize helper, which then loads
 only the members the query needs; a chunk with no copy that verifies
-fails the aggregation in one line.  Tables are derived per chunk, in
-dataset order (study key16, then chunk), from the persisted float64
-values, so aggregates equal the in-RAM reductions bit for bit.
+fails the aggregation in one line.  A :class:`QueryEngine` reads each
+archive once per content: it keeps the payloads it has verified, keyed
+by store directory, archive file, recorded SHA-256 and members, so its
+later aggregations take them without another read, hash or unzip,
+while catalog records and manifests are read afresh every time.
+Tables are derived per chunk, in dataset order (study key16, then
+chunk), from the persisted float64 values, so aggregates equal the
+in-RAM reductions bit for bit.
 """
 
 from __future__ import annotations
@@ -115,7 +120,16 @@ def _provenance(record: dict, chunk: dict) -> dict:
 class QueryEngine:
     """Aggregations over the studies a warehouse catalog (a directory
     or :class:`~repro.warehouse.Warehouse`, only read) registers;
-    ``memory_budget`` bounds the column bytes read from one archive."""
+    ``memory_budget`` bounds the column bytes read from one archive.
+
+    Every aggregation reads the catalog records and manifests afresh,
+    so new registrations, re-pointed stores and re-recorded chunks are
+    seen.  An archive copy is read and verified once per engine per
+    content (store directory, file, recorded SHA-256, members loaded):
+    the engine keeps the verified payloads, read-only, for as long as
+    it lives, and later aggregations that need the same copy take it
+    from there.  Their answers are bit-identical to a fresh engine's.
+    """
 
     def __init__(self, warehouse, memory_budget: Optional[int] = None):
         self.directory = Path(getattr(warehouse, "directory", warehouse))
@@ -125,6 +139,7 @@ class QueryEngine:
         catalog_dir(self.directory)
         #: Column bytes the latest aggregation read: peak archive, total.
         self.last_peak_file_bytes = self.last_total_bytes = 0
+        self._verified: dict = {}
 
     def _registered(self, study: Optional[str]) -> List[dict]:
         """Catalog records matching ``study``, stores opened read-only."""
@@ -178,10 +193,11 @@ class QueryEngine:
     def _gather(self, table: str, columns, study: Optional[str] = None):
         """``(columns, chunks)``: ``columns`` of ``table`` concatenated in
         dataset order, and per chunk ``(catalog record, chunk record,
-        rows)``.  One ``warehouse.query`` span counts the chunks verified
-        and the archive bytes read."""
+        rows)``.  One ``warehouse.query`` span counts the chunks read and
+        verified, the archive bytes read and the chunks reused from this
+        engine's earlier reads."""
         members, parts = _members(table, columns), {name: [] for name in columns}
-        chunks, verified, bytes_read = [], 0, 0
+        chunks, verified, reused, bytes_read = [], 0, 0, 0
         self.last_peak_file_bytes = 0
         with obs_trace.span("warehouse.query", table=table,
                             study=study or "*") as span:
@@ -189,9 +205,14 @@ class QueryEngine:
                 key = record["study_key"]
                 parameters = self._parameters(record) if any(
                     name.startswith("p_") for name in columns) else {}
-                study_chunks = verified
-                for chunk, payload in record["_store"].iter_chunks(key, members):
-                    verified, bytes_read = verified + 1, bytes_read + chunk["bytes"]
+                study_chunks = verified + reused
+                for chunk, payload in record["_store"].iter_chunks(
+                        key, members, self._verified):
+                    if chunk["reused"]:
+                        reused += 1
+                    else:
+                        verified += 1
+                        bytes_read += chunk["bytes"]
                     derived = _table_columns(table, chunk["lo"], chunk["hi"],
                                              payload, parameters)
                     if derived is None:
@@ -213,9 +234,10 @@ class QueryEngine:
                             f"{self.memory_budget}-byte memory budget")
                     rows = len(derived.get("instance", derived.get("pos")))
                     chunks.append((record, chunk, rows))
-                if verified == study_chunks:
+                if verified + reused == study_chunks:
                     raise _unreachable(record)
-            span.set(chunks_verified=verified, bytes_read=bytes_read,
+            span.set(chunks_verified=verified, chunks_reused=reused,
+                     bytes_read=bytes_read,
                      rows=sum(rows for _, _, rows in chunks))
         if not chunks:
             raise WarehouseError(
@@ -234,7 +256,10 @@ class QueryEngine:
     def yield_fraction(self, metric: str, limit: float,
                        study: Optional[str] = None,
                        table: str = "instances") -> dict:
-        """Fraction of rows with ``metric <= limit``; NaN/Inf rows fail."""
+        """Fraction of rows with ``metric <= limit``; NaN/Inf rows fail.
+        A NaN ``limit`` is refused; ``±inf`` are valid limits."""
+        if np.isnan(limit):
+            raise WarehouseError(f"yield: limit must be a number, got {limit}")
         values = self.metric_values(metric, table=table, study=study)
         passed = int(np.count_nonzero(np.isfinite(values) & (values <= limit)))
         return {"metric": metric, "limit": float(limit), "passed": passed,
@@ -244,7 +269,11 @@ class QueryEngine:
     def percentile(self, metric: str, q: float,
                    study: Optional[str] = None,
                    table: str = "instances") -> dict:
-        """Exact :func:`np.percentile` of the finite ``metric`` values."""
+        """Exact :func:`np.percentile` of the finite ``metric`` values;
+        ``q`` must be a finite number in [0, 100]."""
+        if not 0 <= q <= 100:  # NaN fails the comparison too
+            raise WarehouseError(
+                f"percentile: q must be a finite number in [0, 100], got {q}")
         values = self.metric_values(metric, table=table, study=study)
         finite = values[np.isfinite(values)]
         if finite.size == 0:

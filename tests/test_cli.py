@@ -115,15 +115,39 @@ class TestSweepAndPoles:
         assert real_part < 0  # stable RC poles
 
     def test_poles_match_api(self, netlist_file, capsys):
+        from repro.analysis.poles import dominant_poles
         from repro.circuits import assemble, parse_netlist
 
         main(["poles", netlist_file, "--num", "1"])
         line = capsys.readouterr().out.strip().splitlines()[1]
         cli_pole = complex(float(line.split(",")[0]), float(line.split(",")[1]))
         system = assemble(parse_netlist(NETLIST))
-        api_pole = system.poles(num=1)[0]
+        api_pole = dominant_poles(system, 1)[0]
         # The CLI prints 6 significant digits.
         assert cli_pole == pytest.approx(api_pole, rel=1e-5, abs=1e-5 * abs(api_pole))
+
+    def test_poles_skip_poles_without_port_residue(self, tmp_path, capsys):
+        """Two identical branches off the port: their antisymmetric mode
+        (-5e9) leaves no residue at the port, so it is not dominant and
+        the CLI prints the next pole with one."""
+        from repro.analysis.poles import dominant_poles
+        from repro.circuits import assemble, parse_netlist
+
+        text = "\n".join([
+            ".title two-branch", "Rdrv n0 0 10", "C0 n0 0 0.01p",
+            "Ra n0 a 100", "Ca a 0 1p", "Rc a c 200", "Cc c 0 0.5p",
+            "Rb n0 b 100", "Cb b 0 1p", "Rd b d 200", "Cd d 0 0.5p",
+            ".port in n0", ""])
+        path = tmp_path / "two-branch.sp"
+        path.write_text(text)
+        assert main(["poles", str(path), "--num", "2"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        printed = [complex(float(row.split(",")[0]), float(row.split(",")[1]))
+                   for row in rows]
+        expected = dominant_poles(assemble(parse_netlist(text)), 2)
+        assert len(printed) == 2
+        np.testing.assert_allclose(printed, expected, rtol=1e-5)
+        assert printed[1].real == pytest.approx(-1.892988e10, rel=1e-6)
 
 
 class TestMonteCarlo:

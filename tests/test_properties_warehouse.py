@@ -7,7 +7,8 @@ delay/slew/steady metrics) and equal the in-RAM study result, and
 re-registering a study must write nothing.  Hypothesis drives random
 ensembles and chunk sizes; a fixed four-way sweep pins the property on
 every engine route (dense-batch, dense-stream, sparse-family,
-per-instance).
+per-instance).  One engine reused across aggregations answers each of
+them as a fresh engine does.
 """
 
 import tempfile
@@ -22,7 +23,7 @@ from repro.circuits.statespace import DescriptorSystem
 from repro.circuits.variational import ParametricSystem
 from repro.core.model import ParametricReducedModel
 from repro.runtime import Study, StudyStore
-from repro.warehouse import QueryEngine, Warehouse
+from repro.warehouse import QueryEngine, Warehouse, WarehouseError
 
 RELAXED = settings(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=15
@@ -221,34 +222,36 @@ class TestRoundTripTransient:
         )
 
 
+def _dense_ensemble():
+    """A fixed dense reduced model (q = 5, two parameters) and 6 samples."""
+    rng = np.random.default_rng(3)
+    q = 5
+    a = rng.standard_normal((q, q))
+    b = rng.standard_normal((q, q))
+    nominal = DescriptorSystem(
+        a @ a.T + q * np.eye(q), b @ b.T + q * np.eye(q),
+        rng.standard_normal((q, 1)), rng.standard_normal((q, 2)),
+    )
+    model = ParametricReducedModel(
+        nominal,
+        [0.05 * (m + m.T) for m in rng.standard_normal((2, q, q))],
+        [0.05 * (m + m.T) for m in rng.standard_normal((2, q, q))],
+    )
+    return model, 0.3 * rng.standard_normal((6, 2))
+
+
 class TestEveryRoute:
     """The four engine routes all feed the same warehouse contract."""
 
-    def _dense(self):
-        rng = np.random.default_rng(3)
-        q = 5
-        a = rng.standard_normal((q, q))
-        b = rng.standard_normal((q, q))
-        nominal = DescriptorSystem(
-            a @ a.T + q * np.eye(q), b @ b.T + q * np.eye(q),
-            rng.standard_normal((q, 1)), rng.standard_normal((q, 2)),
-        )
-        model = ParametricReducedModel(
-            nominal,
-            [0.05 * (m + m.T) for m in rng.standard_normal((2, q, q))],
-            [0.05 * (m + m.T) for m in rng.standard_normal((2, q, q))],
-        )
-        return model, 0.3 * rng.standard_normal((6, 2))
-
     def test_dense_batch(self):
-        model, samples = self._dense()
+        model, samples = _dense_ensemble()
         study, _ = _run_and_verify(
             lambda: Study(model).scenarios(samples).sweep(FREQUENCIES).poles(2)
         )
         assert study.plan().route == "dense-batch"
 
     def test_dense_stream(self):
-        model, samples = self._dense()
+        model, samples = _dense_ensemble()
         study, _ = _run_and_verify(
             lambda: Study(model).scenarios(samples)
             .sweep(FREQUENCIES).poles(2).chunk(2)
@@ -268,3 +271,104 @@ class TestEveryRoute:
             lambda: Study(model).scenarios(samples).poles(2).chunk(3)
         )
         assert study.plan().route == "per-instance"
+
+
+# -- engine reuse ---------------------------------------------------------
+
+#: ``(table, column)`` pairs the reuse property queries; some have no rows
+#: or no column in some studies, which both engines must refuse alike.
+REUSE_COLUMNS = (
+    ("instances", "instance"), ("instances", "delay"),
+    ("instances", "num_poles"), ("instances", "p_p1"),
+    ("poles", "re"), ("poles", "pole_index"),
+    ("envelope", "env_max"), ("envelope", "count"),
+)
+REUSE_STUDIES = ("sweep", "transient", "poles")
+
+
+def _reuse_builds():
+    """Three workloads over one dense model: a sweep with poles
+    (instances, poles and envelope rows), a transient (delay metrics)
+    and a pole study, each chunked."""
+    model, samples = _dense_ensemble()
+    return samples, {
+        "sweep": lambda: Study(model).scenarios(samples)
+        .sweep(FREQUENCIES).poles(2).chunk(2),
+        "transient": lambda: Study(model).scenarios(samples)
+        .transient(num_steps=12).chunk(4),
+        "poles": lambda: Study(model).scenarios(samples).poles(3).chunk(3),
+    }
+
+
+def _answer(engine, call):
+    """What ``engine`` answers to ``call``: the value (arrays as dtype
+    and bytes, for a bit-for-bit comparison) or the refusal's text."""
+    method, (table, column), study, number = call
+    try:
+        if method == "metric_values":
+            values = engine.metric_values(column, table=table, study=study)
+            return values.dtype.str, values.tobytes()
+        if method == "percentile":
+            return engine.percentile(column, number, study, table=table)
+        if method == "yield_fraction":
+            return engine.yield_fraction(column, number, study, table=table)
+        if method == "outliers":
+            return engine.outliers(column, k=int(number) % 5, study=study,
+                                   table=table)
+        return engine.provenance(study, table=table)
+    except WarehouseError as exc:
+        return "refused", str(exc)
+
+
+REUSE_CALLS = st.tuples(
+    st.sampled_from(("metric_values", "percentile", "yield_fraction",
+                     "outliers", "provenance")),
+    st.sampled_from(REUSE_COLUMNS),
+    st.sampled_from((None, *REUSE_STUDIES)),
+    st.floats(min_value=0, max_value=100),
+)
+REUSE_STEPS = st.lists(st.one_of(
+    REUSE_CALLS.map(lambda call: ("query", call)),
+    st.just(("register", None)),
+    st.sampled_from(REUSE_STUDIES).map(lambda name: ("rerun", name)),
+), min_size=1, max_size=12)
+
+
+class TestEngineReuse:
+    @RELAXED
+    @given(REUSE_STEPS)
+    def test_reused_engine_answers_like_a_fresh_one(self, steps):
+        """One engine through a drawn sequence of aggregations over the
+        three tables, with and without a study filter, answers each call
+        bit for bit as a fresh engine does -- also after a study is
+        registered mid-sequence, and after a registered study is re-run
+        into a new store and re-registered from it."""
+        samples, builds = _reuse_builds()
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            keys = {}
+            for name, build in builds.items():
+                build().store(root / name).run()
+                (keys[name],) = StudyStore(root / name).study_keys()
+            wh = Warehouse(root / "wh")
+            wh.register(root / "sweep", samples=samples)
+            registered = ["sweep"]
+            engine = QueryEngine(root / "wh")
+            for number, (kind, detail) in enumerate(steps):
+                if kind == "register":
+                    pending = [n for n in REUSE_STUDIES if n not in registered]
+                    if pending:
+                        wh.register(root / pending[0], samples=samples)
+                        registered.append(pending[0])
+                    continue
+                if kind == "rerun":
+                    if detail in registered:
+                        store = root / f"{detail}-rerun-{number}"
+                        builds[detail]().store(store).run()
+                        wh.register(store, samples=samples)
+                    continue
+                method, column, study, value = detail
+                call = (method, column,
+                        None if study is None else keys[study][:16], value)
+                assert _answer(engine, call) == _answer(QueryEngine(root / "wh"),
+                                                        call)

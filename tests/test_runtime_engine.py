@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.montecarlo import sample_parameters
 from repro.analysis.poles import dominant_poles
 from repro.circuits import (
+    coupled_rlc_bus,
     power_grid_mesh,
     rc_ladder,
     rc_network_767,
@@ -37,6 +38,7 @@ from repro.runtime import (
     sweep_chunk_bytes,
     transient_chunk_bytes,
 )
+from repro.runtime import executor as executor_module
 from repro.runtime.batch import (
     _sweep_study,
     batch_instantiate,
@@ -550,6 +552,57 @@ class TestMemoryBudget:
         assert peak <= execution.estimated_peak_bytes
         # ... without being uselessly loose.
         assert execution.estimated_peak_bytes <= 2 * peak
+
+
+def _traced_peak(study):
+    """Bytes a second run of ``study`` allocates at its peak (the first
+    warms the per-model memos, which no later run pays again)."""
+    study.run()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        study.run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestGeneralKernelPeak:
+    """Sweeps of a nonsymmetric model run the general eig kernel, which
+    holds more per instance than the symmetric one; the plan prices it,
+    so an RLC bus (q = 52, 4 ports) sweep stays within its estimate and
+    within a memory budget.  One row-pool thread computes, so a chunk's
+    rows are the only ones in flight and the peak is deterministic."""
+
+    RLC_FREQUENCIES = np.logspace(8, 10, 4)
+
+    @pytest.fixture(scope="class")
+    def rlc_model(self):
+        parametric = with_random_variations(
+            coupled_rlc_bus(num_segments=20), 2, seed=1)
+        return LowRankReducer(num_moments=4).reduce(parametric)
+
+    def _sweep(self, model):
+        return (Study(model).scenarios(MonteCarloPlan(num_instances=256, seed=1))
+                .sweep(self.RLC_FREQUENCIES))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_estimate_bounds_measured_peak(self, rlc_model, monkeypatch, chunk):
+        monkeypatch.setattr(executor_module, "row_pool_width", lambda: 1)
+        study = self._sweep(rlc_model).chunk(chunk)
+        execution = study.plan()
+        assert execution.kernel.startswith("eig-rational[sweep-study/")
+        assert _traced_peak(study) <= execution.estimated_peak_bytes
+
+    def test_memory_budget_holds(self, rlc_model, monkeypatch):
+        monkeypatch.setattr(executor_module, "row_pool_width", lambda: 1)
+        budget = 1 << 20
+        study = self._sweep(rlc_model).memory_budget(budget)
+        execution = study.plan()
+        assert execution.num_chunks > 1
+        assert execution.estimated_peak_bytes <= budget
+        assert _traced_peak(study) <= budget
 
 
 class TestPoleMemoryBudget:

@@ -11,6 +11,8 @@ and the refusal of directories that still hold the row-copy partitions
 of older releases.
 """
 
+import hashlib
+import io
 import json
 import os
 import threading
@@ -20,6 +22,7 @@ import pytest
 
 from repro.core import LowRankReducer
 from repro.obs import MemorySink
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import MonteCarloPlan, Study, StudyStore, StoreError
 from repro.runtime.store import _verified_chunk_payload
@@ -67,6 +70,10 @@ def _tree(directory):
         str(path.relative_to(directory)): path.read_bytes()
         for path in sorted(directory.rglob("*")) if path.is_file()
     }
+
+
+def _counter(name):
+    return obs_metrics.registry().snapshot()["counters"].get(name, 0)
 
 
 def _spans(records, name):
@@ -376,6 +383,30 @@ class TestQueryEngine:
                     as caught:
                 engine.outliers("delay", k=k)
             assert "\n" not in str(caught.value)
+
+    def test_out_of_range_inputs_fail_before_any_read(
+            self, transient_warehouse):
+        """A percentile outside [0, 100] (or not finite) and a NaN yield
+        limit are refused in one line before any archive is read;
+        infinite limits are valid."""
+        wh_dir, result, _ = transient_warehouse
+        engine = QueryEngine(wh_dir)
+        loaded = _counter("store.chunks_loaded")
+        for q in (150, -5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(WarehouseError, match="q must be a finite "
+                               r"number in \[0, 100\]") as caught:
+                engine.percentile("delay", q)
+            assert "\n" not in str(caught.value)
+        with pytest.raises(WarehouseError, match="limit must be a number") \
+                as caught:
+            engine.yield_fraction("delay", float("nan"))
+        assert "\n" not in str(caught.value)
+        assert _counter("store.chunks_loaded") == loaded
+        assert engine.yield_fraction("delay", float("inf"))["passed"] == 13
+        assert engine.yield_fraction("delay", -float("inf"))["passed"] == 0
+        for q in (0, 100):
+            assert engine.percentile("delay", q)["value"] == \
+                float(np.percentile(result.delays, q))
 
     def test_parameter_columns_present(self, transient_warehouse, model, plan):
         """The catalog's sample block serves one ``p_<name>`` column per
@@ -798,6 +829,94 @@ class TestSpans:
             assert span["attrs"]["bytes_read"] == archive_bytes
 
 
+class TestEngineReuse:
+    """One engine verifies each archive once per content: a query set
+    reads every chunk once, its later aggregations reuse what it
+    verified, and the answers stay those a fresh engine gives."""
+
+    @staticmethod
+    def _query_set(engine):
+        return (engine.percentile("delay", 99),
+                engine.yield_fraction("delay", 1.0),
+                engine.outliers("delay", k=3))
+
+    def test_query_set_reads_each_chunk_once(self, model, plan, tmp_path):
+        store, wh = tmp_path / "store", tmp_path / "wh"
+        _transient(model, plan, store).warehouse(wh).run()
+        archive_bytes = sum(
+            path.stat().st_size for path in (store / "chunks").rglob("*.npz"))
+        loaded, read = _counter("store.chunks_loaded"), \
+            _counter("store.bytes_read")
+        answers = self._query_set(QueryEngine(wh))
+        assert _counter("store.chunks_loaded") == loaded + 4
+        assert _counter("store.bytes_read") == read + archive_bytes
+        assert answers == self._query_set(QueryEngine(wh))
+
+    def test_later_aggregations_reuse_every_chunk(self, model, plan,
+                                                   tmp_path):
+        store, wh = tmp_path / "store", tmp_path / "wh"
+        _transient(model, plan, store).warehouse(wh).run()
+        archive_bytes = sum(
+            path.stat().st_size for path in (store / "chunks").rglob("*.npz"))
+        sink = obs_trace.add_sink(MemorySink())
+        try:
+            self._query_set(QueryEngine(wh))
+        finally:
+            obs_trace.remove_sink(sink)
+        first, *later = [span["attrs"] for span in
+                         _spans(sink.records, "warehouse.query")]
+        assert len(later) == 2
+        assert (first["chunks_verified"], first["chunks_reused"],
+                first["bytes_read"]) == (4, 0, archive_bytes)
+        for attrs in later:
+            assert (attrs["chunks_verified"], attrs["chunks_reused"],
+                    attrs["bytes_read"], attrs["rows"]) == (0, 4, 0, 13)
+
+    def test_re_recorded_chunk_is_read_afresh(self, model, plan, tmp_path):
+        """A chunk recorded anew (new archive bytes, new manifest
+        SHA-256) is read and verified again, not served from the memo."""
+        store, wh = tmp_path / "store", tmp_path / "wh"
+        _transient(model, plan, store).warehouse(wh).run()
+        engine = QueryEngine(wh)
+        before = engine.metric_values("delay")
+        (path,) = store.glob("manifest-*.json")
+        manifest = json.loads(path.read_text())
+        record = manifest["chunks"]["2"]
+        with np.load(store / record["file"]) as archive:
+            payload = dict(archive)
+        payload["delays"] = 2 * payload["delays"]
+        buffer = io.BytesIO()
+        np.savez(buffer, **payload)
+        (store / record["file"]).write_bytes(buffer.getvalue())
+        record["sha256"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+        path.write_text(json.dumps(manifest))
+        after = engine.metric_values("delay")
+        np.testing.assert_array_equal(after,
+                                      QueryEngine(wh).metric_values("delay"))
+        np.testing.assert_array_equal(after[8:12], 2 * before[8:12])
+        np.testing.assert_array_equal(np.delete(after, range(8, 12)),
+                                      np.delete(before, range(8, 12)))
+
+    def test_archive_altered_after_verification(self, model, plan, tmp_path):
+        """The engine answers from the bytes that matched their recorded
+        hash when it read them; a fresh engine reads the altered archive
+        and refuses it in one line."""
+        store, wh = tmp_path / "store", tmp_path / "wh"
+        _transient(model, plan, store).warehouse(wh).run()
+        engine = QueryEngine(wh)
+        answers = self._query_set(engine)
+        delays = engine.metric_values("delay")
+        delays[:] = 0.0  # a copy: the engine's verified payloads stay
+        (archive,) = (store / "chunks").rglob("chunk-00002.npz")
+        data = bytearray(archive.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        archive.write_bytes(bytes(data))
+        assert self._query_set(engine) == answers
+        with pytest.raises(StoreError, match="chunk 2") as caught:
+            QueryEngine(wh).percentile("delay", 99)
+        assert "\n" not in str(caught.value)
+
+
 class TestCliQuery:
     @pytest.fixture()
     def ingested(self, model, plan, tmp_path):
@@ -846,6 +965,21 @@ class TestCliQuery:
                      "-k", "2"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 2
+
+    def test_out_of_range_inputs_exit_2(self, ingested, capsys):
+        from repro.cli import main
+
+        for argv in (
+            ["percentile", "--metric", "delay", "--q", "150"],
+            ["percentile", "--metric", "delay", "--q", "-5"],
+            ["percentile", "--metric", "delay", "--q", "nan"],
+            ["yield", "--metric", "delay", "--limit", "nan"],
+        ):
+            assert main(["query", argv[0], str(ingested), *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert captured.err.count("\n") == 1
 
     def test_errors_are_exit_2_one_liners(self, tmp_path, capsys):
         from repro.cli import main
