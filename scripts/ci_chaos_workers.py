@@ -20,8 +20,9 @@ against the CLI:
    (same-host dead-pid fast path), drain the store, and each print the
    merged envelope CSV,
 5. diff both survivors' CSVs against the one-shot run: byte-identical,
-6. re-verify every chunk archive in every worker manifest against its
-   recorded SHA-256 -- recomputed here, independently of the library --
+6. re-verify every chunk archive in every worker manifest (and the
+   journal a killed worker left) against its recorded SHA-256 --
+   recomputed here, independently of the library --
    and check the union of chunk records covers the whole study,
 7. read the survivors' JSONL traces and require a ``lease.steal`` span:
    the drill must actually have exercised stealing, not just luck.
@@ -91,6 +92,28 @@ def csv_lines(text: str):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
 
 
+def read_manifest(path: pathlib.Path) -> dict:
+    """Parse a store manifest with its journal's complete lines merged
+    over its ``chunks`` (later lines win), independently of the library.
+
+    A run's later checkpoints are lines of ``<manifest>.journal`` until
+    the run compacts them, so a killed run's chunks are only there.  The
+    journal is read first, as the store does (a compaction in between
+    has put its lines in the manifest); bytes after its last newline are
+    an append that never returned.
+    """
+    journal = path.with_name(path.name + ".journal")
+    try:
+        lines = journal.read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        lines = []
+    manifest = json.loads(path.read_text())
+    for line in lines:
+        entry = json.loads(line)
+        manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
+    return manifest
+
+
 def sha256_file(path: pathlib.Path) -> str:
     digest = hashlib.sha256()
     digest.update(path.read_bytes())
@@ -101,7 +124,7 @@ def saved_chunk_indices(store: pathlib.Path):
     indices = set()
     for manifest_path in store.glob("manifest-*.json"):
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = read_manifest(manifest_path)
         except (OSError, ValueError):
             continue
         indices.update(int(index) for index in manifest.get("chunks", {}))
@@ -230,7 +253,7 @@ def main() -> int:
     total = None
     verified = 0
     for manifest_path in manifests:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_manifest(manifest_path)
         total = manifest["layout"]["num_chunks"]
         for index, record in manifest["chunks"].items():
             archive = store / record["file"]

@@ -12,8 +12,9 @@ CLI:
 2. SIGTERM the process the moment the first checkpoint manifest
    appears on disk,
 3. verify the store is consistent (1 <= completed chunks < total, every
-   recorded chunk archive present and matching its manifest SHA-256 --
-   recomputed here, independently of the library),
+   chunk archive the manifest or its journal records present and
+   matching its recorded SHA-256 -- recomputed here, independently of
+   the library),
 4. ``--resume`` the study to completion in a new process, with a JSONL
    span trace (``--trace``) recording the run,
 5. diff the resumed envelope CSV against a one-shot run without a
@@ -84,6 +85,28 @@ def csv_lines(text: str):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
 
 
+def read_manifest(path: pathlib.Path) -> dict:
+    """Parse a store manifest with its journal's complete lines merged
+    over its ``chunks`` (later lines win), independently of the library.
+
+    A run's later checkpoints are lines of ``<manifest>.journal`` until
+    the run compacts them, so a killed run's chunks are only there.  The
+    journal is read first, as the store does (a compaction in between
+    has put its lines in the manifest); bytes after its last newline are
+    an append that never returned.
+    """
+    journal = path.with_name(path.name + ".journal")
+    try:
+        lines = journal.read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        lines = []
+    manifest = json.loads(path.read_text())
+    for line in lines:
+        entry = json.loads(line)
+        manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
+    return manifest
+
+
 def sha256_file(path: pathlib.Path) -> str:
     digest = hashlib.sha256()
     digest.update(path.read_bytes())
@@ -128,7 +151,7 @@ def main() -> int:
 
     # -- 3: independent store consistency check ------------------------
     manifest_path = next(iter(store.glob("manifest-*.json")))
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(manifest_path)
     completed = manifest["chunks"]
     total = manifest["layout"]["num_chunks"]
     if not 1 <= len(completed) < total:

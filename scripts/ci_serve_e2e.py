@@ -86,13 +86,35 @@ def cli_environment(**extra):
     return environment
 
 
+def read_manifest(path: pathlib.Path) -> dict:
+    """Parse a store manifest with its journal's complete lines merged
+    over its ``chunks`` (later lines win), independently of the library.
+
+    A run's later checkpoints are lines of ``<manifest>.journal`` until
+    the run compacts them, so a killed run's chunks are only there.  The
+    journal is read first, as the store does (a compaction in between
+    has put its lines in the manifest); bytes after its last newline are
+    an append that never returned.
+    """
+    journal = path.with_name(path.name + ".journal")
+    try:
+        lines = journal.read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        lines = []
+    manifest = json.loads(path.read_text())
+    for line in lines:
+        entry = json.loads(line)
+        manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
+    return manifest
+
+
 def saved_chunk_indices(store: pathlib.Path):
     """``(key16, index)`` pairs for every chunk any manifest records."""
     saved = set()
     for manifest_path in store.glob("manifest-*.json"):
         key16 = manifest_path.name[len("manifest-"):][:16]
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = read_manifest(manifest_path)
         except (OSError, ValueError):
             continue
         saved.update((key16, int(index)) for index in

@@ -149,12 +149,34 @@ def spawn_worker(store: pathlib.Path, worker_id: str, log_path: pathlib.Path):
     return process
 
 
+def read_manifest(path: pathlib.Path) -> dict:
+    """Parse a store manifest with its journal's complete lines merged
+    over its ``chunks`` (later lines win), independently of the library.
+
+    A run's later checkpoints are lines of ``<manifest>.journal`` until
+    the run compacts them, so a killed run's chunks are only there.  The
+    journal is read first, as the store does (a compaction in between
+    has put its lines in the manifest); bytes after its last newline are
+    an append that never returned.
+    """
+    journal = path.with_name(path.name + ".journal")
+    try:
+        lines = journal.read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        lines = []
+    manifest = json.loads(path.read_text())
+    for line in lines:
+        entry = json.loads(line)
+        manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
+    return manifest
+
+
 def worker_chunks(store: pathlib.Path, worker_id: str):
     """Chunk indexes recorded by one worker's manifest(s)."""
     indexes = set()
     for path in store.glob(f"manifest-*.worker-{worker_id}.json"):
         try:
-            manifest = json.loads(path.read_text())
+            manifest = read_manifest(path)
         except (OSError, ValueError):
             continue
         indexes.update(int(index) for index in manifest.get("chunks", {}))

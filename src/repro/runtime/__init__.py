@@ -56,8 +56,9 @@ that reuse is made fast and declarative:
   reduction entirely.
 - :mod:`repro.runtime.store` -- the durability layer: a
   :class:`StudyStore` persists every streamed chunk as an ``.npz``
-  checkpoint unit plus a JSON manifest keyed by the same content
-  fingerprints the cache uses, so a crashed or killed study resumes
+  checkpoint unit plus a record in a JSON manifest (or, until the run
+  closes, a synced line of the manifest's journal) keyed by the same
+  content fingerprints the cache uses, so a crashed or killed study resumes
   (``Study.store/.resume``) bit-identically to an uninterrupted run --
   with per-chunk checksums so persisted results stay independently
   re-checkable.

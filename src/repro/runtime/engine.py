@@ -746,7 +746,11 @@ class Study:
         """``(per_instance, fixed, per_chunk)`` bytes of a streamed run.
 
         A dense sweep's instance costs :func:`_dense_eig_bytes`, the
-        kernel it shares with dense pole studies.
+        kernel it shares with dense pole studies.  A swept pole study
+        (``.sweep(f).poles(k)``) also retains every instance's pole set
+        and prices it as :func:`_pole_run_bytes` does: ``32 k +
+        _POLE_SET_BYTES`` per instance and ``_CHUNK_RECORD_BYTES`` per
+        chunk.
         ``fixed`` covers what lives across chunks: the streaming
         reducer's envelope accumulator (three float64 arrays shaped
         like one instance's statistic grid -- running min, sum, max)
@@ -769,14 +773,17 @@ class Study:
             n_f = self._frequencies.size
             m_out = target.nominal.L.shape[1]
             m_in = target.nominal.B.shape[1]
-            accumulator = 24 * n_f * m_out * m_in
+            fixed, per_chunk = 24 * n_f * m_out * m_in, 0
+            if workload == "sweep+poles":
+                fixed += num_samples * (32 * self._num_poles + _POLE_SET_BYTES)
+                per_chunk = _CHUNK_RECORD_BYTES
             if kind == "sparse":
                 family = shared_pattern_family(target)
                 # Two (c, nnz) data stacks + the chunk's response grid,
                 # plus one instance's pencil-solve workspace.
                 per = 16 * (2 * family.nnz + n_f * m_out * m_in)
-                return per, family.workspace_bytes(n_f) + accumulator, 0
-            return _dense_eig_bytes(target, n_f), accumulator, 0
+                return per, family.workspace_bytes(n_f) + fixed, per_chunk
+            return _dense_eig_bytes(target, n_f), fixed, per_chunk
         options = self._transient_options
         num_steps = options["num_steps"]
         m_out = target.nominal.L.shape[1]
@@ -1146,22 +1153,25 @@ class Study:
                     store=plan.store,
                 )
                 checkpoint = self._open_checkpoint(plan, worker=worker_id)
-                lease_board = board if board is not None else LeaseBoard(
-                    self._store, checkpoint.key, worker=worker_id, ttl=ttl
-                )
-                grid = _chunk_grid(plan.num_samples, plan.chunk_size)
-                payload_fn, _, _ = self._chunk_workload(plan, target)
-
-                def compute(index: int) -> None:
-                    lo, hi = grid[index]
-                    _chunk_unit(
-                        checkpoint, index, lo, hi, payload_fn, samples[lo:hi]
+                try:
+                    lease_board = board if board is not None else LeaseBoard(
+                        self._store, checkpoint.key, worker=worker_id, ttl=ttl
                     )
+                    grid = _chunk_grid(plan.num_samples, plan.chunk_size)
+                    payload_fn, _, _ = self._chunk_workload(plan, target)
 
-                report = drain_chunks(
-                    checkpoint, compute, lease_board,
-                    poll=poll, max_chunks=max_chunks,
-                )
+                    def compute(index: int) -> None:
+                        lo, hi = grid[index]
+                        _chunk_unit(
+                            checkpoint, index, lo, hi, payload_fn, samples[lo:hi]
+                        )
+
+                    report = drain_chunks(
+                        checkpoint, compute, lease_board,
+                        poll=poll, max_chunks=max_chunks,
+                    )
+                finally:
+                    checkpoint.close()
                 self._last_drain = report
                 root.set(
                     drained=report.drained,
@@ -1382,12 +1392,16 @@ class Study:
         checkpoint = self._open_checkpoint(
             plan, worker=worker, lenient=lenient, resume=self._resume
         )
-        payload_fn, queue, build = self._chunk_workload(plan, target)
-        folded = _drive_chunks(
-            "sweep" if plan.workload.startswith("sweep") else plan.workload,
-            samples, plan.chunk_size, payload_fn,
-            checkpoint=checkpoint, progress=self._progress, queue=queue,
-        )
+        try:
+            payload_fn, queue, build = self._chunk_workload(plan, target)
+            folded = _drive_chunks(
+                "sweep" if plan.workload.startswith("sweep") else plan.workload,
+                samples, plan.chunk_size, payload_fn,
+                checkpoint=checkpoint, progress=self._progress, queue=queue,
+            )
+        finally:
+            if checkpoint is not None:
+                checkpoint.close()
         return build(samples, folded)
 
     def _open_checkpoint(

@@ -394,11 +394,11 @@ def drain_chunks(
     :func:`repro.runtime.stream._chunk_unit`).  The loop claims unfinished
     chunks through ``board``, sustains a heartbeat around each compute,
     and -- when every remaining chunk is claimed by someone else --
-    polls every ``poll`` seconds for other workers' manifests to grow
-    or their leases to expire.  ``max_chunks`` caps this worker's
-    computes (chaos tests use it to stop a worker at a known kill
-    point); the returned report then says ``drained=False`` and the
-    study is someone else's to finish.
+    polls every ``poll`` seconds for other workers' manifests (and
+    their journals) to grow or their leases to expire.  ``max_chunks``
+    caps this worker's computes (chaos tests use it to stop a worker at
+    a known kill point); the returned report then says
+    ``drained=False`` and the study is someone else's to finish.
     """
     total = checkpoint.layout["num_chunks"]
     report = DrainReport(drained=False)

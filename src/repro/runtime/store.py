@@ -6,19 +6,29 @@ re-verified against known-good numerics.  This module is that
 durability layer: the chunk loop (:mod:`repro.runtime.stream`) already
 advances chunk by chunk, so each chunk becomes a **checkpoint unit**
 -- its per-instance results and envelope contributions are persisted
-as one ``.npz`` archive and recorded in a JSON manifest the moment the
-chunk finishes.  A re-run of the same study (same target, samples,
-workload, chunk layout) loads completed chunks instead of recomputing
-them, folds them through the same incremental reducers in the same
-order, and is therefore **bit-identical** to an uninterrupted run.
+as one ``.npz`` archive and recorded the moment the chunk finishes.  A
+re-run of the same study (same target, samples, workload, chunk
+layout) loads completed chunks instead of recomputing them, folds them
+through the same incremental reducers in the same order, and is
+therefore **bit-identical** to an uninterrupted run.
 
 Layout of a store directory::
 
     store/
       manifest-<key16>.json                 # a Study.run()
+      manifest-<key16>.json.journal         # its records since the manifest
       manifest-<key16>.worker-<id>.json     # one Study.work() worker
       manifest-<key16>.shard01of02.json     # legacy static shard (read-only)
       chunks/<key16>/chunk-00007.npz        # one checkpoint unit
+
+A run's first save durably replaces its JSON manifest with every record
+it owns; each later save appends its chunk's record as one ``fsync``\\ ed
+line to the manifest's **journal**, and :meth:`StudyCheckpoint.close`
+folds the journal back into the manifest and removes it, so a finished
+or failed run leaves one manifest and only a hard kill leaves a
+journal.  Readers merge a journal's complete lines over its manifest's
+records; a final line without its newline is an append that never
+returned and is ignored.
 
 ``<key16>`` is the leading 16 hex digits of the **study key**: a
 SHA-256 over the target's content fingerprint (the same
@@ -58,7 +68,14 @@ Atomic writes are crash-durable: scratch files are flushed and
 ``fsync``\\ ed before the ``os.replace`` rename, and the containing
 directory is synced after it, so a power cut right after a rename can
 not surface a truncated checkpoint that passes the rename but fails
-its checksum on resume.
+its checksum on resume.  A chunk counts as checkpointed once its record
+is durable -- in the replaced manifest or in a synced journal line --
+and only then does :meth:`StudyCheckpoint.save` return.  The journal is
+created before the first save's manifest rename, so that rename's
+directory sync makes the journal's entry durable too, and no record
+leaves the journal (the first save's truncation, the compaction's
+unlink) until a durable manifest holds it.  A kill at any instant thus
+loses only chunks without a complete record.
 
 All persistence failures raise :class:`StoreError` -- one exception
 type the CLI maps to exit code 2 with a one-line diagnostic.
@@ -89,6 +106,16 @@ _BYTES_WRITTEN = obs_metrics.counter("store.bytes_written")
 _BYTES_READ = obs_metrics.counter("store.bytes_read")
 
 _KEY_PREFIX = 16
+
+_JOURNAL_SUFFIX = ".journal"
+
+# NumPy parses every ``.npy`` header with ``ast.literal_eval``, and the
+# AST conversion of CPython 3.11.7 tracks its recursion depth in state
+# the interpreter's threads share: two threads deserializing at once
+# can raise ``SystemError: AST constructor recursion depth mismatch``.
+# Readers in several threads (co-draining workers, serve pool threads)
+# therefore deserialize archives one at a time.
+_DESERIALIZE_LOCK = threading.Lock()
 
 
 class StoreError(RuntimeError):
@@ -192,7 +219,7 @@ def _verified_chunk_payload(
             f"checksum (manifest {record['sha256'][:12]}..., file "
             f"{actual[:12]}...); the store is corrupt"
         )
-    with np.load(io.BytesIO(data)) as archive:
+    with _DESERIALIZE_LOCK, np.load(io.BytesIO(data)) as archive:
         names = archive.files if members is None else [
             name for name in members if name in archive.files
         ]
@@ -276,7 +303,7 @@ def _check_manifest(path: Path, manifest) -> None:
     chunk's bounds -- and an archive directly under ``chunks/<key16>/``,
     named for that index as :meth:`StudyStore.chunk_path` names it;
     its optional ``worker`` and ``telemetry`` must have the types the
-    lineage and the manifest rewrite read.
+    lineage and a manifest write read.
     """
 
     def corrupt(problem: str) -> StoreError:
@@ -343,6 +370,41 @@ def _check_manifest(path: Path, manifest) -> None:
                 rest.startswith(f"{own}.w-") and rest.endswith(".npz")):
             raise corrupt(f"chunk {index} archive {record['file']!r} is "
                           f"not named {own}.npz or {own}.w-<worker>.npz")
+
+
+def _read_journal(path: Path) -> Dict[str, dict]:
+    """``{index: record}`` from a journal's complete lines, later lines
+    winning.
+
+    Each line is ``{"index": <int>, "record": {...}}``.  The bytes after
+    the last newline are an append that never returned and are
+    ignored; any other line that is not valid UTF-8 JSON of that shape
+    is a one-line :class:`StoreError` (the records themselves are
+    checked with their manifest).  A journal gone since the directory
+    listing was compacted, and its manifest holds its lines.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return {}
+    except OSError as exc:
+        raise StoreError(f"cannot read journal {str(path)!r}: {exc}") from None
+    records: Dict[str, dict] = {}
+    for number, line in enumerate(data.split(b"\n")[:-1], 1):
+        try:
+            entry = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            problem = str(exc)
+        else:
+            index = entry.get("index") if isinstance(entry, dict) else None
+            if type(index) is int and index >= 0 \
+                    and isinstance(entry.get("record"), dict):
+                records[str(index)] = entry["record"]
+                continue
+            problem = "not an indexed chunk record"
+        raise StoreError(f"corrupt journal {str(path)!r}: line {number}: "
+                         f"{problem} (delete it to start over)")
+    return records
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -469,7 +531,16 @@ class StudyStore:
         """Every existing manifest file for ``key`` (workers' and legacy
         shard-named ones included), sorted -- one glob, so every flavor
         merges transparently."""
-        return sorted(self.directory.glob(f"manifest-{self._key_prefix(key)}*.json"))
+        return [path for path, _ in self._manifest_files(key)]
+
+    def _manifest_files(self, key: str):
+        """``[(manifest, journal or None)]`` for ``key``, sorted by
+        manifest name: the one directory listing finds both."""
+        found = {path.name: path for path in
+                 self.directory.glob(f"manifest-{self._key_prefix(key)}*")}
+        return [(path, found.get(name + _JOURNAL_SUFFIX))
+                for name, path in sorted(found.items())
+                if name.endswith(".json")]
 
     def chunk_path(self, key: str, index: int, worker: Optional[str] = None) -> Path:
         """On-disk location of checkpoint unit ``index`` for ``key``.
@@ -486,7 +557,11 @@ class StudyStore:
 
     # -- manifests -----------------------------------------------------
 
-    def _read_manifest(self, path: Path) -> dict:
+    def _read_manifest(self, path: Path, journal: Optional[Path] = None) -> dict:
+        """Parse ``path`` with ``journal``'s records merged over its
+        ``chunks``.  The journal is read first: a writer that compacts
+        between the two reads has put its lines in the manifest."""
+        journaled = {} if journal is None else _read_journal(journal)
         try:
             with open(path) as handle:
                 manifest = json.load(handle)
@@ -498,6 +573,9 @@ class StudyStore:
             raise StoreError(
                 f"corrupt manifest {str(path)!r}: {exc} (delete it to start over)"
             ) from None
+        if journaled and isinstance(manifest, dict) \
+                and isinstance(manifest.get("chunks", {}), dict):
+            manifest["chunks"] = {**manifest.get("chunks", {}), **journaled}
         # Shape-check what readers index: a JSON-valid but hand-edited
         # or truncated manifest must surface as a one-line StoreError,
         # never an AttributeError deep inside a resumed run or a
@@ -506,8 +584,10 @@ class StudyStore:
         return manifest
 
     def load_manifests(self, key: str):
-        """All parsed manifests for ``key`` (raises on corruption)."""
-        return [self._read_manifest(path) for path in self.manifest_paths(key)]
+        """All parsed manifests for ``key``, journals merged (raises on
+        corruption)."""
+        return [self._read_manifest(path, journal)
+                for path, journal in self._manifest_files(key)]
 
     def study_keys(self) -> List[str]:
         """Every full study key with a manifest in this store.
@@ -641,9 +721,9 @@ class StudyStore:
             "chunk_size": int(chunk_size),
             "num_chunks": int(num_chunks),
         }
-        manifests = {
-            path: self._read_manifest(path) for path in self.manifest_paths(key)
-        }
+        files = self._manifest_files(key)
+        manifests = {path: self._read_manifest(path, journal)
+                     for path, journal in files}
         if resume and not manifests:
             raise NothingToResumeError(
                 f"nothing to resume: no manifest for study {key[:12]}... in "
@@ -662,9 +742,10 @@ class StudyStore:
                     f"{manifest.get('layout')}, but this run plans {layout}; "
                     "re-run with the original chunk size or use a fresh store"
                 )
+        own_journal = dict(files).get(self.manifest_path(key, worker))
         return StudyCheckpoint(
             self, key, fingerprint, layout, manifests, context=context,
-            worker=worker, lenient=lenient,
+            worker=worker, lenient=lenient, journaled=own_journal is not None,
         )
 
     def __repr__(self) -> str:
@@ -677,14 +758,17 @@ class StudyCheckpoint:
 
     ``completed`` merges the chunk records of *every* manifest for the
     study key, so a merge run sees every worker's work; :meth:`save`
-    appends to this run's own manifest only (the one named by its
-    worker), keeping concurrent workers independent.  ``manifests`` is
-    ``{path: manifest}`` as :meth:`StudyStore.checkpoint` parsed them.
+    records to this run's own manifest and its journal only (the ones
+    named by its worker), keeping concurrent workers independent, and
+    :meth:`close` folds the journal into the manifest.  ``manifests`` is
+    ``{path: manifest}`` as :meth:`StudyStore.checkpoint` parsed them,
+    journals merged; ``journaled`` says the own manifest had a journal
+    (a killed run's), which :meth:`close` folds in too.
     """
 
     def __init__(
         self, store, key, fingerprint, layout, manifests, context=None,
-        worker=None, lenient=False,
+        worker=None, lenient=False, journaled=False,
     ):
         self.store = store
         self.key = key
@@ -697,10 +781,17 @@ class StudyCheckpoint:
         self.completed = {
             index: records[0] for index, records in self._alternates.items()
         }
-        own = manifests.get(store.manifest_path(key, worker), {})
+        path = store.manifest_path(key, worker)
+        own = manifests.get(path, {})
         self._own_records: Dict[int, dict] = {
             int(index): record for index, record in own.get("chunks", {}).items()
         }
+        self._journal_path = path.with_name(path.name + _JOURNAL_SUFFIX)
+        # The journal's descriptor once this run's first save made it.
+        self._journal: Optional[int] = None
+        # Whether the journal on disk may hold records (or a torn line)
+        # the manifest lacks, and whether it may exist at all.
+        self._unfolded = self._journal_exists = journaled
         self.loaded_chunks = 0
         self.saved_chunks = 0
         self.bytes_written = 0
@@ -771,13 +862,19 @@ class StudyCheckpoint:
     ) -> dict:
         """Persist chunk ``index`` and record it -- the checkpoint unit.
 
-        The archive is written to a temporary sibling and atomically
-        renamed, then the manifest is rewritten the same way, so a kill
-        at any instant leaves either a fully recorded chunk or no
-        record at all -- never a half-written checkpoint.  ``telemetry``
-        (the producing run's per-chunk wall/CPU/instance numbers) rides
-        along in the chunk's manifest record; the record dict is
-        returned so callers can surface the recorded SHA-256.
+        The archive is written to a temporary sibling and atomically,
+        durably renamed; then the record is made durable.  This run's
+        first save creates the journal and replaces the manifest (compact
+        JSON holding every record this manifest owns) the same way as
+        the archive, then empties the journal; every later save appends
+        one line to the journal in a single ``write`` and returns only
+        after its ``fsync``.  So a kill at any instant leaves either a
+        fully recorded chunk or no record at all -- never a half-written
+        checkpoint -- and the caller's progress, fold and lease release
+        follow a durable record.  ``telemetry`` (the producing run's
+        per-chunk wall/CPU/instance numbers) rides along in the chunk's
+        record; the record dict is returned so callers can surface the
+        recorded SHA-256.
         """
         with obs_trace.span("store.save", index=index, lo=lo, hi=hi) as save_span:
             # Serialize (and hash) in memory so the hot streaming path
@@ -813,8 +910,82 @@ class StudyCheckpoint:
             _CHUNKS_SAVED.inc()
             _BYTES_WRITTEN.inc(len(data))
             save_span.set(sha256=record["sha256"], bytes=len(data))
-            self._write_manifest()
+            if self._journal is None:
+                self._first_record()
+            else:
+                self._append(index, record)
         return record
+
+    def _first_record(self) -> None:
+        """Replace the manifest with every own record, then empty the
+        journal: created before the rename, so the rename's directory
+        sync covers its entry, and emptied only once the manifest
+        durably holds whatever it held."""
+        try:
+            fd = os.open(self._journal_path,
+                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        except OSError as exc:
+            raise StoreError(f"cannot create journal "
+                             f"{str(self._journal_path)!r}: {exc}") from None
+        self._journal_exists = True
+        try:
+            self._write_manifest()
+            os.ftruncate(fd, 0)
+        except OSError as exc:
+            os.close(fd)
+            raise StoreError(f"cannot empty journal "
+                             f"{str(self._journal_path)!r}: {exc}") from None
+        except BaseException:
+            os.close(fd)
+            raise
+        self._journal, self._unfolded = fd, False
+
+    def _append(self, index: int, record: dict) -> None:
+        """Append chunk ``index``'s record to the journal, durably.  A
+        failed append closes the journal, so a next save starts over
+        with a manifest replace instead of writing after a torn line."""
+        line = json.dumps({"index": index, "record": record},
+                          sort_keys=True).encode() + b"\n"
+        self._unfolded = True
+        try:
+            written = os.write(self._journal, line)
+            if written != len(line):
+                raise OSError(f"wrote {written} of {len(line)} bytes")
+            os.fsync(self._journal)
+        except OSError as exc:
+            os.close(self._journal)
+            self._journal = None
+            raise StoreError(f"cannot append chunk {index} to journal "
+                             f"{str(self._journal_path)!r}: {exc}") from None
+
+    def close(self) -> None:
+        """Fold the journal into the manifest and remove it.
+
+        ``Study.run()`` calls this after its chunk loop and
+        ``Study.work()`` after its drain, both on the way out of any
+        exception.  When the journal may hold records the manifest
+        lacks -- this run's later saves, or the journal of a killed run
+        this one reopened -- the manifest is replaced once with every
+        own record; only then is the journal unlinked, so a record
+        never leaves it before a durable manifest holds it.  A run that
+        saved nothing over a store without a journal writes nothing.
+        Idempotent.
+        """
+        fd, self._journal = self._journal, None
+        if fd is not None:
+            os.close(fd)
+        if self._unfolded:
+            with obs_trace.span("store.compact",
+                                records=len(self._own_records)):
+                self._write_manifest()
+            self._unfolded = False
+        if self._journal_exists:
+            try:
+                self._journal_path.unlink(missing_ok=True)
+            except OSError as exc:
+                raise StoreError(f"cannot remove journal "
+                                 f"{str(self._journal_path)!r}: {exc}") from None
+            self._journal_exists = False
 
     def _write_manifest(self) -> None:
         records = {
@@ -853,9 +1024,7 @@ class StudyCheckpoint:
         }
         path = self.store.manifest_path(self.key, self.worker)
         try:
-            _durable_replace(
-                path, json.dumps(manifest, indent=1, sort_keys=True).encode()
-            )
+            _durable_replace(path, json.dumps(manifest, sort_keys=True).encode())
         except OSError as exc:
             raise StoreError(
                 f"cannot write manifest {str(path)!r}: {exc}"

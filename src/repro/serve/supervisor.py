@@ -393,10 +393,13 @@ class StudySupervisor:
     def _plain_run(self, job: Job):
         """Hold ``job``'s per-study-key locks if it is a plain run.
 
-        A plain (``workers`` 1) run rewrites its study's one manifest
-        from its own records, so two at once -- identical documents, or
-        documents differing only in rendering options -- could drop
-        each other's records just as one renders its lineage.  Inside
+        A plain (``workers`` 1) run replaces its study's one manifest
+        with its own records at its first save and again when it closes
+        (folding in the journal its later saves appended to), and
+        empties and removes that one journal; two at once -- identical
+        documents, or documents differing only in rendering options --
+        could drop each other's records just as one renders its
+        lineage.  Inside
         this supervisor they take turns, and the later one loads every
         chunk the earlier one saved.  Keys are taken in sorted order (a
         montecarlo job holds both of its).  Co-drains write

@@ -19,6 +19,16 @@ Any reader may instead raise :class:`~repro.runtime.store.StoreError`
 (one line); no reader may raise anything else.  A run opens its
 checkpoint from one parse of its manifests, so the shape check of that
 parse is what every later step relies on.
+
+A run that was never closed leaves a journal beside its manifest: one
+line per chunk saved after the first.  The second suite starts from
+such a store (a copy taken after the last save, before the close) and
+applies one drawn edit to the journal: a truncation at a drawn byte,
+drawn bytes or JSON appended, one field of one line dropped, retyped
+or set out of range, lines duplicated or reordered, or invalid UTF-8
+inserted.  The same readers must answer from the original chunks (the
+run recomputing only the chunks whose line a truncation cut off) or
+refuse in one line.
 """
 
 import json
@@ -55,16 +65,22 @@ def completed(small_parametric, tmp_path_factory):
             .transient(num_steps=12).chunk(2).store(store)
         )
 
-    study = declaration(root / "store")
+    def snapshot(done, total):  # every chunk saved, the run not closed
+        if done == total:
+            shutil.copytree(root / "store", root / "journaled")
+
+    study = declaration(root / "store").progress(snapshot)
     result = study.run()
     key = study.fingerprint()["key"]
     store = StudyStore.reader(root / "store")
     (manifest,) = store.manifest_paths(key)
+    journal = root / "journaled" / f"{manifest.name}.journal"
     return {
         "declaration": declaration, "root": root, "key": key,
         "samples": study._samples(), "result": result,
         "manifest": json.loads(manifest.read_text()),
         "manifest_name": manifest.name,
+        "journal": journal.read_bytes(), "journal_name": journal.name,
         "lineage": {r["index"]: r for r in store.lineage(key)},
         "payloads": {r["index"]: p for r, p in store.iter_chunks(key)},
     }
@@ -124,6 +140,14 @@ def edited_manifests(draw, manifest):
              " 1", "1.0")))
         edited["chunks"][new] = edited["chunks"].pop(old)
         return edited
+    _edit_one_field(draw, edited, edit)
+    return edited
+
+
+def _edit_one_field(draw, edited, edit) -> None:
+    """Drop, retype or set out of range (``edit``) one drawn field of
+    the parsed JSON ``edited``, in place."""
+    paths = list(_paths(edited))
     if edit == "range":
         paths = [p for p in paths if _kind(_get(edited, p)) == "int"]
     path = draw(st.sampled_from(paths))
@@ -138,23 +162,59 @@ def edited_manifests(draw, manifest):
         value = parent[name]
         parent[name] = draw(st.sampled_from(
             (-1, 0, value - 1, value + 1, 2 * value + 7, 10 ** 30)))
-    return edited
+
+
+@st.composite
+def edited_journals(draw, journal: bytes):
+    """``journal`` (its lines for chunks 1 and 2) with one drawn edit."""
+    edit = draw(st.sampled_from(("truncate", "append", "drop", "retype",
+                                 "range", "lines", "utf8")))
+    if edit == "truncate":
+        return journal[:draw(st.integers(0, len(journal)))]
+    if edit == "append":
+        return journal + draw(st.binary(max_size=24) | JSON_VALUES.map(
+            lambda value: json.dumps(value).encode() + b"\n"))
+    if edit == "utf8":
+        at = draw(st.integers(0, len(journal)))
+        invalid = draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
+        return journal[:at] + invalid + journal[at:]
+    lines = journal.split(b"\n")[:-1]
+    if edit == "lines":  # reorder them, perhaps duplicating one
+        lines = list(draw(st.permutations(lines)))
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(lines)))
+    else:
+        number = draw(st.integers(0, len(lines) - 1))
+        entry = json.loads(lines[number])
+        _edit_one_field(draw, entry, edit)
+        lines[number] = json.dumps(entry).encode()
+    return b"\n".join(lines) + b"\n"
 
 
 # -- the readers -------------------------------------------------------
 
 
-def _fresh_copy(completed, scratch: Path, edited) -> Path:
-    """A copy of the completed store with its manifest replaced."""
-    store = scratch / "store"
-    shutil.copytree(completed["root"] / "store", store)
-    (store / completed["manifest_name"]).write_text(json.dumps(edited))
-    return store
-
-
 def _present(edited) -> list:
     """The chunk indices an accepted manifest still records."""
     return sorted(int(index) for index in edited.get("chunks", {}))
+
+
+def _journal_present(journal: bytes):
+    """The chunk indices the journaled store records after its journal
+    became ``journal`` -- the manifest's chunk 0 and every complete
+    line's index -- or ``None`` when a complete line is not an indexed
+    record, so that every reader must refuse the store."""
+    present = {0}
+    for line in journal.split(b"\n")[:-1]:
+        try:
+            entry = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError):
+            return None
+        if not (isinstance(entry, dict) and type(entry.get("index")) is int):
+            return None
+        present.add(entry["index"])
+    return sorted(present)
 
 
 def _same_result(result, reference) -> None:
@@ -174,15 +234,27 @@ def _answer_or_store_error(reader, check) -> None:
     check(answer)
 
 
-@SETTINGS
-@given(data=st.data())
-def test_hand_edited_manifest_readers_answer_or_refuse(completed, data):
-    edited = data.draw(edited_manifests(completed["manifest"]))
+def _edited_copy(completed, scratch: Path, source: str, name: str,
+                 data: bytes) -> Path:
+    """A copy of ``completed``'s ``source`` store with file ``name``
+    replaced by ``data``."""
+    store = scratch / "store"
+    shutil.copytree(completed["root"] / source, store)
+    (store / name).write_bytes(data)
+    return store
+
+
+def _readers_answer_or_refuse(completed, source, name, data, present):
+    """Every reader of ``source`` with ``name`` replaced by ``data``
+    answers from the original chunks ``present()`` names or raises a
+    one-line StoreError; ``present()`` is ``None`` when every reader
+    must refuse."""
     key, samples = completed["key"], completed["samples"]
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         for directive in ("run", "resume"):
-            store = _fresh_copy(completed, scratch / directive, edited)
+            store = _edited_copy(completed, scratch / directive, source,
+                                 name, data)
             study = completed["declaration"](store)
             if directive == "resume":
                 study = study.resume()
@@ -193,31 +265,36 @@ def test_hand_edited_manifest_readers_answer_or_refuse(completed, data):
         # The read-only readers share one copy, registered in a
         # warehouse before the edit (for the query) and after it.
         store = scratch / "readers" / "store"
-        shutil.copytree(completed["root"] / "store", store)
+        shutil.copytree(completed["root"] / source, store)
         queried = Warehouse(scratch / "queried")
         queried.register(StudyStore.reader(store), key=key, samples=samples)
-        (store / completed["manifest_name"]).write_text(json.dumps(edited))
+        (store / name).write_bytes(data)
         reader = StudyStore.reader(store)
 
+        def indices():
+            chunks = present()
+            assert chunks is not None, "a reader accepted a refused edit"
+            return chunks
+
         def lineage_check(lineage):
-            assert lineage == [completed["lineage"][i]
-                               for i in _present(edited)]
+            assert lineage == [completed["lineage"][i] for i in indices()]
 
         def chunks_check(chunks):
-            assert [r["index"] for r, _ in chunks] == _present(edited)
+            assert [r["index"] for r, _ in chunks] == indices()
             for record, payload in chunks:
                 original = completed["payloads"][record["index"]]
                 assert sorted(payload) == sorted(original)
-                for name in payload:
-                    np.testing.assert_array_equal(payload[name], original[name])
+                for column in payload:
+                    np.testing.assert_array_equal(payload[column],
+                                                  original[column])
 
         def register_check(report):
             assert report.studies == [key[:16]]
-            assert report.chunks == len(_present(edited))
+            assert report.chunks == len(indices())
 
         def query_check(delays):
             np.testing.assert_array_equal(delays, np.concatenate(
-                [completed["payloads"][i]["delays"] for i in _present(edited)]))
+                [completed["payloads"][i]["delays"] for i in indices()]))
 
         _answer_or_store_error(lambda: reader.lineage(key), lineage_check)
         _answer_or_store_error(
@@ -228,3 +305,29 @@ def test_hand_edited_manifest_readers_answer_or_refuse(completed, data):
             register_check)
         _answer_or_store_error(
             lambda: QueryEngine(queried).metric_values("delay"), query_check)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_hand_edited_manifest_readers_answer_or_refuse(completed, data):
+    edited = data.draw(edited_manifests(completed["manifest"]))
+    _readers_answer_or_refuse(
+        completed, "store", completed["manifest_name"],
+        json.dumps(edited).encode(), lambda: _present(edited))
+
+
+def test_the_journaled_store_answers_in_full(completed):
+    """The unedited journaled store: manifest chunk 0, journal 1 and 2."""
+    assert completed["journal"].count(b"\n") == NUM_CHUNKS - 1
+    _readers_answer_or_refuse(
+        completed, "journaled", completed["journal_name"],
+        completed["journal"], lambda: list(range(NUM_CHUNKS)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_hand_edited_journal_readers_answer_or_refuse(completed, data):
+    journal = data.draw(edited_journals(completed["journal"]))
+    _readers_answer_or_refuse(
+        completed, "journaled", completed["journal_name"], journal,
+        lambda: _journal_present(journal))

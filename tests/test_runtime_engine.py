@@ -595,6 +595,16 @@ class TestGeneralKernelPeak:
         assert execution.kernel.startswith("eig-rational[sweep-study/")
         assert _traced_peak(study) <= execution.estimated_peak_bytes
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_swept_pole_sets_are_priced(self, rlc_model, monkeypatch, chunk):
+        """``.sweep(f).poles(k)`` keeps every instance's pole set until
+        the result is built; the plan prices them as a pole study's."""
+        monkeypatch.setattr(executor_module, "row_pool_width", lambda: 1)
+        study = self._sweep(rlc_model).poles(5).chunk(chunk)
+        execution = study.plan()
+        assert execution.workload == "sweep+poles"
+        assert _traced_peak(study) <= execution.estimated_peak_bytes
+
     def test_memory_budget_holds(self, rlc_model, monkeypatch):
         monkeypatch.setattr(executor_module, "row_pool_width", lambda: 1)
         budget = 1 << 20
