@@ -11,8 +11,10 @@ against the CLI:
    the byte-level reference,
 2. start three ``repro work batch`` workers against one shared
    ``--store`` (small chunks, so the study is hundreds of claim units),
-3. SIGKILL one worker the moment it has checkpointed its first chunk
-   AND holds a live claim on a chunk no manifest records yet
+3. SIGKILL one worker the moment its checkpoint journal holds a
+   complete line (its first save replaces its manifest, every later
+   one appends to the journal) AND it holds a live claim on a chunk no
+   manifest records yet
    (SIGSTOP first, re-check, then SIGKILL -- so the claim cannot slip
    to released or saved between the check and the kill), guaranteeing
    an abandoned lease on a pending chunk,
@@ -23,7 +25,8 @@ against the CLI:
 6. re-verify every chunk archive in every worker manifest (and the
    journal a killed worker left) against its recorded SHA-256 --
    recomputed here, independently of the library --
-   and check the union of chunk records covers the whole study,
+   check the union of chunk records covers the whole study, and that
+   at least one verified record came from a journal line,
 7. read the survivors' JSONL traces and require a ``lease.steal`` span:
    the drill must actually have exercised stealing, not just luck.
 
@@ -92,6 +95,18 @@ def csv_lines(text: str):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
 
 
+def journal_entries(path: pathlib.Path) -> list:
+    """The complete lines of manifest ``path``'s ``.journal``, parsed
+    (``{"index", "record"}`` each); none without a journal.  Bytes
+    after the last newline are an append that never returned."""
+    journal = path.with_name(path.name + ".journal")
+    try:
+        lines = journal.read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        return []
+    return [json.loads(line) for line in lines]
+
+
 def read_manifest(path: pathlib.Path) -> dict:
     """Parse a store manifest with its journal's complete lines merged
     over its ``chunks`` (later lines win), independently of the library.
@@ -99,17 +114,11 @@ def read_manifest(path: pathlib.Path) -> dict:
     A run's later checkpoints are lines of ``<manifest>.journal`` until
     the run compacts them, so a killed run's chunks are only there.  The
     journal is read first, as the store does (a compaction in between
-    has put its lines in the manifest); bytes after its last newline are
-    an append that never returned.
+    has put its lines in the manifest).
     """
-    journal = path.with_name(path.name + ".journal")
-    try:
-        lines = journal.read_bytes().split(b"\n")[:-1]
-    except FileNotFoundError:
-        lines = []
+    entries = journal_entries(path)
     manifest = json.loads(path.read_text())
-    for line in lines:
-        entry = json.loads(line)
+    for entry in entries:
         manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
     return manifest
 
@@ -199,10 +208,11 @@ def main() -> int:
             if time.monotonic() > deadline:
                 print("FAIL: kill condition not reached within the timeout")
                 return 1
-            checkpointed = bool(
-                list(store.glob(f"manifest-*.worker-{VICTIM}.json"))
+            journaled = any(
+                journal_entries(path)
+                for path in store.glob(f"manifest-*.worker-{VICTIM}.json")
             )
-            if not (checkpointed and victim_pending_claim(store) is not None):
+            if not (journaled and victim_pending_claim(store) is not None):
                 time.sleep(0.002)
                 continue
             victim.send_signal(signal.SIGSTOP)
@@ -252,8 +262,11 @@ def main() -> int:
     covered = set()
     total = None
     verified = 0
+    from_journal = 0
     for manifest_path in manifests:
         manifest = read_manifest(manifest_path)
+        journaled = {str(entry["index"])
+                     for entry in journal_entries(manifest_path)}
         total = manifest["layout"]["num_chunks"]
         for index, record in manifest["chunks"].items():
             archive = store / record["file"]
@@ -267,12 +280,17 @@ def main() -> int:
                 return 1
             covered.add(int(index))
             verified += 1
+            from_journal += index in journaled
     if covered != set(range(total)):
         print(f"FAIL: chunk records cover {len(covered)}/{total} chunks")
         return 1
+    if not from_journal:
+        print("FAIL: no verified chunk record came from a journal line; the "
+              "kill did not drill the journal")
+        return 1
     print(f"store is consistent: {verified} chunk records across "
-          f"{len(manifests)} worker manifests cover all {total} chunks, "
-          "all checksums verified")
+          f"{len(manifests)} worker manifests cover all {total} chunks "
+          f"({from_journal} from journal lines), all checksums verified")
 
     # -- 7: the survivors must actually have stolen the dead lease -----
     sys.path.insert(0, str(REPO_ROOT / "src"))

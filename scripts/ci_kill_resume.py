@@ -9,12 +9,13 @@ CLI:
 
 1. run ``repro batch --store`` on a generated RC-ladder netlist with a
    small chunk size (hundreds of checkpoint units),
-2. SIGTERM the process the moment the first checkpoint manifest
-   appears on disk,
+2. SIGTERM the process once its checkpoint journal holds three
+   complete lines (the first save replaces the manifest, every later
+   one appends a journal line), so the kill leaves journaled chunks,
 3. verify the store is consistent (1 <= completed chunks < total, every
    chunk archive the manifest or its journal records present and
    matching its recorded SHA-256 -- recomputed here, independently of
-   the library),
+   the library), at least one of them read from a journal line,
 4. ``--resume`` the study to completion in a new process, with a JSONL
    span trace (``--trace``) recording the run,
 5. diff the resumed envelope CSV against a one-shot run without a
@@ -43,11 +44,13 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Small chunks + many instances = hundreds of checkpoint units, so the
-# SIGTERM (sent at first-manifest-sighting) always lands mid-stream.
+# SIGTERM (sent once the journal holds JOURNAL_LINES lines) always lands
+# mid-stream.
 STUDY_ARGS = [
     "--plan", "montecarlo", "--instances", "600", "--chunk", "2",
     "--points", "48", "--moments", "3", "--seed", "3",
 ]
+JOURNAL_LINES = 3
 
 
 def ladder_netlist(segments: int) -> str:
@@ -85,6 +88,18 @@ def csv_lines(text: str):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
 
 
+def journal_entries(path: pathlib.Path) -> list:
+    """The complete lines of manifest ``path``'s ``.journal``, parsed
+    (``{"index", "record"}`` each); none without a journal.  Bytes
+    after the last newline are an append that never returned."""
+    journal = path.with_name(path.name + ".journal")
+    try:
+        lines = journal.read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        return []
+    return [json.loads(line) for line in lines]
+
+
 def read_manifest(path: pathlib.Path) -> dict:
     """Parse a store manifest with its journal's complete lines merged
     over its ``chunks`` (later lines win), independently of the library.
@@ -92,17 +107,11 @@ def read_manifest(path: pathlib.Path) -> dict:
     A run's later checkpoints are lines of ``<manifest>.journal`` until
     the run compacts them, so a killed run's chunks are only there.  The
     journal is read first, as the store does (a compaction in between
-    has put its lines in the manifest); bytes after its last newline are
-    an append that never returned.
+    has put its lines in the manifest).
     """
-    journal = path.with_name(path.name + ".journal")
-    try:
-        lines = journal.read_bytes().split(b"\n")[:-1]
-    except FileNotFoundError:
-        lines = []
+    entries = journal_entries(path)
     manifest = json.loads(path.read_text())
-    for line in lines:
-        entry = json.loads(line)
+    for entry in entries:
         manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
     return manifest
 
@@ -126,17 +135,22 @@ def main() -> int:
     store = workdir / "store"
     base_cmd = ["batch", str(netlist), *STUDY_ARGS, "--store", str(store)]
 
-    # -- 1+2: start the study, SIGTERM at the first checkpoint ---------
+    # -- 1+2: start the study, SIGTERM once its journal has lines -------
     with open(workdir / "killed-run.log", "w") as log:
         victim = popen_cli(base_cmd, stdout=log)
         deadline = time.monotonic() + args.timeout
         try:
-            while not list(store.glob("manifest-*.json")):
+            while not any(
+                len(journal_entries(path)) >= JOURNAL_LINES
+                for path in store.glob("manifest-*.json")
+            ):
                 if victim.poll() is not None:
-                    print("FAIL: study finished before any checkpoint was seen")
+                    print(f"FAIL: study finished before its journal held "
+                          f"{JOURNAL_LINES} lines")
                     return 1
                 if time.monotonic() > deadline:
-                    print("FAIL: no checkpoint appeared within the timeout")
+                    print(f"FAIL: the journal did not reach {JOURNAL_LINES} "
+                          "lines within the timeout")
                     return 1
                 time.sleep(0.002)
             victim.send_signal(signal.SIGTERM)
@@ -152,6 +166,7 @@ def main() -> int:
     # -- 3: independent store consistency check ------------------------
     manifest_path = next(iter(store.glob("manifest-*.json")))
     manifest = read_manifest(manifest_path)
+    journaled = {str(entry["index"]) for entry in journal_entries(manifest_path)}
     completed = manifest["chunks"]
     total = manifest["layout"]["num_chunks"]
     if not 1 <= len(completed) < total:
@@ -165,7 +180,12 @@ def main() -> int:
         if sha256_file(archive) != record["sha256"]:
             print(f"FAIL: chunk {index} does not match its manifest checksum")
             return 1
-    print(f"store is consistent: {len(completed)}/{total} chunks checkpointed, "
+    if not journaled & set(completed):
+        print("FAIL: no verified chunk came from a journal line; the kill "
+              "did not drill the journal")
+        return 1
+    print(f"store is consistent: {len(completed)}/{total} chunks checkpointed "
+          f"({len(journaled & set(completed))} from journal lines), "
           "all checksums verified")
 
     # -- 4: resume to completion in a fresh process, traced ------------

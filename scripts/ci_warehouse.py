@@ -12,10 +12,12 @@ result bit for bit".  This script drills exactly that:
    Carlo study (chunk 3, so 20 claim units) through a ``StudyStore``;
    it pauses after every chunk it checkpoints, so it needs seconds to
    drain alone,
-2. SIGKILL it after it has checkpointed at least one chunk while the
-   study is provably not drained (SIGSTOP first, re-check, then
-   SIGKILL -- so the drain cannot complete between the check and the
-   kill); the pause makes that window certain on any host,
+2. SIGKILL it once its checkpoint journal holds a complete line (its
+   first save replaces its manifest, every later one appends to the
+   journal) while the study is provably not drained (SIGSTOP first,
+   re-check, then SIGKILL -- so the drain cannot complete between the
+   check and the kill); the pause makes that window certain on any
+   host,
 3. start the second worker only now: it must steal the dead worker's
    work, drain the store, and exit 0 with the merged result,
 4. register the store through the ``repro query ingest`` CLI -- one
@@ -30,7 +32,8 @@ result bit for bit".  This script drills exactly that:
    in-RAM merged result exactly -- float64 bit equality, no tolerance
    -- and the ``repro query`` CLI must print the same numbers,
 7. re-verify every provenance entry's ``chunk_sha256`` against the
-   store manifests and require both workers in the attribution,
+   store manifests, require both workers in the attribution and at
+   least one entry whose record the victim's journal holds,
 8. flip one byte of a chunk archive: ``repro query percentile`` must
    exit 2 with one line naming the chunk.
 
@@ -149,6 +152,18 @@ def spawn_worker(store: pathlib.Path, worker_id: str, log_path: pathlib.Path):
     return process
 
 
+def journal_entries(path: pathlib.Path) -> list:
+    """The complete lines of manifest ``path``'s ``.journal``, parsed
+    (``{"index", "record"}`` each); none without a journal.  Bytes
+    after the last newline are an append that never returned."""
+    journal = path.with_name(path.name + ".journal")
+    try:
+        lines = journal.read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        return []
+    return [json.loads(line) for line in lines]
+
+
 def read_manifest(path: pathlib.Path) -> dict:
     """Parse a store manifest with its journal's complete lines merged
     over its ``chunks`` (later lines win), independently of the library.
@@ -156,17 +171,11 @@ def read_manifest(path: pathlib.Path) -> dict:
     A run's later checkpoints are lines of ``<manifest>.journal`` until
     the run compacts them, so a killed run's chunks are only there.  The
     journal is read first, as the store does (a compaction in between
-    has put its lines in the manifest); bytes after its last newline are
-    an append that never returned.
+    has put its lines in the manifest).
     """
-    journal = path.with_name(path.name + ".journal")
-    try:
-        lines = journal.read_bytes().split(b"\n")[:-1]
-    except FileNotFoundError:
-        lines = []
+    entries = journal_entries(path)
     manifest = json.loads(path.read_text())
-    for line in lines:
-        entry = json.loads(line)
+    for entry in entries:
         manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
     return manifest
 
@@ -183,6 +192,19 @@ def worker_chunks(store: pathlib.Path, worker_id: str):
     return indexes
 
 
+def worker_journal(store: pathlib.Path, worker_id: str) -> dict:
+    """``{chunk index: sha256}`` of one worker's journal lines."""
+    shas = {}
+    for path in store.glob(f"manifest-*.worker-{worker_id}.json"):
+        try:
+            entries = journal_entries(path)
+        except (OSError, ValueError):
+            continue
+        shas.update((entry["index"], entry["record"]["sha256"])
+                    for entry in entries)
+    return shas
+
+
 def fail(message: str, *logs: pathlib.Path):
     print(f"FAIL: {message}")
     for log in logs:
@@ -193,18 +215,18 @@ def fail(message: str, *logs: pathlib.Path):
 
 
 def kill_mid_drain(store: pathlib.Path, process, log: pathlib.Path):
-    """SIGKILL the victim once it has checkpointed but before drain."""
+    """SIGKILL the victim once its journal holds a line, before drain."""
     deadline = time.monotonic() + 180.0
     while time.monotonic() < deadline:
         if process.poll() is not None:
             fail("victim exited before the kill landed", log)
         victim = worker_chunks(store, VICTIM)
-        if victim and len(victim) < NUM_CHUNKS:
+        if worker_journal(store, VICTIM) and len(victim) < NUM_CHUNKS:
             # Freeze, re-check under the freeze, then kill: the study
             # cannot drain between the check and the SIGKILL.
             os.kill(process.pid, signal.SIGSTOP)
             victim = worker_chunks(store, VICTIM)
-            if victim and len(victim) < NUM_CHUNKS:
+            if worker_journal(store, VICTIM) and len(victim) < NUM_CHUNKS:
                 os.kill(process.pid, signal.SIGKILL)
                 process.wait(timeout=30.0)
                 print(
@@ -378,8 +400,16 @@ def run_driver(workdir: pathlib.Path) -> int:
     workers = {row["worker"] for row in rows}
     if workers != {VICTIM, SURVIVOR}:
         fail(f"provenance must attribute both workers, got {workers}")
+    journaled = worker_journal(store, VICTIM)
+    from_journal = sum(
+        journaled.get(row["chunk"]) == row["chunk_sha256"] for row in rows
+    )
+    if not from_journal:
+        fail("no verified chunk came from the victim's journal; the kill "
+             "did not drill the journal")
     print(f"provenance verified: {len(rows)} chunks match the store "
-          f"manifests, workers {sorted(workers)}")
+          f"manifests ({from_journal} from journal lines), workers "
+          f"{sorted(workers)}")
 
     # -- 8: a corrupt chunk stops the query in one line ----------------
     record = store_handle.chunk_records(key)[NUM_CHUNKS // 2]

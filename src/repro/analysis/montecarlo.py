@@ -7,17 +7,18 @@ dominant poles of the reduced parametric model against the perturbed
 full model over all instances.  This module implements that protocol
 for any full/reduced model pair.
 
-Evaluation runs on the :class:`repro.runtime.engine.Study` engine: one
-pole study per model routes the reduced side through the dense eig
-kernel (bit-identical to :func:`~repro.analysis.poles.dominant_poles`)
-and the full-model reference solves through the ``per-instance`` route,
-one instance at a time in the chunk loop's thread.
+Evaluation runs on the :class:`repro.runtime.engine.Study` engine:
+:func:`sign_off_studies` declares one pole study per model (the
+reduced side through the dense eig kernel, bit-identical to
+:func:`~repro.analysis.poles.dominant_poles`; the full-model reference
+solves through the ``per-instance`` route) and :func:`sign_off_result`
+folds their results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +87,63 @@ class MonteCarloResult:
         return np.histogram(self.pole_errors.ravel() * 100.0, bins=bins)
 
 
+def sign_off_studies(
+    full_model,
+    reduced_model,
+    samples,
+    num_poles: int,
+    store=None,
+    chunk_size: Optional[int] = None,
+) -> Tuple[Study, Study]:
+    """Declare the Figs. 5-6 sign-off pair over ``samples``.
+
+    Returns ``(full, reduced)`` pole studies: the full model keeps
+    ``num_poles`` poles per instance (per-instance route, never an
+    ``(m, n, n)`` full-order stack), the reduced model ``2 * num_poles``
+    to match against.  ``store`` and ``chunk_size`` are declared before
+    anything is planned.  Every front end declares the pair here, so
+    all of them land on the same study keys.
+    """
+    if num_poles < 1:
+        raise ValueError(f"num_poles must be >= 1, got {num_poles}")
+    studies = (
+        Study(full_model).scenarios(samples).poles(num_poles),
+        Study(reduced_model).scenarios(samples).poles(2 * num_poles),
+    )
+    for study in studies:
+        if store is not None:
+            study.store(store)
+        if chunk_size is not None:
+            study.chunk(chunk_size)
+    return studies
+
+
+def sign_off_result(full, reduced,
+                    three_sigma: Optional[float] = None) -> MonteCarloResult:
+    """Fold the :class:`~repro.runtime.engine.PoleStudy` results of
+    :func:`sign_off_studies` into a :class:`MonteCarloResult` (each
+    instance's full poles matched to its reduced ones); ``three_sigma``
+    only labels it."""
+    samples = full.samples
+    num_poles = full.num_poles
+    pole_errors = np.empty((samples.shape[0], num_poles))
+    full_poles = np.empty((samples.shape[0], num_poles), dtype=complex)
+    reduced_poles = np.empty((samples.shape[0], num_poles), dtype=complex)
+    for i, (full_p, reduced_p) in enumerate(
+            zip(full.pole_sets, reduced.pole_sets)):
+        errors, matched = matched_pole_errors(full_p, reduced_p)
+        pole_errors[i] = errors
+        full_poles[i] = full_p
+        reduced_poles[i] = matched
+    return MonteCarloResult(
+        samples=samples,
+        pole_errors=pole_errors,
+        full_poles=full_poles,
+        reduced_poles=reduced_poles,
+        labels={"three_sigma": three_sigma, "num_poles": num_poles},
+    )
+
+
 def monte_carlo_pole_study(
     full_model,
     reduced_model,
@@ -98,25 +156,23 @@ def monte_carlo_pole_study(
     resume: bool = False,
     chunk_size: Optional[int] = None,
     trace=None,
-    work: bool = False,
-    ttl: float = 30.0,
-    poll: float = 0.2,
-    worker: Optional[str] = None,
-) -> Optional[MonteCarloResult]:
+) -> MonteCarloResult:
     """Run the Figs. 5-6 protocol.
 
-    The reduced model runs the dense eig kernel, one call per chunk
-    (when it supports batching), and the full-model reference solves
-    run one instance at a time.  Results are bit-identical to the
-    per-sample ``match_poles`` loop for every chunking: each
-    instance's computation is a pure function of its sample point.
+    Runs both sides of :func:`sign_off_studies` in this process and
+    folds them.  The reduced model runs the dense eig kernel, one call
+    per chunk (when it supports batching), and the full-model reference
+    solves run one instance at a time.  Results are bit-identical to the
+    per-sample ``match_poles`` loop for every chunking: each instance's
+    computation is a pure function of its sample point.
 
     ``store`` (a directory or :class:`~repro.runtime.store.StudyStore`)
     makes the study durable: both pole studies checkpoint their chunks
     (``chunk_size`` instances per checkpoint unit) under one store, so
     an interrupted sign-off resumes (``resume=True``) bit-identically
-    to a one-shot study, and ``work=True`` splits it across any number
-    of processes or machines sharing the store.
+    to a one-shot study.  To split one across processes, drain each
+    Study with :meth:`~repro.runtime.engine.Study.work` instead (as
+    ``repro work montecarlo`` and the study service do).
 
     Parameters
     ----------
@@ -143,33 +199,17 @@ def monte_carlo_pole_study(
         ``emit(record)`` method, or a sequence of either -- applied to
         both internal studies via :meth:`Study.trace`, so one merged
         trace covers the full-model and reduced-model phases.
-    work, ttl, poll, worker:
-        ``work=True`` runs both pole studies through the lease-based
-        work-stealing drain (:meth:`Study.work`) instead of
-        :meth:`Study.run`: any number of processes given the same
-        declaration and store cooperate until the sign-off drains
-        (``ttl``/``poll``/``worker`` pass through to the scheduler).
-        Requires ``store``; mutually exclusive with ``resume``.
-        Every participating worker blocks until both
-        sides drain and returns the same merged result, bit-identical
-        to a one-shot run.
     """
-    if num_poles < 1:
-        raise ValueError(f"num_poles must be >= 1, got {num_poles}")
-    if work:
-        if store is None:
-            raise ValueError("work=True requires store=...")
-        if resume:
-            raise ValueError(
-                "work=True is mutually exclusive with resume: workers "
-                "claim chunks dynamically"
-            )
     if samples is None:
         samples = sample_parameters(
             num_instances, full_model.num_parameters, three_sigma=three_sigma, seed=seed
         )
     else:
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    studies = sign_off_studies(
+        full_model, reduced_model, samples, num_poles,
+        store=store, chunk_size=chunk_size,
+    )
 
     if resume:
         if store is None:
@@ -184,63 +224,17 @@ def monte_carlo_pole_study(
     trace_sinks = () if trace is None else (
         trace if isinstance(trace, (list, tuple)) else (trace,)
     )
-
-    def _durable(study: Study) -> Study:
+    results = []
+    for study in studies:
         for sink in trace_sinks:
-            study = study.trace(sink)
-        if store is not None:
-            study = study.store(store)
-        if chunk_size is not None:
-            study = study.chunk(chunk_size)
-        if resume:
-            study = study.resume()
-        return study
-
-    def _run_durable(study: Study):
-        """Run one side of the sign-off durably.
-
-        A crash can land between the two pole studies (the full-model
-        phase runs first), so on a resumed sign-off the side that never
-        reached its first checkpoint simply runs fresh against the
-        store -- strictness for the sign-off as a whole is enforced by
-        the manifest pre-check above.  Work-stealing mode drains each
-        side cooperatively instead; every worker blocks until the side
-        is complete, so both branches return a full merged study.
-        """
-        if work:
-            return _durable(study).work(ttl=ttl, poll=poll, worker=worker)
+            study.trace(sink)
+        # A crash can land between the two pole studies (the full-model
+        # phase runs first), so on a resumed sign-off the side that never
+        # reached its first checkpoint simply runs fresh against the
+        # store -- strictness for the sign-off as a whole is enforced by
+        # the manifest pre-check above.
         try:
-            return _durable(study).run()
+            results.append(study.resume(resume).run())
         except NothingToResumeError:
-            return study.resume(False).run()
-
-    # One engine study per side: the full model takes the
-    # per-instance route (shared-pattern instantiation for sparse
-    # systems) and never materializes (m, n, n) full-order stacks; the
-    # reduced model routes through the dense eig kernel with a 2x pole
-    # budget for matching.
-    full_study = _run_durable(
-        Study(full_model).scenarios(samples).poles(num_poles)
-    )
-    reduced_study = _run_durable(
-        Study(reduced_model)
-        .scenarios(samples)
-        .poles(2 * num_poles)
-    )
-    full_results = full_study.pole_sets
-    reduced_results = reduced_study.pole_sets
-    pole_errors = np.empty((samples.shape[0], num_poles))
-    full_poles = np.empty((samples.shape[0], num_poles), dtype=complex)
-    reduced_poles = np.empty((samples.shape[0], num_poles), dtype=complex)
-    for i, (full_p, reduced_p) in enumerate(zip(full_results, reduced_results)):
-        errors, matched = matched_pole_errors(full_p, reduced_p)
-        pole_errors[i] = errors
-        full_poles[i] = full_p
-        reduced_poles[i] = matched
-    return MonteCarloResult(
-        samples=samples,
-        pole_errors=pole_errors,
-        full_poles=full_poles,
-        reduced_poles=reduced_poles,
-        labels={"three_sigma": three_sigma, "num_poles": num_poles},
-    )
+            results.append(study.resume(False).run())
+    return sign_off_result(*results, three_sigma=three_sigma)

@@ -552,29 +552,30 @@ def _cmd_work_transient(args) -> int:
 
 
 def _cmd_work_montecarlo(args) -> int:
-    from repro.analysis.montecarlo import monte_carlo_pole_study
+    from repro.analysis.montecarlo import (
+        sample_parameters, sign_off_result, sign_off_studies)
 
     _require_counts(args)
     ttl, poll, worker, _ = _work_options(args)
     parametric = _load_parametric(args)
     model = _reduce_parametric(parametric, args)
-    study = monte_carlo_pole_study(
-        parametric,
-        model,
-        num_instances=args.instances,
-        num_poles=args.poles,
-        three_sigma=args.sigma,
+    samples = sample_parameters(
+        args.instances, parametric.num_parameters, three_sigma=args.sigma,
         seed=args.seed,
-        store=args.store,
-        chunk_size=args.chunk,
-        trace=_obs_sinks(args, "montecarlo") or None,
-        work=True,
-        ttl=ttl,
-        poll=poll,
-        worker=worker,
     )
+    studies = sign_off_studies(parametric, model, samples, args.poles,
+                               store=args.store, chunk_size=args.chunk)
+    sinks = _obs_sinks(args, "montecarlo")
+    results = []
+    for study in studies:
+        for sink in sinks:
+            study.trace(sink)
+        results.append(study.work(ttl=ttl, poll=poll, worker=worker))
     print(f"# store: {args.store}  worker: {worker or 'auto'}")
-    return _print_montecarlo_study(args, parametric, model, study)
+    return _print_montecarlo_study(
+        args, parametric, model,
+        sign_off_result(*results, three_sigma=args.sigma),
+    )
 
 
 def _cmd_trace_summarize(args) -> int:

@@ -15,6 +15,7 @@ array is stored under a stable key.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Union
 
 import numpy as np
@@ -23,6 +24,14 @@ from repro.circuits.statespace import DescriptorSystem
 from repro.core.model import ParametricReducedModel
 
 FORMAT_VERSION = 1
+
+# NumPy parses every ``.npy`` header with ``ast.literal_eval``, and the
+# AST conversion of CPython 3.11.7 tracks its recursion depth in state
+# the interpreter's threads share: two threads deserializing at once
+# can raise ``SystemError: AST constructor recursion depth mismatch``.
+# Every ``np.load`` in the package (models here, chunk archives in
+# repro.runtime.store) therefore holds this one lock.
+DESERIALIZE_LOCK = threading.Lock()
 
 
 def save_model(model: ParametricReducedModel, path) -> None:
@@ -71,7 +80,8 @@ def load_model(path) -> ParametricReducedModel:
         If the archive is missing required keys or carries an
         unsupported format version.
     """
-    with np.load(path, allow_pickle=False) as archive:
+    # Members parse their headers on access: hold it for the whole read.
+    with DESERIALIZE_LOCK, np.load(path, allow_pickle=False) as archive:
         if "metadata_json" not in archive:
             raise ValueError(f"{path}: not a repro macromodel archive")
         metadata = json.loads(str(archive["metadata_json"]))

@@ -17,7 +17,12 @@ Design constraints, in priority order:
    loops that call it run per *chunk* (or per instance of a
    per-instance payload), so the guarded call is far below measurement
    noise (enforced by ``benchmarks/bench_obs_overhead.py``).
-2. **Ambient context, explicit records.**  The active span lives in a
+2. **Two sink scopes.**  :func:`add_sink` sinks receive every thread's
+   records (``REPRO_TRACE``, benchmark harnesses); :func:`run_sinks`
+   sinks -- how ``Study.run()`` / ``work()`` install their ``trace``
+   sinks -- only their own context's, so studies traced at once never
+   see each other's spans.
+3. **Ambient context, explicit records.**  The active span lives in a
    :mod:`contextvars` variable; nesting works across ``with`` blocks
    and :func:`annotate` can decorate the innermost span from helper
    code (e.g. the store layer stamping a chunk's SHA-256) without
@@ -33,6 +38,7 @@ import json
 import os
 import secrets
 import time
+from contextlib import contextmanager
 
 __all__ = [
     "MemorySink",
@@ -43,6 +49,7 @@ __all__ = [
     "enabled",
     "event",
     "remove_sink",
+    "run_sinks",
     "span",
 ]
 
@@ -50,7 +57,12 @@ __all__ = [
 # correctly and concurrent contexts do not interfere.
 _ACTIVE = contextvars.ContextVar("repro_obs_active_span", default=None)
 
-_SINKS = []
+_SINKS = []  # add_sink: process-wide
+_RUN_SINKS = contextvars.ContextVar("repro_obs_run_sinks", default=())
+
+# One entry per process-wide sink and per open run_sinks scope: empty
+# means no record reaches any sink, the disabled path's one check.
+_LIVE = []
 
 # Span-id state is keyed by pid so fork-started workers regenerate their
 # prefix instead of colliding with the parent's id sequence.
@@ -69,12 +81,12 @@ def _next_id():
 
 
 def enabled():
-    """Whether spans are being recorded (a sink is installed)."""
-    return bool(_SINKS)
+    """Whether spans emitted in this context reach a sink."""
+    return bool(_LIVE) and bool(_SINKS or _RUN_SINKS.get())
 
 
 def add_sink(sink):
-    """Install a sink and return it.
+    """Install a process-wide sink (every thread's records) and return it.
 
     A sink is any object with an ``emit(record)`` method (e.g.
     :class:`~repro.obs.export.JsonlSink`, :class:`MemorySink`) or a
@@ -82,6 +94,7 @@ def add_sink(sink):
     switches :func:`span` from the no-op path to real spans.
     """
     _SINKS.append(sink)
+    _LIVE.append(sink)
     return sink
 
 
@@ -90,11 +103,30 @@ def remove_sink(sink):
     try:
         _SINKS.remove(sink)
     except ValueError:
-        pass
+        return
+    _LIVE.remove(sink)
+
+
+@contextmanager
+def run_sinks(sinks):
+    """Install ``sinks`` for the body: they receive the records emitted
+    in this context only (a thread started inside does not inherit
+    them); an inner scope adds to the outer one's."""
+    sinks = tuple(sinks)
+    if not sinks:
+        yield
+        return
+    token = _RUN_SINKS.set(_RUN_SINKS.get() + sinks)
+    _LIVE.append(token)
+    try:
+        yield
+    finally:
+        _LIVE.remove(token)
+        _RUN_SINKS.reset(token)
 
 
 def _emit(record):
-    for sink in _SINKS:
+    for sink in (*_SINKS, *_RUN_SINKS.get()):
         emit = getattr(sink, "emit", None)
         if emit is not None:
             emit(record)
@@ -103,8 +135,8 @@ def _emit(record):
 
 
 def emit_record(record):
-    """Emit a raw record dict (e.g. a metrics delta) to every
-    installed sink, as closing spans do."""
+    """Emit a raw record dict (e.g. a metrics delta) to every sink a
+    closing span would reach."""
     _emit(record)
 
 
@@ -182,7 +214,7 @@ def span(name, **attrs):
     instrumented hot paths cost one truthiness check when
     observability is off.
     """
-    if not _SINKS:
+    if not _LIVE or not (_SINKS or _RUN_SINKS.get()):
         return _NOOP_SPAN
     return Span(name, attrs)
 

@@ -413,10 +413,6 @@ class Study:
         self._memory_budget: Optional[int] = None
         self._store: Optional[StudyStore] = None
         self._resume = False
-        # (worker_id, lenient) checkpoint context of run(): work() sets
-        # it around its merge phase, run() alone leaves the strict
-        # no-worker default.
-        self._worker_ctx: Tuple[Optional[str], bool] = (None, False)
         self._warehouse = None
         self._last_warehouse = None
         self._last_drain = None
@@ -635,7 +631,10 @@ class Study:
         store, and the sparse solvers emit spans (``study.run`` >
         ``study.chunk`` > ``store.save`` / ``sparse.refactor`` /
         ``poles.instance`` / ...).  With no sink attached every span
-        site short-circuits to a shared no-op.
+        site short-circuits to a shared no-op.  Each :meth:`run` /
+        :meth:`work` call scopes the sinks to its own context
+        (:func:`repro.obs.trace.run_sinks`): they never see the spans of
+        studies -- or other ``work()`` calls on this one -- run at once.
         """
         self._trace_sinks.append(sink)
         return self
@@ -1022,6 +1021,11 @@ class Study:
         ones), and :meth:`metrics` afterwards reports the registry
         delta the run produced.  Neither affects any numeric result.
         """
+        return self._run()
+
+    def _run(self, worker: Optional[str] = None, lenient: bool = False):
+        """:meth:`run`; :meth:`work`'s merge passes its worker id and
+        ``lenient=True`` (see :meth:`_open_checkpoint`)."""
         sinks, owned_sinks = self._resolve_trace_sinks()
         lineage_sink = None
         if self._warehouse is not None:
@@ -1031,48 +1035,46 @@ class Study:
             # a bare manifest walk would yield.
             lineage_sink = obs_trace.MemorySink()
             sinks = sinks + [lineage_sink]
-        for sink in sinks:
-            obs_trace.add_sink(sink)
         try:
-            before = obs_metrics.registry().snapshot()
-            with obs_trace.span("study.run") as root:
-                plan = self.plan()
-                if self._warehouse is not None:
-                    if plan.workload == "sensitivities":
-                        raise ValueError(
-                            "warehouse(...) cannot register a sensitivities "
-                            "study: the workload has no durable checkpoints"
-                        )
-                    if self._store is None:
-                        raise ValueError(
-                            "warehouse(...) requires store(...): the "
-                            "warehouse reads durable chunk checkpoints"
-                        )
-                root.set(
-                    route=plan.route,
-                    kernel=plan.kernel,
-                    workload=plan.workload,
-                    num_samples=plan.num_samples,
-                    chunk_size=plan.chunk_size,
-                    num_chunks=plan.num_chunks,
-                    executor=plan.executor,
-                    lookahead=plan.lookahead,
-                    store=plan.store,
+            with obs_trace.run_sinks(sinks):
+                before = obs_metrics.registry().snapshot()
+                with obs_trace.span("study.run") as root:
+                    plan = self.plan()
+                    if self._warehouse is not None:
+                        if plan.workload == "sensitivities":
+                            raise ValueError(
+                                "warehouse(...) cannot register a "
+                                "sensitivities study: the workload has no "
+                                "durable checkpoints"
+                            )
+                        if self._store is None:
+                            raise ValueError(
+                                "warehouse(...) requires store(...): the "
+                                "warehouse reads durable chunk checkpoints"
+                            )
+                    root.set(
+                        route=plan.route,
+                        kernel=plan.kernel,
+                        workload=plan.workload,
+                        num_samples=plan.num_samples,
+                        chunk_size=plan.chunk_size,
+                        num_chunks=plan.num_chunks,
+                        executor=plan.executor,
+                        lookahead=plan.lookahead,
+                        store=plan.store,
+                    )
+                    result = self._execute(plan, worker, lenient)
+                if lineage_sink is not None:
+                    self._register_warehouse(lineage_sink)
+                self._last_metrics = obs_metrics.snapshot_delta(
+                    before, obs_metrics.registry().snapshot()
                 )
-                result = self._execute(plan)
-            if lineage_sink is not None:
-                self._register_warehouse(lineage_sink)
-            self._last_metrics = obs_metrics.snapshot_delta(
-                before, obs_metrics.registry().snapshot()
-            )
-            if obs_trace.enabled():
-                obs_trace.emit_record(
-                    {"type": "metrics", "delta": self._last_metrics}
-                )
-            return result
+                if obs_trace.enabled():
+                    obs_trace.emit_record(
+                        {"type": "metrics", "delta": self._last_metrics}
+                    )
+                return result
         finally:
-            for sink in sinks:
-                obs_trace.remove_sink(sink)
             for sink in owned_sinks:
                 sink.close()
 
@@ -1139,10 +1141,9 @@ class Study:
             parse_worker_id(worker) if worker is not None else default_worker_id()
         )
         sinks, owned_sinks = self._resolve_trace_sinks()
-        for sink in sinks:
-            obs_trace.add_sink(sink)
         try:
-            with obs_trace.span("study.work", worker=worker_id) as root:
+            with obs_trace.run_sinks(sinks), \
+                    obs_trace.span("study.work", worker=worker_id) as root:
                 plan = self.plan()
                 target = self._resolve_target()
                 samples = self._samples()
@@ -1180,8 +1181,6 @@ class Study:
                     waits=report.waits,
                 )
         finally:
-            for sink in sinks:
-                obs_trace.remove_sink(sink)
             for sink in owned_sinks:
                 sink.close()
         if not report.drained:
@@ -1191,11 +1190,7 @@ class Study:
         # order.  Lenient mode turns a chunk whose every copy fails
         # verification into an inline recompute (the chunk unit's
         # nothing-loaded branch) instead of a fatal StoreError.
-        self._worker_ctx = (worker_id, True)
-        try:
-            return self.run()
-        finally:
-            self._worker_ctx = (None, False)
+        return self._run(worker_id, lenient=True)
 
     def drain_report(self):
         """The :class:`~repro.runtime.scheduler.DrainReport` of the most
@@ -1383,12 +1378,12 @@ class Study:
             return {"num_poles": self._num_poles}
         raise ValueError(f"workload {workload!r} has no durable config record")
 
-    def _execute(self, plan: ExecutionPlan):
+    def _execute(self, plan: ExecutionPlan, worker: Optional[str],
+                 lenient: bool):
         target = self._resolve_target()
         samples = self._samples()
         if plan.workload == "sensitivities":
             return self._run_sensitivities(plan, target, samples)
-        worker, lenient = self._worker_ctx
         checkpoint = self._open_checkpoint(
             plan, worker=worker, lenient=lenient, resume=self._resume
         )

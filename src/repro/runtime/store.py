@@ -93,6 +93,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.io import DESERIALIZE_LOCK
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import array_fingerprint, target_fingerprint
@@ -108,14 +109,6 @@ _BYTES_READ = obs_metrics.counter("store.bytes_read")
 _KEY_PREFIX = 16
 
 _JOURNAL_SUFFIX = ".journal"
-
-# NumPy parses every ``.npy`` header with ``ast.literal_eval``, and the
-# AST conversion of CPython 3.11.7 tracks its recursion depth in state
-# the interpreter's threads share: two threads deserializing at once
-# can raise ``SystemError: AST constructor recursion depth mismatch``.
-# Readers in several threads (co-draining workers, serve pool threads)
-# therefore deserialize archives one at a time.
-_DESERIALIZE_LOCK = threading.Lock()
 
 
 class StoreError(RuntimeError):
@@ -219,7 +212,7 @@ def _verified_chunk_payload(
             f"checksum (manifest {record['sha256'][:12]}..., file "
             f"{actual[:12]}...); the store is corrupt"
         )
-    with _DESERIALIZE_LOCK, np.load(io.BytesIO(data)) as archive:
+    with DESERIALIZE_LOCK, np.load(io.BytesIO(data)) as archive:
         names = archive.files if members is None else [
             name for name in members if name in archive.files
         ]
@@ -545,10 +538,12 @@ class StudyStore:
     def chunk_path(self, key: str, index: int, worker: Optional[str] = None) -> Path:
         """On-disk location of checkpoint unit ``index`` for ``key``.
 
-        Worker archives carry a ``.w-<id>`` suffix: npz (zip) bytes
-        embed timestamps, so two workers saving the *same* chunk produce
-        different bytes -- distinct filenames keep each archive
-        single-writer and its manifest SHA-256 stable.
+        Worker archives carry a ``.w-<id>`` suffix, which keeps every
+        archive single-writer: two workers saving the *same* chunk
+        write two files, and neither replaces the other's under its
+        manifest record.  Their bytes may well be equal (``np.savez``
+        stamps every member 1980-01-01); the suffix does not make them
+        differ.
         """
         name = f"chunk-{index:05d}"
         if worker is not None:

@@ -24,6 +24,8 @@ A job document looks like::
 Workload kinds: ``sweep``, ``transient``, ``poles`` (reduced-model
 studies driven straight through the Study engine) and ``montecarlo``
 (the full-vs-reduced pole-accuracy sign-off, two engine studies).
+:func:`realize` declares each Study once, with the job's store
+attached, and the supervisor runs those same objects.
 A transient is driven by its waveform's ``input``; the workload's own
 ``input`` defaults to it and must agree with it.
 Malformed documents raise :class:`ProtocolError`, which the server maps
@@ -358,24 +360,30 @@ def parse_job(payload) -> JobSpec:
 
 @dataclass
 class RealizedJob:
-    """A job bound to concrete models, engines, and fingerprints.
+    """A job bound to its parametric system and the Studies it runs.
 
-    ``studies`` maps a short side label to a zero-argument engine
-    factory: each call returns a *fresh* Study carrying the full
-    declaration (so per-worker drains never share builder state).  The
-    ``montecarlo`` workload realizes two sides (``full`` and
-    ``reduced``); the engine workloads realize one (``study``).
-    ``peak_bytes`` is the admission figure: the largest
+    ``studies`` maps a side label to the one Study of that side, which
+    the supervisor runs (``run()``, or one ``work()`` per co-draining
+    participant): ``full`` and ``reduced`` for the ``montecarlo``
+    workload, ``study`` for the others.  ``plans`` and ``fingerprints``
+    read each Study's memo, so they are the ones its checkpoints are
+    keyed by.  ``peak_bytes`` is the admission figure: the largest
     ``estimated_peak_bytes`` across every side's ExecutionPlan.
     """
 
     spec: JobSpec
     parametric: object
-    model: object
     studies: dict = field(default_factory=dict)
-    fingerprints: list = field(default_factory=list)
-    plans: list = field(default_factory=list)
-    samples: Optional[np.ndarray] = None
+
+    @property
+    def plans(self) -> list:
+        """Each side's ExecutionPlan, in side order."""
+        return [study.plan() for study in self.studies.values()]
+
+    @property
+    def fingerprints(self) -> list:
+        """Each side's study fingerprint record, in side order."""
+        return [study.fingerprint() for study in self.studies.values()]
 
     @property
     def peak_bytes(self) -> int:
@@ -388,12 +396,14 @@ class RealizedJob:
         return [fp["key"] for fp in self.fingerprints]
 
 
-def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
-    """Build the parametric system, reduced model, and study engines.
+def realize(spec: JobSpec, model_cache=None, store=None) -> RealizedJob:
+    """Build the parametric system, reduced model, and the job's Studies.
 
     The expensive half (parse + reduce) goes through ``model_cache``
     when one is given, so repeat submissions of the same netlist and
-    reducer settings skip reduction entirely.  Declarations the engine
+    reducer settings skip reduction entirely.  ``store`` (a directory
+    or StudyStore) is attached to every Study before it is planned, so
+    each side plans and fingerprints once.  Declarations the engine
     rejects (bad workload/target combination, out-of-range indices)
     surface as :class:`ProtocolError`.
     """
@@ -420,15 +430,12 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise ProtocolError(f"reduction failed: {exc}") from None
 
-    job = RealizedJob(spec=spec, parametric=parametric, model=model)
+    job = RealizedJob(spec=spec, parametric=parametric)
     options = dict(spec.workload_options)
-
-    def _chunked(study: Study) -> Study:
-        return study if spec.chunk is None else study.chunk(spec.chunk)
-
     try:
         if spec.workload_kind == "montecarlo":
-            from repro.analysis.montecarlo import sample_parameters
+            from repro.analysis.montecarlo import (
+                sample_parameters, sign_off_studies)
 
             if spec.plan_kind != "montecarlo":
                 raise ProtocolError(
@@ -439,29 +446,20 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
                 three_sigma=spec.plan_options["sigma"],
                 seed=spec.plan_options["seed"],
             )
-            job.samples = samples
-            num_poles = options["poles"]
-            job.studies = {
-                "full": lambda: _chunked(
-                    Study(parametric).scenarios(samples).poles(num_poles)
-                ),
-                "reduced": lambda: _chunked(
-                    Study(model).scenarios(samples).poles(2 * num_poles)
-                ),
-            }
+            job.studies = dict(zip(("full", "reduced"), sign_off_studies(
+                parametric, model, samples, options["poles"],
+                store=store, chunk_size=spec.chunk,
+            )))
         else:
-            plan = build_plan(spec.plan_kind, **spec.plan_options)
+            study = Study(model).scenarios(
+                build_plan(spec.plan_kind, **spec.plan_options)
+            )
             if spec.workload_kind == "sweep":
-                frequencies = np.logspace(
+                _check_ports(model, options)
+                study.sweep(np.logspace(
                     np.log10(options["fmin"]), np.log10(options["fmax"]),
                     options["points"],
-                )
-                _check_ports(model, options)
-                job.studies = {
-                    "study": lambda: _chunked(
-                        Study(model).scenarios(plan).sweep(frequencies)
-                    ),
-                }
+                ))
             elif spec.workload_kind == "transient":
                 waveform_options = dict(options["waveform"])
                 waveform = build_waveform(
@@ -470,29 +468,24 @@ def realize(spec: JobSpec, model_cache=None) -> RealizedJob:
                     **waveform_options,
                 )
                 _check_ports(model, options)
-                job.studies = {
-                    "study": lambda: _chunked(
-                        Study(model).scenarios(plan).transient(
-                            waveform,
-                            t_final=options["t_final"],
-                            num_steps=options["steps"],
-                            method=options["method"],
-                            delay_threshold=options["threshold"],
-                            output_index=options["output"],
-                            reference=options["delay_reference"],
-                        )
-                    ),
-                }
+                study.transient(
+                    waveform,
+                    t_final=options["t_final"],
+                    num_steps=options["steps"],
+                    method=options["method"],
+                    delay_threshold=options["threshold"],
+                    output_index=options["output"],
+                    reference=options["delay_reference"],
+                )
             else:  # poles
-                job.studies = {
-                    "study": lambda: _chunked(
-                        Study(model).scenarios(plan).poles(options["num"])
-                    ),
-                }
-        for factory in job.studies.values():
-            study = factory()
-            job.plans.append(study.plan())
-            job.fingerprints.append(study.fingerprint())
+                study.poles(options["num"])
+            if store is not None:
+                study.store(store)
+            if spec.chunk is not None:
+                study.chunk(spec.chunk)
+            job.studies = {"study": study}
+        for study in job.studies.values():
+            study.fingerprint()  # plans first: a rejection is a 400
     except ProtocolError:
         raise
     except (ValueError, TypeError) as exc:

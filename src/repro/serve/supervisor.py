@@ -7,10 +7,11 @@ The supervisor is the synchronous core the asyncio front end
   admits it against the configured memory budget using the plan's
   ``estimated_peak_bytes``, and either rejects it, serves it from the
   content-addressed result index, or enqueues it;
-- a pool of worker threads drains the queue, running each job through
-  ``Study.store()`` (one worker) or a cooperating group of
-  ``Study.work()`` drains (``workers > 1`` in the declaration) against
-  the shared :class:`~repro.runtime.store.StudyStore`;
+- a pool of worker threads drains the queue, running the very Studies
+  :func:`~repro.serve.protocol.realize` declared against the shared
+  :class:`~repro.runtime.store.StudyStore`: ``Study.run()`` (one
+  worker) or cooperating ``Study.work()`` drains of the same Study
+  (``workers > 1`` in the declaration);
 - every finished job's response document is rendered to canonical JSON
   bytes and persisted under ``<store>/results/``, so an identical
   re-submission -- same netlist, plan, workload, from any client -- is
@@ -46,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.analysis.montecarlo import sign_off_result
 from repro.obs import MemorySink, SpanEventBridge, chunk_lineage, lineage_sources
 from repro.obs import metrics as obs_metrics
 from repro.runtime import ModelCache, StudyStore
@@ -250,7 +252,7 @@ class StudySupervisor:
             _DOCUMENT_HITS.inc()
             return self._answer_cached(job, data)
 
-        realized = realize(spec, self.model_cache)
+        realized = realize(spec, self.model_cache, store=self.store)
         key = self.job_key(realized)
         job = Job(
             self.registry.new_id(key), key, canonical,
@@ -345,27 +347,30 @@ class StudySupervisor:
 
     def _run_job(self, job: Job) -> None:
         realized: RealizedJob = job._realized
-        # The registry keeps the job for ever; the models and study
-        # factories live only as long as this run.
+        # The registry keeps the job for ever; the models and Studies
+        # live only as long as this run.
         job._realized = None
         job.mark_running()
         # The bridge streams span events to the job's NDJSON log; the
-        # memory sink (warehouse mode only) keeps the raw span records
-        # the post-completion registration joins into per-chunk source
-        # attribution.
-        sinks = [SpanEventBridge(job.add_event)]
-        lineage_sink = None
-        if self.warehouse is not None:
-            lineage_sink = MemorySink()
-            sinks.append(lineage_sink)
+        # memory sinks (warehouse mode only) keep each study's raw span
+        # records, which the post-completion registration joins into
+        # that study's per-chunk source attribution.
+        bridge = SpanEventBridge(job.add_event)
+        lineage_sinks, results = {}, {}
         try:
             with self._plain_run(job):
-                if realized.spec.workload_kind == "montecarlo":
-                    result = self._run_montecarlo(job, realized, sinks)
-                    payload = _render_montecarlo(result, realized)
-                else:
-                    study = self._run_engine_sides(job, realized, sinks)
-                    payload = _render_study(study, realized)
+                for label, study in realized.studies.items():
+                    study.trace(bridge)
+                    if self.warehouse is not None:
+                        lineage_sinks[label] = MemorySink()
+                        study.trace(lineage_sinks[label])
+                    results[label] = (
+                        study.run() if job.workers <= 1
+                        else self._co_drain(study, job)
+                    )
+            montecarlo = realized.spec.workload_kind == "montecarlo"
+            render = _render_montecarlo if montecarlo else _render_study
+            payload = render(results, realized)
         except Exception as exc:  # noqa: BLE001 - report, don't die
             job.mark_failed(f"{type(exc).__name__}: {exc}")
             _FAILED.inc()
@@ -385,7 +390,7 @@ class StudySupervisor:
         ).encode()
         self._store_result(job.key, data)
         self._remember(job, data)
-        self._register_job(job, realized, lineage_sink)
+        self._register_job(job, realized, results, lineage_sinks)
         job.mark_done(data, cached=False)
         _COMPLETED.inc()
 
@@ -414,29 +419,32 @@ class StudySupervisor:
                 stack.enter_context(lock)
             yield
 
-    def _register_job(self, job: Job, realized: RealizedJob,
-                      lineage_sink) -> None:
+    def _register_job(self, job: Job, realized: RealizedJob, results: dict,
+                      lineage_sinks: dict) -> None:
         """Warehouse hook: register a completed job's studies.
 
-        Best-effort by design: the result document is already persisted
-        and served, so a registration failure degrades to a
-        ``warehouse.error`` job event (and the next completed job -- or
-        a ``repro query ingest`` -- registers again) instead of failing
-        a job whose numbers are done.
+        Each study registers its own result's samples (``p_<name>``
+        columns) and its own run's lineage.  Best-effort by design: the
+        result
+        document is already persisted and served, so a registration
+        failure degrades to a ``warehouse.error`` job event (and the
+        next completed job -- or a ``repro query ingest`` -- registers
+        again) instead of failing a job whose numbers are done.
         """
         if self.warehouse is None:
             return
         try:
-            lineage = lineage_sources(chunk_lineage(lineage_sink.records))
             studies, chunks, written = [], 0, []
-            for key in job.study_keys:
+            for label, key in zip(realized.studies, job.study_keys):
                 report = self.warehouse.register(
                     self.store, key=key,
-                    samples=realized.samples,
+                    samples=results[label].samples,
                     parameter_names=getattr(
                         realized.parametric, "parameter_names", None
                     ),
-                    lineage=lineage,
+                    lineage=lineage_sources(
+                        chunk_lineage(lineage_sinks[label].records)
+                    ),
                 )
                 studies += report.studies
                 chunks += report.chunks
@@ -453,67 +461,23 @@ class StudySupervisor:
                 "error": f"{type(exc).__name__}: {exc}",
             })
 
-    def _run_engine_sides(self, job: Job, realized: RealizedJob, sinks):
-        """Drain each engine side; return the last side's merged study."""
+    def _co_drain(self, study, job: Job):
+        """``job.workers`` cooperating ``work()`` drains of one Study.
 
-        def traced(study):
-            for sink in sinks:
-                study = study.trace(sink)
-            return study
-
-        study = None
-        for label, factory in realized.studies.items():
-            if job.workers <= 1:
-                study = traced(factory()).store(self.store).run()
-            else:
-                study = self._co_drain(
-                    lambda worker, factory=factory: traced(factory())
-                    .work(store=self.store, ttl=self.ttl, poll=self.poll,
-                          worker=worker),
-                    job,
-                )
-        return study
-
-    def _run_montecarlo(self, job: Job, realized: RealizedJob, sinks):
-        """The full-vs-reduced pole sign-off, through the shared store."""
-        from repro.analysis.montecarlo import monte_carlo_pole_study
-
-        options = realized.spec.workload_options
-        kwargs = dict(
-            num_instances=realized.samples.shape[0],
-            num_poles=options["poles"],
-            samples=realized.samples,
-            store=self.store,
-            chunk_size=realized.spec.chunk,
-            trace=sinks,
-        )
-        if job.workers <= 1:
-            return monte_carlo_pole_study(
-                realized.parametric, realized.model, **kwargs
-            )
-        return self._co_drain(
-            lambda worker: monte_carlo_pole_study(
-                realized.parametric, realized.model,
-                work=True, ttl=self.ttl, poll=self.poll, worker=worker,
-                **kwargs,
-            ),
-            job,
-        )
-
-    def _co_drain(self, run_one, job: Job):
-        """``job.workers`` cooperating drains of one study; first result.
-
-        Every participant blocks until the store drains and returns the
-        same merged result (bit-identical by the scheduler contract), so
-        any non-``None`` return serves.  A worker that raises fails the
-        job (the first exception propagates after every thread joins).
+        Every participant drains the same Study object, blocks until
+        the store drains and returns the same merged result
+        (bit-identical by the scheduler contract), so any non-``None``
+        return serves.  A worker that raises fails the job (the first
+        exception propagates after every thread joins).
         """
         results = [None] * job.workers
         errors = []
 
         def participant(slot):
             try:
-                results[slot] = run_one(f"{job.id}-w{slot}")
+                results[slot] = study.work(
+                    ttl=self.ttl, poll=self.poll, worker=f"{job.id}-w{slot}"
+                )
             except Exception as exc:  # noqa: BLE001 - propagated below
                 errors.append(exc)
 
@@ -594,8 +558,9 @@ def _finite_list(array) -> list:
     ]
 
 
-def _render_study(study, realized: RealizedJob) -> dict:
+def _render_study(results: dict, realized: RealizedJob) -> dict:
     """Workload-specific result payload for the engine workloads."""
+    study = results["study"]
     kind = realized.spec.workload_kind
     options = realized.spec.workload_options
     if kind == "sweep":
@@ -651,8 +616,9 @@ def _render_study(study, realized: RealizedJob) -> dict:
     }
 
 
-def _render_montecarlo(result, realized: RealizedJob) -> dict:
+def _render_montecarlo(results: dict, realized: RealizedJob) -> dict:
     """Result payload for the pole-accuracy sign-off workload."""
+    result = sign_off_result(results["full"], results["reduced"])
     counts, edges = result.histogram(
         bins=realized.spec.workload_options["bins"]
     )

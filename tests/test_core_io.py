@@ -97,3 +97,58 @@ class TestFormatGuards:
         save_model(model, path)
         with np.load(path, allow_pickle=False) as archive:
             assert "G0" in archive.files
+
+
+class TestConcurrentLoads:
+    """Model-cache loads parse ``.npy`` headers (``ast.literal_eval``),
+    which CPython 3.11.7 cannot run in two threads at once."""
+
+    def test_load_holds_the_one_deserialize_lock(self, model, tmp_path,
+                                                 monkeypatch):
+        from repro.core import io as core_io
+        from repro.runtime import store as store_module
+
+        assert store_module.DESERIALIZE_LOCK is core_io.DESERIALIZE_LOCK
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        held = []
+        original = np.load
+
+        def spying(*args, **kwargs):
+            held.append(core_io.DESERIALIZE_LOCK.locked())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", spying)
+        load_model(path)
+        assert held == [True]
+
+    def test_threads_loading_one_cached_model_agree(self, model, tmp_path):
+        import sys
+        import threading
+
+        from repro.runtime import ModelCache
+
+        cache = ModelCache(tmp_path / "cache")
+        cache.store("0" * 64, model)
+        loaded, errors = [None] * 8, []
+
+        def load(slot):
+            try:
+                loaded[slot] = cache.load("0" * 64)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(slot,))
+                       for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(roundtrip_equal(model, other) for other in loaded)

@@ -425,3 +425,58 @@ class TestMonteCarloTracing:
         )
         runs = _spans(sink.records, "study.run")
         assert len(runs) == 2  # full-model phase + reduced-model phase
+
+
+class TestRunScopedSinks:
+    def test_concurrent_studies_see_only_their_own_spans(self, model,
+                                                          samples):
+        """Two traced studies in two threads, each chunk of one waiting
+        for the other's: each sink holds its own run's spans only."""
+        import threading
+
+        barrier = threading.Barrier(2, timeout=30.0)
+        sinks = [MemorySink(), MemorySink()]
+        errors = []
+
+        def run(slot):
+            try:
+                (
+                    Study(model).scenarios(samples[slot::2])
+                    .sweep(FREQUENCIES).chunk(1)
+                    .progress(lambda done, total: barrier.wait())
+                    .trace(sinks[slot]).run()
+                )
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for sink in sinks:
+            (root,) = _spans(sink.records, "study.run")
+            chunks = _spans(sink.records, "study.chunk")
+            assert [c["attrs"]["index"] for c in chunks] == [0, 1, 2, 3]
+            assert {c["parent_id"] for c in chunks} == {root["span_id"]}
+        assert not obs_trace.enabled()
+
+    def test_process_wide_sinks_see_every_thread(self, model, samples):
+        """``add_sink`` (``REPRO_TRACE``, benchmark harnesses) still
+        receives a run that another thread executes."""
+        import threading
+
+        sink = obs_trace.add_sink(MemorySink())
+        try:
+            thread = threading.Thread(target=lambda: Study(model).scenarios(
+                samples).sweep(FREQUENCIES).chunk(4).run())
+            thread.start()
+            thread.join(timeout=60.0)
+        finally:
+            obs_trace.remove_sink(sink)
+        assert not thread.is_alive()
+        assert len(_spans(sink.records, "study.chunk")) == 2
+        assert not obs_trace.enabled()

@@ -227,7 +227,7 @@ class TestRealize:
         )))
         assert sorted(realized.studies) == ["full", "reduced"]
         assert len(realized.fingerprints) == 2
-        assert realized.samples.shape == (4, realized.parametric.num_parameters)
+        assert [plan.num_samples for plan in realized.plans] == [4, 4]
 
     def test_montecarlo_requires_montecarlo_plan(self):
         with pytest.raises(ProtocolError, match="montecarlo plan"):
@@ -296,10 +296,50 @@ class TestRealize:
             realize(parse_job(document))
         assert "\n" not in str(caught.value)
 
-    def test_factories_return_fresh_engines(self):
-        realized = realize(parse_job(_job(chunk=2)))
-        factory = realized.studies["study"]
-        assert factory() is not factory()
+    @pytest.mark.parametrize("participants", [1, 2, 4])
+    @pytest.mark.parametrize("workload", [
+        {"kind": "sweep", "points": 5},
+        {"kind": "transient", "steps": 20},
+        {"kind": "poles", "num": 3},
+        {"kind": "montecarlo", "poles": 2},
+    ], ids=lambda workload: workload["kind"])
+    def test_co_drains_share_the_one_study(self, tmp_path, workload,
+                                           participants):
+        """Concurrent ``work()`` calls on each realized Study -- the one
+        object, no copy per participant -- fold bit-identically to the
+        same declaration's one-shot ``run()``, and leave the Study's
+        plan and fingerprint memos in place."""
+        import sys
+        import threading
+
+        document = parse_job(_job(workload=workload, chunk=1))
+        one_shot = realize(document, store=tmp_path / "one-shot")
+        realized = realize(document, store=tmp_path / "drained")
+        interval = sys.getswitchinterval()
+        for label, study in realized.studies.items():
+            plan, fingerprint = study.plan(), study.fingerprint()
+            results = [None] * participants
+
+            def drain(slot):
+                results[slot] = study.work(ttl=5.0, poll=0.01,
+                                           worker=f"w{slot}")
+
+            threads = [threading.Thread(target=drain, args=(slot,))
+                       for slot in range(participants)]
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            expected = one_shot.studies[label].run()
+            for result in results:
+                _assert_bit_identical(result, expected)
+            assert study.plan() is plan
+            assert study.fingerprint() is fingerprint
 
     def test_wire_and_terminal_land_on_one_fingerprint(self):
         """A job submitted over the wire and the identical study declared
@@ -323,6 +363,25 @@ class TestRealize:
         plan = build_plan("montecarlo", instances=4, seed=7)
         study = Study(model).scenarios(plan).sweep(frequencies)
         assert study.fingerprint()["key"] == realized.fingerprints[0]["key"]
+
+
+def _assert_bit_identical(result, expected):
+    """Every field of two engine results equal, arrays bit for bit."""
+    import dataclasses
+
+    import numpy as np
+
+    assert type(result) is type(expected)
+    for item in dataclasses.fields(expected):
+        got, want = getattr(result, item.name), getattr(expected, item.name)
+        if isinstance(want, list):
+            assert len(got) == len(want)
+            for row, wanted in zip(got, want):
+                np.testing.assert_array_equal(row, wanted)
+        elif isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want, item.name
 
 
 class TestDeclarationBounds:

@@ -114,7 +114,7 @@ class TestSubmission:
         def explode():
             raise RuntimeError("engine exploded")
 
-        realized.studies = {"study": explode}
+        realized.studies["study"].run = explode
         job = Job("job-test-fail", "0" * 64, spec.canonical(),
                   study_keys=realized.study_keys,
                   fingerprints=realized.fingerprints,
@@ -276,16 +276,18 @@ class TestDocumentIndex:
         assert _counter("study.chunks_completed") == completed + 2
 
     def test_failed_job_document_runs_again(self, supervisor, monkeypatch):
-        original = supervisor._run_engine_sides
+        from repro.runtime import Study
+
+        original = Study.run
 
         def explode(*args, **kwargs):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(supervisor, "_run_engine_sides", explode)
+        monkeypatch.setattr(Study, "run", explode)
         failed = _wait(supervisor.submit(_job()))
         assert failed.state == "failed"
 
-        monkeypatch.setattr(supervisor, "_run_engine_sides", original)
+        monkeypatch.setattr(Study, "run", original)
         realized = _count_realize(monkeypatch)
         again = _wait(supervisor.submit(_job()))
         assert len(realized) == 1
@@ -315,14 +317,16 @@ class TestDocumentIndex:
         assert again.cached and len(realized) == 1
 
     def test_running_document_enqueues_again(self, supervisor, monkeypatch):
+        from repro.runtime import Study
+
         gate = threading.Event()
-        original = supervisor._run_engine_sides
+        original = Study.run
 
         def held(*args, **kwargs):
             gate.wait(30.0)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(supervisor, "_run_engine_sides", held)
+        monkeypatch.setattr(Study, "run", held)
         try:
             first = supervisor.submit(_job())
             second = supervisor.submit(_job())
@@ -681,3 +685,162 @@ class TestEventLogTruncation:
         described = job.describe()
         assert described["events_dropped"] == dropped
         assert described["events"] == dropped + len(job.events)
+
+
+def _counting_derivations(monkeypatch):
+    """Count the per-study facts a served job derives: plans, study
+    fingerprints, target hashes and default-horizon eigensolves."""
+    import repro.runtime.cache as cache_module
+    import repro.runtime.engine as engine_module
+
+    calls = dict.fromkeys(("plan", "fingerprint", "hash", "horizon"), 0)
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for owner, attribute, name in (
+        (engine_module.Study, "_build_plan", "plan"),
+        (engine_module, "study_fingerprint", "fingerprint"),
+        (cache_module, "system_fingerprint", "hash"),
+        (engine_module, "default_horizon", "horizon"),
+    ):
+        monkeypatch.setattr(owner, attribute,
+                            counting(name, getattr(owner, attribute)))
+    return calls
+
+
+def _each_save_at_a_barrier(monkeypatch, parties=2):
+    """Make every chunk save wait until ``parties`` saves are at once:
+    runs that save the same number of chunks run side by side."""
+    from repro.runtime.store import StudyCheckpoint
+
+    save = StudyCheckpoint.save
+    barrier = threading.Barrier(parties, timeout=30.0)
+
+    def saving(self, *args, **kwargs):
+        barrier.wait()
+        return save(self, *args, **kwargs)
+
+    monkeypatch.setattr(StudyCheckpoint, "save", saving)
+
+
+class TestDerivedOnce:
+    @pytest.mark.parametrize("workload, workers, per_job", [
+        pytest.param({"kind": "transient", "steps": 20}, 1, (1, 1),
+                     id="transient"),
+        pytest.param({"kind": "sweep", "points": 5}, 1, (1, 0), id="sweep"),
+        pytest.param({"kind": "montecarlo", "poles": 2}, 1, (2, 0),
+                     id="montecarlo"),
+        pytest.param({"kind": "transient", "steps": 20}, 2, (1, 1),
+                     id="transient-workers-2"),
+    ])
+    def test_fresh_job_derives_its_identity_once_per_study(
+            self, tmp_path, monkeypatch, workload, workers, per_job):
+        """``realize`` declares the job's Studies with the store
+        attached, and the run uses those objects: each study is planned,
+        fingerprinted and hashed once, and a transient solves its
+        default horizon once, however many participants drain it."""
+        studies, horizons = per_job
+        supervisor = StudySupervisor(tmp_path / "store", pool_size=1)
+        try:
+            calls = _counting_derivations(monkeypatch)
+            job = _wait(supervisor.submit(
+                _job(workload=workload, workers=workers)), timeout=120)
+            assert job.state == "done", job.error
+        finally:
+            supervisor.shutdown(wait=True)
+        assert calls == {"plan": studies, "fingerprint": studies,
+                         "hash": studies, "horizon": horizons}
+
+
+class TestJobRegistration:
+    @pytest.mark.parametrize("workload", [
+        {"kind": "sweep", "points": 5},
+        {"kind": "transient", "steps": 20},
+        {"kind": "poles", "num": 3},
+    ], ids=lambda workload: workload["kind"])
+    def test_every_workload_registers_its_sample_block(self, tmp_path,
+                                                       workload):
+        """The catalog record holds the study's samples, so ``p_<name>``
+        columns answer as they do for ``Study.warehouse`` runs."""
+        from repro.warehouse import QueryEngine
+
+        supervisor = StudySupervisor(tmp_path / "store", pool_size=1,
+                                     warehouse=tmp_path / "wh")
+        try:
+            job = _wait(supervisor.submit(_job(workload=workload)))
+            assert job.state == "done", job.error
+        finally:
+            supervisor.shutdown(wait=True)
+        answer = QueryEngine(tmp_path / "wh").percentile(
+            "p_p1", 50, table="instances")
+        assert (answer["count"], answer["of"]) == (4, 4)
+
+    def test_each_side_registers_its_own_lineage(self, tmp_path):
+        """A montecarlo side loaded from the store is catalogued
+        ``resumed`` while the other side computes the same indices."""
+        import shutil
+
+        store = tmp_path / "store"
+        document = _job(workload={"kind": "montecarlo", "poles": 2})
+        plain = StudySupervisor(store, pool_size=1)
+        try:
+            first = _wait(plain.submit(document))
+            assert first.state == "done", first.error
+        finally:
+            plain.shutdown(wait=True)
+        full_key, reduced_key = first.study_keys
+        for path in store.glob(f"manifest-{reduced_key[:16]}*"):
+            path.unlink()
+        shutil.rmtree(store / "chunks" / reduced_key[:16])
+        plain.result_path(first.key).unlink()
+
+        warehoused = StudySupervisor(store, pool_size=1,
+                                     warehouse=tmp_path / "wh")
+        try:
+            again = _wait(warehoused.submit(document))
+            assert again.state == "done", again.error
+        finally:
+            warehoused.shutdown(wait=True)
+
+        def sources(key):
+            record = json.loads(
+                (tmp_path / "wh" / "catalog" / f"{key[:16]}.json").read_text())
+            return sorted(record["sources"].values())
+
+        assert sources(full_key) == ["resumed", "resumed"]
+        assert sources(reduced_key) == ["computed", "computed"]
+
+
+class TestJobTraces:
+    def test_concurrent_jobs_log_only_their_own_spans(self, supervisor,
+                                                      monkeypatch):
+        """Two jobs saving side by side: each job's event log holds its
+        own study's spans only."""
+        _each_save_at_a_barrier(monkeypatch)
+        jobs = [supervisor.submit(_job(chunk=1, plan={
+            "kind": "montecarlo", "instances": 4, "seed": seed}))
+            for seed in (7, 8)]
+        for job in map(_wait, jobs):
+            assert job.state == "done", job.error
+            names = [event["event"] for event in job.events]
+            assert names.count("store.save") == 4
+            assert names.count("study.run") == 1
+            assert {event["study_key"] for event in job.events
+                    if "study_key" in event} == set(job.study_keys)
+
+    def test_co_drained_job_logs_each_save_once(self, supervisor,
+                                                monkeypatch):
+        """Both participants drain at once; each saved chunk is one
+        ``store.save`` event and each participant one ``study.work``."""
+        _each_save_at_a_barrier(monkeypatch)
+        job = _wait(supervisor.submit(_job(workers=2)))
+        assert job.state == "done", job.error
+        saves = [event for event in job.events
+                 if event["event"] == "store.save"]
+        assert sorted(event["index"] for event in saves) == [0, 1]
+        names = [event["event"] for event in job.events]
+        assert names.count("study.work") == 2

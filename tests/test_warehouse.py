@@ -1068,7 +1068,7 @@ C3 n3 0 0.02p
             # directly: the study resumes from checkpoints and the
             # registration hook must write nothing.
             spec = parse_job(self._job())
-            realized = realize(spec)
+            realized = realize(spec, store=supervisor.store)
             job = Job("job-wh-rerun", "1" * 64, spec.canonical(),
                       study_keys=realized.study_keys,
                       fingerprints=realized.fingerprints,
