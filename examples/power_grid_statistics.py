@@ -2,10 +2,10 @@
 
 Builds a power-distribution mesh whose sheet resistance and decap
 values vary with process, reduces it once with the adaptive low-rank
-reducer (by hand, so its convergence report can be printed; pass a
-reducer to ``Study.reduced()``/``.cached()`` instead when the report
-is not needed), and then performs the statistical analyses the compact
-model enables: a Monte Carlo distribution of the worst-path impedance
+reducer (which also returns the convergence report printed below; a
+fixed-order reducer can go through ``ModelCache.get_or_reduce`` to skip
+repeat reductions), and then performs the statistical analyses the
+compact model enables: a Monte Carlo distribution of the worst-path impedance
 -- one engine sweep over a declarative plan -- a quadratic response
 surface, and a parameter influence ranking.
 

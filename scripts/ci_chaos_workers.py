@@ -38,16 +38,22 @@ Usage:  python scripts/ci_chaos_workers.py [--workdir DIR]
 """
 
 import argparse
-import hashlib
-import json
-import os
 import pathlib
 import signal
-import subprocess
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from _drill import (
+    REPO_ROOT,
+    csv_lines,
+    journal_entries,
+    ladder_netlist,
+    popen_cli,
+    read_manifest,
+    run_cli,
+    sha256_file,
+    victim_pending_claim,
+)
 
 # Small chunks + hundreds of instances = many claim units, so the kill
 # always lands while plenty of work remains for the survivors.
@@ -60,103 +66,6 @@ WORKERS = ("w1", "w2", "w3")
 VICTIM = "w1"
 
 
-def ladder_netlist(segments: int) -> str:
-    lines = [".title ci-chaos-workers ladder", "Rdrv n0 0 10", "C0 n0 0 0.02p"]
-    for k in range(1, segments + 1):
-        lines.append(f"R{k} n{k - 1} n{k} 25")
-        lines.append(f"C{k} n{k} 0 0.02p")
-    lines.append(".port in n0")
-    return "\n".join(lines) + "\n"
-
-
-def cli_environment():
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + environment["PYTHONPATH"] if environment.get("PYTHONPATH") else ""
-    )
-    return environment
-
-
-def run_cli(arguments, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "repro", *arguments],
-        env=cli_environment(), text=True, **kwargs,
-    )
-
-
-def popen_cli(arguments, stdout, stderr):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", *arguments],
-        env=cli_environment(), stdout=stdout, stderr=stderr, text=True,
-    )
-
-
-def csv_lines(text: str):
-    return [line for line in text.splitlines() if line and not line.startswith("#")]
-
-
-def journal_entries(path: pathlib.Path) -> list:
-    """The complete lines of manifest ``path``'s ``.journal``, parsed
-    (``{"index", "record"}`` each); none without a journal.  Bytes
-    after the last newline are an append that never returned."""
-    journal = path.with_name(path.name + ".journal")
-    try:
-        lines = journal.read_bytes().split(b"\n")[:-1]
-    except FileNotFoundError:
-        return []
-    return [json.loads(line) for line in lines]
-
-
-def read_manifest(path: pathlib.Path) -> dict:
-    """Parse a store manifest with its journal's complete lines merged
-    over its ``chunks`` (later lines win), independently of the library.
-
-    A run's later checkpoints are lines of ``<manifest>.journal`` until
-    the run compacts them, so a killed run's chunks are only there.  The
-    journal is read first, as the store does (a compaction in between
-    has put its lines in the manifest).
-    """
-    entries = journal_entries(path)
-    manifest = json.loads(path.read_text())
-    for entry in entries:
-        manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
-    return manifest
-
-
-def sha256_file(path: pathlib.Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def saved_chunk_indices(store: pathlib.Path):
-    indices = set()
-    for manifest_path in store.glob("manifest-*.json"):
-        try:
-            manifest = read_manifest(manifest_path)
-        except (OSError, ValueError):
-            continue
-        indices.update(int(index) for index in manifest.get("chunks", {}))
-    return indices
-
-
-def victim_pending_claim(store: pathlib.Path):
-    """Index of a chunk the victim has claimed but not saved, else None."""
-    saved = saved_chunk_indices(store)
-    for claim in store.glob("claims/*/*.claim"):
-        try:
-            record = json.loads(claim.read_text())
-        except (OSError, ValueError):
-            continue
-        if (
-            isinstance(record, dict)
-            and record.get("worker") == VICTIM
-            and record.get("index") not in saved
-        ):
-            return record["index"]
-    return None
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", default="ci-chaos-workers")
@@ -166,7 +75,7 @@ def main() -> int:
     workdir = pathlib.Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     netlist = workdir / "ladder.sp"
-    netlist.write_text(ladder_netlist(40))
+    netlist.write_text(ladder_netlist("ci-chaos-workers ladder", 40))
     store = workdir / "store"
 
     # -- 1: one-shot reference -----------------------------------------
@@ -212,17 +121,17 @@ def main() -> int:
                 journal_entries(path)
                 for path in store.glob(f"manifest-*.worker-{VICTIM}.json")
             )
-            if not (journaled and victim_pending_claim(store) is not None):
+            if not (journaled and victim_pending_claim(store, VICTIM) is not None):
                 time.sleep(0.002)
                 continue
             victim.send_signal(signal.SIGSTOP)
-            abandoned = victim_pending_claim(store)
+            abandoned = victim_pending_claim(store, VICTIM)
             if abandoned is None:
                 victim.send_signal(signal.SIGCONT)  # too late; try again
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=args.timeout)
         print(f"SIGKILLed {VICTIM} holding the lease on pending chunk "
-              f"{abandoned} (exit {victim.returncode})")
+              f"{abandoned[1]} (exit {victim.returncode})")
 
         # -- 4: survivors must steal the lease and drain ---------------
         for worker in WORKERS:

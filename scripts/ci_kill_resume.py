@@ -32,16 +32,23 @@ Usage:  python scripts/ci_kill_resume.py [--workdir DIR]
 """
 
 import argparse
-import hashlib
 import json
-import os
 import pathlib
 import signal
 import subprocess
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from _drill import (
+    REPO_ROOT,
+    csv_lines,
+    journal_entries,
+    ladder_netlist,
+    popen_cli,
+    read_manifest,
+    run_cli,
+    sha256_file,
+)
 
 # Small chunks + many instances = hundreds of checkpoint units, so the
 # SIGTERM (sent once the journal holds JOURNAL_LINES lines) always lands
@@ -53,75 +60,6 @@ STUDY_ARGS = [
 JOURNAL_LINES = 3
 
 
-def ladder_netlist(segments: int) -> str:
-    lines = [".title ci-kill-resume ladder", "Rdrv n0 0 10", "C0 n0 0 0.02p"]
-    for k in range(1, segments + 1):
-        lines.append(f"R{k} n{k - 1} n{k} 25")
-        lines.append(f"C{k} n{k} 0 0.02p")
-    lines.append(".port in n0")
-    return "\n".join(lines) + "\n"
-
-
-def run_cli(arguments, **kwargs):
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + environment["PYTHONPATH"] if environment.get("PYTHONPATH") else ""
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "repro", *arguments],
-        env=environment, text=True, **kwargs,
-    )
-
-
-def popen_cli(arguments, stdout):
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + environment["PYTHONPATH"] if environment.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", *arguments],
-        env=environment, stdout=stdout, stderr=subprocess.STDOUT, text=True,
-    )
-
-
-def csv_lines(text: str):
-    return [line for line in text.splitlines() if line and not line.startswith("#")]
-
-
-def journal_entries(path: pathlib.Path) -> list:
-    """The complete lines of manifest ``path``'s ``.journal``, parsed
-    (``{"index", "record"}`` each); none without a journal.  Bytes
-    after the last newline are an append that never returned."""
-    journal = path.with_name(path.name + ".journal")
-    try:
-        lines = journal.read_bytes().split(b"\n")[:-1]
-    except FileNotFoundError:
-        return []
-    return [json.loads(line) for line in lines]
-
-
-def read_manifest(path: pathlib.Path) -> dict:
-    """Parse a store manifest with its journal's complete lines merged
-    over its ``chunks`` (later lines win), independently of the library.
-
-    A run's later checkpoints are lines of ``<manifest>.journal`` until
-    the run compacts them, so a killed run's chunks are only there.  The
-    journal is read first, as the store does (a compaction in between
-    has put its lines in the manifest).
-    """
-    entries = journal_entries(path)
-    manifest = json.loads(path.read_text())
-    for entry in entries:
-        manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
-    return manifest
-
-
-def sha256_file(path: pathlib.Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", default="ci-kill-resume")
@@ -131,13 +69,13 @@ def main() -> int:
     workdir = pathlib.Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     netlist = workdir / "ladder.sp"
-    netlist.write_text(ladder_netlist(40))
+    netlist.write_text(ladder_netlist("ci-kill-resume ladder", 40))
     store = workdir / "store"
     base_cmd = ["batch", str(netlist), *STUDY_ARGS, "--store", str(store)]
 
     # -- 1+2: start the study, SIGTERM once its journal has lines -------
     with open(workdir / "killed-run.log", "w") as log:
-        victim = popen_cli(base_cmd, stdout=log)
+        victim = popen_cli(base_cmd, stdout=log, stderr=subprocess.STDOUT)
         deadline = time.monotonic() + args.timeout
         try:
             while not any(

@@ -35,7 +35,6 @@ Usage:  python scripts/ci_serve_e2e.py [--workdir DIR]
 
 import argparse
 import json
-import os
 import pathlib
 import re
 import signal
@@ -43,7 +42,14 @@ import subprocess
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from _drill import (
+    REPO_ROOT,
+    cli_environment,
+    ladder_netlist,
+    popen_cli,
+    victim_pending_claim,
+)
+
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 INSTANCES = 128
@@ -67,77 +73,6 @@ WORKER_ARGS = [
 ]
 
 
-def ladder_netlist(segments: int) -> str:
-    lines = [".title ci-serve-e2e ladder", "Rdrv n0 0 10", "C0 n0 0 0.02p"]
-    for k in range(1, segments + 1):
-        lines.append(f"R{k} n{k - 1} n{k} 25")
-        lines.append(f"C{k} n{k} 0 0.02p")
-    lines.append(".port in n0")
-    return "\n".join(lines) + "\n"
-
-
-def cli_environment(**extra):
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + environment["PYTHONPATH"]
-        if environment.get("PYTHONPATH") else ""
-    )
-    environment.update(extra)
-    return environment
-
-
-def read_manifest(path: pathlib.Path) -> dict:
-    """Parse a store manifest with its journal's complete lines merged
-    over its ``chunks`` (later lines win), independently of the library.
-
-    A run's later checkpoints are lines of ``<manifest>.journal`` until
-    the run compacts them, so a killed run's chunks are only there.  The
-    journal is read first, as the store does (a compaction in between
-    has put its lines in the manifest); bytes after its last newline are
-    an append that never returned.
-    """
-    journal = path.with_name(path.name + ".journal")
-    try:
-        lines = journal.read_bytes().split(b"\n")[:-1]
-    except FileNotFoundError:
-        lines = []
-    manifest = json.loads(path.read_text())
-    for line in lines:
-        entry = json.loads(line)
-        manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
-    return manifest
-
-
-def saved_chunk_indices(store: pathlib.Path):
-    """``(key16, index)`` pairs for every chunk any manifest records."""
-    saved = set()
-    for manifest_path in store.glob("manifest-*.json"):
-        key16 = manifest_path.name[len("manifest-"):][:16]
-        try:
-            manifest = read_manifest(manifest_path)
-        except (OSError, ValueError):
-            continue
-        saved.update((key16, int(index)) for index in
-                     manifest.get("chunks", {}))
-    return saved
-
-
-def victim_pending_claim(store: pathlib.Path):
-    """A (key16, chunk) the victim has claimed but not saved, else None."""
-    saved = saved_chunk_indices(store)
-    for claim in store.glob("claims/*/*.claim"):
-        try:
-            record = json.loads(claim.read_text())
-        except (OSError, ValueError):
-            continue
-        if not isinstance(record, dict) or record.get("worker") != VICTIM:
-            continue
-        pending = (claim.parent.name, record.get("index"))
-        if pending not in saved:
-            return pending
-    return None
-
-
 def counter(client, name: str) -> int:
     return client.metrics().get("counters", {}).get(name, 0)
 
@@ -151,7 +86,7 @@ def main() -> int:
     workdir = pathlib.Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     netlist = workdir / "ladder.sp"
-    netlist.write_text(ladder_netlist(SEGMENTS))
+    netlist.write_text(ladder_netlist("ci-serve-e2e ladder", SEGMENTS))
     store = workdir / "store"
     job_document = {"netlist": netlist.read_text(), **JOB}
     (workdir / "job.json").write_text(json.dumps(job_document, indent=1))
@@ -192,11 +127,10 @@ def main() -> int:
 
         # -- 3: an external worker joins the drain mid-job -------------
         victim_log = open(workdir / f"{VICTIM}.log", "w")
-        victim = subprocess.Popen(
-            [sys.executable, "-m", "repro", "work", "montecarlo",
-             str(netlist), *WORKER_ARGS, "--store", str(store)],
-            env=cli_environment(), stdout=victim_log, stderr=victim_log,
-            text=True,
+        victim = popen_cli(
+            ["work", "montecarlo", str(netlist), *WORKER_ARGS,
+             "--store", str(store)],
+            stdout=victim_log, stderr=victim_log,
         )
 
         # -- 4: SIGKILL the worker holding a live pending claim --------
@@ -209,11 +143,11 @@ def main() -> int:
                 print(f"FAIL: victim exited (code {victim.returncode}) "
                       "before the kill condition was reached")
                 return 1
-            if victim_pending_claim(store) is None:
+            if victim_pending_claim(store, VICTIM) is None:
                 time.sleep(0.002)
                 continue
             victim.send_signal(signal.SIGSTOP)
-            abandoned = victim_pending_claim(store)
+            abandoned = victim_pending_claim(store, VICTIM)
             if abandoned is None:
                 victim.send_signal(signal.SIGCONT)  # too late; try again
         victim.send_signal(signal.SIGKILL)

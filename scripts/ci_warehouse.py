@@ -54,7 +54,14 @@ import subprocess
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from _drill import (
+    REPO_ROOT,
+    cli_environment,
+    journal_entries,
+    read_manifest,
+    run_cli,
+)
+
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 # Small chunks + many instances = 20 claim units, so the kill always
@@ -124,23 +131,6 @@ def run_worker(store: pathlib.Path, worker_id: str) -> int:
     return 0 if result is not None else 3
 
 
-def cli_environment():
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + environment["PYTHONPATH"]
-        if environment.get("PYTHONPATH")
-        else ""
-    )
-    return environment
-
-
-def run_cli(arguments, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "repro", *arguments],
-        env=cli_environment(), text=True, **kwargs,
-    )
-
-
 def spawn_worker(store: pathlib.Path, worker_id: str, log_path: pathlib.Path):
     handle = open(log_path, "w")
     process = subprocess.Popen(
@@ -150,34 +140,6 @@ def spawn_worker(store: pathlib.Path, worker_id: str, log_path: pathlib.Path):
     )
     process._log_handle = handle  # closed with the process
     return process
-
-
-def journal_entries(path: pathlib.Path) -> list:
-    """The complete lines of manifest ``path``'s ``.journal``, parsed
-    (``{"index", "record"}`` each); none without a journal.  Bytes
-    after the last newline are an append that never returned."""
-    journal = path.with_name(path.name + ".journal")
-    try:
-        lines = journal.read_bytes().split(b"\n")[:-1]
-    except FileNotFoundError:
-        return []
-    return [json.loads(line) for line in lines]
-
-
-def read_manifest(path: pathlib.Path) -> dict:
-    """Parse a store manifest with its journal's complete lines merged
-    over its ``chunks`` (later lines win), independently of the library.
-
-    A run's later checkpoints are lines of ``<manifest>.journal`` until
-    the run compacts them, so a killed run's chunks are only there.  The
-    journal is read first, as the store does (a compaction in between
-    has put its lines in the manifest).
-    """
-    entries = journal_entries(path)
-    manifest = json.loads(path.read_text())
-    for entry in entries:
-        manifest.setdefault("chunks", {})[str(entry["index"])] = entry["record"]
-    return manifest
 
 
 def worker_chunks(store: pathlib.Path, worker_id: str):

@@ -17,6 +17,7 @@ from repro.analysis.metrics import matched_pole_errors
 from repro.linalg.sparselu import singular_matrix_error
 from repro.runtime.batch import (
     _sweep_study,
+    check_residue_port,
     dominant_pole_rows,
     finite_pole_mask,
     supports_batching,
@@ -54,8 +55,10 @@ def pole_residues(
     with negligible ``|lambda|`` (poles at infinity) are dropped.
 
     Dense ``O(n^3)``: intended for full systems up to a few thousand
-    states and for all reduced models.
+    states and for all reduced models.  A system without the selected
+    output or input is refused in one line (``ValueError``).
     """
+    check_residue_port(system, (output_index, input_index))
     eigenvalues, coefficients = _eigen_residues(system, output_index, input_index)
     finite = finite_pole_mask(eigenvalues)
     return -1.0 / eigenvalues[finite], coefficients[finite]
@@ -80,10 +83,13 @@ def dominant_poles(
     A dense-batchable ``model`` at ``p`` runs the sweep kernel on a
     one-row stack, bit-identical to any ``Study`` pole study of it; any
     other system takes the general eigensolver of :func:`pole_residues`,
-    which agrees with the dense kernel to rounding only.
+    which agrees with the dense kernel to rounding only.  A model
+    without the selected output or input is refused in one line
+    (``ValueError``), as a ``Study`` pole study of it is.
     """
     if p is not None and not hasattr(model, "instantiate"):
         raise TypeError(f"{model!r} is not parametric but p was given")
+    check_residue_port(getattr(model, "nominal", model), (output_index, input_index))
     if p is not None and supports_batching(model):
         row = _sweep_study(
             model, (), [p], num_poles=num, port=(output_index, input_index)

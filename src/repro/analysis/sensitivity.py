@@ -19,10 +19,9 @@ for everything the MOR pipeline produces:
   model tracks not just the response but the response's *slope* in the
   parameters -- a stricter fidelity criterion used by the tests.
 
-Evaluation routes through the :class:`repro.runtime.engine.Study`
-engine: dense models hit the batched runtime kernel (a batch of one),
-sparse full systems the factored-solve scalar path the engine's
-``per-instance`` route loops over the samples.
+Dense reduced models evaluate through the batched runtime kernel
+:func:`~repro.runtime.batch.batch_transfer_sensitivities` (a batch of
+one); every other system through one factored solve at the point.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.runtime.batch import supports_batching
-from repro.runtime.sparse import supports_sparse_batching
+from repro.runtime.batch import batch_transfer_sensitivities, supports_batching
 
 
 def _scalar_sensitivities(
@@ -44,11 +42,10 @@ def _scalar_sensitivities(
 ) -> np.ndarray:
     """Exact per-sample ``dH/dp`` through one factorization at ``point``.
 
-    The reference implementation every engine route is pinned to: one
+    The reference implementation the batched kernel is pinned to: one
     (sparse LU or dense) factorization of the pencil, one forward and
     one adjoint block solve, then one contraction per parameter.  Used
-    directly for sparse full systems and looped over the samples by
-    the engine's ``per-instance`` sensitivity route.
+    for every system that is not a dense reduced model.
     """
     system = parametric_model.instantiate(point)
     s = complex(s)
@@ -89,10 +86,9 @@ def transfer_sensitivities(
     ``parametric_model`` is a full
     :class:`~repro.circuits.variational.ParametricSystem` or a reduced
     :class:`~repro.core.model.ParametricReducedModel`; both expose the
-    sensitivity matrices ``dG``/``dC`` this needs.  Batchable models
-    (dense or sparse) are dispatched through the ``Study`` engine as a
-    batch of one; anything else falls back to the scalar factored
-    solve directly.
+    sensitivity matrices ``dG``/``dC`` this needs.  Dense models run
+    :func:`~repro.runtime.batch.batch_transfer_sensitivities` as a
+    batch of one; anything else takes the scalar factored solve.
 
     Returns an array of shape ``(n_p, m_out, m_in)``.
     """
@@ -100,16 +96,8 @@ def transfer_sensitivities(
     point = (
         np.zeros(num_parameters) if p is None else np.asarray(p, dtype=float)
     )
-    if supports_batching(parametric_model) or supports_sparse_batching(parametric_model):
-        from repro.runtime.engine import Study
-
-        study = (
-            Study(parametric_model)
-            .scenarios(point[None, :])
-            .sensitivities(s)
-            .run()
-        )
-        return study.sensitivities[0]
+    if supports_batching(parametric_model):
+        return batch_transfer_sensitivities(parametric_model, s, point[None, :])[0]
     return _scalar_sensitivities(parametric_model, s, point)
 
 

@@ -7,10 +7,12 @@ that reuse is made fast and declarative:
 
 - :mod:`repro.runtime.engine` -- **the one front door**: the
   declarative :class:`Study` builder
-  (``Study(model).scenarios(plan).sweep(freqs).run()``) whose planner
+  (``Study(model).scenarios(plan).sweep(freqs).run()``) over the model
+  it is given -- a dense reduced macromodel or a sparse full-order
+  system; reduce first, through :class:`ModelCache` -- whose planner
   inspects the target and workload and routes to the optimal kernel
   below -- dense batched, sparse shared-pattern, streamed under a
-  memory budget, or per-instance full-order solves -- with an
+  memory budget, or per-instance full-order pole solves -- with an
   inspectable :class:`ExecutionPlan`.  ``run()``, resume, and the
   work-stealing ``work()`` all walk the same chunk loop, so a resumed
   or work-stolen study is bit-identical to an uninterrupted one.
@@ -89,12 +91,10 @@ from repro.runtime.cache import (
     array_fingerprint,
     reducer_fingerprint,
     system_fingerprint,
-    target_fingerprint,
 )
 from repro.runtime.engine import (
     ExecutionPlan,
     PoleStudy,
-    SensitivityStudy,
     Study,
 )
 from repro.runtime.scheduler import (
@@ -158,7 +158,6 @@ __all__ = [
     "PoleStudy",
     "RampInput",
     "ScenarioPlan",
-    "SensitivityStudy",
     "SineInput",
     "SparsePatternFamily",
     "StepInput",
@@ -187,6 +186,5 @@ __all__ = [
     "supports_sparse_batching",
     "sweep_chunk_bytes",
     "system_fingerprint",
-    "target_fingerprint",
     "transient_chunk_bytes",
 ]

@@ -524,6 +524,18 @@ def finite_pole_mask(eigenvalues: np.ndarray) -> np.ndarray:
     return magnitude > 1e-12 * magnitude.max(axis=-1, initial=0.0, keepdims=True)
 
 
+def check_residue_port(system, port: Tuple[int, int] = (0, 0)) -> None:
+    """Refuse, in one line, a ``system`` without the ``port`` = ``(o, i)``
+    whose residues rank dominant poles: a net with no output (no
+    ``.port`` or ``.observe``) or no input has no ``H[0, 0]``."""
+    counts = (system.L.shape[1], system.B.shape[1])
+    if not all(0 <= index < count for index, count in zip(port, counts)):
+        raise ValueError(
+            f"dominant poles rank the residues of H[{port[0]}, {port[1]}], "
+            f"but the model has {counts[0]} output(s) and {counts[1]} input(s)"
+        )
+
+
 def dominant_pole_rows(
     eigenvalues: np.ndarray, residues: np.ndarray, num: int
 ) -> np.ndarray:

@@ -88,22 +88,6 @@ def array_fingerprint(array) -> str:
     return digest.hexdigest()
 
 
-def target_fingerprint(target) -> str:
-    """Content fingerprint of any evaluation target the engine accepts.
-
-    Parametric objects (full systems *and* reduced macromodels share
-    the ``nominal`` + ``dG``/``dC`` shape contract) reuse
-    :func:`system_fingerprint`, so a study persisted against a cached
-    reduction and one persisted against a freshly-reduced copy of the
-    same model land on the same manifest key.  Duck-typed targets
-    without the parametric contract fall back to a hash of their
-    ``repr``.
-    """
-    if all(hasattr(target, name) for name in ("nominal", "dG", "dC")):
-        return system_fingerprint(target)
-    return hashlib.sha256(repr(target).encode()).hexdigest()
-
-
 def _stable_config_value(value):
     if isinstance(value, np.ndarray):
         return ["ndarray", list(value.shape), hashlib.sha256(
@@ -320,7 +304,8 @@ class ModelCache:
 
         On a hit the model is loaded from disk (bit-exact round trip
         through :mod:`repro.core.io`); on a miss ``reducer.reduce`` runs
-        and its product is stored before being returned.
+        and its product is stored before being returned.  An adaptive
+        reducer's ``(model, report)`` pair caches and returns the model.
         """
         key = self.key(parametric, reducer)
         cached = self.load(key)
@@ -329,6 +314,8 @@ class ModelCache:
             return cached
         self.misses += 1
         model = reducer.reduce(parametric)
+        if isinstance(model, tuple):
+            model = model[0]
         self.store(key, model)
         return model
 

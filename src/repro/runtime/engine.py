@@ -14,16 +14,19 @@ entry point that routes to the right kernel automatically:
 >>> print(study.plan())          # inspect before paying for anything
 >>> result = study.run()         # execute the planned route
 
-``Study`` is a builder: ``scenarios`` + one workload (``sweep`` /
-``transient`` / ``poles`` / ``sensitivities``) plus optional execution
-directives (``chunk`` or ``memory_budget``, ``cached`` + ``reduced``,
-``progress``, and the durability pair ``store`` / ``resume``).
-:meth:`Study.plan` inspects the target and workload and returns an
-:class:`ExecutionPlan` naming the chosen route, kernel tier, chunk
-count, and estimated peak bytes; :meth:`Study.run` executes that plan.
-Every route except sensitivities runs through the one chunk loop of
-:mod:`repro.runtime.stream`, and :meth:`Study.work` drains the same
-chunks through the same checkpoint unit across any number of workers.
+``Study`` is a builder over the model it is given -- a dense reduced
+macromodel or a sparse full-order ``ParametricSystem``; reduce first,
+through :meth:`repro.runtime.cache.ModelCache.get_or_reduce` to skip
+repeat reductions.  It takes ``scenarios`` + one workload (``sweep`` /
+``transient`` / ``poles``) plus optional execution directives
+(``chunk`` or ``memory_budget``, ``progress``, and the durability pair
+``store`` / ``resume``).  :meth:`Study.plan` inspects the target and
+workload and returns an :class:`ExecutionPlan` naming the chosen route,
+kernel tier, chunk count, and estimated peak bytes, or refuses the
+declaration in one line; :meth:`Study.run` executes that plan.  Every
+route runs through the one chunk loop of :mod:`repro.runtime.stream`,
+and :meth:`Study.work` drains the same chunks through the same
+checkpoint unit across any number of workers.
 Payloads run in the chunk loop's own thread; only the dense eig sweep
 kernel (sweeps and dense pole studies) splits its chunks over the
 process-wide row pool of :mod:`repro.runtime.executor`.
@@ -33,8 +36,8 @@ Routes
 
 - ``dense-batch`` -- dense-batchable targets (reduced macromodels) in
   one chunk: the eig-amortized sweep kernel, the propagator transient
-  kernel, batched sensitivities; dense pole studies (the sweep kernel
-  with no frequencies) keep this label however they are chunked.
+  kernel; dense pole studies (the sweep kernel with no frequencies)
+  keep this label however they are chunked.
 - ``dense-stream`` -- the sweep and transient kernels chunked under
   ``chunk`` / ``memory_budget``, with incremental envelope reducers.
   On both dense routes the eig sweep kernel splits each chunk's rows
@@ -45,9 +48,9 @@ Routes
   instance's pencils through the tridiagonal / banded LAPACK tier, the
   level-scheduled LU (wide patterns), or SuperLU refactorization
   (patterns with a structurally missing diagonal).
-- ``per-instance`` -- full-order reference solves, one instance at a
-  time: pole studies of sparse or duck-typed targets (chunked like any
-  other study) and sparse sensitivities.
+- ``per-instance`` -- pole studies of sparse full-order targets: one
+  instance's pencil at a time through the shared pattern (chunked like
+  any other study).
 
 Determinism contract
 --------------------
@@ -57,9 +60,8 @@ whichever way the samples are chunked, so results are **bit-identical**
 across chunk sizes (up to the documented chunk-summed envelope mean),
 across row-pool widths, and across fresh, resumed, and work-stolen
 runs: sweeps match the eig-amortized sweep kernel, transients the
-batched propagator kernel, pole studies the Monte Carlo protocol of
-:func:`repro.analysis.montecarlo.monte_carlo_pole_study`, and
-sensitivities :func:`repro.analysis.sensitivity.transfer_sensitivities`.
+batched propagator kernel, and pole studies the Monte Carlo protocol of
+:func:`repro.analysis.montecarlo.monte_carlo_pole_study`.
 On a dense target ``.poles(k)``, ``.sweep(f).poles(k)`` and
 :func:`~repro.analysis.poles.dominant_poles` run one kernel: bit-identical.
 """
@@ -82,7 +84,7 @@ from repro.runtime import executor as executor_module
 from repro.runtime.batch import (
     _sweep_study,
     as_sample_matrix,
-    batch_transfer_sensitivities,
+    check_residue_port,
     grid_contraction,
     supports_batching,
     symmetric_definite,
@@ -172,26 +174,24 @@ def _check_transient_options(options: dict) -> None:
 def _pole_chunk_payload(target, family, num_poles: int, block) -> dict:
     """One pole chunk's persistable payload (the checkpoint unit).
 
-    Dense targets run the sweep kernel's rows with no frequencies on
-    the row pool, bit-identical to a ``.sweep(f).poles(k)`` study and
-    to :func:`~repro.analysis.poles.dominant_poles` at each point.
-    Other targets instantiate row by row -- sparse ones through their
-    shared-pattern ``family``, any other through its own
-    ``instantiate`` -- and hand each system to ``dominant_poles`` under
-    one ``poles.instance`` span.
+    Dense targets (``family`` is ``None``) run the sweep kernel's rows
+    with no frequencies on the row pool, bit-identical to a
+    ``.sweep(f).poles(k)`` study and to
+    :func:`~repro.analysis.poles.dominant_poles` at each point.  Sparse
+    targets instantiate row by row through their shared-pattern
+    ``family`` and hand each system to ``dominant_poles`` under one
+    ``poles.instance`` span.
     """
     from repro.analysis.poles import dominant_poles
 
-    if supports_batching(target):
+    if family is None:
         poles = _sweep_study(target, (), block, num_poles=num_poles)[1]
         return _pack_pole_sets([row[~np.isnan(row)] for row in poles])
-    source = target if family is None else family
-    kernel = "instantiate" if family is None else "shared-pattern"
     pole_sets = []
     for point in block:
         # Instantiation inside the span: it is the row's time too.
-        with obs_trace.span("poles.instance", kernel=kernel):
-            pole_sets.append(dominant_poles(source.instantiate(point), num_poles))
+        with obs_trace.span("poles.instance", kernel="shared-pattern"):
+            pole_sets.append(dominant_poles(family.instantiate(point), num_poles))
     return _pack_pole_sets(pole_sets)
 
 
@@ -231,21 +231,18 @@ def _pole_run_bytes(
     """``(per_instance, fixed, per_chunk)`` bytes of a pole study.
 
     Dense chunks run the sweep kernel: per instance
-    :func:`_dense_eig_bytes` at ``n_f = 0``.  Other targets factor one
+    :func:`_dense_eig_bytes` at ``n_f = 0``.  Sparse targets factor one
     instance at a time: ``64 n^2`` (measured 48-56 ``n^2`` on the
-    paper's nets), plus, on sparse targets, the shared pattern's
-    ``16 nnz``.  Each instance's pole set is retained: its padded row
-    and its unpacked copy, 32 bytes per pole plus ``_POLE_SET_BYTES``.
-    A target with no ``nominal`` has order 0.
+    paper's nets) plus the shared pattern's ``16 nnz``.  Each
+    instance's pole set is retained: its padded row and its unpacked
+    copy, 32 bytes per pole plus ``_POLE_SET_BYTES``.
     """
-    order = getattr(getattr(target, "nominal", None), "order", 0)
     retained = num_samples * (32 * num_poles + _POLE_SET_BYTES)
     if kind == "dense":
         return (_dense_eig_bytes(target, 0), retained + _KERNEL_HEADER_BYTES,
                 _CHUNK_RECORD_BYTES)
-    fixed = 64 * order * order + retained
-    if kind == "sparse":
-        fixed += 16 * shared_pattern_family(target).nnz
+    order = target.nominal.order
+    fixed = 64 * order * order + retained + 16 * shared_pattern_family(target).nnz
     return 0, fixed, _CHUNK_RECORD_BYTES
 
 
@@ -305,24 +302,6 @@ class PoleStudy:
         return out
 
 
-@dataclass
-class SensitivityStudy:
-    """Exact transfer-function parameter slopes of a sampled ensemble.
-
-    ``sensitivities`` has shape ``(m, n_p, m_out, m_in)``: instance
-    ``k``'s ``dH/dp_i`` at the study's expansion point ``s``.
-    """
-
-    samples: np.ndarray
-    s: complex
-    sensitivities: np.ndarray
-
-    @property
-    def num_samples(self) -> int:
-        """Number of evaluated parameter instances."""
-        return self.samples.shape[0]
-
-
 # -- the inspectable plan ----------------------------------------------
 
 
@@ -335,8 +314,7 @@ class ExecutionPlan:
     numeric kernel tier inside the route (e.g. the shared-pattern
     solver chosen by RCM bandwidth).  ``estimated_peak_bytes`` is the
     documented working-set estimate of the chunk loop (constant
-    factor ~2), lookahead included; for sensitivities it is a rough
-    one-instance figure.
+    factor ~2), lookahead included.
 
     Dense sweeps run one batched eig kernel, chosen from the model
     alone: ``eig-rational[sweep-study/symmetric/...]`` (Cholesky +
@@ -390,25 +368,24 @@ class ExecutionPlan:
 
 
 class Study:
-    """Declarative scenario-evaluation study over any supported target.
+    """Declarative scenario-evaluation study of one given model.
 
-    ``target`` is a dense-batchable reduced macromodel, a sparse
-    full-order parametric system, or (with :meth:`reduced`) a full
-    system to be reduced first.  Builder methods return ``self`` so a
-    study reads as one chained declaration; nothing is evaluated until
-    :meth:`plan` (routing + reduction only) or :meth:`run`.
+    ``target`` is a dense-batchable reduced macromodel or a sparse
+    full-order :class:`~repro.circuits.variational.ParametricSystem`;
+    :meth:`plan` refuses anything else -- a duck-typed object, a system
+    mixing sparse and dense matrices -- in one line.  Builder methods
+    return ``self`` so a study reads as one chained declaration;
+    nothing is evaluated until :meth:`plan` (routing only) or
+    :meth:`run`.
     """
 
     def __init__(self, target):
         self._target = target
-        self._reducer = None
-        self._cache = None
         self._scenarios = None
         self._frequencies: Optional[np.ndarray] = None
         self._keep_responses = False
         self._transient_options: Optional[dict] = None
         self._num_poles: Optional[int] = None
-        self._sensitivity_point: Optional[complex] = None
         self._chunk_size: Optional[int] = None
         self._memory_budget: Optional[int] = None
         self._store: Optional[StudyStore] = None
@@ -419,7 +396,6 @@ class Study:
         self._progress: Optional[ProgressCallback] = None
         self._trace_sinks: List = []
         self._last_metrics: dict = {}
-        self._resolved_target = None
         self._sample_matrix: Optional[np.ndarray] = None
         # What this declaration derives once until it next changes (see
         # _invalidate): its plan, resolved transient options and study
@@ -494,18 +470,14 @@ class Study:
         Combined with :meth:`sweep` (dense targets) the poles ride the
         sweep's eigendecomposition for free; alone, dense targets run
         the same kernel with no frequencies, bit-identical to it and to
-        :func:`~repro.analysis.poles.dominant_poles`, and other targets
+        :func:`~repro.analysis.poles.dominant_poles`, and sparse targets
         run ``dominant_poles`` per instance.  Chunked like any other
-        study.  ``num`` must be an integer >= 0.
+        study.  ``num`` must be an integer >= 0; :meth:`plan` refuses a
+        target with no output or no input (no ``H[0, 0]``).
         """
         if not isinstance(num, numbers.Integral) or isinstance(num, bool) or num < 0:
             raise ValueError(f"num must be an integer >= 0, got {num!r}")
         self._num_poles = int(num)
-        return self._invalidate()
-
-    def sensitivities(self, s: complex) -> "Study":
-        """Request exact ``dH/dp_i`` at the complex frequency ``s``."""
-        self._sensitivity_point = complex(s)
         return self._invalidate()
 
     def memory_budget(self, num_bytes: int) -> "Study":
@@ -595,23 +567,6 @@ class Study:
         self._resume = bool(flag)
         return self._invalidate()
 
-    def reduced(self, reducer) -> "Study":
-        """Reduce the target with ``reducer`` before evaluation.
-
-        ``reducer.reduce(target)`` runs lazily at plan time (once;
-        memoized).  Combine with :meth:`cached` to skip reduction on
-        repeat workloads.
-        """
-        self._reducer = reducer
-        self._resolved_target = None
-        return self._invalidate()
-
-    def cached(self, cache) -> "Study":
-        """Route the :meth:`reduced` reduction through a ModelCache."""
-        self._cache = cache
-        self._resolved_target = None
-        return self._invalidate()
-
     def progress(self, callback: ProgressCallback) -> "Study":
         """Register ``callback(instances_done, total_instances)``."""
         self._progress = callback
@@ -654,36 +609,17 @@ class Study:
 
     # -- resolution ----------------------------------------------------
 
-    def _resolve_target(self):
-        """The object the kernels evaluate (after any cached reduction)."""
-        if self._resolved_target is not None:
-            return self._resolved_target
-        target = self._target
-        if self._cache is not None and self._reducer is None:
-            raise ValueError("cached(cache) requires reduced(reducer)")
-        if self._reducer is not None:
-            model = None
-            key = None
-            if self._cache is not None:
-                key = self._cache.key(target, self._reducer)
-                model = self._cache.load(key)
-            if model is None:
-                model = self._reducer.reduce(target)
-                if isinstance(model, tuple):  # adaptive reducers return (model, report)
-                    model = model[0]
-                if key is not None:
-                    self._cache.store(key, model)
-            target = model
-        self._resolved_target = target
-        return target
-
     def _target_kind(self) -> str:
-        target = self._resolve_target()
-        if supports_batching(target):
+        """``"dense"`` or ``"sparse"``; any other target is refused."""
+        if supports_batching(self._target):
             return "dense"
-        if supports_sparse_batching(target):
+        if supports_sparse_batching(self._target):
             return "sparse"
-        return "other"
+        raise ValueError(
+            f"a {type(self._target).__name__} supports neither dense nor "
+            "sparse batching: a Study evaluates a reduced model (all "
+            "matrices dense) or a full-order ParametricSystem (all sparse)"
+        )
 
     def _workload(self) -> str:
         declared = [
@@ -691,7 +627,6 @@ class Study:
             for name, present in (
                 ("sweep", self._frequencies is not None),
                 ("transient", self._transient_options is not None),
-                ("sensitivities", self._sensitivity_point is not None),
             )
             if present
         ]
@@ -700,8 +635,8 @@ class Study:
         if not declared:
             if self._num_poles is None:
                 raise ValueError(
-                    "no workload declared: call .sweep(...), .transient(...), "
-                    ".poles(...), or .sensitivities(...)"
+                    "no workload declared: call .sweep(...), .transient(...) "
+                    "or .poles(...)"
                 )
             return "poles"
         workload = declared[0]
@@ -720,7 +655,7 @@ class Study:
             return self._sample_matrix
         if self._scenarios is None:
             raise ValueError("no scenarios: call .scenarios(plan_or_samples) first")
-        target = self._resolve_target()
+        target = self._target
         if isinstance(self._scenarios, ScenarioPlan) or hasattr(
             self._scenarios, "sample_matrix"
         ):
@@ -756,8 +691,8 @@ class Study:
         and, on the sparse route, the workspace of one instance's
         pencil solve (instances are solved one at a time).
         The accumulator was historically omitted, which understated
-        the peak on every streamed route (most visibly the
-        cached+reduced one, where the chunk arrays are smallest).
+        the peak on every streamed route (most visibly on small
+        reduced models, where the chunk arrays are smallest).
         Transients also hold the per-run terms of
         :func:`~repro.runtime.stream._transient_run_bytes` -- the
         metrics (and kept outputs) retained across chunks among them
@@ -765,7 +700,7 @@ class Study:
         Pole studies factor one instance at a time: see
         :func:`_pole_run_bytes`.
         """
-        target = self._resolve_target()
+        target = self._target
         if workload == "poles":
             return _pole_run_bytes(target, kind, self._num_poles, num_samples)
         if workload in ("sweep", "sweep+poles"):
@@ -826,24 +761,19 @@ class Study:
         return chunk, num_chunks, int(peak(chunk))
 
     def _describe_target(self, kind: str) -> str:
-        target = self._resolve_target()
+        nominal = self._target.nominal
         if kind == "dense":
-            return f"dense-reduced (q={target.nominal.order})"
-        if kind == "sparse":
-            # Nominal pattern only -- describing a target must not pay
-            # for the union-pattern family (sweep routes build it anyway,
-            # memoized; the per-instance sensitivity route never needs it).
-            nominal = target.nominal
-            return f"sparse-full (n={nominal.order}, nnz={nominal.G.nnz})"
-        return f"full ({type(target).__name__})"
+            return f"dense-reduced (q={nominal.order})"
+        # Nominal pattern only -- describing a target must not pay for
+        # the union-pattern family (the routes build it anyway, memoized).
+        return f"sparse-full (n={nominal.order}, nnz={nominal.G.nnz})"
 
     def plan(self) -> ExecutionPlan:
         """Decide (and report) the route without evaluating anything.
 
-        Resolving the plan runs any :meth:`reduced` reduction (memoized
-        across calls) because routing depends on the resolved target's
-        shape; everything else is pure accounting, tens of microseconds
-        to a tenth of a millisecond on the perfbench studies.  The plan
+        Pure accounting, tens of microseconds to a tenth of a
+        millisecond on the perfbench studies; a declaration the routes
+        cannot run is refused here with a one-line ``ValueError``.  The plan
         is memoized on this Study until its declaration next changes, so
         ``plan()`` followed by ``run()`` pays once.
         """
@@ -857,21 +787,16 @@ class Study:
     def _build_plan(self) -> ExecutionPlan:
         workload = self._workload()
         kind = self._target_kind()
-        target = self._resolve_target()
+        target = self._target
         notes: List[str] = []
         if self._resume and self._store is None:
             raise ValueError("resume() requires store(directory)")
         store_path = None if self._store is None else str(self._store.directory)
-        if workload == "sensitivities":
-            return self._sensitivity_plan(kind, target, store_path)
 
         # Route validation first: it must not depend on sample
-        # realization (which needs a parametric target to begin with).
-        if kind == "other" and workload != "poles":
-            raise ValueError(
-                f"{target!r} supports neither dense nor sparse batching; "
-                "see repro.runtime.batch.supports_batching"
-            )
+        # realization.
+        if self._num_poles is not None:
+            check_residue_port(target.nominal)
         if workload == "transient" and kind == "sparse":
             raise ValueError(
                 "transient studies require a dense-batchable model "
@@ -895,11 +820,9 @@ class Study:
                 symmetric = "/symmetric" if symmetric_definite(target) else ""
                 kernel = f"dominant-poles[eig-sweep{symmetric}]"
                 executor_label = f"row-pool(width={executor_module.row_pool_width()})"
-            elif kind == "sparse":
+            else:
                 family = shared_pattern_family(target)
                 kernel = f"dominant-poles[shared-pattern/{family.solver_kind}]"
-            else:
-                kernel = "dominant-poles[instantiate]"
         elif workload == "transient":
             kernel = "transient-propagator[gesv]"
             if self._transient_options["keep_outputs"]:
@@ -952,38 +875,6 @@ class Study:
             lookahead=lookahead,
         )
 
-    def _sensitivity_plan(self, kind: str, target, store_path) -> ExecutionPlan:
-        """The one-unit plan of a sensitivity study (never chunked)."""
-        if self._store is not None:
-            raise ValueError(
-                "sensitivity studies do not support store(); durable "
-                "checkpointing covers sweep, transient, and pole studies"
-            )
-        num_samples = self._samples().shape[0]
-        order = getattr(getattr(target, "nominal", None), "order", 0)
-        if kind == "dense":
-            route, kernel = "dense-batch", "batch-sensitivities[gesv]"
-            peak = 48 * num_samples * order * order
-        else:
-            route, kernel = "per-instance", "sensitivities[sparse-lu]"
-            # Estimate straight off the nominal pattern: each sample
-            # factors its own instantiation and never needs the
-            # shared-pattern family, so don't pay to build one here.
-            nominal_g = getattr(getattr(target, "nominal", None), "G", None)
-            peak = 64 * getattr(nominal_g, "nnz", order * order)
-        return ExecutionPlan(
-            route=route,
-            kernel=kernel,
-            workload="sensitivities",
-            target=self._describe_target(kind),
-            num_samples=num_samples,
-            chunk_size=num_samples,
-            num_chunks=1 if num_samples else 0,
-            estimated_peak_bytes=int(peak),
-            executor="serial",
-            store=store_path,
-        )
-
     # -- execution -----------------------------------------------------
 
     def _resolve_trace_sinks(self) -> Tuple[List, List]:
@@ -1010,9 +901,8 @@ class Study:
         Returns the route's canonical result object:
         :class:`~repro.runtime.stream.StreamedSweepStudy` for sweeps,
         :class:`~repro.runtime.stream.StreamedTransientStudy` for
-        transients, :class:`PoleStudy` for pole studies,
-        :class:`SensitivityStudy` for sensitivities.  Every route but
-        sensitivities walks the chunk grid through
+        transients, :class:`PoleStudy` for pole studies.  Every route
+        walks the chunk grid through
         :func:`repro.runtime.stream._drive_chunks`, loading each
         checkpointed chunk and computing (and checkpointing) the rest.
 
@@ -1040,18 +930,11 @@ class Study:
                 before = obs_metrics.registry().snapshot()
                 with obs_trace.span("study.run") as root:
                     plan = self.plan()
-                    if self._warehouse is not None:
-                        if plan.workload == "sensitivities":
-                            raise ValueError(
-                                "warehouse(...) cannot register a "
-                                "sensitivities study: the workload has no "
-                                "durable checkpoints"
-                            )
-                        if self._store is None:
-                            raise ValueError(
-                                "warehouse(...) requires store(...): the "
-                                "warehouse reads durable chunk checkpoints"
-                            )
+                    if self._warehouse is not None and self._store is None:
+                        raise ValueError(
+                            "warehouse(...) requires store(...): the "
+                            "warehouse reads durable chunk checkpoints"
+                        )
                     root.set(
                         route=plan.route,
                         kernel=plan.kernel,
@@ -1133,19 +1016,42 @@ class Study:
         """
         if store is not None:
             self.store(store)
+        worker_id = (
+            parse_worker_id(worker) if worker is not None else default_worker_id()
+        )
+        report = self._drain(worker_id, ttl, poll, max_chunks, board)
+        if not report.drained:
+            return None
+        # Merge through the ordinary run() path: every chunk is loaded
+        # with its recorded SHA-256 verified and folded in global chunk
+        # order.  Lenient mode turns a chunk whose every copy fails
+        # verification into an inline recompute (the chunk unit's
+        # nothing-loaded branch) instead of a fatal StoreError.
+        return self._run(worker_id, lenient=True)
+
+    def _drain(
+        self,
+        worker_id: str,
+        ttl: float,
+        poll: float,
+        max_chunks: Optional[int] = None,
+        board: Optional[LeaseBoard] = None,
+    ):
+        """:meth:`work` without its merge: claim, compute and checkpoint
+        chunks as ``worker_id`` until the store drains (or
+        ``max_chunks`` stops it), then return the
+        :class:`~repro.runtime.scheduler.DrainReport`.  Several threads
+        may drain one Study at once; the served co-drain joins them and
+        merges once (``_run(worker_id, lenient=True)``)."""
         if self._store is None:
             raise ValueError(
                 "work() requires a store: pass a directory or call .store(...)"
             )
-        worker_id = (
-            parse_worker_id(worker) if worker is not None else default_worker_id()
-        )
         sinks, owned_sinks = self._resolve_trace_sinks()
         try:
             with obs_trace.run_sinks(sinks), \
                     obs_trace.span("study.work", worker=worker_id) as root:
                 plan = self.plan()
-                target = self._resolve_target()
                 samples = self._samples()
                 root.set(
                     route=plan.route,
@@ -1159,7 +1065,7 @@ class Study:
                         self._store, checkpoint.key, worker=worker_id, ttl=ttl
                     )
                     grid = _chunk_grid(plan.num_samples, plan.chunk_size)
-                    payload_fn, _, _ = self._chunk_workload(plan, target)
+                    payload_fn, _, _ = self._chunk_workload(plan, self._target)
 
                     def compute(index: int) -> None:
                         lo, hi = grid[index]
@@ -1183,14 +1089,7 @@ class Study:
         finally:
             for sink in owned_sinks:
                 sink.close()
-        if not report.drained:
-            return None
-        # Merge through the ordinary run() path: every chunk is loaded
-        # with its recorded SHA-256 verified and folded in global chunk
-        # order.  Lenient mode turns a chunk whose every copy fails
-        # verification into an inline recompute (the chunk unit's
-        # nothing-loaded branch) instead of a fatal StoreError.
-        return self._run(worker_id, lenient=True)
+        return report
 
     def drain_report(self):
         """The :class:`~repro.runtime.scheduler.DrainReport` of the most
@@ -1206,8 +1105,7 @@ class Study:
         config -- plus the combined ``key``.  Servers use this for
         content-addressed result lookup (an identical declaration from
         a different client lands on the same key) and clients use it to
-        re-verify what a server computed.  Only durable workloads have
-        a fingerprint; ``sensitivities`` raises ``ValueError``.
+        re-verify what a server computed.
 
         Derived once per declaration: the checkpoint, the
         :meth:`warehouse` registration and every later call read the
@@ -1217,7 +1115,7 @@ class Study:
         if fingerprint is None:
             workload = self.plan().workload
             fingerprint = self._memo["fingerprint"] = study_fingerprint(
-                self._resolve_target(), workload, self._samples(),
+                self._target, workload, self._samples(),
                 self._workload_config(workload),
             )
         return fingerprint
@@ -1245,9 +1143,7 @@ class Study:
             self._store,
             key=self.fingerprint()["key"],
             samples=self._samples(),
-            parameter_names=getattr(
-                self._resolve_target(), "parameter_names", None
-            ),
+            parameter_names=getattr(self._target, "parameter_names", None),
             lineage=lineage_sources(chunk_lineage(lineage_sink.records)),
         )
         return self._last_warehouse
@@ -1264,8 +1160,9 @@ class Study:
         object.
         """
         queue = None
+        family = None if supports_batching(target) else shared_pattern_family(target)
         if plan.workload in ("sweep", "sweep+poles"):
-            dense = supports_batching(target)
+            dense = family is None
             options = dict(
                 num_poles=self._num_poles,
                 keep_poles=dense and self._num_poles is not None,
@@ -1275,10 +1172,7 @@ class Study:
                 ),
             )
             payload_fn = functools.partial(
-                _sweep_chunk_payload,
-                target,
-                None if dense else shared_pattern_family(target),
-                self._frequencies,
+                _sweep_chunk_payload, target, family, self._frequencies,
                 **options,
             )
             if plan.lookahead:
@@ -1308,11 +1202,7 @@ class Study:
         else:  # poles
             num_poles = self._num_poles
             payload_fn = functools.partial(
-                _pole_chunk_payload,
-                target,
-                shared_pattern_family(target)
-                if supports_sparse_batching(target) else None,
-                num_poles,
+                _pole_chunk_payload, target, family, num_poles
             )
 
             def build(samples, folded):
@@ -1342,7 +1232,7 @@ class Study:
             if options["waveform"] is None:
                 options["waveform"] = StepInput()
             if options["t_final"] is None:
-                options["t_final"] = default_horizon(self._resolve_target())
+                options["t_final"] = default_horizon(self._target)
             self._memo["transient"] = options
         return options
 
@@ -1374,16 +1264,12 @@ class Study:
                 "reference": options["reference"],
                 "keep_outputs": bool(options["keep_outputs"]),
             }
-        if workload == "poles":
-            return {"num_poles": self._num_poles}
-        raise ValueError(f"workload {workload!r} has no durable config record")
+        return {"num_poles": self._num_poles}
 
     def _execute(self, plan: ExecutionPlan, worker: Optional[str],
                  lenient: bool):
-        target = self._resolve_target()
+        target = self._target
         samples = self._samples()
-        if plan.workload == "sensitivities":
-            return self._run_sensitivities(plan, target, samples)
         checkpoint = self._open_checkpoint(
             plan, worker=worker, lenient=lenient, resume=self._resume
         )
@@ -1433,24 +1319,6 @@ class Study:
             context=context,
         )
 
-    def _run_sensitivities(
-        self, plan: ExecutionPlan, target, samples
-    ) -> SensitivityStudy:
-        from repro.analysis.sensitivity import _scalar_sensitivities
-
-        s = self._sensitivity_point
-        if plan.route == "dense-batch":
-            sensitivities = batch_transfer_sensitivities(target, s, samples)
-        else:
-            rows = []
-            for point in samples:
-                with obs_trace.span("sensitivities.instance"):
-                    rows.append(_scalar_sensitivities(target, s, point))
-            sensitivities = np.stack(rows)
-        if self._progress is not None:
-            self._progress(samples.shape[0], samples.shape[0])
-        return SensitivityStudy(samples=samples, s=s, sensitivities=sensitivities)
-
     def __repr__(self) -> str:
         directives = []
         if self._scenarios is not None:
@@ -1463,6 +1331,4 @@ class Study:
             )
         if self._num_poles is not None:
             directives.append(f"poles[{self._num_poles}]")
-        if self._sensitivity_point is not None:
-            directives.append(f"sensitivities[s={self._sensitivity_point}]")
         return f"Study({type(self._target).__name__}, {', '.join(directives)})"

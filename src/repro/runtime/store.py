@@ -96,7 +96,8 @@ import numpy as np
 from repro.core.io import DESERIALIZE_LOCK
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.cache import array_fingerprint, target_fingerprint
+from repro.runtime import cache as cache_module
+from repro.runtime.cache import array_fingerprint
 
 MANIFEST_FORMAT = "repro-study-store/v1"
 
@@ -154,8 +155,9 @@ def parse_positive(text, flag: str, kind=float):
 def study_fingerprint(target, workload: str, samples, config: dict) -> Dict[str, str]:
     """Content fingerprint of one study: what, on what, over what.
 
-    ``target`` is fingerprinted through
-    :func:`~repro.runtime.cache.target_fingerprint` (shared with the
+    ``target`` -- a reduced model or a full-order system, both with the
+    ``nominal`` + ``dG``/``dC`` shape -- is fingerprinted through
+    :func:`~repro.runtime.cache.system_fingerprint` (shared with the
     :class:`~repro.runtime.cache.ModelCache`, so the manifest key of a
     study over a cached reduction matches a fresh reduction of the same
     system); ``samples`` through
@@ -166,7 +168,7 @@ def study_fingerprint(target, workload: str, samples, config: dict) -> Dict[str,
     re-checkable.
     """
     record = {
-        "target": target_fingerprint(target),
+        "target": cache_module.system_fingerprint(target),
         "samples": array_fingerprint(np.asarray(samples, dtype=float)),
         "workload": workload,
         "config": config,

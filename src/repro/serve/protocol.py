@@ -32,9 +32,11 @@ Malformed documents raise :class:`ProtocolError`, which the server maps
 to HTTP 400 and the CLI maps to its usual exit-1 one-liner.  Counts
 that size an allocation made before admission -- ``plan.instances``,
 ``plan.points`` (a grid's total too) and ``workload.points`` -- are
-capped at :data:`~repro.runtime.scenarios.MAX_PLAN_SAMPLES`, and
-``workers`` (one drain thread each) at :data:`MAX_WORKERS`, so such a
-document is refused before anything is allocated or started.
+capped at :data:`~repro.runtime.scenarios.MAX_PLAN_SAMPLES`,
+``parameters`` (one sensitivity pair each, stamped and reduced by
+:func:`realize`) at :data:`MAX_PARAMETERS`, and ``workers`` (one drain
+thread each) at :data:`MAX_WORKERS`, so such a document is refused
+before anything is allocated or started.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class ProtocolError(ValueError):
 #: Cooperating drains one job may declare: each is a thread the
 #: supervisor starts, so the count is bounded by the protocol itself.
 MAX_WORKERS = 64
+
+#: Variational sources one job may declare: :func:`realize` stamps a
+#: sensitivity pair per source before admission sees the job.
+MAX_PARAMETERS = 64
 
 PLAN_KINDS = ("montecarlo", "corners", "grid")
 WORKLOAD_KINDS = ("sweep", "transient", "poles", "montecarlo")
@@ -319,6 +325,8 @@ def parse_job(payload) -> JobSpec:
             f"'plan.points' {points} per axis over {parameters} parameters "
             f"exceeds {MAX_PLAN_SAMPLES} grid samples"
         )
+    if parameters > MAX_PARAMETERS:
+        raise ProtocolError(f"'parameters' must be at most {MAX_PARAMETERS}")
 
     if workload_kind == "sweep":
         fmin, fmax = workload_options["fmin"], workload_options["fmax"]

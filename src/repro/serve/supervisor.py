@@ -10,7 +10,7 @@ The supervisor is the synchronous core the asyncio front end
 - a pool of worker threads drains the queue, running the very Studies
   :func:`~repro.serve.protocol.realize` declared against the shared
   :class:`~repro.runtime.store.StudyStore`: ``Study.run()`` (one
-  worker) or cooperating ``Study.work()`` drains of the same Study
+  worker) or cooperating drains of the same Study, merged once
   (``workers > 1`` in the declaration);
 - every finished job's response document is rendered to canonical JSON
   bytes and persisted under ``<store>/results/``, so an identical
@@ -462,21 +462,23 @@ class StudySupervisor:
             })
 
     def _co_drain(self, study, job: Job):
-        """``job.workers`` cooperating ``work()`` drains of one Study.
+        """``job.workers`` cooperating drains of one Study, merged once.
 
-        Every participant drains the same Study object, blocks until
-        the store drains and returns the same merged result
-        (bit-identical by the scheduler contract), so any non-``None``
-        return serves.  A worker that raises fails the job (the first
-        exception propagates after every thread joins).
+        Every participant drains the same Study object on its own
+        thread (``work()`` without its merge) until the store drains;
+        once all have joined, the job's Study merges the checkpoints
+        once, as participant 0 -- each chunk loaded and verified once,
+        not once per participant.  A worker that raises fails the job
+        (the first exception propagates after every thread joins).
         """
-        results = [None] * job.workers
+        workers = [f"{job.id}-w{slot}" for slot in range(job.workers)]
+        reports = [None] * job.workers
         errors = []
 
         def participant(slot):
             try:
-                results[slot] = study.work(
-                    ttl=self.ttl, poll=self.poll, worker=f"{job.id}-w{slot}"
+                reports[slot] = study._drain(
+                    workers[slot], ttl=self.ttl, poll=self.poll
                 )
             except Exception as exc:  # noqa: BLE001 - propagated below
                 errors.append(exc)
@@ -494,10 +496,9 @@ class StudySupervisor:
             thread.join()
         if errors:
             raise errors[0]
-        merged = [result for result in results if result is not None]
-        if not merged:
-            raise RuntimeError("no worker produced a merged result")
-        return merged[0]
+        if not any(report.drained for report in reports):
+            raise RuntimeError("no worker drained the study")
+        return study._run(workers[0], lenient=True)
 
     def _store_result(self, key: str, data: bytes) -> None:
         """Persist one rendered result document, durably and race-safely.

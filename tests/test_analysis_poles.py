@@ -76,3 +76,47 @@ class TestErrorGrid:
         assert grid_lo.max() > 1e-10
         relative_gap = np.abs(grid_lo - grid_hi).max() / grid_lo.max()
         assert relative_gap > 1e-3
+
+
+NO_OUTPUT_NETLIST = "V1 a 0\nR1 a 0 1\nC1 a 0 1p\n"
+
+
+class TestNoOutputRefused:
+    """A net driven by a source with no ``.port`` or ``.observe`` has
+    no ``H[0, 0]``, so it has no dominant poles: every pole front door
+    of the library refuses it in one line instead of an IndexError."""
+
+    @pytest.fixture(scope="class")
+    def no_output(self):
+        from repro.circuits import parse_netlist, with_random_variations
+
+        parametric = with_random_variations(parse_netlist(NO_OUTPUT_NETLIST), 1, seed=0)
+        assert parametric.nominal.L.shape[1] == 0
+        return parametric, LowRankReducer(num_moments=2).reduce(parametric)
+
+    def _refused(self, call):
+        with pytest.raises(ValueError, match=r"H\[0, 0\].*0 output") as info:
+            call()
+        assert "\n" not in str(info.value)
+
+    def test_analysis_functions_refuse(self, no_output):
+        from repro.analysis import pole_residues
+
+        parametric, model = no_output
+        self._refused(lambda: pole_residues(parametric.nominal))
+        self._refused(lambda: dominant_poles(parametric.nominal, 2))
+        self._refused(lambda: dominant_poles(parametric, 2, [0.0]))
+        self._refused(lambda: dominant_poles(model, 2, [0.0]))
+
+    def test_pole_studies_refuse_at_plan(self, no_output):
+        from repro.runtime import Study
+
+        parametric, model = no_output
+        samples = np.zeros((3, 1))
+        for target in (parametric, model):
+            self._refused(Study(target).scenarios(samples).poles(2).plan)
+        self._refused(
+            Study(model).scenarios(samples).sweep([1e9]).poles(2).plan
+        )
+        # A sweep without poles reads no residue and still plans.
+        assert Study(model).scenarios(samples).sweep([1e9]).plan().num_samples == 3

@@ -4,7 +4,42 @@ import numpy as np
 import pytest
 
 from repro.analysis import sensitivity_error, transfer_sensitivities
+from repro.analysis.sensitivity import _scalar_sensitivities
+from repro.circuits import rcnet_a
 from repro.core import GeneralizedParameterization, LowRankReducer, output_moments
+from repro.runtime import MonteCarloPlan, batch_transfer_sensitivities
+
+
+@pytest.fixture(scope="module")
+def rcnet():
+    return rcnet_a()
+
+
+@pytest.fixture(scope="module")
+def rcnet_samples(rcnet):
+    return MonteCarloPlan(num_instances=5, seed=7).sample_matrix(rcnet.num_parameters)
+
+
+class TestKernelDispatch:
+    """``transfer_sensitivities`` runs the batched kernel on a dense
+    model and the factored scalar solve on a sparse one, bit for bit."""
+
+    def test_dense_sensitivities_match_batch_kernel(self, rcnet, rcnet_samples):
+        model = LowRankReducer(num_moments=3, rank=1).reduce(rcnet)
+        s = 2j * np.pi * 1e9
+        for point in rcnet_samples:
+            np.testing.assert_array_equal(
+                transfer_sensitivities(model, s, point),
+                batch_transfer_sensitivities(model, s, point[None, :])[0],
+            )
+
+    def test_sparse_sensitivities_match_scalar_path(self, rcnet, rcnet_samples):
+        s = 2j * np.pi * 1e9
+        for point in rcnet_samples[:3]:
+            np.testing.assert_array_equal(
+                transfer_sensitivities(rcnet, s, point),
+                _scalar_sensitivities(rcnet, s, point),
+            )
 
 
 class TestExactness:

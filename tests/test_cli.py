@@ -903,3 +903,19 @@ class TestServeCommands:
         job_id = listing.split()[0]
         assert main(["jobs", service_url, "--job", job_id]) == 0
         assert f'"id": "{job_id}"' in capsys.readouterr().out
+
+
+class TestNoOutputNet:
+    @pytest.mark.parametrize("command", [
+        ["poles"], ["montecarlo", "--instances", "4"],
+    ], ids=["poles", "montecarlo"])
+    def test_pole_commands_print_one_error_line(self, tmp_path, capsys, command):
+        """A net with a source but no ``.port`` / ``.observe`` has no
+        ``H[0, 0]``: one ``error:`` line and exit 1, not a traceback."""
+        path = tmp_path / "no_output.sp"
+        path.write_text("V1 a 0\nR1 a 0 1\nC1 a 0 1p\n")
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: dominant poles")

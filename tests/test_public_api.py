@@ -94,7 +94,7 @@ RUNTIME_ALL_SNAPSHOT = [
     "ModelCache", "MonteCarloPlan",
     "NothingToResumeError", "PWLInput",
     "PoleStudy", "RampInput", "ScenarioPlan",
-    "SensitivityStudy", "SineInput", "SparsePatternFamily",
+    "SineInput", "SparsePatternFamily",
     "StepInput", "StoreError", "StreamedSweepStudy",
     "StreamedTransientStudy", "Study", "StudyCheckpoint", "StudyStore",
     "TransientStudy", "array_fingerprint",
@@ -107,10 +107,10 @@ RUNTIME_ALL_SNAPSHOT = [
     "parse_worker_id", "reducer_fingerprint",
     "shared_pattern_family", "study_fingerprint", "supports_batching",
     "supports_sparse_batching", "sweep_chunk_bytes", "system_fingerprint",
-    "target_fingerprint", "transient_chunk_bytes",
+    "transient_chunk_bytes",
 ]
 
-ENGINE_NAMES_SNAPSHOT = ["ExecutionPlan", "PoleStudy", "SensitivityStudy", "Study"]
+ENGINE_NAMES_SNAPSHOT = ["ExecutionPlan", "PoleStudy", "Study"]
 
 
 class TestApiSnapshot:
@@ -136,14 +136,16 @@ class TestApiSnapshot:
             assert hasattr(engine, name), f"engine.{name} missing"
         # Study is the front door: the builder surface itself is API.
         study_methods = [
-            "scenarios", "sweep", "transient", "poles", "sensitivities",
-            "memory_budget", "chunk", "cached", "reduced",
+            "scenarios", "sweep", "transient", "poles",
+            "memory_budget", "chunk",
             "progress", "trace", "metrics", "plan", "run", "work",
             "drain_report", "warehouse", "warehouse_report",
         ]
         for method in study_methods:
             assert callable(getattr(engine.Study, method)), f"Study.{method} missing"
-        assert not hasattr(engine.Study, "executor")
+        # Retired: a Study evaluates the model it is given.
+        for method in ("executor", "reduced", "cached", "sensitivities"):
+            assert not hasattr(engine.Study, method)
 
 
 class TestCliModule:

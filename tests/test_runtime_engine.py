@@ -31,7 +31,6 @@ from repro.runtime import (
     MonteCarloPlan,
     PoleStudy,
     RampInput,
-    SensitivityStudy,
     StreamedSweepStudy,
     StreamedTransientStudy,
     Study,
@@ -39,11 +38,7 @@ from repro.runtime import (
     transient_chunk_bytes,
 )
 from repro.runtime import executor as executor_module
-from repro.runtime.batch import (
-    _sweep_study,
-    batch_instantiate,
-    batch_transfer_sensitivities,
-)
+from repro.runtime.batch import _sweep_study, batch_instantiate
 from repro.runtime.sparse import shared_pattern_family
 from repro.runtime.stream import _CHUNK_RECORD_BYTES, _transient_run_bytes
 
@@ -101,16 +96,6 @@ class TestBuilderValidation:
             Study(model).chunk(4).memory_budget(1 << 20)
         with pytest.raises(ValueError, match="mutually exclusive"):
             Study(model).memory_budget(1 << 20).chunk(4)
-
-    def test_cached_requires_reducer(self, parametric, plan, tmp_path):
-        study = (
-            Study(parametric)
-            .scenarios(plan)
-            .sweep(FREQUENCIES)
-            .cached(ModelCache(tmp_path / "models"))
-        )
-        with pytest.raises(ValueError, match="requires reduced"):
-            study.plan()
 
     @pytest.mark.parametrize(
         "options, field",
@@ -364,8 +349,8 @@ class TestPeakByteAccounting:
     def test_cached_reduced_stream_estimate_covers_accumulator(
         self, parametric, plan, tmp_path
     ):
-        """The cached+reduced streamed route must budget the reducer's
-        accumulator.
+        """A streamed study of a cached reduction must budget the
+        reducer's accumulator.
 
         The streaming envelope reducer keeps three cross-chunk arrays
         (running min / sum / max) alive for the whole run; the estimate
@@ -376,9 +361,7 @@ class TestPeakByteAccounting:
         """
         reducer = LowRankReducer(num_moments=3, rank=1)
         study = (
-            Study(parametric)
-            .reduced(reducer)
-            .cached(ModelCache(tmp_path))
+            Study(ModelCache(tmp_path).get_or_reduce(parametric, reducer))
             .scenarios(plan)
             .sweep(FREQUENCIES)
             .chunk(2)
@@ -653,6 +636,27 @@ class TestPoleMemoryBudget:
             study.plan()
 
 
+def _assert_refused_everywhere(target, samples, tmp_path):
+    """``target`` is refused in one line for every workload -- through
+    plan(), fingerprint(), run() and work() alike -- and no manifest or
+    chunk archive reaches the store."""
+    declarations = {
+        "sweep": lambda study: study.sweep(FREQUENCIES),
+        "sweep+poles": lambda study: study.sweep(FREQUENCIES).poles(2),
+        "transient": lambda study: study.transient(num_steps=5),
+        "poles": lambda study: study.poles(2),
+    }
+    store = tmp_path / "store"
+    for name, declare in declarations.items():
+        for call in ("plan", "fingerprint", "run", "work"):
+            study = declare(Study(target).scenarios(samples)).store(store)
+            with pytest.raises(ValueError, match="neither dense nor sparse") as info:
+                getattr(study, call)()
+            assert "\n" not in str(info.value), (name, call)
+    assert not list(store.rglob("manifest-*"))
+    assert not list(store.rglob("chunk-*"))
+
+
 class TestRunBitIdentity:
     def test_sweep_result_type_and_identity(self, model, plan, samples):
         reference_h, reference_p = _sweep_study(model, FREQUENCIES, samples, num_poles=5)
@@ -699,26 +703,10 @@ class TestRunBitIdentity:
         for a, b in zip(one_shot.pole_sets, chunked.pole_sets):
             np.testing.assert_array_equal(a, b)
 
-    def test_dense_sensitivities_match_batch_kernel(self, model, samples):
-        s = 2j * np.pi * 1e9
-        result = Study(model).scenarios(samples[:5]).sensitivities(s).run()
-        assert isinstance(result, SensitivityStudy)
-        np.testing.assert_array_equal(
-            result.sensitivities, batch_transfer_sensitivities(model, s, samples[:5])
-        )
-
-    def test_sparse_sensitivities_match_scalar_path(self, parametric, samples):
-        from repro.analysis.sensitivity import _scalar_sensitivities
-
-        s = 2j * np.pi * 1e9
-        result = Study(parametric).scenarios(samples[:3]).sensitivities(s).run()
-        for got, point in zip(result.sensitivities, samples[:3]):
-            np.testing.assert_array_equal(
-                got, _scalar_sensitivities(parametric, s, point)
-            )
-
-    def test_mixed_model_pole_fallback_route(self, samples):
-        """Neither dense- nor sparse-batchable -> per-sample fallback."""
+    def test_mixed_model_pole_fallback_route(self, samples, tmp_path):
+        """Neither dense- nor sparse-batchable: there is no per-sample
+        fallback route, so every workload refuses it at plan() in one
+        line, before any store file is written."""
         from repro.circuits.statespace import DescriptorSystem
         from repro.circuits.variational import ParametricSystem
 
@@ -733,21 +721,13 @@ class TestRunBitIdentity:
             [m.toarray() for m in base.dG],
             [m.toarray() for m in base.dC],
         )
-        study = Study(mixed).scenarios(samples[:3, :2]).poles(2)
-        execution = study.plan()
-        assert execution.route == "per-instance"
-        assert execution.kernel == "dominant-poles[instantiate]"
-        result = study.run()
-        for got, point in zip(result.pole_sets, samples[:3, :2]):
-            np.testing.assert_array_equal(got, dominant_poles(mixed, 2, point))
+        _assert_refused_everywhere(mixed, samples[:3, :2], tmp_path)
 
-    def test_duck_typed_model_pole_fallback(self, model, samples):
-        """Targets exposing only instantiate/num_parameters still run.
-
-        The legacy Monte Carlo fallback loop supported such models;
-        plan() must not require a ``nominal`` attribute for the
-        per-sample routes (it is only used for the peak estimate).
-        """
+    def test_duck_typed_model_pole_fallback(self, model, samples, tmp_path):
+        """A duck-typed target (only ``instantiate`` / ``num_parameters``)
+        has no fallback route either, and no content fingerprint: its
+        study key would hash ``repr(target)``, so two different models
+        with one ``repr`` would share a store key.  Refused at plan()."""
 
         class DuckModel:
             num_parameters = model.num_parameters
@@ -755,16 +735,7 @@ class TestRunBitIdentity:
             def instantiate(self, p):
                 return model.instantiate(p)
 
-        duck = DuckModel()
-        study = Study(duck).scenarios(samples[:3]).poles(2)
-        execution = study.plan()
-        assert execution.route == "per-instance"
-        assert execution.kernel == "dominant-poles[instantiate]"
-        result = study.run()
-        for got, point in zip(result.pole_sets, samples[:3]):
-            np.testing.assert_array_equal(
-                got, dominant_poles(model.instantiate(point), 2)
-            )
+        _assert_refused_everywhere(DuckModel(), samples[:3], tmp_path)
 
     def test_progress_fires_on_per_sample_routes(self, parametric, samples):
         seen = []
@@ -779,26 +750,10 @@ class TestRunBitIdentity:
 
 
 class TestReducedAndCached:
-    def test_reduced_resolves_target_through_reducer(self, parametric, plan):
-        reducer = LowRankReducer(num_moments=3, rank=1)
-        study = Study(parametric).scenarios(plan).sweep(FREQUENCIES).reduced(reducer)
-        execution = study.plan()
-        assert execution.route == "dense-batch"
-        assert "dense-reduced" in execution.target
-        # Same numbers as reducing by hand.
-        model = reducer.reduce(parametric)
-        samples = plan.sample_matrix(parametric.num_parameters)
-        reference, _ = _sweep_study(model, FREQUENCIES, samples, num_poles=1)
-        result = (
-            Study(parametric)
-            .scenarios(plan)
-            .sweep(FREQUENCIES, keep_responses=True)
-            .reduced(reducer)
-            .run()
-        )
-        np.testing.assert_array_equal(result.responses, reference)
-
     def test_cached_reduction_hits_on_second_study(self, parametric, plan, tmp_path):
+        """Reduce through the ModelCache, then declare the Study: a
+        second study of the same (system, reducer) loads the model, and
+        lands on the same study key and numbers as the first."""
         cache = ModelCache(tmp_path / "models")
 
         class CountingReducer(LowRankReducer):
@@ -815,31 +770,34 @@ class TestReducedAndCached:
         reducer = CountingReducer(num_moments=3, rank=1)
 
         def build():
-            return (
-                Study(parametric)
-                .scenarios(plan)
-                .sweep(FREQUENCIES)
-                .reduced(reducer)
-                .cached(cache)
-            )
+            model = cache.get_or_reduce(parametric, reducer)
+            return Study(model).scenarios(plan).sweep(FREQUENCIES)
 
-        first = build().run()
+        first_study = build()
+        first = first_study.run()
         assert len(reducer._calls) == 1
-        assert cache.load(cache.key(parametric, reducer)) is not None
         # Second study, same (system, reducer) key: loaded, not re-reduced.
-        cache_hit = build().run()
+        second_study = build()
+        cache_hit = second_study.run()
         assert len(reducer._calls) == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert second_study.fingerprint() == first_study.fingerprint()
         np.testing.assert_array_equal(cache_hit.envelope_max, first.envelope_max)
 
-    def test_adaptive_reducer_tuple_result_unwrapped(self, plan):
+    def test_adaptive_reducer_tuple_result_unwrapped(self, plan, tmp_path):
+        """An adaptive reducer returns ``(model, report)``; the cache
+        stores and returns the model, which a Study then evaluates."""
         from repro.core import AdaptiveLowRankReducer
 
         parametric = with_random_variations(rc_tree(40, seed=5), 2, seed=7)
+        reducer = AdaptiveLowRankReducer(target_error=1e-3, max_order=8)
+        cache = ModelCache(tmp_path)
+        model = cache.get_or_reduce(parametric, reducer)
+        assert cache.get_or_reduce(parametric, reducer).nominal.order == model.nominal.order
         study = (
-            Study(parametric)
+            Study(model)
             .scenarios(MonteCarloPlan(num_instances=3, seed=1))
             .sweep(FREQUENCIES)
-            .reduced(AdaptiveLowRankReducer(target_error=1e-3, max_order=8))
         )
         execution = study.plan()
         assert "dense-reduced" in execution.target

@@ -30,7 +30,6 @@ from repro.runtime import (
     StudyStore,
     study_fingerprint,
     system_fingerprint,
-    target_fingerprint,
 )
 
 FREQUENCIES = np.logspace(7, 10, 6)
@@ -88,9 +87,12 @@ class TestParsePositive:
 
 class TestFingerprints:
     def test_target_fingerprint_reuses_cache_fingerprint(self, small_parametric, model):
-        """Manifest keys reuse the ModelCache content fingerprints."""
-        assert target_fingerprint(small_parametric) == system_fingerprint(small_parametric)
-        assert target_fingerprint(model) == system_fingerprint(model)
+        """Manifest keys reuse the ModelCache content fingerprints: the
+        record's ``target`` is ``system_fingerprint`` of a full system
+        and of a reduced model alike."""
+        for target in (small_parametric, model):
+            record = study_fingerprint(target, "poles", np.zeros((1, 2)), {})
+            assert record["target"] == system_fingerprint(target)
 
     def test_key_is_stable_and_content_sensitive(self, model):
         samples = np.zeros((4, model.num_parameters))
@@ -134,7 +136,7 @@ class TestStudyStore:
             assert (tmp_path / record["file"]).exists()
             assert len(record["sha256"]) == 64
         # ... and the fingerprint provenance is complete (PCN spirit).
-        assert manifest["fingerprint"]["target"] == target_fingerprint(model)
+        assert manifest["fingerprint"]["target"] == system_fingerprint(model)
         assert manifest["study_key"] == manifest["fingerprint"]["key"]
         assert result.num_chunks == 4
 
@@ -326,11 +328,6 @@ class TestBuilderValidation:
     def test_resume_requires_store(self, model, plan):
         with pytest.raises(ValueError, match="requires store"):
             _sweep(model, plan).resume().plan()
-
-    def test_sensitivities_reject_store(self, model, plan, tmp_path):
-        study = Study(model).scenarios(plan).sensitivities(1e9j).store(tmp_path)
-        with pytest.raises(ValueError, match="do not support store"):
-            study.plan()
 
     def test_plan_reports_store(self, model, plan, tmp_path):
         execution = _sweep(model, plan).store(tmp_path).plan()

@@ -471,12 +471,17 @@ class TestDeclarationBounds:
         pytest.param({"workers": 65}, "'workers' must be at most 64",
                      id="workers"),
         pytest.param({"workers": 10**9}, "'workers'", id="workers-huge"),
+        pytest.param({"parameters": 65}, "'parameters' must be at most 64",
+                     id="parameters"),
+        pytest.param({"parameters": 10**9}, "'parameters'",
+                     id="parameters-huge"),
     ])
     def test_counts_bounded_before_anything_is_allocated(
             self, overrides, named):
         """Counts that size an allocation ``realize`` makes before
-        admission (a frequency grid, a sample matrix, a grid axis) or
-        the drain threads a job starts are refused by ``parse_job``."""
+        admission (a frequency grid, a sample matrix, a grid axis, a
+        sensitivity pair per parameter) or the drain threads a job
+        starts are refused by ``parse_job``."""
         import tracemalloc
 
         tracemalloc.start()
@@ -494,10 +499,11 @@ class TestDeclarationBounds:
         {"workload": {"kind": "sweep", "points": 1_000_000}},
         {"plan": {"kind": "montecarlo", "instances": 1_000_000}},
         {"plan": {"kind": "grid", "points": 1000}},
-        {"plan": {"kind": "grid", "points": 1}, "parameters": 10**9},
+        {"plan": {"kind": "grid", "points": 1}, "parameters": 64},
         {"workers": 64},
+        {"parameters": 64},
     ], ids=["sweep-cap", "instances-cap", "grid-total-cap", "grid-one-point",
-            "workers-cap"])
+            "workers-cap", "parameters-cap"])
     def test_counts_at_the_cap_parse(self, overrides):
         parse_job(_job(**overrides))
 

@@ -249,6 +249,22 @@ class TestErrors:
         assert named in error and "\n" not in error
         assert client.jobs() == []
 
+    @pytest.mark.parametrize("workload", [
+        {"kind": "poles", "num": 2}, {"kind": "montecarlo", "poles": 2},
+    ], ids=["poles", "montecarlo"])
+    def test_pole_job_on_a_net_without_outputs_is_400(self, service, workload):
+        """No ``.port`` / ``.observe``: no ``H[0, 0]`` to rank poles by.
+        Refused at submission in one line; nothing is registered."""
+        client, _ = service
+        with pytest.raises(ServeClientError) as info:
+            client.submit(_job(netlist="V1 a 0\nR1 a 0 1\nC1 a 0 1p\n",
+                               workload=workload))
+        assert info.value.status == 400
+        error = info.value.body["error"]
+        assert error.startswith("declaration rejected: dominant poles")
+        assert "\n" not in error
+        assert client.jobs() == []
+
     @pytest.mark.parametrize("overrides, named", [
         ({"workload": {"kind": "sweep", "points": 1_000_001}},
          "'workload.points'"),
@@ -256,10 +272,11 @@ class TestErrors:
          "'plan.instances'"),
         ({"plan": {"kind": "grid", "points": 1001}}, "'plan.points'"),
         ({"workers": 65}, "'workers'"),
+        ({"parameters": 65}, "'parameters'"),
         ({"workload": {"kind": "transient", "steps": 20, "input": 1}},
          "'waveform.input'"),
     ], ids=["sweep-points", "instances", "grid-total", "workers",
-            "transient-input"])
+            "parameters", "transient-input"])
     def test_unbounded_count_or_second_input_is_400(
         self, service, overrides, named
     ):

@@ -844,3 +844,36 @@ class TestJobTraces:
         assert sorted(event["index"] for event in saves) == [0, 1]
         names = [event["event"] for event in job.events]
         assert names.count("study.work") == 2
+
+
+class TestCoDrainMergesOnce:
+    def test_participants_drain_then_the_job_merges_once(self, tmp_path):
+        """A ``workers: N`` job drains on N threads, then merges once on
+        its Study: an 8-chunk sweep loads each chunk once whatever N
+        (a plain run computes all and loads none), and its result,
+        fingerprints and catalogued chunk sources are the plain run's."""
+        document = _job(plan={"kind": "montecarlo", "instances": 16,
+                              "seed": 7}, chunk=2)
+        seen = {}
+        for workers in (1, 2, 4):
+            warehouse = tmp_path / f"wh{workers}"
+            supervisor = StudySupervisor(tmp_path / f"store{workers}",
+                                         pool_size=1, warehouse=warehouse)
+            try:
+                before = _counter("store.chunks_loaded")
+                job = _wait(supervisor.submit({**document, "workers": workers}),
+                            timeout=120)
+                assert job.state == "done", job.error
+                loaded = _counter("store.chunks_loaded") - before
+            finally:
+                supervisor.shutdown(wait=True)
+            served = json.loads(job.result_bytes)
+            record = json.loads((warehouse / "catalog"
+                                 / f"{job.study_keys[0][:16]}.json").read_text())
+            seen[workers] = (loaded, served["result"],
+                             served["provenance"]["fingerprints"],
+                             record["sources"])
+        assert [seen[workers][0] for workers in (1, 2, 4)] == [0, 8, 8]
+        for workers in (2, 4):
+            assert seen[workers][1:3] == seen[1][1:3]
+            assert sorted(seen[workers][3].values()) == ["computed"] * 8

@@ -567,14 +567,6 @@ class TestStudyDirective:
         with pytest.raises(ValueError, match="requires store"):
             study.run()
 
-    def test_warehouse_rejects_sensitivities(self, model, plan, tmp_path):
-        study = (
-            Study(model).scenarios(plan).sensitivities(2j * np.pi * 1e9)
-            .warehouse(tmp_path / "wh")
-        )
-        with pytest.raises(ValueError, match="sensitivities"):
-            study.run()
-
     def test_no_directive_no_report(self, model, plan, tmp_path):
         study = _sweep(model, plan, tmp_path / "store")
         study.run()
