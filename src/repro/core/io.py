@@ -29,8 +29,9 @@ FORMAT_VERSION = 1
 # AST conversion of CPython 3.11.7 tracks its recursion depth in state
 # the interpreter's threads share: two threads deserializing at once
 # can raise ``SystemError: AST constructor recursion depth mismatch``.
-# Every ``np.load`` in the package (models here, chunk archives in
-# repro.runtime.store) therefore holds this one lock.
+# The model cache's loads (:func:`load_model`) therefore hold this
+# lock.  Chunk archives are read without ``np.load``
+# (repro.runtime.store's strict reader) and need none.
 DESERIALIZE_LOCK = threading.Lock()
 
 

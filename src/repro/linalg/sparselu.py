@@ -261,14 +261,16 @@ class SparseLU:
             return self._permuted_solve(rhs, trans)
         if rhs.ndim != 2:
             raise ValueError("right-hand side must be a vector or a 2-D block")
-        # SuperLU solves blocks column by column internally; one call is fine.
-        out = np.empty_like(rhs, dtype=np.result_type(rhs.dtype, np.float64))
-        for j in range(rhs.shape[1]):
-            out[:, j] = self._permuted_solve(np.ascontiguousarray(rhs[:, j]), trans)
+        # SuperLU returns Fortran order; keep the block's own layout.
+        solved = self._permuted_solve(rhs, trans)
+        out = np.empty_like(rhs, dtype=solved.dtype)
+        out[...] = solved
         return out
 
     def _permuted_solve(self, rhs: np.ndarray, trans: str) -> np.ndarray:
-        """One vector solve, mapping through the reused column ordering.
+        """One SuperLU solve of a vector or a whole block, mapping rows
+        through the reused column ordering.  (Tests pin a block's
+        columns bit-identical to solving each column alone.)
 
         With the stored factorization of ``Ap = A[:, perm]``:
         ``A x = b``   becomes ``Ap y = b`` with ``x[perm] = y``;

@@ -225,6 +225,18 @@ def _dense_eig_bytes(target, num_frequencies: int) -> int:
     return per_instance
 
 
+def _lookahead_rows(chunk: int, width: int) -> int:
+    """Rows the row pool may hold at once under one chunk of lookahead.
+
+    A chunk runs as ``b = min(width, chunk)`` blocks of at most
+    ``ceil(chunk / b)`` rows, and a thread that finishes a block of the
+    current chunk takes one of the next: ``width`` such blocks are in
+    flight at once, or both chunks' ``2 b`` when fewer.
+    """
+    blocks = min(width, chunk)
+    return min(width, 2 * blocks) * -(-chunk // blocks)
+
+
 def _pole_run_bytes(
     target, kind: str, num_poles: int, num_samples: int
 ) -> Tuple[int, int, int]:
@@ -839,7 +851,11 @@ class Study:
             kernel = f"eig-rational[sweep-study{symmetric}/{contraction}]"
             width = executor_module.row_pool_width()
             executor_label = f"row-pool(width={width})"
-            extra = sweep_lookahead_bytes(
+            # The pool's rows beyond one chunk's, and the folded chunk's
+            # grid and magnitudes while the next one computes.
+            extra = (_lookahead_rows(chunk, width) - chunk) * _dense_eig_bytes(
+                target, self._frequencies.size
+            ) + sweep_lookahead_bytes(
                 self._frequencies.size, chunk,
                 target.nominal.L.shape[1], target.nominal.B.shape[1],
             )

@@ -16,7 +16,8 @@ the numbers):
 - full-order pole studies lost on the 78-unknown net and won 1.08x on
   the 333-unknown one -- no benchmark workload runs them, so they do
   not earn a per-size fork;
-- the sparse family has not been measured end to end on the pool.
+- the sparse family split over the pool lost end to end: perfbench
+  signoff read fewer instances per second in 5 of 5 pairs.
 
 Every caller in the process -- the concurrent jobs of ``repro serve``
 included -- shares the one pool, so the process never runs more kernel

@@ -86,14 +86,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import threading
+import zipfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.io import DESERIALIZE_LOCK
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import cache as cache_module
@@ -179,22 +181,123 @@ def study_fingerprint(target, workload: str, samples, config: dict) -> Dict[str,
     return {**record, "key": key}
 
 
+_LOCAL_HEADER = 30  # fixed part of a zip local file header
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"  # .npy format 1.0
+_NPY_DIM = rb"(?:0|[1-9][0-9]{0,17})"
+# The header ``numpy.lib.format`` writes for a numeric array: its dict
+# literal, keys sorted, padded with spaces and ended by a newline.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([<>|][biufc][0-9]{1,2})', "
+    rb"'fortran_order': (True|False), "
+    rb"'shape': \((|" + _NPY_DIM + rb",|" + _NPY_DIM
+    + rb"(?:, " + _NPY_DIM + rb")+)\), \} *\n"
+)
+
+
+def _npy_array(member: memoryview) -> np.ndarray:
+    """The array of one ``.npy`` member, as ``np.load`` returns it.
+
+    Only format 1.0 with :data:`_NPY_HEADER`'s header is read, and the
+    data must be exactly the length the header declares.  The array is
+    a fresh, aligned, writeable copy: C order, or a transposed view of
+    one for ``fortran_order``.  Raises a :class:`StoreError` naming the
+    problem otherwise.
+    """
+    length = int.from_bytes(member[8:10], "little")
+    match = _NPY_HEADER.fullmatch(bytes(member[10:10 + length]))
+    if bytes(member[:8]) != _NPY_MAGIC or match is None:
+        raise StoreError("an unrecognized .npy header (only NumPy's format "
+                         "1.0 of a numeric dtype is read)")
+    descr, fortran, dims = match.groups()
+    try:
+        dtype = np.dtype(descr.decode())
+    except TypeError:
+        raise StoreError(f"an unknown dtype {descr.decode()!r}") from None
+    shape = tuple(int(dim) for dim in dims.replace(b",", b" ").split())
+    count, offset = math.prod(shape), 10 + length
+    if len(member) - offset != count * dtype.itemsize:
+        raise StoreError(f"{len(member) - offset} data bytes where its header "
+                         f"declares {count * dtype.itemsize}")
+    flat = np.frombuffer(member, dtype, count, offset).copy()
+    if fortran == b"True":
+        return flat.reshape(shape[::-1]).transpose()
+    return flat.reshape(shape)
+
+
+def _npz_arrays(data: bytes, members=None) -> Dict[str, np.ndarray]:
+    """``{name: array}`` of an ``np.savez`` archive, read from its bytes.
+
+    :mod:`zipfile` parses the directory (zip64 included); every entry
+    must be a stored (uncompressed, unencrypted) ``<name>.npy`` member
+    whose name is unique.  Each member ``members`` names (default: all
+    of them; names the archive lacks are left out) is sliced from
+    ``data`` at its local header and read by :func:`_npy_array`: no
+    ``np.load``, member objects or header evaluation, so concurrent
+    readers share no parser state.  The caller has verified ``data``
+    against its recorded SHA-256, which stands in for the members'
+    CRC-32s.  Anything else raises a one-line :class:`StoreError`.
+    """
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            infos = archive.infolist()
+    except (zipfile.BadZipFile, NotImplementedError, ValueError) as exc:
+        raise StoreError(f"not a readable zip archive ({exc})") from None
+    entries: Dict[str, zipfile.ZipInfo] = {}
+    for info in infos:
+        name = info.orig_filename
+        if not name.endswith(".npy") or name[:-4] in entries:
+            raise StoreError(f"member {name!r} is duplicated or not a .npy")
+        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+            raise StoreError(f"member {name!r} is compressed or encrypted")
+        entries[name[:-4]] = info
+    names = list(entries) if members is None else [
+        name for name in members if name in entries
+    ]
+    view, payload = memoryview(data), {}
+    for name in names:
+        info = entries[name]
+        start = info.header_offset
+        local = data[start:start + _LOCAL_HEADER]
+        encoded = info.orig_filename.encode(
+            "utf-8" if info.flag_bits & 0x800 else "cp437")
+        begin = start + _LOCAL_HEADER + len(encoded)
+        # The local header must be this member's: signature, then its
+        # name's length and bytes, as zipfile's own open() checks.
+        if start < 0 or local[:4] != b"PK\x03\x04" \
+                or local[26:28] != len(encoded).to_bytes(2, "little") \
+                or data[start + _LOCAL_HEADER:begin] != encoded:
+            raise StoreError(f"member {name + '.npy'!r} has no local header "
+                             f"at offset {start}")
+        begin += int.from_bytes(local[28:30], "little")
+        member = view[begin:begin + info.file_size]
+        if info.compress_size != info.file_size \
+                or len(member) != info.file_size:
+            raise StoreError(f"member {name + '.npy'!r} is truncated")
+        try:
+            payload[name] = _npy_array(member)
+        except StoreError as exc:
+            raise StoreError(f"member {name + '.npy'!r} has {exc}") from None
+    return payload
+
+
 def _verified_chunk_payload(
     directory: Path, key: str, index: int, record: dict, members=None
 ):
     """Load one chunk record's archive, verifying its recorded SHA-256.
 
     The archive is read once; its bytes are hashed against the manifest
-    record and only then deserialized -- from those same bytes, so what
-    is verified is exactly what is loaded.  ``members`` names the arrays
-    to materialize (default: all of them; names the archive lacks are
-    left out), so a reader that needs one column touches one member.
+    record and only then deserialized by :func:`_npz_arrays` -- from
+    those same bytes, so what is verified is exactly what is loaded.
+    ``members`` names the arrays to materialize (default: all of them;
+    names the archive lacks are left out), so a reader that needs one
+    column touches one member.
 
     Returns ``((payload, sha256, size), None)`` on success or
-    ``(None, StoreError)`` when the archive is missing, unreadable, or
-    fails its checksum.  The one verify-before-deserialize helper:
-    :meth:`StudyCheckpoint.load` (resume), :meth:`StudyStore.iter_chunks`
-    and the warehouse's in-place queries all go through it.
+    ``(None, StoreError)`` when the archive is missing, unreadable,
+    fails its checksum, or is not an archive :func:`_npz_arrays` reads.
+    The one verify-before-deserialize helper: :meth:`StudyCheckpoint.load`
+    (resume), :meth:`StudyStore.iter_chunks` and the warehouse's
+    in-place queries all go through it.
     """
     try:
         data = (directory / record["file"]).read_bytes()
@@ -214,11 +317,13 @@ def _verified_chunk_payload(
             f"checksum (manifest {record['sha256'][:12]}..., file "
             f"{actual[:12]}...); the store is corrupt"
         )
-    with DESERIALIZE_LOCK, np.load(io.BytesIO(data)) as archive:
-        names = archive.files if members is None else [
-            name for name in members if name in archive.files
-        ]
-        payload = {name: archive[name] for name in names}
+    try:
+        payload = _npz_arrays(data, members)
+    except StoreError as exc:
+        return None, StoreError(
+            f"chunk {index} archive {record['file']!r} cannot be read: {exc}; "
+            "the store is corrupt"
+        )
     return (payload, actual, len(data)), None
 
 

@@ -39,7 +39,12 @@ within a small constant factor -- see :func:`sweep_chunk_bytes` and
 :func:`transient_chunk_bytes`.  A dense sweep with one chunk of
 lookahead (see below) adds ``24 c n_f m_out m_in`` bytes
 (:func:`sweep_lookahead_bytes`): the folded chunk's response grid and
-magnitudes, still held while the next chunk computes.  Everything
+magnitudes, still held while the next chunk computes.  It also prices
+the rows the pool may compute at once beyond one chunk's: a thread
+that finishes a block of chunk ``i`` starts one of chunk ``i+1``, so
+``width`` blocks of ``ceil(c / min(width, c))`` rows -- or two whole
+chunks when ``c`` is below the pool width -- can be in flight
+together.  Everything
 retained across chunks is ``O(m)`` scalars per instance (delays,
 poles, steady states) plus the ``O(n_f)`` / ``O(n_t)`` envelope
 accumulators, so total memory is flat in the plan size for any fixed

@@ -34,9 +34,14 @@ that size an allocation made before admission -- ``plan.instances``,
 ``plan.points`` (a grid's total too) and ``workload.points`` -- are
 capped at :data:`~repro.runtime.scenarios.MAX_PLAN_SAMPLES`,
 ``parameters`` (one sensitivity pair each, stamped and reduced by
-:func:`realize`) at :data:`MAX_PARAMETERS`, and ``workers`` (one drain
-thread each) at :data:`MAX_WORKERS`, so such a document is refused
-before anything is allocated or started.
+:func:`realize`) at :data:`MAX_PARAMETERS`, ``moments`` and ``rank``
+(the size of that reduction) at :data:`MAX_MOMENTS` and
+:data:`MAX_RANK`, and ``workers`` (one drain thread each) at
+:data:`MAX_WORKERS`, so such a document is refused before anything is
+allocated or started.  The counts that size what a job allocates after
+admission without an estimate to bound them -- a poles job's ``num``
+and a montecarlo job's ``poles`` (:data:`MAX_POLES`) and ``bins``
+(:data:`MAX_BINS`) -- are capped too.
 """
 
 from __future__ import annotations
@@ -62,6 +67,20 @@ MAX_WORKERS = 64
 #: Variational sources one job may declare: :func:`realize` stamps a
 #: sensitivity pair per source before admission sees the job.
 MAX_PARAMETERS = 64
+
+#: Moments and sensitivity rank of the reduction :func:`realize` runs
+#: before admission sees the job.
+MAX_MOMENTS = 64
+MAX_RANK = 64
+
+#: Dominant poles per instance (a poles job's ``num``, a montecarlo
+#: job's ``poles``): each chunk allocates an ``(m, num)`` array after
+#: admission, and ``repro serve`` runs with no budget unless given one.
+MAX_POLES = 1000
+
+#: Histogram bins of a montecarlo job's rendered result, which no
+#: memory estimate prices.
+MAX_BINS = 1000
 
 PLAN_KINDS = ("montecarlo", "corners", "grid")
 WORKLOAD_KINDS = ("sweep", "transient", "poles", "montecarlo")
@@ -257,12 +276,14 @@ def parse_job(payload) -> JobSpec:
             f"unknown job field(s): {', '.join(sorted(unknown))}"
         )
 
-    def _int(name, default, minimum=1):
+    def _int(name, default, minimum=1, cap=None):
         value = payload.get(name, default)
         if not _is_count(value, minimum):
             raise ProtocolError(
                 f"'{name}' must be an integer >= {minimum}"
             )
+        if cap is not None and value > cap:
+            raise ProtocolError(f"'{name}' must be at most {cap}")
         return value
 
     def _number(name, default):
@@ -338,6 +359,11 @@ def parse_job(payload) -> JobSpec:
         for name in ("poles", "bins"):
             if not _is_count(workload_options[name], 1):
                 raise ProtocolError(f"'{name}' must be an integer >= 1")
+    caps = {"poles": (("num", MAX_POLES),),
+            "montecarlo": (("poles", MAX_POLES), ("bins", MAX_BINS))}
+    for name, cap in caps.get(workload_kind, ()):
+        if _is_number(workload_options[name]) and workload_options[name] > cap:
+            raise ProtocolError(f"'{name}' must be at most {cap}")
     if workload_kind in ("sweep", "transient"):
         for name, _, index in _port_indices(workload_options):
             if not _is_count(index, 0):
@@ -346,17 +372,15 @@ def parse_job(payload) -> JobSpec:
     chunk = payload.get("chunk")
     if chunk is not None and not _is_count(chunk, 1):
         raise ProtocolError("'chunk' must be a positive integer or null")
-    workers = _int("workers", 1)
-    if workers > MAX_WORKERS:
-        raise ProtocolError(f"'workers' must be at most {MAX_WORKERS}")
+    workers = _int("workers", 1, cap=MAX_WORKERS)
 
     return JobSpec(
         netlist=netlist,
         parameters=parameters,
         spread=_number("spread", 0.5),
         variation_seed=_int("variation_seed", 0, minimum=0),
-        moments=_int("moments", 4),
-        rank=_int("rank", 1),
+        moments=_int("moments", 4, cap=MAX_MOMENTS),
+        rank=_int("rank", 1, cap=MAX_RANK),
         plan_kind=plan_kind,
         plan_options=plan_options,
         workload_kind=workload_kind,

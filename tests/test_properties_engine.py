@@ -22,6 +22,7 @@ from repro.core.model import ParametricReducedModel
 from repro.obs import metrics as obs_metrics
 from repro.runtime import SparsePatternFamily, Study, sweep_chunk_bytes
 from repro.runtime.batch import batch_instantiate
+from repro.runtime.executor import row_pool_width
 from repro.runtime.sparse import _FAMILY_ATTR, shared_pattern_family
 
 
@@ -175,10 +176,19 @@ class TestDenseRouteEquivalence:
         m_in = model.nominal.B.shape[1]
         effective = min(chunk, samples.shape[0])
         # Exactly the documented estimator: the chunk arrays plus the
-        # streaming reducer's three cross-chunk accumulator arrays, plus
-        # the folded chunk's grid and magnitudes under lookahead.
+        # streaming reducer's three cross-chunk accumulator arrays, plus,
+        # under lookahead, the folded chunk's grid and magnitudes and the
+        # rows the pool may hold beyond one chunk's (width blocks of
+        # ceil(c / blocks) rows, or two whole chunks below the width).
         accumulator = 24 * FREQUENCIES.size * m_out * m_in
-        lookahead = plan.lookahead * 24 * effective * FREQUENCIES.size * m_out * m_in
+        width = row_pool_width()
+        blocks = min(width, effective)
+        in_flight = min(width, 2 * blocks) * -(-effective // blocks)
+        lookahead = plan.lookahead * (
+            24 * effective * FREQUENCIES.size * m_out * m_in
+            + (in_flight - effective)
+            * sweep_chunk_bytes(q, FREQUENCIES.size, 1, m_out, m_in)
+        )
         assert plan.estimated_peak_bytes == sweep_chunk_bytes(
             q, FREQUENCIES.size, effective, m_out, m_in
         ) + accumulator + lookahead

@@ -8,9 +8,9 @@ document (over a Monte Carlo, corner or grid plan) and applies one
 drawn edit: a field -- top level, or inside ``plan``, ``workload`` or
 a transient's ``waveform`` -- dropped, retyped (null, bool, number,
 ``NaN`` / ``Infinity``, string, list or object) or set out of range
-(negative, zero, fractional, huge), or the netlist replaced by a drawn
-small one (R, C, L, K and V cards, ports and observations, good and
-bad values).
+(negative, zero, fractional, just past a cap, huge), or the netlist
+replaced by a drawn small one (R, C, L, K and V cards, ports and
+observations, good and bad values).
 
 ``realize(parse_job(document))`` must return a
 :class:`~repro.serve.protocol.RealizedJob` whose Studies plan and
@@ -68,7 +68,8 @@ RETYPED = st.one_of(
 )
 
 OUT_OF_RANGE = st.sampled_from(
-    [-1, 0, 1, 2, 7, 0.5, 2.5, -1e300, 1e300, 65, 2**31, 10**7, 10**400]
+    [-1, 0, 1, 2, 7, 0.5, 2.5, -1e300, 1e300, 65, 1001, 2**31, 10**6,
+     10**7, 10**9, 10**400]
 )
 
 

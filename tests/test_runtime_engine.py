@@ -597,6 +597,32 @@ class TestGeneralKernelPeak:
         assert execution.estimated_peak_bytes <= budget
         assert _traced_peak(study) <= budget
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_two_threads_stay_within_estimate(self, rlc_model, monkeypatch,
+                                              chunk):
+        """With two threads and a chunk of lookahead, a thread that
+        finishes a block of one chunk starts a block of the next: one-row
+        chunks compute two at a time, and 7 rows split 4 + 3 can hold
+        4 + 4.  The plan prices the rows in flight."""
+        monkeypatch.setattr(executor_module, "row_pool_width", lambda: 2)
+        study = self._sweep(rlc_model).chunk(chunk)
+        execution = study.plan()
+        assert execution.lookahead == 1
+        assert _traced_peak(study) <= execution.estimated_peak_bytes
+
+    def test_two_thread_memory_budget_holds(self, rlc_model, monkeypatch):
+        """The budget's chunks cannot also hold the rows lookahead puts
+        in flight, so the plan runs without it, within budget whatever
+        the thread timing."""
+        monkeypatch.setattr(executor_module, "row_pool_width", lambda: 2)
+        budget = 1 << 20
+        study = self._sweep(rlc_model).memory_budget(budget)
+        execution = study.plan()
+        assert execution.num_chunks > 1 and execution.lookahead == 0
+        assert execution.estimated_peak_bytes <= budget
+        for _ in range(8):
+            assert _traced_peak(study) <= budget
+
 
 class TestPoleMemoryBudget:
     """Pole studies are chunked like every other study: a budget bounds

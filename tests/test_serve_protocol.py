@@ -475,6 +475,20 @@ class TestDeclarationBounds:
                      id="parameters"),
         pytest.param({"parameters": 10**9}, "'parameters'",
                      id="parameters-huge"),
+        pytest.param({"moments": 10**6}, "'moments' must be at most 64",
+                     id="moments"),
+        pytest.param({"rank": 10**6}, "'rank' must be at most 64",
+                     id="rank"),
+        pytest.param({"workload": {"kind": "poles", "num": 10**9}},
+                     "'num' must be at most 1000", id="poles-num"),
+        pytest.param({"workload": {"kind": "poles", "num": 1e300}},
+                     "'num' must be at most 1000", id="poles-num-float"),
+        pytest.param({"plan": {"kind": "montecarlo", "instances": 4},
+                      "workload": {"kind": "montecarlo", "poles": 10**9}},
+                     "'poles' must be at most 1000", id="signoff-poles"),
+        pytest.param({"plan": {"kind": "montecarlo", "instances": 4},
+                      "workload": {"kind": "montecarlo", "bins": 10**9}},
+                     "'bins' must be at most 1000", id="signoff-bins"),
     ])
     def test_counts_bounded_before_anything_is_allocated(
             self, overrides, named):
@@ -502,8 +516,13 @@ class TestDeclarationBounds:
         {"plan": {"kind": "grid", "points": 1}, "parameters": 64},
         {"workers": 64},
         {"parameters": 64},
+        {"moments": 64, "rank": 64},
+        {"workload": {"kind": "poles", "num": 1000}},
+        {"plan": {"kind": "montecarlo", "instances": 4},
+         "workload": {"kind": "montecarlo", "poles": 1000, "bins": 1000}},
     ], ids=["sweep-cap", "instances-cap", "grid-total-cap", "grid-one-point",
-            "workers-cap", "parameters-cap"])
+            "workers-cap", "parameters-cap", "reduction-cap", "poles-cap",
+            "signoff-cap"])
     def test_counts_at_the_cap_parse(self, overrides):
         parse_job(_job(**overrides))
 

@@ -275,8 +275,10 @@ class TestErrors:
         ({"parameters": 65}, "'parameters'"),
         ({"workload": {"kind": "transient", "steps": 20, "input": 1}},
          "'waveform.input'"),
+        ({"workload": {"kind": "poles", "num": 10**9}}, "'num'"),
+        ({"workload": {"kind": "montecarlo", "bins": 10**9}}, "'bins'"),
     ], ids=["sweep-points", "instances", "grid-total", "workers",
-            "parameters", "transient-input"])
+            "parameters", "transient-input", "poles-num", "signoff-bins"])
     def test_unbounded_count_or_second_input_is_400(
         self, service, overrides, named
     ):
