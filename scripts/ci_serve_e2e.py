@@ -25,7 +25,11 @@ This script drills both against the real server process:
    ``study.instances_evaluated`` counter, read from ``/metrics``, must
    not move -- and answered by the document index without being
    realized: ``serve.document_hits`` must move by exactly 1,
-7. save the job's NDJSON event stream and the result document next to
+7. submit the same netlist with a new plan seed and a few instances:
+   the job must run fresh (not ``cached``) on the system the first job
+   realized -- ``serve.realization_hits`` must move by exactly 1 and
+   ``serve.document_hits`` not at all,
+8. save the job's NDJSON event stream and the result document next to
    the trace for the artifact upload.
 
 Exit code 0 means the drill passed.
@@ -197,6 +201,34 @@ def main() -> int:
         print(f"re-submission served from cache: {len(second_bytes)} "
               "byte-identical bytes, zero instances recomputed, one "
               "document-index hit")
+
+        # -- 7: a new plan on the same net reuses its realization ------
+        realizations = counter(client, "serve.realization_hits")
+        hits = counter(client, "serve.document_hits")
+        replanned = client.submit({
+            **job_document, "workers": 1,
+            "plan": {"kind": "montecarlo", "instances": 8, "seed": 1},
+        })
+        if replanned["cached"]:
+            print(f"FAIL: a new plan was answered from cache: {replanned}")
+            return 1
+        final = client.wait(
+            replanned["id"], timeout=max(deadline - time.monotonic(), 1.0),
+            poll=0.2,
+        )
+        if final["state"] != "done":
+            print(f"FAIL: re-planned job finished {final['state']}: "
+                  f"{final['error']}")
+            return 1
+        realizations = counter(client, "serve.realization_hits") - realizations
+        hits = counter(client, "serve.document_hits") - hits
+        if (realizations, hits) != (1, 0):
+            print(f"FAIL: serve.realization_hits moved by {realizations} and "
+                  f"serve.document_hits by {hits} across a fresh job on the "
+                  "same net (expected 1 and 0: declared on the kept system)")
+            return 1
+        print("re-planned job ran fresh on the kept realization: one "
+              "realization-index hit, no document-index hit")
     finally:
         if victim is not None and victim.poll() is None:
             victim.kill()
@@ -208,7 +240,7 @@ def main() -> int:
                 server.kill()
         server_log.close()
 
-    # -- 7: the server must actually have stolen the dead lease --------
+    # -- 8: the server must actually have stolen the dead lease --------
     from repro.obs import read_trace
 
     steals = [

@@ -1235,6 +1235,21 @@ class Study:
 
         return payload_fn, queue, build
 
+    def _payload_members(self, plan: ExecutionPlan) -> tuple:
+        """The arrays every chunk payload of ``plan`` holds (what
+        :meth:`_chunk_workload`'s payload function returns), which the
+        checkpoint requires of each archive it loads."""
+        envelope = ("env_min", "env_max", "env_sum")
+        if plan.workload in ("sweep", "sweep+poles"):
+            keep_poles = supports_batching(self._target) \
+                and self._num_poles is not None
+            return envelope + ("poles",) * keep_poles \
+                + ("responses",) * self._keep_responses
+        if plan.workload == "transient":
+            return envelope + ("delays", "slews", "steady_states") \
+                + ("outputs",) * bool(self._transient_options["keep_outputs"])
+        return ("poles_padded", "poles_lengths")
+
     def _resolved_transient_options(self) -> dict:
         """Transient options with the waveform/horizon defaults realized,
         once per declaration (the horizon is an eigensolve).
@@ -1333,6 +1348,7 @@ class Study:
             worker=worker,
             lenient=lenient,
             context=context,
+            members=self._payload_members(plan),
         )
 
     def __repr__(self) -> str:

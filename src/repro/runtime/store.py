@@ -280,8 +280,23 @@ def _npz_arrays(data: bytes, members=None) -> Dict[str, np.ndarray]:
     return payload
 
 
+def _check_payload(payload: dict, record: dict, required) -> None:
+    """Refuse a payload that lacks a ``required`` member, or whose
+    per-instance member (any not named ``env_*``) does not hold one row
+    per instance of the record's ``lo``..``hi``."""
+    for name in required:
+        if name not in payload:
+            raise StoreError(f"no member {name + '.npy'!r}")
+    rows = record["hi"] - record["lo"]
+    for name, array in payload.items():
+        if not name.startswith("env_") and array.shape[:1] != (rows,):
+            raise StoreError(f"member {name + '.npy'!r} has shape "
+                             f"{array.shape} for a chunk of {rows} rows")
+
+
 def _verified_chunk_payload(
-    directory: Path, key: str, index: int, record: dict, members=None
+    directory: Path, key: str, index: int, record: dict, members=None,
+    required: bool = False,
 ):
     """Load one chunk record's archive, verifying its recorded SHA-256.
 
@@ -289,12 +304,15 @@ def _verified_chunk_payload(
     record and only then deserialized by :func:`_npz_arrays` -- from
     those same bytes, so what is verified is exactly what is loaded.
     ``members`` names the arrays to materialize (default: all of them;
-    names the archive lacks are left out), so a reader that needs one
-    column touches one member.
+    names the archive lacks are left out, unless ``required``: a
+    checkpoint names the members its study's payloads hold), so a
+    reader that needs one column touches one member.  Every per-instance
+    member read must hold the record's ``hi - lo`` rows.
 
     Returns ``((payload, sha256, size), None)`` on success or
     ``(None, StoreError)`` when the archive is missing, unreadable,
-    fails its checksum, or is not an archive :func:`_npz_arrays` reads.
+    fails its checksum, is not an archive :func:`_npz_arrays` reads, or
+    lacks a required member or a member's rows.
     The one verify-before-deserialize helper: :meth:`StudyCheckpoint.load`
     (resume), :meth:`StudyStore.iter_chunks` and the warehouse's
     in-place queries all go through it.
@@ -319,6 +337,7 @@ def _verified_chunk_payload(
         )
     try:
         payload = _npz_arrays(data, members)
+        _check_payload(payload, record, members if required else ())
     except StoreError as exc:
         return None, StoreError(
             f"chunk {index} archive {record['file']!r} cannot be read: {exc}; "
@@ -328,7 +347,7 @@ def _verified_chunk_payload(
 
 
 def _first_verified(directory: Path, key: str, index: int, records,
-                    members=None, memo=None):
+                    members=None, memo=None, required: bool = False):
     """``((record, payload, sha256, size, reused), None)`` for the first
     of chunk ``index``'s recorded copies that verifies, else
     ``(None, error)`` with the first copy's :class:`StoreError`.
@@ -354,7 +373,7 @@ def _first_verified(directory: Path, key: str, index: int, records,
             payload, size = memo[content]
             return (record, payload, record["sha256"], size, True), None
         loaded, error = _verified_chunk_payload(
-            directory, key, index, record, members
+            directory, key, index, record, members, required
         )
         if error is None:
             payload, actual, size = loaded
@@ -796,6 +815,7 @@ class StudyStore:
         context: Optional[dict] = None,
         worker: Optional[str] = None,
         lenient: bool = False,
+        members=None,
     ) -> "StudyCheckpoint":
         """Open the checkpoint for one study run, validating any history.
 
@@ -816,6 +836,10 @@ class StudyStore:
         failures into re-queues (``load`` returns ``None`` after trying
         every alternate copy) instead of fatal errors -- the scheduler's
         merge mode, where a corrupt chunk is simply recomputed.
+        ``members`` names the arrays every chunk payload of the study
+        holds: ``load`` reads just those and refuses a copy that lacks
+        one, as it refuses one that fails its checksum (default: read
+        every member there is).
         """
         key = fingerprint["key"]
         layout = {
@@ -848,6 +872,7 @@ class StudyStore:
         return StudyCheckpoint(
             self, key, fingerprint, layout, manifests, context=context,
             worker=worker, lenient=lenient, journaled=own_journal is not None,
+            members=members,
         )
 
     def __repr__(self) -> str:
@@ -865,12 +890,14 @@ class StudyCheckpoint:
     :meth:`close` folds the journal into the manifest.  ``manifests`` is
     ``{path: manifest}`` as :meth:`StudyStore.checkpoint` parsed them,
     journals merged; ``journaled`` says the own manifest had a journal
-    (a killed run's), which :meth:`close` folds in too.
+    (a killed run's), which :meth:`close` folds in too.  ``members``
+    (``None``: whatever an archive holds) names the arrays :meth:`load`
+    requires of every chunk.
     """
 
     def __init__(
         self, store, key, fingerprint, layout, manifests, context=None,
-        worker=None, lenient=False, journaled=False,
+        worker=None, lenient=False, journaled=False, members=None,
     ):
         self.store = store
         self.key = key
@@ -879,6 +906,7 @@ class StudyCheckpoint:
         self.context = context
         self.worker = worker
         self.lenient = lenient
+        self.members = members
         self._alternates = _chunk_alternates(manifests.values())
         self.completed = {
             index: records[0] for index, records in self._alternates.items()
@@ -919,7 +947,10 @@ class StudyCheckpoint:
         """The persisted payload of chunk ``index``, or ``None``.
 
         Verifies the manifest's recorded SHA-256 against the archive
-        bytes before deserializing.  When several workers recorded the
+        bytes before deserializing, then that the payload holds every
+        one of :attr:`members` and one row per instance of the chunk in
+        each per-instance member (a copy that does not fails like a
+        checksum).  When several workers recorded the
         same chunk, a failing copy falls back to the next alternate.
         If every copy fails: a *strict* checkpoint raises
         :class:`StoreError` (a resumed run must not silently recompute
@@ -937,7 +968,8 @@ class StudyCheckpoint:
             "store.load", index=index, file=records[0]["file"]
         ) as load_span:
             loaded, error = _first_verified(
-                self.store.directory, self.key, index, records
+                self.store.directory, self.key, index, records,
+                self.members, required=self.members is not None,
             )
             if error is None:
                 record, payload, actual, size, _ = loaded

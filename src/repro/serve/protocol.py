@@ -24,15 +24,21 @@ A job document looks like::
 Workload kinds: ``sweep``, ``transient``, ``poles`` (reduced-model
 studies driven straight through the Study engine) and ``montecarlo``
 (the full-vs-reduced pole-accuracy sign-off, two engine studies).
-:func:`realize` declares each Study once, with the job's store
-attached, and the supervisor runs those same objects.
+:func:`realize` runs two halves: :func:`realize_system` parses, stamps
+and reduces the job's net declaration (the six fields of
+:data:`NET_FIELDS`, which alone determine the system), and
+:func:`declare_studies` declares each Study once on that system, with
+the job's store attached; the supervisor runs those same objects, and
+hands :func:`declare_studies` a system it kept from an earlier job on
+the same net declaration.
 A transient is driven by its waveform's ``input``; the workload's own
 ``input`` defaults to it and must agree with it.
 Malformed documents raise :class:`ProtocolError`, which the server maps
 to HTTP 400 and the CLI maps to its usual exit-1 one-liner.  Counts
 that size an allocation made before admission -- ``plan.instances``,
-``plan.points`` (a grid's total too) and ``workload.points`` -- are
-capped at :data:`~repro.runtime.scenarios.MAX_PLAN_SAMPLES`,
+``plan.points`` (a grid's total too), ``workload.points`` and a
+transient's ``workload.steps`` -- are capped at
+:data:`~repro.runtime.scenarios.MAX_PLAN_SAMPLES`,
 ``parameters`` (one sensitivity pair each, stamped and reduced by
 :func:`realize`) at :data:`MAX_PARAMETERS`, ``moments`` and ``rank``
 (the size of that reduction) at :data:`MAX_MOMENTS` and
@@ -81,6 +87,11 @@ MAX_POLES = 1000
 #: Histogram bins of a montecarlo job's rendered result, which no
 #: memory estimate prices.
 MAX_BINS = 1000
+
+#: The job fields that alone determine the realized system: the netlist,
+#: its variation stamping and the reduction (the *net declaration*).
+NET_FIELDS = ("netlist", "parameters", "spread", "variation_seed", "moments",
+              "rank")
 
 PLAN_KINDS = ("montecarlo", "corners", "grid")
 WORKLOAD_KINDS = ("sweep", "transient", "poles", "montecarlo")
@@ -243,6 +254,11 @@ class JobSpec:
             "workers": self.workers,
         }
 
+    def net_declaration(self) -> dict:
+        """The :data:`NET_FIELDS` of this declaration, which
+        :func:`realize_system` realizes."""
+        return {name: getattr(self, name) for name in NET_FIELDS}
+
 
 def parse_job(payload) -> JobSpec:
     """Parse a job document (dict, JSON text, or bytes) into a JobSpec.
@@ -331,7 +347,7 @@ def parse_job(payload) -> JobSpec:
     parameters = _int("parameters", 2)
     for label, options in (("plan", plan_options),
                            ("workload", workload_options)):
-        for name in ("instances", "points"):
+        for name in ("instances", "points", "steps"):
             value = options.get(name)
             if _is_number(value) and value > MAX_PLAN_SAMPLES:
                 raise ProtocolError(
@@ -428,21 +444,18 @@ class RealizedJob:
         return [fp["key"] for fp in self.fingerprints]
 
 
-def realize(spec: JobSpec, model_cache=None, store=None) -> RealizedJob:
-    """Build the parametric system, reduced model, and the job's Studies.
+def realize_system(spec: JobSpec, model_cache=None) -> tuple:
+    """Parse, stamp and reduce ``spec``'s net: ``(parametric, model)``.
 
-    The expensive half (parse + reduce) goes through ``model_cache``
-    when one is given, so repeat submissions of the same netlist and
-    reducer settings skip reduction entirely.  ``store`` (a directory
-    or StudyStore) is attached to every Study before it is planned, so
-    each side plans and fingerprints once.  Declarations the engine
-    rejects (bad workload/target combination, out-of-range indices)
+    Reads only the :data:`NET_FIELDS` of ``spec``.  The reduction goes
+    through ``model_cache`` when one is given, so a system already
+    reduced with these settings is loaded, not reduced again.  A
+    netlist that does not parse or stamp and a reduction that fails
     surface as :class:`ProtocolError`.
     """
     from repro.circuits.generators import with_random_variations
     from repro.circuits.parser import parse_netlist
     from repro.core import LowRankReducer
-    from repro.runtime import Study
 
     try:
         netlist = parse_netlist(spec.netlist, title="<submitted>")
@@ -461,6 +474,22 @@ def realize(spec: JobSpec, model_cache=None, store=None) -> RealizedJob:
             model = reducer.reduce(parametric)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise ProtocolError(f"reduction failed: {exc}") from None
+    return parametric, model
+
+
+def declare_studies(spec: JobSpec, parametric, model,
+                    store=None) -> RealizedJob:
+    """Declare the job's Studies on a realized ``(parametric, model)``.
+
+    ``store`` (a directory or StudyStore) is attached to every Study
+    before it is planned, so each side plans and fingerprints once.
+    No array of ``parametric`` or ``model`` is written (the kernels'
+    lazy memos on them are idempotent): a supervisor declares the
+    Studies of many jobs, running at once, on one kept pair.  Declarations
+    the engine rejects (bad workload/target combination, out-of-range
+    indices) surface as :class:`ProtocolError`.
+    """
+    from repro.runtime import Study
 
     job = RealizedJob(spec=spec, parametric=parametric)
     options = dict(spec.workload_options)
@@ -523,6 +552,14 @@ def realize(spec: JobSpec, model_cache=None, store=None) -> RealizedJob:
     except (ValueError, TypeError) as exc:
         raise ProtocolError(f"declaration rejected: {exc}") from None
     return job
+
+
+def realize(spec: JobSpec, model_cache=None, store=None) -> RealizedJob:
+    """Build the parametric system, reduced model, and the job's Studies:
+    :func:`realize_system` (through ``model_cache`` when given), then
+    :func:`declare_studies` with ``store`` attached."""
+    return declare_studies(spec, *realize_system(spec, model_cache),
+                           store=store)
 
 
 def _port_indices(options: dict):

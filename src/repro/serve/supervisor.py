@@ -8,7 +8,7 @@ The supervisor is the synchronous core the asyncio front end
   ``estimated_peak_bytes``, and either rejects it, serves it from the
   content-addressed result index, or enqueues it;
 - a pool of worker threads drains the queue, running the very Studies
-  :func:`~repro.serve.protocol.realize` declared against the shared
+  :func:`~repro.serve.protocol.declare_studies` declared against the shared
   :class:`~repro.runtime.store.StudyStore`: ``Study.run()`` (one
   worker) or cooperating drains of the same Study, merged once
   (``workers > 1`` in the declaration);
@@ -33,6 +33,19 @@ restarted server -- takes the full path, so the result index stays the
 authority: the document index only remembers which answer a document
 already got.  It lives in memory; ``serve.document_hits`` counts its
 hits.
+
+Beside it sits a *realization index*: the SHA-256 of a declaration's
+net declaration (:meth:`StudySupervisor.realization_key`: the netlist,
+``parameters``, ``spread``, ``variation_seed``, ``moments`` and
+``rank``, which alone determine the realized system) maps to the
+``(parametric system, reduced model)`` pair an earlier fresh job
+realized.  A new document on an indexed net declaration -- another
+plan, workload, ``chunk`` or ``workers`` -- skips parse, variation
+stamping and the model-cache load and declares its own Studies on the
+kept pair, which the jobs share read-only.  Only realizations whose
+Studies were declared are kept, least recently used first out, up to
+:data:`MAX_REALIZATION_BYTES` of their arrays; the index lives in
+memory and ``serve.realization_hits`` counts its hits.
 """
 
 from __future__ import annotations
@@ -41,18 +54,22 @@ import hashlib
 import json
 import queue
 import threading
+from collections import OrderedDict
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.analysis.montecarlo import sign_off_result
 from repro.obs import MemorySink, SpanEventBridge, chunk_lineage, lineage_sources
 from repro.obs import metrics as obs_metrics
 from repro.runtime import ModelCache, StudyStore
 from repro.serve.jobs import Job, JobRegistry
-from repro.serve.protocol import ProtocolError, RealizedJob, parse_job, realize
+from repro.serve.protocol import (
+    JobSpec, ProtocolError, RealizedJob, declare_studies, parse_job,
+    realize_system)
 
 __all__ = ["AdmissionError", "StudySupervisor"]
 
@@ -62,6 +79,12 @@ _REJECTED = obs_metrics.counter("serve.jobs_rejected")
 _COMPLETED = obs_metrics.counter("serve.jobs_completed")
 _FAILED = obs_metrics.counter("serve.jobs_failed")
 _DOCUMENT_HITS = obs_metrics.counter("serve.document_hits")
+_REALIZATION_HITS = obs_metrics.counter("serve.realization_hits")
+
+#: Array bytes of the realized systems one supervisor keeps for later
+#: jobs on the same net declaration; a realization priced above it is
+#: not kept.
+MAX_REALIZATION_BYTES = 64 * 2**20
 
 
 class AdmissionError(RuntimeError):
@@ -153,6 +176,10 @@ class StudySupervisor:
         # document key -> (the job that last answered it, its bytes)
         self._answers = {}
         self._answers_lock = threading.Lock()
+        # realization key -> ((parametric, model), array bytes), LRU order
+        self._systems = OrderedDict()
+        self._systems_bytes = 0
+        self._systems_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -221,6 +248,11 @@ class StudySupervisor:
             return None
         return hashlib.sha256(text.encode()).hexdigest()
 
+    def realization_key(self, spec: JobSpec) -> Optional[str]:
+        """Realization-index key of ``spec``: the :meth:`document_key` of
+        its :meth:`~repro.serve.protocol.JobSpec.net_declaration`."""
+        return self.document_key(spec.net_declaration())
+
     def result_path(self, key: str) -> Path:
         """Canonical result-index location for job content key ``key``."""
         return self.results_dir / f"result-{key[:16]}.json"
@@ -252,7 +284,7 @@ class StudySupervisor:
             _DOCUMENT_HITS.inc()
             return self._answer_cached(job, data)
 
-        realized = realize(spec, self.model_cache, store=self.store)
+        realized = self._realize(spec)
         key = self.job_key(realized)
         job = Job(
             self.registry.new_id(key), key, canonical,
@@ -283,6 +315,38 @@ class StudySupervisor:
         self.start()
         self._queue.put(job)
         return job
+
+    def _realize(self, spec: JobSpec) -> RealizedJob:
+        """``spec``'s Studies, declared on the system kept for its net
+        declaration, or on one realized now and kept once its Studies
+        are declared.  The index lock is never held while realizing:
+        concurrent misses on one net each realize, and the first kept
+        stays."""
+        key = self.realization_key(spec)
+        with self._systems_lock:
+            kept = self._systems.get(key)
+            if kept is not None:
+                self._systems.move_to_end(key)
+        if kept is not None:
+            _REALIZATION_HITS.inc()
+            return declare_studies(spec, *kept[0], store=self.store)
+        system = realize_system(spec, self.model_cache)
+        realized = declare_studies(spec, *system, store=self.store)
+        if key is not None:
+            self._keep(key, system)
+        return realized
+
+    def _keep(self, key: str, system: tuple) -> None:
+        """Index realization ``system`` under ``key``, then drop the least
+        recently used entries past :data:`MAX_REALIZATION_BYTES`."""
+        size = sum(map(_array_bytes, system))
+        with self._systems_lock:
+            if key not in self._systems and size <= MAX_REALIZATION_BYTES:
+                self._systems[key] = (system, size)
+                self._systems_bytes += size
+            while self._systems_bytes > MAX_REALIZATION_BYTES:
+                _, (_, evicted) = self._systems.popitem(last=False)
+                self._systems_bytes -= evicted
 
     def _answer_cached(self, job: Job, data: bytes) -> Job:
         self.registry.add(job)
@@ -347,8 +411,8 @@ class StudySupervisor:
 
     def _run_job(self, job: Job) -> None:
         realized: RealizedJob = job._realized
-        # The registry keeps the job for ever; the models and Studies
-        # live only as long as this run.
+        # The registry keeps the job for ever; its Studies live only as
+        # long as this run (the realization index may keep the system).
         job._realized = None
         job.mark_running()
         # The bridge streams span events to the job's NDJSON log; the
@@ -540,6 +604,22 @@ class StudySupervisor:
             "pool_size": self.pool_size,
             "jobs": len(self.registry),
         }
+
+
+def _array_bytes(system) -> int:
+    """Bytes of the arrays of a parametric system or reduced model: its
+    nominal quadruple, sensitivity pairs and (a model's) projection; a
+    sparse matrix counts its data, indices and index pointers."""
+    nominal = system.nominal
+    total = 0
+    for matrix in (nominal.G, nominal.C, nominal.B, nominal.L, *system.dG,
+                   *system.dC, getattr(system, "projection", None)):
+        if sp.issparse(matrix):
+            csr = matrix.tocsr()
+            total += csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        elif matrix is not None:
+            total += np.asarray(matrix).nbytes
+    return total
 
 
 def _json_default(value):

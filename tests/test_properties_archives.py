@@ -14,13 +14,17 @@ sliced from the bytes its SHA-256 was checked on.  Two suites pin it.
 - Hostile archives in a completed store, each with its manifest's
   ``sha256`` rewritten to match: truncated or drawn bytes, a
   ``ZIP_DEFLATED`` member, an object-dtype member, a header whose shape
-  exceeds its data, a duplicated member, or a member not named
-  ``.npy``.  ``Study.run()``, ``.resume().run()`` and ``iter_chunks``
-  raise a one-line :class:`~repro.runtime.store.StoreError`, and
-  ``Study.work()``'s lenient merge recomputes the chunk bit for bit.  A
+  exceeds its data, a duplicated member, a member not named ``.npy``,
+  an empty archive, members dropped, or a member's rows truncated.
+  ``Study.run()`` and ``.resume().run()`` raise a one-line
+  :class:`~repro.runtime.store.StoreError`, and ``Study.work()``'s
+  lenient merge recomputes the chunk bit for bit.  ``iter_chunks``
+  raises one too, except for an archive that only lacks members: with
+  no declaration to hold it to, it reads the members there are.  A
   ``QueryEngine`` query reads only the members it needs: it raises a
-  one-line ``StoreError``, or answers from the original chunks when the
-  edit left those members intact.  Nothing else is raised.
+  one-line ``StoreError`` (or, for a member it needs that was dropped,
+  a one-line ``WarehouseError``), or answers from the original chunks
+  when the edit left those members intact.  Nothing else is raised.
 
 Readers share no parser state, so threads read one store at once.
 """
@@ -46,7 +50,7 @@ from repro.core import LowRankReducer
 from repro.obs import metrics as obs_metrics
 from repro.runtime import MonteCarloPlan, StoreError, Study, StudyStore
 from repro.runtime.store import _npz_arrays
-from repro.warehouse import QueryEngine, Warehouse
+from repro.warehouse import QueryEngine, Warehouse, WarehouseError
 
 SETTINGS = settings(
     deadline=None, max_examples=40,
@@ -166,17 +170,31 @@ def _npy(array, allow_pickle=False) -> bytes:
 
 @st.composite
 def hostile_archives(draw, payload):
-    """Chunk ``payload``'s archive, made hostile by one drawn edit."""
+    """``(edit, archive)``: chunk ``payload``'s archive, made hostile by
+    one drawn edit."""
     original = _savez(payload)
     members = [(f"{name}.npy", _npy(array)) for name, array in payload.items()]
     edit = draw(st.sampled_from(("truncated", "drawn", "deflated", "object",
-                                 "shape", "duplicated", "unnamed")))
+                                 "shape", "duplicated", "unnamed", "empty",
+                                 "dropped", "rows")))
     if edit == "truncated":
-        return original[:draw(st.integers(0, len(original) - 1))]
+        return edit, original[:draw(st.integers(0, len(original) - 1))]
     if edit == "drawn":
-        return draw(st.binary(max_size=64))
+        return edit, draw(st.binary(max_size=64))
     if edit == "deflated":
-        return _zip(members, zipfile.ZIP_DEFLATED)
+        return edit, _zip(members, zipfile.ZIP_DEFLATED)
+    if edit == "empty":
+        return edit, _savez({})
+    if edit == "dropped":
+        dropped = draw(st.lists(st.sampled_from(sorted(payload)), min_size=1,
+                                max_size=len(payload) - 1, unique=True))
+        return edit, _savez({name: array for name, array in payload.items()
+                             if name not in dropped})
+    if edit == "rows":
+        # One row fewer in a per-instance member (any but ``env_*``).
+        name = draw(st.sampled_from(sorted(
+            name for name in payload if not name.startswith("env_"))))
+        return edit, _savez(dict(payload, **{name: payload[name][:-1]}))
     at = draw(st.integers(0, len(members) - 1))
     name, data = members[at]
     if edit == "object":
@@ -197,7 +215,7 @@ def hostile_archives(draw, payload):
     else:
         members[at] = (draw(st.sampled_from(
             (name[:-4], name + ".txt", "notes.txt"))), data)
-    return _zip(members)
+    return edit, _zip(members)
 
 
 def _make_hostile(completed, store: Path, index: int, data: bytes) -> Path:
@@ -235,7 +253,8 @@ def _same_result(result, reference) -> None:
 @given(data=st.data())
 def test_hostile_archives_are_refused_or_recomputed(completed, data):
     index = data.draw(st.integers(0, NUM_CHUNKS - 1))
-    hostile = data.draw(hostile_archives(completed["payloads"][index]))
+    edit, hostile = data.draw(hostile_archives(completed["payloads"][index]))
+    lacks_members = edit in ("empty", "dropped")
     key, declare = completed["key"], completed["declaration"]
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
@@ -257,12 +276,19 @@ def test_hostile_archives_are_refused_or_recomputed(completed, data):
         warehouse.register(StudyStore.reader(store), key=key,
                            samples=completed["samples"])
         _make_hostile(completed, store, index, hostile)
-        _refused(lambda: list(StudyStore.reader(store).iter_chunks(key)))
+        reader = StudyStore.reader(store)
+        if lacks_members:
+            # No declaration says which members a chunk must hold.
+            payloads = {r["index"]: p for r, p in reader.iter_chunks(key)}
+            assert set(payloads[index]) < set(completed["payloads"][index])
+        else:
+            _refused(lambda: list(reader.iter_chunks(key)))
         # A query reads only its own members: it refuses, or the edit
         # left those intact and it answers from the original chunks.
         try:
             delays = QueryEngine(warehouse).metric_values("delay")
-        except StoreError as error:
+        except (StoreError, WarehouseError) as error:
+            assert isinstance(error, StoreError) or lacks_members
             assert "\n" not in str(error)
         else:
             np.testing.assert_array_equal(delays, np.concatenate(

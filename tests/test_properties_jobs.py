@@ -14,15 +14,18 @@ observations, good and bad values).
 
 ``realize(parse_job(document))`` must return a
 :class:`~repro.serve.protocol.RealizedJob` whose Studies plan and
-fingerprint, or raise :class:`~repro.serve.protocol.ProtocolError`
-with a one-line message; it may raise nothing else.
+fingerprint, and whose transient ``steps`` are within their cap, or
+raise :class:`~repro.serve.protocol.ProtocolError` with a one-line
+message; it may raise nothing else.  Transients with ``steps`` past the
+cap are tried on every run.
 """
 
 import copy
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.scenarios import MAX_PLAN_SAMPLES
 from repro.serve.protocol import ProtocolError, RealizedJob, parse_job, realize
 
 SETTINGS = settings(
@@ -69,7 +72,7 @@ RETYPED = st.one_of(
 
 OUT_OF_RANGE = st.sampled_from(
     [-1, 0, 1, 2, 7, 0.5, 2.5, -1e300, 1e300, 65, 1001, 2**31, 10**6,
-     10**7, 10**9, 10**400]
+     MAX_PLAN_SAMPLES + 1, 10**7, 10**9, 10**400]
 )
 
 
@@ -134,8 +137,17 @@ def job_documents(draw):
     return document
 
 
+def _transient(steps):
+    return {
+        "netlist": NETLIST, "moments": 2, "plan": PLANS["montecarlo"],
+        "workload": dict(WORKLOADS["transient"], steps=steps), "chunk": 2,
+    }
+
+
 @SETTINGS
 @given(document=job_documents())
+@example(document=_transient(MAX_PLAN_SAMPLES + 1))
+@example(document=_transient(10**9))
 def test_job_document_realizes_or_is_refused_in_one_line(document):
     try:
         job = realize(parse_job(document))
@@ -145,3 +157,4 @@ def test_job_document_realizes_or_is_refused_in_one_line(document):
     assert isinstance(job, RealizedJob)
     assert len(job.study_keys) == len(job.studies) >= 1
     assert job.peak_bytes >= 0
+    assert job.spec.workload_options.get("steps", 0) <= MAX_PLAN_SAMPLES

@@ -454,6 +454,11 @@ class TestDeclarationBounds:
                      "'workload.points'", id="sweep-points-cap+1"),
         pytest.param({"workload": {"kind": "sweep", "points": 1e12}},
                      "'workload.points'", id="sweep-points-float"),
+        pytest.param({"workload": {"kind": "transient", "steps": 10**9}},
+                     "'workload.steps' must be at most 1000000",
+                     id="transient-steps"),
+        pytest.param({"workload": {"kind": "transient", "steps": 1_000_001}},
+                     "'workload.steps'", id="transient-steps-cap+1"),
         pytest.param({"plan": {"kind": "montecarlo", "instances": 2_000_000}},
                      "'plan.instances'", id="mc-instances"),
         pytest.param({"plan": {"kind": "montecarlo", "instances": 2_000_000},
@@ -511,6 +516,7 @@ class TestDeclarationBounds:
 
     @pytest.mark.parametrize("overrides", [
         {"workload": {"kind": "sweep", "points": 1_000_000}},
+        {"workload": {"kind": "transient", "steps": 1_000_000}},
         {"plan": {"kind": "montecarlo", "instances": 1_000_000}},
         {"plan": {"kind": "grid", "points": 1000}},
         {"plan": {"kind": "grid", "points": 1}, "parameters": 64},
@@ -520,7 +526,8 @@ class TestDeclarationBounds:
         {"workload": {"kind": "poles", "num": 1000}},
         {"plan": {"kind": "montecarlo", "instances": 4},
          "workload": {"kind": "montecarlo", "poles": 1000, "bins": 1000}},
-    ], ids=["sweep-cap", "instances-cap", "grid-total-cap", "grid-one-point",
+    ], ids=["sweep-cap", "steps-cap", "instances-cap", "grid-total-cap",
+            "grid-one-point",
             "workers-cap", "parameters-cap", "reduction-cap", "poles-cap",
             "signoff-cap"])
     def test_counts_at_the_cap_parse(self, overrides):

@@ -277,8 +277,11 @@ class TestErrors:
          "'waveform.input'"),
         ({"workload": {"kind": "poles", "num": 10**9}}, "'num'"),
         ({"workload": {"kind": "montecarlo", "bins": 10**9}}, "'bins'"),
+        ({"workload": {"kind": "transient", "steps": 10**9}},
+         "'workload.steps'"),
     ], ids=["sweep-points", "instances", "grid-total", "workers",
-            "parameters", "transient-input", "poles-num", "signoff-bins"])
+            "parameters", "transient-input", "poles-num", "signoff-bins",
+            "transient-steps"])
     def test_unbounded_count_or_second_input_is_400(
         self, service, overrides, named
     ):

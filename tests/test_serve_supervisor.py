@@ -61,27 +61,30 @@ def _evaluated():
 
 
 def _forbid_realize(monkeypatch):
-    """From here on, a submission that reaches ``realize`` fails."""
+    """From here on, a submission that realizes a system or declares
+    Studies fails."""
     import repro.serve.supervisor as supervisor_module
 
     def refuse(*args, **kwargs):
-        raise AssertionError("realize called for an indexed document")
+        raise AssertionError("realized for an indexed document")
 
-    monkeypatch.setattr(supervisor_module, "realize", refuse)
+    for name in ("realize_system", "declare_studies"):
+        monkeypatch.setattr(supervisor_module, name, refuse)
 
 
 def _count_realize(monkeypatch):
-    """Wrap ``realize``; returns the list of jobs it realizes."""
+    """Wrap ``declare_studies``, which every submission the document
+    index does not answer calls; returns the jobs it declares."""
     import repro.serve.supervisor as supervisor_module
 
     realized = []
-    original = supervisor_module.realize
+    original = supervisor_module.declare_studies
 
     def counting(*args, **kwargs):
         realized.append(original(*args, **kwargs))
         return realized[-1]
 
-    monkeypatch.setattr(supervisor_module, "realize", counting)
+    monkeypatch.setattr(supervisor_module, "declare_studies", counting)
     return realized
 
 
@@ -504,16 +507,231 @@ class TestPlainRunsOfOneStudy:
 class TestRealizationRelease:
     def test_finished_job_releases_its_realization(
             self, supervisor, monkeypatch):
+        """A finished job holds no realization; its system lives on in
+        the realization index only, until the index evicts it."""
         import gc
         import weakref
 
+        import repro.serve.supervisor as supervisor_module
+
         realized = _count_realize(monkeypatch)
         job = _wait(supervisor.submit(_job()))
-        assert job.state == "done"
+        assert job.state == "done" and job._realized is None
         parametric = weakref.ref(realized.pop().parametric)
         supervisor.shutdown(wait=True)  # the worker has left _run_job
         gc.collect()
+        assert parametric() is not None  # kept for the next job
+        monkeypatch.setattr(supervisor_module, "MAX_REALIZATION_BYTES", 0)
+        other = _wait(supervisor.submit(_job(netlist=_net(11))))
+        assert other.state == "done" and not supervisor._systems
+        realized.clear()
+        gc.collect()
         assert parametric() is None
+
+
+def _net(driver_ohms):
+    """``NETLIST``'s topology with another driver resistance: a net
+    declaration of its own, priced like ``NETLIST``'s."""
+    return NETLIST.replace("Rdrv n0 0 10", f"Rdrv n0 0 {driver_ohms}")
+
+
+def _spy_realization(monkeypatch):
+    """Record each call of the three steps a realization index hit
+    skips: parse, variation stamping and the model-cache load."""
+    import repro.circuits.generators as generators
+    import repro.circuits.parser as parser
+    from repro.runtime import ModelCache
+
+    calls = []
+    for owner, name in ((parser, "parse_netlist"),
+                        (generators, "with_random_variations"),
+                        (ModelCache, "get_or_reduce")):
+        def spy(*args, _original=getattr(owner, name), _name=name,
+                **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.fixture
+def cached_supervisor(tmp_path):
+    """A supervisor whose misses realize through a model cache."""
+    supervisor = StudySupervisor(tmp_path / "store", pool_size=2,
+                                 model_cache=tmp_path / "cache")
+    yield supervisor
+    supervisor.shutdown(wait=True)
+
+
+class TestRealizationIndex:
+    """A fresh document on a net declaration the supervisor realized
+    before declares its Studies on the kept system and model."""
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"netlist": _net(11)}, id="netlist"),
+        pytest.param({"parameters": 1}, id="parameters"),
+        pytest.param({"spread": 0.4}, id="spread"),
+        pytest.param({"variation_seed": 1}, id="variation_seed"),
+        pytest.param({"moments": 2}, id="moments"),
+        pytest.param({"rank": 2}, id="rank"),
+    ])
+    def test_a_changed_net_field_misses(self, cached_supervisor,
+                                        monkeypatch, overrides):
+        assert _wait(cached_supervisor.submit(_job())).state == "done"
+        calls = _spy_realization(monkeypatch)
+        hits = _counter("serve.realization_hits")
+        job = _wait(cached_supervisor.submit(_job(**overrides)))
+        assert job.state == "done", job.error
+        assert _counter("serve.realization_hits") == hits
+        assert calls == ["parse_netlist", "with_random_variations",
+                         "get_or_reduce"]
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"plan": {"kind": "montecarlo", "instances": 4,
+                               "seed": 8}}, id="plan"),
+        pytest.param({"workload": {"kind": "transient", "steps": 10}},
+                     id="workload"),
+        pytest.param({"chunk": 1}, id="chunk"),
+        pytest.param({"workers": 2}, id="workers"),
+    ])
+    def test_other_fields_hit_and_skip_the_realization(
+            self, cached_supervisor, monkeypatch, overrides):
+        assert _wait(cached_supervisor.submit(_job())).state == "done"
+        calls = _spy_realization(monkeypatch)
+        hits = _counter("serve.realization_hits")
+        job = _wait(cached_supervisor.submit(_job(**overrides)))
+        assert job.state == "done", job.error
+        assert _counter("serve.realization_hits") == hits + 1
+        assert calls == []
+
+    @pytest.mark.parametrize("refused, named", [
+        pytest.param({"netlist": "R1 n0 0 abc\n.port in n0\n"},
+                     "netlist rejected", id="bad-netlist"),
+        pytest.param({"workload": {"kind": "sweep", "output": 3}},
+                     "'output' 3 out of range", id="declaration-400"),
+    ])
+    def test_a_refused_realization_is_not_kept(
+            self, cached_supervisor, monkeypatch, refused, named):
+        calls = _spy_realization(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match=named):
+                cached_supervisor.submit(_job(**refused))
+        assert calls.count("parse_netlist") == 2
+        assert not cached_supervisor._systems
+        assert len(cached_supervisor.registry) == 0
+
+    def test_least_recently_used_realizations_are_evicted(
+            self, cached_supervisor, monkeypatch):
+        import repro.serve.supervisor as supervisor_module
+        from repro.serve.protocol import parse_job, realize_system
+
+        sizes = {sum(map(supervisor_module._array_bytes, realize_system(
+            parse_job(_job(netlist=_net(ohms)))))) for ohms in (10, 11, 12)}
+        (size,) = sizes  # one topology: every net is priced alike
+        monkeypatch.setattr(supervisor_module, "MAX_REALIZATION_BYTES",
+                            2 * size)
+        calls = _spy_realization(monkeypatch)
+        seed = iter(range(100, 200))
+
+        def realized(ohms):
+            """Whether a fresh job on net ``ohms`` realized its system."""
+            before = len(calls)
+            job = _wait(cached_supervisor.submit(_job(
+                netlist=_net(ohms),
+                plan={"kind": "montecarlo", "instances": 4,
+                      "seed": next(seed)})))
+            assert job.state == "done" and not job.cached, job.error
+            return len(calls) > before
+
+        assert [realized(ohms) for ohms in (10, 11, 12)] == [True] * 3
+        # 10 is out.  A hit on 11 leaves 12 the least recently used, so
+        # 10's return evicts 12, not 11.
+        assert [realized(ohms) for ohms in (11, 10, 11, 12)] == \
+            [False, True, False, True]
+        assert cached_supervisor._systems_bytes == 2 * size
+
+    def test_an_oversized_realization_is_not_kept(
+            self, cached_supervisor, monkeypatch):
+        import repro.serve.supervisor as supervisor_module
+
+        monkeypatch.setattr(supervisor_module, "MAX_REALIZATION_BYTES", 64)
+        calls = _spy_realization(monkeypatch)
+        hits = _counter("serve.realization_hits")
+        for seed in (7, 8):
+            assert _wait(cached_supervisor.submit(_job(plan={
+                "kind": "montecarlo", "instances": 4, "seed": seed,
+            }))).state == "done"
+        assert calls.count("parse_netlist") == 2
+        assert _counter("serve.realization_hits") == hits
+        assert not cached_supervisor._systems
+        assert cached_supervisor._systems_bytes == 0
+
+    def test_concurrent_jobs_on_one_net_match_fresh_supervisors(
+            self, cached_supervisor, tmp_path):
+        """Eight threads submit sweep, transient, poles and montecarlo
+        documents on one net (two plan seeds each) to one supervisor,
+        sharing one kept system and model: every result is the one a
+        fresh supervisor renders, byte for byte, and the kept arrays
+        are the ones a fresh realization builds."""
+        import sys
+
+        from repro.runtime.cache import system_fingerprint
+        from repro.serve.protocol import parse_job, realize_system
+
+        documents = [
+            json.dumps(_job(
+                plan={"kind": "montecarlo", "instances": 6, "seed": seed},
+                workload=workload))
+            for workload in ({"kind": "sweep", "points": 5},
+                             {"kind": "transient", "steps": 20},
+                             {"kind": "poles", "num": 3},
+                             {"kind": "montecarlo", "poles": 2})
+            for seed in (21, 22)
+        ]
+        # Realize the net first, so that all eight share its system.
+        assert _wait(cached_supervisor.submit(_job())).state == "done"
+        hits = _counter("serve.realization_hits")
+        results, errors = [None] * len(documents), []
+        barrier = threading.Barrier(len(documents))
+
+        def client(slot):
+            try:
+                barrier.wait(timeout=10.0)
+                job = _wait(cached_supervisor.submit(documents[slot]),
+                            timeout=120)
+                assert job.state == "done", job.error
+                results[slot] = job.result_bytes
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(slot,))
+                   for slot in range(len(documents))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=180.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert _counter("serve.realization_hits") == hits + len(documents)
+
+        for slot, document in enumerate(documents):
+            fresh = StudySupervisor(tmp_path / f"fresh{slot}", pool_size=1)
+            try:
+                job = _wait(fresh.submit(document), timeout=120)
+            finally:
+                fresh.shutdown(wait=True)
+            assert job.state == "done", job.error
+            assert results[slot] == job.result_bytes, slot
+
+        ((kept, _),) = cached_supervisor._systems.values()
+        built = realize_system(parse_job(documents[0]))
+        assert [system_fingerprint(system) for system in kept] == \
+            [system_fingerprint(system) for system in built]
 
 
 class TestAdmission:
@@ -745,15 +963,25 @@ class TestDerivedOnce:
         default horizon once, however many participants drain it."""
         studies, horizons = per_job
         supervisor = StudySupervisor(tmp_path / "store", pool_size=1)
+        counts = []
         try:
             calls = _counting_derivations(monkeypatch)
-            job = _wait(supervisor.submit(
-                _job(workload=workload, workers=workers)), timeout=120)
-            assert job.state == "done", job.error
+            # The second job on the net declares its Studies on the
+            # system the first one realized.
+            for seed in (7, 8):
+                hits = _counter("serve.realization_hits")
+                calls.update(dict.fromkeys(calls, 0))
+                job = _wait(supervisor.submit(_job(
+                    plan={"kind": "montecarlo", "instances": 4,
+                          "seed": seed},
+                    workload=workload, workers=workers)), timeout=120)
+                assert job.state == "done", job.error
+                counts.append(dict(calls))
         finally:
             supervisor.shutdown(wait=True)
-        assert calls == {"plan": studies, "fingerprint": studies,
-                         "hash": studies, "horizon": horizons}
+        assert _counter("serve.realization_hits") == hits + 1
+        assert counts == [{"plan": studies, "fingerprint": studies,
+                           "hash": studies, "horizon": horizons}] * 2
 
 
 class TestJobRegistration:
