@@ -55,7 +55,8 @@ JOB = {
 
 
 def boot_server(store_dir):
-    """Start a StudyServer on an ephemeral port in a daemon thread."""
+    """Start a StudyServer on an ephemeral port in a daemon thread;
+    returns the server, its supervisor and a ``stop()`` for both."""
     supervisor = StudySupervisor(store_dir, pool_size=2)
     server = StudyServer(supervisor, port=0)
     loop = asyncio.new_event_loop()
@@ -67,15 +68,25 @@ def boot_server(store_dir):
         started.set()
         loop.run_forever()
 
-    threading.Thread(target=serve, daemon=True).start()
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
     if not started.wait(10.0):
         raise RuntimeError("server failed to start")
-    return server, supervisor, loop
+
+    def stop():
+        """Close every connection, stop the loop and the worker pool."""
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10.0)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10.0)
+        loop.close()
+        supervisor.shutdown(wait=True)
+
+    return server, supervisor, stop
 
 
 def main():
     workspace = Path(tempfile.mkdtemp(prefix="repro-serve-"))
-    server, supervisor, loop = boot_server(workspace / "store")
+    server, supervisor, stop = boot_server(workspace / "store")
     client = ServeClient(server.url)
     print(f"server up on {server.url}")
     print(f"healthz: {client.healthz()}")
@@ -128,8 +139,8 @@ def main():
     finally:
         supervisor.memory_budget = None
 
-    loop.call_soon_threadsafe(loop.stop)
-    supervisor.shutdown(wait=True)
+    client.close()
+    stop()
     print("\nall service checks passed")
 
 

@@ -29,7 +29,13 @@ This script drills both against the real server process:
    the job must run fresh (not ``cached``) on the system the first job
    realized -- ``serve.realization_hits`` must move by exactly 1 and
    ``serve.document_hits`` not at all,
-8. save the job's NDJSON event stream and the result document next to
+8. a fresh ``ServeClient`` reads ``/metrics``, polls the job's status
+   and reads ``/metrics`` again, all from one thread: it keeps one
+   connection, so ``serve.http_connections`` moves by exactly 1 while
+   ``serve.http_requests`` moves by every request it made; and a
+   raw-socket request saying ``Connection: close`` is answered with
+   ``Connection: close`` and the socket closed,
+9. save the job's NDJSON event stream and the result document next to
    the trace for the artifact upload.
 
 Exit code 0 means the drill passed.
@@ -42,9 +48,11 @@ import json
 import pathlib
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
+from urllib.parse import urlsplit
 
 from _drill import (
     REPO_ROOT,
@@ -60,6 +68,7 @@ INSTANCES = 128
 CHUNK = 2  # 64 claim units per study side: plenty of room for the kill
 SEGMENTS = 240  # ~481-state full model: each reference solve costs real time
 VICTIM = "victim"
+KEPT_POLLS = 10  # status polls step 8's client makes between its reads
 
 JOB = {
     "moments": 3,
@@ -229,6 +238,44 @@ def main() -> int:
             return 1
         print("re-planned job ran fresh on the kept realization: one "
               "realization-index hit, no document-index hit")
+
+        # -- 8: one kept connection per client thread ------------------
+        base = client.metrics()["counters"]
+        with ServeClient(url, timeout=args.timeout) as kept:
+            first = kept.metrics()["counters"]
+            for _ in range(KEPT_POLLS):
+                kept.job(replanned["id"])
+            last = kept.metrics()["counters"]
+        requests = KEPT_POLLS + 2
+        moved = [last[name] - base[name] for name in
+                 ("serve.http_connections", "serve.http_requests")]
+        if moved != [1, requests] or last["serve.http_connections"] \
+                != first["serve.http_connections"]:
+            print(f"FAIL: {requests} requests from one client thread moved "
+                  f"serve.http_connections by {moved[0]} and "
+                  f"serve.http_requests by {moved[1]} (expected 1 and "
+                  f"{requests}: one kept connection)")
+            return 1
+        address = urlsplit(url)
+        try:
+            with socket.create_connection(
+                    (address.hostname, address.port), timeout=10.0) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: ci\r\n"
+                             b"Connection: close\r\n\r\n")
+                answer = b""
+                while chunk := sock.recv(65536):
+                    answer += chunk
+        except socket.timeout:
+            print("FAIL: the server kept a 'Connection: close' socket open")
+            return 1
+        head = answer.partition(b"\r\n\r\n")[0]
+        if not head.startswith(b"HTTP/1.1 200 ") \
+                or b"Connection: close" not in head.split(b"\r\n"):
+            print(f"FAIL: 'Connection: close' request answered {head!r}")
+            return 1
+        print(f"{requests} requests from one client thread took one "
+              "connection; a 'Connection: close' request was answered "
+              "'Connection: close' and its socket closed")
     finally:
         if victim is not None and victim.poll() is None:
             victim.kill()
@@ -240,7 +287,7 @@ def main() -> int:
                 server.kill()
         server_log.close()
 
-    # -- 8: the server must actually have stolen the dead lease --------
+    # -- 9: the server must actually have stolen the dead lease --------
     from repro.obs import read_trace
 
     steals = [

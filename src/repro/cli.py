@@ -171,7 +171,20 @@ def _cmd_poles(args) -> int:
 def _load_parametric(args):
     """Netlist -> ParametricSystem with random variational directions."""
     from repro.circuits.generators import with_random_variations
+    from repro.serve.protocol import (MAX_SPREAD, element_factor_floor,
+                                      plan_excursion)
 
+    if not 0.0 <= args.spread <= MAX_SPREAD:
+        raise ValueError(f"--spread must be between 0 and {MAX_SPREAD:g}")
+    excursion = abs(plan_excursion(getattr(args, "plan", "montecarlo"),
+                                   vars(args)))
+    floor = element_factor_floor(args.spread, args.parameters, excursion)
+    if floor <= 0:
+        raise ValueError(
+            f"--spread {args.spread:g} with --parameters {args.parameters} "
+            f"and excursions up to {excursion:g} can scale an element value "
+            f"by {floor:g} (spread * parameters * excursion must stay below 1)"
+        )
     with open(args.netlist) as handle:
         netlist = parse_netlist(handle.read(), title=args.netlist)
     return with_random_variations(
@@ -612,30 +625,30 @@ def _cmd_submit(args) -> int:
     else:
         with open(args.jobfile) as handle:
             payload = handle.read()
-    client = ServeClient(args.url, timeout=args.timeout)
-    try:
-        job = client.submit(json.loads(payload))
-    except ServeClientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.status == 413 and "peak_bytes" in exc.body:
-            print(f"# planned peak: {exc.body['peak_bytes']} bytes  "
-                  f"budget: {exc.body['memory_budget']} bytes",
-                  file=sys.stderr)
-        return 1
-    print(f"# job: {job['id']}  state: {job['state']}  "
-          f"cached: {'yes' if job['cached'] else 'no'}", file=sys.stderr)
-    if args.no_wait:
-        print(json.dumps(job, sort_keys=True, indent=1))
-        return 0
-    if args.watch and not job["cached"]:
-        for event in client.events(job["id"]):
-            print(json.dumps(event, sort_keys=True), file=sys.stderr)
-    final = client.wait(job["id"], timeout=args.timeout)
-    if final["state"] != "done":
-        print(f"error: job {job['id']} {final['state']}: {final['error']}",
-              file=sys.stderr)
-        return 1
-    sys.stdout.write(client.result_bytes(job["id"]).decode())
+    with ServeClient(args.url, timeout=args.timeout) as client:
+        try:
+            job = client.submit(json.loads(payload))
+        except ServeClientError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if exc.status == 413 and "peak_bytes" in exc.body:
+                print(f"# planned peak: {exc.body['peak_bytes']} bytes  "
+                      f"budget: {exc.body['memory_budget']} bytes",
+                      file=sys.stderr)
+            return 1
+        print(f"# job: {job['id']}  state: {job['state']}  "
+              f"cached: {'yes' if job['cached'] else 'no'}", file=sys.stderr)
+        if args.no_wait:
+            print(json.dumps(job, sort_keys=True, indent=1))
+            return 0
+        if args.watch and not job["cached"]:
+            for event in client.events(job["id"]):
+                print(json.dumps(event, sort_keys=True), file=sys.stderr)
+        final = client.wait(job["id"], timeout=args.timeout)
+        if final["state"] != "done":
+            print(f"error: job {job['id']} {final['state']}: "
+                  f"{final['error']}", file=sys.stderr)
+            return 1
+        sys.stdout.write(client.result_bytes(job["id"]).decode())
     sys.stdout.write("\n")
     return 0
 
@@ -645,17 +658,18 @@ def _cmd_jobs(args) -> int:
 
     from repro.serve.client import ServeClient, ServeClientError
 
-    client = ServeClient(args.url)
     try:
-        if args.job:
-            print(json.dumps(client.job(args.job), sort_keys=True, indent=1))
-        else:
+        with ServeClient(args.url) as client:
+            if args.job:
+                print(json.dumps(client.job(args.job), sort_keys=True,
+                                 indent=1))
+                return 0
             jobs = client.jobs()
-            for job in jobs:
-                cached = " (cached)" if job["cached"] else ""
-                print(f"{job['id']}  {job['state']}{cached}")
-            if not jobs:
-                print("# no jobs")
+        for job in jobs:
+            cached = " (cached)" if job["cached"] else ""
+            print(f"{job['id']}  {job['state']}{cached}")
+        if not jobs:
+            print("# no jobs")
     except ServeClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

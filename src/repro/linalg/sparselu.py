@@ -210,6 +210,25 @@ class SparseLU:
             )
         return self._plan
 
+    def symbolic(self) -> "SparseLU":
+        """This factorization without its numeric factor: the pattern
+        and the column ordering, which is all :meth:`refactor` reuses.
+
+        SuperLU keeps L and U -- in work storage sized by its fill
+        estimate, often several times the factor -- in allocations of
+        its own, which no NumPy array accounts for; a template that only
+        seeds refactorizations need not hold them.  The result
+        refactors exactly as this factorization does but cannot solve.
+        """
+        template = object.__new__(SparseLU)
+        template._shape = self._shape
+        template._lu = None
+        template._csc_indices = self._csc_indices
+        template._csc_indptr = self._csc_indptr
+        template._plan = self._pattern_plan()
+        template._col_perm = None
+        return template
+
     def refactor(self, data: np.ndarray) -> "SparseLU":
         """Numeric re-factorization of a same-pattern matrix.
 

@@ -98,7 +98,7 @@ from repro.runtime.scheduler import (
     parse_worker_id,
 )
 from repro.runtime.sparse import shared_pattern_family, supports_sparse_batching
-from repro.runtime.store import StudyStore, study_fingerprint
+from repro.runtime.store import WORKLOAD_MEMBERS, StudyStore, study_fingerprint
 from repro.runtime.stream import (
     _CHUNK_RECORD_BYTES,
     _KERNEL_HEADER_BYTES,
@@ -1239,16 +1239,13 @@ class Study:
         """The arrays every chunk payload of ``plan`` holds (what
         :meth:`_chunk_workload`'s payload function returns), which the
         checkpoint requires of each archive it loads."""
-        envelope = ("env_min", "env_max", "env_sum")
+        members = WORKLOAD_MEMBERS[plan.workload]
         if plan.workload in ("sweep", "sweep+poles"):
-            keep_poles = supports_batching(self._target) \
-                and self._num_poles is not None
-            return envelope + ("poles",) * keep_poles \
-                + ("responses",) * self._keep_responses
+            return members + ("responses",) * self._keep_responses
         if plan.workload == "transient":
-            return envelope + ("delays", "slews", "steady_states") \
+            return members \
                 + ("outputs",) * bool(self._transient_options["keep_outputs"])
-        return ("poles_padded", "poles_lengths")
+        return members
 
     def _resolved_transient_options(self) -> dict:
         """Transient options with the waveform/horizon defaults realized,

@@ -583,9 +583,10 @@ class SparsePatternFamily:
         (``pickle.dumps``, say, to hand it to another process) leaves
         the template out and rebuilds it on first use.  The template's numeric values (``G0 + C0``)
         are irrelevant -- only its pattern and the fill-reducing
-        ordering are reused -- but the factorization must succeed, so a
-        singular nominal combination retries with pseudo-random data on
-        the same pattern.
+        ordering are reused, so the family keeps just those
+        (:meth:`~repro.linalg.SparseLU.symbolic`) -- but the
+        factorization must succeed, so a singular nominal combination
+        retries with pseudo-random data on the same pattern.
         """
         if self._lu_template is None:
             n = self.order
@@ -597,7 +598,7 @@ class SparsePatternFamily:
                     (data, self._csc_rows, self._csc_indptr), shape=(n, n)
                 )
                 try:
-                    self._lu_template = SparseLU(template)
+                    self._lu_template = SparseLU(template).symbolic()
                     break
                 except np.linalg.LinAlgError:
                     continue

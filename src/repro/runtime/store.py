@@ -280,6 +280,19 @@ def _npz_arrays(data: bytes, members=None) -> Dict[str, np.ndarray]:
     return payload
 
 
+#: The arrays every chunk archive of a study holds, by its fingerprint's
+#: ``workload`` (a sweep's ``responses`` and a transient's ``outputs``
+#: are kept on request only): what a checkpoint requires of an archive it
+#: loads and what a warehouse query requires of the table it reads.
+WORKLOAD_MEMBERS = {
+    "sweep": ("env_min", "env_max", "env_sum"),
+    "sweep+poles": ("env_min", "env_max", "env_sum", "poles"),
+    "transient": ("env_min", "env_max", "env_sum", "delays", "slews",
+                  "steady_states"),
+    "poles": ("poles_padded", "poles_lengths"),
+}
+
+
 def _check_payload(payload: dict, record: dict, required) -> None:
     """Refuse a payload that lacks a ``required`` member, or whose
     per-instance member (any not named ``env_*``) does not hold one row
@@ -770,9 +783,10 @@ class StudyStore:
 
         Each yielded record is an annotated *copy* of the manifest record
         that verified: ``"index"`` (int), ``"worker"`` (from the record or
-        its manifest, ``None`` for a plain run), ``"bytes"`` (archive
-        size) and ``"reused"`` (taken from ``memo``, not read) are
-        attached so readers need not re-walk manifests.  Every payload is
+        its manifest, ``None`` for a plain run), ``"workload"`` (its
+        manifest fingerprint's), ``"bytes"`` (archive size) and
+        ``"reused"`` (taken from ``memo``, not read) are attached so
+        readers need not re-walk manifests.  Every payload is
         verified against its recorded SHA-256 before it is deserialized,
         and holds only ``members`` (default: every array; see
         :func:`_verified_chunk_payload`).  When several workers recorded
@@ -791,8 +805,9 @@ class StudyStore:
         """
         alternates: Dict[int, List[dict]] = {}
         for manifest in self.load_manifests(key):
+            workload = manifest.get("fingerprint", {}).get("workload")
             for index, record in manifest.get("chunks", {}).items():
-                annotated = dict(record, index=int(index))
+                annotated = dict(record, index=int(index), workload=workload)
                 annotated.setdefault("worker", manifest.get("worker"))
                 alternates.setdefault(int(index), []).append(annotated)
         for index in sorted(alternates):

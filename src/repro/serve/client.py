@@ -6,14 +6,25 @@ the standard library.  Every method raises :class:`ServeClientError`
 with the server's one-line diagnostic on a non-2xx response, carrying
 the HTTP status on ``.status`` (and, for admission rejections, the
 server's error document on ``.body``).
+
+A client keeps one HTTP/1.1 connection per thread that uses it and
+sends every request of that thread on it, reading each response to its
+end; a connection the server has closed since its last request (an
+idle one past the server's read deadline, say) is reopened once,
+transparently.  :meth:`ServeClient.events` streams on a connection of
+its own.  :meth:`ServeClient.close` (or leaving a ``with`` block)
+closes every connection the client holds; a later request opens a
+new one.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
+import weakref
 from http.client import HTTPConnection
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 from urllib.parse import urlsplit
 
 __all__ = ["ServeClient", "ServeClientError"]
@@ -28,8 +39,22 @@ class ServeClientError(RuntimeError):
         super().__init__(f"HTTP {status}: {message}")
 
 
+def _close_all(connections: Dict[threading.Thread, HTTPConnection]) -> None:
+    while connections:
+        connections.popitem()[1].close()
+
+
+def _error_document(data: bytes) -> dict:
+    try:
+        document = json.loads(data) if data else {}
+    except json.JSONDecodeError:
+        return {"error": data.decode("utf-8", errors="replace")}
+    return document if isinstance(document, dict) else {}
+
+
 class ServeClient:
-    """Client for one study-service base URL (e.g. ``http://host:8787``)."""
+    """Client for one study-service base URL (e.g. ``http://host:8787``),
+    safe to share between threads: each thread gets its own connection."""
 
     def __init__(self, base_url: str, timeout: float = 600.0):
         parts = urlsplit(base_url if "//" in base_url
@@ -39,34 +64,73 @@ class ServeClient:
         self.host = parts.hostname or "127.0.0.1"
         self.port = parts.port or 80
         self.timeout = timeout
+        # thread -> its kept connection (a dead thread's is closed by
+        # the next thread that opens one)
+        self._connections: Dict[threading.Thread, HTTPConnection] = {}
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._connections)
+
+    def close(self) -> None:
+        """Close every connection this client holds."""
+        with self._lock:
+            _close_all(self._connections)
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- plumbing ------------------------------------------------------
 
-    def _request(self, method: str, path: str, body: Optional[bytes] = None):
-        connection = HTTPConnection(self.host, self.port,
-                                    timeout=self.timeout)
+    def _connection(self) -> HTTPConnection:
+        """The calling thread's connection, opened on first use."""
+        thread = threading.current_thread()
+        connection = self._connections.get(thread)
+        if connection is None:
+            connection = HTTPConnection(self.host, self.port,
+                                        timeout=self.timeout)
+            with self._lock:
+                for gone in [t for t in self._connections
+                             if not t.is_alive()]:
+                    self._connections.pop(gone).close()
+                self._connections[thread] = connection
+        return connection
+
+    def _request(self, method: str, path: str,
+                 body: Optional[bytes] = None) -> Tuple[int, bytes]:
+        """``(status, body)`` of one request on the calling thread's
+        connection, its response read to the end.
+
+        A request on a connection kept from an earlier one that fails
+        before any response byte arrives (the server closed the idle
+        connection) is sent once more on a fresh connection; the server
+        closes a kept connection only before reading a byte of a next
+        request, so the first one never reached it.
+        """
+        connection = self._connection()
         headers = {"Content-Type": "application/json"} if body else {}
-        connection.request(method, path, body=body, headers=headers)
-        return connection, connection.getresponse()
+        while True:
+            reused = connection.sock is not None
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+                return response.status, response.read()
+            except BaseException as exc:
+                connection.close()  # mid-exchange: its state is unknown
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise
 
     def _json(self, method: str, path: str, body: Optional[bytes] = None,
               ok=(200, 202)):
-        connection, response = self._request(method, path, body)
-        try:
-            data = response.read()
-        finally:
-            connection.close()
-        try:
-            document = json.loads(data) if data else {}
-        except json.JSONDecodeError:
-            document = {"error": data.decode("utf-8", errors="replace")}
-        if response.status not in ok:
+        status, data = self._request(method, path, body)
+        document = _error_document(data)
+        if status not in ok:
             raise ServeClientError(
-                response.status,
-                document.get("error", "request failed"),
+                status, document.get("error", "request failed"),
                 body=document,
             )
-        return response.status, document
+        return status, document
 
     # -- API -----------------------------------------------------------
 
@@ -106,21 +170,11 @@ class ServeClient:
         The bytes are what the server persisted in its result index --
         identical for every client that submits the same study.
         """
-        connection, response = self._request(
-            "GET", f"/jobs/{job_id}/result"
-        )
-        try:
-            data = response.read()
-        finally:
-            connection.close()
-        if response.status != 200:
-            try:
-                document = json.loads(data)
-            except json.JSONDecodeError:
-                document = {}
+        status, data = self._request("GET", f"/jobs/{job_id}/result")
+        if status != 200:
+            document = _error_document(data)
             raise ServeClientError(
-                response.status, document.get("error", "no result"),
-                body=document,
+                status, document.get("error", "no result"), body=document,
             )
         return data
 
@@ -138,16 +192,13 @@ class ServeClient:
         yielded like any other event so plain iteration also sees the
         gap.
         """
-        connection, response = self._request(
-            "GET", f"/jobs/{job_id}/events"
-        )
+        connection = HTTPConnection(self.host, self.port,
+                                    timeout=self.timeout)
         try:
+            connection.request("GET", f"/jobs/{job_id}/events")
+            response = connection.getresponse()
             if response.status != 200:
-                data = response.read()
-                try:
-                    document = json.loads(data)
-                except json.JSONDecodeError:
-                    document = {}
+                document = _error_document(response.read())
                 raise ServeClientError(
                     response.status, document.get("error", "no stream"),
                     body=document,

@@ -47,7 +47,9 @@ transient's ``workload.steps`` -- are capped at
 allocated or started.  The counts that size what a job allocates after
 admission without an estimate to bound them -- a poles job's ``num``
 and a montecarlo job's ``poles`` (:data:`MAX_POLES`) and ``bins``
-(:data:`MAX_BINS`) -- are capped too.
+(:data:`MAX_BINS`) -- are capped too.  ``spread`` must lie in
+``[0, MAX_SPREAD]``, and a document whose plan can scale an element
+value to zero or below (:func:`element_factor_floor`) is refused.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ MAX_WORKERS = 64
 #: Variational sources one job may declare: :func:`realize` stamps a
 #: sensitivity pair per source before admission sees the job.
 MAX_PARAMETERS = 64
+
+#: Largest per-element variation ``spread``, the generator's default:
+#: ``with_random_variations`` draws each element's sensitivity to each
+#: source from ``[0, spread]`` times its value, so one source at a unit
+#: excursion moves an element value by at most the value itself.
+#: Whether every value stays positive over a plan depends on the source
+#: count and the plan's excursion too, which :func:`element_factor_floor`
+#: bounds.
+MAX_SPREAD = 1.0
 
 #: Moments and sensitivity rank of the reduction :func:`realize` runs
 #: before admission sees the job.
@@ -119,6 +130,28 @@ _WAVEFORM_DEFAULTS = {
     "sine": {"amplitude": 1.0, "frequency": 1e9, "input": 0},
     "pwl": {"points": [[0.0, 0.0], [1e-9, 1.0]], "input": 0},
 }
+
+
+def element_factor_floor(spread: float, parameters: int,
+                         excursion: float) -> float:
+    """The least factor a variation can scale an element value by.
+
+    ``with_random_variations`` scales each element value by
+    ``1 + sum_i alpha_i p_i`` with every ``alpha_i`` in ``[0, spread]``
+    (a resistor's conductance by ``1 - sum_i alpha_i p_i``), so at
+    parameter points with every ``|p_i| <= excursion`` no factor falls
+    below ``1 - spread * parameters * excursion``.  At zero or below, a
+    plan point can stamp a zero or negative resistance, capacitance or
+    inductance: a net that is not physical.
+    """
+    return 1.0 - spread * parameters * excursion
+
+
+def plan_excursion(kind: str, options: dict):
+    """The largest ``|p_i|`` a plan declaration evaluates, as declared: a
+    Monte Carlo plan's ``sigma`` (its draws are truncated there), a
+    corner or grid plan's ``magnitude``."""
+    return options["sigma" if kind == "montecarlo" else "magnitude"]
 
 
 def build_plan(kind: str, *, instances: int = 100, sigma: float = 0.3,
@@ -385,6 +418,20 @@ def parse_job(payload) -> JobSpec:
             if not _is_count(index, 0):
                 raise ProtocolError(f"'{name}' must be an integer >= 0")
 
+    spread = _number("spread", 0.5)
+    if not 0.0 <= spread <= MAX_SPREAD:
+        raise ProtocolError(f"'spread' must be between 0 and {MAX_SPREAD:g}")
+    excursion = plan_excursion(plan_kind, plan_options)
+    if _is_number(excursion):  # anything else fails the plan's realization
+        floor = element_factor_floor(spread, parameters, abs(excursion))
+        if floor <= 0:
+            raise ProtocolError(
+                f"'spread' {spread:g} with {parameters} parameters and plan "
+                f"excursions up to {abs(excursion):g} can scale an element "
+                f"value by {floor:g} (spread * parameters * excursion must "
+                "stay below 1)"
+            )
+
     chunk = payload.get("chunk")
     if chunk is not None and not _is_count(chunk, 1):
         raise ProtocolError("'chunk' must be a positive integer or null")
@@ -393,7 +440,7 @@ def parse_job(payload) -> JobSpec:
     return JobSpec(
         netlist=netlist,
         parameters=parameters,
-        spread=_number("spread", 0.5),
+        spread=spread,
         variation_seed=_int("variation_seed", 0, minimum=0),
         moments=_int("moments", 4, cap=MAX_MOMENTS),
         rank=_int("rank", 1, cap=MAX_RANK),

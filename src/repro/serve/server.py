@@ -20,16 +20,36 @@ Routes::
     GET  /jobs/{id}/events   NDJSON progress stream (chunk spans,
                              checkpoint saves, lifecycle transitions);
                              ends when the job reaches a final state
+
+Connections are kept alive, HTTP/1.1's default: one connection carries
+any number of requests, pipelined ones included, answered in order.
+A 2xx answer to an HTTP/1.1 request without ``Connection: close`` says
+``Connection: keep-alive`` and the connection waits for the next
+request.  Every other response -- any 4xx or 5xx, the answer to an
+HTTP/1.0 request or to ``Connection: close``, the events stream --
+says ``Connection: close``, and the server closes the socket after it;
+stopping the server closes every connection.  A request must arrive
+whole (header block and body) within :data:`READ_DEADLINE_S` of the
+connection opening, or of its first byte on a kept connection, or it
+gets a one-line 408.  A kept connection that sends no byte of a next
+request within :data:`READ_DEADLINE_S` is closed without a response,
+so a client never reads a stray 408 as the answer to its next request.
+Bodies are framed by ``Content-Length`` alone: ``Transfer-Encoding``
+or ``Content-Length`` headers that disagree get a one-line 400 and a
+close, so body bytes are never read as a next request.
+``serve.http_connections`` and ``serve.http_requests`` in ``/metrics``
+count the connections accepted and the requests read.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.runtime.store import StoreError
+from repro.serve.jobs import Job
 from repro.serve.protocol import ProtocolError
 from repro.serve.supervisor import StudySupervisor
 
@@ -39,16 +59,74 @@ __all__ = ["StudyServer", "run"]
 #: approaching this is a mistake or an attack, not a job.
 MAX_BODY_BYTES = 8 * 2**20
 #: Seconds a client has to deliver one whole request (header block and
-#: body).  Without a bound, a client that connects and then stalls
-#: holds a handler for ever; a full-size body needs ~280 KB/s.
+#: body), and that a kept connection may sit idle between requests.
+#: Without a bound, a client that connects and then stalls holds a
+#: handler for ever; a full-size body needs ~280 KB/s.
 READ_DEADLINE_S = 30.0
 _REQUESTS = obs_metrics.counter("serve.http_requests")
+_CONNECTIONS = obs_metrics.counter("serve.http_connections")
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
     413: "Payload Too Large", 500: "Internal Server Error",
 }
+
+
+class _Refused(Exception):
+    """A request answered with a one-line 4xx, after which the
+    connection closes."""
+
+    def __init__(self, status: int, error: str):
+        super().__init__(error)
+        self.status = status
+
+
+def _json(status: int, payload: dict) -> Tuple[int, bytes, str]:
+    return status, json.dumps(payload, sort_keys=True).encode(), \
+        "application/json"
+
+
+def _parse_head(head: bytes) -> Tuple[str, str, bool, int]:
+    """``(method, path, keep, body length)`` of one header block.
+
+    ``keep``: the request is HTTP/1.1 and its ``Connection`` headers do
+    not say ``close``.  Framing the reader cannot trust -- a request
+    line that is not three fields, ``Transfer-Encoding``,
+    ``Content-Length`` headers that disagree or a value that is not a
+    plain decimal count -- raises a 400, a body past
+    :data:`MAX_BODY_BYTES` a 413.
+    """
+    request_line, *header_lines = head.decode("latin-1").split("\r\n")
+    parts = request_line.split()
+    if len(parts) != 3:
+        raise _Refused(400, "malformed request")
+    method, target, version = parts
+    lengths, connection = set(), set()
+    for line in header_lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            continue
+        name, value = name.strip().lower(), value.strip()
+        if name == "transfer-encoding":
+            raise _Refused(400, "Transfer-Encoding is not supported: "
+                                "frame the body with Content-Length")
+        if name == "content-length":
+            lengths.add(value)
+        elif name == "connection":
+            connection.update(token.strip().lower()
+                              for token in value.split(","))
+    if len(lengths) > 1:
+        raise _Refused(400, "conflicting Content-Length headers")
+    raw_length = (lengths.pop() if lengths else "") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _Refused(400, f"invalid Content-Length {raw_length[:32]!r}")
+    digits = raw_length.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) \
+            or int(digits) > MAX_BODY_BYTES:
+        raise _Refused(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+    keep = version == "HTTP/1.1" and "close" not in connection
+    return method.upper(), target.split("?", 1)[0], keep, int(digits)
 
 
 class StudyServer:
@@ -62,6 +140,8 @@ class StudyServer:
         self.port = port
         self.stream_poll = stream_poll
         self._server: Optional[asyncio.AbstractServer] = None
+        # the handler task of every open connection, for stop()
+        self._handlers: Set[asyncio.Task] = set()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -76,13 +156,22 @@ class StudyServer:
         return self.host, self.port
 
     async def serve_forever(self) -> None:
-        """Serve until cancelled (``start`` must have run)."""
-        async with self._server:
+        """Serve until cancelled, then :meth:`stop` (``start`` must have
+        run)."""
+        try:
             await self._server.serve_forever()
+        finally:
+            await self.stop()
 
     async def stop(self) -> None:
+        """Stop listening, close every connection (idle kept ones
+        included, without a response) and stop the worker pool."""
         if self._server is not None:
             self._server.close()
+            handlers = list(self._handlers)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
         self.supervisor.shutdown(wait=False)
 
@@ -95,185 +184,164 @@ class StudyServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Answer the requests one connection carries, in order."""
+        _CONNECTIONS.inc()
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            try:
-                request = await asyncio.wait_for(
-                    self._read_request(reader, writer), READ_DEADLINE_S
-                )
-            except asyncio.TimeoutError:
-                # Only the request read is bounded; responses, the
-                # /events stream included, take as long as they take.
-                await self._send_json(writer, 408, {
-                    "error": "request not received within "
-                             f"{READ_DEADLINE_S:g} s",
-                })
-                return
-            if request is None:
-                return
-            method, path, body = request
-            _REQUESTS.inc()
-            await self._route(method, path, body, writer)
+            kept = False
+            while self._server.is_serving():
+                request = await self._read_request(reader, kept)
+                if request is None:
+                    break
+                _REQUESTS.inc()
+                kept = await self._answer(*request, writer)
+                if not kept:
+                    break
+        except _Refused as refusal:
+            await self._send_error(writer, refusal.status, str(refusal))
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+            pass  # the peer left
+        except asyncio.CancelledError:
+            if self._server.is_serving():
+                raise
+            # stop() closes the connection: end as any closed one does
         except Exception as exc:  # noqa: BLE001 - connection isolation
-            try:
-                await self._send_json(
-                    writer, 500,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                )
-            except ConnectionError:
-                pass
+            await self._send_error(writer, 500, f"{type(exc).__name__}: {exc}")
         finally:
+            self._handlers.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader, writer):
-        """``(method, path, body)``, or ``None`` once a 4xx is answered.
+    async def _read_request(self, reader: asyncio.StreamReader, kept: bool):
+        """The next request as ``(method, path, body, keep)``, or ``None``
+        when the connection is to close without a response: the peer
+        closed it, or, kept, it sent no byte of a next request within
+        :data:`READ_DEADLINE_S`.
 
-        Malformed framing -- a header block past the stream limit, a
-        ``Content-Length`` that is not a plain decimal count -- gets a
-        one-line 400, never the catch-all 500.
+        Only the read is bounded; responses, the /events stream
+        included, take as long as they take.  A request line may not
+        begin with CR or LF, so the header block's end is found past
+        the first byte.
         """
+        first = b""
         try:
-            header_bytes = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            await self._send_json(
-                writer, 400, {"error": "request header block too large"}
-            )
-            return None
-        request_line, *header_lines = header_bytes.decode(
-            "latin-1"
-        ).split("\r\n")
-        parts = request_line.split()
-        if len(parts) != 3:
-            await self._send_json(writer, 400, {"error": "malformed request"})
-            return None
-        method, target, _version = parts
-        headers = {}
-        for line in header_lines:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            await self._send_json(
-                writer, 400,
-                {"error": f"invalid Content-Length {raw_length[:32]!r}"},
-            )
-            return None
-        length = int(raw_length)
-        if length > MAX_BODY_BYTES:
-            await self._send_json(
-                writer, 413,
-                {"error": f"body exceeds {MAX_BODY_BYTES} bytes"},
-            )
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target.split("?", 1)[0], body
+            async with asyncio.timeout(READ_DEADLINE_S) as deadline:
+                first = await reader.read(1)
+                if not first:
+                    return None
+                if kept:  # a request's own deadline runs from its first byte
+                    deadline.reschedule(
+                        asyncio.get_running_loop().time() + READ_DEADLINE_S)
+                if first in b"\r\n":
+                    raise _Refused(400, "malformed request")
+                try:
+                    head = first + await reader.readuntil(b"\r\n\r\n")
+                except asyncio.LimitOverrunError:
+                    raise _Refused(400, "request header block too large") \
+                        from None
+                method, path, keep, length = _parse_head(head)
+                body = await reader.readexactly(length) if length else b""
+        except TimeoutError:
+            if kept and not first:
+                return None
+            raise _Refused(408, "request not received within "
+                                f"{READ_DEADLINE_S:g} s") from None
+        return method, path, body, keep
 
-    async def _send(self, writer, status: int, data: bytes,
-                    content_type: str) -> None:
+    async def _answer(self, method: str, path: str, body: bytes, keep: bool,
+                      writer) -> bool:
+        """Answer one request; whether the connection stays open."""
+        routed = await self._route(method, path, body)
+        if isinstance(routed, Job):
+            await self._stream_events(routed, writer)
+            return False
+        keep = keep and routed[0] < 400
+        await self._send(writer, *routed, keep=keep)
+        return keep
+
+    async def _send(self, writer, status: int, data: bytes, content_type: str,
+                    keep: bool = False) -> None:
         writer.write(
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(data)}\r\n"
-            "Connection: close\r\n\r\n".encode("latin-1")
+            f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n"
+            .encode("latin-1") + data
         )
-        writer.write(data)
         await writer.drain()
 
-    async def _send_json(self, writer, status: int, payload: dict) -> None:
-        await self._send(
-            writer, status,
-            json.dumps(payload, sort_keys=True).encode(),
-            "application/json",
-        )
+    async def _send_error(self, writer, status: int, error: str) -> None:
+        """The one-line error that ends a connection (its peer may be
+        gone already)."""
+        try:
+            await self._send(writer, *_json(status, {"error": error}))
+        except ConnectionError:
+            pass
 
     # -- routing -------------------------------------------------------
 
-    async def _route(self, method: str, path: str, body: bytes,
-                     writer) -> None:
+    async def _route(self, method: str, path: str, body: bytes):
+        """``(status, body bytes, content type)`` answering one request,
+        or the :class:`~repro.serve.jobs.Job` whose events stream does."""
         if path == "/healthz" and method == "GET":
-            await self._send_json(writer, 200, self.supervisor.describe())
-            return
+            return _json(200, self.supervisor.describe())
         if path == "/metrics" and method == "GET":
-            await self._send_json(
-                writer, 200, obs_metrics.registry().snapshot()
-            )
-            return
+            return _json(200, obs_metrics.registry().snapshot())
         if path == "/jobs":
             if method == "POST":
-                await self._submit(body, writer)
-                return
+                return await self._submit(body)
             if method == "GET":
-                await self._send_json(
-                    writer, 200, {"jobs": self.supervisor.registry.list()}
-                )
-                return
-            await self._send_json(writer, 405, {"error": "use GET or POST"})
-            return
+                return _json(200, {"jobs": self.supervisor.registry.list()})
+            return _json(405, {"error": "use GET or POST"})
         if path.startswith("/jobs/"):
-            await self._job_route(method, path, writer)
-            return
-        await self._send_json(writer, 404, {"error": f"no route {path!r}"})
+            return self._job_route(method, path)
+        return _json(404, {"error": f"no route {path!r}"})
 
-    async def _submit(self, body: bytes, writer) -> None:
+    async def _submit(self, body: bytes):
         loop = asyncio.get_running_loop()
         try:
             job = await loop.run_in_executor(
                 None, self.supervisor.submit, body
             )
         except ProtocolError as exc:
-            await self._send_json(writer, 400, {"error": str(exc)})
-            return
+            return _json(400, {"error": str(exc)})
         except StoreError as exc:
-            await self._send_json(writer, 500, {"error": str(exc)})
-            return
+            return _json(500, {"error": str(exc)})
         description = job.describe()
         if job.state == "rejected":
-            await self._send_json(writer, 413, {
+            return _json(413, {
                 "error": job.error,
                 "peak_bytes": job.peak_bytes,
                 "memory_budget": self.supervisor.memory_budget,
                 "job": description,
             })
-            return
-        status = 200 if job.state == "done" else 202
-        await self._send_json(writer, status, {"job": description})
+        return _json(200 if job.state == "done" else 202, {"job": description})
 
-    async def _job_route(self, method: str, path: str, writer) -> None:
+    def _job_route(self, method: str, path: str):
         if method != "GET":
-            await self._send_json(writer, 405, {"error": "use GET"})
-            return
+            return _json(405, {"error": "use GET"})
         segments = path.strip("/").split("/")
-        job = self.supervisor.registry.get(segments[1])
+        job_id = segments[1] if len(segments) > 1 else ""
+        job = self.supervisor.registry.get(job_id)
         if job is None:
-            await self._send_json(
-                writer, 404, {"error": f"unknown job {segments[1]!r}"}
-            )
-            return
+            return _json(404, {"error": f"unknown job {job_id!r}"})
         action = segments[2] if len(segments) > 2 else None
         if action is None:
-            await self._send_json(writer, 200, {"job": job.describe()})
-            return
+            return _json(200, {"job": job.describe()})
         if action == "result":
             if job.state != "done":
-                await self._send_json(writer, 409, {
+                return _json(409, {
                     "error": f"job is {job.state}, not done",
                     "job": job.describe(),
                 })
-                return
-            await self._send(
-                writer, 200, job.result_bytes, "application/json"
-            )
-            return
+            return 200, job.result_bytes, "application/json"
         if action == "events":
-            await self._stream_events(job, writer)
-            return
-        await self._send_json(writer, 404, {"error": f"no action {action!r}"})
+            return job
+        return _json(404, {"error": f"no action {action!r}"})
 
     async def _stream_events(self, job, writer) -> None:
         """NDJSON progress stream: replay the log, then follow it."""

@@ -44,8 +44,10 @@ plan, workload, ``chunk`` or ``workers`` -- skips parse, variation
 stamping and the model-cache load and declares its own Studies on the
 kept pair, which the jobs share read-only.  Only realizations whose
 Studies were declared are kept, least recently used first out, up to
-:data:`MAX_REALIZATION_BYTES` of their arrays; the index lives in
-memory and ``serve.realization_hits`` counts its hits.
+:data:`MAX_REALIZATION_BYTES` of their arrays -- the memos the kernels
+attach to a kept pair included: an entry is priced again after every
+job that ran on it.  The index lives in memory and
+``serve.realization_hits`` counts its hits.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.analysis.montecarlo import sign_off_result
 from repro.obs import MemorySink, SpanEventBridge, chunk_lineage, lineage_sources
@@ -82,8 +83,8 @@ _DOCUMENT_HITS = obs_metrics.counter("serve.document_hits")
 _REALIZATION_HITS = obs_metrics.counter("serve.realization_hits")
 
 #: Array bytes of the realized systems one supervisor keeps for later
-#: jobs on the same net declaration; a realization priced above it is
-#: not kept.
+#: jobs on the same net declaration, memos included; a realization
+#: priced above it is not kept.
 MAX_REALIZATION_BYTES = 64 * 2**20
 
 
@@ -173,7 +174,8 @@ class StudySupervisor:
         self._lock = threading.Lock()
         # study key -> the lock its plain runs take (see _plain_run)
         self._study_locks = {}
-        # document key -> (the job that last answered it, its bytes)
+        # document key -> (the job that last answered it, its bytes, its
+        # result path: kept, so a hit builds no path of its own)
         self._answers = {}
         self._answers_lock = threading.Lock()
         # realization key -> ((parametric, model), array bytes), LRU order
@@ -272,7 +274,7 @@ class StudySupervisor:
         canonical = spec.canonical()
         answered = self._answered(canonical)
         if answered is not None:
-            earlier, data = answered
+            earlier, data, _ = answered
             job = Job(
                 self.registry.new_id(earlier.key), earlier.key, earlier.spec,
                 study_keys=earlier.study_keys,
@@ -304,7 +306,7 @@ class StudySupervisor:
             _REJECTED.inc()
             return job
 
-        cached = self._load_result(key)
+        cached = _read_result(self.result_path(key))
         if cached is not None:
             self._remember(job, cached)
             return self._answer_cached(job, cached)
@@ -339,14 +341,38 @@ class StudySupervisor:
     def _keep(self, key: str, system: tuple) -> None:
         """Index realization ``system`` under ``key``, then drop the least
         recently used entries past :data:`MAX_REALIZATION_BYTES`."""
-        size = sum(map(_array_bytes, system))
+        size = _array_bytes(system)
         with self._systems_lock:
             if key not in self._systems and size <= MAX_REALIZATION_BYTES:
                 self._systems[key] = (system, size)
                 self._systems_bytes += size
-            while self._systems_bytes > MAX_REALIZATION_BYTES:
-                _, (_, evicted) = self._systems.popitem(last=False)
-                self._systems_bytes -= evicted
+            self._evict()
+
+    def _reprice(self, realized: RealizedJob) -> None:
+        """Price the kept system a job ran on anew, then evict.
+
+        The kernels memoize on the system as jobs run (the full side of
+        a montecarlo job attaches a sparse pattern family about as large
+        as the system's own matrices), so an entry priced when it was
+        kept can come to hold far more.
+        """
+        key = self.realization_key(realized.spec)
+        with self._systems_lock:
+            kept = self._systems.get(key)
+        if kept is None or kept[0][0] is not realized.parametric:
+            return
+        size = _array_bytes(kept[0])
+        with self._systems_lock:
+            if self._systems.get(key) is kept:
+                self._systems[key] = (kept[0], size)
+                self._systems_bytes += size - kept[1]
+                self._evict()
+
+    def _evict(self) -> None:
+        """Drop least recently used entries past the bound (lock held)."""
+        while self._systems_bytes > MAX_REALIZATION_BYTES:
+            _, (_, evicted) = self._systems.popitem(last=False)
+            self._systems_bytes -= evicted
 
     def _answer_cached(self, job: Job, data: bytes) -> Job:
         self.registry.add(job)
@@ -355,8 +381,8 @@ class StudySupervisor:
         return job
 
     def _answered(self, spec: dict):
-        """``(job, bytes)`` that answered declaration ``spec``, if they
-        still may, else ``None``.
+        """``(job, bytes, path)`` that answered declaration ``spec``, if
+        they still may, else ``None``.
 
         The result index stays the authority: the bytes must still be
         what the job's entry holds (a read of one small file, then
@@ -370,8 +396,7 @@ class StudySupervisor:
         key = self.document_key(spec)
         with self._answers_lock:
             answered = self._answers.get(key)
-        if answered is None \
-                or self._load_result(answered[0].key) != answered[1]:
+        if answered is None or _read_result(answered[2]) != answered[1]:
             return None
         return answered
 
@@ -384,15 +409,9 @@ class StudySupervisor:
         """
         key = self.document_key(job.spec)
         if key is not None:
+            path = self.result_path(job.key)
             with self._answers_lock:
-                self._answers[key] = (job, data)
-
-    def _load_result(self, key: str) -> Optional[bytes]:
-        path = self.result_path(key)
-        try:
-            return path.read_bytes() if path.exists() else None
-        except OSError:
-            return None
+                self._answers[key] = (job, data, path)
 
     # -- execution -----------------------------------------------------
 
@@ -414,6 +433,12 @@ class StudySupervisor:
         # The registry keeps the job for ever; its Studies live only as
         # long as this run (the realization index may keep the system).
         job._realized = None
+        try:
+            self._complete(job, realized)
+        finally:
+            self._reprice(realized)
+
+    def _complete(self, job: Job, realized: RealizedJob) -> None:
         job.mark_running()
         # The bridge streams span events to the job's NDJSON log; the
         # memory sinks (warehouse mode only) keep each study's raw span
@@ -606,19 +631,39 @@ class StudySupervisor:
         }
 
 
-def _array_bytes(system) -> int:
-    """Bytes of the arrays of a parametric system or reduced model: its
-    nominal quadruple, sensitivity pairs and (a model's) projection; a
-    sparse matrix counts its data, indices and index pointers."""
-    nominal = system.nominal
-    total = 0
-    for matrix in (nominal.G, nominal.C, nominal.B, nominal.L, *system.dG,
-                   *system.dC, getattr(system, "projection", None)):
-        if sp.issparse(matrix):
-            csr = matrix.tocsr()
-            total += csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-        elif matrix is not None:
-            total += np.asarray(matrix).nbytes
+def _read_result(path: Path) -> Optional[bytes]:
+    """The bytes of result-index entry ``path``, ``None`` if it is gone."""
+    try:
+        return path.read_bytes() if path.exists() else None
+    except OSError:
+        return None
+
+
+def _array_bytes(root) -> int:
+    """Bytes of the NumPy buffers ``root`` holds, each counted once: the
+    arrays reachable through the attributes, lists, tuples and dicts of
+    ``repro`` and SciPy sparse objects from ``root`` -- a parametric
+    system's or reduced model's matrices, and the memos the kernels
+    attach to them as jobs run (a sparse pattern family and its level
+    schedule, a model's cached nominal matrices)."""
+    total, seen, counted, stack = 0, set(), set(), [root]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            if id(item) not in counted:
+                counted.add(id(item))
+                total += item.nbytes
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif type(item).__module__.startswith(("repro.", "scipy.sparse")):
+            stack.extend(getattr(item, "__dict__", {}).values())
     return total
 
 

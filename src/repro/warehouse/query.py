@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.obs import trace as obs_trace
-from repro.runtime.store import StudyStore
+from repro.runtime.store import WORKLOAD_MEMBERS, StudyStore
 from repro.warehouse.catalog import (WarehouseError, catalog_dir,
                                      check_samples, read_record)
 
@@ -197,6 +197,12 @@ class QueryEngine:
         verified, the archive bytes read and the chunks reused from this
         engine's earlier reads."""
         members, parts = _members(table, columns), {name: [] for name in columns}
+        # The table's members each chunk holds, by its study's workload:
+        # a chunk without one of them is refused, while a workload that
+        # writes none (a sweep's poles, a pole study's envelope) adds no
+        # rows.
+        persisted = {workload: [name for name in names if name in _TABLES[table]]
+                     for workload, names in WORKLOAD_MEMBERS.items()}
         chunks, verified, reused, bytes_read = [], 0, 0, 0
         self.last_peak_file_bytes = 0
         with obs_trace.span("warehouse.query", table=table,
@@ -213,6 +219,15 @@ class QueryEngine:
                     else:
                         verified += 1
                         bytes_read += chunk["bytes"]
+                    missing = [
+                        name for name in persisted.get(chunk["workload"], ())
+                        if name not in payload]
+                    if missing:
+                        raise WarehouseError(
+                            f"chunk {chunk['index']} of study {key[:16]} has "
+                            f"no member {missing[0] + '.npy'!r}, which its "
+                            f"{chunk['workload']} workload writes; the store "
+                            "is corrupt")
                     derived = _table_columns(table, chunk["lo"], chunk["hi"],
                                              payload, parameters)
                     if derived is None:

@@ -176,6 +176,37 @@ class TestMonteCarlo:
         assert main(argv) == 0
         assert "# cache: hit" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["montecarlo"], ["batch", "--plan", "corners"], ["transient"],
+    ], ids=["montecarlo", "batch", "transient"])
+    @pytest.mark.parametrize("value", ["1e300", "1.5", "-0.5", "nan"])
+    def test_spread_outside_its_range_is_one_line(
+        self, netlist_file, capsys, command, value
+    ):
+        argv = [*command[:1], netlist_file, *command[1:], "--spread", value]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --spread must be between 0 and 1\n"
+
+    @pytest.mark.parametrize("command, excursion", [
+        (["montecarlo", "--parameters", "4", "--spread", "1"], "0.3"),
+        (["batch", "--plan", "corners", "--magnitude", "2.5"], "2.5"),
+        (["transient", "--plan", "grid", "--magnitude", "-1"], "1"),
+    ], ids=["montecarlo", "batch", "transient"])
+    def test_variation_that_can_zero_an_element_is_one_line(
+        self, netlist_file, capsys, command, excursion
+    ):
+        argv = [command[0], netlist_file, *command[1:]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --spread ")
+        assert f"excursions up to {excursion} can scale" in captured.err
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [["montecarlo"], ["work", "montecarlo"]],
                              ids=["montecarlo", "work-montecarlo"])
     @pytest.mark.parametrize("flag, value", [
@@ -827,6 +858,7 @@ class TestServeCommands:
         thread.start()
         assert started.wait(10.0)
         yield server.url
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10.0)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10.0)
         supervisor.shutdown(wait=True)

@@ -134,6 +134,18 @@ class TestRefactor:
         quad = sp.csc_matrix((a.data * 4.0, a.indices, a.indptr), shape=a.shape)
         np.testing.assert_allclose(quad @ second.solve(b), b, atol=1e-10)
 
+    def test_symbolic_template_refactors_alike(self):
+        """A template without its numeric factor refactors bit-identically
+        to the full factorization it came from."""
+        a = _random_sparse(30, seed=10)
+        full = SparseLU(a)
+        template = full.symbolic()
+        data = a.data * (2.0 - 1.0j)
+        b = np.random.default_rng(11).standard_normal((30, 2)).astype(complex)
+        np.testing.assert_array_equal(template.refactor(data).solve(b),
+                                      full.refactor(data).solve(b))
+        assert template._lu is None and template.nnz == full.nnz
+
     def test_refactor_rejects_wrong_length(self):
         lu = SparseLU(_random_sparse(10, seed=8))
         with pytest.raises(ValueError, match="matching"):

@@ -14,10 +14,13 @@ observations, good and bad values).
 
 ``realize(parse_job(document))`` must return a
 :class:`~repro.serve.protocol.RealizedJob` whose Studies plan and
-fingerprint, and whose transient ``steps`` are within their cap, or
+fingerprint, whose ``spread`` and transient ``steps`` are within their
+bounds and whose plan scales no element value to zero or below, or
 raise :class:`~repro.serve.protocol.ProtocolError` with a one-line
 message; it may raise nothing else.  Transients with ``steps`` past the
-cap are tried on every run.
+cap, sweeps with a ``spread`` outside its range (``1e300``, negative)
+and sweeps whose sources and excursions can zero an element are tried
+on every run.
 """
 
 import copy
@@ -26,7 +29,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.scenarios import MAX_PLAN_SAMPLES
-from repro.serve.protocol import ProtocolError, RealizedJob, parse_job, realize
+from repro.serve.protocol import (MAX_SPREAD, ProtocolError, RealizedJob,
+                                  element_factor_floor, parse_job,
+                                  plan_excursion, realize)
 
 SETTINGS = settings(
     deadline=None, max_examples=40,
@@ -144,10 +149,22 @@ def _transient(steps):
     }
 
 
+def _sweep(spread, parameters=2, plan=PLANS["montecarlo"]):
+    return {
+        "netlist": NETLIST, "moments": 2, "spread": spread,
+        "parameters": parameters, "plan": plan,
+        "workload": WORKLOADS["sweep"],
+    }
+
+
 @SETTINGS
 @given(document=job_documents())
 @example(document=_transient(MAX_PLAN_SAMPLES + 1))
 @example(document=_transient(10**9))
+@example(document=_sweep(1e300))
+@example(document=_sweep(-0.5))
+@example(document=_sweep(1, parameters=4))
+@example(document=_sweep(0.5, plan={"kind": "corners", "magnitude": 5}))
 def test_job_document_realizes_or_is_refused_in_one_line(document):
     try:
         job = realize(parse_job(document))
@@ -158,3 +175,7 @@ def test_job_document_realizes_or_is_refused_in_one_line(document):
     assert len(job.study_keys) == len(job.studies) >= 1
     assert job.peak_bytes >= 0
     assert job.spec.workload_options.get("steps", 0) <= MAX_PLAN_SAMPLES
+    assert 0 <= job.spec.spread <= MAX_SPREAD
+    excursion = abs(plan_excursion(job.spec.plan_kind, job.spec.plan_options))
+    assert element_factor_floor(job.spec.spread, job.spec.parameters,
+                                excursion) > 0

@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from repro.serve.protocol import (
     build_waveform,
     parse_job,
     realize,
+    realize_system,
 )
 
 NETLIST = """
@@ -385,8 +387,66 @@ def _assert_bit_identical(result, expected):
 
 
 class TestDeclarationBounds:
-    """A transient's two input fields, and the counts that size what
-    ``submit`` allocates or starts before admission."""
+    """A transient's two input fields, the counts that size what
+    ``submit`` allocates or starts before admission, and the variation
+    spread."""
+
+    @pytest.mark.parametrize("spread", [1e300, 1.5, -0.5, -1e-12])
+    def test_spread_outside_its_range_is_refused(self, spread):
+        """Past 1.0 a unit excursion can stamp a negative element value;
+        ``1e300`` used to realize and answer an envelope of 4e-298."""
+        with pytest.raises(ProtocolError) as caught:
+            parse_job(_job(spread=spread))
+        message = str(caught.value)
+        assert message == "'spread' must be between 0 and 1"
+
+    @pytest.mark.parametrize("spread", [0, 0.5, 1.0])
+    def test_spread_in_range_is_kept(self, spread):
+        assert parse_job(_job(spread=spread)).spread == spread
+
+    @pytest.mark.parametrize("overrides, floor", [
+        ({"spread": 1, "parameters": 4}, "-0.2"),
+        ({"spread": 0.5, "plan": {"kind": "corners", "magnitude": 5}}, "-4"),
+        ({"spread": 0.5, "plan": {"kind": "grid", "magnitude": -1}}, "0"),
+        ({"spread": 0.5, "parameters": 64}, "-8.6"),
+    ], ids=["many-parameters", "wide-corners", "unit-grid", "parameters-cap"])
+    def test_a_plan_that_can_zero_an_element_is_refused(
+            self, overrides, floor):
+        """Each source scales an element value by up to ``spread`` times
+        its excursion, so ``1 - spread * parameters * excursion`` bounds
+        every element's factor from below; at zero or below the
+        document is refused in one line naming ``spread``."""
+        with pytest.raises(ProtocolError) as caught:
+            parse_job(_job(**overrides))
+        message = str(caught.value)
+        assert message.startswith("'spread' ") and "\n" not in message
+        assert f"can scale an element value by {floor} " in message
+
+    @pytest.mark.parametrize("plan", [
+        {"kind": "corners", "magnitude": 0.33},
+        {"kind": "grid", "magnitude": -0.33, "points": 3},
+        {"kind": "montecarlo", "instances": 64, "sigma": 0.33, "seed": 2},
+    ], ids=["corners", "grid", "montecarlo"])
+    def test_a_plan_just_inside_the_floor_keeps_every_element_positive(
+            self, plan):
+        """At ``spread`` 1, 3 parameters and excursions of 0.33 the floor
+        is 0.01: the document realizes, and at every plan point each
+        element keeps a positive value (every capacitance on the
+        diagonal of ``C(p)``, every conductance off the diagonal of
+        ``G(p)``)."""
+        spec = parse_job(_job(spread=1, parameters=3, plan=plan))
+        parametric, _ = realize_system(spec)
+        samples = build_plan(spec.plan_kind, **spec.plan_options) \
+            .sample_matrix(3)
+        for point in samples:
+            G = parametric.nominal.G + sum(
+                p * dG for p, dG in zip(point, parametric.dG))
+            C = parametric.nominal.C + sum(
+                p * dC for p, dC in zip(point, parametric.dC))
+            G = sp.csr_matrix(G)
+            assert (sp.triu(G, 1).data < 0).all()
+            assert (G.diagonal() > 0).all()
+            assert (sp.csr_matrix(C).diagonal() > 0).all()
 
     @pytest.mark.parametrize("workload", [
         pytest.param({"kind": "transient", "input": 1}, id="waveform-default"),
@@ -519,9 +579,10 @@ class TestDeclarationBounds:
         {"workload": {"kind": "transient", "steps": 1_000_000}},
         {"plan": {"kind": "montecarlo", "instances": 1_000_000}},
         {"plan": {"kind": "grid", "points": 1000}},
-        {"plan": {"kind": "grid", "points": 1}, "parameters": 64},
+        {"plan": {"kind": "grid", "points": 1}, "parameters": 64,
+         "spread": 0.01},
         {"workers": 64},
-        {"parameters": 64},
+        {"parameters": 64, "spread": 0.01},
         {"moments": 64, "rank": 64},
         {"workload": {"kind": "poles", "num": 1000}},
         {"plan": {"kind": "montecarlo", "instances": 4},

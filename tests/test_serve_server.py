@@ -3,13 +3,19 @@
 import asyncio
 import json
 import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 import repro.serve.server as server_module
+from repro.obs import metrics as obs_metrics
 from repro.serve import ServeClient, ServeClientError, StudyServer
 from repro.serve.supervisor import StudySupervisor
 
@@ -40,8 +46,9 @@ def _job(**overrides):
 
 
 @pytest.fixture
-def service(tmp_path):
-    """A live server on an ephemeral port, with its client."""
+def served(tmp_path):
+    """A live server on an ephemeral port, its client, supervisor and
+    a ``stop()`` that stops it from the test's thread (idempotent)."""
     supervisor = StudySupervisor(tmp_path / "store", pool_size=2)
     server = StudyServer(supervisor, port=0)
     loop = asyncio.new_event_loop()
@@ -53,14 +60,27 @@ def service(tmp_path):
         started.set()
         loop.run_forever()
 
+    def stop():
+        if loop.is_running():
+            asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10.0)
+            loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10.0)
+
     thread = threading.Thread(target=_serve, daemon=True)
     thread.start()
     assert started.wait(10.0), "server failed to start"
-    yield ServeClient(server.url, timeout=60.0), supervisor
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10.0)
+    client = ServeClient(server.url, timeout=60.0)
+    yield client, supervisor, stop
+    client.close()
+    stop()
     supervisor.shutdown(wait=True)
     loop.close()
+
+
+@pytest.fixture
+def service(served):
+    """A live server's client and supervisor."""
+    return served[:2]
 
 
 class TestLifecycle:
@@ -209,11 +229,19 @@ class TestErrors:
     @pytest.mark.parametrize("overrides, named", [
         ({"spread": float("nan")}, "'spread'"),
         ({"spread": float("inf")}, "'spread'"),
+        ({"spread": 1e300}, "'spread' must be between 0 and 1"),
+        ({"spread": -0.5}, "'spread' must be between 0 and 1"),
+        ({"spread": 1, "parameters": 4},
+         "'spread' 1 with 4 parameters and plan excursions up to 0.3"),
+        ({"spread": 0.5, "plan": {"kind": "corners", "magnitude": 5}},
+         "'spread' 0.5 with 2 parameters and plan excursions up to 5"),
         ({"workload": {"kind": "sweep", "points": 5, "fmax": float("inf")}},
          "'fmax'"),
         ({"workload": {"kind": "poles", "num": float("inf")}}, "num"),
         ({"workload": {"kind": "montecarlo", "bins": 0}}, "'bins'"),
-    ], ids=["spread-nan", "spread-inf", "fmax-inf", "poles-inf", "bins-zero"])
+    ], ids=["spread-nan", "spread-inf", "spread-1e300", "spread-negative",
+            "spread-many-parameters", "spread-wide-corners", "fmax-inf",
+            "poles-inf", "bins-zero"])
     def test_non_finite_or_bad_count_is_400_not_500(
         self, service, overrides, named
     ):
@@ -400,6 +428,283 @@ class TestErrors:
         assert head.startswith(b"HTTP/1.1 408 "), head[:80]
         assert len(body.splitlines()) == 1
         assert "not received within" in json.loads(body)["error"]
+
+
+def _head(head: bytes):
+    """``(status, headers)`` of one response's header block."""
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    return int(status_line.split()[1]), {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)}
+
+
+def _responses(data: bytes):
+    """``[(status, headers, body)]`` of raw response bytes, each framed
+    by its ``Content-Length``; nothing may be left over."""
+    responses = []
+    while data:
+        head, separator, rest = data.partition(b"\r\n\r\n")
+        assert separator, data[:80]
+        status, headers = _head(head)
+        length = int(headers["content-length"])
+        assert len(rest) >= length, head
+        responses.append((status, headers, rest[:length]))
+        data = rest[length:]
+    return responses
+
+
+def _read_to_close(sock) -> bytes:
+    """Everything the server sends until it closes the socket (the
+    socket's timeout fails a server that never does)."""
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    return data
+
+
+def _read_response(sock):
+    """The next ``(status, headers, body)`` on a connection kept open."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "closed before a response"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status, headers = _head(head)
+    while len(body) < int(headers["content-length"]):
+        body += sock.recv(65536)
+    return status, headers, body
+
+
+GET = b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _connections():
+    return obs_metrics.registry().snapshot()["counters"].get(
+        "serve.http_connections", 0)
+
+
+class TestKeepAlive:
+    """One connection carries many requests, answered in order; any
+    response that is not a 2xx to a plain HTTP/1.1 request closes it."""
+
+    def test_two_requests_on_one_socket(self, service):
+        client, _ = service
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(GET % b"/healthz")
+            status, headers, body = _read_response(sock)
+            assert (status, headers["connection"]) == (200, "keep-alive")
+            assert json.loads(body)["ok"] is True
+            sock.sendall(GET % b"/metrics")
+            status, headers, body = _read_response(sock)
+            assert (status, headers["connection"]) == (200, "keep-alive")
+            assert "counters" in json.loads(body)
+
+    def test_pipelined_pair_in_one_send(self, service):
+        client, _ = service
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(GET % b"/healthz" + b"GET /metrics HTTP/1.1\r\n"
+                         b"Connection: close\r\n\r\n")
+            (_, first, one), (_, last, two) = _responses(_read_to_close(sock))
+        assert json.loads(one)["ok"] is True and "counters" in json.loads(two)
+        assert (first["connection"], last["connection"]) == \
+            ("keep-alive", "close")
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 200),
+        (b"GET /healthz HTTP/1.1\r\nConnection: Upgrade, Close\r\n\r\n",
+         200),
+        (b"GET /healthz HTTP/1.0\r\n\r\n", 200),
+        (b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", 200),
+        (GET % b"/nope", 404),
+        (GET % b"/jobs/", 404),
+        (GET % b"/jobs/job-zzz/result", 404),
+        (b"DELETE /jobs HTTP/1.1\r\n\r\n", 405),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: 3\r\n\r\n{x}", 400),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+         413),
+    ], ids=["connection-close", "close-token", "http-1.0",
+            "http-1.0-keep-alive", "404", "404-no-id", "404-result",
+            "405", "400-json", "413"])
+    def test_response_closes_the_connection(self, service, request_bytes,
+                                            status):
+        """The request after it, sent in the same ``send``, is never
+        answered."""
+        client, _ = service
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(request_bytes + GET % b"/healthz")
+            ((answered, headers, body),) = _responses(_read_to_close(sock))
+        assert (answered, headers["connection"]) == (status, "close")
+        if status >= 400:
+            assert len(body.splitlines()) == 1 and json.loads(body)["error"]
+
+    def test_500_closes_the_connection(self, service, monkeypatch):
+        client, supervisor = service
+
+        def broken():
+            raise RuntimeError("describe failed")
+
+        monkeypatch.setattr(supervisor, "describe", broken)
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(GET % b"/healthz" + GET % b"/metrics")
+            ((status, headers, body),) = _responses(_read_to_close(sock))
+        assert (status, headers["connection"]) == (500, "close")
+        assert json.loads(body)["error"] == "RuntimeError: describe failed"
+
+    @pytest.mark.parametrize("framing", [
+        b"Transfer-Encoding: chunked\r\n",
+        b"Content-Length: 23\r\nContent-Length: 0\r\n",
+        b"Content-Length: 23\r\ncontent-length:  24\r\n",
+    ], ids=["transfer-encoding", "conflicting", "conflicting-case"])
+    def test_unframeable_body_is_one_line_400(self, service, framing):
+        """A body whose end the reader cannot tell is refused, never
+        read as the next request (its bytes here are one)."""
+        client, _ = service
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\n" + framing + b"\r\n"
+                         + GET % b"/healthz")
+            ((status, headers, body),) = _responses(_read_to_close(sock))
+        assert (status, headers["connection"]) == (400, "close")
+        assert len(body.splitlines()) == 1
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_repeated_equal_length_is_one_length(self, service):
+        client, _ = service
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: 3\r\n"
+                         b"Content-Length: 3\r\n\r\n{x}")
+            ((status, _, body),) = _responses(_read_to_close(sock))
+        assert status == 400 and "not valid JSON" in json.loads(body)["error"]
+
+    def test_idle_kept_connection_closes_without_a_byte(self, service,
+                                                        monkeypatch):
+        monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.2)
+        client, _ = service
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(GET % b"/healthz")
+            assert _read_response(sock)[1]["connection"] == "keep-alive"
+            start = time.monotonic()
+            assert _read_to_close(sock) == b""
+        assert time.monotonic() - start < 3.0
+
+    def test_event_stream_ends_with_a_close(self, service):
+        client, _ = service
+        job = client.wait(client.submit(_job())["id"], timeout=60.0)
+        with socket.create_connection((client.host, client.port), 5) as sock:
+            sock.sendall(GET % f"/jobs/{job['id']}/events".encode())
+            data = _read_to_close(sock)
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body.splitlines()[-1])["state"] == "done"
+
+
+class TestClientConnections:
+    """``ServeClient`` keeps one connection per thread."""
+
+    def test_one_connection_per_thread(self, service):
+        client, _ = service
+        before = client.metrics()["counters"]
+        with ServeClient(f"http://{client.host}:{client.port}") as fresh:
+            for _ in range(10):
+                fresh.healthz()
+            worker = threading.Thread(
+                target=lambda: [fresh.jobs() for _ in range(5)])
+            worker.start()
+            worker.join(10.0)
+            assert not worker.is_alive()
+        after = client.metrics()["counters"]
+        assert after["serve.http_connections"] \
+            - before["serve.http_connections"] == 2
+        assert after["serve.http_requests"] \
+            - before["serve.http_requests"] == 15 + 1
+
+    def test_threads_sharing_a_client_each_keep_one(self, service):
+        """Eight threads (more than the cores) share one client under a
+        short switch interval: every answer is its own request's, and
+        each thread opened exactly one connection."""
+        client, _ = service
+        job = client.wait(client.submit(_job())["id"], timeout=60.0)
+        opened, errors = _connections(), []
+        shared = ServeClient(f"http://{client.host}:{client.port}")
+        barrier = threading.Barrier(8)
+
+        def poll():
+            try:
+                barrier.wait(timeout=10.0)
+                for _ in range(20):
+                    assert shared.job(job["id"])["id"] == job["id"]
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=poll) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            shared.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert _connections() == opened + 8
+
+    def test_reopens_after_the_server_closed_an_idle_connection(
+            self, service, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.2)
+        client, _ = service
+        counters = [client.metrics()["counters"]]
+        time.sleep(0.6)  # the server closes the idle connection
+        counters += [client.metrics()["counters"] for _ in range(2)]
+        opened = [b["serve.http_connections"] - a["serve.http_connections"]
+                  for a, b in zip(counters, counters[1:])]
+        assert opened == [1, 0]
+
+    def test_close_closes_the_connection(self, service):
+        client, _ = service
+        client.healthz()
+        (connection,) = client._connections.values()
+        sock = connection.sock
+        client.close()
+        assert sock.fileno() == -1 and not client._connections
+        opened = _connections()
+        assert client.healthz()["ok"] is True
+        assert _connections() == opened + 1
+
+    def test_server_stops_promptly_with_a_kept_connection(self, served):
+        client, _, stop = served
+        client.healthz()
+        start = time.monotonic()
+        stop()
+        assert time.monotonic() - start < 5.0
+        with pytest.raises(OSError):
+            client.healthz()
+
+    def test_sigint_stops_repro_serve_with_a_kept_connection(self, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve",
+             str(tmp_path / "store"), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            url = re.search(r"serving on (\S+)", proc.stdout.readline())[1]
+            with ServeClient(url, timeout=10.0) as client:
+                assert client.healthz()["ok"] is True
+                start = time.monotonic()
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=10.0) == 0
+                assert time.monotonic() - start < 5.0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class _Blocker:

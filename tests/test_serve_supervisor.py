@@ -417,6 +417,20 @@ class TestDocumentIndex:
         finally:
             fresh.shutdown(wait=True)
 
+    def test_a_document_hit_builds_no_result_path(self, supervisor,
+                                                   monkeypatch):
+        """A hit re-reads the entry through the path the index kept: a
+        new ``Path`` per hit interns its file name and frees it again,
+        churning the interpreter's interned-string table."""
+        first = _wait(supervisor.submit(_job()))
+        built = []
+        original = supervisor.result_path
+        monkeypatch.setattr(supervisor, "result_path",
+                            lambda key: built.append(key) or original(key))
+        for _ in range(3):
+            assert supervisor.submit(_job()).result_bytes is first.result_bytes
+        assert built == []
+
     def test_resubmissions_retain_little_memory(self, supervisor):
         """The registry keeps every job: a cached one must not keep its
         own copy of the result bytes and of the netlist text."""
@@ -535,6 +549,29 @@ def _net(driver_ohms):
     return NETLIST.replace("Rdrv n0 0 10", f"Rdrv n0 0 {driver_ohms}")
 
 
+def _tree_net(nodes, driver_ohms):
+    """A binary RC tree of ``nodes`` nodes, driven at its root."""
+    lines = [f"Rdrv n0 0 {driver_ohms}", "C0 n0 0 0.02p", ".port in n0"]
+    for node in range(1, nodes):
+        lines += [f"R{node} n{(node - 1) // 2} n{node} 25",
+                  f"C{node} n{node} 0 0.02p"]
+    return "\n".join(lines) + "\n"
+
+
+def _priced_after(*documents):
+    """Array bytes of the first document's realization once every
+    document's Studies ran on it (the kernels' memos included)."""
+    from repro.serve.protocol import declare_studies, parse_job, realize_system
+    from repro.serve.supervisor import _array_bytes
+
+    system = realize_system(parse_job(documents[0]))
+    for document in documents:
+        for study in declare_studies(parse_job(document),
+                                     *system).studies.values():
+            study.run()
+    return _array_bytes(system)
+
+
 def _spy_realization(monkeypatch):
     """Record each call of the three steps a realization index hit
     skips: parse, variation stamping and the model-cache load."""
@@ -623,10 +660,9 @@ class TestRealizationIndex:
     def test_least_recently_used_realizations_are_evicted(
             self, cached_supervisor, monkeypatch):
         import repro.serve.supervisor as supervisor_module
-        from repro.serve.protocol import parse_job, realize_system
 
-        sizes = {sum(map(supervisor_module._array_bytes, realize_system(
-            parse_job(_job(netlist=_net(ohms)))))) for ohms in (10, 11, 12)}
+        sizes = {_priced_after(_job(netlist=_net(ohms)))
+                 for ohms in (10, 11, 12)}
         (size,) = sizes  # one topology: every net is priced alike
         monkeypatch.setattr(supervisor_module, "MAX_REALIZATION_BYTES",
                             2 * size)
@@ -641,6 +677,7 @@ class TestRealizationIndex:
                 plan={"kind": "montecarlo", "instances": 4,
                       "seed": next(seed)})))
             assert job.state == "done" and not job.cached, job.error
+            cached_supervisor._queue.join()  # the job's entry is re-priced
             return len(calls) > before
 
         assert [realized(ohms) for ohms in (10, 11, 12)] == [True] * 3
@@ -649,6 +686,86 @@ class TestRealizationIndex:
         assert [realized(ohms) for ohms in (11, 10, 11, 12)] == \
             [False, True, False, True]
         assert cached_supervisor._systems_bytes == 2 * size
+
+    def test_kept_bytes_track_the_bytes_held(self, tmp_path, monkeypatch):
+        """A montecarlo job's full side attaches a sparse pattern family
+        to the kept system about as large as its matrices.  Entries are
+        priced as each job leaves them, so the index's accounted bytes
+        track what dropping it frees (tracemalloc) and stay within the
+        bound: here room for one 200-node net with its family, where
+        pricing at keep time alone held two."""
+        import gc
+        import tracemalloc
+
+        import repro.serve.supervisor as supervisor_module
+
+        documents = [_job(netlist=_tree_net(200, ohms), workload=workload)
+                     for ohms in (10, 11, 12)
+                     for workload in ({"kind": "sweep", "points": 5},
+                                      {"kind": "montecarlo", "poles": 2})]
+        bound = int(1.5 * _priced_after(*documents[:2]))
+        monkeypatch.setattr(supervisor_module, "MAX_REALIZATION_BYTES", bound)
+        supervisor = StudySupervisor(tmp_path / "store", pool_size=1)
+        tracemalloc.start()
+        try:
+            for document in documents:
+                assert _wait(supervisor.submit(document)).state == "done"
+            supervisor._queue.join()
+            accounted = supervisor._systems_bytes
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            supervisor._systems.clear()
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            supervisor.shutdown(wait=True)
+        assert accounted <= held <= 1.25 * accounted, (accounted, held)
+        assert held <= bound, (held, bound)
+
+    def test_a_superlu_tier_system_is_priced_by_what_it_frees(self):
+        """A sparse sweep on a wide net with a voltage source (a branch
+        row with no diagonal) refactors every pencil through a SuperLU
+        template memoized on the system.  SuperLU allocates with
+        ``malloc``, which tracemalloc does not see, so glibc's own
+        count of bytes in use measures what dropping the system frees;
+        the template keeps no numeric factor, so the price tracks it."""
+        import ctypes
+        import gc
+
+        import numpy as np
+
+        from repro.circuits import power_grid_mesh, with_random_variations
+        from repro.runtime import MonteCarloPlan, Study
+        from repro.runtime.sparse import shared_pattern_family
+        from repro.serve.supervisor import _array_bytes
+
+        class MallInfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+        mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+        if mallinfo2 is None:
+            pytest.skip("needs glibc's mallinfo2")
+        mallinfo2.restype = MallInfo2
+
+        def in_use():
+            gc.collect()
+            info = mallinfo2()
+            return info.uordblks + info.hblkhd
+
+        net = power_grid_mesh(34, 34)
+        net.voltage_source("Vs", "g33_33")
+        system = with_random_variations(net, 2, seed=3, relative_spread=0.5)
+        Study(system).scenarios(MonteCarloPlan(num_instances=2, seed=1)) \
+            .sweep(np.logspace(8, 10, 2)).run()
+        assert shared_pattern_family(system).solver_kind == "superlu"
+        accounted = _array_bytes(system)
+        held = in_use()
+        del system
+        held -= in_use()
+        assert accounted <= held <= 1.25 * accounted, (accounted, held)
 
     def test_an_oversized_realization_is_not_kept(
             self, cached_supervisor, monkeypatch):
@@ -718,6 +835,9 @@ class TestRealizationIndex:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert _counter("serve.realization_hits") == hits + len(documents)
+        cached_supervisor._queue.join()  # every job's entry re-priced
+        assert cached_supervisor._systems_bytes == sum(
+            size for _, size in cached_supervisor._systems.values())
 
         for slot, document in enumerate(documents):
             fresh = StudySupervisor(tmp_path / f"fresh{slot}", pool_size=1)

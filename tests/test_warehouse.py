@@ -797,6 +797,85 @@ class TestCorruptChunks:
             assert captured.err.count("\n") == 1
 
 
+def _empty_chunk(store, index):
+    """Replace chunk ``index``'s archive by an archive of no members, its
+    SHA-256 rewritten in the manifest to match."""
+    (path,) = store.glob("manifest-*.json")
+    manifest = json.loads(path.read_text())
+    record = manifest["chunks"][str(index)]
+    buffer = io.BytesIO()
+    np.savez(buffer)
+    (store / record["file"]).write_bytes(buffer.getvalue())
+    record["sha256"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+    path.write_text(json.dumps(manifest))
+
+
+class TestMissingTableMembers:
+    """A chunk lacking a member its study's workload writes for the
+    queried table is refused in one line naming the chunk; a study whose
+    workload writes none of that table's members adds no rows."""
+
+    DECLARATIONS = {
+        "sweep": lambda study: study.sweep(FREQUENCIES),
+        "sweep+poles": lambda study: study.sweep(FREQUENCIES).poles(3),
+        "poles": lambda study: study.poles(3),
+        "transient": lambda study: study.transient(num_steps=20),
+    }
+
+    def _run(self, model, workload, store, wh=None):
+        study = self.DECLARATIONS[workload](
+            Study(model).scenarios(MonteCarloPlan(num_instances=6, seed=7))
+        ).chunk(2).store(store)
+        (study.warehouse(wh) if wh is not None else study).run()
+
+    @pytest.mark.parametrize("workload, table, member", [
+        ("sweep", "envelope", "env_min"),
+        ("sweep+poles", "envelope", "env_min"),
+        ("transient", "envelope", "env_min"),
+        ("sweep+poles", "poles", "poles"),
+        ("poles", "poles", "poles_padded"),
+    ])
+    def test_emptied_chunk_is_refused_in_one_line(
+            self, model, tmp_path, capsys, workload, table, member):
+        store, wh = tmp_path / "store", tmp_path / "wh"
+        self._run(model, workload, store, wh)
+        _empty_chunk(store, 1)
+        metric = "env_max" if table == "envelope" else "re"
+        with pytest.raises(WarehouseError,
+                           match=f"^chunk 1 .*'{member}.npy'") as caught:
+            QueryEngine(wh).percentile(metric, 50, table=table)
+        assert "\n" not in str(caught.value)
+
+        from repro.cli import main
+
+        assert main(["query", "percentile", str(wh), "--metric", metric,
+                     "--table", table]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: chunk 1")
+        assert captured.err.count("\n") == 1
+
+    def test_a_workload_without_the_table_adds_no_rows(self, model,
+                                                        tmp_path):
+        """A pole study has no envelope rows and a plain sweep no pole
+        rows: next to each other, each table answers from the other
+        study alone."""
+        stores = {workload: tmp_path / workload
+                  for workload in ("sweep", "poles")}
+        for workload, store in stores.items():
+            self._run(model, workload, store)
+        both = Warehouse(tmp_path / "both")
+        for workload, store in stores.items():
+            both.register(store)
+            Warehouse(tmp_path / f"{workload}-only").register(store)
+        for table, metric, alone in (("envelope", "env_max", "sweep"),
+                                     ("poles", "re", "poles")):
+            answer = QueryEngine(both.directory).percentile(
+                metric, 50, table=table)
+            assert answer == QueryEngine(tmp_path / f"{alone}-only") \
+                .percentile(metric, 50, table=table)
+
+
 class TestSpans:
     def test_register_and_query_spans(self, model, plan, tmp_path):
         store, wh = tmp_path / "store", tmp_path / "wh"
