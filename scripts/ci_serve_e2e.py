@@ -35,8 +35,17 @@ This script drills both against the real server process:
    ``serve.http_requests`` moves by every request it made; and a
    raw-socket request saying ``Connection: close`` is answered with
    ``Connection: close`` and the socket closed,
-9. save the job's NDJSON event stream and the result document next to
-   the trace for the artifact upload.
+9. submit a small transient job on the same ladder (a corner plan) and
+   wait for it to finish,
+10. save the job's NDJSON event stream and the result document next to
+    the trace for the artifact upload,
+11. after the server stops, run ``repro transient`` with the transient
+    job's declaration spelled in flags plus ``--store STORE --resume
+    --trace FILE``: the CLI declares through the server's own
+    ``realize``, so it must exit 0, print ``(resumed)``, evaluate no
+    instance (its trace's ``metrics`` record has no
+    ``study.instances_evaluated``) and print the served envelope rows
+    at its ``%.6e``.
 
 Exit code 0 means the drill passed.
 
@@ -57,8 +66,10 @@ from urllib.parse import urlsplit
 from _drill import (
     REPO_ROOT,
     cli_environment,
+    csv_lines,
     ladder_netlist,
     popen_cli,
+    run_cli,
     victim_pending_claim,
 )
 
@@ -83,6 +94,20 @@ WORKER_ARGS = [
     "--moments", "3", "--instances", str(INSTANCES), "--poles", "3",
     "--chunk", str(CHUNK), "--ttl", "3", "--poll", "0.05",
     "--worker-id", VICTIM,
+]
+TRANSIENT_STEPS = 20
+TRANSIENT_JOB = {
+    "moments": 3,
+    "plan": {"kind": "corners"},
+    "workload": {"kind": "transient", "steps": TRANSIENT_STEPS},
+    "chunk": CHUNK,
+}
+# The same in `repro transient` flags (defaults align as above, plus
+# magnitude 0.3, a unit step into input 0, the default horizon,
+# trapezoidal steps, output 0).
+TRANSIENT_ARGS = [
+    "--moments", "3", "--plan", "corners", "--steps", str(TRANSIENT_STEPS),
+    "--chunk", str(CHUNK),
 ]
 
 
@@ -276,6 +301,21 @@ def main() -> int:
         print(f"{requests} requests from one client thread took one "
               "connection; a 'Connection: close' request was answered "
               "'Connection: close' and its socket closed")
+
+        # -- 9: a transient job for the CLI to resume ------------------
+        transient = client.submit(
+            {"netlist": netlist.read_text(), **TRANSIENT_JOB})
+        final = client.wait(
+            transient["id"], timeout=max(deadline - time.monotonic(), 1.0),
+            poll=0.2,
+        )
+        if final["state"] != "done":
+            print(f"FAIL: transient job finished {final['state']}: "
+                  f"{final['error']}")
+            return 1
+        served = json.loads(client.result_bytes(transient["id"]))["result"]
+        print(f"transient job done: {served['num_samples']} corners in "
+              f"{served['num_chunks']} chunks")
     finally:
         if victim is not None and victim.poll() is None:
             victim.kill()
@@ -287,7 +327,7 @@ def main() -> int:
                 server.kill()
         server_log.close()
 
-    # -- 9: the server must actually have stolen the dead lease --------
+    # -- 10: the server must actually have stolen the dead lease -------
     from repro.obs import read_trace
 
     steals = [
@@ -302,6 +342,34 @@ def main() -> int:
     stolen = next(a for a in steals if a.get("previous") == VICTIM)
     print(f"server stole the dead worker's lease (chunk "
           f"{stolen.get('index')}, {len(steals)} steal(s) total)")
+
+    # -- 11: the CLI resumes the served transient, evaluating nothing --
+    trace_path = workdir / "cli-resume.trace"
+    resumed = run_cli(
+        ["transient", str(netlist), *TRANSIENT_ARGS, "--store", str(store),
+         "--resume", "--trace", str(trace_path)],
+        capture_output=True,
+    )
+    if resumed.returncode != 0 or "(resumed)" not in resumed.stdout:
+        print(f"FAIL: CLI resume of the served transient exited "
+              f"{resumed.returncode}:\n{resumed.stdout}{resumed.stderr}")
+        return 1
+    metrics = [record for record in read_trace(trace_path)
+               if record.get("type") == "metrics"]
+    evaluated = [record["delta"].get("counters", {})
+                 .get("study.instances_evaluated") for record in metrics]
+    if not metrics or any(value is not None for value in evaluated):
+        print(f"FAIL: the CLI resume evaluated {evaluated} instances "
+              "(expected none: every chunk is the server's)")
+        return 1
+    rows = [f"{t:.6e},{low:.6e},{mean:.6e},{high:.6e}" for t, low, mean, high
+            in zip(served["time_s"], served["min_output"],
+                   served["mean_output"], served["max_output"])]
+    if csv_lines(resumed.stdout)[1:] != rows:
+        print("FAIL: the CLI's resumed envelope differs from the served one")
+        return 1
+    print(f"repro transient --resume loaded the served study: 0 instances "
+          f"evaluated, {len(rows)} envelope rows equal to the served ones")
     return 0
 
 

@@ -33,11 +33,23 @@ the :mod:`repro.runtime` serving layer through its declarative
 optimal kernel (batched, streamed, sparse shared-pattern), with a
 manual chunk size (``--chunk N``), an automatic one derived from a
 peak-memory bound (``--memory-budget BYTES``), and an optional
-content-addressed model cache (``--cache DIR``).  All three study
-commands are durable on request: ``--store DIR`` checkpoints every
-chunk to a :class:`~repro.runtime.store.StudyStore`, and ``--resume``
-requires and reuses existing checkpoints -- bit-identically to a
-one-shot run.  ``work {batch,transient,montecarlo}`` splits one study
+content-addressed model cache (``--cache DIR``).  They declare through
+:mod:`repro.serve.protocol`, the path a served job takes: the flags
+become a :class:`~repro.serve.protocol.JobSpec` (built here, not by
+``parse_job``, so the server's document caps do not apply and bad
+``--spread``, ``--poles``, ``--bins`` and sweep-band flags are refused
+by name), :func:`~repro.serve.protocol.realize` parses, stamps,
+reduces and declares, and this module applies ``--memory-budget``,
+``--resume``, ``--trace`` and ``--progress`` to the declared Study and
+prints the report.  ``montecarlo`` takes
+:func:`~repro.serve.protocol.realize_system`'s pair to
+:func:`~repro.analysis.montecarlo.monte_carlo_pole_study`.  A refusal
+raised while realizing or declaring reads as the server's 400.
+All three study commands are durable on request: ``--store DIR``
+checkpoints every chunk to a :class:`~repro.runtime.store.StudyStore`,
+and ``--resume`` requires and reuses existing checkpoints --
+bit-identically to a one-shot run.
+``work {batch,transient,montecarlo}`` splits one study
 across processes or machines: every worker gets the identical study
 declaration plus the same ``--store DIR`` and claims chunks through
 lease files (:mod:`repro.runtime.scheduler`); dead workers' leases
@@ -80,6 +92,7 @@ older release's ``shard=*/chunk=*`` partitions, negative ``-k``) exits
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -168,16 +181,33 @@ def _cmd_poles(args) -> int:
     return 0
 
 
-def _load_parametric(args):
-    """Netlist -> ParametricSystem with random variational directions."""
-    from repro.circuits.generators import with_random_variations
-    from repro.serve.protocol import (MAX_SPREAD, element_factor_floor,
-                                      plan_excursion)
+#: The flags that declare each ``--plan``, by
+#: :func:`~repro.serve.protocol.build_plan` keyword.
+_PLAN_FLAGS = {
+    "montecarlo": {"instances": "instances", "sigma": "sigma", "seed": "seed"},
+    "corners": {"magnitude": "magnitude"},
+    "grid": {"magnitude": "magnitude", "points": "grid_points"},
+}
 
+
+def _job_spec(args, workload_kind: str, workload_options: dict):
+    """The :class:`~repro.serve.protocol.JobSpec` a study command's
+    flags declare.
+
+    Built from the flags, not through ``parse_job``: the CLI takes on
+    none of the server's document caps.  A ``--spread`` out of range,
+    or one the plan's excursions can scale an element value to zero
+    with, is refused by the flag's name before the netlist is read.
+    """
+    from repro.serve.protocol import (MAX_SPREAD, JobSpec,
+                                      element_factor_floor, plan_excursion)
+
+    plan_kind = getattr(args, "plan", "montecarlo")
+    plan_options = {name: getattr(args, flag)
+                    for name, flag in _PLAN_FLAGS[plan_kind].items()}
     if not 0.0 <= args.spread <= MAX_SPREAD:
         raise ValueError(f"--spread must be between 0 and {MAX_SPREAD:g}")
-    excursion = abs(plan_excursion(getattr(args, "plan", "montecarlo"),
-                                   vars(args)))
+    excursion = abs(plan_excursion(plan_kind, plan_options))
     floor = element_factor_floor(args.spread, args.parameters, excursion)
     if floor <= 0:
         raise ValueError(
@@ -186,30 +216,78 @@ def _load_parametric(args):
             f"by {floor:g} (spread * parameters * excursion must stay below 1)"
         )
     with open(args.netlist) as handle:
-        netlist = parse_netlist(handle.read(), title=args.netlist)
-    return with_random_variations(
-        netlist, args.parameters, seed=args.variation_seed, relative_spread=args.spread
+        netlist = handle.read()
+    return JobSpec(
+        netlist=netlist, parameters=args.parameters, spread=args.spread,
+        variation_seed=args.variation_seed, moments=args.moments,
+        rank=args.rank, plan_kind=plan_kind, plan_options=plan_options,
+        workload_kind=workload_kind, workload_options=workload_options,
+        chunk=args.chunk, workers=1,
     )
 
 
-def _reduce_parametric(parametric, args):
-    """Reduce with the low-rank flow, through the model cache if given."""
-    from repro.core import LowRankReducer
+def _sweep_options(args) -> dict:
+    """The sweep ``batch`` declares; an empty, inverted or non-positive
+    band is refused by flag name."""
+    if not (math.isfinite(args.fmin) and args.fmin > 0):
+        raise ValueError("--fmin must be a finite number > 0")
+    if not (math.isfinite(args.fmax) and args.fmax >= args.fmin):
+        raise ValueError("--fmax must be a finite number >= --fmin")
+    if args.points < 1:
+        raise ValueError("--points must be an integer >= 1")
+    return {"fmin": args.fmin, "fmax": args.fmax, "points": args.points,
+            "output": args.output, "input": args.input}
 
-    reducer = LowRankReducer(num_moments=args.moments, rank=args.rank)
-    if args.cache:
-        from repro.runtime import ModelCache
 
-        cache = ModelCache(args.cache)
-        key = cache.key(parametric, reducer)
-        model = cache.load(key)
-        status = "hit" if model is not None else "miss"
-        if model is None:
-            model = reducer.reduce(parametric)
-            cache.store(key, model)
-        print(f"# cache: {status} ({cache.path_for(key).name})")
-        return model
-    return reducer.reduce(parametric)
+def _parse_pwl(text: str):
+    """``t1:v1,t2:v2,...`` -> PWL breakpoint tuples."""
+    points = []
+    for chunk in text.split(","):
+        try:
+            t_str, v_str = chunk.split(":")
+            points.append((float(t_str), float(v_str)))
+        except ValueError:
+            raise ValueError(
+                f"bad PWL point {chunk!r}: expected time:value (e.g. 1e-10:0.5)"
+            ) from None
+    return tuple(points)
+
+
+def _transient_options(args) -> dict:
+    """The transient ``transient`` declares; ``--input`` names the
+    port its waveform drives."""
+    waveform = {"kind": args.waveform, "amplitude": args.amplitude,
+                "rise_time": args.rise_time, "frequency": args.frequency,
+                "points": _parse_pwl(args.pwl), "input": args.input}
+    return {"waveform": waveform, "t_final": args.t_final,
+            "steps": args.steps, "method": args.method,
+            "threshold": args.threshold,
+            "delay_reference": args.delay_reference,
+            "output": args.output, "input": args.input}
+
+
+def _model_cache(args):
+    """The ``--cache`` :class:`~repro.runtime.ModelCache`, if given."""
+    from repro.runtime import ModelCache
+
+    return ModelCache(args.cache) if args.cache else None
+
+
+def _print_cache_status(cache) -> None:
+    """The ``# cache: hit|miss`` line of a ``--cache`` run."""
+    if cache is not None:
+        print(f"# cache: {'hit' if cache.hits else 'miss'}")
+
+
+def _realize(args, spec, store=None):
+    """:func:`~repro.serve.protocol.realize` ``spec`` through ``--cache``
+    with ``store`` attached -- the path a served job takes."""
+    from repro.serve.protocol import realize
+
+    cache = _model_cache(args)
+    job = realize(spec, cache, store=store)
+    _print_cache_status(cache)
+    return job
 
 
 def _obs_sinks(args, label):
@@ -230,6 +308,27 @@ def _obs_sinks(args, label):
     return sinks
 
 
+def _declare(args, label: str):
+    """``(model, study)``: the one Study ``batch`` or ``transient``
+    (``label``) declares, with ``--store`` attached and
+    ``--memory-budget``, ``--resume``, ``--trace`` and ``--progress``
+    applied.  ``--chunk`` is the manual override: when both are given
+    the explicit chunk size wins and the budget is ignored."""
+    if label == "batch":
+        workload = ("sweep", _sweep_options(args))
+    else:
+        workload = ("transient", _transient_options(args))
+    job = _realize(args, _job_spec(args, *workload), store=args.store)
+    study = job.studies["study"]
+    if args.chunk is None and args.memory_budget is not None:
+        study.memory_budget(args.memory_budget)
+    if args.resume:
+        study.resume()
+    for sink in _obs_sinks(args, label):
+        study.trace(sink)
+    return job.model, study
+
+
 def _print_montecarlo_study(args, parametric, model, study) -> int:
     """Report a finished Monte Carlo study; shared with ``work``."""
     print(f"full order:     {parametric.order}")
@@ -246,21 +345,26 @@ def _print_montecarlo_study(args, parametric, model, study) -> int:
     return 0 if study.max_error < args.tolerance else 2
 
 
-def _require_counts(args) -> None:
-    """Refuse ``--poles`` or ``--bins`` < 1 in one exit-2 line, before any output."""
+def _montecarlo_spec(args):
+    """The Monte Carlo sign-off a ``montecarlo`` command declares;
+    ``--poles`` or ``--bins`` < 1 is refused in one exit-2 line first."""
     from repro.runtime.store import parse_positive
 
     parse_positive(args.poles, "--poles", kind=int)
     parse_positive(args.bins, "--bins", kind=int)
+    return _job_spec(args, "montecarlo", {"poles": args.poles,
+                                          "bins": args.bins})
 
 
 def _cmd_montecarlo(args) -> int:
     from repro.analysis.montecarlo import monte_carlo_pole_study
+    from repro.serve.protocol import realize_system
 
-    _require_counts(args)
     _require_store_for_resume(args)
-    parametric = _load_parametric(args)
-    model = _reduce_parametric(parametric, args)
+    spec = _montecarlo_spec(args)
+    cache = _model_cache(args)
+    parametric, model = realize_system(spec, cache)
+    _print_cache_status(cache)
     study = monte_carlo_pole_study(
         parametric,
         model,
@@ -279,49 +383,10 @@ def _cmd_montecarlo(args) -> int:
     return _print_montecarlo_study(args, parametric, model, study)
 
 
-def _make_plan(args):
-    from repro.serve.protocol import build_plan
-
-    return build_plan(
-        args.plan, instances=args.instances, sigma=args.sigma,
-        seed=args.seed, magnitude=args.magnitude, points=args.grid_points,
-    )
-
-
-def _apply_chunking(study, args):
-    """Wire ``--chunk`` / ``--memory-budget`` into a Study.
-
-    ``--chunk`` is the manual override: when both are given the
-    explicit chunk size wins and the budget is ignored.
-    """
-    if args.chunk is not None:
-        return study.chunk(args.chunk)
-    if args.memory_budget is not None:
-        return study.memory_budget(args.memory_budget)
-    return study
-
-
 def _require_store_for_resume(args) -> None:
     """``--resume`` without ``--store`` is a one-line exit-2 error."""
     if args.resume and not args.store:
         raise StoreError("--resume requires --store DIR")
-
-
-def _apply_store(study, args):
-    """Wire ``--store`` / ``--resume`` into a Study."""
-    _require_store_for_resume(args)
-    if args.store:
-        study = study.store(args.store)
-    if args.resume:
-        study = study.resume()
-    return study
-
-
-def _apply_obs(study, args, label):
-    """Wire ``--trace`` / ``--progress`` into a Study."""
-    for sink in _obs_sinks(args, label):
-        study = study.trace(sink)
-    return study
 
 
 def _store_banner(args) -> Optional[str]:
@@ -334,141 +399,37 @@ def _store_banner(args) -> Optional[str]:
     return line
 
 
-def _build_batch_engine(args):
-    """``(engine, model, plan, frequencies)`` for the batch workload.
-
-    The engine carries the study declaration plus chunking and
-    observability, but not yet the store wiring -- ``batch`` applies
-    ``--store/--resume`` while ``work batch`` attaches the
-    (required) shared store for the drain.  Splitting here keeps the
-    declared workload -- and therefore the study manifest key -- one
-    definition for both commands.
-    """
-    from repro.runtime import Study
-
-    parametric = _load_parametric(args)
-    model = _reduce_parametric(parametric, args)
-    plan = _make_plan(args)
-    num_outputs = model.nominal.num_outputs
-    num_inputs = model.nominal.num_inputs
-    if not 0 <= args.output < num_outputs:
-        raise ValueError(f"--output {args.output} out of range (model has {num_outputs} outputs)")
-    if not 0 <= args.input < num_inputs:
-        raise ValueError(f"--input {args.input} out of range (model has {num_inputs} inputs)")
-    frequencies = np.logspace(np.log10(args.fmin), np.log10(args.fmax), args.points)
-    engine = _apply_obs(
-        _apply_chunking(Study(model).scenarios(plan).sweep(frequencies), args),
-        args,
-        "batch",
-    )
-    return engine, model, plan, frequencies
+def _print_route(execution) -> None:
+    print(f"# route: {execution.route} [{execution.kernel}]  "
+          f"peak: ~{execution.estimated_peak_bytes / 2**20:.1f} MiB")
 
 
-def _print_batch_study(args, model, plan, frequencies, execution, study) -> int:
+def _print_batch_study(args, model, execution, study) -> int:
     """Envelope CSV + headers for a finished batch study."""
     low, mean, high = study.magnitude_envelope(
         output_index=args.output, input_index=args.input
     )
-    print(f"# plan: {plan!r}")
-    print(f"# route: {execution.route} [{execution.kernel}]  "
-          f"peak: ~{execution.estimated_peak_bytes / 2**20:.1f} MiB")
+    print(f"# plan: {study.plan!r}")
+    _print_route(execution)
     banner = _store_banner(args)
     if banner:
         print(banner)
     print(f"# instances: {study.num_samples}  reduced order: {model.size}  "
           f"chunks: {study.num_chunks}")
     print("frequency_hz,min_magnitude,mean_magnitude,max_magnitude")
-    for i, f in enumerate(frequencies):
+    for i, f in enumerate(study.frequencies):
         print(f"{f:.6e},{low[i]:.6e},{mean[i]:.6e},{high[i]:.6e}")
     return 0
 
 
-def _cmd_batch(args) -> int:
-    engine, model, plan, frequencies = _build_batch_engine(args)
-    engine = _apply_store(engine, args)
-    execution = engine.plan()
-    study = engine.run()
-    return _print_batch_study(args, model, plan, frequencies, execution, study)
-
-
-def _parse_pwl(text: str):
-    """``t1:v1,t2:v2,...`` -> PWL breakpoint tuples."""
-    points = []
-    for chunk in text.split(","):
-        try:
-            t_str, v_str = chunk.split(":")
-            points.append((float(t_str), float(v_str)))
-        except ValueError:
-            raise ValueError(
-                f"bad PWL point {chunk!r}: expected time:value (e.g. 1e-10:0.5)"
-            ) from None
-    return tuple(points)
-
-
-def _make_waveform(args):
-    """Realize the ``--waveform`` options as an InputWaveform plan."""
-    from repro.serve.protocol import build_waveform
-
-    return build_waveform(
-        args.waveform, amplitude=args.amplitude, rise_time=args.rise_time,
-        frequency=args.frequency, points=_parse_pwl(args.pwl),
-        input_index=args.input,
-    )
-
-
-def _build_transient_engine(args):
-    """``(engine, model, plan, waveform)`` for the transient workload.
-
-    Same store-free split as :func:`_build_batch_engine`: shared by
-    ``transient`` (which wires ``--store/--resume``) and
-    ``work transient`` (which attaches the shared drain store).
-    """
-    from repro.runtime import Study
-
-    parametric = _load_parametric(args)
-    model = _reduce_parametric(parametric, args)
-    plan = _make_plan(args)
-    if not 0 <= args.output < model.nominal.num_outputs:
-        raise ValueError(
-            f"--output {args.output} out of range (model has "
-            f"{model.nominal.num_outputs} outputs)"
-        )
-    if not 0 <= args.input < model.nominal.num_inputs:
-        raise ValueError(
-            f"--input {args.input} out of range (model has "
-            f"{model.nominal.num_inputs} inputs)"
-        )
-    waveform = _make_waveform(args)
-    engine = _apply_obs(
-        _apply_chunking(
-            Study(model)
-            .scenarios(plan)
-            .transient(
-                waveform,
-                t_final=args.t_final,
-                num_steps=args.steps,
-                method=args.method,
-                delay_threshold=args.threshold,
-                output_index=args.output,
-                reference=args.delay_reference,
-            ),
-            args,
-        ),
-        args,
-        "transient",
-    )
-    return engine, model, plan, waveform
-
-
-def _print_transient_study(args, model, plan, waveform, execution, study) -> int:
+def _print_transient_study(args, model, execution, study) -> int:
     """Envelope CSV + delay summary for a finished transient study."""
-    print(f"# plan: {plan!r}")
-    print(f"# route: {execution.route} [{execution.kernel}]  "
-          f"peak: ~{execution.estimated_peak_bytes / 2**20:.1f} MiB")
+    print(f"# plan: {study.plan!r}")
+    _print_route(execution)
     banner = _store_banner(args)
     if banner:
         print(banner)
-    print(f"# waveform: {waveform!r}")
+    print(f"# waveform: {study.waveform!r}")
     print(f"# instances: {study.num_samples}  reduced order: {model.size}  "
           f"steps: {args.steps}  method: {args.method}  "
           f"chunks: {study.num_chunks}")
@@ -492,12 +453,15 @@ def _print_transient_study(args, model, plan, waveform, execution, study) -> int
     return 0
 
 
-def _cmd_transient(args) -> int:
-    engine, model, plan, waveform = _build_transient_engine(args)
-    engine = _apply_store(engine, args)
-    execution = engine.plan()
-    study = engine.run()
-    return _print_transient_study(args, model, plan, waveform, execution, study)
+_PRINTERS = {"batch": _print_batch_study, "transient": _print_transient_study}
+
+
+def _cmd_study(args) -> int:
+    """``batch`` / ``transient``: declare, plan, run, report."""
+    _require_store_for_resume(args)
+    model, study = _declare(args, args.command)
+    execution = study.plan()
+    return _PRINTERS[args.command](args, model, execution, study.run())
 
 
 def _work_options(args):
@@ -528,65 +492,43 @@ def _work_options(args):
 EXIT_WORK_INCOMPLETE = 3
 
 
-def _print_drain_report(engine, worker, drained: bool) -> None:
+def _print_drain_report(study, worker, drained: bool) -> None:
     """One ``# worker:`` line summarizing what this process drained."""
-    report = engine.drain_report()
+    report = study.drain_report()
     print(f"# worker: {worker or 'auto'}  computed: {len(report.computed)} "
           f"chunk(s)  stolen: {len(report.stolen)}  waits: {report.waits}  "
           f"drained: {'yes' if drained else 'no'}")
 
 
-def _cmd_work_batch(args) -> int:
+def _cmd_work_study(args) -> int:
+    """``work batch`` / ``work transient``: drain the shared store."""
     ttl, poll, worker, max_chunks = _work_options(args)
-    engine, model, plan, frequencies = _build_batch_engine(args)
-    engine = engine.store(args.store)
-    execution = engine.plan()
-    study = engine.work(ttl=ttl, poll=poll, worker=worker, max_chunks=max_chunks)
-    _print_drain_report(engine, worker, drained=study is not None)
-    if study is None:
+    model, study = _declare(args, args.work_command)
+    execution = study.plan()
+    result = study.work(ttl=ttl, poll=poll, worker=worker,
+                        max_chunks=max_chunks)
+    _print_drain_report(study, worker, drained=result is not None)
+    if result is None:
         print("# stopped at --max-chunks before the study drained; "
               "contributed and exited -- no merged result")
         return EXIT_WORK_INCOMPLETE
-    return _print_batch_study(args, model, plan, frequencies, execution, study)
-
-
-def _cmd_work_transient(args) -> int:
-    ttl, poll, worker, max_chunks = _work_options(args)
-    engine, model, plan, waveform = _build_transient_engine(args)
-    engine = engine.store(args.store)
-    execution = engine.plan()
-    study = engine.work(ttl=ttl, poll=poll, worker=worker, max_chunks=max_chunks)
-    _print_drain_report(engine, worker, drained=study is not None)
-    if study is None:
-        print("# stopped at --max-chunks before the study drained; "
-              "contributed and exited -- no merged result")
-        return EXIT_WORK_INCOMPLETE
-    return _print_transient_study(args, model, plan, waveform, execution, study)
+    return _PRINTERS[args.work_command](args, model, execution, result)
 
 
 def _cmd_work_montecarlo(args) -> int:
-    from repro.analysis.montecarlo import (
-        sample_parameters, sign_off_result, sign_off_studies)
+    from repro.analysis.montecarlo import sign_off_result
 
-    _require_counts(args)
     ttl, poll, worker, _ = _work_options(args)
-    parametric = _load_parametric(args)
-    model = _reduce_parametric(parametric, args)
-    samples = sample_parameters(
-        args.instances, parametric.num_parameters, three_sigma=args.sigma,
-        seed=args.seed,
-    )
-    studies = sign_off_studies(parametric, model, samples, args.poles,
-                               store=args.store, chunk_size=args.chunk)
+    job = _realize(args, _montecarlo_spec(args), store=args.store)
     sinks = _obs_sinks(args, "montecarlo")
     results = []
-    for study in studies:
+    for study in job.studies.values():
         for sink in sinks:
             study.trace(sink)
         results.append(study.work(ttl=ttl, poll=poll, worker=worker))
     print(f"# store: {args.store}  worker: {worker or 'auto'}")
     return _print_montecarlo_study(
-        args, parametric, model,
+        args, job.parametric, job.model,
         sign_off_result(*results, three_sigma=args.sigma),
     )
 
@@ -602,14 +544,12 @@ def _cmd_trace_summarize(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.runtime.cache import ModelCache
     from repro.serve.server import run as serve_run
 
-    cache = ModelCache(args.cache) if args.cache else None
     serve_run(
         args.store, host=args.host, port=args.port,
         memory_budget=args.memory_budget, pool_size=args.pool_size,
-        model_cache=cache, ttl=args.ttl, poll=args.poll,
+        model_cache=_model_cache(args), ttl=args.ttl, poll=args.poll,
         warehouse=args.warehouse,
     )
     return 0
@@ -950,14 +890,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_batch_arguments(batch_cmd)
     _add_store_arguments(batch_cmd)
-    batch_cmd.set_defaults(func=_cmd_batch)
+    batch_cmd.set_defaults(func=_cmd_study)
 
     transient_cmd = commands.add_parser(
         "transient", help="batched time-domain scenario-envelope CSV"
     )
     _add_transient_arguments(transient_cmd)
     _add_store_arguments(transient_cmd)
-    transient_cmd.set_defaults(func=_cmd_transient)
+    transient_cmd.set_defaults(func=_cmd_study)
 
     work_cmd = commands.add_parser(
         "work",
@@ -976,14 +916,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_batch_arguments(work_batch)
     _add_work_arguments(work_batch)
-    work_batch.set_defaults(func=_cmd_work_batch)
+    work_batch.set_defaults(func=_cmd_work_study)
 
     work_transient = work_actions.add_parser(
         "transient", help="drain a transient scenario-envelope study"
     )
     _add_transient_arguments(work_transient)
     _add_work_arguments(work_transient)
-    work_transient.set_defaults(func=_cmd_work_transient)
+    work_transient.set_defaults(func=_cmd_work_study)
 
     work_mc = work_actions.add_parser(
         "montecarlo", help="drain a Monte Carlo pole-accuracy sign-off"

@@ -12,6 +12,13 @@ The fingerprint is content-addressed, not name-addressed: two
 different scripts that assemble the same system and reducer hit the
 same cache entry, and any change to a matrix entry, a parameter name,
 or a reducer knob produces a different key.
+
+Both front ends reach the cache the same way:
+:func:`repro.serve.protocol.realize_system` reduces through
+:meth:`ModelCache.get_or_reduce`, for a served job and for a CLI study
+command's ``--cache`` alike.  A key names what produced its model, so
+an entry never goes stale; entries are kept until
+:meth:`ModelCache.clear`.
 """
 
 from __future__ import annotations
@@ -32,8 +39,6 @@ from repro.obs import metrics as obs_metrics
 
 _CACHE_HITS = obs_metrics.counter("cache.hits")
 _CACHE_MISSES = obs_metrics.counter("cache.misses")
-_CACHE_EVICTIONS = obs_metrics.counter("cache.evictions")
-_CACHE_EVICTED_BYTES = obs_metrics.counter("cache.evicted_bytes")
 
 
 def _hash_matrix(digest, tag: str, matrix) -> None:
@@ -132,45 +137,16 @@ class ModelCache:
         Cache root; created if missing.  Each entry is one ``.npz``
         archive written by :func:`repro.core.io.save_model`, named by
         its content key.
-    max_entries:
-        Optional cap on the number of cached archives.  ``None``
-        (default) keeps the historical unbounded behaviour.
-    max_bytes:
-        Optional cap on the total archive bytes on disk.  ``None``
-        (default) is unbounded.
-
-    When either cap is set the cache evicts least-recently-used
-    entries after each :meth:`store` -- recency is tracked through the
-    archive mtime, which :meth:`load` refreshes on every hit, so the
-    ordering survives process restarts and is shared between processes
-    pointing at the same directory.  Filesystem mtimes can be coarse
-    (classically one second), which would let a just-hit entry *tie*
-    with the genuinely oldest one and be evicted by name order; an
-    in-process monotonic touch counter breaks exactly those ties, so
-    within one process recency is exact regardless of timestamp
-    granularity (across processes the mtime remains the shared
-    truth).  Evictions are tallied on the process-wide
-    ``cache.evictions`` / ``cache.evicted_bytes`` counters.
 
     The ``hits``/``misses`` counters make cache behaviour observable in
     tests and CLI summaries.
     """
 
-    def __init__(self, directory, max_entries=None, max_bytes=None):
+    def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_entries = None if max_entries is None else int(max_entries)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        if self.max_entries is not None and self.max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        if self.max_bytes is not None and self.max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1")
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        # name -> monotonic touch ordinal; tie-break for coarse mtimes.
-        self._recency = {}
-        self._touch_counter = 0
 
     def key(self, parametric, reducer) -> str:
         """Content key for (system, reducer): hash of both fingerprints."""
@@ -196,13 +172,7 @@ class ModelCache:
             _CACHE_MISSES.inc()
             return None
         _CACHE_HITS.inc()
-        model = load_model(path)
-        try:
-            os.utime(path)  # refresh LRU recency for the eviction scan
-        except OSError:
-            pass
-        self._touch(path)
-        return model
+        return load_model(path)
 
     def store(self, key: str, model: ParametricReducedModel) -> Path:
         """Persist ``model`` under ``key``; returns the archive path.
@@ -225,79 +195,7 @@ class ModelCache:
             os.replace(scratch, path)
         finally:
             scratch.unlink(missing_ok=True)
-        self._touch(path)
-        self._evict(keep=path)
         return path
-
-    def _touch(self, path: Path) -> None:
-        """Record an in-process recency ordinal for ``path``."""
-        self._touch_counter += 1
-        self._recency[path.name] = self._touch_counter
-
-    @staticmethod
-    def _entry_mtime(stat) -> float:
-        """The recency timestamp of one archive (tests monkeypatch this
-        to model coarse-granularity filesystems)."""
-        return stat.st_mtime
-
-    def _entries(self):
-        """(mtime, size, path) for every committed archive, oldest first.
-
-        Ordering is ``(mtime, in-process touch ordinal, name)``: the
-        mtime is the cross-process truth, but on filesystems with
-        coarse timestamps a just-touched entry can share its mtime with
-        the oldest one -- the touch ordinal settles exactly those ties
-        (an entry never touched by this process ranks oldest within its
-        mtime bucket, which is the conservative choice).
-        """
-        records = []
-        for entry in self.directory.glob("*.npz"):
-            if entry.name.startswith("."):
-                continue  # in-flight scratch files are not cache entries
-            try:
-                stat = entry.stat()
-            except OSError:
-                continue
-            records.append((self._entry_mtime(stat), stat.st_size, entry))
-        records.sort(
-            key=lambda record: (
-                record[0],
-                self._recency.get(record[2].name, 0),
-                record[2].name,
-            )
-        )
-        return records
-
-    def _evict(self, keep: Path) -> None:
-        """Drop least-recently-used archives until both caps hold.
-
-        The entry just stored (``keep``) is never evicted, even when it
-        alone exceeds ``max_bytes`` -- a cache that silently discards
-        what it was just asked to remember would turn every oversized
-        model into a permanent miss loop.
-        """
-        if self.max_entries is None and self.max_bytes is None:
-            return
-        records = self._entries()
-        total = sum(size for _, size, _ in records)
-        count = len(records)
-        for _, size, entry in records:
-            over_entries = self.max_entries is not None and count > self.max_entries
-            over_bytes = self.max_bytes is not None and total > self.max_bytes
-            if not (over_entries or over_bytes):
-                break
-            if entry == keep:
-                continue
-            try:
-                entry.unlink()
-            except OSError:
-                continue
-            self._recency.pop(entry.name, None)
-            count -= 1
-            total -= size
-            self.evictions += 1
-            _CACHE_EVICTIONS.inc()
-            _CACHE_EVICTED_BYTES.inc(size)
 
     def get_or_reduce(self, parametric, reducer) -> ParametricReducedModel:
         """The reduced model for (system, reducer), reducing on miss.
@@ -333,6 +231,5 @@ class ModelCache:
     def __repr__(self) -> str:
         return (
             f"ModelCache({str(self.directory)!r}, entries={len(self)}, "
-            f"hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions})"
+            f"hits={self.hits}, misses={self.misses})"
         )

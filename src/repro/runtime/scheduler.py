@@ -211,13 +211,14 @@ class LeaseBoard:
     def _read_claim(self, path: Path) -> Optional[dict]:
         """Parse a claim file; ``None`` when missing or unreadable.
 
-        A corrupt claim (torn write from a dying kernel, hand-edited
-        file) parses to an empty record, which has no identity and no
-        live pid -- it simply expires and is stolen like any dead one.
+        A claim that does not decode to an object -- a torn write from
+        a dying kernel, a hand-edited file, invalid UTF-8, JSON nested
+        past the recursion limit -- has no identity and no live pid: it
+        expires and is stolen like any dead one.
         """
         try:
-            record = json.loads(path.read_text())
-        except (OSError, ValueError):
+            record = json.loads(path.read_bytes())
+        except (OSError, ValueError, RecursionError):
             return None
         return record if isinstance(record, dict) else None
 
@@ -249,12 +250,12 @@ class LeaseBoard:
         if record.get("host") != self.host:
             return False
         pid = record.get("pid")
-        if not isinstance(pid, int) or pid <= 0:
+        if type(pid) is not int or pid <= 0:  # a bool is not a pid
             return True
         try:
             os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
+        except (ProcessLookupError, OverflowError):
+            return True  # no such process, or a pid no process can have
         except OSError:
             pass  # alive but not ours (PermissionError) -- or unknowable
         return False

@@ -17,7 +17,9 @@ pattern plus per-parameter index maps once; afterwards
 
 - instantiating ``G(p_k)`` for a whole sample batch is a data-array
   update (no per-sample pattern merges, no COO round trips), bit-
-  identical to the scalar path;
+  identical to the scalar path: each sensitivity adds its own data at
+  the union positions it touches, so a family keeps no dense
+  ``(n_p, nnz)`` stack;
 - every pencil ``G(p_k) + s C(p_k)`` shares one symbolic analysis,
   chosen per pattern: LAPACK ``gtsv``/``gbsv`` on the RCM-permuted band
   (the natural form of ladders, buses, and power meshes), a
@@ -466,12 +468,6 @@ class SparsePatternFamily:
             positions(sensitivities[num_parameters + i]) for i in range(num_parameters)
         ]
         self._dc_data = [sensitivities[num_parameters + i].data for i in range(num_parameters)]
-        # Dense (n_p, nnz) stacks for the einsum (exact=False) path.
-        self._dg_stack = np.zeros((num_parameters, self.nnz))
-        self._dc_stack = np.zeros((num_parameters, self.nnz))
-        for i in range(num_parameters):
-            self._dg_stack[i, self._dg_positions[i]] = self._dg_data[i]
-            self._dc_stack[i, self._dc_positions[i]] = self._dc_data[i]
 
         self._b_dense = np.asarray(
             nominal.B.toarray() if sp.issparse(nominal.B) else nominal.B, dtype=float
@@ -666,20 +662,14 @@ class SparsePatternFamily:
             title=label,
         )
 
-    def batch_data(self, samples, exact: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    def batch_data(self, samples) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked ``(G, C)`` data arrays over a sample matrix.
 
         Returns ``(g_data, c_data)`` of shape ``(m, nnz)`` on the
-        shared pattern.  With ``exact`` (default) the per-entry
-        accumulation is bit-identical to the scalar path; with
-        ``exact=False`` the update is one matmul contraction
-        ``data = data0 + samples @ d_stack`` (equal to rounding).
+        shared pattern; the per-entry accumulation is bit-identical to
+        the scalar path.
         """
         matrix = as_sample_matrix(self, samples)
-        if not exact:
-            g = self._g0_data[None, :] + matrix @ self._dg_stack
-            c = self._c0_data[None, :] + matrix @ self._dc_stack
-            return g, c
         num_samples = matrix.shape[0]
         g = np.broadcast_to(self._g0_data, (num_samples, self.nnz)).copy()
         c = np.broadcast_to(self._c0_data, (num_samples, self.nnz)).copy()

@@ -427,8 +427,9 @@ def _check_manifest(path: Path, manifest) -> None:
     shape its readers index.
 
     That is an object of this format whose fields
-    (:data:`_MANIFEST_FIELDS`, the fingerprint's ``samples`` digest)
-    have their types, and whose chunk records fit its own layout.
+    (:data:`_MANIFEST_FIELDS`, the fingerprint's ``samples`` digest and
+    ``workload`` name, which readers use as a key) have their types,
+    and whose chunk records fit its own layout.
     Readers take a chunk's instance range straight from ``lo``/``hi``
     and open ``file`` relative to the store, so each record must name a
     chunk of the grid -- ``index < num_chunks`` and ``(lo, hi)`` that
@@ -452,9 +453,11 @@ def _check_manifest(path: Path, manifest) -> None:
     for name, kind, label in _MANIFEST_FIELDS:
         if name in manifest and not isinstance(manifest[name], kind):
             raise corrupt(f"{name!r} is not {label}")
-    samples = manifest.get("fingerprint", {}).get("samples")
-    if samples is not None and not isinstance(samples, str):
-        raise corrupt("the fingerprint's 'samples' is not a string")
+    fingerprint = manifest.get("fingerprint", {})
+    for name in ("samples", "workload"):
+        value = fingerprint.get(name)
+        if value is not None and not isinstance(value, str):
+            raise corrupt(f"the fingerprint's {name!r} is not a string")
     chunks = manifest.get("chunks", {})
     if not chunks:
         return

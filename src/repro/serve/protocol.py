@@ -1,11 +1,12 @@
 """The job declaration schema: JSON in, realized studies out.
 
-One declaration language serves both fronts: the CLI builders
-(:mod:`repro.cli`) and the HTTP job protocol realize scenario plans and
-waveforms through the *same* :func:`build_plan` / :func:`build_waveform`
-constructors, so a study submitted over the wire lands on the same
-content fingerprint -- and therefore the same StudyStore manifests --
-as the identical study declared at a terminal.
+One declaration language serves both fronts.  A :class:`JobSpec` is
+built by :func:`parse_job` from a job document or by the CLI's study
+commands (:mod:`repro.cli`) from their flags, and either way
+:func:`realize` parses, stamps and reduces its net and declares its
+Studies, so a study submitted over the wire lands on the same content
+fingerprint -- and therefore the same StudyStore manifests -- as the
+identical study declared at a terminal.
 
 A job document looks like::
 
@@ -34,7 +35,9 @@ the same net declaration.
 A transient is driven by its waveform's ``input``; the workload's own
 ``input`` defaults to it and must agree with it.
 Malformed documents raise :class:`ProtocolError`, which the server maps
-to HTTP 400 and the CLI maps to its usual exit-1 one-liner.  Counts
+to HTTP 400 and the CLI maps to its usual exit-1 one-liner.  A sweep's
+``points``, a Monte Carlo plan's ``seed`` and a grid plan's ``points``
+must be integers (``>= 1``, ``>= 0``, ``>= 1``), booleans refused.  Counts
 that size an allocation made before admission -- ``plan.instances``,
 ``plan.points`` (a grid's total too), ``workload.points`` and a
 transient's ``workload.steps`` -- are capped at
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -206,9 +210,10 @@ def build_waveform(kind: str, *, amplitude: float = 1.0,
 
 
 def _is_count(value, minimum: int) -> bool:
-    """Whether ``value`` is a JSON integer (not a bool) >= ``minimum``."""
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= minimum
+    """Whether ``value`` is an integer (not a bool) >= ``minimum``: a
+    JSON integer, or a NumPy one in an in-process payload."""
+    return isinstance(value, numbers.Integral) \
+        and not isinstance(value, bool) and value >= minimum
 
 
 def _is_number(value) -> bool:
@@ -253,10 +258,12 @@ def _merged(section: dict, defaults: dict, label: str) -> dict:
 class JobSpec:
     """A parsed, validated, normalized job declaration.
 
-    ``canonical()`` returns the fully-defaulted JSON document -- two
-    submissions that differ only in omitted-vs-explicit defaults
-    canonicalize identically, which is what the content-addressed job
-    key hashes.
+    :func:`parse_job` builds one from a job document, enforcing the
+    document caps; the CLI's study commands build one from their flags
+    and refuse bad flags by name themselves.  ``canonical()`` returns
+    the fully-defaulted JSON document -- two submissions that differ
+    only in omitted-vs-explicit defaults canonicalize identically,
+    which is what the content-addressed job key hashes.
     """
 
     netlist: str
@@ -397,6 +404,11 @@ def parse_job(payload) -> JobSpec:
         )
     if parameters > MAX_PARAMETERS:
         raise ProtocolError(f"'parameters' must be at most {MAX_PARAMETERS}")
+    # A boolean is a JSON integer to Python: refuse it here, or it
+    # realizes as 0 or 1.
+    for name, minimum in (("seed", 0), ("points", 1)):
+        if name in plan_options and not _is_count(plan_options[name], minimum):
+            raise ProtocolError(f"'plan.{name}' must be an integer >= {minimum}")
 
     if workload_kind == "sweep":
         fmin, fmax = workload_options["fmin"], workload_options["fmax"]
@@ -404,6 +416,8 @@ def parse_job(payload) -> JobSpec:
             raise ProtocolError("'fmin' must be a finite number > 0")
         if not (_is_finite(fmax) and fmax >= fmin):
             raise ProtocolError("'fmax' must be a finite number >= 'fmin'")
+        if not _is_count(workload_options["points"], 1):
+            raise ProtocolError("'points' must be an integer >= 1")
     if workload_kind == "montecarlo":
         for name in ("poles", "bins"):
             if not _is_count(workload_options[name], 1):
@@ -455,7 +469,8 @@ def parse_job(payload) -> JobSpec:
 
 @dataclass
 class RealizedJob:
-    """A job bound to its parametric system and the Studies it runs.
+    """A job bound to its parametric system, its reduced model and the
+    Studies it runs.
 
     ``studies`` maps a side label to the one Study of that side, which
     the supervisor runs (``run()``, or one ``work()`` per co-draining
@@ -468,6 +483,7 @@ class RealizedJob:
 
     spec: JobSpec
     parametric: object
+    model: object
     studies: dict = field(default_factory=dict)
 
     @property
@@ -538,7 +554,7 @@ def declare_studies(spec: JobSpec, parametric, model,
     """
     from repro.runtime import Study
 
-    job = RealizedJob(spec=spec, parametric=parametric)
+    job = RealizedJob(spec=spec, parametric=parametric, model=model)
     options = dict(spec.workload_options)
     try:
         if spec.workload_kind == "montecarlo":

@@ -124,9 +124,7 @@ class StudySupervisor:
         to co-drain its own chunks).
     model_cache:
         Optional directory or :class:`~repro.runtime.ModelCache` for
-        the reduction step; bounded caches
-        (``ModelCache(..., max_entries=...)``) are recommended for
-        long-running services.
+        the reduction step.
     ttl, poll:
         Lease scheduler knobs for multi-worker jobs (see
         :meth:`~repro.runtime.engine.Study.work`).

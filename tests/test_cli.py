@@ -370,6 +370,33 @@ class TestBatch:
         assert code == 0
         assert "chunks: 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["batch"], ["work", "batch"]],
+                             ids=["batch", "work-batch"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--fmin", "-1"], "--fmin must be a finite number > 0"),
+        (["--fmin", "0"], "--fmin must be a finite number > 0"),
+        (["--fmin", "nan"], "--fmin must be a finite number > 0"),
+        (["--fmax", "inf"], "--fmax must be a finite number >= --fmin"),
+        (["--fmax", "1e6"], "--fmax must be a finite number >= --fmin"),
+        (["--points", "0"], "--points must be an integer >= 1"),
+    ], ids=["fmin-negative", "fmin-zero", "fmin-nan", "fmax-inf",
+            "fmax-below-fmin", "points-zero"])
+    def test_bad_band_is_refused_before_the_netlist_is_read(
+            self, tmp_path, capsys, command, flags, message):
+        """``--fmin -1`` used to print NaN rows, ``--points 0`` a header
+        alone and ``--fmax`` below ``--fmin`` a descending band, each
+        with exit 0.  The netlist does not exist: the band is refused
+        first."""
+        store = tmp_path / "store"
+        argv = [*command, str(tmp_path / "absent.sp"), *flags]
+        if command[0] == "work":
+            argv += ["--store", str(store)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not store.exists()
+
 
 class TestTransient:
     def test_step_envelope_csv_and_delay_summary(self, netlist_file, capsys):
@@ -752,6 +779,89 @@ class TestWorkCommand:
     def test_work_requires_store_flag(self, netlist_file, capsys):
         with pytest.raises(SystemExit):
             main(["work", "batch", netlist_file, *self.BATCH])
+
+
+def _stored_study_keys(store) -> list:
+    """The study key of every manifest in ``store``, each once."""
+    return sorted({json.loads(path.read_text())["study_key"]
+                   for path in store.glob("manifest-*.json")})
+
+
+WAVEFORMS = {
+    "step": ([], {"kind": "step"}),
+    "ramp": (["--waveform", "ramp", "--rise-time", "1e-11"],
+             {"kind": "ramp", "rise_time": 1e-11}),
+    "sine": (["--waveform", "sine", "--frequency", "1e10"],
+             {"kind": "sine", "frequency": 1e10}),
+    "pwl": (["--waveform", "pwl", "--pwl", "0:0,1e-11:1,3e-11:0.5"],
+            {"kind": "pwl", "points": [[0, 0], [1e-11, 1], [3e-11, 0.5]]}),
+}
+
+
+class TestServerParity:
+    """A study command and the equivalent job document land on the same
+    study keys: the CLI declares through ``repro.serve.protocol``, so a
+    CLI store and a served one answer for the same studies, and a CLI
+    worker co-drains a served job."""
+
+    @staticmethod
+    def _assert_parity(tmp_path, netlist_file, flags, document):
+        from repro.serve.protocol import parse_job, realize
+
+        store = tmp_path / "store"
+        argv = [*flags[:2 if flags[0] == "work" else 1], netlist_file,
+                *flags[2 if flags[0] == "work" else 1:],
+                "--moments", "3", "--chunk", "2", "--store", str(store)]
+        assert main(argv) == 0
+        expected = realize(parse_job(
+            {"netlist": NETLIST, "moments": 3, "chunk": 2, **document}))
+        assert _stored_study_keys(store) == sorted(expected.study_keys)
+
+    @pytest.mark.parametrize("flags, plan", [
+        (["--instances", "4"], {"kind": "montecarlo", "instances": 4}),
+        (["--plan", "corners", "--magnitude", "0.2"],
+         {"kind": "corners", "magnitude": 0.2}),
+        (["--plan", "grid", "--grid-points", "2"],
+         {"kind": "grid", "points": 2}),
+    ], ids=["montecarlo", "corners", "grid"])
+    def test_batch(self, tmp_path, netlist_file, capsys, flags, plan):
+        self._assert_parity(
+            tmp_path, netlist_file,
+            ["batch", *flags, "--fmin", "1e8", "--points", "5"],
+            {"plan": plan,
+             "workload": {"kind": "sweep", "fmin": 1e8, "points": 5}})
+
+    @pytest.mark.parametrize("horizon", [None, 3e-10], ids=["default", "t-final"])
+    @pytest.mark.parametrize("waveform", sorted(WAVEFORMS))
+    def test_transient(self, tmp_path, netlist_file, capsys, waveform,
+                       horizon):
+        flags, spec = WAVEFORMS[waveform]
+        if horizon is not None:
+            flags = [*flags, "--t-final", str(horizon)]
+        self._assert_parity(
+            tmp_path, netlist_file,
+            ["transient", "--plan", "corners", "--steps", "8", *flags],
+            {"plan": {"kind": "corners"},
+             "workload": {"kind": "transient", "steps": 8, "t_final": horizon,
+                          "waveform": spec}})
+
+    @pytest.mark.parametrize("command", [["montecarlo"], ["work", "montecarlo"]],
+                             ids=["montecarlo", "work-montecarlo"])
+    def test_montecarlo(self, tmp_path, netlist_file, capsys, command):
+        self._assert_parity(
+            tmp_path, netlist_file,
+            [*command, "--instances", "4", "--poles", "2", "--seed", "3"],
+            {"plan": {"kind": "montecarlo", "instances": 4, "seed": 3},
+             "workload": {"kind": "montecarlo", "poles": 2}})
+
+    def test_work_transient(self, tmp_path, netlist_file, capsys):
+        self._assert_parity(
+            tmp_path, netlist_file,
+            ["work", "transient", "--plan", "grid", "--grid-points", "2",
+             "--steps", "8", "--waveform", "ramp", "--rise-time", "1e-11"],
+            {"plan": {"kind": "grid", "points": 2},
+             "workload": {"kind": "transient", "steps": 8,
+                          "waveform": {"kind": "ramp", "rise_time": 1e-11}}})
 
 
 class TestQuery:

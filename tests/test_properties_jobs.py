@@ -17,9 +17,12 @@ observations, good and bad values).
 fingerprint, whose ``spread`` and transient ``steps`` are within their
 bounds and whose plan scales no element value to zero or below, or
 raise :class:`~repro.serve.protocol.ProtocolError` with a one-line
-message; it may raise nothing else.  Transients with ``steps`` past the
-cap, sweeps with a ``spread`` outside its range (``1e300``, negative)
-and sweeps whose sources and excursions can zero an element are tried
+message; it may raise nothing else.  A realized sweep's ``points``, a
+Monte Carlo plan's ``seed`` and a grid plan's ``points`` are integers
+(booleans are not).  Transients with ``steps`` past the cap, sweeps
+with a ``spread`` outside its range (``1e300``, negative), sweeps whose
+sources and excursions can zero an element, sweeps of ``points`` 0 or
+``true`` and plans of a boolean ``seed`` or grid ``points`` are tried
 on every run.
 """
 
@@ -142,6 +145,10 @@ def job_documents(draw):
     return document
 
 
+def _is_count(value, minimum: int) -> bool:
+    return type(value) is int and value >= minimum
+
+
 def _transient(steps):
     return {
         "netlist": NETLIST, "moments": 2, "plan": PLANS["montecarlo"],
@@ -149,11 +156,11 @@ def _transient(steps):
     }
 
 
-def _sweep(spread, parameters=2, plan=PLANS["montecarlo"]):
+def _sweep(spread, parameters=2, plan=PLANS["montecarlo"], points=4):
     return {
         "netlist": NETLIST, "moments": 2, "spread": spread,
         "parameters": parameters, "plan": plan,
-        "workload": WORKLOADS["sweep"],
+        "workload": dict(WORKLOADS["sweep"], points=points),
     }
 
 
@@ -165,6 +172,10 @@ def _sweep(spread, parameters=2, plan=PLANS["montecarlo"]):
 @example(document=_sweep(-0.5))
 @example(document=_sweep(1, parameters=4))
 @example(document=_sweep(0.5, plan={"kind": "corners", "magnitude": 5}))
+@example(document=_sweep(0.5, points=0))
+@example(document=_sweep(0.5, points=True))
+@example(document=_sweep(0.5, plan=dict(PLANS["montecarlo"], seed=True)))
+@example(document=_sweep(0.5, plan=dict(PLANS["grid"], points=True)))
 def test_job_document_realizes_or_is_refused_in_one_line(document):
     try:
         job = realize(parse_job(document))
@@ -175,6 +186,11 @@ def test_job_document_realizes_or_is_refused_in_one_line(document):
     assert len(job.study_keys) == len(job.studies) >= 1
     assert job.peak_bytes >= 0
     assert job.spec.workload_options.get("steps", 0) <= MAX_PLAN_SAMPLES
+    if job.spec.workload_kind == "sweep":
+        assert _is_count(job.spec.workload_options["points"], 1)
+    for name, minimum in (("seed", 0), ("points", 1)):
+        if name in job.spec.plan_options:
+            assert _is_count(job.spec.plan_options[name], minimum)
     assert 0 <= job.spec.spread <= MAX_SPREAD
     excursion = abs(plan_excursion(job.spec.plan_kind, job.spec.plan_options))
     assert element_factor_floor(job.spec.spread, job.spec.parameters,

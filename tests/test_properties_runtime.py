@@ -151,7 +151,7 @@ class TestSparsePatternFamilyProperties:
     def test_batch_data_bit_identical_to_scalar_path(self, ensemble):
         model, samples = ensemble
         family = SparsePatternFamily(model)
-        g_data, c_data = family.batch_data(samples, exact=True)
+        g_data, c_data = family.batch_data(samples)
         for k, point in enumerate(samples):
             reference = model.instantiate(point)
             np.testing.assert_array_equal(

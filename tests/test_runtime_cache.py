@@ -207,150 +207,3 @@ class TestModelCache:
         assert errors == []
         assert roundtrip_equal(cache.load(key), model)
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{key}.npz"]
-
-
-class TestCacheBounds:
-    """LRU entry/byte caps for long-running (server) processes."""
-
-    @staticmethod
-    def _age(cache, key, seconds_ago):
-        """Backdate an entry's mtime so LRU order is deterministic."""
-        import os
-        import time
-
-        stamp = time.time() - seconds_ago
-        os.utime(cache.path_for(key), (stamp, stamp))
-
-    def _fill(self, cache, parametric, moments):
-        keys = []
-        for i, m in enumerate(moments):
-            reducer = LowRankReducer(num_moments=m, rank=1)
-            cache.get_or_reduce(parametric, reducer)
-            keys.append(cache.key(parametric, reducer))
-            self._age(cache, keys[-1], seconds_ago=100 - 10 * i)
-        return keys
-
-    def test_unbounded_by_default(self, parametric, tmp_path):
-        cache = ModelCache(tmp_path)
-        self._fill(cache, parametric, [2, 3, 4, 5])
-        assert len(cache) == 4
-        assert cache.evictions == 0
-
-    def test_entry_cap_evicts_least_recently_used(self, parametric, tmp_path):
-        from repro.obs import metrics as obs_metrics
-
-        before = obs_metrics.registry().snapshot()["counters"].get(
-            "cache.evictions", 0
-        )
-        cache = ModelCache(tmp_path, max_entries=2)
-        keys = self._fill(cache, parametric, [2, 3, 4])
-        assert len(cache) == 2
-        assert not cache.path_for(keys[0]).exists()  # oldest evicted
-        assert cache.path_for(keys[1]).exists()
-        assert cache.path_for(keys[2]).exists()
-        assert cache.evictions == 1
-        after = obs_metrics.registry().snapshot()["counters"]["cache.evictions"]
-        assert after - before == 1
-
-    def test_load_refreshes_recency(self, parametric, tmp_path):
-        cache = ModelCache(tmp_path, max_entries=2)
-        reducers = [LowRankReducer(num_moments=m, rank=1) for m in (2, 3)]
-        keys = []
-        for i, reducer in enumerate(reducers):
-            cache.get_or_reduce(parametric, reducer)
-            keys.append(cache.key(parametric, reducer))
-            self._age(cache, keys[-1], seconds_ago=100 - 10 * i)
-        # Touch the oldest entry: a hit refreshes its mtime, so the
-        # *other* entry is now the LRU victim.
-        assert cache.load(keys[0]) is not None
-        third = LowRankReducer(num_moments=4, rank=1)
-        cache.get_or_reduce(parametric, third)
-        assert cache.path_for(keys[0]).exists()
-        assert not cache.path_for(keys[1]).exists()
-
-    def test_byte_cap_evicts_until_under_budget(self, parametric, tmp_path):
-        probe = ModelCache(tmp_path / "probe")
-        probe_keys = self._fill(probe, parametric, [2, 3, 4])
-        # Budget holds exactly the two most recent entries.
-        budget = sum(
-            probe.path_for(k).stat().st_size for k in probe_keys[1:]
-        )
-        cache = ModelCache(tmp_path / "bounded", max_bytes=budget)
-        keys = self._fill(cache, parametric, [2, 3, 4])
-        assert len(cache) == 2
-        assert not cache.path_for(keys[0]).exists()
-        assert cache.evictions == 1
-
-    def test_newest_entry_never_evicted(self, parametric, tmp_path):
-        """Even an over-budget store keeps what it just wrote."""
-        cache = ModelCache(tmp_path, max_bytes=1)
-        reducer = LowRankReducer(num_moments=2, rank=1)
-        cache.get_or_reduce(parametric, reducer)
-        assert cache.path_for(cache.key(parametric, reducer)).exists()
-        assert cache.evictions == 0
-
-    def test_invalid_caps_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_entries"):
-            ModelCache(tmp_path, max_entries=0)
-        with pytest.raises(ValueError, match="max_bytes"):
-            ModelCache(tmp_path, max_bytes=0)
-
-    def test_repr_reports_evictions(self, parametric, tmp_path):
-        cache = ModelCache(tmp_path, max_entries=1)
-        self._fill(cache, parametric, [2, 3])
-        assert "evictions=1" in repr(cache)
-
-
-class TestCoarseMtimeTieBreak:
-    """Regression: LRU recency rode entirely on filesystem mtimes.
-
-    On filesystems with coarse (e.g. one-second) timestamp granularity,
-    an ``os.utime`` refresh can land on the *same* stamp as the oldest
-    entry's, tying them -- and the tie used to resolve by filename, so a
-    just-hit entry could be evicted ahead of entries untouched for far
-    longer.  The in-process touch counter must break such ties by true
-    access order.  ``_entry_mtime`` is monkeypatched to a constant to
-    model the worst case: every stamp identical.
-    """
-
-    def test_just_hit_entry_survives_tied_mtimes(self, parametric, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setattr(ModelCache, "_entry_mtime",
-                            staticmethod(lambda stat: 1234.5))
-        cache = ModelCache(tmp_path, max_entries=2)
-        reducers = [LowRankReducer(num_moments=m, rank=1) for m in (2, 3)]
-        keys = []
-        for reducer in reducers:
-            cache.get_or_reduce(parametric, reducer)
-            keys.append(cache.key(parametric, reducer))
-        # Hit the lexicographically-smallest key -- exactly the entry a
-        # filename tie-break would pick as the victim -- so only the
-        # recency counter can save it.
-        hit, other = min(keys), max(keys)
-        assert cache.load(hit) is not None
-        cache.get_or_reduce(parametric, LowRankReducer(num_moments=4, rank=1))
-        assert cache.path_for(hit).exists(), \
-            "just-hit entry evicted on an mtime tie"
-        assert not cache.path_for(other).exists()
-        assert cache.evictions == 1
-
-    def test_untouched_entries_rank_oldest_in_tie(self, parametric, tmp_path,
-                                                  monkeypatch):
-        """An entry present on disk but never touched by this process
-        (e.g. written by a previous run) loses ties against anything the
-        live process has accessed -- the conservative choice."""
-        monkeypatch.setattr(ModelCache, "_entry_mtime",
-                            staticmethod(lambda stat: 99.0))
-        seed = ModelCache(tmp_path)
-        stale_reducer = LowRankReducer(num_moments=2, rank=1)
-        seed.get_or_reduce(parametric, stale_reducer)
-        stale_key = seed.key(parametric, stale_reducer)
-        # Fresh process view over the same directory: no recency record
-        # for the pre-existing entry.
-        cache = ModelCache(tmp_path, max_entries=2)
-        live_reducer = LowRankReducer(num_moments=3, rank=1)
-        cache.get_or_reduce(parametric, live_reducer)
-        live_key = cache.key(parametric, live_reducer)
-        cache.get_or_reduce(parametric, LowRankReducer(num_moments=4, rank=1))
-        assert not cache.path_for(stale_key).exists()
-        assert cache.path_for(live_key).exists()

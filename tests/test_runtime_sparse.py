@@ -160,7 +160,7 @@ class TestInstantiateBitIdentity:
         model = ladder_parametric()
         family = SparsePatternFamily(model)
         samples = samples_for(model)
-        g_data, c_data = family.batch_data(samples, exact=True)
+        g_data, c_data = family.batch_data(samples)
         for k, point in enumerate(samples):
             reference = model.instantiate(point)
             np.testing.assert_array_equal(
@@ -169,16 +169,6 @@ class TestInstantiateBitIdentity:
             np.testing.assert_array_equal(
                 family.matrix_from_data(c_data[k]).toarray(), reference.C.toarray()
             )
-
-    def test_einsum_batch_data_matches_exact(self):
-        model = mesh_parametric()
-        family = SparsePatternFamily(model)
-        samples = samples_for(model)
-        g_exact, c_exact = family.batch_data(samples, exact=True)
-        g_fast, c_fast = family.batch_data(samples, exact=False)
-        scale = max(np.abs(g_exact).max(), np.abs(c_exact).max())
-        assert np.abs(g_fast - g_exact).max() <= 1e-12 * scale
-        assert np.abs(c_fast - c_exact).max() <= 1e-12 * scale
 
     def test_rejects_bad_point_shape(self):
         family = SparsePatternFamily(ladder_parametric())

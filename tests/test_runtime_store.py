@@ -323,6 +323,27 @@ class TestManifestValidation:
         assert "'fingerprint' is not an object" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("workload", [[], {}, 5])
+    def test_retyped_fingerprint_workload_fails_a_query_in_one_line(
+        self, model, plan, tmp_path, workload
+    ):
+        """A query keys the members it reads by the fingerprint's
+        workload: a list there raised ``TypeError: unhashable type``."""
+        from repro.warehouse import QueryEngine, Warehouse
+
+        store_dir = tmp_path / "store"
+        _sweep(model, plan).store(store_dir).run()
+        Warehouse(tmp_path / "wh").register(store_dir)
+        (path,) = store_dir.glob("manifest-*.json")
+        manifest = json.loads(path.read_text())
+        manifest["fingerprint"]["workload"] = workload
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError,
+                           match="the fingerprint's 'workload' is not a "
+                                 "string") as caught:
+            QueryEngine(tmp_path / "wh").metric_values("num_poles")
+        assert "\n" not in str(caught.value)
+
 
 class TestBuilderValidation:
     def test_resume_requires_store(self, model, plan):

@@ -214,6 +214,37 @@ class TestParseJob:
         with pytest.raises(ProtocolError, match=f"'{field}' must be an integer >= 1"):
             parse_job(_job(workload={"kind": "montecarlo", field: value}))
 
+    @pytest.mark.parametrize("value", [0, -3, True, False, 2.5, "4", None])
+    def test_sweep_points_must_be_a_count(self, value):
+        """``points: 0`` used to run to ``done`` with no frequencies and
+        ``points: true`` to run one, keeping ``true`` in the spec."""
+        with pytest.raises(ProtocolError) as caught:
+            parse_job(_job(workload={"kind": "sweep", "points": value}))
+        assert str(caught.value) == "'points' must be an integer >= 1"
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"kind": "montecarlo", "seed": True}, "'plan.seed' must be an integer >= 0"),
+        ({"kind": "montecarlo", "seed": False}, "'plan.seed' must be an integer >= 0"),
+        ({"kind": "montecarlo", "seed": -1}, "'plan.seed' must be an integer >= 0"),
+        ({"kind": "grid", "points": True}, "'plan.points' must be an integer >= 1"),
+        ({"kind": "grid", "points": 0}, "'plan.points' must be an integer >= 1"),
+        ({"kind": "grid", "points": 1.5}, "'plan.points' must be an integer >= 1"),
+    ], ids=["seed-true", "seed-false", "seed-negative", "grid-points-true",
+            "grid-points-zero", "grid-points-float"])
+    def test_plan_seed_and_grid_points_must_be_counts(self, plan, message):
+        """A boolean ``seed`` or grid ``points`` used to realize as 0 or 1."""
+        with pytest.raises(ProtocolError) as caught:
+            parse_job(_job(plan=plan))
+        assert str(caught.value) == message
+
+    def test_counted_sweep_points_and_plan_seeds_parse(self):
+        spec = parse_job(_job(plan={"kind": "montecarlo", "seed": 0},
+                              workload={"kind": "sweep", "points": 1}))
+        assert spec.workload_options["points"] == 1
+        assert spec.plan_options["seed"] == 0
+        assert parse_job(_job(plan={"kind": "grid", "points": 1})) \
+            .plan_options["points"] == 1
+
 
 class TestRealize:
     def test_sweep_realizes_one_study(self):

@@ -107,6 +107,18 @@ class TestSubmission:
             supervisor.submit(_job(netlist=""))
         assert len(supervisor.registry) == 0
 
+    @pytest.mark.parametrize("points", [0, True])
+    def test_degenerate_sweep_band_is_refused_at_submit(self, supervisor,
+                                                        points):
+        """``points: 0`` used to run to ``done`` answering no frequencies,
+        and ``points: true`` to run one."""
+        with pytest.raises(ProtocolError,
+                           match="^'points' must be an integer >= 1$"):
+            supervisor.submit(_job(plan={"kind": "corners"},
+                                   workload={"kind": "sweep",
+                                             "points": points}))
+        assert len(supervisor.registry) == 0
+
     def test_runtime_failure_marks_job_failed(self, supervisor):
         from repro.serve.jobs import Job
         from repro.serve.protocol import parse_job, realize
